@@ -16,8 +16,12 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    pub(crate) fn new(columns: Vec<String>, tuples: TupleBuffer) -> QueryResult {
-        debug_assert_eq!(columns.len(), tuples.arity());
+    /// A result over `tuples`, one column name per tuple position.
+    ///
+    /// # Panics
+    /// Panics when the number of names differs from the tuple arity.
+    pub fn new(columns: Vec<String>, tuples: TupleBuffer) -> QueryResult {
+        assert_eq!(columns.len(), tuples.arity(), "one column name per tuple position");
         QueryResult { columns, tuples }
     }
 
@@ -52,9 +56,15 @@ impl QueryResult {
         self.tuples.rows()
     }
 
+    /// Row `i` as dictionary-encoded ids, borrowed from the tuple buffer:
+    /// what a renderer reads, with nothing allocated per row.
+    pub fn row(&self, i: usize) -> &[u32] {
+        self.tuples.row(i)
+    }
+
     /// Decode row `i` to terms using the store's dictionary.
     pub fn decode_row<'s>(&self, store: &'s TripleStore, i: usize) -> Vec<&'s Term> {
-        self.tuples.row(i).iter().map(|&id| store.dict().decode(id)).collect()
+        self.row(i).iter().map(|&id| store.dict().decode(id)).collect()
     }
 
     /// Approximate heap footprint in bytes (tuple payload plus column
@@ -79,6 +89,7 @@ mod tests {
         assert_eq!(r.columns(), &["X".to_string(), "Y".to_string()]);
         assert!(!r.is_empty());
         assert_eq!(r.iter().next().unwrap(), &[0, 1]);
+        assert_eq!(r.row(0), &[0, 1]);
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //!   `APPLY` / `STATS` / `INVALIDATE` / `QUIT`), its session pool sized
 //!   by [`ServiceConfig::server_sessions`] while each query executes on
 //!   the engine's [`eh_par::RuntimeConfig`].
+//! * [`respond_to`] — the single producer of protocol bytes: one row
+//!   renderer reading the result's tuple buffer, results too large to
+//!   cache streamed to the socket in chunks (see the `server` module's
+//!   "Emit path"); [`respond`] collects the same bytes in process.
 //! * [`Client`] — a minimal blocking client for tests, examples, and the
 //!   throughput harness.
 //!
@@ -63,7 +67,8 @@ mod cache;
 mod metrics;
 mod server;
 mod service;
+mod verb;
 
 pub use emptyheaded::{SharedStore, UpdateBatch, UpdateSummary};
-pub use server::{respond, respond_in_session, serve, Client, Session};
+pub use server::{respond, respond_in_session, respond_to, serve, Client, Session};
 pub use service::{Answer, QueryService, ServiceConfig, ServiceStats};

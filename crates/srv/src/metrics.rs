@@ -10,33 +10,18 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use eh_obs::{Counter, Gauge, Histogram, Registry};
 
+use crate::verb::Verb;
+
 /// Slow-query log capacity: a bounded ring, oldest entries dropped.
 pub(crate) const SLOW_LOG_CAPACITY: usize = 128;
-
-/// Every request-counter label the protocol can produce: the known verbs
-/// plus the `"other"` bucket unrecognized commands fall into.
-const REQUEST_LABELS: &[&str] = &[
-    "query",
-    "profile",
-    "metrics",
-    "insert",
-    "delete",
-    "apply",
-    "compact",
-    "stats",
-    "invalidate",
-    "save",
-    "replay",
-    "quit",
-    "other",
-];
 
 /// Pre-resolved handles for every metric the service records.
 pub(crate) struct ServiceMetrics {
     registry: Registry,
-    /// Per-verb request counters, pre-resolved so the per-request path is
-    /// one slice scan + one relaxed increment (no registry lock).
-    requests_by_verb: Vec<(&'static str, Arc<Counter>)>,
+    /// Per-verb request counters indexed by [`Verb`] discriminant,
+    /// pre-resolved so the per-request path is one relaxed increment (no
+    /// registry lock, no label comparison).
+    requests_by_verb: Vec<Arc<Counter>>,
     pub query_latency_us: Arc<Histogram>,
     pub update_apply_latency_us: Arc<Histogram>,
     pub compaction_pause_us: Arc<Histogram>,
@@ -67,15 +52,13 @@ pub(crate) struct ServiceMetrics {
 impl ServiceMetrics {
     pub fn new() -> ServiceMetrics {
         let registry = Registry::new();
-        let requests_by_verb = REQUEST_LABELS
-            .iter()
-            .map(|&label| {
-                let counter = registry.counter_with(
+        let requests_by_verb = Verb::labels()
+            .map(|label| {
+                registry.counter_with(
                     "eh_requests_total",
                     "Protocol requests by verb",
                     &[("verb", label)],
-                );
-                (label, counter)
+                )
             })
             .collect();
         ServiceMetrics {
@@ -158,17 +141,9 @@ impl ServiceMetrics {
         }
     }
 
-    /// Count one protocol request for `verb` (lowercased label).
-    pub fn note_request(&self, verb: &str) {
-        match self.requests_by_verb.iter().find(|(label, _)| *label == verb) {
-            Some((_, counter)) => counter.inc(),
-            // Unreachable through the protocol (unknown commands map to
-            // "other"), but keep direct callers correct.
-            None => self
-                .registry
-                .counter_with("eh_requests_total", "Protocol requests by verb", &[("verb", verb)])
-                .inc(),
-        }
+    /// Count one protocol request for `verb`.
+    pub fn note_request(&self, verb: Verb) {
+        self.requests_by_verb[verb as usize].inc();
     }
 
     /// Sync one shard's occupancy gauges (`eh_shard_triples`,

@@ -60,8 +60,26 @@
 //! of the store contents and the query text, whether it came from cache
 //! or from a fresh (sequential or parallel) execution — tests assert this
 //! byte-for-byte.
+//!
+//! ## Emit path
+//!
+//! [`respond_to`] is the only producer of protocol bytes and
+//! `render_rows_into` the only row renderer: ids are read straight from
+//! the result's tuple buffer and each term is written by
+//! [`Term::write_ntriples`](eh_rdf::Term::write_ntriples) into a byte
+//! buffer, with no allocation per row or per term. Each connection owns
+//! one reply buffer. A result that fits the result-cache budget is
+//! rendered once into its cache entry and sent as header + cached bytes +
+//! `END` in one vectored write; a result too large to cache is rendered
+//! and written in chunks of whole rows (about 64 KB), so the client
+//! drains one chunk while the next is rendered and the full reply never
+//! exists on the server. The store's read lock is held while a chunk is
+//! rendered and released before it is written, so a reader that stalls
+//! mid-reply cannot block `APPLY`. A reply that fits the buffer is one
+//! `write`, the last chunk of a longer one carries `END`, and both ends
+//! set `TCP_NODELAY`.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -70,13 +88,23 @@ use eh_par::WorkQueue;
 use eh_rdf::parse_ntriples;
 use emptyheaded::UpdateBatch;
 
-use crate::service::QueryService;
+use crate::service::{render_rows_into, Answer, QueryService};
+use crate::verb::{Request, Verb};
+
+/// Bytes of reply rendered before they are handed to the socket: a reply
+/// that fits goes out in one write, a longer one in chunks of whole rows
+/// about this size. Loopback moves 64 KB per segment, and at that size a
+/// chunk is rendered in tens of microseconds, so the peer is never left
+/// waiting long for the first bytes.
+const CHUNK_BYTES: usize = 64 << 10;
 
 /// Per-connection protocol state: the update batch staged by
-/// `INSERT`/`DELETE` lines, waiting for `APPLY`.
+/// `INSERT`/`DELETE` lines, waiting for `APPLY`, and the connection's one
+/// reply buffer, reused for every request.
 #[derive(Debug, Default)]
 pub struct Session {
     pending: UpdateBatch,
+    chunk: Vec<u8>,
 }
 
 impl Session {
@@ -91,119 +119,113 @@ impl Session {
     }
 }
 
-/// Compute the full response (including trailing newline) for one request
-/// line of a *stateful* session. This is the protocol's single source of
-/// truth: the TCP server writes exactly these bytes, and tests can call
-/// it directly to obtain reference responses without a socket.
-pub fn respond_in_session(service: &QueryService, session: &mut Session, line: &str) -> String {
-    let line = line.trim();
-    let (cmd, rest) = match line.split_once(char::is_whitespace) {
-        Some((cmd, rest)) => (cmd, rest.trim()),
-        None => (line, ""),
-    };
-    let verb = cmd.to_ascii_uppercase();
+/// Write the full response (including trailing newline) for one request
+/// line of a *stateful* session to `out`. This is the protocol's single
+/// source of truth: the TCP server hands it the socket, and
+/// [`respond_in_session`] collects the same bytes into a `String`.
+///
+/// Every reply is assembled in the session's chunk buffer and written
+/// whole, except the rows of a `QUERY` answer: a result that is (or could
+/// be) cached carries its rendered rows already and goes out as header +
+/// those bytes + `END` in one vectored write, unconcatenated; a result
+/// too large to cache is rendered into the buffer about 64 KB of whole
+/// rows at a time, each chunk written while the peer drains the one
+/// before, so the reply never exists in one piece on this side.
+pub fn respond_to(
+    service: &QueryService,
+    session: &mut Session,
+    line: &str,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    answer(service, session, Request::parse(line), out)
+}
+
+fn answer(
+    service: &QueryService,
+    session: &mut Session,
+    request: Request<'_>,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    let Request { verb, command, rest } = request;
     if service.metrics_on() {
-        const VERBS: &[&str] = &[
-            "QUERY",
-            "PROFILE",
-            "METRICS",
-            "INSERT",
-            "DELETE",
-            "APPLY",
-            "COMPACT",
-            "STATS",
-            "INVALIDATE",
-            "SAVE",
-            "REPLAY",
-            "QUIT",
-        ];
-        let label = if VERBS.contains(&verb.as_str()) {
-            verb.to_ascii_lowercase()
-        } else {
-            "other".to_string()
-        };
-        service.metrics().note_request(&label);
+        service.metrics().note_request(verb);
     }
-    match verb.as_str() {
-        "QUERY" if !rest.is_empty() => match service.query_sparql(rest) {
-            Ok(answer) => {
-                let mut out = String::new();
-                out.push_str(&format!("OK {}", answer.result.cardinality()));
-                for col in &answer.columns {
-                    out.push(' ');
-                    out.push_str(col);
-                }
-                out.push('\n');
-                // Row text is rendered once per cached result and reused
-                // by every subsequent hit (see CachedResult).
-                out.push_str(answer.result.rendered_rows(&service.store()));
-                out.push_str("END\n");
-                out
-            }
-            Err(e) => format!("ERR {}\n", e.to_string().replace(['\n', '\r'], " ")),
-        },
-        "QUERY" => "ERR QUERY needs a SPARQL string on the same line\n".to_string(),
-        "PROFILE" if !rest.is_empty() => match service.profile_sparql(rest) {
-            Ok(report) => {
-                let mut out = String::from("OK PROFILE\n");
-                out.push_str(&report);
-                if !out.ends_with('\n') {
-                    out.push('\n');
-                }
-                out.push_str("END\n");
-                out
-            }
-            Err(e) => format!("ERR {}\n", e.to_string().replace(['\n', '\r'], " ")),
-        },
-        "PROFILE" => "ERR PROFILE needs a SPARQL string on the same line\n".to_string(),
-        "METRICS" => {
-            let mut out = String::from("OK METRICS\n");
-            out.push_str(&service.metrics_text());
-            out.push_str("END\n");
-            out
+    let Session { pending, chunk: buf } = session;
+    buf.clear();
+    let operand = match verb {
+        Verb::Query | Verb::Profile => "a SPARQL string",
+        Verb::Insert | Verb::Delete => "an N-Triples triple",
+        Verb::Save => "a file path",
+        Verb::Replay => "a wal file path",
+        _ => "",
+    };
+    match verb {
+        _ if rest.is_empty() && !operand.is_empty() => {
+            writeln!(buf, "ERR {} needs {operand} on the same line", verb.name())?
         }
-        verb @ ("INSERT" | "DELETE") if !rest.is_empty() => match parse_ntriples(rest) {
+        Verb::Query => match service.query_sparql(rest) {
+            Ok(answer) => return write_answer(service, &answer, buf, out),
+            Err(e) => write_err(buf, &e),
+        },
+        Verb::Profile => match service.profile_sparql(rest) {
+            Ok(report) => {
+                buf.extend_from_slice(b"OK PROFILE\n");
+                buf.extend_from_slice(report.as_bytes());
+                if !report.ends_with('\n') {
+                    buf.push(b'\n');
+                }
+                buf.extend_from_slice(b"END\n");
+            }
+            Err(e) => write_err(buf, &e),
+        },
+        Verb::Metrics => {
+            buf.extend_from_slice(b"OK METRICS\n");
+            buf.extend_from_slice(service.metrics_text().as_bytes());
+            buf.extend_from_slice(b"END\n");
+        }
+        Verb::Insert | Verb::Delete => match parse_ntriples(rest) {
             Ok(mut triples) if triples.len() == 1 => {
                 let t = triples.pop().expect("length checked");
-                if verb == "INSERT" {
-                    session.pending.insert(t);
+                if verb == Verb::Insert {
+                    pending.insert(t);
                 } else {
-                    session.pending.delete(t);
+                    pending.delete(t);
                 }
-                format!(
-                    "OK pending inserts={} deletes={}\n",
-                    session.pending.inserts.len(),
-                    session.pending.deletes.len()
-                )
+                writeln!(
+                    buf,
+                    "OK pending inserts={} deletes={}",
+                    pending.inserts.len(),
+                    pending.deletes.len()
+                )?
             }
-            Ok(_) => format!("ERR {verb} stages exactly one triple per line\n"),
-            Err(e) => format!("ERR {}\n", e.to_string().replace(['\n', '\r'], " ")),
+            Ok(_) => writeln!(buf, "ERR {} stages exactly one triple per line", verb.name())?,
+            Err(e) => write_err(buf, &e),
         },
-        "INSERT" => "ERR INSERT needs an N-Triples triple on the same line\n".to_string(),
-        "DELETE" => "ERR DELETE needs an N-Triples triple on the same line\n".to_string(),
-        "APPLY" => {
-            let batch = std::mem::take(&mut session.pending);
-            let s = service.update(batch);
-            format!(
-                "OK applied inserted={} deleted={} predicates={} compacted={} epoch={}\n",
+        Verb::Apply => {
+            let s = service.update(std::mem::take(pending));
+            writeln!(
+                buf,
+                "OK applied inserted={} deleted={} predicates={} compacted={} epoch={}",
                 s.inserted, s.deleted, s.changed_predicates, s.compacted_predicates, s.epoch
-            )
+            )?
         }
-        "COMPACT" => {
+        Verb::Compact => {
             let s = service.compact();
-            format!(
-                "OK compacted predicates={} rebuilt={} epoch={}\n",
+            writeln!(
+                buf,
+                "OK compacted predicates={} rebuilt={} epoch={}",
                 s.compacted_predicates, s.rebuilt_tries, s.epoch
-            )
+            )?
         }
-        "STATS" => {
+        Verb::Stats => {
             let s = service.stats();
-            format!(
+            writeln!(
+                buf,
                 "OK plan_hits={} plan_misses={} result_hits={} result_misses={} \
                  plan_entries={} cache_entries={} cache_bytes={} epoch={} \
                  updates={} updates_noop={} inserted={} deleted={} staged={} \
                  query_p50_us={} query_p99_us={} partitions={} max_shard_skew={:.2} \
-                 load_mode={} mapped_bytes={} wal_seq={} wal_bytes={} wal_fsync_mode={}\n",
+                 load_mode={} mapped_bytes={} wal_seq={} wal_bytes={} wal_fsync_mode={}",
                 s.plan_hits,
                 s.plan_misses,
                 s.result_hits,
@@ -226,34 +248,117 @@ pub fn respond_in_session(service: &QueryService, session: &mut Session, line: &
                 s.wal_seq,
                 s.wal_bytes,
                 s.wal_fsync.map_or("off".to_string(), |p| p.to_string())
-            )
+            )?
         }
-        "INVALIDATE" => format!("OK epoch={}\n", service.invalidate()),
-        "SAVE" if !rest.is_empty() => match service.save_snapshot(rest) {
+        Verb::Invalidate => writeln!(buf, "OK epoch={}", service.invalidate())?,
+        Verb::Save => match service.save_snapshot(rest) {
             // The count comes from the saved image itself, so the reply
             // can't disagree with the file when an APPLY lands mid-save.
-            Ok((bytes, triples)) => format!("OK saved bytes={bytes} triples={triples}\n"),
-            Err(e) => format!("ERR {}\n", e.to_string().replace(['\n', '\r'], " ")),
+            Ok((bytes, triples)) => writeln!(buf, "OK saved bytes={bytes} triples={triples}")?,
+            Err(e) => write_err(buf, &e),
         },
-        "SAVE" => "ERR SAVE needs a file path on the same line\n".to_string(),
-        "REPLAY" if !rest.is_empty() => match service.replay(rest) {
-            Ok(r) => format!(
-                "OK replayed records={} inserted={} deleted={} epoch={}\n",
+        Verb::Replay => match service.replay(rest) {
+            Ok(r) => writeln!(
+                buf,
+                "OK replayed records={} inserted={} deleted={} epoch={}",
                 r.replayed,
                 r.inserted,
                 r.deleted,
                 service.engine().catalog().epoch()
-            ),
-            Err(e) => format!("ERR {}\n", e.to_string().replace(['\n', '\r'], " ")),
+            )?,
+            Err(e) => write_err(buf, &e),
         },
-        "REPLAY" => "ERR REPLAY needs a wal file path on the same line\n".to_string(),
-        "QUIT" => "OK bye\n".to_string(),
-        "" => "ERR empty request\n".to_string(),
-        other => format!(
-            "ERR unknown command '{other}' \
-             (try QUERY/PROFILE/METRICS/INSERT/DELETE/APPLY/COMPACT/STATS/INVALIDATE/SAVE/REPLAY/QUIT)\n"
-        ),
+        Verb::Quit => buf.extend_from_slice(b"OK bye\n"),
+        Verb::Other if command.is_empty() => buf.extend_from_slice(b"ERR empty request\n"),
+        Verb::Other => writeln!(
+            buf,
+            "ERR unknown command '{}' \
+             (try QUERY/PROFILE/METRICS/INSERT/DELETE/APPLY/COMPACT/STATS/INVALIDATE/SAVE/REPLAY/QUIT)",
+            command.to_ascii_uppercase()
+        )?,
     }
+    out.write_all(buf)
+}
+
+/// An `ERR` line for `e`, its message flattened to the one line the
+/// protocol allows.
+fn write_err(buf: &mut Vec<u8>, e: &dyn std::fmt::Display) {
+    buf.extend_from_slice(b"ERR ");
+    buf.extend_from_slice(e.to_string().replace(['\n', '\r'], " ").as_bytes());
+    buf.push(b'\n');
+}
+
+/// A `QUERY` answer: `OK <rows> <col>...`, the rows, `END`.
+fn write_answer(
+    service: &QueryService,
+    answer: &Answer,
+    buf: &mut Vec<u8>,
+    out: &mut impl Write,
+) -> io::Result<()> {
+    let result = &answer.result;
+    write!(buf, "OK {}", result.cardinality())?;
+    for col in &answer.columns {
+        buf.push(b' ');
+        buf.extend_from_slice(col.as_bytes());
+    }
+    buf.push(b'\n');
+    if let Some(rows) = result.rendered() {
+        // Rendered once, when the entry was built; every hit sends the
+        // same bytes from where they lie.
+        let mut parts = [IoSlice::new(buf), IoSlice::new(rows.as_bytes()), IoSlice::new(b"END\n")];
+        return write_all_vectored(out, &mut parts);
+    }
+    let total = result.cardinality();
+    let mut next = 0;
+    while next < total {
+        {
+            // The read lock covers rendering only, never a write to the
+            // socket, so a reader that stalls mid-reply cannot hold up
+            // `APPLY`. Letting updates in between chunks is safe: the
+            // rows are ids fixed when the query ran, and the dictionary
+            // only grows — an id decodes to the same term for the
+            // lifetime of the store.
+            let store = service.store();
+            while next < total && buf.len() < CHUNK_BYTES {
+                render_rows_into(result, &store, next..next + 1, buf);
+                next += 1;
+            }
+        }
+        if next < total {
+            out.write_all(buf)?;
+            buf.clear();
+        }
+    }
+    // The last rows and `END` leave together: no trailing short segment.
+    buf.extend_from_slice(b"END\n");
+    out.write_all(buf)
+}
+
+/// `write_all` for several buffers: one `writev` when the socket takes
+/// them whole, continuing from wherever a short write stopped.
+fn write_all_vectored(out: &mut impl Write, mut parts: &mut [IoSlice<'_>]) -> io::Result<()> {
+    IoSlice::advance_slices(&mut parts, 0);
+    while !parts.is_empty() {
+        match out.write_vectored(parts) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut parts, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+fn collect(service: &QueryService, session: &mut Session, request: Request<'_>) -> String {
+    let mut out = Vec::new();
+    answer(service, session, request, &mut out).expect("writing to a Vec cannot fail");
+    String::from_utf8(out).expect("protocol replies are UTF-8")
+}
+
+/// [`respond_to`] collected into a `String`: the reference response for
+/// one request line, for tests and in-process callers without a socket.
+pub fn respond_in_session(service: &QueryService, session: &mut Session, line: &str) -> String {
+    collect(service, session, Request::parse(line))
 }
 
 /// Stateless convenience for read-only traffic (`QUERY`/`STATS`/...):
@@ -261,11 +366,14 @@ pub fn respond_in_session(service: &QueryService, session: &mut Session, line: &
 /// that survives across lines, so here they answer `ERR` instead of
 /// silently staging into a batch nobody can ever `APPLY`.
 pub fn respond(service: &QueryService, line: &str) -> String {
-    let verb = line.split_whitespace().next().unwrap_or("").to_ascii_uppercase();
-    if matches!(verb.as_str(), "INSERT" | "DELETE" | "APPLY") {
-        return format!("ERR {verb} needs a stateful session (connect over TCP)\n");
+    let request = Request::parse(line);
+    if matches!(request.verb, Verb::Insert | Verb::Delete | Verb::Apply) {
+        return format!(
+            "ERR {} needs a stateful session (connect over TCP)\n",
+            request.verb.name()
+        );
     }
-    respond_in_session(service, &mut Session::new(), line)
+    collect(service, &mut Session::new(), request)
 }
 
 /// Longest accepted request line (1 MiB — generous for any SPARQL text).
@@ -284,10 +392,10 @@ fn handle_connection(service: &QueryService, stream: TcpStream) {
     let mut line = String::new();
     loop {
         line.clear();
-        match std::io::Read::take(&mut reader, MAX_REQUEST_BYTES).read_line(&mut line) {
+        match Read::take(&mut reader, MAX_REQUEST_BYTES).read_line(&mut line) {
             Ok(0) => return,
             Ok(_) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                 // The cap cut a multi-byte character in half, or the
                 // bytes were never valid UTF-8 — either way, explain
                 // before dropping the session.
@@ -301,15 +409,16 @@ fn handle_connection(service: &QueryService, stream: TcpStream) {
             let _ = reader.get_mut().write_all(b"ERR request line too long\n");
             return;
         }
-        // Same command parse as respond(): QUIT with trailing text still
-        // quits, so the "OK bye" reply and the close always agree.
-        let quitting =
-            line.split_whitespace().next().is_some_and(|cmd| cmd.eq_ignore_ascii_case("QUIT"));
-        let response = respond_in_session(service, &mut session, &line);
-        if reader.get_mut().write_all(response.as_bytes()).is_err() {
+        // The socket is written unbuffered: every byte of the reply has
+        // left the process when `answer` returns, so there is nothing to
+        // flush before blocking on the next request line.
+        let request = Request::parse(&line);
+        if answer(service, &mut session, request, reader.get_mut()).is_err() {
             return;
         }
-        if quitting {
+        // QUIT with trailing text still quits: the "OK bye" reply and
+        // the close come from the same parse.
+        if request.verb == Verb::Quit {
             return;
         }
     }
@@ -372,6 +481,10 @@ pub fn serve(service: &QueryService, listener: TcpListener, shutdown: &AtomicBoo
                     // is refused outright: unregistered sessions would be
                     // unreachable by the shutdown wake-up below.
                     let _ = stream.set_nonblocking(false);
+                    // Replies are written whole or in 64 KB chunks, never
+                    // in dribbles: Nagle's algorithm could only hold the
+                    // tail of a multi-chunk reply back for a delayed ACK.
+                    let _ = stream.set_nodelay(true);
                     match stream.try_clone() {
                         Ok(handle) => {
                             sessions
@@ -405,49 +518,69 @@ pub fn serve(service: &QueryService, listener: TcpListener, shutdown: &AtomicBoo
 /// A minimal blocking client for the line protocol, used by the examples,
 /// the stress test, and the throughput harness.
 pub struct Client {
-    reader: BufReader<TcpStream>,
+    stream: TcpStream,
+    /// Receive buffer, reused across requests and grown to the largest
+    /// reply seen; all of it is initialised, `send` tracks how much holds
+    /// the current reply.
+    buf: Vec<u8>,
 }
 
 impl Client {
     /// Connect to a serving [`QueryService`].
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
+    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let addr: SocketAddr = addr
             .to_socket_addrs()?
             .next()
-            .ok_or_else(|| std::io::Error::other("no address resolved"))?;
+            .ok_or_else(|| io::Error::other("no address resolved"))?;
         let stream = TcpStream::connect(addr)?;
-        Ok(Client { reader: BufReader::new(stream) })
+        stream.set_nodelay(true)?;
+        Ok(Client { stream, buf: vec![0; CHUNK_BYTES] })
     }
 
     /// Send one request line and read the complete framed response
     /// (multi-line for `QUERY`/`PROFILE`/`METRICS`, single-line
     /// otherwise), returned verbatim.
-    pub fn send(&mut self, request: &str) -> std::io::Result<String> {
-        let line = request.replace(['\n', '\r'], " ");
-        let upper = line.trim_start().to_ascii_uppercase();
-        let is_query = ["QUERY", "PROFILE", "METRICS"].iter().any(|v| upper.starts_with(v));
-        self.reader.get_mut().write_all(format!("{line}\n").as_bytes())?;
-        let mut response = String::new();
-        let n = self.reader.read_line(&mut response)?;
-        if n == 0 {
-            return Err(std::io::Error::other("server closed the connection"));
-        }
-        if is_query && response.starts_with("OK") {
-            loop {
-                let mark = response.len();
-                if self.reader.read_line(&mut response)? == 0 {
-                    return Err(std::io::Error::other("response truncated"));
-                }
-                if response[mark..].trim_end() == "END" {
-                    break;
-                }
+    pub fn send(&mut self, request: &str) -> io::Result<String> {
+        let framed = Request::parse(request).verb.is_framed();
+        let flattened;
+        let line = if request.bytes().any(|b| b == b'\n' || b == b'\r') {
+            flattened = request.replace(['\n', '\r'], " ");
+            &flattened
+        } else {
+            request
+        };
+        write_all_vectored(
+            &mut self.stream,
+            &mut [IoSlice::new(line.as_bytes()), IoSlice::new(b"\n")],
+        )?;
+        // One request is in flight, so everything that arrives is this
+        // reply, and it is complete when it ends the way its kind ends: a
+        // framed `OK` reply with a line `END` (no row can be that line —
+        // every rendered term starts with `<` or `"`), anything else with
+        // its first newline.
+        let mut filled = 0;
+        loop {
+            if filled == self.buf.len() {
+                self.buf.resize(2 * filled, 0);
+            }
+            match self.stream.read(&mut self.buf[filled..])? {
+                0 if filled == 0 => return Err(io::Error::other("server closed the connection")),
+                0 => return Err(io::Error::other("response truncated")),
+                n => filled += n,
+            }
+            let reply = &self.buf[..filled];
+            let terminator: &[u8] =
+                if framed && reply.starts_with(b"OK") { b"\nEND\n" } else { b"\n" };
+            if reply.ends_with(terminator) {
+                let text = std::str::from_utf8(reply)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+                return Ok(text.to_owned());
             }
         }
-        Ok(response)
     }
 
     /// `QUERY` convenience: newlines in the SPARQL text are flattened.
-    pub fn query(&mut self, sparql: &str) -> std::io::Result<String> {
+    pub fn query(&mut self, sparql: &str) -> io::Result<String> {
         self.send(&format!("QUERY {sparql}"))
     }
 }
@@ -813,6 +946,244 @@ mod tests {
         let svc = QueryService::new(store.clone(), config(1));
         let r = respond(&svc, "QUERY SELECT ?x ?y WHERE { ?x <p> ?y }");
         assert_eq!(r, "OK 1 x y\n<a\\nEND\\nb>\t<c\\td>\nEND\n");
+    }
+
+    /// `SELECT ?x ?y WHERE { ?x <p> ?y }` over this store returns rows
+    /// whose rendered block is exactly `block_bytes` long (0 = no rows).
+    fn store_with_row_block(block_bytes: usize) -> SharedStore {
+        // A row is `<s>\t<o>\n`: six bytes around the two bodies.
+        const ROW: usize = 128;
+        let row = |i: usize, bytes: usize| {
+            let s = format!("s{i:07}");
+            let o = "o".repeat(bytes - 6 - s.len());
+            Triple::new(Term::iri(s), Term::iri("p"), Term::iri(o))
+        };
+        let rows = block_bytes / ROW;
+        let mut triples: Vec<Triple> = (0..rows.saturating_sub(1)).map(|i| row(i, ROW)).collect();
+        match rows {
+            0 if block_bytes > 0 => triples.push(row(0, block_bytes)),
+            0 => {}
+            _ => triples.push(row(rows - 1, ROW + block_bytes % ROW)),
+        }
+        // A bystander, so the store is never empty.
+        triples.push(Triple::new(Term::iri("a"), Term::iri("q"), Term::iri("b")));
+        SharedStore::from_triples(triples)
+    }
+
+    #[test]
+    fn tcp_replies_equal_respond_at_every_chunk_boundary() {
+        let blocks = [0, 20, CHUNK_BYTES - 1, CHUNK_BYTES, CHUNK_BYTES + 1, 3 * CHUNK_BYTES + 7];
+        for block_bytes in blocks {
+            // Budget 0 streams every reply chunk by chunk; with 1 MiB the
+            // rows are rendered into the cache entry and sent from there.
+            for budget in [0, 1 << 20] {
+                let mut cfg = config(1);
+                cfg.result_cache_bytes = budget;
+                let svc = QueryService::new(store_with_row_block(block_bytes), cfg);
+                let q = "SELECT ?x ?y WHERE { ?x <p> ?y }";
+                let expect = respond(&svc, &format!("QUERY {q}"));
+                let header = format!("OK {} x y\n", expect.lines().count() - 2);
+                assert!(expect.starts_with(&header) && expect.ends_with("\nEND\n"), "{header}");
+                assert_eq!(expect.len(), header.len() + block_bytes + "END\n".len());
+
+                let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+                let addr = listener.local_addr().unwrap();
+                let shutdown = AtomicBool::new(false);
+                std::thread::scope(|scope| {
+                    let (svc_ref, shutdown_ref) = (&svc, &shutdown);
+                    scope.spawn(move || serve(svc_ref, listener, shutdown_ref));
+                    let mut client = Client::connect(addr).unwrap();
+                    // Twice: with a budget, a miss and then a hit.
+                    for _ in 0..2 {
+                        let got = client.query(q).unwrap();
+                        assert!(got == expect, "{block_bytes}-byte block, budget {budget}");
+                    }
+                    // The connection is still in step after a long reply.
+                    assert_eq!(client.send("QUIT").unwrap(), "OK bye\n");
+                    shutdown.store(true, Ordering::Release);
+                });
+                assert_eq!(svc.stats().result_hits > 0, budget > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn client_reassembles_a_reply_delivered_one_byte_per_write() {
+        // A stand-in server that answers each request line with the next
+        // canned reply, one byte per `write`, so the client meets every
+        // possible split of header, rows and terminator.
+        let replies = [
+            ("QUERY SELECT ?x", "OK 3 x\n<a>\n<END>\n\"END\"\nEND\n"),
+            ("QUERY SELECT ?x", "OK 0 x\nEND\n"),
+            ("query nonsense", "ERR no SELECT\n"),
+            ("PROFILE SELECT ?x", "OK PROFILE\nplan: é€😀\n~ 3 us\nEND\n"),
+            ("STATS", "OK plan_hits=0\n"),
+            ("QUERYX SELECT ?x", "ERR unknown command 'QUERYX'\n"),
+        ];
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                stream.set_nodelay(true).unwrap();
+                let mut reader = BufReader::new(stream);
+                for (request, reply) in replies {
+                    let mut line = String::new();
+                    reader.read_line(&mut line).unwrap();
+                    assert_eq!(line, format!("{request}\n"));
+                    for byte in reply.as_bytes() {
+                        reader.get_mut().write_all(std::slice::from_ref(byte)).unwrap();
+                    }
+                }
+            });
+            let mut client = Client::connect(addr).unwrap();
+            for (request, reply) in replies {
+                assert_eq!(client.send(request).unwrap(), reply, "{request}");
+            }
+            // The stand-in hangs up: the next request gets an error, not
+            // a hang or half a reply.
+            assert!(client.send("STATS").is_err());
+        });
+    }
+
+    #[test]
+    fn client_flattens_newlines_in_the_request() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let (stream, _) = listener.accept().unwrap();
+                let mut reader = BufReader::new(stream);
+                let mut line = String::new();
+                reader.read_line(&mut line).unwrap();
+                reader.get_mut().write_all(line.as_bytes()).unwrap();
+            });
+            let mut client = Client::connect(addr).unwrap();
+            assert_eq!(client.send("STATS\r\nnow\nplease").unwrap(), "STATS  now please\n");
+        });
+    }
+
+    /// A peer that takes the first write of a reply and then stops
+    /// reading: the second write signals `stalled` and blocks until
+    /// `resume` fires.
+    struct StallingPeer {
+        received: Vec<u8>,
+        writes: usize,
+        stalled: std::sync::mpsc::Sender<()>,
+        resume: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl Write for StallingPeer {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            if self.writes == 1 {
+                self.stalled.send(()).unwrap();
+                self.resume.recv().unwrap();
+            }
+            self.writes += 1;
+            self.received.extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_stalled_reader_does_not_block_apply_and_still_gets_the_old_bytes() {
+        use std::sync::mpsc::channel;
+        use std::sync::Arc;
+        const PATIENCE: Duration = Duration::from_secs(20);
+
+        let mut cfg = config(1);
+        cfg.result_cache_bytes = 0;
+        let svc = Arc::new(QueryService::new(store_with_row_block(4 * CHUNK_BYTES), cfg));
+        let q = "QUERY SELECT ?x ?y WHERE { ?x <p> ?y }";
+        let before = respond(&svc, q);
+
+        // Plain threads, not a scope: if the lock were held across the
+        // stalled write, APPLY would never return, and the timeout below
+        // must be able to fail the test instead of joining forever.
+        let (stalled_tx, stalled) = channel();
+        let (resume, resume_rx) = channel();
+        let reader = std::thread::spawn({
+            let svc = Arc::clone(&svc);
+            move || {
+                let mut peer = StallingPeer {
+                    received: Vec::new(),
+                    writes: 0,
+                    stalled: stalled_tx,
+                    resume: resume_rx,
+                };
+                respond_to(&svc, &mut Session::new(), q, &mut peer).unwrap();
+                (peer.received, peer.writes)
+            }
+        });
+        stalled.recv_timeout(PATIENCE).expect("the reply spans several writes");
+
+        // Mid-reply, a second session changes the very rows being sent
+        // and grows the dictionary.
+        let (applied_tx, applied) = channel();
+        std::thread::spawn({
+            let svc = Arc::clone(&svc);
+            move || {
+                let mut session = Session::new();
+                let row0 = format!("DELETE <s0000000> <p> <{}> .", "o".repeat(128 - 6 - 8));
+                respond_in_session(&svc, &mut session, &row0);
+                respond_in_session(
+                    &svc,
+                    &mut session,
+                    "INSERT <fresh-subject> <p> <fresh-object> .",
+                );
+                applied_tx.send(respond_in_session(&svc, &mut session, "APPLY")).unwrap();
+            }
+        });
+        let applied = applied.recv_timeout(PATIENCE).expect("APPLY waited for a stalled reader");
+        assert!(applied.starts_with("OK applied inserted=1 deleted=1"), "{applied}");
+
+        resume.send(()).unwrap();
+        let (received, writes) = reader.join().unwrap();
+        assert!(writes >= 4, "{writes} writes");
+        assert!(String::from_utf8(received).unwrap() == before);
+        // A request that starts after the update sees it.
+        let after = respond(&svc, q);
+        assert!(after.contains("<fresh-subject>\t<fresh-object>\n"));
+        assert!(!after.contains("<s0000000>"));
+        assert_eq!(after.len(), before.len() - 128 + "<fresh-subject>\t<fresh-object>\n".len());
+    }
+
+    #[test]
+    fn a_tcp_reader_that_pauses_after_the_header_gets_the_pre_update_reply() {
+        let mut cfg = config(1);
+        cfg.result_cache_bytes = 0;
+        let svc = QueryService::new(store_with_row_block(6 * CHUNK_BYTES), cfg);
+        let q = "QUERY SELECT ?x ?y WHERE { ?x <p> ?y }";
+        let before = respond(&svc, q);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let shutdown = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let (svc_ref, shutdown_ref) = (&svc, &shutdown);
+            scope.spawn(move || serve(svc_ref, listener, shutdown_ref));
+
+            let mut slow = BufReader::with_capacity(64, TcpStream::connect(addr).unwrap());
+            slow.get_mut().write_all(format!("{q}\n").as_bytes()).unwrap();
+            let mut reply = String::new();
+            slow.read_line(&mut reply).unwrap();
+            assert!(before.starts_with(&reply) && reply.starts_with("OK "), "{reply}");
+
+            let mut writer = Client::connect(addr).unwrap();
+            writer.send("INSERT <fresh-subject> <p> <fresh-object> .").unwrap();
+            let applied = writer.send("APPLY").unwrap();
+            assert!(applied.starts_with("OK applied inserted=1"), "{applied}");
+
+            while !reply.ends_with("\nEND\n") {
+                assert_ne!(slow.read_line(&mut reply).unwrap(), 0, "reply truncated");
+            }
+            assert!(reply == before);
+            assert_ne!(writer.send(q).unwrap(), before);
+            shutdown.store(true, Ordering::Release);
+        });
     }
 
     #[test]

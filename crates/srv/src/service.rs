@@ -11,6 +11,7 @@ use emptyheaded::{
     SnapshotError, UpdateBatch, UpdateSummary, WalError, WalRecovery,
 };
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::cache::ResultLru;
 use crate::metrics::ServiceMetrics;
@@ -156,6 +157,30 @@ pub struct ServiceStats {
     pub wal_fsync: Option<FsyncPolicy>,
 }
 
+/// Append rows `rows` of `result` to `out` as protocol text: one line per
+/// row, terms tab-separated in N-Triples syntax
+/// ([`Term::write_ntriples`](eh_rdf::Term::write_ntriples), which escapes
+/// every byte that could break the line or tab framing). The only
+/// row-to-bytes routine of the service: cache fill and the streamed live
+/// path both call it, reading ids straight from the tuple buffer.
+pub(crate) fn render_rows_into(
+    result: &QueryResult,
+    store: &TripleStore,
+    rows: Range<usize>,
+    out: &mut Vec<u8>,
+) {
+    let dict = store.dict();
+    for i in rows {
+        for (j, &id) in result.row(i).iter().enumerate() {
+            if j > 0 {
+                out.push(b'\t');
+            }
+            dict.decode(id).write_ntriples(out);
+        }
+        out.push(b'\n');
+    }
+}
+
 /// A cacheable result: the engine's [`QueryResult`] plus a lazily
 /// rendered protocol row block, so repeated identical requests skip not
 /// only the join but also per-row dictionary decoding and formatting.
@@ -171,34 +196,21 @@ impl CachedResult {
         CachedResult { result, rendered: std::sync::OnceLock::new() }
     }
 
-    /// The result's rows as protocol text — one tab-separated line of
-    /// N-Triples-rendered terms per row — computed once per cached entry
-    /// (the miss path renders eagerly so the cache charges real bytes).
-    /// Control characters inside IRIs are escaped (`\n` → `\\n` etc.):
-    /// they are invalid in N-Triples anyway, and raw ones would corrupt
-    /// the line framing. (Literal bodies are escaped by [`Term`]'s
-    /// `Display` already.)
+    /// The result's rows as protocol text ([`render_rows_into`] over all
+    /// of them), computed once per entry: the miss path renders every
+    /// result that can be cached eagerly, so the cache charges real bytes.
     pub fn rendered_rows(&self, store: &TripleStore) -> &str {
         self.rendered.get_or_init(|| {
-            let mut out = String::new();
-            for i in 0..self.result.cardinality() {
-                for (j, term) in self.result.decode_row(store, i).iter().enumerate() {
-                    if j > 0 {
-                        out.push('\t');
-                    }
-                    let text = term.to_string();
-                    if text.contains(['\n', '\r', '\t']) {
-                        out.push_str(
-                            &text.replace('\n', "\\n").replace('\r', "\\r").replace('\t', "\\t"),
-                        );
-                    } else {
-                        out.push_str(&text);
-                    }
-                }
-                out.push('\n');
-            }
-            out
+            let mut out = Vec::new();
+            render_rows_into(&self.result, store, 0..self.result.cardinality(), &mut out);
+            String::from_utf8(out).expect("rendered terms are UTF-8")
         })
+    }
+
+    /// The rendered rows if this entry holds them already (it does unless
+    /// the result was too large to cache).
+    pub(crate) fn rendered(&self) -> Option<&str> {
+        self.rendered.get().map(String::as_str)
     }
 }
 
@@ -1041,5 +1053,105 @@ mod tests {
         let stats = svc.stats();
         assert!(stats.result_hits > 0, "{stats:?}");
         assert_eq!(stats.result_hits + stats.result_misses, 8 * 2 * 12);
+    }
+
+    mod render_proptests {
+        use super::*;
+        use eh_rdf::{Term, Triple};
+        use eh_trie::TupleBuffer;
+        use proptest::prelude::*;
+
+        /// One term as the service rendered it before `render_rows_into`:
+        /// `Display` one `char` at a time into a fresh `String`, then
+        /// three `replace` passes over the control characters that
+        /// `Display` left raw in IRIs.
+        fn reference_term(term: &Term) -> String {
+            let text = match term {
+                Term::Iri(s) => format!("<{s}>"),
+                Term::Literal(s) => {
+                    let mut out = String::from("\"");
+                    for c in s.chars() {
+                        match c {
+                            '"' => out.push_str("\\\""),
+                            '\\' => out.push_str("\\\\"),
+                            '\n' => out.push_str("\\n"),
+                            '\r' => out.push_str("\\r"),
+                            '\t' => out.push_str("\\t"),
+                            c => out.push(c),
+                        }
+                    }
+                    out.push('"');
+                    out
+                }
+            };
+            text.replace('\n', "\\n").replace('\r', "\\r").replace('\t', "\\t")
+        }
+
+        fn reference_rows(result: &QueryResult, store: &TripleStore) -> String {
+            let mut out = String::new();
+            for i in 0..result.cardinality() {
+                for (j, term) in result.decode_row(store, i).iter().enumerate() {
+                    if j > 0 {
+                        out.push('\t');
+                    }
+                    out.push_str(&reference_term(term));
+                }
+                out.push('\n');
+            }
+            out
+        }
+
+        /// Terms dense in what rendering must get right: the escaped
+        /// bytes, both delimiters, multi-byte UTF-8, the empty body.
+        fn arb_term() -> impl Strategy<Value = Term> {
+            const ALPHABET: [char; 14] =
+                ['\n', '\r', '\t', '"', '\\', '<', '>', ' ', 'a', 'E', '7', 'é', '€', '😀'];
+            (any::<bool>(), proptest::collection::vec(0usize..ALPHABET.len(), 0..12)).prop_map(
+                |(iri, picks)| {
+                    let body: String = picks.into_iter().map(|i| ALPHABET[i]).collect();
+                    if iri {
+                        Term::iri(body)
+                    } else {
+                        Term::literal(body)
+                    }
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+            #[test]
+            fn rows_render_like_the_reference_construction(
+                terms in proptest::collection::vec(arb_term(), 1..8),
+                arity in 0usize..=4,
+                picks in proptest::collection::vec(0usize..64, 0..40),
+                split in 0usize..64,
+            ) {
+                let store = TripleStore::from_triples(
+                    terms.iter().map(|t| Triple::new(t.clone(), Term::iri("p"), t.clone())),
+                );
+                let mut tuples = TupleBuffer::new(arity);
+                for row in picks.chunks_exact(arity.max(1)).filter(|_| arity > 0) {
+                    let ids: Vec<u32> = row
+                        .iter()
+                        .map(|&i| store.dict().lookup(&terms[i % terms.len()]).unwrap())
+                        .collect();
+                    tuples.push(&ids);
+                }
+                let columns = (0..arity).map(|c| format!("v{c}")).collect();
+                let result = CachedResult::new(QueryResult::new(columns, tuples));
+                let expect = reference_rows(&result, &store);
+                prop_assert_eq!(result.rendered_rows(&store), expect.as_str());
+
+                // Rendered in two pieces into one buffer — as the streamed
+                // path does, chunk after chunk — the bytes are the same.
+                let n = result.cardinality();
+                let cut = split.min(n);
+                let mut out = Vec::new();
+                render_rows_into(&result, &store, 0..cut, &mut out);
+                render_rows_into(&result, &store, cut..n, &mut out);
+                prop_assert_eq!(String::from_utf8(out).unwrap(), expect);
+            }
+        }
     }
 }
