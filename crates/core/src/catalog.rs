@@ -15,11 +15,12 @@
 //! one level down: every cache key carries the shard, so each shard's
 //! trie freezes into its own contiguous arena and a shard-local
 //! compaction retires exactly one shard's tries. [`Catalog::relation`]
-//! assembles the executor's view: at `P = 1` (or when only one shard
-//! holds the predicate) a single operand, byte-identical to the
-//! unpartitioned engine; otherwise the per-shard operands plus the merged
-//! root domain ([`RelOperands::Sharded`]) that the generic join unions
-//! through the multiway driver.
+//! assembles the executor's view, a [`Layered`] operand: one
+//! `(base, overlay?)` [`Layer`] at `P = 1` (or when only one shard holds
+//! the predicate, or the plan is shard-local), byte-identical to the
+//! unpartitioned engine; otherwise one layer per non-empty shard under
+//! the merged root domain that the generic join unions through its
+//! layered cursor.
 //!
 //! ## Ownership and mutation
 //!
@@ -88,27 +89,69 @@ struct CacheMaps {
     unions: HashMap<UnionKey, Arc<Vec<u32>>>,
 }
 
-/// One shard's contribution to a partitioned relation: its frozen trie
-/// plus its staged-delta overlay (when that shard has uncompacted
-/// novelty).
-pub(crate) struct ShardOperand {
-    pub trie: Arc<FrozenTrie>,
+/// One shard's contribution to a relation: its frozen base trie plus its
+/// staged-delta overlay (when that shard has uncompacted novelty).
+pub(crate) struct Layer {
+    pub base: Arc<FrozenTrie>,
     pub overlay: Option<Arc<DeltaOverlay>>,
 }
 
-/// What [`Catalog::relation`] hands the executor for one access path.
-pub(crate) enum RelOperands {
-    /// One trie (+ optional overlay): the `P = 1` case, a predicate
-    /// resident in a single shard, or an absent predicate (empty trie).
-    /// Execution is byte-for-byte the unpartitioned code path.
-    Single { trie: Arc<FrozenTrie>, overlay: Option<Arc<DeltaOverlay>> },
-    /// Two or more shards hold pairs: the per-shard operands (empty
-    /// shards already skipped) plus the merged effective root domain —
-    /// the union over shards of each shard's overlay-merged root set.
-    /// The generic join iterates/probes `union_root` at the relation's
-    /// first level and routes descents to the shards that contain each
-    /// value.
-    Sharded { ops: Vec<ShardOperand>, union_root: Arc<Vec<u32>> },
+/// What [`Catalog::relation`] hands the executor for one access path:
+/// `k ≥ 1` layers. One layer is the `P = 1` case, a predicate resident in
+/// a single shard, one shard's slice for a shard-local plan, or an absent
+/// predicate (empty trie). Several are the non-empty shards of a
+/// partitioned predicate, and then carry the merged effective root domain
+/// — the generic join iterates/probes it at the relation's first level
+/// and routes descents to the layers that contain each value.
+pub(crate) struct Layered {
+    pub layers: Vec<Layer>,
+    /// `Some` iff `layers.len() > 1` (catalog-cached).
+    pub union_root: Option<Arc<Vec<u32>>>,
+}
+
+impl Layered {
+    /// Whether any layer reads through a staged-delta overlay — what
+    /// `EXPLAIN ANALYZE` counts as `overlay rels`.
+    pub fn has_overlay(&self) -> bool {
+        self.layers.iter().any(|l| l.overlay.is_some())
+    }
+
+    /// The merged effective root domain: the union root of several
+    /// layers, or a lone layer's own overlay-merged root.
+    pub fn root(&self) -> &[u32] {
+        match (&self.union_root, self.layers.as_slice()) {
+            (Some(root), _) => root,
+            (None, [Layer { base, overlay: Some(ov) }]) => ov.root(base),
+            _ => panic!("a lone bare layer reads as an arena; several carry a union root"),
+        }
+    }
+}
+
+/// The union over `layers` of each layer's overlay-merged root set,
+/// sorted unique. Subject-major roots are disjoint across shards
+/// (subjects hash to exactly one shard); object-major roots overlap —
+/// sort + dedup restores the `P = 1` root set either way.
+pub(crate) fn merged_root(layers: &[Layer]) -> Vec<u32> {
+    let mut root: Vec<u32> = Vec::new();
+    for l in layers {
+        match &l.overlay {
+            Some(ov) => root.extend_from_slice(ov.root(&l.base)),
+            None => root.extend(l.base.root_set().iter()),
+        }
+    }
+    root.sort_unstable();
+    root.dedup();
+    root
+}
+
+/// The trie layout for an `auto_layout` flag: per-set bitset/uint
+/// selection, or the uint-only ablation.
+pub(crate) fn layout_policy(auto: bool) -> LayoutPolicy {
+    if auto {
+        LayoutPolicy::Auto
+    } else {
+        LayoutPolicy::UintOnly
+    }
 }
 
 /// Trie provider over a [`SharedStore`]. Every trie it serves is a
@@ -343,13 +386,12 @@ impl Catalog {
         }
     }
 
-    /// The merged effective root domain for a partitioned relation: the
-    /// union over `ops` of each shard's overlay-merged root set, sorted
-    /// unique. Cached per (predicate, order) under the same epoch-recheck
-    /// publication — retired whenever any shard of the predicate changes
-    /// (staged or compacted), since either moves some shard's effective
-    /// root.
-    fn union_root(&self, pred: u32, subject_first: bool, ops: &[ShardOperand]) -> Arc<Vec<u32>> {
+    /// The merged effective root domain for a partitioned relation
+    /// ([`merged_root`]), cached per (predicate, order) under the same
+    /// epoch-recheck publication — retired whenever any shard of the
+    /// predicate changes (staged or compacted), since either moves some
+    /// shard's effective root.
+    fn union_root(&self, pred: u32, subject_first: bool, layers: &[Layer]) -> Arc<Vec<u32>> {
         let key: UnionKey = (pred, subject_first);
         loop {
             self.sync_with_store();
@@ -357,19 +399,7 @@ impl Catalog {
                 return Arc::clone(u);
             }
             let epoch = self.epoch.load(Ordering::Acquire);
-            let mut root: Vec<u32> = Vec::new();
-            for op in ops {
-                match &op.overlay {
-                    Some(ov) => root.extend_from_slice(ov.root(&op.trie)),
-                    None => root.extend(op.trie.root_set().iter()),
-                }
-            }
-            // Subject-major roots are disjoint across shards (subjects
-            // hash to exactly one shard); object-major roots overlap —
-            // sort + dedup restores the P = 1 root set either way.
-            root.sort_unstable();
-            root.dedup();
-            let built = Arc::new(root);
+            let built = Arc::new(merged_root(layers));
             let mut cache = self.cache.write().expect("catalog lock poisoned");
             if self.epoch.load(Ordering::Acquire) == epoch {
                 return Arc::clone(cache.unions.entry(key).or_insert(built));
@@ -377,72 +407,44 @@ impl Catalog {
         }
     }
 
-    /// One shard's full operand pair for an access path: that shard's
-    /// base trie plus its staged-delta overlay. This is what the
-    /// shard-local execution path consumes — at most this shard's slice
-    /// of the predicate, never a cross-shard view.
-    pub(crate) fn shard_relation(
-        &self,
-        atom: &Atom,
-        subject_first: bool,
-        auto_layout: bool,
-        shard: usize,
-    ) -> (Arc<FrozenTrie>, Option<Arc<DeltaOverlay>>) {
-        let Some(pred) = self.store.read().resolve_iri(&atom.relation) else {
-            return (Arc::clone(&self.empty), None);
-        };
-        let trie = self.obtain(TrieKey { pred, shard, subject_first, auto_layout }, &|| {});
-        let overlay = self.overlay(pred, subject_first, shard).filter(|ov| !ov.is_empty());
-        (trie, overlay)
-    }
-
-    /// The full operand set for one access path — what the executor
-    /// consumes. Overlays ride into the join as extra
+    /// The operand for one access path — what the executor consumes.
+    /// Overlays ride into the join as extra
     /// [`SetRef`](eh_setops::SetRef) operands, never folded into an
-    /// arena; at `P > 1` the per-shard operands ride in the same way,
-    /// unioned through the multiway driver (see [`RelOperands`]).
+    /// arena. `only` restricts the view to one shard's slice of the
+    /// predicate (the shard-local execution path, whose eligibility check
+    /// makes the restriction lossless); otherwise every shard that holds
+    /// base pairs or staged novelty contributes a layer.
     pub(crate) fn relation(
         &self,
         atom: &Atom,
         subject_first: bool,
         auto_layout: bool,
-    ) -> RelOperands {
+        only: Option<usize>,
+    ) -> Layered {
         let (pred, partitions) = {
             let store = self.store.read();
             (store.resolve_iri(&atom.relation), store.partitions())
         };
+        let empty = || Layer { base: Arc::clone(&self.empty), overlay: None };
         let Some(pred) = pred else {
-            return RelOperands::Single { trie: Arc::clone(&self.empty), overlay: None };
+            return Layered { layers: vec![empty()], union_root: None };
         };
-        if partitions == 1 {
-            let trie = self.obtain(TrieKey { pred, shard: 0, subject_first, auto_layout }, &|| {});
-            let overlay = self.overlay(pred, subject_first, 0).filter(|ov| !ov.is_empty());
-            return RelOperands::Single { trie, overlay };
+        let mut layers: Vec<Layer> = only
+            .map_or(0..partitions, |shard| shard..shard + 1)
+            .map(|shard| Layer {
+                base: self.obtain(TrieKey { pred, shard, subject_first, auto_layout }, &|| {}),
+                overlay: self.overlay(pred, subject_first, shard).filter(|ov| !ov.is_empty()),
+            })
+            .collect();
+        // Skip shards that contribute nothing to any set view: dropping
+        // them here is what collapses a one-shard-resident predicate back
+        // onto the exact single-layer code path.
+        layers.retain(|l| l.base.num_tuples() > 0 || l.overlay.is_some());
+        if layers.is_empty() {
+            layers.push(empty());
         }
-        // Skip shards that hold neither base pairs nor staged novelty:
-        // they contribute nothing to any set view, and dropping them here
-        // is what collapses a one-shard-resident predicate back onto the
-        // exact single-operand code path.
-        let mut ops: Vec<ShardOperand> = Vec::new();
-        for shard in 0..partitions {
-            let trie = self.obtain(TrieKey { pred, shard, subject_first, auto_layout }, &|| {});
-            let overlay = self.overlay(pred, subject_first, shard).filter(|ov| !ov.is_empty());
-            if trie.num_tuples() == 0 && overlay.is_none() {
-                continue;
-            }
-            ops.push(ShardOperand { trie, overlay });
-        }
-        match ops.len() {
-            0 => RelOperands::Single { trie: Arc::clone(&self.empty), overlay: None },
-            1 => {
-                let op = ops.pop().expect("checked length");
-                RelOperands::Single { trie: op.trie, overlay: op.overlay }
-            }
-            _ => {
-                let union_root = self.union_root(pred, subject_first, &ops);
-                RelOperands::Sharded { ops, union_root }
-            }
-        }
+        let union_root = (layers.len() > 1).then(|| self.union_root(pred, subject_first, &layers));
+        Layered { layers, union_root }
     }
 
     /// Build a trie for `key` from the current store contents, or `None`
@@ -459,7 +461,7 @@ impl Catalog {
         if pairs.is_empty() {
             return None;
         }
-        let policy = if key.auto_layout { LayoutPolicy::Auto } else { LayoutPolicy::UintOnly };
+        let policy = layout_policy(key.auto_layout);
         Some(Arc::new(FrozenTrie::from_sorted(TupleBuffer::from_pairs(pairs), policy)))
     }
 
@@ -628,16 +630,18 @@ mod tests {
         qb.select(vec![x]).build().unwrap().atoms()[0].clone()
     }
 
-    /// Unwrap the single-operand case of [`Catalog::relation`].
+    /// Unwrap a one-layer operand of [`Catalog::relation`] — the whole
+    /// relation (`only = None`) or one shard's slice of it.
     fn single_rel(
         c: &Catalog,
         a: &Atom,
         subject_first: bool,
+        only: Option<usize>,
     ) -> (Arc<FrozenTrie>, Option<Arc<DeltaOverlay>>) {
-        match c.relation(a, subject_first, true) {
-            RelOperands::Single { trie, overlay } => (trie, overlay),
-            RelOperands::Sharded { .. } => panic!("expected a single operand"),
-        }
+        let Layered { mut layers, union_root } = c.relation(a, subject_first, true, only);
+        assert!(layers.len() == 1 && union_root.is_none(), "expected a single layer");
+        let Layer { base, overlay } = layers.pop().expect("checked length");
+        (base, overlay)
     }
 
     /// Expand predicate keys to (pred, shard) pairs across all shards.
@@ -801,14 +805,14 @@ mod tests {
         let (epoch, rebuilt) = c.refresh_after_update(&[pred], &[], v, RuntimeConfig::serial());
         assert_eq!((epoch, rebuilt), (1, 0), "staged updates must not rebuild base tries");
 
-        let (trie, ov) = single_rel(&c, &a, true);
+        let (trie, ov) = single_rel(&c, &a, true, None);
         assert!(Arc::ptr_eq(&base, &trie), "base trie retired by a staged update");
         let ov = ov.expect("delta resident");
         assert_eq!((ov.inserted(), ov.deleted()), (1, 0));
         assert_eq!(c.cardinality(&a), 2);
         assert_eq!(c.cached_overlays(), 1);
         // Object-major overlay is served (and cached) independently.
-        let (_, ov_os) = single_rel(&c, &a, false);
+        let (_, ov_os) = single_rel(&c, &a, false, None);
         assert_eq!(ov_os.expect("os overlay").inserted(), 1);
         assert_eq!(c.cached_overlays(), 2);
 
@@ -819,7 +823,7 @@ mod tests {
         let pairs = all_shards(&c, &compacted);
         let (_, rebuilt) = c.refresh_after_update(&[], &pairs, v, RuntimeConfig::serial());
         assert_eq!(rebuilt, 2, "both cached orders of p rebuild on compaction");
-        let (trie, ov) = single_rel(&c, &a, true);
+        let (trie, ov) = single_rel(&c, &a, true, None);
         assert!(!Arc::ptr_eq(&base, &trie));
         assert_eq!(trie.num_tuples(), 2);
         assert!(ov.is_none());
@@ -862,23 +866,18 @@ mod tests {
         assert_eq!(c4.partitions(), 4);
         for subject_first in [true, false] {
             let reference = c1.trie(&a, subject_first, true);
-            let RelOperands::Sharded { ops, union_root } = c4.relation(&a, subject_first, true)
-            else {
-                panic!("32 spread subjects must occupy several shards");
-            };
-            assert!(ops.len() >= 2);
-            let total: usize = ops.iter().map(|op| op.trie.num_tuples()).sum();
+            let rel = c4.relation(&a, subject_first, true, None);
+            assert!(rel.layers.len() >= 2, "32 spread subjects must occupy several shards");
+            let total: usize = rel.layers.iter().map(|l| l.base.num_tuples()).sum();
             assert_eq!(total, reference.num_tuples(), "shards partition the pairs");
-            let merged: Vec<u32> = union_root.to_vec();
             let expect: Vec<u32> = reference.root_set().iter().collect();
-            assert_eq!(merged, expect, "union root reproduces the P=1 root set");
+            assert_eq!(rel.root(), expect, "union root reproduces the P=1 root set");
             // The union root is cached: a second fetch shares the Arc.
-            let RelOperands::Sharded { union_root: again, .. } =
-                c4.relation(&a, subject_first, true)
-            else {
-                panic!("still sharded");
-            };
-            assert!(Arc::ptr_eq(&union_root, &again));
+            let again = c4.relation(&a, subject_first, true, None);
+            assert!(Arc::ptr_eq(
+                rel.union_root.as_ref().expect("several layers carry a union root"),
+                again.union_root.as_ref().expect("still several layers"),
+            ));
         }
     }
 
@@ -893,7 +892,7 @@ mod tests {
         let pred = s.read().resolve_iri("p").unwrap();
         // Warm every shard's subject-major trie.
         let before: Vec<Arc<FrozenTrie>> =
-            (0..4).map(|shard| c.shard_relation(&a, true, true, shard).0).collect();
+            (0..4).map(|shard| single_rel(&c, &a, true, Some(shard)).0).collect();
 
         // Stage a pair into whichever shard owns the (already encoded)
         // subject, then fold exactly that shard.
@@ -913,7 +912,7 @@ mod tests {
         assert_eq!(rebuilt, 1, "only the folded shard's cached order rebuilds");
 
         for (shard, old) in before.iter().enumerate() {
-            let (now, ov) = c.shard_relation(&a, true, true, shard);
+            let (now, ov) = single_rel(&c, &a, true, Some(shard));
             assert!(ov.is_none(), "delta folded");
             if shard == target {
                 assert!(!Arc::ptr_eq(old, &now), "folded shard must retire its trie");
@@ -926,7 +925,7 @@ mod tests {
 
     /// Staged novelty at P > 1 rides per-shard overlays: only the shard
     /// owning the staged subject carries one, and a predicate resident in
-    /// a single shard collapses back to a single operand.
+    /// a single shard collapses back to a single layer.
     #[test]
     fn partitioned_overlays_route_by_subject_shard() {
         let s = wide_store(4);
@@ -943,7 +942,7 @@ mod tests {
         c.refresh_after_update(&[pred], &[], v, RuntimeConfig::serial());
 
         for shard in 0..4 {
-            let (_, ov) = c.shard_relation(&a, true, true, shard);
+            let (_, ov) = single_rel(&c, &a, true, Some(shard));
             assert_eq!(ov.is_some(), shard == target, "overlay misrouted for shard {shard}");
         }
 
@@ -955,9 +954,6 @@ mod tests {
         let q_pred = s.read().resolve_iri("q").unwrap();
         c.refresh_preds(&[q_pred], v, RuntimeConfig::serial());
         let aq = atom_for(&s.read(), "q");
-        match c.relation(&aq, true, true) {
-            RelOperands::Single { trie, .. } => assert_eq!(trie.num_tuples(), 1),
-            RelOperands::Sharded { .. } => panic!("one-shard predicate must serve Single"),
-        }
+        assert_eq!(single_rel(&c, &aq, true, None).0.num_tuples(), 1);
     }
 }

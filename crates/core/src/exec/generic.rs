@@ -7,7 +7,37 @@
 //! probe (`O(1)` on bitsets, `O(log n)` on uint arrays — the §III-A
 //! asymmetry).
 //!
-//! Two refinements from the paper's GHD setting:
+//! ## One cursor
+//!
+//! "The trie is the only interface generic join needs": every relation is
+//! read through one per-relation level [`Cursor`] — the LFTJ trie iterator
+//! (open / seek / next / up) in the four operations this executor uses:
+//! the current set view at a level ([`Cursor::set`], which also answers
+//! membership probes), descend to a value ([`Cursor::descend`]), and
+//! iterate the current level while deeper levels move the cursor
+//! ([`Cursor::hold`] / [`Cursor::release`]). `search`, `exists`, `step`,
+//! `probe_selected` and the parallel split know nothing else about where
+//! tuples live. There are two sources:
+//!
+//! * **Arena** — one [`FrozenTrie`] of any arity: every intermediate, and
+//!   every catalog relation that is a single base trie with nothing staged.
+//!   Reads are the raw `FrozenTrie::set` / `child` calls; the arm is
+//!   matched and inlined at each read, so the common `P = 1`, no-delta
+//!   relation costs one predictable branch over the bare arena read.
+//! * **Layered** — `k ≥ 1` `(base, overlay?)` layers of an arity-2 catalog
+//!   relation under a merged root domain. A descent routes every layer for
+//!   the bound root value: one live layer whose block is untouched by its
+//!   delta serves it in place; anything else — tombstones to subtract,
+//!   inserts to add, several live shards to union — merges into the
+//!   cursor's buffer and enters the kernels as a plain [`SetRef`]. Base +
+//!   delta is the `k = 1` instance and the cross-shard union the `k = P`
+//!   instance of the same routine; a remote shard or a range-restricted
+//!   scan would be a third source, not another copy of `step`.
+//!
+//! Cursors borrow from the [`JoinSpec`], which outlives the join: nothing
+//! under `search` clones an `Arc` or touches any other shared atomic.
+//!
+//! ## Refinements from the paper's GHD setting
 //!
 //! * **Early existence checks** ("early aggregation"): once every
 //!   remaining attribute is non-output, the join switches from iteration
@@ -24,8 +54,7 @@
 //! through the adaptive k-way driver ([`intersect_all_into`]) into a
 //! per-depth, per-morsel [`IntersectScratch`], participant views are
 //! assembled on the stack, and trailing existence checks use the
-//! non-materializing [`intersects_all_refs`] kernel. All set probes are
-//! [`SetRef`] views decoded in place from the [`FrozenTrie`] arenas.
+//! non-materializing [`intersects_all_refs`] kernel.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -34,67 +63,45 @@ use eh_par::RuntimeConfig;
 use eh_setops::{
     intersect_all_into, intersects_all_refs, overlay_merge_into, IntersectScratch, SetRef,
 };
-use eh_trie::{DeltaOverlay, FrozenTrie};
+use eh_trie::FrozenTrie;
 
-use crate::catalog::ShardOperand;
+use crate::catalog::{Layer, Layered};
 use crate::profile::JoinObs;
 
-/// One relation participating in a join: a frozen trie plus the depth at
-/// which each of its levels binds. `depths` may cover only a prefix of
-/// the trie's levels — the unbound suffix is semantically projected away
-/// (valid because trie levels are ordered by the global attribute order).
+/// One relation participating in a join: where its tuples live plus the
+/// depth at which each of its levels binds. `depths` may cover only a
+/// prefix of the trie's levels — the unbound suffix is semantically
+/// projected away (valid because trie levels are ordered by the global
+/// attribute order).
 pub(crate) struct PreparedRel {
-    /// The frozen trie (shared with the catalog cache and across
-    /// workers). Every relation the join touches — catalog-served or an
-    /// intermediate built mid-plan — is arena-backed; its per-block sets
-    /// decode in place as [`SetRef`] views. For a sharded relation this
-    /// aliases the first shard's trie and is only consulted for its
-    /// arity (all shard tries of one access path share it).
-    pub trie: Arc<FrozenTrie>,
-    /// LSM-style novelty overlay: staged inserts and tombstones not yet
-    /// compacted into the base arena. `None` (intermediates, predicates
-    /// with no pending delta) keeps every read on the exact pre-overlay
-    /// code path. `Some` routes this relation's set views through the
-    /// merged view — the merged sets enter the multiway kernels as plain
-    /// [`SetRef`] operands, so the intersection drivers are untouched.
-    /// Overlays only apply to arity-2 catalog relations.
-    pub overlay: Option<Arc<DeltaOverlay>>,
-    /// Per-shard operands of a hash-partitioned relation (each shard's
-    /// base trie plus its own overlay). Empty — the common case — means
-    /// single-source: `trie`/`overlay` above serve every read on the
-    /// exact unpartitioned code path. Non-empty routes this relation's
-    /// set views through the cross-shard union: level 0 reads
-    /// `union_root`, descents route to the shards that contain the bound
-    /// value. Only arity-2 catalog relations shard.
-    pub shards: Vec<ShardOperand>,
-    /// The merged effective root domain across `shards` (catalog-cached).
-    /// `Some` iff `shards` is non-empty.
-    pub union_root: Option<Arc<Vec<u32>>>,
+    source: Source,
     /// `depths[level]` = join depth at which this trie level binds;
     /// strictly increasing.
-    pub depths: Vec<usize>,
+    depths: Vec<usize>,
+}
+
+/// Where a relation's tuples live (see the module docs).
+enum Source {
+    /// One frozen arena, shared with the catalog cache and across workers.
+    Arena(Arc<FrozenTrie>),
+    /// Layers of an arity-2 catalog relation under a merged root.
+    Layered(Layered),
 }
 
 impl PreparedRel {
-    /// A single-source relation — the unpartitioned (or one-shard) case.
-    pub fn single(
-        trie: Arc<FrozenTrie>,
-        overlay: Option<Arc<DeltaOverlay>>,
-        depths: Vec<usize>,
-    ) -> PreparedRel {
-        PreparedRel { trie, overlay, shards: Vec::new(), union_root: None, depths }
+    /// An arena-backed relation: an intermediate built mid-plan.
+    pub fn arena(trie: Arc<FrozenTrie>, depths: Vec<usize>) -> PreparedRel {
+        PreparedRel { source: Source::Arena(trie), depths }
     }
 
-    /// A hash-partitioned relation: two or more shard operands unioned
-    /// under `union_root`.
-    pub fn sharded(
-        shards: Vec<ShardOperand>,
-        union_root: Arc<Vec<u32>>,
-        depths: Vec<usize>,
-    ) -> PreparedRel {
-        debug_assert!(shards.len() >= 2, "one shard must collapse to single()");
-        let trie = Arc::clone(&shards[0].trie);
-        PreparedRel { trie, overlay: None, shards, union_root: Some(union_root), depths }
+    /// A catalog relation. A lone layer with nothing staged *is* its base
+    /// arena and reads as one.
+    pub fn layered(mut operand: Layered, depths: Vec<usize>) -> PreparedRel {
+        let source = match operand.layers.as_slice() {
+            [Layer { overlay: None, .. }] => Source::Arena(operand.layers.remove(0).base),
+            _ => Source::Layered(operand),
+        };
+        PreparedRel { source, depths }
     }
 }
 
@@ -117,71 +124,188 @@ pub(crate) struct JoinSpec {
     pub obs: Option<JoinObs>,
 }
 
-/// Where an overlay relation's current leaf set lives after a descent:
-/// entirely in the base arena, entirely in the insert trie, or merged
-/// into the cursor's buffer.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-enum LeafSrc {
-    /// `trie.set(1, blocks[r][1])` — base block untouched by the delta.
-    #[default]
-    Base,
-    /// `overlay.ins_leaf(blocks[r][1])` — value exists only in inserts.
-    Ins,
-    /// The merged `(base − del) ∪ ins` set in [`OverlayCursor::buf`].
-    Buf,
+/// One relation's level cursor (see the module docs). Cloned, buffer
+/// contents included, on the per-morsel fork — the selected-prefix probe
+/// may have descended it before the split.
+#[derive(Clone)]
+enum Cursor<'a> {
+    /// `blocks[level]` = current block of `trie` at that level.
+    Arena {
+        trie: &'a FrozenTrie,
+        blocks: Vec<usize>,
+    },
+    Layered(LayeredCursor<'a>),
 }
 
-/// Per-relation overlay cursor: which source holds the current leaf and
-/// the reusable merge buffer for the mixed case. Cloned (buffer contents
-/// included) on the per-morsel fork — the selected-prefix probe may have
-/// populated it before the split.
-#[derive(Clone, Default)]
-struct OverlayCursor {
-    leaf: LeafSrc,
-    buf: Vec<u32>,
-}
-
-/// Where one *shard* of a partitioned relation holds its leaf set after
-/// a root descent. [`LeafSrc`] plus the cross-shard possibility that the
-/// bound root value has no presence in this shard at all.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-enum ShardLeaf {
-    /// The bound value is absent from this shard's effective root.
-    #[default]
-    Dead,
-    /// `shards[s].trie.set(1, blocks[s])`.
-    Base,
-    /// `shards[s].overlay.ins_leaf(blocks[s])`.
-    Ins,
-    /// The shard's own `(base − del) ∪ ins` merge in `bufs[s]`.
-    Buf,
-}
-
-/// Per-relation cursor over a partitioned relation's shards. After a
-/// root descent every shard is routed ([`ShardLeaf`]); subject-major
-/// orders have at most one live shard per root value (subjects hash to
-/// exactly one shard), object-major orders may have several — their leaf
-/// sets are *subjects*, disjoint across shards, merged into `merged`.
-/// Cloned with contents on the per-morsel fork, like [`OverlayCursor`].
-#[derive(Clone, Default)]
-struct MultiCursor {
-    /// Per-shard leaf routing for the currently bound root value.
-    srcs: Vec<ShardLeaf>,
-    /// Per-shard current leaf block (meaningful for `Base`/`Ins`).
-    blocks: Vec<usize>,
-    /// Per-shard reusable overlay-merge buffers (the `Buf` route).
-    bufs: Vec<Vec<u32>>,
-    /// Cross-shard merged leaf set, used only when `many`.
+/// The layered source's cursor state. Level 0 is the merged root; the
+/// leaf under the bound root value is either one layer's block served in
+/// place or the merge buffer.
+#[derive(Clone)]
+struct LayeredCursor<'a> {
+    layers: &'a [Layer],
+    root: &'a [u32],
+    /// Whether the relation's leaf level binds in this join. A
+    /// prefix-only participant never reads a leaf, so its descents skip
+    /// the routing (and any merge) entirely.
+    reads_leaf: bool,
+    /// The current leaf when exactly one layer is live for the bound root
+    /// value and its block is untouched by the delta (a base block with
+    /// no tombstones or inserts under it, or an insert-only block).
+    in_place: Option<SetRef<'a>>,
+    /// The current leaf otherwise: `(base − del) ∪ ins` per layer, and —
+    /// object-major orders, where one root value has subjects in several
+    /// shards — the sorted concatenation across layers.
     merged: Vec<u32>,
-    /// The single live shard when `!many`.
-    live: usize,
-    /// More than one shard is live — reads go through `merged`.
-    many: bool,
 }
 
-struct State {
-    /// `blocks[rel][level]` = current trie block per relation level.
-    blocks: Vec<Vec<usize>>,
+/// A level's value set held for iteration while deeper levels move the
+/// cursor: a view of `spec`-owned data, or the cursor's merge buffer
+/// taken out for the duration (the per-depth scratch discipline).
+enum Held<'a> {
+    View(SetRef<'a>),
+    Buf(Vec<u32>),
+}
+
+impl Held<'_> {
+    fn set(&self) -> SetRef<'_> {
+        match self {
+            Held::View(set) => *set,
+            Held::Buf(buf) => SetRef::Uint(buf),
+        }
+    }
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the root of `rel`.
+    fn open(rel: &'a PreparedRel) -> Cursor<'a> {
+        match &rel.source {
+            Source::Arena(trie) => Cursor::Arena { trie, blocks: vec![0; trie.arity()] },
+            Source::Layered(l) => Cursor::Layered(LayeredCursor {
+                layers: &l.layers,
+                root: l.root(),
+                reads_leaf: rel.depths.len() > 1,
+                in_place: None,
+                merged: Vec::new(),
+            }),
+        }
+    }
+
+    /// The current set view at trie level `lvl` — the single read point
+    /// through which every probe, intersection, and candidate
+    /// materialisation sees a relation.
+    #[inline]
+    fn set(&self, lvl: usize) -> SetRef<'_> {
+        match self {
+            Cursor::Arena { trie, blocks } => trie.set(lvl, blocks[lvl]),
+            Cursor::Layered(c) => c.view(lvl).unwrap_or(SetRef::Uint(&c.merged)),
+        }
+    }
+
+    /// Move to the child of `v`, which is present in the current set at
+    /// `lvl`.
+    #[inline]
+    fn descend(&mut self, lvl: usize, v: u32) {
+        match self {
+            Cursor::Arena { trie, blocks } => {
+                if lvl + 1 < trie.arity() {
+                    blocks[lvl + 1] = trie
+                        .child(lvl, blocks[lvl], v)
+                        .expect("descend value must be present in the set");
+                }
+            }
+            Cursor::Layered(c) => {
+                if lvl == 0 && c.reads_leaf {
+                    c.route(v);
+                }
+            }
+        }
+    }
+
+    /// Take the current level at `lvl` for iteration; the cursor stays
+    /// free to descend below it. Pair with [`Cursor::release`].
+    #[inline]
+    fn hold(&mut self, lvl: usize) -> Held<'a> {
+        match self {
+            Cursor::Arena { trie, blocks } => Held::View(trie.set(lvl, blocks[lvl])),
+            Cursor::Layered(c) => match c.view(lvl) {
+                Some(set) => Held::View(set),
+                None => Held::Buf(std::mem::take(&mut c.merged)),
+            },
+        }
+    }
+
+    /// Hand a held level back (restores a taken merge buffer).
+    #[inline]
+    fn release(&mut self, held: Held<'a>) {
+        if let (Cursor::Layered(c), Held::Buf(buf)) = (self, held) {
+            c.merged = buf;
+        }
+    }
+}
+
+impl<'a> LayeredCursor<'a> {
+    /// The set at `lvl` when it lives in `spec`-owned data — the merged
+    /// root, or a leaf served in place; `None` means the merge buffer.
+    fn view(&self, lvl: usize) -> Option<SetRef<'a>> {
+        if lvl == 0 {
+            Some(SetRef::Uint(self.root))
+        } else {
+            self.in_place
+        }
+    }
+
+    /// Route the leaf under root value `v`, which is present in the merged
+    /// root. Per layer: absent, served in place, or `(base − del) ∪ ins`
+    /// appended to the merge buffer (a value fully tombstoned in one shard
+    /// appends nothing there — its presence in the *merged* root says
+    /// nothing about any one layer). Subject-major orders have one live
+    /// layer per root value (subjects hash to exactly one shard);
+    /// object-major leaves are subjects, disjoint across shards, so
+    /// several live layers concatenate and sort.
+    fn route(&mut self, v: u32) {
+        self.in_place = None;
+        self.merged.clear();
+        let mut live = 0usize;
+        for layer in self.layers {
+            let base = if layer.base.num_tuples() == 0 {
+                None
+            } else {
+                layer.base.child(0, 0, v).map(|b| layer.base.set(1, b))
+            };
+            let (ins, del) = match &layer.overlay {
+                Some(ov) => (ov.ins_child(v), ov.del_child(v)),
+                None => (None, None),
+            };
+            match (base, ins, del) {
+                (None, None, _) => {}
+                (Some(set), None, None) | (None, Some(set), _) => {
+                    live += 1;
+                    match self.in_place {
+                        None => self.in_place = Some(set),
+                        Some(_) => self.merged.extend(set.iter()),
+                    }
+                }
+                (base, ins, del) => {
+                    let before = self.merged.len();
+                    overlay_merge_into(base, del, ins, &mut self.merged);
+                    live += usize::from(self.merged.len() > before);
+                }
+            }
+        }
+        debug_assert!(live > 0, "descend value must be live in at least one layer");
+        if live > 1 {
+            if let Some(set) = self.in_place.take() {
+                self.merged.extend(set.iter());
+            }
+            self.merged.sort_unstable();
+            self.merged.dedup();
+        }
+    }
+}
+
+struct State<'a> {
+    /// One level cursor per relation.
+    cursors: Vec<Cursor<'a>>,
     binding: Vec<u32>,
     /// One reusable intersection scratch per join depth, so the adaptive
     /// multiway driver performs zero heap allocation per extension once
@@ -189,95 +313,27 @@ struct State {
     /// candidate list stays live while the search recurses into `d + 1`,
     /// which uses its own slot).
     scratch: Vec<IntersectScratch>,
-    /// One overlay cursor per relation (unused for relations without an
-    /// overlay).
-    overlay: Vec<OverlayCursor>,
-    /// One shard cursor per relation (empty vectors for single-source
-    /// relations).
-    multi: Vec<MultiCursor>,
 }
 
 /// The per-morsel fork in [`run_join_parallel`]: cursors and bindings are
 /// copied, scratch buffers start fresh and empty — they are transient
 /// kernel state, and each morsel must stay allocation-independent.
-impl Clone for State {
-    fn clone(&self) -> State {
+impl Clone for State<'_> {
+    fn clone(&self) -> Self {
         State {
-            blocks: self.blocks.clone(),
+            cursors: self.cursors.clone(),
             binding: self.binding.clone(),
             scratch: (0..self.scratch.len()).map(|_| IntersectScratch::new()).collect(),
-            overlay: self.overlay.clone(),
-            multi: self.multi.clone(),
         }
     }
 }
 
-impl State {
-    fn fresh(spec: &JoinSpec) -> State {
+impl<'a> State<'a> {
+    fn fresh(spec: &'a JoinSpec) -> State<'a> {
         State {
-            blocks: spec.rels.iter().map(|r| vec![0usize; r.trie.arity()]).collect(),
+            cursors: spec.rels.iter().map(Cursor::open).collect(),
             binding: vec![0u32; spec.num_vars],
             scratch: (0..spec.num_vars).map(|_| IntersectScratch::new()).collect(),
-            overlay: spec.rels.iter().map(|_| OverlayCursor::default()).collect(),
-            multi: spec
-                .rels
-                .iter()
-                .map(|rel| {
-                    let n = rel.shards.len();
-                    MultiCursor {
-                        srcs: vec![ShardLeaf::Dead; n],
-                        blocks: vec![0usize; n],
-                        bufs: vec![Vec::new(); n],
-                        ..MultiCursor::default()
-                    }
-                })
-                .collect(),
-        }
-    }
-}
-
-/// The current set view of relation `r` at trie level `lvl` — the single
-/// read point through which every probe, intersection, and candidate
-/// materialisation sees a relation. Without an overlay this is exactly
-/// the pre-overlay arena read; with one, level 0 is the cached merged
-/// root and level 1 routes by the cursor's [`LeafSrc`]. A sharded
-/// relation reads the cross-shard union root at level 0 and routes the
-/// leaf through its [`MultiCursor`] — one live shard reads that shard
-/// directly, several read the merged buffer.
-fn rel_set<'a>(spec: &'a JoinSpec, st: &'a State, r: usize, lvl: usize) -> SetRef<'a> {
-    let rel = &spec.rels[r];
-    if let Some(union_root) = &rel.union_root {
-        if lvl == 0 {
-            return SetRef::Uint(union_root);
-        }
-        let cur = &st.multi[r];
-        if cur.many {
-            return SetRef::Uint(&cur.merged);
-        }
-        let s = cur.live;
-        return match cur.srcs[s] {
-            ShardLeaf::Dead => SetRef::Uint(&[]),
-            ShardLeaf::Base => rel.shards[s].trie.set(1, cur.blocks[s]),
-            ShardLeaf::Ins => rel.shards[s]
-                .overlay
-                .as_ref()
-                .expect("Ins routes require an overlay")
-                .ins_leaf(cur.blocks[s]),
-            ShardLeaf::Buf => SetRef::Uint(&cur.bufs[s]),
-        };
-    }
-    match &rel.overlay {
-        None => rel.trie.set(lvl, st.blocks[r][lvl]),
-        Some(ov) => {
-            if lvl == 0 {
-                SetRef::Uint(ov.root(&rel.trie))
-            } else {
-                match st.overlay[r].leaf {
-                    LeafSrc::Base => rel.trie.set(1, st.blocks[r][1]),
-                    LeafSrc::Ins => ov.ins_leaf(st.blocks[r][1]),
-                    LeafSrc::Buf => SetRef::Uint(&st.overlay[r].buf),
-                }
-            }
         }
     }
 }
@@ -353,14 +409,14 @@ where
 
     // Candidate values of the split attribute, in iteration order —
     // materialising exactly the domain `step` would iterate lazily (its
-    // single-participant fast path iterates the set directly; per-value
+    // single-participant path iterates the set directly; per-value
     // descent happens per morsel below). Profile recording here mirrors
     // `step`'s two branches exactly, which is what keeps the profile's
     // counts invariant across thread counts.
     let here = &parts[split];
     let candidates: Vec<u32> = if here.len() == 1 {
         let (r, lvl) = here[0];
-        let set = rel_set(spec, &st, r, lvl);
+        let set = st.cursors[r].set(lvl);
         if let Some(o) = &spec.obs {
             o.stats.note_single(split, set.len() as u64, 0);
         }
@@ -368,7 +424,7 @@ where
     } else {
         let mut scratch = IntersectScratch::new();
         let start = spec.obs.as_ref().map(|_| Instant::now());
-        with_participant_sets(spec, &st, here, |sets| intersect_all_into(sets, &mut scratch));
+        with_participant_sets(&st, here, |sets| intersect_all_into(sets, &mut scratch));
         if let Some(o) = &spec.obs {
             let ns = start.map_or(0, |s| s.elapsed().as_nanos() as u64);
             o.stats.note_multiway(split, scratch.last_kernel(), scratch.values().len() as u64, ns);
@@ -390,7 +446,7 @@ where
         {
             let mut f = |binding: &[u32]| emit(&mut sink, binding);
             for &v in &candidates[range] {
-                descend(spec, &mut st, here, v);
+                descend(&mut st, here, v);
                 st.binding[split] = v;
                 search(spec, &parts, &mut st, split + 1, &mut f);
             }
@@ -399,10 +455,10 @@ where
     })
 }
 
-fn search(
-    spec: &JoinSpec,
+fn search<'a>(
+    spec: &'a JoinSpec,
     parts: &[Vec<(usize, usize)>],
-    st: &mut State,
+    st: &mut State<'a>,
     depth: usize,
     emit: &mut dyn FnMut(&[u32]),
 ) {
@@ -412,13 +468,18 @@ fn search(
         }
         return;
     }
-    step(spec, parts, st, depth, &mut |spec, st| {
+    step(spec, parts, st, depth, &mut |st| {
         search(spec, parts, st, depth + 1, emit);
         true
     });
 }
 
-fn exists(spec: &JoinSpec, parts: &[Vec<(usize, usize)>], st: &mut State, depth: usize) -> bool {
+fn exists<'a>(
+    spec: &'a JoinSpec,
+    parts: &[Vec<(usize, usize)>],
+    st: &mut State<'a>,
+    depth: usize,
+) -> bool {
     if depth == spec.num_vars {
         return true;
     }
@@ -434,12 +495,12 @@ fn exists(spec: &JoinSpec, parts: &[Vec<(usize, usize)>], st: &mut State, depth:
         }
         if here.len() == 1 {
             let (r, lvl) = here[0];
-            return !rel_set(spec, st, r, lvl).is_empty();
+            return !st.cursors[r].set(lvl).is_empty();
         }
-        return with_participant_sets(spec, st, here, intersects_all_refs);
+        return with_participant_sets(st, here, intersects_all_refs);
     }
     let mut found = false;
-    step(spec, parts, st, depth, &mut |spec, st| {
+    step(spec, parts, st, depth, &mut |st| {
         found = exists(spec, parts, st, depth + 1);
         !found // stop iterating as soon as a witness exists
     });
@@ -448,231 +509,60 @@ fn exists(spec: &JoinSpec, parts: &[Vec<(usize, usize)>], st: &mut State, depth:
 
 /// Bind attribute `depth` every admissible way, invoking `then` per value
 /// until it returns `false` (early exit for existence probes).
-fn step(
-    spec: &JoinSpec,
+fn step<'a>(
+    spec: &'a JoinSpec,
     parts: &[Vec<(usize, usize)>],
-    st: &mut State,
+    st: &mut State<'a>,
     depth: usize,
-    then: &mut dyn FnMut(&JoinSpec, &mut State) -> bool,
+    then: &mut dyn FnMut(&mut State<'a>) -> bool,
 ) {
     let here = &parts[depth];
-    match spec.sel[depth] {
-        Some(c) => {
-            if probe_selected(spec, st, here, depth, c) {
-                then(spec, st);
-            }
-        }
-        None => {
-            debug_assert!(!here.is_empty(), "unselected attribute with no participants");
-            if here.len() == 1 {
-                let (r, lvl) = here[0];
-                if !spec.rels[r].shards.is_empty() {
-                    step_single_multi(spec, st, depth, r, lvl, then);
-                    return;
-                }
-                if spec.rels[r].overlay.is_some() {
-                    step_single_overlay(spec, st, depth, r, lvl, then);
-                    return;
-                }
-                // Fast path: iterate the single participant's set directly.
-                let trie = Arc::clone(&spec.rels[r].trie);
-                let block = st.blocks[r][lvl];
-                if let Some(o) = &spec.obs {
-                    o.stats.note_single(depth, trie.set(lvl, block).len() as u64, 0);
-                }
-                for v in trie.set(lvl, block).iter() {
-                    if lvl + 1 < trie.arity() {
-                        st.blocks[r][lvl + 1] =
-                            trie.child(lvl, block, v).expect("iterated value must be present");
-                    }
-                    st.binding[depth] = v;
-                    if !then(spec, st) {
-                        return;
-                    }
-                }
-            } else {
-                // Multiway intersection into this depth's reusable
-                // scratch: the buffer is taken out of the state for the
-                // duration of the iteration (recursion below uses deeper
-                // slots), then restored — zero allocation per extension
-                // in the steady state.
-                let mut scratch = std::mem::take(&mut st.scratch[depth]);
-                let start = spec.obs.as_ref().map(|_| Instant::now());
-                with_participant_sets(spec, st, here, |sets| {
-                    intersect_all_into(sets, &mut scratch);
-                });
-                if let Some(o) = &spec.obs {
-                    let ns = start.map_or(0, |s| s.elapsed().as_nanos() as u64);
-                    o.stats.note_multiway(
-                        depth,
-                        scratch.last_kernel(),
-                        scratch.values().len() as u64,
-                        ns,
-                    );
-                }
-                for idx in 0..scratch.values().len() {
-                    let v = scratch.values()[idx];
-                    descend(spec, st, here, v);
-                    st.binding[depth] = v;
-                    if !then(spec, st) {
-                        break;
-                    }
-                }
-                st.scratch[depth] = scratch;
-            }
-        }
-    }
-}
-
-/// The single-participant unselected path for a relation carrying an
-/// overlay: iterate its merged view at `depth`, descending per value at
-/// level 0. Mirrors the base-arena fast path above — [`JoinObs`] records
-/// the same `note_single` shape, so profiles stay schedule-invariant.
-fn step_single_overlay(
-    spec: &JoinSpec,
-    st: &mut State,
-    depth: usize,
-    r: usize,
-    lvl: usize,
-    then: &mut dyn FnMut(&JoinSpec, &mut State) -> bool,
-) {
-    let rel = &spec.rels[r];
-    let ov = rel.overlay.as_ref().expect("caller checked the overlay");
-    if lvl == 0 {
-        // The cached merged root borrows `spec`-owned data, so it stays
-        // valid across the mutating `then` callbacks.
-        let root = ov.root(&rel.trie);
-        if let Some(o) = &spec.obs {
-            o.stats.note_single(depth, root.len() as u64, 0);
-        }
-        for &v in root {
-            descend(spec, st, &[(r, 0)], v);
-            st.binding[depth] = v;
-            if !then(spec, st) {
-                return;
-            }
+    if let Some(c) = spec.sel[depth] {
+        if probe_selected(spec, st, here, depth, c) {
+            then(st);
         }
         return;
     }
-    // Leaf level: nothing deeper to descend into — just iterate whichever
-    // source the cursor routed to.
-    match st.overlay[r].leaf {
-        LeafSrc::Buf => {
-            // The merged buffer lives in `st`, which `then` mutates; take
-            // it out for the iteration (the same discipline as the
-            // per-depth scratch) and restore it afterwards.
-            let buf = std::mem::take(&mut st.overlay[r].buf);
-            if let Some(o) = &spec.obs {
-                o.stats.note_single(depth, buf.len() as u64, 0);
-            }
-            for &v in &buf {
-                st.binding[depth] = v;
-                if !then(spec, st) {
-                    break;
-                }
-            }
-            st.overlay[r].buf = buf;
-        }
-        src => {
-            let block = st.blocks[r][1];
-            let set = match src {
-                LeafSrc::Base => rel.trie.set(1, block),
-                _ => ov.ins_leaf(block),
-            };
-            if let Some(o) = &spec.obs {
-                o.stats.note_single(depth, set.len() as u64, 0);
-            }
-            for v in set.iter() {
-                st.binding[depth] = v;
-                if !then(spec, st) {
-                    return;
-                }
-            }
-        }
-    }
-}
-
-/// The single-participant unselected path for a partitioned relation:
-/// iterate its union root (descending the shard cursors per value) at
-/// level 0, or whichever source the cursor routed the leaf to. Mirrors
-/// the base-arena fast path — [`JoinObs`] records the same `note_single`
-/// shape, so profiles stay invariant across partition counts too.
-fn step_single_multi(
-    spec: &JoinSpec,
-    st: &mut State,
-    depth: usize,
-    r: usize,
-    lvl: usize,
-    then: &mut dyn FnMut(&JoinSpec, &mut State) -> bool,
-) {
-    let rel = &spec.rels[r];
-    if lvl == 0 {
-        // The union root is Arc-shared with the catalog cache, so clone
-        // the handle rather than borrowing across the mutating `then`.
-        let root = Arc::clone(rel.union_root.as_ref().expect("sharded relations carry a root"));
+    debug_assert!(!here.is_empty(), "unselected attribute with no participants");
+    if let [(r, lvl)] = here[..] {
+        // Single participant: iterate its current level directly, no
+        // kernel dispatch. The level is held out of the state for the
+        // iteration, because `then` moves this cursor's deeper levels.
+        let held = st.cursors[r].hold(lvl);
+        let set = held.set();
         if let Some(o) = &spec.obs {
-            o.stats.note_single(depth, root.len() as u64, 0);
+            o.stats.note_single(depth, set.len() as u64, 0);
         }
-        for &v in root.iter() {
-            descend(spec, st, &[(r, 0)], v);
+        for v in set.iter() {
+            st.cursors[r].descend(lvl, v);
             st.binding[depth] = v;
-            if !then(spec, st) {
-                return;
-            }
-        }
-        return;
-    }
-    // Leaf level: iterate the routed source. Buffers living in `st` are
-    // taken out for the iteration (the scratch discipline) and restored.
-    let cur = &st.multi[r];
-    let (many, live) = (cur.many, cur.live);
-    if many {
-        let buf = std::mem::take(&mut st.multi[r].merged);
-        if let Some(o) = &spec.obs {
-            o.stats.note_single(depth, buf.len() as u64, 0);
-        }
-        for &v in &buf {
-            st.binding[depth] = v;
-            if !then(spec, st) {
+            if !then(st) {
                 break;
             }
         }
-        st.multi[r].merged = buf;
+        st.cursors[r].release(held);
         return;
     }
-    match st.multi[r].srcs[live] {
-        ShardLeaf::Dead => {}
-        ShardLeaf::Buf => {
-            let buf = std::mem::take(&mut st.multi[r].bufs[live]);
-            if let Some(o) = &spec.obs {
-                o.stats.note_single(depth, buf.len() as u64, 0);
-            }
-            for &v in &buf {
-                st.binding[depth] = v;
-                if !then(spec, st) {
-                    break;
-                }
-            }
-            st.multi[r].bufs[live] = buf;
-        }
-        src => {
-            let block = st.multi[r].blocks[live];
-            let op = &rel.shards[live];
-            let set = match src {
-                ShardLeaf::Base => op.trie.set(1, block),
-                _ => op.overlay.as_ref().expect("Ins routes require an overlay").ins_leaf(block),
-            };
-            if let Some(o) = &spec.obs {
-                o.stats.note_single(depth, set.len() as u64, 0);
-            }
-            for v in set.iter() {
-                st.binding[depth] = v;
-                if !then(spec, st) {
-                    return;
-                }
-            }
+    // Multiway intersection into this depth's reusable scratch: the
+    // buffer is taken out of the state for the duration of the iteration
+    // (recursion below uses deeper slots), then restored — zero
+    // allocation per extension in the steady state.
+    let mut scratch = std::mem::take(&mut st.scratch[depth]);
+    let start = spec.obs.as_ref().map(|_| Instant::now());
+    with_participant_sets(st, here, |sets| intersect_all_into(sets, &mut scratch));
+    if let Some(o) = &spec.obs {
+        let ns = start.map_or(0, |s| s.elapsed().as_nanos() as u64);
+        o.stats.note_multiway(depth, scratch.last_kernel(), scratch.values().len() as u64, ns);
+    }
+    for idx in 0..scratch.values().len() {
+        let v = scratch.values()[idx];
+        descend(st, here, v);
+        st.binding[depth] = v;
+        if !then(st) {
+            break;
         }
     }
+    st.scratch[depth] = scratch;
 }
 
 /// Probe selection value `c` against every participant at `depth`; on
@@ -682,7 +572,7 @@ fn step_single_multi(
 /// paths applying exactly this rule.
 fn probe_selected(
     spec: &JoinSpec,
-    st: &mut State,
+    st: &mut State<'_>,
     here: &[(usize, usize)],
     depth: usize,
     c: u32,
@@ -690,23 +580,19 @@ fn probe_selected(
     if let Some(o) = &spec.obs {
         o.stats.note_selected(depth);
     }
-    for &(r, lvl) in here {
-        if !rel_set(spec, st, r, lvl).contains(c) {
-            return false;
-        }
+    if !here.iter().all(|&(r, lvl)| st.cursors[r].set(lvl).contains(c)) {
+        return false;
     }
-    descend(spec, st, here, c);
+    descend(st, here, c);
     st.binding[depth] = c;
     true
 }
 
 /// Run `f` over every participant's current set view, assembled on the
-/// stack for typical arities — the views borrow the tries owned by
-/// `spec`, so they are independent of later `st` mutation. Shared by
-/// [`step`], [`exists`], and the parallel candidate materialisation.
+/// stack for typical arities. Shared by [`step`], [`exists`], and the
+/// parallel candidate materialisation.
 fn with_participant_sets<R>(
-    spec: &JoinSpec,
-    st: &State,
+    st: &State<'_>,
     here: &[(usize, usize)],
     f: impl FnOnce(&[SetRef<'_>]) -> R,
 ) -> R {
@@ -718,170 +604,54 @@ fn with_participant_sets<R>(
     if here.len() <= INLINE {
         let mut table: [SetRef<'_>; INLINE] = [SetRef::Uint(&[]); INLINE];
         for (slot, &(r, lvl)) in table.iter_mut().zip(here) {
-            *slot = rel_set(spec, st, r, lvl);
+            *slot = st.cursors[r].set(lvl);
         }
         f(&table[..here.len()])
     } else {
-        let sets: Vec<SetRef<'_>> =
-            here.iter().map(|&(r, lvl)| rel_set(spec, st, r, lvl)).collect();
+        let sets: Vec<SetRef<'_>> = here.iter().map(|&(r, lvl)| st.cursors[r].set(lvl)).collect();
         f(&sets)
     }
 }
 
-/// Move every participant's cursor to the child block of `v` (which is
-/// known to be present in each participant's current set).
-fn descend(spec: &JoinSpec, st: &mut State, here: &[(usize, usize)], v: u32) {
+/// Move every participant's cursor to the child of `v` (which is known
+/// to be present in each participant's current set).
+fn descend(st: &mut State<'_>, here: &[(usize, usize)], v: u32) {
     for &(r, lvl) in here {
-        let rel = &spec.rels[r];
-        if !rel.shards.is_empty() {
-            // Prefix-only shard participants never read a leaf, so only
-            // the root→leaf move routes the shards.
-            if lvl == 0 && rel.depths.len() > 1 {
-                descend_multi(rel, st, r, v);
-            }
-            continue;
-        }
-        match &rel.overlay {
-            None => {
-                if lvl + 1 < rel.trie.arity() {
-                    st.blocks[r][lvl + 1] = rel
-                        .trie
-                        .child(lvl, st.blocks[r][lvl], v)
-                        .expect("descend value must be present in the set");
-                }
-            }
-            Some(ov) => {
-                // Leaf-level participants (lvl 1) have nothing deeper to
-                // descend into, and a prefix-only participant never reads
-                // its leaf level — only the root→leaf move merges.
-                if lvl == 0 && lvl + 1 < rel.depths.len() {
-                    descend_overlay(rel, ov, st, r, v);
-                }
-            }
-        }
-    }
-}
-
-/// Overlay-aware descent into the leaf level of relation `r`: route the
-/// cursor to the base block, the insert block, or — when the value has
-/// presence in both (or a tombstone to subtract) — merge
-/// `(base − del) ∪ ins` into the cursor's reusable buffer.
-fn descend_overlay(rel: &PreparedRel, ov: &DeltaOverlay, st: &mut State, r: usize, v: u32) {
-    let base_block =
-        if rel.trie.num_tuples() == 0 { None } else { rel.trie.child(0, st.blocks[r][0], v) };
-    let ins_block = ov.ins_child_block(v);
-    let del = ov.del_child(v);
-    match (base_block, ins_block) {
-        (Some(bb), None) if del.is_none() => {
-            st.overlay[r].leaf = LeafSrc::Base;
-            st.blocks[r][1] = bb;
-        }
-        (None, Some(ib)) => {
-            st.overlay[r].leaf = LeafSrc::Ins;
-            st.blocks[r][1] = ib;
-        }
-        (bb, ib) => {
-            debug_assert!(
-                bb.is_some(),
-                "descend value must be present in the merged set, so absent \
-                 from inserts means present in the base"
-            );
-            let base_set = bb.map(|b| rel.trie.set(1, b));
-            let ins_set = ib.map(|b| ov.ins_leaf(b));
-            let cur = &mut st.overlay[r];
-            cur.buf.clear();
-            overlay_merge_into(base_set, del, ins_set, &mut cur.buf);
-            cur.leaf = LeafSrc::Buf;
-        }
-    }
-}
-
-/// Shard-aware descent into the leaf level of a partitioned relation:
-/// route every shard's cursor for root value `v` (each shard applies the
-/// same base/insert/merge logic as [`descend_overlay`], with the extra
-/// `Dead` outcome for shards that do not contain `v`). One live shard
-/// serves its leaf directly; several merge into the cursor's cross-shard
-/// buffer — those leaf values are subjects, disjoint across shards, so
-/// the merge is concatenate + sort.
-fn descend_multi(rel: &PreparedRel, st: &mut State, r: usize, v: u32) {
-    let MultiCursor { srcs, blocks, bufs, merged, live, many } = &mut st.multi[r];
-    let mut live_count = 0usize;
-    for (s, op) in rel.shards.iter().enumerate() {
-        let base_block = if op.trie.num_tuples() == 0 { None } else { op.trie.child(0, 0, v) };
-        srcs[s] = match &op.overlay {
-            None => match base_block {
-                Some(bb) => {
-                    blocks[s] = bb;
-                    ShardLeaf::Base
-                }
-                None => ShardLeaf::Dead,
-            },
-            Some(ov) => {
-                let ins_block = ov.ins_child_block(v);
-                let del = ov.del_child(v);
-                match (base_block, ins_block) {
-                    (None, None) => ShardLeaf::Dead,
-                    (Some(bb), None) if del.is_none() => {
-                        blocks[s] = bb;
-                        ShardLeaf::Base
-                    }
-                    (None, Some(ib)) => {
-                        blocks[s] = ib;
-                        ShardLeaf::Ins
-                    }
-                    (bb, ib) => {
-                        let base_set = bb.map(|b| op.trie.set(1, b));
-                        let ins_set = ib.map(|b| ov.ins_leaf(b));
-                        bufs[s].clear();
-                        overlay_merge_into(base_set, del, ins_set, &mut bufs[s]);
-                        // Unlike the single-source case, `v`'s presence in
-                        // the *union* root says nothing about this shard —
-                        // a fully tombstoned value merges to nothing.
-                        if bufs[s].is_empty() {
-                            ShardLeaf::Dead
-                        } else {
-                            ShardLeaf::Buf
-                        }
-                    }
-                }
-            }
-        };
-        if srcs[s] != ShardLeaf::Dead {
-            live_count += 1;
-            *live = s;
-        }
-    }
-    debug_assert!(live_count > 0, "descend value must be live in at least one shard");
-    *many = live_count != 1;
-    if live_count > 1 {
-        merged.clear();
-        for (s, op) in rel.shards.iter().enumerate() {
-            match srcs[s] {
-                ShardLeaf::Dead => {}
-                ShardLeaf::Base => merged.extend(op.trie.set(1, blocks[s]).iter()),
-                ShardLeaf::Ins => {
-                    let ov = op.overlay.as_ref().expect("Ins routes require an overlay");
-                    merged.extend(ov.ins_leaf(blocks[s]).iter());
-                }
-                ShardLeaf::Buf => merged.extend_from_slice(&bufs[s]),
-            }
-        }
-        merged.sort_unstable();
-        merged.dedup();
-    } else if live_count == 0 {
-        // Release-safe fallback for the impossible case: serve empty.
-        merged.clear();
-        *many = true;
+        st.cursors[r].descend(lvl, v);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eh_trie::{LayoutPolicy, TupleBuffer};
+    use crate::catalog::merged_root;
+    use eh_trie::{DeltaOverlay, LayoutPolicy, TupleBuffer};
+    use proptest::prelude::*;
 
-    fn trie_of(pairs: &[(u32, u32)]) -> Arc<FrozenTrie> {
+    type Pairs<'a> = &'a [(u32, u32)];
+
+    fn trie_of(pairs: Pairs<'_>) -> Arc<FrozenTrie> {
         Arc::new(FrozenTrie::build(TupleBuffer::from_pairs(pairs), LayoutPolicy::Auto))
+    }
+
+    /// One layer: a base trie plus, when `delta` is given, an overlay of
+    /// `(inserts, tombstones)` — all sorted unique, as the catalog hands
+    /// them over.
+    fn layer(base: Pairs<'_>, delta: Option<(Pairs<'_>, Pairs<'_>)>) -> Layer {
+        let overlay = delta.map(|(ins, del)| Arc::new(DeltaOverlay::from_pairs(ins, del)));
+        Layer { base: trie_of(base), overlay }
+    }
+
+    /// A catalog-style operand over `layers`: several carry their merged
+    /// root, exactly as [`Catalog::relation`](crate::Catalog) builds them.
+    fn layered(layers: Vec<Layer>, depths: Vec<usize>) -> PreparedRel {
+        let union_root = (layers.len() > 1).then(|| Arc::new(merged_root(&layers)));
+        PreparedRel::layered(Layered { layers, union_root }, depths)
+    }
+
+    /// `R(x, y)` scanned at both levels.
+    fn scan(rel: PreparedRel) -> JoinSpec {
+        JoinSpec { num_vars: 2, sel: vec![None, None], emit_depth: 2, obs: None, rels: vec![rel] }
     }
 
     fn collect(spec: &JoinSpec) -> Vec<Vec<u32>> {
@@ -913,9 +683,9 @@ mod tests {
             emit_depth: 3,
             obs: None,
             rels: vec![
-                PreparedRel::single(r, None, vec![0, 1]),
-                PreparedRel::single(s, None, vec![1, 2]),
-                PreparedRel::single(t, None, vec![0, 2]),
+                PreparedRel::arena(r, vec![0, 1]),
+                PreparedRel::arena(s, vec![1, 2]),
+                PreparedRel::arena(t, vec![0, 2]),
             ],
         };
         // Triangles: (x=0,y=1,z=2) and (x=0,y=2,z=4).
@@ -932,7 +702,7 @@ mod tests {
             sel: vec![Some(1), None],
             emit_depth: 2,
             obs: None,
-            rels: vec![PreparedRel::single(r, None, vec![0, 1])],
+            rels: vec![PreparedRel::arena(r, vec![0, 1])],
         };
         assert_eq!(collect(&spec), vec![vec![1, 10], vec![1, 11]]);
     }
@@ -945,7 +715,7 @@ mod tests {
             sel: vec![Some(9), None],
             emit_depth: 2,
             obs: None,
-            rels: vec![PreparedRel::single(r, None, vec![0, 1])],
+            rels: vec![PreparedRel::arena(r, vec![0, 1])],
         };
         assert!(collect(&spec).is_empty());
     }
@@ -959,7 +729,7 @@ mod tests {
             sel: vec![None, None],
             emit_depth: 1,
             obs: None,
-            rels: vec![PreparedRel::single(r, None, vec![0, 1])],
+            rels: vec![PreparedRel::arena(r, vec![0, 1])],
         };
         assert_eq!(collect(&spec), vec![vec![5], vec![6]]);
     }
@@ -978,10 +748,7 @@ mod tests {
             sel: vec![None, None],
             emit_depth: 2,
             obs: None,
-            rels: vec![
-                PreparedRel::single(r, None, vec![0, 1]),
-                PreparedRel::single(f, None, vec![0]),
-            ],
+            rels: vec![PreparedRel::arena(r, vec![0, 1]), PreparedRel::arena(f, vec![0])],
         };
         assert_eq!(collect(&spec), vec![vec![2, 20], vec![3, 30]]);
     }
@@ -995,7 +762,7 @@ mod tests {
             sel: vec![None],
             emit_depth: 1,
             obs: None,
-            rels: vec![PreparedRel::single(r, None, vec![0])],
+            rels: vec![PreparedRel::arena(r, vec![0])],
         };
         assert_eq!(collect(&spec), vec![vec![1], vec![4]]);
     }
@@ -1009,10 +776,7 @@ mod tests {
             sel: vec![None, None],
             emit_depth: 2,
             obs: None,
-            rels: vec![
-                PreparedRel::single(r, None, vec![0, 1]),
-                PreparedRel::single(e, None, vec![0, 1]),
-            ],
+            rels: vec![PreparedRel::arena(r, vec![0, 1]), PreparedRel::arena(e, vec![0, 1])],
         };
         assert!(collect(&spec).is_empty());
     }
@@ -1031,7 +795,7 @@ mod tests {
             sel: vec![None, None],
             emit_depth: 2,
             obs: None,
-            rels: vec![PreparedRel::single(base, Some(ov), vec![0, 1])],
+            rels: vec![layered(vec![Layer { base, overlay: Some(ov) }], vec![0, 1])],
         };
         assert_eq!(collect(&spec), vec![vec![1, 11], vec![1, 12], vec![3, 30], vec![4, 40]]);
     }
@@ -1050,8 +814,8 @@ mod tests {
             emit_depth: 2,
             obs: None,
             rels: vec![
-                PreparedRel::single(r, Some(ov), vec![0, 1]),
-                PreparedRel::single(s, None, vec![0, 1]),
+                layered(vec![Layer { base: r, overlay: Some(ov) }], vec![0, 1]),
+                PreparedRel::arena(s, vec![0, 1]),
             ],
         };
         assert_eq!(collect(&spec), vec![vec![2, 21], vec![5, 50]]);
@@ -1067,7 +831,10 @@ mod tests {
             sel,
             emit_depth: 2,
             obs: None,
-            rels: vec![PreparedRel::single(Arc::clone(&r), Some(Arc::clone(&ov)), vec![0, 1])],
+            rels: vec![layered(
+                vec![Layer { base: Arc::clone(&r), overlay: Some(Arc::clone(&ov)) }],
+                vec![0, 1],
+            )],
         };
         // A tombstoned pair must miss, the staged insert must hit, and a
         // base-resident pair still hits.
@@ -1087,7 +854,7 @@ mod tests {
             sel: vec![None, None],
             emit_depth: 1,
             obs: None,
-            rels: vec![PreparedRel::single(r, Some(ov), vec![0, 1])],
+            rels: vec![layered(vec![Layer { base: r, overlay: Some(ov) }], vec![0, 1])],
         };
         assert_eq!(collect(&spec), vec![vec![5], vec![7]]);
     }
@@ -1103,7 +870,7 @@ mod tests {
             sel: vec![None, None],
             emit_depth: 2,
             obs: None,
-            rels: vec![PreparedRel::single(e, Some(ov), vec![0, 1])],
+            rels: vec![layered(vec![Layer { base: e, overlay: Some(ov) }], vec![0, 1])],
         };
         assert_eq!(collect(&spec), vec![vec![1, 10], vec![2, 20]]);
     }
@@ -1122,8 +889,8 @@ mod tests {
             emit_depth: 2,
             obs: None,
             rels: vec![
-                PreparedRel::single(r, None, vec![0, 1]),
-                PreparedRel::single(f_base, Some(f_ov), vec![0]),
+                PreparedRel::arena(r, vec![0, 1]),
+                layered(vec![Layer { base: f_base, overlay: Some(f_ov) }], vec![0]),
             ],
         };
         assert_eq!(collect(&spec), vec![vec![2, 20], vec![3, 30]]);
@@ -1139,9 +906,227 @@ mod tests {
             sel: vec![None, None],
             emit_depth: 0,
             obs: None,
-            rels: vec![PreparedRel::single(r, None, vec![0, 1])],
+            rels: vec![PreparedRel::arena(r, vec![0, 1])],
         };
         let out = collect(&spec);
         assert_eq!(out, vec![Vec::<u32>::new()]);
+    }
+
+    #[test]
+    fn every_layer_route_serves_its_leaf() {
+        // Two subject-major shards (roots disjoint). Shard 0 stages a
+        // delta, shard 1 is bare. Per root value:
+        //   1 — merged: base {10,11} − tombstone 10 ∪ insert 12
+        //   2 — fully tombstoned: vanishes from the merged root
+        //   3 — base block untouched by the delta, served in place
+        //   4 — insert-only block, served in place
+        //   6 — absent from shard 0, base block of shard 1
+        let shard0 = layer(
+            &[(1, 10), (1, 11), (2, 20), (3, 30)],
+            Some((&[(1, 12), (4, 40)], &[(1, 10), (2, 20)])),
+        );
+        let shard1 = layer(&[(6, 60), (6, 61)], None);
+        let spec = scan(layered(vec![shard0, shard1], vec![0, 1]));
+        assert_eq!(
+            collect(&spec),
+            vec![vec![1, 11], vec![1, 12], vec![3, 30], vec![4, 40], vec![6, 60], vec![6, 61]]
+        );
+    }
+
+    #[test]
+    fn object_major_value_live_in_several_shards_concatenates_and_sorts() {
+        // Object-major: root 5 has subjects in all three shards (leaf
+        // sets disjoint, interleaved), one of them behind a delta; root 8
+        // lives in one shard only.
+        let shard0 = layer(&[(5, 1), (5, 7)], None);
+        let shard1 = layer(&[(5, 3), (5, 4), (8, 2)], None);
+        let shard2 = layer(&[(5, 6)], Some((&[(5, 0)], &[(5, 6)])));
+        let spec = scan(layered(vec![shard0, shard1, shard2], vec![0, 1]));
+        assert_eq!(
+            collect(&spec),
+            vec![vec![5, 0], vec![5, 1], vec![5, 3], vec![5, 4], vec![5, 7], vec![8, 2]]
+        );
+    }
+
+    #[test]
+    fn value_tombstoned_in_one_shard_stays_live_through_another() {
+        // Root 5 survives in the merged root through shard 1; shard 0's
+        // own merge for it comes up empty and must not count as live.
+        let shard0 = layer(&[(5, 1), (9, 9)], Some((&[], &[(5, 1)])));
+        let shard1 = layer(&[(5, 2)], None);
+        let spec = scan(layered(vec![shard0, shard1], vec![0, 1]));
+        assert_eq!(collect(&spec), vec![vec![5, 2], vec![9, 9]]);
+    }
+
+    #[test]
+    fn prefix_only_layered_participant_never_routes_a_leaf() {
+        // A two-shard filter participating only at depth 0: the merged
+        // root ({2, 9} − {9}) ∪ {3} ∪ {7} applies, and descents leave the
+        // cursor's leaf untouched — no block lookup, no merge.
+        let f = || {
+            let shard0 = layer(&[(2, 1), (9, 1)], Some((&[(3, 1)], &[(9, 1)])));
+            layered(vec![shard0, layer(&[(7, 1)], None)], vec![0])
+        };
+        let r = trie_of(&[(1, 10), (2, 20), (3, 30), (7, 70)]);
+        let spec = JoinSpec {
+            num_vars: 2,
+            sel: vec![None, None],
+            emit_depth: 2,
+            obs: None,
+            rels: vec![PreparedRel::arena(r, vec![0, 1]), f()],
+        };
+        assert_eq!(collect(&spec), vec![vec![2, 20], vec![3, 30], vec![7, 70]]);
+
+        let rel = f();
+        let mut cursor = Cursor::open(&rel);
+        assert_eq!(cursor.set(0).to_vec(), vec![2, 3, 7]);
+        cursor.descend(0, 2);
+        let Cursor::Layered(c) = &cursor else { panic!("two layers read layered") };
+        assert!(c.in_place.is_none() && c.merged.is_empty(), "a prefix-only descent routed");
+    }
+
+    #[test]
+    fn selected_prefix_probe_through_the_merged_root_then_parallel_split() {
+        // Selection on the root of a sharded object-major relation: the
+        // probe descends into a cross-shard merged leaf *before* the
+        // parallel split, so every morsel's forked cursor must carry the
+        // buffer's contents.
+        let shards = || vec![layer(&[(5, 1), (5, 7), (6, 1)], None), layer(&[(5, 3)], None)];
+        let s = trie_of(&[(1, 100), (3, 300), (3, 301), (7, 700), (8, 800)]);
+        let mk = |c| JoinSpec {
+            num_vars: 3,
+            sel: vec![Some(c), None, None],
+            emit_depth: 3,
+            obs: None,
+            rels: vec![
+                layered(shards(), vec![0, 1]),
+                PreparedRel::arena(Arc::clone(&s), vec![1, 2]),
+            ],
+        };
+        assert_eq!(
+            collect(&mk(5)),
+            vec![vec![5, 1, 100], vec![5, 3, 300], vec![5, 3, 301], vec![5, 7, 700]]
+        );
+        assert_eq!(collect(&mk(6)), vec![vec![6, 1, 100]]);
+        assert!(collect(&mk(4)).is_empty(), "4 is in no shard's root");
+    }
+
+    #[test]
+    fn buffer_backed_leaf_iterates_while_deeper_levels_run() {
+        // T(x,z), R(x,y) in order [x, z, y]: depth 1 iterates T's leaf as
+        // the single participant, and beneath it depth 2 iterates R's —
+        // once per z, so R's leaf must survive each iteration intact.
+        // Under x = 1 both leaves are merge buffers (held out of the
+        // state while iterated, restored after); x = 2 then re-routes
+        // both cursors to in-place blocks.
+        let t = || {
+            let shard0 = layer(&[(1, 5), (1, 7), (2, 6)], Some((&[(1, 4)], &[(1, 5)])));
+            layered(vec![shard0, layer(&[(3, 3)], None)], vec![0, 1])
+        };
+        let r = || layered(vec![layer(&[(1, 10), (2, 20)], Some((&[(1, 11)], &[])))], vec![0, 2]);
+        let spec = JoinSpec {
+            num_vars: 3,
+            sel: vec![None, None, None],
+            emit_depth: 3,
+            obs: None,
+            rels: vec![t(), r()],
+        };
+        assert_eq!(
+            collect(&spec),
+            vec![vec![1, 4, 10], vec![1, 4, 11], vec![1, 7, 10], vec![1, 7, 11], vec![2, 6, 20]]
+        );
+        // The existence form breaks out of the held iteration early; the
+        // buffer must still be handed back for the next root value.
+        let exists = JoinSpec { emit_depth: 1, rels: vec![t(), r()], ..spec };
+        assert_eq!(collect(&exists), vec![vec![1], vec![2]]);
+    }
+
+    /// A relation in one trie order: base pairs, staged inserts and
+    /// tombstones honouring the staging invariants (`del ⊆ base`,
+    /// `ins ∩ base = ∅`).
+    #[derive(Debug, Clone)]
+    struct Staged {
+        base: Vec<(u32, u32)>,
+        ins: Vec<(u32, u32)>,
+        del: Vec<(u32, u32)>,
+    }
+
+    /// Each distinct random pair takes exactly one role: base, base +
+    /// tombstone, or insert.
+    fn staged_strategy() -> impl Strategy<Value = Staged> {
+        proptest::collection::vec((0u32..10, 0u32..10, 0u8..4), 0..48).prop_map(|tagged| {
+            let roles: std::collections::BTreeMap<(u32, u32), u8> =
+                tagged.into_iter().map(|(a, b, role)| ((a, b), role)).collect();
+            let pick = |keep: &dyn Fn(u8) -> bool| -> Vec<(u32, u32)> {
+                roles.iter().filter(|(_, &role)| keep(role)).map(|(&pair, _)| pair).collect()
+            };
+            Staged { base: pick(&|r| r != 2), ins: pick(&|r| r == 2), del: pick(&|r| r == 1) }
+        })
+    }
+
+    impl Staged {
+        /// The arena source over the materialised `(base − del) ∪ ins`.
+        fn materialised(&self, depths: Vec<usize>) -> PreparedRel {
+            let mut pairs: Vec<(u32, u32)> =
+                self.base.iter().filter(|p| !self.del.contains(p)).copied().collect();
+            pairs.extend(&self.ins);
+            PreparedRel::arena(trie_of(&pairs), depths)
+        }
+
+        /// The layered source over `k` hash shards. `split_col` is the
+        /// column the store partitions on: 0 for a subject-major order
+        /// (roots disjoint across shards), 1 for an object-major one
+        /// (roots overlap, leaves disjoint). `k = 1` is plain base+delta.
+        fn sharded(&self, k: u32, split_col: usize, depths: Vec<usize>) -> PreparedRel {
+            let of = |pairs: &[(u32, u32)], shard: u32| -> Vec<(u32, u32)> {
+                let key = |p: &(u32, u32)| if split_col == 0 { p.0 } else { p.1 };
+                pairs.iter().filter(|p| key(p) % k == shard).copied().collect()
+            };
+            let layers = (0..k)
+                .map(|s| layer(&of(&self.base, s), Some((&of(&self.ins, s), &of(&self.del, s)))))
+                .collect();
+            layered(layers, depths)
+        }
+    }
+
+    /// The three query shapes of the degenerate-instances proptest over
+    /// one relation `R`: a two-level scan, the self-join `R(x,y), R(y,z)`,
+    /// and the existence query "every `x` with some `y`".
+    fn shapes(rel: &dyn Fn(Vec<usize>) -> PreparedRel) -> [(&'static str, JoinSpec); 3] {
+        let self_join = JoinSpec {
+            num_vars: 3,
+            sel: vec![None, None, None],
+            emit_depth: 3,
+            obs: None,
+            rels: vec![rel(vec![0, 1]), rel(vec![1, 2])],
+        };
+        let exists = JoinSpec { emit_depth: 1, ..scan(rel(vec![0, 1])) };
+        [("scan", scan(rel(vec![0, 1]))), ("self-join", self_join), ("exists", exists)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The "degenerate instances" claim: the arena source over the
+        /// materialised relation, the layered source at `k = 1`
+        /// (base+delta) and the layered source over `k` shards emit the
+        /// same tuples — at 1/2/4 threads each, through `collect` — for a
+        /// two-level scan, the self-join `R(x,y), R(y,z)` and an
+        /// existence query.
+        #[test]
+        fn arena_base_delta_and_shard_union_are_one_relation(
+            staged in staged_strategy(),
+            k in 1u32..5,
+            split_col in 0usize..2,
+        ) {
+            let run = |rel: &dyn Fn(Vec<usize>) -> PreparedRel| {
+                shapes(rel).map(|(shape, spec)| (shape, collect(&spec)))
+            };
+            let expect = run(&|depths| staged.materialised(depths));
+            let delta = run(&|depths| staged.sharded(1, split_col, depths));
+            prop_assert_eq!(&delta, &expect, "layered k=1 vs arena");
+            let union = run(&|depths| staged.sharded(k, split_col, depths));
+            prop_assert_eq!(&union, &expect, "layered k={} vs arena", k);
+        }
     }
 }

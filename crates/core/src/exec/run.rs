@@ -4,22 +4,22 @@
 //! pipelined (§III-C), otherwise a join over the per-node results
 //! (Yannakakis-style message passing).
 //!
-//! Every join in the driver runs through
-//! [`run_join_parallel`](crate::exec::generic::run_join_parallel): with a
-//! parallel [`RuntimeConfig`] the outermost iterated attribute is
-//! morsel-partitioned across worker threads and per-morsel buffers are
-//! concatenated in morsel order, so results are bit-identical to the
-//! sequential path.
+//! Every join in the driver runs through [`collect_rows`] — one row sink,
+//! one merge, one canonicalising `sort_dedup`, one profile epilogue — and
+//! under it [`run_join_parallel`]: with a parallel [`RuntimeConfig`] the
+//! outermost iterated attribute is morsel-partitioned across worker
+//! threads and per-morsel buffers are concatenated in morsel order, so
+//! results are bit-identical to the sequential path.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use eh_par::RuntimeConfig;
 use eh_query::{ConjunctiveQuery, Var};
-use eh_trie::{FrozenTrie, LayoutPolicy, TupleBuffer};
+use eh_trie::{FrozenTrie, TupleBuffer};
 
-use crate::catalog::{Catalog, RelOperands};
-use crate::exec::generic::{run_join, run_join_parallel, JoinSpec, PreparedRel};
+use crate::catalog::{layout_policy, Catalog};
+use crate::exec::generic::{run_join_parallel, JoinSpec, PreparedRel};
 use crate::plan::Plan;
 use crate::profile::{ExecStats, JoinObs, JoinStats};
 use crate::result::QueryResult;
@@ -40,14 +40,6 @@ impl NodeResult {
         } else {
             self.tuples.is_empty()
         }
-    }
-}
-
-fn layout_policy(auto: bool) -> LayoutPolicy {
-    if auto {
-        LayoutPolicy::Auto
-    } else {
-        LayoutPolicy::UintOnly
     }
 }
 
@@ -104,25 +96,19 @@ pub(crate) fn execute_plan(
             .map(|v| node.vars.iter().position(|w| w == v).expect("projection var in single node"))
             .collect();
         // Subject-rooted plans on a partitioned store run shard-local:
-        // every atom's subjects hash to the executing shard, so the
-        // shards' results are independent and concatenate.
-        if let Some(out) =
-            run_shard_local(catalog, q, plan, root, &proj_positions, auto_layout, rt, stats)
-        {
-            return QueryResult::new(columns, out);
-        }
-        let spec = node_spec(
-            catalog,
-            q,
-            plan,
-            root,
-            Vec::new(),
-            auto_layout,
-            stats,
-            format!("node {root}"),
-        );
-        let out = collect_rows(&spec, &proj_positions, rt);
-        return QueryResult::new(columns, out);
+        // one join per shard, each over that shard's slice of every atom.
+        // Specs are built serially: catalog publication and profile
+        // registration order stay deterministic regardless of thread count.
+        let spec_for = |shard: Option<usize>, label: String| {
+            node_spec(catalog, q, plan, root, Vec::new(), auto_layout, stats, shard, label)
+        };
+        let specs: Vec<JoinSpec> = match shard_local_partitions(catalog, plan, root) {
+            None => vec![spec_for(None, format!("node {root}"))],
+            Some(partitions) => (0..partitions)
+                .map(|s| spec_for(Some(s), format!("node {root} [shard {s}]")))
+                .collect(),
+        };
+        return QueryResult::new(columns, project_rows(&specs, &proj_positions, rt).0);
     }
 
     // Bottom-up pass over non-root nodes (post-order ends at the root).
@@ -152,14 +138,6 @@ pub(crate) fn execute_plan(
     QueryResult::new(columns, final_join(q, plan, &results, auto_layout, rt, stats))
 }
 
-/// Per-morsel sink for a node join: materialised output rows plus the
-/// satisfiability witness for zero-attribute (boolean) nodes.
-struct NodeSink {
-    tuples: TupleBuffer,
-    row: Vec<u32>,
-    satisfiable: bool,
-}
-
 /// Run one node's generic join, materialising its output columns.
 /// Returns `None` when the node (or one of its children) is empty, which
 /// empties the whole query.
@@ -175,45 +153,16 @@ fn run_node(
     stats: Option<&ExecStats>,
 ) -> Option<NodeResult> {
     let children = children_rels(plan, t, results, auto_layout)?;
-    let spec = node_spec(catalog, q, plan, t, children, auto_layout, stats, format!("node {t}"));
+    let spec =
+        node_spec(catalog, q, plan, t, children, auto_layout, stats, None, format!("node {t}"));
     let node = &plan.nodes[t];
-    let t0 = spec.obs.as_ref().map(|_| Instant::now());
     let out_positions: Vec<usize> =
         node.output.iter().map(|v| node.vars.iter().position(|w| w == v).unwrap()).collect();
-    let sinks = run_join_parallel(
-        &spec,
-        rt,
-        || NodeSink {
-            tuples: TupleBuffer::new(node.output.len()),
-            row: vec![0u32; node.output.len()],
-            satisfiable: false,
-        },
-        |sink, binding| {
-            sink.satisfiable = true;
-            if !sink.row.is_empty() {
-                for (j, &p) in out_positions.iter().enumerate() {
-                    sink.row[j] = binding[p];
-                }
-                sink.tuples.push(&sink.row);
-            }
-        },
-    );
-    let mut tuples = TupleBuffer::new(node.output.len());
-    let mut satisfiable = false;
-    for sink in sinks {
-        tuples.append(&sink.tuples);
-        satisfiable |= sink.satisfiable;
-    }
-    // Canonicalise once at the source: every consumer of a node result
-    // turns it into a trie (which needs sorted unique tuples anyway), so
-    // sorting + deduplicating here lets them all take the arena-direct
-    // `FrozenTrie::from_sorted` path and shrinks duplicated intermediates
+    // The rows come back canonical (sorted unique): every consumer of a
+    // node result turns it into a trie, so they all take the arena-direct
+    // `FrozenTrie::from_sorted` path, and duplicated intermediates shrink
     // before they are cloned around.
-    tuples.sort_dedup();
-    if let (Some(o), Some(t0)) = (&spec.obs, t0) {
-        o.stats.set_rows(tuples.len() as u64);
-        o.stats.add_wall_ns(t0.elapsed().as_nanos() as u64);
-    }
+    let (tuples, satisfiable) = project_rows(&[spec], &out_positions, rt);
     let result = NodeResult { attrs: node.output.clone(), tuples, satisfiable };
     if result.is_empty_relation() {
         None
@@ -223,7 +172,9 @@ fn run_node(
 }
 
 /// Build the JoinSpec for a node: its λ atoms plus prepared child
-/// intermediates.
+/// intermediates (`extra`). `shard` restricts every atom to that shard's
+/// slice of its predicate — the shard-local path, whose eligibility check
+/// ([`shard_local_partitions`]) guarantees the restriction is lossless.
 #[allow(clippy::too_many_arguments)]
 fn node_spec(
     catalog: &Catalog,
@@ -233,21 +184,20 @@ fn node_spec(
     mut extra: Vec<PreparedRel>,
     auto_layout: bool,
     stats: Option<&ExecStats>,
+    shard: Option<usize>,
     label: String,
 ) -> JoinSpec {
     let node = &plan.nodes[t];
     let depth_of = |v: Var| node.vars.iter().position(|&w| w == v).unwrap();
+    let mut overlay_rels = 0;
     let mut rels: Vec<PreparedRel> = node
         .atoms
         .iter()
         .map(|ap| {
-            let depths = ap.attrs.iter().map(|&v| depth_of(v)).collect();
-            match catalog.relation(&q.atoms()[ap.atom_index], ap.subject_first, auto_layout) {
-                RelOperands::Single { trie, overlay } => PreparedRel::single(trie, overlay, depths),
-                RelOperands::Sharded { ops, union_root } => {
-                    PreparedRel::sharded(ops, union_root, depths)
-                }
-            }
+            let atom = &q.atoms()[ap.atom_index];
+            let operand = catalog.relation(atom, ap.subject_first, auto_layout, shard);
+            overlay_rels += usize::from(operand.has_overlay());
+            PreparedRel::layered(operand, ap.attrs.iter().map(|&v| depth_of(v)).collect())
         })
         .collect();
     rels.append(&mut extra);
@@ -257,10 +207,6 @@ fn node_spec(
         .map(|&v| q.selection(v).map(|c| c.expect("missing constants short-circuit earlier")))
         .collect();
     let emit_depth = node.output.iter().map(|v| depth_of(*v) + 1).max().unwrap_or(0);
-    let overlay_rels = rels
-        .iter()
-        .filter(|r| r.overlay.is_some() || r.shards.iter().any(|s| s.overlay.is_some()))
-        .count();
     let obs = observe_join(stats, q, label, &node.vars, &sel, emit_depth, overlay_rels);
     JoinSpec { num_vars: node.vars.len(), sel, emit_depth, obs, rels }
 }
@@ -300,12 +246,12 @@ fn children_rels(
                 shared.iter().map(|v| child.attrs.iter().position(|w| w == v).unwrap()).collect();
             Arc::new(FrozenTrie::build(child.tuples.permute(&cols), layout_policy(auto_layout)))
         };
-        rels.push(PreparedRel::single(trie, None, depths));
+        rels.push(PreparedRel::arena(trie, depths));
     }
     Some(rels)
 }
 
-/// The shard-local execution path: when the plan is a single node whose
+/// The shard count when node `t` can run **shard-local**: when its
 /// depth-0 variable is every atom's subject (the store's partitioning
 /// key), any result row's root binding hashes to exactly one shard, and
 /// each atom restricted to that shard contains precisely the pairs that
@@ -314,130 +260,102 @@ fn children_rels(
 /// results, canonicalised by the same trailing `sort_dedup` as every
 /// other path, are byte-identical to the unpartitioned engine's.
 ///
-/// Returns `None` when the store is unpartitioned or the plan is not
-/// subject-rooted (some atom roots at a non-subject attribute); the
-/// caller then falls back to the cross-shard union operands.
-#[allow(clippy::too_many_arguments)]
-fn run_shard_local(
-    catalog: &Catalog,
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    t: usize,
-    positions: &[usize],
-    auto_layout: bool,
-    rt: RuntimeConfig,
-    stats: Option<&ExecStats>,
-) -> Option<TupleBuffer> {
+/// `None` when the store is unpartitioned or the plan is not
+/// subject-rooted (some atom roots at a non-subject attribute); the join
+/// then reads every shard as a layer of one cross-shard relation.
+fn shard_local_partitions(catalog: &Catalog, plan: &Plan, t: usize) -> Option<usize> {
     let partitions = catalog.partitions();
-    if partitions <= 1 {
-        return None;
-    }
     let node = &plan.nodes[t];
     let root_var = *node.vars.first()?;
-    if !node.atoms.iter().all(|ap| ap.subject_first && ap.attrs.first() == Some(&root_var)) {
-        return None;
-    }
-    // Specs are built serially: catalog publication and profile
-    // registration order stay deterministic regardless of thread count.
-    let specs: Vec<JoinSpec> = (0..partitions)
-        .map(|shard| shard_node_spec(catalog, q, plan, t, auto_layout, stats, shard))
-        .collect();
-    let parts = eh_par::run_shards(&rt, partitions, |shard| {
-        let spec = &specs[shard];
-        let t0 = spec.obs.as_ref().map(|_| Instant::now());
-        let mut sink =
-            RowSink { out: TupleBuffer::new(positions.len()), row: vec![0u32; positions.len()] };
-        run_join(spec, &mut |binding| {
-            for (j, &p) in positions.iter().enumerate() {
-                sink.row[j] = binding[p];
-            }
-            sink.out.push(&sink.row);
-        });
-        if let (Some(o), Some(t0)) = (&spec.obs, t0) {
-            o.stats.set_rows(sink.out.len() as u64);
-            o.stats.add_wall_ns(t0.elapsed().as_nanos() as u64);
-        }
-        sink.out
-    });
-    let mut out = TupleBuffer::new(positions.len());
-    for part in &parts {
-        out.append(part);
-    }
-    out.sort_dedup();
-    Some(out)
+    let subject_rooted =
+        node.atoms.iter().all(|ap| ap.subject_first && ap.attrs.first() == Some(&root_var));
+    (partitions > 1 && subject_rooted).then_some(partitions)
 }
 
-/// [`node_spec`] restricted to one shard: every atom serves that shard's
-/// base trie and overlay only. Used by [`run_shard_local`], whose
-/// eligibility check guarantees the restriction is lossless.
-fn shard_node_spec(
-    catalog: &Catalog,
-    q: &ConjunctiveQuery,
-    plan: &Plan,
-    t: usize,
-    auto_layout: bool,
-    stats: Option<&ExecStats>,
-    shard: usize,
-) -> JoinSpec {
-    let node = &plan.nodes[t];
-    let depth_of = |v: Var| node.vars.iter().position(|&w| w == v).unwrap();
-    let rels: Vec<PreparedRel> = node
-        .atoms
-        .iter()
-        .map(|ap| {
-            let (trie, overlay) = catalog.shard_relation(
-                &q.atoms()[ap.atom_index],
-                ap.subject_first,
-                auto_layout,
-                shard,
-            );
-            PreparedRel::single(trie, overlay, ap.attrs.iter().map(|&v| depth_of(v)).collect())
-        })
-        .collect();
-    let sel: Vec<Option<u32>> = node
-        .vars
-        .iter()
-        .map(|&v| q.selection(v).map(|c| c.expect("missing constants short-circuit earlier")))
-        .collect();
-    let emit_depth = node.output.iter().map(|v| depth_of(*v) + 1).max().unwrap_or(0);
-    let overlay_rels = rels.iter().filter(|r| r.overlay.is_some()).count();
-    let label = format!("node {t} [shard {shard}]");
-    let obs = observe_join(stats, q, label, &node.vars, &sel, emit_depth, overlay_rels);
-    JoinSpec { num_vars: node.vars.len(), sel, emit_depth, obs, rels }
-}
-
-/// Per-morsel sink for projection collection.
+/// The per-morsel sink of every join the driver runs: projected output
+/// rows, the row staging slot, row-assembly scratch (the pipelined pass
+/// only), and whether anything was emitted at all — zero-width rows
+/// leave no trace in `out`, and a boolean node needs the witness.
 struct RowSink {
     out: TupleBuffer,
     row: Vec<u32>,
+    assembled: Vec<u32>,
+    emitted: bool,
 }
 
-/// Run a join and collect `binding[positions]` rows, deduplicated.
-/// Records the join's row count and wall time when the spec is observed.
-fn collect_rows(spec: &JoinSpec, positions: &[usize], rt: RuntimeConfig) -> TupleBuffer {
-    debug_assert!(positions.iter().all(|&p| p < spec.emit_depth.max(1)));
-    let t0 = spec.obs.as_ref().map(|_| Instant::now());
-    let sinks = run_join_parallel(
-        spec,
-        rt,
-        || RowSink { out: TupleBuffer::new(positions.len()), row: vec![0u32; positions.len()] },
-        |sink, binding| {
-            for (j, &p) in positions.iter().enumerate() {
-                sink.row[j] = binding[p];
-            }
-            sink.out.push(&sink.row);
-        },
-    );
-    let mut out = TupleBuffer::new(positions.len());
-    for sink in sinks {
+impl RowSink {
+    /// Append `src[positions]` as one output row.
+    fn push(&mut self, positions: &[usize], src: &[u32]) {
+        for (j, &p) in positions.iter().enumerate() {
+            self.row[j] = src[p];
+        }
+        self.out.push(&self.row);
+        self.emitted = true;
+    }
+}
+
+/// [`collect_rows`] with one output row per emission: `binding[positions]`.
+fn project_rows(specs: &[JoinSpec], positions: &[usize], rt: RuntimeConfig) -> (TupleBuffer, bool) {
+    collect_rows(specs, positions.len(), 0, rt, |sink, binding| sink.push(positions, binding))
+}
+
+/// Run `specs` and collect what `emit` pushes into the sinks: `arity`-wide
+/// rows, sorted and deduplicated, plus whether any join emitted. Sinks
+/// carry `width` words of row-assembly scratch. One spec — every case but
+/// a shard-local plan — runs morsel-parallel under `rt`. Several are the
+/// shards of a shard-local plan: they become the outer morsel dimension
+/// and each join runs serially inside its shard task. Observed specs get
+/// their row count and wall time recorded.
+fn collect_rows<E>(
+    specs: &[JoinSpec],
+    arity: usize,
+    width: usize,
+    rt: RuntimeConfig,
+    emit: E,
+) -> (TupleBuffer, bool)
+where
+    E: Fn(&mut RowSink, &[u32]) + Sync,
+{
+    let lone = specs.len() == 1;
+    let inner = if lone { rt } else { RuntimeConfig::serial() };
+    let note = |spec: &JoinSpec, t0: Option<Instant>, rows: usize| {
+        if let (Some(o), Some(t0)) = (&spec.obs, t0) {
+            o.stats.set_rows(rows as u64);
+            o.stats.add_wall_ns(t0.elapsed().as_nanos() as u64);
+        }
+    };
+    let parts = eh_par::run_shards(&rt, specs.len(), |s| {
+        let spec = &specs[s];
+        let t0 = spec.obs.as_ref().map(|_| Instant::now());
+        let sinks = run_join_parallel(
+            spec,
+            inner,
+            || RowSink {
+                out: TupleBuffer::new(arity),
+                row: vec![0u32; arity],
+                assembled: vec![0u32; width],
+                emitted: false,
+            },
+            &emit,
+        );
+        // A shard reports its raw contribution (deduplication happens
+        // across shards, below); a lone join its canonical row count.
+        if !lone {
+            note(spec, t0, sinks.iter().map(|sink| sink.out.len()).sum());
+        }
+        (sinks, t0)
+    });
+    let mut out = TupleBuffer::new(arity);
+    let mut emitted = false;
+    for sink in parts.iter().flat_map(|(sinks, _)| sinks) {
         out.append(&sink.out);
+        emitted |= sink.emitted;
     }
     out.sort_dedup();
-    if let (Some(o), Some(t0)) = (&spec.obs, t0) {
-        o.stats.set_rows(out.len() as u64);
-        o.stats.add_wall_ns(t0.elapsed().as_nanos() as u64);
+    if lone {
+        note(&specs[0], parts[0].1, out.len());
     }
-    out
+    (out, emitted)
 }
 
 /// Final pass: generic join over all node-result tries, projecting to
@@ -463,7 +381,7 @@ fn final_join(
                 Arc::new(FrozenTrie::from_sorted(r.tuples.clone(), layout_policy(auto_layout)));
             let depths =
                 r.attrs.iter().map(|v| join_vars.iter().position(|w| w == v).unwrap()).collect();
-            PreparedRel::single(trie, None, depths)
+            PreparedRel::arena(trie, depths)
         })
         .collect();
     let proj_positions: Vec<usize> = q
@@ -477,7 +395,7 @@ fn final_join(
     let sel: Vec<Option<u32>> = vec![None; join_vars.len()];
     let obs = observe_join(stats, q, "final join".to_string(), &join_vars, &sel, emit_depth, 0);
     let spec = JoinSpec { num_vars: join_vars.len(), sel, emit_depth, obs, rels };
-    collect_rows(&spec, &proj_positions, rt)
+    project_rows(&[spec], &proj_positions, rt).0
 }
 
 /// One node's contribution to the pipelined emission: its result trie,
@@ -490,14 +408,6 @@ struct NodeExt {
     shared_positions: Vec<usize>,
     /// Column offset in the assembled row where private values start.
     base: usize,
-}
-
-/// Per-morsel sink for the pipelined pass: output rows plus this morsel's
-/// own row-assembly scratch space.
-struct PipeSink {
-    out: TupleBuffer,
-    assembled: Vec<u32>,
-    row: Vec<u32>,
 }
 
 /// Pipelined path (§III-C, applied transitively down the tree): run the
@@ -535,11 +445,8 @@ fn run_pipelined(
             Arc::new(FrozenTrie::from_sorted(child.tuples.clone(), layout_policy(auto_layout)));
         child_tries[c] = Some(Arc::clone(&trie));
         if !shared.is_empty() {
-            intermediates.push(PreparedRel::single(
-                trie,
-                None,
-                shared.iter().map(|&v| depth_of(v)).collect(),
-            ));
+            intermediates
+                .push(PreparedRel::arena(trie, shared.iter().map(|&v| depth_of(v)).collect()));
         }
     }
 
@@ -580,9 +487,9 @@ fn run_pipelined(
         intermediates,
         auto_layout,
         stats,
+        None,
         format!("node {root} (pipelined)"),
     );
-    let t0 = spec.obs.as_ref().map(|_| Instant::now());
     let root_out_positions: Vec<usize> = node.output.iter().map(|&v| depth_of(v)).collect();
     let proj_positions: Vec<usize> = q
         .projection()
@@ -592,37 +499,19 @@ fn run_pipelined(
         })
         .collect();
 
-    let sinks = run_join_parallel(
-        &spec,
-        rt,
-        || PipeSink {
-            out: TupleBuffer::new(proj_positions.len()),
-            assembled: vec![0u32; emit_attrs.len()],
-            row: vec![0u32; proj_positions.len()],
-        },
-        |sink, binding| {
-            let PipeSink { out, assembled, row } = sink;
-            for (j, &p) in root_out_positions.iter().enumerate() {
-                assembled[j] = binding[p];
-            }
-            extend_nodes(&exts, 0, assembled, &mut |assembled| {
-                for (j, &p) in proj_positions.iter().enumerate() {
-                    row[j] = assembled[p];
-                }
-                out.push(row);
-            });
-        },
-    );
-    let mut out = TupleBuffer::new(proj_positions.len());
-    for sink in sinks {
-        out.append(&sink.out);
-    }
-    out.sort_dedup();
-    if let (Some(o), Some(t0)) = (&spec.obs, t0) {
-        o.stats.set_rows(out.len() as u64);
-        o.stats.add_wall_ns(t0.elapsed().as_nanos() as u64);
-    }
-    out
+    // Each morsel assembles into its own sink's scratch row, taken out
+    // for the walk so the walk's leaf callback can push into the sink.
+    collect_rows(&[spec], proj_positions.len(), emit_attrs.len(), rt, |sink, binding| {
+        let mut assembled = std::mem::take(&mut sink.assembled);
+        for (j, &p) in root_out_positions.iter().enumerate() {
+            assembled[j] = binding[p];
+        }
+        extend_nodes(&exts, 0, &mut assembled, &mut |assembled| {
+            sink.push(&proj_positions, assembled)
+        });
+        sink.assembled = assembled;
+    })
+    .0
 }
 
 /// Depth-first cross product over the extensions' private columns:
