@@ -1,13 +1,12 @@
 //! Microbenchmarks for trie construction and probing (paper §II-A):
-//! build cost per layout policy, order, and representation (Vec-of-Set
-//! `Trie` vs arena `FrozenTrie`), and the §III-A covering-index probe
-//! pattern on both representations.
+//! `FrozenTrie` build cost per layout policy and order, and the §III-A
+//! covering-index probe pattern.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use eh_lubm::{generate_store, pred_iri, GeneratorConfig, Predicate};
-use eh_trie::{FrozenTrie, LayoutPolicy, Trie, TupleBuffer};
+use eh_trie::{FrozenTrie, LayoutPolicy, TupleBuffer};
 
 fn bench_trie_build(c: &mut Criterion) {
     let store = generate_store(&GeneratorConfig::scale(1));
@@ -15,29 +14,15 @@ fn bench_trie_build(c: &mut Criterion) {
     let mut g = c.benchmark_group("trie_build");
     g.sample_size(20);
     for (label, policy) in [("auto", LayoutPolicy::Auto), ("uint_only", LayoutPolicy::UintOnly)] {
-        g.bench_with_input(BenchmarkId::new("takesCourse_so", label), &policy, |b, &policy| {
-            b.iter(|| {
-                let t = Trie::from_sorted(TupleBuffer::from_pairs(takes.so_pairs()), policy);
-                black_box(t.num_tuples())
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("takesCourse_os", label), &policy, |b, &policy| {
-            b.iter(|| {
-                let t = Trie::from_sorted(TupleBuffer::from_pairs(takes.os_pairs()), policy);
-                black_box(t.num_tuples())
-            })
-        });
-        g.bench_with_input(
-            BenchmarkId::new("takesCourse_so_frozen", label),
-            &policy,
-            |b, &policy| {
+        for (order, pairs) in [("so", takes.so_pairs()), ("os", takes.os_pairs())] {
+            let id = BenchmarkId::new(format!("takesCourse_{order}"), label);
+            g.bench_with_input(id, &policy, |b, &policy| {
                 b.iter(|| {
-                    let t =
-                        FrozenTrie::from_sorted(TupleBuffer::from_pairs(takes.so_pairs()), policy);
+                    let t = FrozenTrie::from_sorted(TupleBuffer::from_pairs(pairs), policy);
                     black_box(t.num_tuples())
                 })
-            },
-        );
+            });
+        }
     }
     g.finish();
 }
@@ -48,22 +33,12 @@ fn bench_trie_probe(c: &mut Criterion) {
     let subjects: Vec<u32> = takes.so_pairs().iter().map(|&(s, _)| s).step_by(37).collect();
     let mut g = c.benchmark_group("trie_probe");
     for (label, policy) in [("auto", LayoutPolicy::Auto), ("uint_only", LayoutPolicy::UintOnly)] {
-        let trie = Trie::from_sorted(TupleBuffer::from_pairs(takes.so_pairs()), policy);
+        let trie = FrozenTrie::from_sorted(TupleBuffer::from_pairs(takes.so_pairs()), policy);
         g.bench_function(format!("contains_prefix/{label}"), |b| {
             b.iter(|| {
                 let mut hits = 0usize;
                 for &s in &subjects {
                     hits += usize::from(trie.contains_prefix(&[s]));
-                }
-                black_box(hits)
-            })
-        });
-        let frozen = FrozenTrie::from_sorted(TupleBuffer::from_pairs(takes.so_pairs()), policy);
-        g.bench_function(format!("contains_prefix_frozen/{label}"), |b| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for &s in &subjects {
-                    hits += usize::from(frozen.contains_prefix(&[s]));
                 }
                 black_box(hits)
             })

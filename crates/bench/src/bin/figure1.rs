@@ -4,7 +4,7 @@
 //! `subOrganizationOf` example.
 
 use eh_rdf::{Term, Triple, TripleStore};
-use eh_trie::{LayoutPolicy, Trie, TupleBuffer};
+use eh_trie::{FrozenTrie, LayoutPolicy, TupleBuffer};
 
 fn main() {
     // The figure's predicate relation.
@@ -36,7 +36,8 @@ fn main() {
     let table = store.table_by_name("suborganizationOf").expect("predicate table");
     println!("\nEncoded pairs (subject-major): {:?}", table.so_pairs());
 
-    let trie = Trie::from_sorted(TupleBuffer::from_pairs(table.so_pairs()), LayoutPolicy::Auto);
+    let trie =
+        FrozenTrie::from_sorted(TupleBuffer::from_pairs(table.so_pairs()), LayoutPolicy::Auto);
     println!("\nTrie representation:");
     let root = trie.root_set();
     for v in root.iter() {

@@ -1,6 +1,6 @@
 //! Partitioned-store harness: parallel sectioned snapshot load versus
-//! the single-arena path, plus a shard-local / union query mix with a
-//! byte-identity check against the unpartitioned engine.
+//! the one-shard sequential load, plus a shard-local / union query mix
+//! with a byte-identity check against the unpartitioned engine.
 //!
 //! ```text
 //! cargo run --release -p eh-bench --bin partition -- --universities 2
@@ -8,10 +8,10 @@
 //!
 //! Three measurements:
 //!
-//! * **load** — the legacy v1 single-arena snapshot (one global
-//!   checksum, sequential decode) versus the v2 snapshot of the same
-//!   data split into 4 subject shards, loaded with 4 threads (each
-//!   shard section decoded and checksum-verified in parallel);
+//! * **load** — the `P = 1` snapshot (one shard section, decoded on
+//!   one thread) versus the snapshot of the same data split into 4
+//!   subject shards, loaded with up to 4 threads (each shard section
+//!   decoded and checksum-verified in parallel);
 //! * **query mix** — the 12-query LUBM workload on the P = 4 engine at
 //!   4 threads versus the P = 1 engine, covering both partitioned
 //!   execution strategies (subject-rooted plans run shard-local, the
@@ -21,8 +21,8 @@
 //!
 //! Emits `BENCH_partition.json` (honouring `$EH_BENCH_OUT`). Pass
 //! `--min-speedup X` to exit non-zero unless the sectioned parallel
-//! load is at least `X` times faster than the single-arena load (the
-//! CI gate uses a conservative X for runner noise).
+//! load is at least `X` times faster than the `P = 1` sequential load
+//! (the CI gate uses a conservative X for runner noise).
 
 use std::time::Instant;
 
@@ -86,28 +86,26 @@ fn main() {
     let triples = base.num_triples();
     println!("LUBM tiny({}) seed {}: {triples} triples", args.universities, args.seed);
 
-    // One snapshot per layout, same logical data: v1 is the single-arena
-    // monolith (P = 1 only), v2 carries one independently checksummed
-    // section per subject shard.
+    // One snapshot per partitioning, same logical data, same format: the
+    // P = 1 image has a single shard section, the split one carries an
+    // independently checksummed section per subject shard.
     // Decode workers for the sectioned load: machine-sized, capped at the
     // shard count — on a single-core runner the fan-out inlines (no spawn
-    // tax) and the sectioned path still wins on decode work alone.
+    // tax).
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get()).min(SHARDS);
     println!("sectioned load uses {threads} decode thread(s)");
 
     let mut split = base.clone();
     split.repartition(SHARDS);
     let dir = std::env::temp_dir();
-    let v1_path = dir.join(format!("eh-partition-{}-v1.snap", std::process::id()));
-    let v2_path = dir.join(format!("eh-partition-{}-v2.snap", std::process::id()));
-    let v1_bytes = {
-        let f = std::io::BufWriter::new(std::fs::File::create(&v1_path).expect("create v1"));
-        StoreSnapshot::write_v1(&base, &StoreSnapshot::hot_tries(&base), f).expect("write v1")
-    };
-    let v2_bytes =
-        StoreSnapshot::write_to_path(&split, &StoreSnapshot::hot_tries(&split), &v2_path)
-            .expect("write v2");
-    println!("snapshots: v1 single-arena {v1_bytes} bytes, v2 {SHARDS}-shard {v2_bytes} bytes");
+    let p1_path = dir.join(format!("eh-partition-{}-p1.snap", std::process::id()));
+    let split_path = dir.join(format!("eh-partition-{}-p{SHARDS}.snap", std::process::id()));
+    let p1_bytes = StoreSnapshot::write_to_path(&base, &StoreSnapshot::hot_tries(&base), &p1_path)
+        .expect("write P=1");
+    let split_bytes =
+        StoreSnapshot::write_to_path(&split, &StoreSnapshot::hot_tries(&split), &split_path)
+            .expect("write split");
+    println!("snapshots: P=1 {p1_bytes} bytes, {SHARDS}-shard {split_bytes} bytes");
 
     // Byte-identity across the whole workload before any timing: the
     // P = 4 engine (union and shard-local paths alike) must answer
@@ -125,15 +123,15 @@ fn main() {
     // Timed loads (paper methodology: drop best and worst, average the
     // rest; files come through the OS cache in both paths — the restart
     // scenario that matters).
-    let load_v1 = measure(args.runs, || {
-        let snap = StoreSnapshot::read_from_path(&v1_path).expect("v1 loads");
+    let load_p1 = measure(args.runs, || {
+        let snap = StoreSnapshot::read_from_path(&p1_path).expect("P=1 loads");
         assert_eq!(snap.store.partitions(), 1);
     });
-    let load_v2 = measure(args.runs, || {
-        let snap = StoreSnapshot::read_from_path_with(&v2_path, threads).expect("v2 loads");
+    let load_split = measure(args.runs, || {
+        let snap = StoreSnapshot::read_from_path_with(&split_path, threads).expect("split loads");
         assert_eq!(snap.store.partitions(), SHARDS);
     });
-    let load_speedup = load_v1.as_secs_f64() / load_v2.as_secs_f64();
+    let load_speedup = load_p1.as_secs_f64() / load_split.as_secs_f64();
 
     // Timed query mix, warm engines (tries were built by the identity
     // pass): partitioned execution must not tax the workload.
@@ -153,10 +151,10 @@ fn main() {
     });
 
     let mut table = TablePrinter::new(&["measurement", "time (ms)", "vs baseline"]);
-    table.row(&["v1 single-arena load".into(), fmt_ms(load_v1), "1.00x".into()]);
+    table.row(&["P=1 sequential load".into(), fmt_ms(load_p1), "1.00x".into()]);
     table.row(&[
-        format!("v2 {SHARDS}-shard parallel load"),
-        fmt_ms(load_v2),
+        format!("{SHARDS}-shard parallel load"),
+        fmt_ms(load_split),
         format!("{load_speedup:.2}x"),
     ]);
     table.row(&["LUBM mix, P=1".into(), fmt_ms(mix_p1), "1.00x".into()]);
@@ -175,10 +173,10 @@ fn main() {
         .meta("shards", SHARDS)
         .meta("load_threads", threads)
         .metric("triples", triples as f64)
-        .metric("snapshot_v1_bytes", v1_bytes as f64)
-        .metric("snapshot_v2_bytes", v2_bytes as f64)
-        .metric_ms("load_single_arena_ms", load_v1)
-        .metric_ms("load_sectioned_parallel_ms", load_v2)
+        .metric("snapshot_p1_bytes", p1_bytes as f64)
+        .metric("snapshot_sectioned_bytes", split_bytes as f64)
+        .metric_ms("load_p1_sequential_ms", load_p1)
+        .metric_ms("load_sectioned_parallel_ms", load_split)
         .metric("load_speedup", load_speedup)
         .metric_ms("lubm_mix_p1_ms", mix_p1)
         .metric_ms("lubm_mix_p4_ms", mix_p4)
@@ -186,13 +184,13 @@ fn main() {
     let path = report.write().expect("report writes");
     println!("wrote {}", path.display());
 
-    std::fs::remove_file(&v1_path).ok();
-    std::fs::remove_file(&v2_path).ok();
+    std::fs::remove_file(&p1_path).ok();
+    std::fs::remove_file(&split_path).ok();
 
     if let Some(min) = args.min_speedup {
         assert!(
             load_speedup >= min,
-            "sectioned parallel load is only {load_speedup:.2}x faster than single-arena \
+            "sectioned parallel load is only {load_speedup:.2}x faster than P=1 sequential \
              (need >= {min}x)"
         );
         println!("load-speedup gate passed: {load_speedup:.2}x >= {min}x");

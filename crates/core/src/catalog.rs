@@ -479,8 +479,8 @@ impl Catalog {
         }
     }
 
-    /// The store's base tables changed under `preds` (every shard — the
-    /// eager add/remove path rebuilds all shards of a changed predicate)
+    /// The store's base tables changed under `preds` (every shard — a
+    /// whole-predicate fold such as `compact_pred` rebuilds all of them)
     /// at store version `version`: retire those predicates' cached tries,
     /// advance the epoch, and eagerly rebuild the retired ("hot") orders
     /// concurrently on `runtime`'s workers so the next query doesn't pay
@@ -622,6 +622,14 @@ mod tests {
         ])
     }
 
+    /// Stage one triple and fold it, so it lands in the base table the
+    /// cached tries are built from.
+    fn add_to_base(s: &SharedStore, t: Triple) {
+        let mut store = s.write();
+        store.stage_add_triples(vec![t]);
+        store.compact_all();
+    }
+
     fn atom_for(store: &TripleStore, rel: &str) -> Atom {
         let mut qb = QueryBuilder::new();
         let (x, y) = (qb.var("x"), qb.var("y"));
@@ -735,7 +743,7 @@ mod tests {
         let q_before = c.trie(&aq, true, true);
         let pred_p = s.read().resolve_iri("p").unwrap();
 
-        s.write().add_triples(vec![triple("c", "p", "d")]);
+        add_to_base(&s, triple("c", "p", "d"));
         let v = s.bump_version();
         let (epoch, rebuilt) = c.refresh_preds(&[pred_p], v, RuntimeConfig::serial());
         assert_eq!(epoch, 1);
@@ -756,7 +764,11 @@ mod tests {
         let a = atom_for(&s.read(), "p");
         assert_eq!(c.trie(&a, true, true).num_tuples(), 1);
         let pred = s.read().resolve_iri("p").unwrap();
-        s.write().remove_triples(vec![triple("a", "p", "b")]);
+        {
+            let mut store = s.write();
+            store.stage_remove_triples(vec![triple("a", "p", "b")]);
+            store.compact_all();
+        }
         let v = s.bump_version();
         c.refresh_preds(&[pred], v, RuntimeConfig::serial());
         assert!(c.trie(&a, true, true).is_empty());
@@ -778,7 +790,7 @@ mod tests {
         // Build p's trie; in the window between build and publish, the
         // store gains a triple and the catalog invalidates p.
         let served = c.trie_with_publish_window(&a, true, true, &|| {
-            s.write().add_triples(vec![triple("c", "p", "d")]);
+            add_to_base(&s, triple("c", "p", "d"));
             let v = s.bump_version();
             c.refresh_preds(&[pred], v, RuntimeConfig::serial());
         });
@@ -839,7 +851,7 @@ mod tests {
         let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "p");
         let served = c.trie_with_publish_window(&a, true, true, &|| {
-            s.write().add_triples(vec![triple("c", "p", "d")]);
+            add_to_base(&s, triple("c", "p", "d"));
             c.invalidate();
         });
         assert_eq!(served.num_tuples(), 2);
@@ -948,7 +960,7 @@ mod tests {
 
         // A predicate whose pairs all live in one shard serves a single
         // operand even on a partitioned store.
-        s.write().add_triples(vec![triple("lonely", "q", "z")]);
+        add_to_base(&s, triple("lonely", "q", "z"));
         let v = s.bump_version();
         c.claim_version(v);
         let q_pred = s.read().resolve_iri("q").unwrap();

@@ -1,7 +1,7 @@
 //! The user-facing engine API.
 
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard, OnceLock, RwLockReadGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, RwLockReadGuard};
 use std::time::Instant;
 
 use eh_query::{parse_sparql, ConjunctiveQuery};
@@ -75,6 +75,10 @@ pub struct Engine {
     /// = (apply order) by construction. Lock order is wal → store;
     /// nothing takes them the other way around.
     wal: Option<Mutex<Wal>>,
+    /// Serialises [`Engine::save_snapshot`] against itself, clone through
+    /// log truncation: the image on disk and the log's base sequence must
+    /// advance together, in one order. Taken before the wal lock.
+    save: Mutex<()>,
 }
 
 /// What replaying a log did (see [`Engine::open_wal`] /
@@ -118,7 +122,13 @@ impl Engine {
     /// An engine with a full planner configuration (used by the
     /// LogicBlox-style baseline).
     pub fn with_config(store: impl Into<SharedStore>, config: PlannerConfig) -> Engine {
-        Engine { catalog: Catalog::new(store.into()), config, load: None, wal: None }
+        Engine {
+            catalog: Catalog::new(store.into()),
+            config,
+            load: None,
+            wal: None,
+            save: Mutex::new(()),
+        }
     }
 
     /// An engine restored from a snapshot file: the store loads without
@@ -196,7 +206,15 @@ impl Engine {
     /// already-folded records is idempotent (set semantics: re-inserts
     /// and re-deletes of applied operations are no-ops), so recovery
     /// still converges to the identical store.
+    ///
+    /// Concurrent saves run one at a time, each from its clone to its
+    /// truncation. Otherwise a save that captured sequence 5 could rename
+    /// its image over one that captured 7 and already truncated the log
+    /// through 7 — leaving records 6–7 in neither file.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(u64, usize), SnapshotError> {
+        // The guard protects no data, so a save that panicked mid-way
+        // leaves nothing behind it for the next one to trip over.
+        let _saving = self.save.lock().unwrap_or_else(PoisonError::into_inner);
         let (mut store, wal_seq) = match &self.wal {
             None => (self.store().clone(), None),
             Some(wal) => {

@@ -94,7 +94,11 @@ mod tests {
             Term::iri("o"),
         )]);
         let b = a.clone();
-        b.write().add_triples(vec![Triple::new(Term::iri("s2"), Term::iri("p"), Term::iri("o"))]);
+        b.write().stage_add_triples(vec![Triple::new(
+            Term::iri("s2"),
+            Term::iri("p"),
+            Term::iri("o"),
+        )]);
         assert_eq!(a.read().num_triples(), 2);
     }
 }

@@ -38,7 +38,7 @@ pub use ntriples::{parse_ntriples, write_ntriples, NtError};
 pub use partition::Partitioner;
 pub use snapshot::{
     xxh64, FrozenTrieEntry, LoadInfo, LoadMode, SnapshotError, StoreSnapshot, SNAPSHOT_MAGIC,
-    SNAPSHOT_MAGIC_V1, SNAPSHOT_MAGIC_V2, SNAPSHOT_VERSION,
+    SNAPSHOT_VERSION,
 };
 pub use store::{PredCard, PredDelta, ShardStats, StoreStats, TripleStore, UpdateReport};
 pub use term::Term;

@@ -5,9 +5,9 @@
 //! state — dictionary, both sort orders of every [`PairTable`], and
 //! (optionally) pre-built [`FrozenTrie`] arenas for the hot trie orders —
 //! so a reload is bulk `memcpy`-shaped at worst and *zero-copy* at best:
-//! a version-3 file can be `mmap`ed ([`StoreSnapshot::read_from_path_mmap`])
-//! and its trie arenas served straight off the page cache, no arena byte
-//! ever copied into the process.
+//! the file can be `mmap`ed ([`StoreSnapshot::read_from_path_mmap`]) and
+//! its trie arenas served straight off the page cache, no arena byte ever
+//! copied into the process.
 //!
 //! ## File format (version 3, little-endian)
 //!
@@ -35,7 +35,8 @@
 //! arena words)` per trie). The pad byte exists for exactly one reason:
 //! with the section 4-aligned in the file, it lands every arena's first
 //! word on a 4-byte file offset, so a mapped load can reinterpret the
-//! page-cache bytes as `&[u32]` in place.
+//! page-cache bytes as `&[u32]` in place. It is always the smallest pad
+//! that does so (`0..=3`); the reader rejects any other.
 //!
 //! Per-shard sections carry **independent checksums** so a partitioned
 //! load verifies and decodes shards in parallel
@@ -47,23 +48,22 @@
 //!
 //! ## Compatibility policy
 //!
-//! Version-2 sectioned snapshots (`EHSNAP02`: same layout, unaligned,
-//! no per-trie pad) and version-1 single-arena snapshots (`EHSNAP01`:
-//! one global checksum, one table section, loaded as `P = 1`) still
-//! load — via the copy path only. The write path always emits version 3.
-//! A mapped load of a v1/v2 (or deliberately misaligned v3) file falls
-//! back to the copy path with the reason recorded in
-//! [`LoadInfo::fallback`]; it never fails outright for alignment
-//! reasons. Unknown magic/versions (and anything truncated, mis-sized,
-//! or failing a checksum) are rejected with a typed [`SnapshotError`] —
-//! never a panic. Snapshots are an *optimisation*, not the system of
-//! record: on any read error, rebuild from the source N-Triples.
+//! There is one format. `EHSNAP03` is the only image this build writes or
+//! reads, and a store has exactly one encoding in it (every pad is the
+//! minimal one), so every readable image is also mappable. The two
+//! retired magics (`EHSNAP01`, `EHSNAP02`) are recognised only to say so
+//! — [`SnapshotError::BadVersion`] — and anything else unknown,
+//! truncated, mis-sized, or failing a checksum is likewise a typed
+//! [`SnapshotError`], never a panic. Snapshots are an *optimisation*, not
+//! the system of record: on any read error, rebuild from the source
+//! N-Triples and save again.
 
 use std::collections::HashSet;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use eh_trie::{ArenaBytes, FrozenTrie};
@@ -74,52 +74,35 @@ use crate::store::TripleStore;
 use crate::term::Term;
 use crate::vp::PairTable;
 
-/// The 8-byte magic that opens every snapshot this build writes.
+/// The 8-byte magic that opens every snapshot this build reads or writes.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"EHSNAP03";
-/// The magic of read-compatible version-2 (sectioned, unaligned)
-/// snapshots.
-pub const SNAPSHOT_MAGIC_V2: [u8; 8] = *b"EHSNAP02";
-/// The magic of read-compatible version-1 (single-arena) snapshots.
-pub const SNAPSHOT_MAGIC_V1: [u8; 8] = *b"EHSNAP01";
-/// The format version this build writes.
+/// The format version this build reads and writes.
 pub const SNAPSHOT_VERSION: u32 = 3;
-/// The version field of read-compatible v2 snapshots.
-const SNAPSHOT_VERSION_V2: u32 = 2;
-/// Fixed v2/v3 header size before the section directory. 20 bytes and
-/// 16-byte directory entries together put the first section on a 4-byte
-/// offset with no padding, for any partition count.
-const V2_HEADER_BYTES: usize = 20;
+/// The magics of the two retired formats, with the version each names.
+/// Nothing decodes them; they are matched so an old image fails as
+/// [`SnapshotError::BadVersion`] rather than as "not a snapshot".
+const RETIRED_MAGICS: [([u8; 8], u32); 2] = [(*b"EHSNAP01", 1), (*b"EHSNAP02", 2)];
+/// Fixed header size before the section directory. 20 bytes and 16-byte
+/// directory entries together put the first section on a 4-byte offset
+/// with no padding, for any partition count.
+const HEADER_BYTES: usize = 20;
 /// Per-section directory entry: length + checksum.
 const DIR_ENTRY_BYTES: usize = 16;
-/// Fixed v1 header size: magic + version + payload length + checksum.
-const V1_HEADER_BYTES: usize = 28;
 /// Upper bound on the partition count a snapshot may declare — far above
 /// any real deployment, low enough that a corrupt header cannot provoke
 /// a giant allocation before checksums are consulted.
 const MAX_PARTITIONS: u32 = 1 << 16;
-/// The `Malformed` message a mapped v3 decode surfaces when a trie arena
-/// does not sit on a 4-byte boundary of the mapping. It is the one
-/// structural complaint that is *not* corruption — the file is valid,
-/// just not mappable — so [`StoreSnapshot::read_from_path_mmap`] matches
-/// this exact message to fall back to the copy path instead of failing
-/// the load. No other `Malformed` message may reuse it.
-const UNALIGNED_ARENA: &str = "trie arena not 4-byte aligned for mapping";
-/// Upper bound on the per-trie arena pad (`0..=3` is what the writer
-/// emits; anything `>= 8` is implausible enough to call corrupt before
-/// skipping bytes). Deliberately looser than the writer so that a
-/// misaligned-but-valid v3 file is *constructible* — the fallback path
-/// needs something to fall back from.
-const MAX_TRIE_PAD: u8 = 8;
 
 /// Why a snapshot could not be written or read.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// Underlying I/O failure.
     Io(std::io::Error),
-    /// The file starts with neither [`SNAPSHOT_MAGIC`] nor
-    /// [`SNAPSHOT_MAGIC_V1`].
+    /// The file does not start with a snapshot magic.
     BadMagic,
-    /// The file's format version does not match its magic.
+    /// The file is a snapshot of a version this build does not read: a
+    /// retired format (1, 2) or a version field that is not
+    /// [`SNAPSHOT_VERSION`].
     BadVersion(u32),
     /// The file ends before the declared payload does.
     Truncated,
@@ -161,7 +144,7 @@ pub struct FrozenTrieEntry {
     /// `true` for the subject-major `[s, o]` order, `false` for `[o, s]`.
     pub subject_first: bool,
     /// The shard whose slice of the predicate this trie covers (always 0
-    /// on a `P = 1` store and in loaded v1 snapshots).
+    /// on a `P = 1` store).
     pub shard: u32,
     /// The arena-backed trie, ready to serve.
     pub trie: Arc<FrozenTrie>,
@@ -195,10 +178,9 @@ pub struct LoadInfo {
     pub mode: LoadMode,
     /// Bytes of the snapshot file held mapped (0 on a copy load).
     pub mapped_bytes: u64,
-    /// When a requested mmap load fell back to copy: the reason (file
-    /// version predates alignment, platform has no mmap, an arena was
-    /// misaligned, the map itself failed). `None` on a plain copy load
-    /// or a successful mapped one.
+    /// When a requested mmap load fell back to copy: the reason (the
+    /// platform has no mmap, or the map itself failed). `None` on a plain
+    /// copy load or a successful mapped one.
     pub fallback: Option<&'static str>,
 }
 
@@ -253,64 +235,14 @@ impl StoreSnapshot {
         out
     }
 
-    /// Serialize `store` (plus optional pre-built tries) to `w` in the
-    /// current (v3, per-shard-sectioned, mmap-aligned) format. Returns
+    /// Serialize `store` (plus optional pre-built tries) to `w`. Returns
     /// the total bytes written.
     pub fn write(
         store: &TripleStore,
         tries: &[FrozenTrieEntry],
         w: impl Write,
     ) -> Result<u64, SnapshotError> {
-        let sections = encode_sections_v3(store, tries, 0);
-        write_v3_parts(store.partitions() as u32, &sections, w)
-    }
-
-    /// Serialize in the legacy v2 sectioned format (same section layout,
-    /// no alignment guarantees, no per-trie pad). Kept for read-compat
-    /// tests and for demonstrating the copy-path fallback.
-    pub fn write_v2(
-        store: &TripleStore,
-        tries: &[FrozenTrieEntry],
-        mut w: impl Write,
-    ) -> Result<u64, SnapshotError> {
-        let partitions = store.partitions() as u32;
-        let sections = encode_sections(store, tries);
-        w.write_all(&SNAPSHOT_MAGIC_V2)?;
-        w.write_all(&SNAPSHOT_VERSION_V2.to_le_bytes())?;
-        w.write_all(&partitions.to_le_bytes())?;
-        w.write_all(&(sections.len() as u32).to_le_bytes())?;
-        let mut total = (V2_HEADER_BYTES + DIR_ENTRY_BYTES * sections.len()) as u64;
-        for s in &sections {
-            w.write_all(&(s.len() as u64).to_le_bytes())?;
-            w.write_all(&xxh64(s).to_le_bytes())?;
-            total += s.len() as u64;
-        }
-        for s in &sections {
-            w.write_all(s)?;
-        }
-        w.flush()?;
-        Ok(total)
-    }
-
-    /// Serialize in the legacy v1 single-arena format (one global
-    /// checksum, no shard sections). Only a `P = 1` store can be encoded
-    /// this way; kept for read-compat tests and for benchmarking the
-    /// sectioned format against the monolithic one.
-    pub fn write_v1(
-        store: &TripleStore,
-        tries: &[FrozenTrieEntry],
-        mut w: impl Write,
-    ) -> Result<u64, SnapshotError> {
-        assert_eq!(store.partitions(), 1, "v1 snapshots are single-arena (P = 1)");
-        let payload = encode_payload_v1(store, tries);
-        let checksum = xxh64(&payload);
-        w.write_all(&SNAPSHOT_MAGIC_V1)?;
-        w.write_all(&1u32.to_le_bytes())?;
-        w.write_all(&(payload.len() as u64).to_le_bytes())?;
-        w.write_all(&checksum.to_le_bytes())?;
-        w.write_all(&payload)?;
-        w.flush()?;
-        Ok(V1_HEADER_BYTES as u64 + payload.len() as u64)
+        write_v3_parts(store.partitions() as u32, &encode_sections(store, tries), w)
     }
 
     /// Serialize to a file path (buffered), atomically: the bytes go to
@@ -319,7 +251,10 @@ impl StoreSnapshot {
     /// another process (or this one) may hold `path` mapped, and an
     /// in-place rewrite would mutate the pages under its live tries.
     /// A rename leaves the old inode (and every mapping of it) intact;
-    /// the old bytes are reclaimed when the last mapping drops.
+    /// the old bytes are reclaimed when the last mapping drops. The temp
+    /// name is unique per call (pid + a process-wide counter), so
+    /// concurrent saves to one path never share an inode; whichever
+    /// rename lands last wins, whole.
     pub fn write_to_path(
         store: &TripleStore,
         tries: &[FrozenTrieEntry],
@@ -328,8 +263,10 @@ impl StoreSnapshot {
         let path = path.as_ref();
         let tmp = match (path.parent(), path.file_name()) {
             (Some(dir), Some(name)) => {
+                static SAVES: AtomicU64 = AtomicU64::new(0);
                 let mut t = name.to_os_string();
-                t.push(format!(".tmp.{}", std::process::id()));
+                let nth = SAVES.fetch_add(1, Ordering::Relaxed);
+                t.push(format!(".tmp.{}.{nth}", std::process::id()));
                 dir.join(t)
             }
             _ => {
@@ -350,17 +287,17 @@ impl StoreSnapshot {
         result
     }
 
-    /// Read and verify a snapshot (either format), sequentially. All
-    /// failure modes are `Err`, never panics — corrupt input must not
-    /// take a serving process down.
+    /// Read and verify a snapshot, sequentially. All failure modes are
+    /// `Err`, never panics — corrupt input must not take a serving
+    /// process down.
     pub fn read(r: impl Read) -> Result<StoreSnapshot, SnapshotError> {
         StoreSnapshot::read_with_threads(r, 1)
     }
 
     /// Read and verify a snapshot, checksumming and decoding per-shard
-    /// sections on up to `threads` workers (v2 files; v1 files have a
-    /// single section and load sequentially regardless). Verification is
-    /// not weakened by parallelism: every section's checksum and every
+    /// sections on up to `threads` workers (a `P = 1` image has a single
+    /// shard section and decodes sequentially regardless). Verification
+    /// is not weakened by parallelism: every section's checksum and every
     /// structural invariant is still checked.
     pub fn read_with_threads(
         mut r: impl Read,
@@ -368,25 +305,7 @@ impl StoreSnapshot {
     ) -> Result<StoreSnapshot, SnapshotError> {
         let mut bytes = Vec::new();
         r.read_to_end(&mut bytes)?;
-        if bytes.len() < 8 {
-            return Err(
-                if bytes.is_empty()
-                    || SNAPSHOT_MAGIC.starts_with(&bytes)
-                    || SNAPSHOT_MAGIC_V2.starts_with(&bytes)
-                    || SNAPSHOT_MAGIC_V1.starts_with(&bytes)
-                {
-                    SnapshotError::Truncated
-                } else {
-                    SnapshotError::BadMagic
-                },
-            );
-        }
-        match &bytes[0..8] {
-            m if *m == SNAPSHOT_MAGIC => read_v3(&bytes, threads, None),
-            m if *m == SNAPSHOT_MAGIC_V2 => read_v2(&bytes, threads),
-            m if *m == SNAPSHOT_MAGIC_V1 => read_v1(&bytes),
-            _ => Err(SnapshotError::BadMagic),
-        }
+        decode_image(&bytes, threads, None)
     }
 
     /// Read from a file path. The whole file is slurped in one
@@ -403,8 +322,7 @@ impl StoreSnapshot {
         path: impl AsRef<Path>,
         threads: usize,
     ) -> Result<StoreSnapshot, SnapshotError> {
-        let bytes = std::fs::read(path)?;
-        StoreSnapshot::read_with_threads(&bytes[..], threads)
+        decode_image(&std::fs::read(path)?, threads, None)
     }
 
     /// Zero-copy load: map the file and serve trie arenas as windows of
@@ -412,13 +330,11 @@ impl StoreSnapshot {
     /// checksum and every structural invariant still runs eagerly over
     /// the mapped bytes; only the arena copy is skipped.
     ///
-    /// The mapped path requires a v3 file with every arena 4-aligned and
-    /// a platform with `mmap`. Anything short of that — a v1/v2 file, a
-    /// deliberately misaligned v3 file, a platform without the syscall,
-    /// or the map itself failing — **falls back to the copy path** with
-    /// the reason recorded in [`LoadInfo::fallback`]; only genuine
-    /// corruption (bad magic, checksum mismatch, malformed structure)
-    /// is an error.
+    /// Every readable image is mappable, so the only reasons to **fall
+    /// back to the copy path** are the platform's: it has no `mmap`, or
+    /// the map itself failed. The reason is recorded in
+    /// [`LoadInfo::fallback`]. A corrupt, truncated or retired image is
+    /// the same typed error on this path as on the copy path.
     pub fn read_from_path_mmap(
         path: impl AsRef<Path>,
         threads: usize,
@@ -429,71 +345,23 @@ impl StoreSnapshot {
             snap.load.fallback = Some(reason);
             Ok(snap)
         };
-        let region = match MappedRegion::map_file(path) {
-            Ok(r) => Arc::new(r),
+        match MappedRegion::map_file(path) {
+            Ok(region) => {
+                let region = Arc::new(region);
+                decode_image(region.bytes(), threads, Some(&region))
+            }
             Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
-                return copy_fallback("mmap unsupported on this platform");
+                copy_fallback("mmap unsupported on this platform")
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(SnapshotError::Io(e));
-            }
-            Err(_) => return copy_fallback("mmap syscall failed"),
-        };
-        let bytes = region.bytes();
-        if bytes.len() < 8 {
-            // Too short even for a magic: let the copy reader produce
-            // its usual Truncated/BadMagic verdict.
-            return StoreSnapshot::read_with_threads(bytes, threads);
-        }
-        match &bytes[0..8] {
-            m if *m == SNAPSHOT_MAGIC => match read_v3(bytes, threads, Some(&region)) {
-                Ok(snap) => Ok(snap),
-                // The one recoverable Malformed: a valid file that just
-                // cannot be served in place.
-                Err(SnapshotError::Malformed(m)) if m == UNALIGNED_ARENA => {
-                    let mut snap = StoreSnapshot::read_with_threads(bytes, threads)?;
-                    snap.load.fallback = Some(UNALIGNED_ARENA);
-                    Ok(snap)
-                }
-                Err(e) => Err(e),
-            },
-            m if *m == SNAPSHOT_MAGIC_V2 => {
-                let mut snap = read_v2(bytes, threads)?;
-                snap.load.fallback = Some("v2 snapshot predates arena alignment");
-                Ok(snap)
-            }
-            m if *m == SNAPSHOT_MAGIC_V1 => {
-                let mut snap = read_v1(bytes)?;
-                snap.load.fallback = Some("v1 snapshot predates arena alignment");
-                Ok(snap)
-            }
-            _ => Err(SnapshotError::BadMagic),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(SnapshotError::Io(e)),
+            Err(_) => copy_fallback("mmap syscall failed"),
         }
     }
 }
 
-// -------------------------------------------------------- v2/v3 payload
+// ---------------------------------------------------------------- payload
 
-/// Encode sections in the v2 record format (no per-trie pad).
-fn encode_sections(store: &TripleStore, tries: &[FrozenTrieEntry]) -> Vec<Vec<u8>> {
-    encode_sections_inner(store, tries, None)
-}
-
-/// Encode sections in the v3 record format: each trie record carries a
-/// pad byte sized so the arena words begin on a 4-byte offset *within
-/// the section* (the file assembler aligns section starts, so within-
-/// section alignment is file alignment). `extra_pad` deliberately
-/// over-pads by that many bytes — `0` for real files; a non-multiple of
-/// 4 builds a valid-but-unmappable file for fallback tests.
-fn encode_sections_v3(
-    store: &TripleStore,
-    tries: &[FrozenTrieEntry],
-    extra_pad: u8,
-) -> Vec<Vec<u8>> {
-    encode_sections_inner(store, tries, Some(extra_pad))
-}
-
-/// Assemble already-encoded v3 sections into a complete file image:
+/// Assemble already-encoded sections into a complete file image:
 /// header, directory, then each section at the next 4-aligned offset
 /// with zero gap bytes between. Returns the total bytes written. The
 /// tests also use this directly to forge section-level corruptions.
@@ -520,14 +388,14 @@ fn write_v3_parts(
         at = aligned + s.len() as u64;
     }
     w.flush()?;
-    Ok((V2_HEADER_BYTES + DIR_ENTRY_BYTES * sections.len()) as u64 + at)
+    Ok((HEADER_BYTES + DIR_ENTRY_BYTES * sections.len()) as u64 + at)
 }
 
-fn encode_sections_inner(
-    store: &TripleStore,
-    tries: &[FrozenTrieEntry],
-    v3_pad: Option<u8>,
-) -> Vec<Vec<u8>> {
+/// Encode the store as `P + 1` sections (see the module docs). Each trie
+/// record carries the minimal pad that starts its arena words on a 4-byte
+/// offset *within the section*; the file assembler aligns section starts,
+/// so within-section alignment is file alignment.
+fn encode_sections(store: &TripleStore, tries: &[FrozenTrieEntry]) -> Vec<Vec<u8>> {
     let partitions = store.partitions();
     let mut sections = Vec::with_capacity(partitions + 1);
     // Section 0: dictionary + predicate registry.
@@ -586,14 +454,11 @@ fn encode_sections_inner(
                 put_u32(&mut out, count);
             }
             put_u32(&mut out, arena.len() as u32);
-            if let Some(extra) = v3_pad {
-                // Pad so the arena's first word lands on a 4-byte
-                // within-section offset: one count byte plus that many
-                // zeros. `extra` over-pads for fallback tests.
-                let pad = ((4 - ((out.len() + 1) % 4)) % 4) as u8 + extra;
-                out.push(pad);
-                out.extend(std::iter::repeat_n(0u8, pad as usize));
-            }
+            // One count byte plus that many zeros, so the arena's first
+            // word lands on a 4-byte within-section offset.
+            let pad = (4 - ((out.len() + 1) % 4)) % 4;
+            out.push(pad as u8);
+            out.extend(std::iter::repeat_n(0u8, pad));
             for &w in arena {
                 put_u32(&mut out, w);
             }
@@ -603,12 +468,29 @@ fn encode_sections_inner(
     sections
 }
 
-fn read_v3(
+/// The one header/directory walk behind every read entry point. With
+/// `region` set, `bytes` is that mapping and trie arenas stay in it;
+/// without, they are decoded into owned memory.
+fn decode_image(
     bytes: &[u8],
     threads: usize,
     region: Option<&Arc<MappedRegion>>,
 ) -> Result<StoreSnapshot, SnapshotError> {
-    if bytes.len() < V2_HEADER_BYTES {
+    let Some(magic) = bytes.get(..8) else {
+        // All three magics share their first seven bytes.
+        return Err(if SNAPSHOT_MAGIC.starts_with(bytes) {
+            SnapshotError::Truncated
+        } else {
+            SnapshotError::BadMagic
+        });
+    };
+    if magic != SNAPSHOT_MAGIC {
+        return Err(match RETIRED_MAGICS.iter().find(|(m, _)| magic == m) {
+            Some(&(_, version)) => SnapshotError::BadVersion(version),
+            None => SnapshotError::BadMagic,
+        });
+    }
+    if bytes.len() < HEADER_BYTES {
         return Err(SnapshotError::Truncated);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("fixed slice"));
@@ -624,13 +506,13 @@ fn read_v3(
         return Err(SnapshotError::Malformed("section count does not match partitions"));
     }
     let n_sections = n_sections as usize;
-    let dir_end = V2_HEADER_BYTES + DIR_ENTRY_BYTES * n_sections;
+    let dir_end = HEADER_BYTES + DIR_ENTRY_BYTES * n_sections;
     if bytes.len() < dir_end {
         return Err(SnapshotError::Truncated);
     }
     let mut dir = Vec::with_capacity(n_sections);
     for i in 0..n_sections {
-        let at = V2_HEADER_BYTES + DIR_ENTRY_BYTES * i;
+        let at = HEADER_BYTES + DIR_ENTRY_BYTES * i;
         let len = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("fixed slice"));
         let checksum = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().expect("fixed slice"));
         dir.push((len, checksum));
@@ -660,11 +542,17 @@ fn read_v3(
     if at != body.len() as u64 {
         return Err(SnapshotError::Malformed("trailing bytes after payload"));
     }
+    // Section 0 (dictionary + registry) gates everything else: decode it
+    // first, sequentially.
     let (head, head_sum, _) = sections[0];
     if xxh64(head) != head_sum {
         return Err(SnapshotError::ChecksumMismatch);
     }
     let (terms, registry) = decode_head_section(head)?;
+    // Shard sections verify and decode independently — fan them out. The
+    // subject→shard affinity check rides inside the same fan-out (fused
+    // with the per-pair validation scan), so reassembly has no sequential
+    // sweep left to pay.
     let n_terms = terms.len();
     let partitioner = Partitioner::new(partitions as usize);
     let shard_results = eh_par::run_tasks(threads.max(1), partitions as usize, |shard| {
@@ -672,11 +560,8 @@ fn read_v3(
         if xxh64(body) != sum {
             return Err(SnapshotError::ChecksumMismatch);
         }
-        let wire = match region {
-            Some(region) => TrieWire::V3Mapped { region, section_off },
-            None => TrieWire::V3Copy,
-        };
-        decode_shard_section(body, &registry, n_terms, partitioner, shard, wire)
+        let mapped = region.map(|region| (region, section_off));
+        decode_shard_section(body, &registry, n_terms, partitioner, shard, mapped)
     });
     let load = match region {
         Some(region) => {
@@ -687,77 +572,9 @@ fn read_v3(
     assemble_snapshot(partitions, terms, registry, shard_results, load)
 }
 
-fn read_v2(bytes: &[u8], threads: usize) -> Result<StoreSnapshot, SnapshotError> {
-    if bytes.len() < V2_HEADER_BYTES {
-        return Err(SnapshotError::Truncated);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("fixed slice"));
-    if version != SNAPSHOT_VERSION_V2 {
-        return Err(SnapshotError::BadVersion(version));
-    }
-    let partitions = u32::from_le_bytes(bytes[12..16].try_into().expect("fixed slice"));
-    let n_sections = u32::from_le_bytes(bytes[16..20].try_into().expect("fixed slice"));
-    if partitions == 0 || partitions > MAX_PARTITIONS {
-        return Err(SnapshotError::Malformed("implausible partition count"));
-    }
-    if n_sections != partitions + 1 {
-        return Err(SnapshotError::Malformed("section count does not match partitions"));
-    }
-    let n_sections = n_sections as usize;
-    let dir_end = V2_HEADER_BYTES + DIR_ENTRY_BYTES * n_sections;
-    if bytes.len() < dir_end {
-        return Err(SnapshotError::Truncated);
-    }
-    // Slice the payload into sections per the directory, validating the
-    // total length before touching any content.
-    let mut dir = Vec::with_capacity(n_sections);
-    for i in 0..n_sections {
-        let at = V2_HEADER_BYTES + DIR_ENTRY_BYTES * i;
-        let len = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("fixed slice"));
-        let checksum = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().expect("fixed slice"));
-        dir.push((len, checksum));
-    }
-    let total: u64 = dir.iter().map(|&(len, _)| len).sum();
-    let body = &bytes[dir_end..];
-    if (body.len() as u64) < total {
-        return Err(SnapshotError::Truncated);
-    }
-    if body.len() as u64 > total {
-        return Err(SnapshotError::Malformed("trailing bytes after payload"));
-    }
-    let mut sections = Vec::with_capacity(n_sections);
-    let mut at = 0usize;
-    for &(len, checksum) in &dir {
-        let len = len as usize;
-        sections.push((&body[at..at + len], checksum));
-        at += len;
-    }
-    // Section 0 (dictionary + registry) gates everything else: decode it
-    // first, sequentially.
-    let (head, head_sum) = sections[0];
-    if xxh64(head) != head_sum {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-    let (terms, registry) = decode_head_section(head)?;
-    // Shard sections verify and decode independently — fan them out. The
-    // subject→shard affinity check rides inside the same fan-out (fused
-    // with the per-pair validation scan), so reassembly below has no
-    // sequential sweep left to pay.
-    let n_terms = terms.len();
-    let partitioner = Partitioner::new(partitions as usize);
-    let shard_results = eh_par::run_tasks(threads.max(1), partitions as usize, |shard| {
-        let (body, sum) = sections[shard + 1];
-        if xxh64(body) != sum {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        decode_shard_section(body, &registry, n_terms, partitioner, shard, TrieWire::V2)
-    });
-    assemble_snapshot(partitions, terms, registry, shard_results, LoadInfo::copied())
-}
-
-/// The common tail of every sectioned read: collect the per-shard decode
-/// results, validate the persisted distinct-object claims against them,
-/// and reassemble the store.
+/// The tail of a read: collect the per-shard decode results, validate
+/// the persisted distinct-object claims against them, and reassemble the
+/// store.
 fn assemble_snapshot(
     partitions: u32,
     terms: Vec<Term>,
@@ -813,7 +630,7 @@ type RegistryEntry = (u32, String, u32);
 /// Decode section 0: dictionary terms in key order plus the predicate
 /// registry shared by every shard — one [`RegistryEntry`] per table. The
 /// distinct-object claim is validated against the decoded shards in
-/// [`read_v2`].
+/// [`assemble_snapshot`].
 fn decode_head_section(bytes: &[u8]) -> Result<(Vec<Term>, Vec<RegistryEntry>), SnapshotError> {
     let mut c = Cursor { bytes, pos: 0 };
     let n_terms = c.u32()? as usize;
@@ -852,31 +669,19 @@ fn decode_head_section(bytes: &[u8]) -> Result<(Vec<Term>, Vec<RegistryEntry>), 
 /// entries.
 type ShardResult = Result<(Vec<PairTable>, Vec<(u32, bool, FrozenTrie)>), SnapshotError>;
 
-/// How a shard section's trie records are laid out on the wire, and
-/// where their arenas should live once decoded.
-#[derive(Clone, Copy)]
-enum TrieWire<'a> {
-    /// v2 record: no pad byte; arena decoded into owned memory.
-    V2,
-    /// v3 record (pad byte present); arena decoded into owned memory.
-    V3Copy,
-    /// v3 record served zero-copy: the arena words stay in the mapping,
-    /// and the trie holds a window of `region` starting at the section's
-    /// absolute file offset plus the cursor position.
-    V3Mapped { region: &'a Arc<MappedRegion>, section_off: usize },
-}
-
 /// Decode one shard section: its slice of every registered table (with
 /// full structural validation, including that every subject hashes to
 /// this shard) and its frozen tries (validated against the tables just
-/// decoded).
+/// decoded). With `mapped` — the mapping `bytes` is a window of, plus the
+/// section's absolute file offset in it — trie arenas are served in place
+/// instead of copied.
 fn decode_shard_section(
     bytes: &[u8],
     registry: &[RegistryEntry],
     n_terms: usize,
     partitioner: Partitioner,
     shard: usize,
-    wire: TrieWire<'_>,
+    mapped: Option<(&Arc<MappedRegion>, usize)>,
 ) -> ShardResult {
     let mut c = Cursor { bytes, pos: 0 };
     let mut tables = Vec::with_capacity(registry.len());
@@ -938,35 +743,29 @@ fn decode_shard_section(
             levels.push((off, count));
         }
         let arena_len = c.u32()? as usize;
-        if !matches!(wire, TrieWire::V2) {
-            // v3 pad: a count byte plus that many zeros, placed so the
-            // arena words start on a 4-byte file offset. Validated-zero
-            // so a flipped pad byte cannot slide the arena silently.
-            let pad = c.u8()?;
-            if pad >= MAX_TRIE_PAD {
-                return Err(SnapshotError::Malformed("implausible trie arena padding"));
-            }
-            if c.take(pad as usize)?.iter().any(|&b| b != 0) {
-                return Err(SnapshotError::Malformed("nonzero trie arena padding"));
-            }
+        // A count byte plus that many zeros, placed so the arena words
+        // start on a 4-byte offset. Only the minimal pad is accepted —
+        // an image has one encoding, and every image is mappable — and
+        // it is validated zero so a flipped pad byte cannot slide the
+        // arena silently.
+        let pad = c.u8()? as usize;
+        if pad >= 4 || !(c.pos() + pad).is_multiple_of(4) {
+            return Err(SnapshotError::Malformed("trie arena padding is not minimal"));
         }
-        let trie = match wire {
-            TrieWire::V2 | TrieWire::V3Copy => {
+        if c.take(pad)?.iter().any(|&b| b != 0) {
+            return Err(SnapshotError::Malformed("nonzero trie arena padding"));
+        }
+        let trie = match mapped {
+            None => {
                 let arena = c.words(arena_len)?;
                 FrozenTrie::from_raw_parts(arity, num_tuples, levels, arena)
             }
-            TrieWire::V3Mapped { region, section_off } => {
+            Some((region, section_off)) => {
                 let at = section_off.checked_add(c.pos()).ok_or(SnapshotError::Truncated)?;
                 let n_bytes = arena_len.checked_mul(4).ok_or(SnapshotError::Truncated)?;
                 // Advance past (and bounds-check) the arena words without
                 // materialising them.
                 c.take(n_bytes)?;
-                if !(region.bytes().as_ptr() as usize + at).is_multiple_of(4) {
-                    // Not corruption — a valid file this platform cannot
-                    // serve in place. The caller maps this exact message
-                    // to the copy-path fallback.
-                    return Err(SnapshotError::Malformed(UNALIGNED_ARENA));
-                }
                 // Fault the arena pages in the background while decode
                 // continues: first-query latency should not eat the
                 // fault storm.
@@ -1001,173 +800,6 @@ fn decode_shard_section(
         return Err(SnapshotError::Malformed("unconsumed section bytes"));
     }
     Ok((tables, tries))
-}
-
-// ------------------------------------------------- v1 payload (read-compat)
-
-fn encode_payload_v1(store: &TripleStore, tries: &[FrozenTrieEntry]) -> Vec<u8> {
-    let mut out = Vec::new();
-    // Dictionary.
-    let dict = store.dict();
-    put_u32(&mut out, dict.len() as u32);
-    for (_, term) in dict.iter() {
-        let (kind, text) = match term {
-            Term::Iri(s) => (0u8, s.as_str()),
-            Term::Literal(s) => (1u8, s.as_str()),
-        };
-        out.push(kind);
-        put_u32(&mut out, text.len() as u32);
-        out.extend_from_slice(text.as_bytes());
-    }
-    // Tables, both orders verbatim.
-    let tables = store.tables();
-    put_u32(&mut out, tables.len() as u32);
-    for t in tables {
-        put_u32(&mut out, t.pred());
-        put_u32(&mut out, t.name().len() as u32);
-        out.extend_from_slice(t.name().as_bytes());
-        put_u32(&mut out, t.len() as u32);
-        for &(a, b) in t.so_pairs() {
-            put_u32(&mut out, a);
-            put_u32(&mut out, b);
-        }
-        for &(a, b) in t.os_pairs() {
-            put_u32(&mut out, a);
-            put_u32(&mut out, b);
-        }
-    }
-    // Frozen tries.
-    put_u32(&mut out, tries.len() as u32);
-    for e in tries {
-        assert_eq!(e.shard, 0, "v1 snapshots have no shards");
-        let (arity, num_tuples, levels, arena) = e.trie.raw_parts();
-        put_u32(&mut out, e.pred);
-        out.push(e.subject_first as u8);
-        put_u32(&mut out, arity);
-        put_u32(&mut out, num_tuples);
-        put_u32(&mut out, levels.len() as u32);
-        for &(off, count) in levels {
-            put_u32(&mut out, off);
-            put_u32(&mut out, count);
-        }
-        put_u32(&mut out, arena.len() as u32);
-        for &w in arena {
-            put_u32(&mut out, w);
-        }
-    }
-    out
-}
-
-fn read_v1(bytes: &[u8]) -> Result<StoreSnapshot, SnapshotError> {
-    if bytes.len() < V1_HEADER_BYTES {
-        return Err(SnapshotError::Truncated);
-    }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().expect("fixed slice"));
-    if version != 1 {
-        return Err(SnapshotError::BadVersion(version));
-    }
-    let payload_len = u64::from_le_bytes(bytes[12..20].try_into().expect("fixed slice"));
-    let checksum = u64::from_le_bytes(bytes[20..28].try_into().expect("fixed slice"));
-    let payload = &bytes[V1_HEADER_BYTES..];
-    if (payload.len() as u64) < payload_len {
-        return Err(SnapshotError::Truncated);
-    }
-    if payload.len() as u64 > payload_len {
-        return Err(SnapshotError::Malformed("trailing bytes after payload"));
-    }
-    if xxh64(payload) != checksum {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-    decode_payload_v1(payload)
-}
-
-fn decode_payload_v1(bytes: &[u8]) -> Result<StoreSnapshot, SnapshotError> {
-    let mut c = Cursor { bytes, pos: 0 };
-    // Dictionary.
-    let n_terms = c.u32()? as usize;
-    let mut terms = Vec::with_capacity(n_terms.min(c.remaining()));
-    for _ in 0..n_terms {
-        let kind = c.u8()?;
-        let text = c.string()?;
-        terms.push(match kind {
-            0 => Term::Iri(text),
-            1 => Term::Literal(text),
-            _ => return Err(SnapshotError::Malformed("unknown term kind")),
-        });
-    }
-    // Tables.
-    let n_tables = c.u32()? as usize;
-    let mut tables = Vec::with_capacity(n_tables.min(c.remaining()));
-    let mut seen_preds = HashSet::new();
-    for _ in 0..n_tables {
-        let pred = c.u32()?;
-        // Duplicate tables would make `by_pred` (last wins) disagree with
-        // whole-store iteration (sees both): reject the inconsistency at
-        // the door.
-        if !seen_preds.insert(pred) {
-            return Err(SnapshotError::Malformed("duplicate predicate table"));
-        }
-        let name = c.string()?;
-        let n_pairs = c.u32()? as usize;
-        let so = c.pairs(n_pairs)?;
-        let os = c.pairs(n_pairs)?;
-        if pred as usize >= terms.len() {
-            return Err(SnapshotError::Malformed("table predicate outside dictionary"));
-        }
-        for pairs in [&so, &os] {
-            let sorted = pairs.windows(2).all(|w| w[0] < w[1]);
-            let bounded = pairs.last().is_none_or(|&(a, _)| (a as usize) < terms.len())
-                && pairs.iter().all(|&(_, b)| (b as usize) < terms.len());
-            if !sorted || !bounded {
-                return Err(SnapshotError::Malformed("table pairs not sorted or out of range"));
-            }
-        }
-        if !os.iter().all(|&(o, s)| so.binary_search(&(s, o)).is_ok()) {
-            return Err(SnapshotError::Malformed("table orders are not transposes"));
-        }
-        tables.push(PairTable::from_sorted_parts(name, pred, so, os));
-    }
-    let store = TripleStore::from_snapshot_parts(terms, tables);
-    // Frozen tries.
-    let n_tries = c.u32()? as usize;
-    let mut tries = Vec::with_capacity(n_tries.min(c.remaining()));
-    let mut seen_orders = HashSet::new();
-    for _ in 0..n_tries {
-        let pred = c.u32()?;
-        let subject_first = match c.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Malformed("bad trie order flag")),
-        };
-        if !seen_orders.insert((pred, subject_first)) {
-            return Err(SnapshotError::Malformed("duplicate frozen trie entry"));
-        }
-        let arity = c.u32()?;
-        let num_tuples = c.u32()?;
-        let n_levels = c.u32()? as usize;
-        let mut levels = Vec::with_capacity(n_levels.min(c.remaining()));
-        for _ in 0..n_levels {
-            let off = c.u32()?;
-            let count = c.u32()?;
-            levels.push((off, count));
-        }
-        let arena_len = c.u32()? as usize;
-        let arena = c.words(arena_len)?;
-        let trie = FrozenTrie::from_raw_parts(arity, num_tuples, levels, arena)
-            .map_err(SnapshotError::Malformed)?;
-        let Some(table) = store.table(pred) else {
-            return Err(SnapshotError::Malformed("frozen trie for an absent table"));
-        };
-        let pairs = if subject_first { table.so_pairs() } else { table.os_pairs() };
-        if !trie.matches_pairs(pairs) {
-            return Err(SnapshotError::Malformed("frozen trie does not match its table"));
-        }
-        tries.push(FrozenTrieEntry { pred, subject_first, shard: 0, trie: Arc::new(trie) });
-    }
-    if c.remaining() != 0 {
-        return Err(SnapshotError::Malformed("unconsumed payload bytes"));
-    }
-    Ok(StoreSnapshot { store, tries, load: LoadInfo::copied() })
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -1346,6 +978,13 @@ mod tests {
         v
     }
 
+    /// A `P = 1` store assembled from raw parts with none of the
+    /// decoder's validation — what the writer would emit for a store no
+    /// honest build can produce.
+    fn forged_store(terms: Vec<Term>, tables: Vec<PairTable>) -> TripleStore {
+        TripleStore::from_partitioned_parts(terms, 1, vec![tables], Default::default()).unwrap()
+    }
+
     fn snapshot_bytes(store: &TripleStore) -> Vec<u8> {
         let tries = StoreSnapshot::hot_tries(store);
         let mut buf = Vec::new();
@@ -1439,47 +1078,18 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshots_still_load_as_single_shard() {
-        let store = sample_store();
-        let tries = StoreSnapshot::hot_tries(&store);
-        let mut buf = Vec::new();
-        StoreSnapshot::write_v1(&store, &tries, &mut buf).unwrap();
-        assert_eq!(&buf[0..8], &SNAPSHOT_MAGIC_V1);
-        let snap = StoreSnapshot::read(&buf[..]).unwrap();
-        assert_eq!(snap.store.partitions(), 1);
-        assert_eq!(
-            snap.store.encoded_triples().collect::<Vec<_>>(),
-            store.encoded_triples().collect::<Vec<_>>()
-        );
-        assert_eq!(snap.tries.len(), tries.len());
-        assert!(snap.tries.iter().all(|e| e.shard == 0));
-        // The v1 corruption surface stays guarded: version, truncation,
-        // checksum.
-        let mut bad = buf.clone();
-        bad[8] = 9;
-        assert!(matches!(StoreSnapshot::read(&bad[..]), Err(SnapshotError::BadVersion(9))));
-        for cut in [7, 20, 27, buf.len() / 2, buf.len() - 1] {
-            assert!(
-                matches!(StoreSnapshot::read(&buf[..cut]), Err(SnapshotError::Truncated)),
-                "cut at {cut}"
-            );
-        }
-        let mut bad = buf.clone();
-        let last = bad.len() - 1;
-        bad[last] ^= 0x01;
-        assert!(matches!(StoreSnapshot::read(&bad[..]), Err(SnapshotError::ChecksumMismatch)));
-    }
-
-    #[test]
     fn loaded_store_stays_mutable() {
         let store = sample_store();
         let bytes = snapshot_bytes(&store);
         let mut loaded = StoreSnapshot::read(&bytes[..]).unwrap().store;
-        let report = loaded.add_triples(vec![t("s9", "p", "o9"), t("s9", "r", "o9")]);
+        let report = loaded.stage_add_triples(vec![t("s9", "p", "o9"), t("s9", "r", "o9")]);
         assert_eq!(report.added, 2);
         assert_eq!(loaded.num_triples(), store.num_triples() + 2);
-        let report = loaded.remove_triples(vec![t("s1", "p", "o1")]);
+        let report = loaded.stage_remove_triples(vec![t("s1", "p", "o1")]);
         assert_eq!(report.removed, 1);
+        loaded.compact_all();
+        assert_eq!(loaded.num_triples(), store.num_triples() + 1);
+        assert!(loaded.__invariant_check());
     }
 
     #[test]
@@ -1562,7 +1172,7 @@ mod tests {
         // affinity check must catch it (a shard-local join would
         // otherwise silently miss them).
         let store = TripleStore::from_triples_partitioned(wide_triples(), 2);
-        let mut sections = encode_sections_v3(&store, &[], 0);
+        let mut sections = encode_sections(&store, &[]);
         assert!(sections[1] != sections[2], "both shards populated");
         sections.swap(1, 2);
         let mut forged = Vec::new();
@@ -1578,17 +1188,14 @@ mod tests {
 
     #[test]
     fn single_byte_mutations_never_panic() {
-        // The corruption property, exhaustively for small snapshots in
-        // both formats and at P ∈ {1, 2}: every single-byte mutation
+        // The corruption property, exhaustively for small snapshots at
+        // P ∈ {1, 2}: every single-byte mutation
         // either still reads (a single flip never collides the checksum,
         // but stay permissive) or returns a typed error — it must never
         // panic. The workspace-level proptest widens this to random
         // multi-byte mutations over random stores.
         let store = TripleStore::from_triples(vec![t("a", "p", "b")]);
         let mut cases = vec![snapshot_bytes(&store)];
-        let mut v1 = Vec::new();
-        StoreSnapshot::write_v1(&store, &StoreSnapshot::hot_tries(&store), &mut v1).unwrap();
-        cases.push(v1);
         cases.push(snapshot_bytes(&TripleStore::from_triples_partitioned(
             vec![t("a", "p", "b"), t("c", "p", "d"), t("e", "p", "f")],
             2,
@@ -1609,7 +1216,7 @@ mod tests {
         // A snapshot can be internally consistent (good magic, version,
         // checksum) and still carry ids the dictionary cannot decode; reading
         // one must be a typed error, never a later decode panic.
-        let bogus_table = TripleStore::from_snapshot_parts(
+        let bogus_table = forged_store(
             vec![Term::iri("p")],
             vec![PairTable::from_sorted_parts("p".into(), 0, vec![(5, 6)], vec![(6, 5)])],
         );
@@ -1681,7 +1288,7 @@ mod tests {
         // A table whose two orders are each valid but describe different
         // relations would answer the same query differently depending on
         // the access order the planner picks.
-        let skewed = TripleStore::from_snapshot_parts(
+        let skewed = forged_store(
             vec![Term::iri("a"), Term::iri("p"), Term::iri("b")],
             vec![PairTable::from_sorted_parts("p".into(), 1, vec![(0, 2)], vec![(1, 0)])],
         );
@@ -1694,7 +1301,7 @@ mod tests {
 
         // Duplicate predicate tables: `by_pred` would answer from one
         // while whole-store iteration sees both.
-        let twin = TripleStore::from_snapshot_parts(
+        let twin = forged_store(
             vec![Term::iri("a"), Term::iri("p"), Term::iri("b")],
             vec![
                 PairTable::from_sorted_parts("p".into(), 1, vec![(0, 2)], vec![(2, 0)]),
@@ -1781,22 +1388,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshots_still_load_via_copy() {
-        let store = TripleStore::from_triples_partitioned(wide_triples(), 2);
-        let tries = StoreSnapshot::hot_tries(&store);
-        let mut v2 = Vec::new();
-        StoreSnapshot::write_v2(&store, &tries, &mut v2).unwrap();
-        assert_eq!(&v2[0..8], &SNAPSHOT_MAGIC_V2);
-        let snap = StoreSnapshot::read(&v2[..]).unwrap();
-        assert_eq!(snap.load.mode, LoadMode::Copy);
-        assert_eq!(
-            snap.store.encoded_triples().collect::<Vec<_>>(),
-            store.encoded_triples().collect::<Vec<_>>()
-        );
-        assert_eq!(snap.tries.len(), tries.len());
-    }
-
-    #[test]
     fn mmap_load_is_zero_copy_and_identical() {
         let store = TripleStore::from_triples_partitioned(wide_triples(), 2);
         let path = temp_path("mmap-identical");
@@ -1818,75 +1409,93 @@ mod tests {
             assert_snapshots_equal(&mapped, &copied);
             // A mapped load stays as mutable as a copy load.
             let mut s = mapped.store;
-            assert_eq!(s.add_triples(vec![t("new", "p", "o")]).added, 1);
+            assert_eq!(s.stage_add_triples(vec![t("new", "p", "o")]).added, 1);
         }
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn misaligned_v3_falls_back_to_copy() {
-        // extra_pad = 1 slides every arena one byte off its 4-byte slot:
-        // still a valid v3 file (pad is validated, not assumed minimal),
-        // but not servable in place.
-        let store = TripleStore::from_triples_partitioned(wide_triples(), 2);
-        let sections = encode_sections_v3(&store, &StoreSnapshot::hot_tries(&store), 1);
-        let path = temp_path("mmap-misaligned");
+    fn over_padded_trie_records_are_malformed() {
+        // An image has exactly one encoding: a trie record whose pad is
+        // anything but the minimal one is rejected on both read paths,
+        // even with every checksum valid and (at +4) the arena still
+        // aligned. One predicate, one trie, P = 1, so the pad byte's
+        // offset in the shard section follows from the record layout.
+        let store = TripleStore::from_triples(vec![t("a", "p", "b"), t("c", "p", "d")]);
+        let entry = StoreSnapshot::hot_tries(&store).swap_remove(0);
+        let n_levels = entry.trie.raw_parts().2.len();
+        let sections = encode_sections(&store, std::slice::from_ref(&entry));
+        let n_pairs = store.tables()[0].len();
+        // pairs (count, so, os), trie count, then pred, order flag, arity,
+        // tuple count, level count, level directory, arena length.
+        let pad_at = (4 + 16 * n_pairs) + 4 + (4 + 1 + 4 + 4 + 4) + 8 * n_levels + 4;
+        let pad = sections[1][pad_at];
+        assert!(pad < 4 && (pad_at + 1 + pad as usize).is_multiple_of(4), "located the pad byte");
+        let path = temp_path("over-padded");
+        for extra in 1..=4u8 {
+            let mut forged = sections.clone();
+            forged[1][pad_at] = pad + extra;
+            forged[1].splice(pad_at + 1..pad_at + 1, std::iter::repeat_n(0u8, extra as usize));
+            let mut buf = Vec::new();
+            write_v3_parts(1, &forged, &mut buf).unwrap();
+            std::fs::write(&path, &buf).unwrap();
+            for result in
+                [StoreSnapshot::read(&buf[..]), StoreSnapshot::read_from_path_mmap(&path, 1)]
+            {
+                assert!(
+                    matches!(result, Err(SnapshotError::Malformed(m)) if m.contains("minimal")),
+                    "extra={extra}"
+                );
+            }
+        }
+        // The unforged sections are the writer's bytes and load.
         let mut buf = Vec::new();
-        write_v3_parts(2, &sections, &mut buf).unwrap();
-        std::fs::write(&path, &buf).unwrap();
-        // The copy path accepts it...
-        let copied = StoreSnapshot::read(&buf[..]).unwrap();
-        assert_eq!(
-            copied.store.encoded_triples().collect::<Vec<_>>(),
-            store.encoded_triples().collect::<Vec<_>>()
-        );
-        // ...and the mapped path degrades to copy rather than failing.
-        let snap = StoreSnapshot::read_from_path_mmap(&path, 2).unwrap();
-        assert_eq!(snap.load.mode, LoadMode::Copy);
-        assert_eq!(snap.load.mapped_bytes, 0);
-        assert_eq!(snap.load.fallback, Some(UNALIGNED_ARENA));
-        assert!(snap.tries.iter().all(|e| !e.trie.is_shared()));
-        assert_snapshots_equal(&snap, &copied);
+        write_v3_parts(1, &sections, &mut buf).unwrap();
+        assert_eq!(StoreSnapshot::read(&buf[..]).unwrap().tries.len(), 1);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn mmap_of_older_versions_falls_back_with_reason() {
-        let store = sample_store();
-        let tries = StoreSnapshot::hot_tries(&store);
-        let v2_path = temp_path("mmap-v2");
-        let v1_path = temp_path("mmap-v1");
-        let mut v2 = Vec::new();
-        StoreSnapshot::write_v2(&store, &tries, &mut v2).unwrap();
-        std::fs::write(&v2_path, &v2).unwrap();
-        let mut v1 = Vec::new();
-        StoreSnapshot::write_v1(&store, &tries, &mut v1).unwrap();
-        std::fs::write(&v1_path, &v1).unwrap();
-        for (path, tag) in [(&v2_path, "v2"), (&v1_path, "v1")] {
-            let snap = StoreSnapshot::read_from_path_mmap(path, 2).unwrap();
-            assert_eq!(snap.load.mode, LoadMode::Copy, "{tag}");
-            let reason = snap.load.fallback.expect("fallback reason recorded");
-            assert!(reason.contains(tag), "{tag}: {reason}");
-            assert_eq!(
-                snap.store.encoded_triples().collect::<Vec<_>>(),
-                store.encoded_triples().collect::<Vec<_>>()
-            );
-            std::fs::remove_file(path).ok();
+    fn retired_images_fail_as_bad_version() {
+        // The v1 (magic, version, payload length, checksum: 28 bytes) and
+        // v2 (magic, version, partitions, sections: 20 bytes) headers,
+        // forged by hand — nothing in this build can write them. The
+        // magic alone decides; nothing behind it is decoded.
+        let mut v1 = b"EHSNAP01".to_vec();
+        v1.extend_from_slice(&1u32.to_le_bytes());
+        v1.extend_from_slice(&0u64.to_le_bytes());
+        v1.extend_from_slice(&xxh64(b"").to_le_bytes());
+        let mut v2 = b"EHSNAP02".to_vec();
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        v2.extend_from_slice(&1u32.to_le_bytes());
+        v2.extend_from_slice(&2u32.to_le_bytes());
+        assert_eq!((v1.len(), v2.len()), (28, 20));
+        let path = temp_path("retired");
+        for (image, version) in [(v1, 1), (v2, 2)] {
+            std::fs::write(&path, &image).unwrap();
+            for result in [
+                StoreSnapshot::read(&image[..]),
+                StoreSnapshot::read_from_path_with(&path, 2),
+                StoreSnapshot::read_from_path_mmap(&path, 2),
+            ] {
+                assert!(
+                    matches!(result, Err(SnapshotError::BadVersion(v)) if v == version),
+                    "v{version}"
+                );
+            }
         }
-        // A missing file is an I/O error, not a silent fallback.
-        assert!(matches!(
-            StoreSnapshot::read_from_path_mmap(&v1_path, 1),
-            Err(SnapshotError::Io(_))
-        ));
+        let message = SnapshotError::BadVersion(2).to_string();
+        assert!(message.contains("version 2") && message.contains("reads 3"), "{message}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn mmap_single_byte_mutations_never_panic() {
         // The never-panic property, through the mapped entry point: every
-        // single-byte flip of a small v3 file either falls back cleanly,
-        // loads (impossible here — a flip never cancels), or returns a
-        // typed error. Corruption in a mapped arena must be caught by the
-        // eager checksum/validation at load, never by a later fault.
+        // single-byte flip of a small image either loads (impossible
+        // here — a flip never cancels) or returns a typed error.
+        // Corruption in a mapped arena must be caught by the eager
+        // checksum/validation at load, never by a later fault.
         let store = TripleStore::from_triples_partitioned(
             vec![t("a", "p", "b"), t("c", "p", "d"), t("e", "p", "f")],
             2,
@@ -1900,10 +1509,8 @@ mod tests {
                 std::fs::write(&path, &bad).unwrap();
                 match StoreSnapshot::read_from_path_mmap(&path, 2) {
                     Ok(snap) => {
-                        // Only reachable when the flip landed in a spot
-                        // whose meaning is checked structurally rather
-                        // than by checksum (e.g. it forged an older
-                        // magic): the load must still be coherent.
+                        // Stay permissive, as on the copy path: a load
+                        // that does succeed must be coherent.
                         assert_eq!(snap.store.num_triples(), store.num_triples());
                     }
                     Err(e) => assert!(!e.to_string().is_empty()),
@@ -1969,6 +1576,8 @@ mod tests {
         let snap = StoreSnapshot::read_from_path(&path).unwrap();
         assert_eq!(snap.store.num_triples(), store.num_triples());
         std::fs::remove_file(&path).ok();
+        // A missing file is an I/O error on both paths, not a fallback.
         assert!(matches!(StoreSnapshot::read_from_path(&path), Err(SnapshotError::Io(_))));
+        assert!(matches!(StoreSnapshot::read_from_path_mmap(&path, 1), Err(SnapshotError::Io(_))));
     }
 }

@@ -20,34 +20,32 @@ use crate::vp::PairTable;
 /// (the default everywhere) is layout-identical to the unpartitioned
 /// store — one shard holding every table.
 ///
-/// Loading is two-phase: [`insert`](TripleStore::insert) buffers raw pairs,
-/// and [`commit`](TripleStore::commit) (or the bulk
-/// [`from_triples`](TripleStore::from_triples)) sorts and deduplicates the
-/// tables. Read accessors panic on an uncommitted store to make misuse
-/// loud rather than subtly stale.
+/// The store's lifecycle has one mechanism per step:
 ///
-/// A committed store can also be mutated in place, two ways:
-///
-/// * **Eagerly** — [`add_triples`](TripleStore::add_triples) and
-///   [`remove_triples`](TripleStore::remove_triples) merge a batch into
-///   the affected tables (through the same sort/dedup machinery). This
-///   pays a full table rebuild per changed predicate.
-/// * **Staged (LSM-style)** —
-///   [`stage_add_triples`](TripleStore::stage_add_triples) and
-///   [`stage_remove_triples`](TripleStore::stage_remove_triples) record
-///   the batch as a sorted per-(shard, predicate) [`PredDelta`] (inserts +
-///   tombstones) in O(delta) without touching the base tables; a later
-///   [`compact_pred`](TripleStore::compact_pred) /
-///   [`compact_all`](TripleStore::compact_all) folds deltas into fresh
-///   tables off the hot path — or, shard-locally,
+/// * **Build** — [`insert`](TripleStore::insert) buffers raw pairs and
+///   [`commit`](TripleStore::commit) (or the bulk
+///   [`from_triples`](TripleStore::from_triples)) sorts and deduplicates
+///   them into the base tables, once, on an empty store. Read accessors
+///   panic on an uncommitted store to make misuse loud rather than subtly
+///   stale.
+/// * **Mutate** — [`stage_add_triples`](TripleStore::stage_add_triples)
+///   and [`stage_remove_triples`](TripleStore::stage_remove_triples)
+///   record a batch as a sorted per-(shard, predicate) [`PredDelta`]
+///   (inserts + tombstones) in O(delta) without touching the base tables.
+///   This is the only way a built store changes.
+/// * **Fold** — [`compact_pred`](TripleStore::compact_pred) /
+///   [`compact_all`](TripleStore::compact_all) merge deltas into fresh
+///   base tables off the hot path — or, shard-locally,
 ///   [`compact_pred_in`](TripleStore::compact_pred_in) folds a single
-///   shard. Logical accessors ([`num_triples`], [`encoded_triples`],
-///   [`stats`]) always report the merged view across all shards;
-///   [`shard_table`](TripleStore::shard_table) exposes one shard's frozen
-///   **base** only, with [`shard_delta`](TripleStore::shard_delta)
-///   carrying the rest.
+///   shard.
 ///
-/// Both ways report which predicates actually changed, so an index layer
+/// Logical accessors ([`num_triples`], [`encoded_triples`], [`stats`])
+/// always report the merged view across all shards;
+/// [`shard_table`](TripleStore::shard_table) exposes one shard's frozen
+/// **base** only, with [`shard_delta`](TripleStore::shard_delta) carrying
+/// the rest.
+///
+/// Staging reports which predicates actually changed, so an index layer
 /// can invalidate only the tries those predicates back. Removal never
 /// shrinks the dictionary and leaves emptied tables in place — term keys
 /// stay stable for the lifetime of the store.
@@ -74,7 +72,6 @@ pub struct TripleStore {
     /// already pay an O(predicate) rebuild.
     agg_distinct_objects: HashMap<u32, usize>,
     pending: HashMap<u32, Vec<(u32, u32)>>,
-    pending_names: Vec<(u32, String)>,
     n_pending: usize,
 }
 
@@ -269,7 +266,6 @@ impl TripleStore {
             shards: vec![StoreShard::default(); partitioner.partitions()],
             agg_distinct_objects: HashMap::new(),
             pending: HashMap::new(),
-            pending_names: Vec::new(),
             n_pending: 0,
         }
     }
@@ -291,23 +287,6 @@ impl TripleStore {
         }
         store.commit();
         store
-    }
-
-    /// Reassemble a committed single-shard store from snapshot parts: the
-    /// dictionary's terms in key order plus fully built tables. The
-    /// `by_pred` index is rebuilt; nothing is sorted or re-encoded.
-    pub(crate) fn from_snapshot_parts(terms: Vec<Term>, tables: Vec<PairTable>) -> TripleStore {
-        let by_pred = tables.iter().enumerate().map(|(i, t)| (t.pred(), i)).collect();
-        TripleStore {
-            dict: Dictionary::from_terms(terms),
-            partitioner: Partitioner::new(1),
-            by_pred,
-            shards: vec![StoreShard { tables, deltas: HashMap::new() }],
-            agg_distinct_objects: HashMap::new(),
-            pending: HashMap::new(),
-            pending_names: Vec::new(),
-            n_pending: 0,
-        }
     }
 
     /// Reassemble a committed partitioned store from per-shard snapshot
@@ -360,48 +339,31 @@ impl TripleStore {
                 .collect(),
             agg_distinct_objects,
             pending: HashMap::new(),
-            pending_names: Vec::new(),
             n_pending: 0,
         })
     }
 
-    /// Buffer one triple (call [`commit`](TripleStore::commit) before reading).
+    /// Buffer one triple of the bulk build (call
+    /// [`commit`](TripleStore::commit) before reading).
+    ///
+    /// # Panics
+    /// Panics on a store that already has tables: a built store changes
+    /// only through `stage_*` + `compact_*`.
     pub fn insert(&mut self, t: Triple) {
+        assert!(
+            self.by_pred.is_empty(),
+            "insert() on a built store: mutate it with stage_add_triples / stage_remove_triples"
+        );
         let s = self.dict.encode(&t.s);
         let p = self.dict.encode(&t.p);
         let o = self.dict.encode(&t.o);
-        self.insert_encoded_raw(t.p.as_str(), s, p, o);
-    }
-
-    fn insert_encoded_raw(&mut self, pred_name: &str, s: u32, p: u32, o: u32) {
-        if !self.by_pred.contains_key(&p) && !self.pending.contains_key(&p) {
-            // Remember the predicate name for table construction at commit.
-            self.pending_names.push((p, pred_name.to_string()));
-        }
         self.pending.entry(p).or_default().push((s, o));
         self.n_pending += 1;
     }
 
-    /// Sort, deduplicate, and merge all buffered pairs into the tables.
+    /// The bulk build: sort and deduplicate all buffered pairs into one
+    /// base table per predicate, split across the shards.
     pub fn commit(&mut self) {
-        let _ = self.commit_report();
-    }
-
-    /// [`commit`](TripleStore::commit), reporting which predicate tables
-    /// actually changed. A table whose pending pairs were all already
-    /// resident is left untouched (not rebuilt, not reported).
-    pub fn commit_report(&mut self) -> UpdateReport {
-        let mut report = UpdateReport::default();
-        if self.pending.is_empty() {
-            return report;
-        }
-        // Eager merges rebuild base tables from their current contents;
-        // fold staged deltas in first so nothing is silently dropped or
-        // duplicated across the base/delta split.
-        if self.has_deltas() {
-            self.compact_all();
-        }
-        let names: HashMap<u32, String> = self.pending_names.drain(..).collect();
         // Drain in predicate-key order, not HashMap order: table
         // registration order must be deterministic so two stores built
         // from the same triples are identical regardless of hasher seeds
@@ -413,57 +375,18 @@ impl TripleStore {
         for (p, mut pairs) in pending {
             pairs.sort_unstable();
             pairs.dedup();
-            match self.by_pred.get(&p).copied() {
-                Some(idx) => {
-                    // Merge with each owning shard's table: rebuild from
-                    // the union, but only where something genuinely new
-                    // landed.
-                    let mut added_here = 0;
-                    for shard in 0..self.shards.len() {
-                        let sh = &mut self.shards[shard];
-                        let old = &sh.tables[idx];
-                        let mut fresh: Vec<(u32, u32)> = pairs
-                            .iter()
-                            .copied()
-                            .filter(|&(s, _)| self.partitioner.shard_of(s) == shard)
-                            .filter(|&(s, o)| !old.contains(s, o))
-                            .collect();
-                        if fresh.is_empty() {
-                            continue;
-                        }
-                        added_here += fresh.len();
-                        fresh.extend_from_slice(old.so_pairs());
-                        let name = old.name().to_string();
-                        sh.tables[idx] = PairTable::build(name, p, fresh);
-                    }
-                    if added_here > 0 {
-                        report.added += added_here;
-                        report.changed_preds.push(p);
-                        self.recompute_agg(p);
-                    }
-                }
-                None => {
-                    let name = names
-                        .get(&p)
-                        .cloned()
-                        .unwrap_or_else(|| self.dict.decode(p).as_str().to_string());
-                    let idx = self.register_pred(p, &name);
-                    for shard in 0..self.shards.len() {
-                        let mine: Vec<(u32, u32)> = pairs
-                            .iter()
-                            .copied()
-                            .filter(|&(s, _)| self.partitioner.shard_of(s) == shard)
-                            .collect();
-                        self.shards[shard].tables[idx] = PairTable::build(name.clone(), p, mine);
-                    }
-                    report.added += pairs.len();
-                    report.changed_preds.push(p);
-                    self.recompute_agg(p);
-                }
+            let name = self.dict.decode(p).as_str().to_string();
+            let idx = self.register_pred(p, &name);
+            for shard in 0..self.shards.len() {
+                let mine: Vec<(u32, u32)> = pairs
+                    .iter()
+                    .copied()
+                    .filter(|&(s, _)| self.partitioner.shard_of(s) == shard)
+                    .collect();
+                self.shards[shard].tables[idx] = PairTable::build(name.clone(), p, mine);
             }
+            self.recompute_agg(p);
         }
-        report.changed_preds.sort_unstable();
-        report
     }
 
     /// Register a predicate: every shard gets an (initially empty) table
@@ -492,75 +415,6 @@ impl TripleStore {
         self.agg_distinct_objects.insert(pred, distinct);
     }
 
-    /// Post-commit insertion: encode and merge a batch of triples,
-    /// growing the dictionary as needed, and report what changed.
-    ///
-    /// # Panics
-    /// Panics when called on an uncommitted store (mixed two-phase and
-    /// live mutation would make `insert`/`commit` bookkeeping ambiguous).
-    pub fn add_triples(&mut self, triples: impl IntoIterator<Item = Triple>) -> UpdateReport {
-        self.assert_committed();
-        for t in triples {
-            self.insert(t);
-        }
-        self.commit_report()
-    }
-
-    /// Post-commit removal: delete a batch of triples from the affected
-    /// tables and report what changed. Triples naming unknown terms or
-    /// predicates are ignored (they cannot be resident). The dictionary
-    /// never shrinks and emptied tables remain (empty) so predicate keys
-    /// and table identity stay stable.
-    ///
-    /// # Panics
-    /// Panics when called on an uncommitted store.
-    pub fn remove_triples(&mut self, triples: impl IntoIterator<Item = Triple>) -> UpdateReport {
-        self.assert_committed();
-        if self.has_deltas() {
-            self.compact_all();
-        }
-        let mut victims: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
-        for t in triples {
-            let (Some(s), Some(p), Some(o)) =
-                (self.dict.lookup(&t.s), self.dict.lookup(&t.p), self.dict.lookup(&t.o))
-            else {
-                continue;
-            };
-            if self.by_pred.contains_key(&p) {
-                victims.entry(p).or_default().push((s, o));
-            }
-        }
-        let mut report = UpdateReport::default();
-        for (p, mut gone) in victims {
-            gone.sort_unstable();
-            gone.dedup();
-            let idx = self.by_pred[&p];
-            let mut removed_here = 0;
-            for shard in 0..self.shards.len() {
-                let old = &self.shards[shard].tables[idx];
-                let kept: Vec<(u32, u32)> = old
-                    .so_pairs()
-                    .iter()
-                    .copied()
-                    .filter(|pr| gone.binary_search(pr).is_err())
-                    .collect();
-                let removed = old.len() - kept.len();
-                if removed > 0 {
-                    let name = old.name().to_string();
-                    self.shards[shard].tables[idx] = PairTable::build(name, p, kept);
-                    removed_here += removed;
-                }
-            }
-            if removed_here > 0 {
-                report.removed += removed_here;
-                report.changed_preds.push(p);
-                self.recompute_agg(p);
-            }
-        }
-        report.changed_preds.sort_unstable();
-        report
-    }
-
     /// Stage an insert batch as per-(shard, predicate) deltas without
     /// rebuilding any base table: O(delta) in the batch, not the
     /// predicate. New terms grow the dictionary; a new predicate gets an
@@ -568,10 +422,7 @@ impl TripleStore {
     /// pairs staged as inserts. Each pair routes to the single shard its
     /// subject hashes to. Inserting a tombstoned pair cancels the
     /// tombstone; inserting a resident or already-staged pair is a no-op.
-    /// The report counts real logical change only, exactly like
-    /// [`add_triples`].
-    ///
-    /// [`add_triples`]: TripleStore::add_triples
+    /// The report counts real logical change only.
     ///
     /// # Panics
     /// Panics when called on an uncommitted store.
@@ -606,10 +457,8 @@ impl TripleStore {
     /// Stage a delete batch as per-(shard, predicate) tombstones without
     /// rebuilding any base table: O(delta) in the batch. Deleting a
     /// staged insert cancels it; deleting an absent pair (or a triple
-    /// naming unknown terms) is a no-op. The report counts real logical
-    /// change only, exactly like [`remove_triples`].
-    ///
-    /// [`remove_triples`]: TripleStore::remove_triples
+    /// naming unknown terms or predicates) is a no-op — such a triple
+    /// cannot be resident. The report counts real logical change only.
     ///
     /// # Panics
     /// Panics when called on an uncommitted store.
@@ -1115,15 +964,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_commit_merges() {
-        let mut store = TripleStore::new();
-        store.insert(t("a", "p", "b"));
-        store.commit();
-        assert_eq!(store.num_triples(), 1);
+    #[should_panic(expected = "insert() on a built store")]
+    fn insert_into_a_built_store_is_rejected() {
+        let mut store = TripleStore::from_triples(vec![t("a", "p", "b")]);
         store.insert(t("c", "p", "d"));
-        store.insert(t("a", "p", "b")); // dup with committed data
-        store.commit();
-        assert_eq!(store.num_triples(), 2);
     }
 
     #[test]
@@ -1156,61 +1000,6 @@ mod tests {
         let mut store = TripleStore::new();
         store.commit();
         assert_eq!(store.num_triples(), 0);
-        assert!(store.__invariant_check());
-    }
-
-    #[test]
-    fn add_triples_reports_only_real_change() {
-        let mut store = TripleStore::from_triples(vec![t("a", "p", "b")]);
-        let p = store.resolve_iri("p").unwrap();
-        // One duplicate, one new pair on p, one brand-new predicate.
-        let report = store.add_triples(vec![t("a", "p", "b"), t("c", "p", "d"), t("a", "q", "b")]);
-        let q = store.resolve_iri("q").unwrap();
-        assert_eq!(report.added, 2);
-        assert_eq!(report.removed, 0);
-        assert_eq!(report.changed_preds, {
-            let mut v = vec![p, q];
-            v.sort_unstable();
-            v
-        });
-        assert_eq!(store.num_triples(), 3);
-        assert!(store
-            .table_by_name("p")
-            .unwrap()
-            .contains(store.resolve_iri("c").unwrap(), store.resolve_iri("d").unwrap()));
-        assert!(store.__invariant_check());
-    }
-
-    #[test]
-    fn add_of_resident_triples_is_reported_empty() {
-        let mut store = TripleStore::from_triples(vec![t("a", "p", "b")]);
-        let report = store.add_triples(vec![t("a", "p", "b"), t("a", "p", "b")]);
-        assert!(report.is_empty());
-        assert_eq!((report.added, report.removed), (0, 0));
-        assert_eq!(store.num_triples(), 1);
-    }
-
-    #[test]
-    fn remove_triples_reports_and_keeps_empty_tables() {
-        let mut store =
-            TripleStore::from_triples(vec![t("a", "p", "b"), t("c", "p", "d"), t("a", "q", "b")]);
-        let p = store.resolve_iri("p").unwrap();
-        let report = store.remove_triples(vec![
-            t("a", "p", "b"),
-            t("a", "p", "b"),      // duplicate victim counts once
-            t("x", "p", "y"),      // absent terms: ignored
-            t("a", "nosuch", "b"), // unknown predicate: ignored
-        ]);
-        assert_eq!(report.removed, 1);
-        assert_eq!(report.added, 0);
-        assert_eq!(report.changed_preds, vec![p]);
-        assert_eq!(store.num_triples(), 2);
-        // Removing the rest of p empties but does not drop the table.
-        let report = store.remove_triples(vec![t("c", "p", "d")]);
-        assert_eq!(report.removed, 1);
-        let table = store.table_by_name("p").unwrap();
-        assert!(table.is_empty());
-        assert_eq!(store.stats().predicates, 2);
         assert!(store.__invariant_check());
     }
 
@@ -1300,27 +1089,6 @@ mod tests {
     }
 
     #[test]
-    fn eager_paths_fold_staged_deltas_first() {
-        let mut store = TripleStore::from_triples(vec![t("a", "p", "b")]);
-        store.stage_add_triples(vec![t("x", "p", "y")]);
-        // Eager add compacts first, then merges — nothing lost, no dups.
-        let report = store.add_triples(vec![t("x", "p", "y"), t("c", "p", "d")]);
-        assert_eq!(report.added, 1);
-        assert!(!store.has_deltas());
-        assert_eq!(store.num_triples(), 3);
-
-        store.stage_remove_triples(vec![t("a", "p", "b")]);
-        let report = store.remove_triples(vec![t("c", "p", "d")]);
-        assert_eq!(report.removed, 1);
-        assert!(!store.has_deltas());
-        assert_eq!(store.num_triples(), 1);
-        assert!(store
-            .table_by_name("p")
-            .unwrap()
-            .contains(store.resolve_iri("x").unwrap(), store.resolve_iri("y").unwrap()));
-    }
-
-    #[test]
     fn staged_store_clones_carry_their_deltas() {
         let mut store = TripleStore::from_triples(vec![t("a", "p", "b")]);
         store.stage_add_triples(vec![t("x", "p", "y")]);
@@ -1336,10 +1104,16 @@ mod tests {
     fn add_then_remove_roundtrips_to_original_contents() {
         let mut store = TripleStore::from_triples(vec![t("a", "p", "b")]);
         let before: Vec<_> = store.encoded_triples().collect();
-        store.add_triples(vec![t("x", "p", "y"), t("x", "r", "y")]);
-        store.remove_triples(vec![t("x", "p", "y"), t("x", "r", "y")]);
+        store.stage_add_triples(vec![t("x", "p", "y"), t("x", "r", "y")]);
+        store.compact_all();
+        store.stage_remove_triples(vec![t("x", "p", "y"), t("x", "r", "y")]);
+        store.compact_all();
         let after: Vec<_> = store.encoded_triples().collect();
         assert_eq!(before, after);
+        // The emptied table stays registered: predicate keys are stable.
+        assert!(store.table_by_name("r").unwrap().is_empty());
+        assert_eq!(store.stats().predicates, 2);
+        assert!(store.__invariant_check());
     }
 
     // ------------------------------------------------------ partitioning

@@ -20,8 +20,8 @@
 //! subject-hash shards the store is split into (omitted: `--data` builds
 //! unpartitioned, `--snapshot` keeps the image's partitioning).
 //! Snapshots load zero-copy by default — trie arenas serve straight from
-//! `mmap`ed page cache when the file is v3 and aligned, with an automatic
-//! (logged) fallback to the memory-load path otherwise; `--no-mmap`
+//! `mmap`ed page cache, with an automatic (logged) fallback to the
+//! memory-load path where the platform cannot map the file; `--no-mmap`
 //! forces the copy path. The server runs until killed; clients can
 //! persist the live store at any time with `SAVE <path>`.
 //!
@@ -36,7 +36,7 @@ use std::net::TcpListener;
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
-use eh_rdf::{parse_ntriples, TripleStore};
+use eh_rdf::{parse_ntriples, SnapshotError, TripleStore};
 use eh_srv::{serve, QueryService, ServiceConfig};
 use emptyheaded::{FsyncPolicy, PlannerConfig, SharedStore};
 
@@ -129,7 +129,13 @@ fn main() {
             QueryService::from_snapshot(path, config)
         }
         .unwrap_or_else(|e| {
-            eprintln!("failed to load snapshot {path}: {e}");
+            // An image of another format version is not corrupt, just
+            // not this build's: say how to get one that is.
+            let hint = match e {
+                SnapshotError::BadVersion(_) => "; rebuild it from --data and SAVE again",
+                _ => "",
+            };
+            eprintln!("failed to load snapshot {path}: {e}{hint}");
             std::process::exit(1);
         });
         let load = svc.engine().load_info().expect("snapshot-built engine records its load");

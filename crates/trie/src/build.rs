@@ -1,7 +1,14 @@
-//! Trie construction and navigation.
+//! The layout policy every trie build takes, and — for tests only — the
+//! mutable Vec-of-`Set` trie that is the oracle [`FrozenTrie`] is compared
+//! against (`frozen.rs` tests, `proptests.rs`). Nothing outside this
+//! crate's tests constructs one.
+//!
+//! [`FrozenTrie`]: crate::FrozenTrie
 
+#[cfg(test)]
 use eh_setops::{Layout, Set};
 
+#[cfg(test)]
 use crate::tuples::TupleBuffer;
 
 /// Which set layouts trie levels may use.
@@ -14,6 +21,7 @@ pub enum LayoutPolicy {
     UintOnly,
 }
 
+#[cfg(test)]
 #[derive(Debug, Clone)]
 struct Block {
     set: Set,
@@ -23,13 +31,15 @@ struct Block {
 }
 
 /// A materialised trie over fixed-arity tuples (paper §II-A, Figure 1).
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct Trie {
+pub(crate) struct Trie {
     arity: usize,
     levels: Vec<Vec<Block>>,
     num_tuples: usize,
 }
 
+#[cfg(test)]
 impl Trie {
     /// Build a trie from tuples (sorted + deduplicated internally).
     pub fn build(mut tuples: TupleBuffer, policy: LayoutPolicy) -> Trie {

@@ -35,7 +35,9 @@ use std::sync::Arc;
 
 use eh_setops::{decode_set, encode_sorted_into, validate_encoded_set, Layout, SetRef};
 
-use crate::build::{LayoutPolicy, Trie};
+use crate::build::LayoutPolicy;
+#[cfg(test)]
+use crate::build::Trie;
 use crate::tuples::TupleBuffer;
 
 /// A shared byte region a [`FrozenTrie`] arena may live inside — in
@@ -468,6 +470,7 @@ fn validate_parts(
     Ok(())
 }
 
+#[cfg(test)]
 impl Trie {
     /// Freeze this trie into its arena representation. The frozen trie is
     /// identical to [`FrozenTrie::from_sorted`] over the same tuples —

@@ -6,22 +6,22 @@
 //! attribute or column. Each level of the trie corresponds to an attribute
 //! or column of an input relation."
 //!
-//! A [`Trie`] is an arena of per-level blocks; each block is a
-//! [`eh_setops::Set`] (whose physical layout the set optimizer picks per
-//! block — or is forced to uint arrays for the Table I +Layout ablation via
-//! [`LayoutPolicy::UintOnly`]) plus the index of its first child block.
-//! Children of the `r`-th element of a block start at `child_base + r` on
-//! the next level.
+//! A [`FrozenTrie`] is one contiguous arena of per-level blocks; each
+//! block is an encoded set (whose physical layout the set optimizer picks
+//! per block — or is forced to uint arrays for the Table I +Layout
+//! ablation via [`LayoutPolicy::UintOnly`]) plus the index of its first
+//! child block. Children of the `r`-th element of a block start at
+//! `child_base + r` on the next level.
 //!
 //! ```
-//! use eh_trie::{Trie, TupleBuffer, LayoutPolicy};
+//! use eh_trie::{FrozenTrie, TupleBuffer, LayoutPolicy};
 //!
 //! // The paper's Figure 1 relation: subOrganizationOf after encoding.
 //! let mut t = TupleBuffer::new(2);
 //! t.push(&[0, 1]); // University0 -> Department0
 //! t.push(&[0, 2]); // University0 -> Department1
 //! t.push(&[3, 2]); // University1 -> Department1
-//! let trie = Trie::build(t, LayoutPolicy::Auto);
+//! let trie = FrozenTrie::build(t, LayoutPolicy::Auto);
 //! assert_eq!(trie.num_tuples(), 3);
 //! assert_eq!(trie.root_set().to_vec(), vec![0, 3]);
 //! // University0's departments:
@@ -34,7 +34,7 @@ mod frozen;
 mod overlay;
 mod tuples;
 
-pub use build::{LayoutPolicy, Trie};
+pub use build::LayoutPolicy;
 pub use frozen::{ArenaBytes, FrozenTrie};
 pub use overlay::DeltaOverlay;
 pub use tuples::TupleBuffer;
@@ -43,7 +43,6 @@ pub use tuples::TupleBuffer;
 // worker threads; keep that guarantee checked at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Trie>();
     assert_send_sync::<FrozenTrie>();
     assert_send_sync::<DeltaOverlay>();
     assert_send_sync::<TupleBuffer>();

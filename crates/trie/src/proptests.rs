@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-use crate::{FrozenTrie, LayoutPolicy, Trie, TupleBuffer};
+use crate::build::Trie;
+use crate::{FrozenTrie, LayoutPolicy, TupleBuffer};
 
 fn tuples(arity: usize) -> impl Strategy<Value = Vec<Vec<u32>>> {
     proptest::collection::vec(proptest::collection::vec(0u32..64, arity..=arity), 0..200)

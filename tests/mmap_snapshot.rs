@@ -5,9 +5,7 @@
 //! post-load updates — and two mapped engines sharing one file must stay
 //! independent under mutation.
 
-use wcoj_rdf::emptyheaded::{
-    Engine, LoadMode, OptFlags, PlannerConfig, SharedStore, StoreSnapshot, UpdateBatch,
-};
+use wcoj_rdf::emptyheaded::{Engine, LoadMode, OptFlags, PlannerConfig, SharedStore, UpdateBatch};
 use wcoj_rdf::lubm::queries::{lubm_query, lubm_sparql, QUERY_NUMBERS};
 use wcoj_rdf::lubm::{generate_store, GeneratorConfig};
 use wcoj_rdf::rdf::{Term, Triple};
@@ -165,22 +163,31 @@ fn two_mapped_services_share_one_file_and_stay_independent() {
     std::fs::remove_file(&path).ok();
 }
 
+/// An image has one encoding: saving a store, loading the image (copy
+/// and mmap) and saving again reproduces the file byte for byte — with
+/// staged deltas resident at the first save, so the fold inside `SAVE`
+/// is part of what must be canonical.
 #[test]
-fn v2_snapshot_mmap_request_falls_back_to_copy_with_reason() {
-    let store = generate_store(&GeneratorConfig::tiny(1));
-    let tries = StoreSnapshot::hot_tries(&store);
-    let mut bytes = Vec::new();
-    StoreSnapshot::write_v2(&store, &tries, &mut bytes).expect("v2 writes");
-    let path = temp_snapshot("v2-fallback");
-    std::fs::write(&path, &bytes).expect("v2 file writes");
+fn save_load_save_is_a_byte_fixed_point() {
+    for partitions in [1usize, 4] {
+        let live = Engine::with_config(generate_store(&GeneratorConfig::tiny(1)), config(2));
+        live.repartition(partitions);
+        live.update(batch());
+        assert!(live.store().has_deltas(), "P={partitions}: the batch must stay staged");
+        let first = temp_snapshot(&format!("fixed-point-p{partitions}"));
+        live.save_snapshot(&first).expect("first save");
+        let image = std::fs::read(&first).expect("first image reads");
 
-    let copied = Engine::from_snapshot(&path, config(2)).expect("copy load");
-    let mapped = Engine::from_snapshot_mmap(&path, config(2)).expect("mmap request loads");
-    std::fs::remove_file(&path).ok();
-    let load = mapped.load_info().expect("loaded engine records its load");
-    assert_eq!(load.mode, LoadMode::Copy);
-    assert_eq!(load.mapped_bytes, 0);
-    let reason = load.fallback.expect("fallback reason recorded");
-    assert!(reason.contains("v2"), "{reason}");
-    assert_lubm_equal(&copied, &mapped, "v2 fallback");
+        let again = temp_snapshot(&format!("fixed-point-p{partitions}-again"));
+        let copied = Engine::from_snapshot(&first, config(2)).expect("copy load");
+        let mapped = Engine::from_snapshot_mmap(&first, config(2)).expect("mmap load");
+        assert_eq!(mapped.load_info().expect("load recorded").mode, LoadMode::Mmap);
+        for (engine, mode) in [(&copied, "copy"), (&mapped, "mmap")] {
+            engine.save_snapshot(&again).expect("second save");
+            let resaved = std::fs::read(&again).expect("second image reads");
+            assert!(resaved == image, "P={partitions} {mode}: re-saved image differs");
+        }
+        std::fs::remove_file(&first).ok();
+        std::fs::remove_file(&again).ok();
+    }
 }

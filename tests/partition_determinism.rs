@@ -7,6 +7,8 @@
 //! (subject-rooted plans) or through union operands in the multiway
 //! driver.
 
+use std::collections::HashSet;
+
 use wcoj_rdf::emptyheaded::{
     Engine, OptFlags, PlannerConfig, QueryResult, RuntimeConfig, SharedStore, UpdateBatch,
 };
@@ -99,21 +101,42 @@ fn shard_local_and_union_paths_are_partition_deterministic() {
     }
 }
 
+/// A cold `P = 1` store bulk-built from a set-of-triples model — no
+/// staging, no compaction. Raw result bytes are only comparable when
+/// term ids agree, so the dictionary is seeded first with every triple
+/// the engines have seen, in the order they saw them (`insert` and
+/// `stage_add_triples` both encode subject, predicate, object per
+/// triple; deletes never grow the dictionary).
+fn model_store(seen: &[Triple], model: &HashSet<Triple>) -> TripleStore {
+    let mut store = TripleStore::new();
+    for t in seen {
+        for term in [&t.s, &t.p, &t.o] {
+            store.encode_term(term);
+        }
+    }
+    for t in model {
+        store.insert(t.clone());
+    }
+    store.commit();
+    store
+}
+
 /// Interleaved updates: the same batch script applied to engines at
 /// every partition count must keep answers byte-identical to a *cold*
-/// P = 1 engine rebuilt from the post-update triple set after every
-/// step — through staged overlays, an explicit mid-script COMPACT, and
-/// the cached repeat of each answer.
+/// P = 1 engine bulk-built from a set-of-triples model of the
+/// post-update contents after every step — through staged overlays, an
+/// explicit mid-script COMPACT, and the cached repeat of each answer.
 #[test]
 fn interleaved_updates_stay_byte_identical_across_partitions() {
-    let base = TripleStore::from_triples(vec![
+    let base_triples = vec![
         t("a", "edge", "b"),
         t("b", "edge", "c"),
         t("a", "edge", "c"),
         t("c", "edge", "d"),
         t("a", "kind", "thing"),
         t("b", "kind", "thing"),
-    ]);
+    ];
+    let base = TripleStore::from_triples(base_triples.clone());
     // (inserts, deletes) per step; every engine sees the same script, so
     // dictionaries (and thus raw ids) stay aligned across all of them.
     let steps: Vec<(Vec<Triple>, Vec<Triple>)> = vec![
@@ -127,13 +150,17 @@ fn interleaved_updates_stay_byte_identical_across_partitions() {
     for threads in [1usize, 4] {
         let engines: Vec<Engine> =
             PARTITIONS.iter().map(|&p| engine(partitioned(&base, p), threads)).collect();
-        let mut ref_store = base.clone();
+        let mut seen = base_triples.clone();
+        let mut model: HashSet<Triple> = base_triples.iter().cloned().collect();
         for (step, (inserts, deletes)) in steps.iter().enumerate() {
             // Engine batches delete first, then insert (SPARQL Update
-            // convention) — mirror that order in the eager reference.
-            ref_store.remove_triples(deletes.clone());
-            ref_store.add_triples(inserts.clone());
-            let cold = Engine::new(SharedStore::new(ref_store.clone()), OptFlags::all());
+            // convention) — mirror that order in the model.
+            for t in deletes {
+                model.remove(t);
+            }
+            model.extend(inserts.iter().cloned());
+            seen.extend(inserts.iter().cloned());
+            let cold = Engine::new(SharedStore::new(model_store(&seen, &model)), OptFlags::all());
             for (e, &p) in engines.iter().zip(PARTITIONS.iter()) {
                 let mut batch = UpdateBatch::new();
                 batch.inserts = inserts.clone();

@@ -589,13 +589,20 @@ fn kill_matrix_save_and_truncate_points_recover_idempotently() {
     }
 }
 
-/// SAVE racing a live writer (the satellite-2 regression): the WAL
-/// sequence is captured under the wal lock in the same bracket as the
-/// store clone, so a record is truncated iff it is in the image. If SAVE
-/// ever truncated a record the clone missed, recovery here would lose an
-/// acknowledged batch and the byte-compare would catch it.
+/// Concurrent SAVEs racing a live writer: the WAL sequence is captured
+/// under the wal lock in the same bracket as the store clone, so a record
+/// is truncated iff it is in the image — and saves run one at a time from
+/// clone to truncation, so the image on disk and the log's base sequence
+/// advance together. If a save that captured an older sequence could
+/// rename its image over a newer one whose save already truncated the
+/// log (or trip the log's monotonic-truncation assert and poison the wal
+/// mutex), recovery here would lose an acknowledged batch or the writer
+/// would panic. Several savers share one path, so they would also share
+/// a temp file if its name were not unique per save.
 #[test]
 fn save_racing_a_writer_loses_no_acknowledged_batch() {
+    const SAVERS: usize = 3;
+    const BATCHES: usize = 400;
     let wal = matrix_temp("race", "wal");
     let snap = matrix_temp("race", "snap");
     std::fs::remove_file(&wal).ok();
@@ -604,28 +611,57 @@ fn save_racing_a_writer_loses_no_acknowledged_batch() {
     let mut engine = matrix_engine(2, 1);
     engine.open_wal(&wal).unwrap();
     let engine = engine;
+    let done = AtomicBool::new(false);
+    let start = std::sync::Barrier::new(SAVERS + 1);
     std::thread::scope(|scope| {
-        let writer = scope.spawn(|| {
-            for k in 0..40 {
-                engine.update(matrix_batch(k));
-            }
-        });
-        // SAVEs interleave with the writer's appends; each captures
-        // whatever prefix the clone saw and truncates exactly that.
-        for _ in 0..8 {
-            engine.save_snapshot(&snap).unwrap();
-            std::thread::yield_now();
+        // Each SAVE captures whatever prefix its clone saw and truncates
+        // exactly that; the savers keep going until the writer is done, so
+        // every append lands between some pair of overlapping saves.
+        let savers: Vec<_> = (0..SAVERS)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    let mut saves = 0usize;
+                    while !done.load(Ordering::SeqCst) {
+                        engine.save_snapshot(&snap).unwrap();
+                        saves += 1;
+                    }
+                    saves
+                })
+            })
+            .collect();
+        start.wait();
+        for k in 0..BATCHES {
+            engine.update(matrix_batch(k));
         }
-        writer.join().unwrap();
+        done.store(true, Ordering::SeqCst);
+        for saver in savers {
+            assert!(saver.join().expect("a saver panicked") > 0);
+        }
     });
-    assert_eq!(engine.wal_status().unwrap().seq, 40);
+    assert_eq!(engine.wal_status().unwrap().seq, BATCHES as u64);
 
     // Recover from the last image + the log tail: every acknowledged
-    // batch must be there.
+    // batch must be there, and nothing else.
     let mut recovered =
         Engine::from_snapshot(&snap, PlannerConfig::with_flags(OptFlags::all())).unwrap();
     recovered.open_wal(&wal).unwrap();
-    assert_answers_match(&recovered, &engine, "save racing writer");
+    assert_answers_match(&recovered, &engine, "saves racing writer");
+    let triples = |e: &Engine| -> Vec<String> {
+        let store = e.store();
+        let mut v: Vec<String> =
+            store.encoded_triples().map(|t| format!("{:?}", store.decode_triple(t))).collect();
+        v.sort_unstable();
+        v
+    };
+    assert_eq!(triples(&recovered), triples(&engine), "recovered store differs from live");
+    let litter = std::fs::read_dir(std::env::temp_dir())
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("eh-kill-race-") && name.contains(".snap.tmp."))
+        .count();
+    assert_eq!(litter, 0, "temp images left behind");
     std::fs::remove_file(&wal).ok();
     std::fs::remove_file(&snap).ok();
 }
