@@ -82,9 +82,7 @@ impl HarnessArgs {
 
 /// Deterministic pseudo-random sorted value set: `n` strictly increasing
 /// `u32`s with average stride `(1 + max_stride) / 2` (larger stride =
-/// sparser set). Shared by the setops criterion bench and the
-/// `setops_kernels` gate harness so the locally-benchmarked workloads
-/// and the CI-gated ones come from one generator.
+/// sparser set). The setops criterion bench's workload generator.
 pub fn synth_set(n: usize, max_stride: u32, seed: u64) -> Vec<u32> {
     let mut state = seed | 1;
     let mut v = 0u32;

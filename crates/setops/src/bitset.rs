@@ -1,158 +1,14 @@
-//! Word-aligned bitset layout (paper §II-A2).
-
-use crate::view::BitsRef;
-
-/// A set of `u32` values stored as an uncompressed bitset over **32-bit
-/// words**, so the payload is representable inside the `u32`-aligned
-/// frozen arenas ([`SetRef`](crate::SetRef) borrows the words directly).
-///
-/// The bitset covers the word-aligned range `[32*base_word, 32*(base_word +
-/// words.len()))`; values below or above that range are simply absent. This
-/// offset representation keeps dense clusters far from zero compact, which
-/// matters for dictionary-encoded RDF data where each predicate's ids are
-/// clustered.
-///
-/// Membership is `O(1)` — the constant-time equality-selection probe the
-/// paper's +Layout optimization relies on (§III-A).
-///
-/// Every read operation (membership, rank, iteration, intersection)
-/// delegates to the borrowed [`BitsRef`] view, so owned and frozen bitsets
-/// execute through one code path.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BitSet {
-    base_word: u32,
-    words: Box<[u32]>,
-    /// Rank directory: `ranks[i]` = number of set bits in `words[..i]`.
-    /// Makes [`BitSet::rank`] O(1) — tries call rank per descend, so a
-    /// scan here would make trie iteration quadratic.
-    ranks: Box<[u32]>,
-    len: usize,
-}
+//! Bitset payload words (paper §II-A2): a `TAG_BITSET` block stores an
+//! uncompressed bitset over **32-bit words**, covering the word-aligned
+//! range `[32*base_word, 32*(base_word + words.len()))`. The offset keeps
+//! dense clusters far from zero compact, which matters for dictionary-
+//! encoded RDF data where each predicate's ids are clustered.
 
 /// Bits per payload word.
 pub(crate) const WORD_BITS: u32 = 32;
 
-impl BitSet {
-    /// Build from a sorted, duplicate-free slice.
-    pub fn from_sorted(values: &[u32]) -> Self {
-        debug_assert!(values.windows(2).all(|w| w[0] < w[1]), "input must be strictly increasing");
-        if values.is_empty() {
-            return BitSet::default();
-        }
-        let base_word = values[0] / WORD_BITS;
-        let last_word = values[values.len() - 1] / WORD_BITS;
-        let mut words = vec![0u32; (last_word - base_word + 1) as usize];
-        for &v in values {
-            let w = (v / WORD_BITS - base_word) as usize;
-            words[w] |= 1u32 << (v % WORD_BITS);
-        }
-        Self::from_words(base_word, words, values.len())
-    }
-
-    /// Adopt pre-computed parts (payload copy, no rank recomputation) —
-    /// the materialisation path of [`SetRef::to_set`](crate::SetRef).
-    pub(crate) fn from_raw(base_word: u32, words: Vec<u32>, ranks: Vec<u32>, len: usize) -> Self {
-        debug_assert_eq!(ranks, rank_directory(&words));
-        BitSet { base_word, words: words.into_boxed_slice(), ranks: ranks.into_boxed_slice(), len }
-    }
-
-    pub(crate) fn from_words(base_word: u32, words: Vec<u32>, len: usize) -> Self {
-        let ranks = rank_directory(&words);
-        debug_assert_eq!(
-            ranks.last().map_or(0, |&r| r as usize)
-                + words.last().map_or(0, |w| w.count_ones() as usize),
-            len
-        );
-        BitSet { base_word, words: words.into_boxed_slice(), ranks: ranks.into_boxed_slice(), len }
-    }
-
-    /// Borrow this bitset as the layout-shared view all kernels run on.
-    #[inline]
-    pub fn as_bits_ref(&self) -> BitsRef<'_> {
-        BitsRef::new(self.base_word, &self.words, &self.ranks, self.len as u32)
-    }
-
-    /// Rank of `v`: its index in sorted order, if present. O(1) via the
-    /// rank directory.
-    pub fn rank(&self, v: u32) -> Option<usize> {
-        self.as_bits_ref().rank(v)
-    }
-
-    /// Number of elements (cached popcount).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the set has no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Constant-time membership probe.
-    #[inline]
-    pub fn contains(&self, v: u32) -> bool {
-        self.as_bits_ref().contains(v)
-    }
-
-    /// First word index covered by this bitset.
-    #[cfg(test)]
-    pub(crate) fn base_word(&self) -> u32 {
-        self.base_word
-    }
-
-    /// Backing words.
-    #[cfg(test)]
-    pub(crate) fn words(&self) -> &[u32] {
-        &self.words
-    }
-
-    /// Smallest element.
-    pub fn min(&self) -> Option<u32> {
-        self.as_bits_ref().min()
-    }
-
-    /// Largest element.
-    pub fn max(&self) -> Option<u32> {
-        self.as_bits_ref().max()
-    }
-
-    /// Iterate elements in increasing order.
-    pub fn iter(&self) -> BitIter<'_> {
-        self.as_bits_ref().iter()
-    }
-
-    /// Memory footprint of the payload in bytes.
-    pub fn bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u32>()
-    }
-
-    /// Word-wise AND intersection with another bitset, producing a new
-    /// bitset over the overlapping word range.
-    pub fn intersect_bitset(&self, other: &BitSet) -> BitSet {
-        crate::view::intersect_bits(self.as_bits_ref(), other.as_bits_ref())
-    }
-
-    /// Count of the word-wise AND without materialising the result.
-    pub fn intersect_bitset_count(&self, other: &BitSet) -> usize {
-        self.as_bits_ref().intersect_count(other.as_bits_ref())
-    }
-}
-
-/// The rank directory for a word slice: prefix popcounts.
-pub(crate) fn rank_directory(words: &[u32]) -> Vec<u32> {
-    let mut ranks = Vec::with_capacity(words.len());
-    let mut acc = 0u32;
-    for w in words {
-        ranks.push(acc);
-        acc += w.count_ones();
-    }
-    ranks
-}
-
-/// Iterator over the elements of a bitset in increasing order, shared by
-/// the owned [`BitSet`] and borrowed [`BitsRef`] representations.
+/// Iterator over the elements of a [`BitsRef`](crate::BitsRef) in
+/// increasing order.
 pub struct BitIter<'a> {
     pub(crate) words: &'a [u32],
     pub(crate) base_word: u32,
@@ -184,95 +40,3 @@ impl Iterator for BitIter<'_> {
 }
 
 impl ExactSizeIterator for BitIter<'_> {}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip() {
-        let vals = [0u32, 1, 31, 32, 65, 1000];
-        let b = BitSet::from_sorted(&vals);
-        assert_eq!(b.len(), vals.len());
-        assert_eq!(b.iter().collect::<Vec<_>>(), vals);
-    }
-
-    #[test]
-    fn contains_in_and_out_of_range() {
-        let b = BitSet::from_sorted(&[128, 130, 200]);
-        assert!(b.contains(130));
-        assert!(!b.contains(129));
-        assert!(!b.contains(0)); // below base word
-        assert!(!b.contains(100_000)); // above extent
-    }
-
-    #[test]
-    fn offset_base_is_compact() {
-        let b = BitSet::from_sorted(&[6400, 6401]);
-        assert_eq!(b.base_word(), 200);
-        assert_eq!(b.words().len(), 1);
-    }
-
-    #[test]
-    fn min_max() {
-        let b = BitSet::from_sorted(&[65, 128, 129, 513]);
-        assert_eq!(b.min(), Some(65));
-        assert_eq!(b.max(), Some(513));
-        assert_eq!(BitSet::default().min(), None);
-    }
-
-    #[test]
-    fn rank_agrees_with_iteration_order() {
-        let vals = [3u32, 31, 32, 33, 95, 96, 300];
-        let b = BitSet::from_sorted(&vals);
-        for (i, &v) in vals.iter().enumerate() {
-            assert_eq!(b.rank(v), Some(i), "rank of {v}");
-        }
-        assert_eq!(b.rank(4), None);
-        assert_eq!(b.rank(0), None);
-    }
-
-    #[test]
-    fn intersect_overlapping() {
-        let a = BitSet::from_sorted(&[1, 2, 3, 64, 65]);
-        let b = BitSet::from_sorted(&[2, 64, 66, 700]);
-        let c = a.intersect_bitset(&b);
-        assert_eq!(c.iter().collect::<Vec<_>>(), vec![2, 64]);
-        assert_eq!(c.len(), 2);
-        assert_eq!(a.intersect_bitset_count(&b), 2);
-    }
-
-    #[test]
-    fn intersect_disjoint_ranges() {
-        let a = BitSet::from_sorted(&[1, 2]);
-        let b = BitSet::from_sorted(&[1000, 2000]);
-        assert!(a.intersect_bitset(&b).is_empty());
-        assert_eq!(a.intersect_bitset_count(&b), 0);
-    }
-
-    #[test]
-    fn intersect_trims_result_extent() {
-        let a = BitSet::from_sorted(&[0, 640]);
-        let b = BitSet::from_sorted(&[640, 1000]);
-        let c = a.intersect_bitset(&b);
-        assert_eq!(c.iter().collect::<Vec<_>>(), vec![640]);
-        assert_eq!(c.base_word(), 20);
-        assert_eq!(c.words().len(), 1);
-    }
-
-    #[test]
-    fn empty_bitset() {
-        let b = BitSet::from_sorted(&[]);
-        assert!(b.is_empty());
-        assert_eq!(b.iter().count(), 0);
-        assert!(!b.contains(0));
-    }
-
-    #[test]
-    fn iter_size_hint_is_exact() {
-        let b = BitSet::from_sorted(&[3, 9, 300]);
-        let it = b.iter();
-        assert_eq!(it.size_hint(), (3, Some(3)));
-        assert_eq!(it.len(), 3);
-    }
-}

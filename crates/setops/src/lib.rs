@@ -1,111 +1,78 @@
 //! # eh-setops
 //!
-//! Set layouts and layout-aware set operations for the worst-case optimal
-//! join engine, reproducing §II-A2 and §III-A of Aberger et al. (ICDE 2016).
+//! Sets of 32-bit dictionary-encoded values in two layouts, and the
+//! layout-aware operations the worst-case optimal join engine runs on
+//! them, reproducing §II-A2 and §III-A of Aberger et al. (ICDE 2016).
 //!
-//! EmptyHeaded stores every trie level as a set of 32-bit dictionary-encoded
-//! values in one of two layouts:
+//! EmptyHeaded stores every trie level as a set in one of two layouts.
+//! Here a set has **one representation**: a block of `u32` words inside
+//! an arena, written by [`encode_sorted_into`] and read in place through
+//! the borrowed [`SetRef`] view that [`decode_set`] returns —
 //!
-//! * [`UintSet`] — a sorted array of unique `u32` values. Membership is
+//! * **uint** — a sorted array of unique `u32` values. Membership is
 //!   `O(log n)` binary search; intersection is merge- or galloping-based.
-//! * [`BitSet`] — an uncompressed bitset over 32-bit words, offset by the
-//!   word index of the minimum element. Membership is `O(1)`; intersection
-//!   is word-wise `AND`.
+//! * **bitset** — an uncompressed bitset over 32-bit words, offset by the
+//!   word index of the minimum element, with its rank directory.
+//!   Membership and rank are `O(1)`; intersection is word-wise `AND`.
 //!
-//! The [`choose_layout`] optimizer picks the bitset "when more than one out
-//! of every 256 values appears in the set" (paper footnote 1: 256 is the
-//! bit-width of an AVX register), else the uint array. The paper reports
-//! that mixing layouts yields up to an 8.22× speedup on selective queries
-//! (Table I, +Layout) — `crates/bench` reproduces that ablation.
+//! The encoder picks the bitset "when more than one out of every 256
+//! values appears in the set" (paper footnote 1: 256 is the bit-width of
+//! an AVX register), else the uint array, unless the caller forces a
+//! [`Layout`]. The paper reports that mixing layouts yields up to an
+//! 8.22× speedup on selective queries (Table I, +Layout) — `crates/bench`
+//! reproduces that ablation.
 //!
 //! Intersections dispatch along two axes (the "old techniques" of §IV):
 //!
 //! * **instruction set** — runtime-detected SSE/AVX2 kernels with a
 //!   proptest-pinned byte-identical portable fallback (`simd` module,
 //!   `EH_SIMD` override);
-//! * **operand shape** — the multiway driver picks word-`AND` /
-//!   probe-smallest / vectorized-fold per the [`choose_multiway`] cost
-//!   model, writes into caller-provided [`IntersectScratch`] buffers
-//!   (zero allocation in Generic-Join's inner loop), and serves COUNT /
-//!   EXISTS shapes without materialising anything
-//!   ([`intersect_count_all_refs`], [`intersects_all_refs`]).
+//! * **operand shape** — the multiway driver ([`intersect_all_into`])
+//!   picks word-`AND` / probe-smallest / vectorized-fold from an operand
+//!   census ([`MultiwayKernel`]) and writes into caller-provided
+//!   [`IntersectScratch`] buffers (zero allocation in Generic-Join's
+//!   inner loop); [`intersects_all_refs`] answers EXISTS shapes on the
+//!   same census without materialising anything.
 //!
 //! ```
-//! use eh_setops::{Set, Layout};
+//! use eh_setops::{decode_set, encode_sorted_into, intersect_all_into, IntersectScratch, Layout};
 //!
-//! let dense = Set::from_sorted(&(0..512).collect::<Vec<u32>>());
-//! let sparse = Set::from_sorted(&[3, 300, 100_000]);
+//! // Two sets encoded back to back into one arena.
+//! let mut arena = Vec::new();
+//! let dense_len = encode_sorted_into(&(0..512).collect::<Vec<u32>>(), None, &mut arena);
+//! encode_sorted_into(&[3, 300, 100_000], None, &mut arena);
+//! let (dense, _) = decode_set(&arena);
+//! let (sparse, _) = decode_set(&arena[dense_len..]);
 //! assert_eq!(dense.layout(), Layout::Bitset);
 //! assert_eq!(sparse.layout(), Layout::UintArray);
-//! let both = dense.intersect(&sparse);
-//! assert_eq!(both.iter().collect::<Vec<_>>(), vec![3, 300]);
+//! assert!(dense.contains(300) && sparse.rank(300) == Some(1));
+//!
+//! let mut scratch = IntersectScratch::new();
+//! assert_eq!(intersect_all_into(&[dense, sparse], &mut scratch), &[3, 300]);
 //! ```
 
 mod bitset;
-mod intersect;
 mod multiway;
 mod optimizer;
-mod set;
+mod overlay;
 mod simd;
 mod uint;
-mod union;
 mod view;
 
-pub use bitset::BitSet;
-pub use intersect::{
-    intersect, intersect_all, intersect_all_refs, intersect_count, intersect_count_all,
-    intersect_count_refs, intersect_refs, intersects, intersects_refs,
-};
-pub use multiway::{
-    choose_for, intersect_all_into, intersect_all_refs_fold, intersect_count_all_refs,
-    intersects_all_refs, IntersectScratch,
-};
-pub use optimizer::{
-    choose_layout, choose_multiway, choose_uint_strategy, Layout, MultiwayKernel, UintStrategy,
-    DENSITY_THRESHOLD, GALLOP_SKEW, MULTIWAY_PROBE_SKEW,
-};
-pub use set::{Set, SetIter};
-pub use simd::{
-    and_words_k_any, and_words_k_count, and_words_k_count_with, and_words_k_into,
-    and_words_k_into_with, available_levels, detected_level, intersect_merge_count_v_with,
-    intersect_merge_v_with, simd_level, SimdLevel,
-};
-pub use uint::UintSet;
-pub use union::{difference, overlay_merge_into, union};
-pub use view::{
-    decode_set, encode_set_into, encode_sorted_into, validate_encoded_set, BitsRef, SetRef,
-    SetRefIter, TAG_BITSET, TAG_UINT,
-};
+pub use multiway::{intersect_all_into, intersects_all_refs, IntersectScratch};
+pub use optimizer::{Layout, MultiwayKernel};
+pub use overlay::overlay_merge_into;
+pub use view::{decode_set, encode_sorted_into, validate_encoded_set, BitsRef, SetRef, SetRefIter};
 
 /// Test-only bookkeeping, compiled under `cfg(test)` or the `instrument`
 /// feature (which downstream crates enable from *dev*-dependencies only,
-/// so it never reaches a release build):
-///
-/// * a thread-local counter of intermediate `Set` materialisations, used
-///   to pin the COUNT/EXISTS and scratch-driver paths as allocation-free
-///   (they must never mint a `Set`);
-/// * process-global tallies of which [`MultiwayKernel`] the driver ran,
-///   the ground truth that `QueryProfile`'s per-depth kernel counts are
-///   checked against.
+/// so it never reaches a release build): process-global tallies of which
+/// [`MultiwayKernel`] the driver ran, the ground truth that
+/// `QueryProfile`'s per-depth kernel counts are checked against.
 #[cfg(any(test, feature = "instrument"))]
 pub mod instrument {
     use crate::optimizer::MultiwayKernel;
-    use std::cell::Cell;
     use std::sync::atomic::{AtomicU64, Ordering};
-
-    thread_local! {
-        static SET_BUILDS: Cell<usize> = const { Cell::new(0) };
-    }
-
-    /// Record one `Set` materialisation on this thread.
-    pub fn note_materialization() {
-        SET_BUILDS.with(|c| c.set(c.get() + 1));
-    }
-
-    /// Materialisations recorded on this thread so far.
-    pub fn materializations() -> usize {
-        SET_BUILDS.with(|c| c.get())
-    }
 
     static KERNEL_COUNTS: [AtomicU64; 3] =
         [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
@@ -145,3 +112,5 @@ pub mod instrument {
 
 #[cfg(test)]
 mod proptests;
+#[cfg(test)]
+mod testing;

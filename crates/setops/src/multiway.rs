@@ -1,11 +1,10 @@
 //! The adaptive k-way intersection driver — Generic-Join's hottest loop.
 //!
 //! Every unselected attribute of a worst-case optimal join binds to the
-//! multiway intersection of its participants' current trie sets. The
-//! pre-adaptive implementation folded pairwise and minted a fresh
-//! [`Set`] per operand — allocation plus layout re-encoding in the inner
-//! loop, exactly the costs the paper's §IV kernels engineer away. This
-//! module replaces the fold with:
+//! multiway intersection of its participants' current trie sets, each a
+//! [`SetRef`] view decoded in place from an arena. A pairwise fold would
+//! allocate an intermediate per operand in the inner loop — exactly the
+//! costs the paper's §IV kernels engineer away — so the driver has:
 //!
 //! * **kernel selection** by the [`choose_multiway`] cost model
 //!   (operand census → [`MultiwayKernel`]):
@@ -18,18 +17,15 @@
 //! * **caller-provided scratch** ([`IntersectScratch`]) so the steady
 //!   state performs zero heap allocation per intersection — the join
 //!   executor keeps one scratch per depth per morsel;
-//! * **non-materializing COUNT / EXISTS paths**
-//!   ([`intersect_count_all_refs`], [`intersects_all_refs`]) that never
-//!   build a `Set` or touch a buffer at all.
+//! * an **EXISTS path** ([`intersects_all_refs`]) on the same census that
+//!   stops at the first witness and touches no buffer at all.
 //!
 //! All kernels produce the identical sorted value sequence (pinned
-//! against the pairwise fold by proptest), so parallel/sequential
+//! against a scalar pairwise fold by proptest), so parallel/sequential
 //! byte-identity of join results is preserved.
 
-use crate::intersect::{intersect_count_refs, intersects_refs};
 use crate::optimizer::{choose_multiway, MultiwayKernel};
-use crate::set::Set;
-use crate::simd::{and_words_k_any, and_words_k_count, and_words_k_into};
+use crate::simd::{and_words_k_any, and_words_k_into};
 use crate::uint::{gallop_seek, intersect_uint};
 use crate::view::SetRef;
 
@@ -97,23 +93,6 @@ pub fn intersect_all_into<'s>(sets: &[SetRef<'_>], scratch: &'s mut IntersectScr
         _ => drive(sets, scratch),
     }
     &scratch.out
-}
-
-/// The kernel the driver would dispatch for `sets`, or `None` when it
-/// short-circuits without running one (arity < 2 or an empty smallest
-/// operand). This is the same census + [`choose_multiway`] the driver
-/// itself performs — exposed so profiling and tests can predict kernel
-/// choices without driving an intersection.
-pub fn choose_for(sets: &[SetRef<'_>]) -> Option<MultiwayKernel> {
-    if sets.len() < 2 {
-        return None;
-    }
-    let (smallest, largest, num_bits) = census(sets);
-    let smallest_len = sets[smallest].len();
-    if smallest_len == 0 {
-        return None;
-    }
-    Some(choose_multiway(smallest_len, largest, num_bits, sets.len()))
 }
 
 /// Operand census: index of the smallest operand, largest cardinality,
@@ -222,9 +201,9 @@ fn word_and_into(sets: &[SetRef<'_>], scratch: &mut IntersectScratch) {
 /// returns `false` to stop early; the driver also stops as soon as any
 /// uint cursor runs off its slice (no further value can match).
 ///
-/// The single source of the cursor-advance rules — the materialising,
-/// counting, and existence kernels below differ only in their sink and
-/// monomorphize to the same tight loop.
+/// The single source of the cursor-advance rules — the materialising
+/// and existence kernels below differ only in their sink and monomorphize
+/// to the same tight loop.
 fn probe_smallest(sets: &[SetRef<'_>], smallest: usize, sink: &mut impl FnMut(u32) -> bool) {
     let mut inline_cursors = [0usize; INLINE_K];
     let mut heap_cursors: Vec<usize>;
@@ -271,15 +250,6 @@ fn probe_smallest_into(sets: &[SetRef<'_>], smallest: usize, out: &mut Vec<u32>)
     });
 }
 
-fn probe_smallest_count(sets: &[SetRef<'_>], smallest: usize) -> usize {
-    let mut n = 0usize;
-    probe_smallest(sets, smallest, &mut |_| {
-        n += 1;
-        true
-    });
-    n
-}
-
 fn probe_smallest_any(sets: &[SetRef<'_>], smallest: usize) -> bool {
     let mut found = false;
     probe_smallest(sets, smallest, &mut |_| {
@@ -290,8 +260,8 @@ fn probe_smallest_any(sets: &[SetRef<'_>], smallest: usize) -> bool {
 }
 
 /// Pairwise vectorized merges, smallest operands first, ping-ponging
-/// between the scratch `out`/`tmp` buffers — no `Set` is ever minted.
-/// All operands are uint arrays (guaranteed by [`choose_multiway`]).
+/// between the scratch `out`/`tmp` buffers. All operands are uint arrays
+/// (guaranteed by [`choose_multiway`]).
 fn fold_merge_into(sets: &[SetRef<'_>], scratch: &mut IntersectScratch) {
     let mut inline_order: [(usize, usize); INLINE_K] = [(0, 0); INLINE_K];
     let mut heap_order: Vec<(usize, usize)>;
@@ -320,36 +290,14 @@ fn fold_merge_into(sets: &[SetRef<'_>], scratch: &mut IntersectScratch) {
     }
 }
 
-/// Cardinality of a multiway intersection **without materialising
-/// anything** — no intermediate `Set`, no scratch buffer. The COUNT path
-/// for aggregate-shaped queries.
-pub fn intersect_count_all_refs(sets: &[SetRef<'_>]) -> usize {
-    match sets.len() {
-        0 => 0,
-        1 => sets[0].len(),
-        2 => intersect_count_refs(sets[0], sets[1]),
-        _ => {
-            let (smallest, _, num_bits) = census(sets);
-            if sets[smallest].is_empty() {
-                return 0;
-            }
-            if num_bits == sets.len() {
-                return with_bit_windows(sets, 0, |_, windows| and_words_k_count(windows));
-            }
-            probe_smallest_count(sets, smallest)
-        }
-    }
-}
-
 /// True when the multiway intersection is non-empty, with early exit and
 /// zero materialisation — the EXISTS path Generic-Join's trailing
 /// existence checks use. An empty `sets` returns `false`, mirroring
-/// [`intersect_count_all_refs`] (`count > 0 ⟺ intersects`).
+/// [`intersect_all_into`] (no universe to return).
 pub fn intersects_all_refs(sets: &[SetRef<'_>]) -> bool {
     match sets.len() {
         0 => false,
         1 => !sets[0].is_empty(),
-        2 => intersects_refs(sets[0], sets[1]),
         _ => {
             let (smallest, _, num_bits) = census(sets);
             if sets[smallest].is_empty() {
@@ -363,155 +311,21 @@ pub fn intersects_all_refs(sets: &[SetRef<'_>]) -> bool {
     }
 }
 
-/// The pre-adaptive reference: pairwise fold materialising a [`Set`] per
-/// operand, smallest first, using the **pre-SIMD scalar kernels**
-/// (element-wise merge with the old gallop ratio of 32, scalar word
-/// `AND`). Kept verbatim as (a) the semantic baseline the adaptive
-/// driver is proptest-pinned against — deliberately sharing no code with
-/// the kernels under test — and (b) the "before" side of the
-/// `setops_kernels` microbench and its CI speedup gate. Production code
-/// routes through [`intersect_all_into`].
-#[doc(hidden)]
-pub fn intersect_all_refs_fold(sets: &[SetRef<'_>]) -> Option<Set> {
-    match sets.len() {
-        0 => None,
-        1 => Some(sets[0].to_set()),
-        _ => {
-            let mut order: Vec<SetRef<'_>> = sets.to_vec();
-            order.sort_by_key(|s| s.len());
-            let mut acc = fold_reference::intersect_refs_scalar(order[0], order[1]);
-            for s in &order[2..] {
-                if acc.is_empty() {
-                    break;
-                }
-                acc = fold_reference::intersect_refs_scalar(acc.as_ref(), *s);
-            }
-            Some(acc)
-        }
-    }
-}
-
-/// The pre-PR pairwise kernels, preserved for [`intersect_all_refs_fold`].
-mod fold_reference {
-    use crate::bitset::BitSet;
-    use crate::set::Set;
-    use crate::uint::UintSet;
-    use crate::view::{BitsRef, SetRef};
-
-    /// The pre-SIMD gallop crossover.
-    const GALLOP_RATIO: usize = 32;
-
-    pub(super) fn intersect_refs_scalar(a: SetRef<'_>, b: SetRef<'_>) -> Set {
-        #[cfg(test)]
-        crate::instrument::note_materialization();
-        match (a, b) {
-            (SetRef::Uint(x), SetRef::Uint(y)) => {
-                let mut out = Vec::with_capacity(x.len().min(y.len()));
-                let (small, large) = if x.len() <= y.len() { (x, y) } else { (y, x) };
-                if small.len().saturating_mul(GALLOP_RATIO) < large.len() {
-                    gallop_scalar(small, large, &mut out);
-                } else {
-                    merge_scalar(x, y, &mut out);
-                }
-                Set::Uint(UintSet::from_sorted_vec(out))
-            }
-            (SetRef::Bits(x), SetRef::Bits(y)) => Set::Bits(and_scalar(x, y)),
-            (SetRef::Uint(x), SetRef::Bits(y)) | (SetRef::Bits(y), SetRef::Uint(x)) => {
-                let mut out = Vec::with_capacity(x.len().min(y.len()));
-                out.extend(x.iter().copied().filter(|&v| y.contains(v)));
-                Set::Uint(UintSet::from_sorted_vec(out))
-            }
-        }
-    }
-
-    fn merge_scalar(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(a[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-
-    /// Private copy of the exponential seek, so the baseline really does
-    /// share no code with the kernels under test (a bug in the crate's
-    /// `gallop_seek` must not corrupt both sides identically).
-    fn gallop_seek_scalar(list: &[u32], lo: usize, v: u32) -> usize {
-        let mut step = 1usize;
-        let mut prev = lo;
-        let mut probe = lo;
-        while probe < list.len() && list[probe] < v {
-            prev = probe + 1;
-            probe += step;
-            step <<= 1;
-        }
-        let hi = probe.min(list.len());
-        prev + list[prev..hi].partition_point(|&x| x < v)
-    }
-
-    fn gallop_scalar(small: &[u32], large: &[u32], out: &mut Vec<u32>) {
-        let mut lo = 0usize;
-        for &v in small {
-            if lo >= large.len() {
-                break;
-            }
-            let idx = gallop_seek_scalar(large, lo, v);
-            if idx < large.len() && large[idx] == v {
-                out.push(v);
-                lo = idx + 1;
-            } else {
-                lo = idx;
-            }
-        }
-    }
-
-    fn and_scalar(a: BitsRef<'_>, b: BitsRef<'_>) -> BitSet {
-        let (lo, wa, wb) = match a.overlap(&b) {
-            None => return BitSet::default(),
-            Some(o) => o,
-        };
-        let mut words = vec![0u32; wa.len()];
-        let mut len = 0usize;
-        for (i, w) in words.iter_mut().enumerate() {
-            *w = wa[i] & wb[i];
-            len += w.count_ones() as usize;
-        }
-        match words.iter().position(|w| *w != 0) {
-            None => BitSet::default(),
-            Some(f) => {
-                let l = words.iter().rposition(|w| *w != 0).unwrap();
-                BitSet::from_words(lo + f as u32, words[f..=l].to_vec(), len)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instrument;
     use crate::optimizer::Layout;
+    use crate::testing::{block, intersect_all_refs_fold, view};
 
-    fn mk(vals: &[u32], layout: Layout) -> Set {
-        Set::from_sorted_with(vals, layout)
-    }
-
-    fn check_all(owned: &[Set], expect: &[u32]) {
-        let refs: Vec<SetRef<'_>> = owned.iter().map(|s| s.as_ref()).collect();
+    fn check_all(blocks: &[Vec<u32>], expect: &[u32]) {
+        let refs: Vec<SetRef<'_>> = blocks.iter().map(|b| view(b)).collect();
         let mut scratch = IntersectScratch::new();
         assert_eq!(intersect_all_into(&refs, &mut scratch), expect);
         // Scratch reuse: driving again through the same scratch is stable.
         assert_eq!(intersect_all_into(&refs, &mut scratch), expect);
-        assert_eq!(intersect_count_all_refs(&refs), expect.len());
         assert_eq!(intersects_all_refs(&refs), !expect.is_empty());
-        let fold = intersect_all_refs_fold(&refs).unwrap();
-        assert_eq!(fold.to_vec(), expect, "fold reference diverged");
+        assert_eq!(intersect_all_refs_fold(&refs).unwrap(), expect, "fold reference diverged");
     }
 
     #[test]
@@ -523,7 +337,7 @@ mod tests {
         for la in [Layout::UintArray, Layout::Bitset] {
             for lb in [Layout::UintArray, Layout::Bitset] {
                 for lc in [Layout::UintArray, Layout::Bitset] {
-                    check_all(&[mk(&a, la), mk(&b, lb), mk(&c, lc)], &expect);
+                    check_all(&[block(&a, la), block(&b, lb), block(&c, lc)], &expect);
                 }
             }
         }
@@ -537,9 +351,9 @@ mod tests {
         let expect: Vec<u32> = tiny.iter().copied().filter(|v| v % 3 == 0 && v % 9 != 1).collect();
         check_all(
             &[
-                mk(&tiny, Layout::UintArray),
-                mk(&large, Layout::UintArray),
-                mk(&large2, Layout::UintArray),
+                block(&tiny, Layout::UintArray),
+                block(&large, Layout::UintArray),
+                block(&large2, Layout::UintArray),
             ],
             &expect,
         );
@@ -554,12 +368,35 @@ mod tests {
         let other: Vec<u32> = (0..3_000).collect();
         check_all(
             &[
-                mk(&small, Layout::UintArray),
-                mk(&big, Layout::UintArray),
-                mk(&other, Layout::UintArray),
+                block(&small, Layout::UintArray),
+                block(&big, Layout::UintArray),
+                block(&other, Layout::UintArray),
             ],
             &[1, 2],
         );
+    }
+
+    #[test]
+    fn skewed_uint_pair_in_both_argument_orders() {
+        // Two operands take the same census → probe route as three: a
+        // 3-element leaf against a million-element one (Generic-Join's
+        // trailing EXISTS at the final depth) is three galloping seeks,
+        // whichever side the small operand is on.
+        let large: Vec<u32> = (0..1_000_000).map(|v| v * 2).collect();
+        let hits = [10u32, 777_776, 1_999_998];
+        let misses = [11u32, 777_777, 1_999_999];
+        let beyond = [2_000_001u32, 3_000_000, 4_000_000];
+        let first_only = [0u32, 5, 7];
+        for (small, expect) in
+            [(hits, &hits[..]), (misses, &[]), (beyond, &[]), (first_only, &first_only[..1])]
+        {
+            let (s, l) = (SetRef::Uint(&small), SetRef::Uint(&large));
+            let mut scratch = IntersectScratch::new();
+            for pair in [[s, l], [l, s]] {
+                assert_eq!(intersects_all_refs(&pair), !expect.is_empty(), "{small:?}");
+                assert_eq!(intersect_all_into(&pair, &mut scratch), expect, "{small:?}");
+            }
+        }
     }
 
     #[test]
@@ -567,9 +404,9 @@ mod tests {
         let lo: Vec<u32> = (0..300).collect();
         let hi: Vec<u32> = (100_000..100_300).collect();
         let mid: Vec<u32> = (0..200_000).step_by(64).collect();
-        check_all(&[mk(&lo, Layout::Bitset), mk(&hi, Layout::Bitset)], &[]);
+        check_all(&[block(&lo, Layout::Bitset), block(&hi, Layout::Bitset)], &[]);
         check_all(
-            &[mk(&lo, Layout::Bitset), mk(&hi, Layout::Bitset), mk(&mid, Layout::Bitset)],
+            &[block(&lo, Layout::Bitset), block(&hi, Layout::Bitset), block(&mid, Layout::Bitset)],
             &[],
         );
     }
@@ -578,84 +415,37 @@ mod tests {
     fn empty_and_singleton_inputs() {
         let mut scratch = IntersectScratch::new();
         assert!(intersect_all_into(&[], &mut scratch).is_empty());
-        assert_eq!(intersect_count_all_refs(&[]), 0);
         assert!(!intersects_all_refs(&[]));
-        let s = Set::from_sorted(&[7, 8]);
-        assert_eq!(intersect_all_into(&[s.as_ref()], &mut scratch), &[7, 8]);
-        assert_eq!(intersect_count_all_refs(&[s.as_ref()]), 2);
-        assert!(intersects_all_refs(&[s.as_ref()]));
-        let e = Set::default();
-        assert!(intersect_all_into(&[s.as_ref(), e.as_ref(), s.as_ref()], &mut scratch).is_empty());
-        assert_eq!(intersect_count_all_refs(&[s.as_ref(), e.as_ref(), s.as_ref()]), 0);
-        assert!(!intersects_all_refs(&[s.as_ref(), e.as_ref(), s.as_ref()]));
-    }
-
-    #[test]
-    fn count_and_exists_paths_materialize_nothing() {
-        // The regression the satellite task demands: COUNT/EXISTS and the
-        // scratch driver must not construct a single intermediate `Set`.
-        let a: Vec<u32> = (0..4_000).step_by(2).collect();
-        let b: Vec<u32> = (0..4_000).step_by(3).collect();
-        let c = vec![6u32, 600, 660, 3_000];
-        for layouts in [
-            [Layout::UintArray, Layout::UintArray, Layout::UintArray],
-            [Layout::Bitset, Layout::Bitset, Layout::Bitset],
-            [Layout::UintArray, Layout::Bitset, Layout::UintArray],
-        ] {
-            let sets = [mk(&a, layouts[0]), mk(&b, layouts[1]), mk(&c, layouts[2])];
-            let refs: Vec<SetRef<'_>> = sets.iter().map(|s| s.as_ref()).collect();
-            let mut scratch = IntersectScratch::new();
-            let before = instrument::materializations();
-            let count = intersect_count_all_refs(&refs);
-            let exists = intersects_all_refs(&refs);
-            let driven = intersect_all_into(&refs, &mut scratch).len();
-            assert_eq!(
-                instrument::materializations(),
-                before,
-                "count/exists/driver materialized a Set ({layouts:?})"
-            );
-            assert_eq!(count, driven);
-            assert_eq!(exists, count > 0);
-            // Positive control: the fold reference does materialize, so
-            // the counter is actually wired up.
-            let _ = intersect_all_refs_fold(&refs);
-            assert!(instrument::materializations() > before, "counter not wired");
-        }
+        let s = SetRef::Uint(&[7, 8]);
+        assert_eq!(intersect_all_into(&[s], &mut scratch), &[7, 8]);
+        assert!(intersects_all_refs(&[s]));
+        let e = SetRef::Uint(&[]);
+        assert!(!intersects_all_refs(&[e]));
+        assert!(intersect_all_into(&[s, e, s], &mut scratch).is_empty());
+        assert!(!intersects_all_refs(&[s, e, s]));
+        assert!(!intersects_all_refs(&[e, s]));
     }
 
     #[test]
     fn last_kernel_reports_what_drove() {
         let mut scratch = IntersectScratch::new();
-        let dense: Vec<u32> = (0..512).collect();
-        let sparse = vec![3u32, 300, 100_000];
-        let bits = [mk(&dense, Layout::Bitset), mk(&dense, Layout::Bitset)];
-        let refs: Vec<SetRef<'_>> = bits.iter().map(|s| s.as_ref()).collect();
-        intersect_all_into(&refs, &mut scratch);
+        let dense = block(&(0..512).collect::<Vec<u32>>(), Layout::Bitset);
+        let sparse = SetRef::Uint(&[3, 300, 100_000]);
+        intersect_all_into(&[view(&dense), view(&dense)], &mut scratch);
         assert_eq!(scratch.last_kernel(), Some(MultiwayKernel::WordAnd));
-        assert_eq!(choose_for(&refs), Some(MultiwayKernel::WordAnd));
-        let mixed = [mk(&sparse, Layout::UintArray), mk(&dense, Layout::Bitset)];
-        let refs: Vec<SetRef<'_>> = mixed.iter().map(|s| s.as_ref()).collect();
-        intersect_all_into(&refs, &mut scratch);
+        intersect_all_into(&[sparse, view(&dense)], &mut scratch);
         assert_eq!(scratch.last_kernel(), Some(MultiwayKernel::ProbeSmallest));
-        assert_eq!(choose_for(&refs), scratch.last_kernel());
         // Short circuits report no kernel.
-        let one = [mk(&sparse, Layout::UintArray)];
-        let refs: Vec<SetRef<'_>> = one.iter().map(|s| s.as_ref()).collect();
-        intersect_all_into(&refs, &mut scratch);
+        intersect_all_into(&[sparse], &mut scratch);
         assert_eq!(scratch.last_kernel(), None);
-        assert_eq!(choose_for(&refs), None);
-        let empty = Set::default();
-        let pair = [empty.as_ref(), one[0].as_ref()];
-        intersect_all_into(&pair, &mut scratch);
+        intersect_all_into(&[SetRef::Uint(&[]), sparse], &mut scratch);
         assert_eq!(scratch.last_kernel(), None);
-        assert_eq!(choose_for(&pair), None);
     }
 
     #[test]
     fn kernel_tallies_count_dispatches() {
-        let a: Vec<u32> = (0..256).collect();
-        let sets = [mk(&a, Layout::Bitset), mk(&a, Layout::Bitset)];
-        let refs: Vec<SetRef<'_>> = sets.iter().map(|s| s.as_ref()).collect();
+        let a = block(&(0..256).collect::<Vec<u32>>(), Layout::Bitset);
+        let refs = [view(&a), view(&a)];
         let mut scratch = IntersectScratch::new();
         let before = instrument::kernel_counts();
         intersect_all_into(&refs, &mut scratch);
@@ -667,11 +457,10 @@ mod tests {
     #[test]
     fn values_reflect_latest_drive() {
         let mut scratch = IntersectScratch::new();
-        let s = Set::from_sorted(&[1, 2, 3]);
-        intersect_all_into(&[s.as_ref(), s.as_ref()], &mut scratch);
+        let s = SetRef::Uint(&[1, 2, 3]);
+        intersect_all_into(&[s, s], &mut scratch);
         assert_eq!(scratch.values(), &[1, 2, 3]);
-        let t = Set::from_sorted(&[2, 9]);
-        intersect_all_into(&[s.as_ref(), t.as_ref()], &mut scratch);
+        intersect_all_into(&[s, SetRef::Uint(&[2, 9])], &mut scratch);
         assert_eq!(scratch.values(), &[2]);
     }
 }

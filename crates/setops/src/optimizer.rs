@@ -8,9 +8,9 @@
 /// Density denominator from the paper (footnote 1: "the size of an AVX
 /// register"). A set over range `r` with cardinality `c` becomes a bitset
 /// when `c * DENSITY_THRESHOLD >= r`.
-pub const DENSITY_THRESHOLD: u64 = 256;
+pub(crate) const DENSITY_THRESHOLD: u64 = 256;
 
-/// The physical layout of a [`crate::Set`].
+/// The physical layout of an encoded set block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Layout {
     /// Sorted array of unique 32-bit unsigned integers.
@@ -32,15 +32,7 @@ impl std::fmt::Display for Layout {
 /// inclusive value range `[min, max]`.
 ///
 /// Empty and singleton sets stay as uint arrays (a bitset buys nothing).
-///
-/// ```
-/// use eh_setops::{choose_layout, Layout};
-/// // 256 values over a range of 256: maximally dense -> bitset.
-/// assert_eq!(choose_layout(256, 0, 255), Layout::Bitset);
-/// // 2 values spanning a huge range -> uint array.
-/// assert_eq!(choose_layout(2, 0, 1_000_000), Layout::UintArray);
-/// ```
-pub fn choose_layout(cardinality: usize, min: u32, max: u32) -> Layout {
+pub(crate) fn choose_layout(cardinality: usize, min: u32, max: u32) -> Layout {
     if cardinality <= 1 {
         return Layout::UintArray;
     }
@@ -56,18 +48,17 @@ pub fn choose_layout(cardinality: usize, min: u32, max: u32) -> Layout {
 /// Skew ratio (`|large| / |small|`) at which galloping replaces the
 /// vectorized merge for a uint ∩ uint pair.
 ///
-/// Measured on the CI-class x86_64 machine with the `setops_kernels`
-/// microbench: the SIMD merge processes ~4 elements per compare, so the
-/// crossover sits far below the pre-SIMD value of 32 — galloping wins as
-/// soon as the smaller side can skip more than a cache line of the larger
-/// side per element. 8 is the measured break-even, rounded to a power of
-/// two; re-run `cargo run --release -p eh-bench --bin setops_kernels` to
-/// re-derive it on new hardware.
-pub const GALLOP_SKEW: usize = 8;
+/// Measured on the CI-class x86_64 machine with the since-retired
+/// `setops_kernels` microbench: the SIMD merge processes ~4 elements per
+/// compare, so the crossover sits far below the pre-SIMD value of 32 —
+/// galloping wins as soon as the smaller side can skip more than a cache
+/// line of the larger side per element. 8 is the measured break-even,
+/// rounded to a power of two.
+pub(crate) const GALLOP_SKEW: usize = 8;
 
 /// Pairwise sorted-array intersection strategy (see [`choose_uint_strategy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UintStrategy {
+pub(crate) enum UintStrategy {
     /// Linear merge (vectorized cyclic-compare kernel where available).
     Merge,
     /// Exponential-search galloping driven by the smaller operand.
@@ -75,7 +66,7 @@ pub enum UintStrategy {
 }
 
 /// Pick the kernel for a uint ∩ uint pair from the two cardinalities.
-pub fn choose_uint_strategy(a_len: usize, b_len: usize) -> UintStrategy {
+pub(crate) fn choose_uint_strategy(a_len: usize, b_len: usize) -> UintStrategy {
     let (small, large) = if a_len <= b_len { (a_len, b_len) } else { (b_len, a_len) };
     if small.saturating_mul(GALLOP_SKEW) < large {
         UintStrategy::Gallop
@@ -89,11 +80,12 @@ pub fn choose_uint_strategy(a_len: usize, b_len: usize) -> UintStrategy {
 ///
 /// Folding touches every element of both operands of every pair; probing
 /// touches `|smallest| * (k-1)` cursor advances. Measured with the
-/// `setops_kernels` microbench the probe pays for its per-element
-/// galloping once the largest operand is ~8x the smallest.
-pub const MULTIWAY_PROBE_SKEW: usize = 8;
+/// since-retired `setops_kernels` microbench the probe pays for its
+/// per-element galloping once the largest operand is ~8x the smallest.
+pub(crate) const MULTIWAY_PROBE_SKEW: usize = 8;
 
-/// Kernel selected by [`choose_multiway`] for a k-way intersection.
+/// Kernel the multiway driver selects for a k-way intersection (the
+/// `choose_multiway` cost model over the operand census).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MultiwayKernel {
     /// All operands are bitsets: one-pass k-way word `AND` over the
@@ -110,7 +102,7 @@ pub enum MultiwayKernel {
 
 /// Pick the multiway kernel from the operand census: smallest/largest
 /// cardinality, how many operands are bitsets, and the arity.
-pub fn choose_multiway(
+pub(crate) fn choose_multiway(
     smallest: usize,
     largest: usize,
     num_bitsets: usize,

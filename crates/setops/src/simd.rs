@@ -27,7 +27,7 @@ use std::sync::OnceLock;
 /// width. On x86_64, SSE2 is part of the baseline ABI, so `Portable` is
 /// only ever *chosen* (via `EH_SIMD=portable`), never detected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SimdLevel {
+pub(crate) enum SimdLevel {
     /// Unrolled scalar `u32` kernels; runs on every target.
     Portable,
     /// 128-bit `core::arch` kernels (x86_64 baseline).
@@ -47,7 +47,7 @@ impl std::fmt::Display for SimdLevel {
 }
 
 /// Widest level this CPU supports, ignoring any `EH_SIMD` override.
-pub fn detected_level() -> SimdLevel {
+pub(crate) fn detected_level() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
         if std::arch::is_x86_feature_detected!("avx2") {
@@ -64,7 +64,8 @@ pub fn detected_level() -> SimdLevel {
 
 /// All levels this CPU can execute, narrowest first — the matrix the
 /// byte-identity tests iterate.
-pub fn available_levels() -> &'static [SimdLevel] {
+#[cfg(test)]
+pub(crate) fn available_levels() -> &'static [SimdLevel] {
     match detected_level() {
         SimdLevel::Portable => &[SimdLevel::Portable],
         SimdLevel::Sse2 => &[SimdLevel::Portable, SimdLevel::Sse2],
@@ -74,7 +75,7 @@ pub fn available_levels() -> &'static [SimdLevel] {
 
 /// The level the dispatching kernels use: hardware detection capped by
 /// the `EH_SIMD` environment variable. Cached after the first call.
-pub fn simd_level() -> SimdLevel {
+pub(crate) fn simd_level() -> SimdLevel {
     static LEVEL: OnceLock<SimdLevel> = OnceLock::new();
     *LEVEL.get_or_init(|| {
         let detected = detected_level();
@@ -104,14 +105,17 @@ pub fn simd_level() -> SimdLevel {
 /// returns the popcount of the result. `out` is cleared and resized to
 /// the operand length (reusing its allocation), so a caller-provided
 /// scratch buffer makes the steady state allocation-free.
-pub fn and_words_k_into(srcs: &[&[u32]], out: &mut Vec<u32>) -> usize {
+pub(crate) fn and_words_k_into(srcs: &[&[u32]], out: &mut Vec<u32>) -> usize {
     and_words_k_into_with(simd_level(), srcs, out)
 }
 
-/// [`and_words_k_into`] at an explicit level (byte-identity tests and the
-/// kernel microbench; production code uses the dispatching entry point).
-#[doc(hidden)]
-pub fn and_words_k_into_with(level: SimdLevel, srcs: &[&[u32]], out: &mut Vec<u32>) -> usize {
+/// [`and_words_k_into`] at an explicit level (byte-identity tests;
+/// production code uses the dispatching entry point).
+pub(crate) fn and_words_k_into_with(
+    level: SimdLevel,
+    srcs: &[&[u32]],
+    out: &mut Vec<u32>,
+) -> usize {
     let n = srcs[0].len();
     debug_assert!(srcs.iter().all(|s| s.len() == n), "operands must share the word extent");
     out.clear();
@@ -125,57 +129,9 @@ pub fn and_words_k_into_with(level: SimdLevel, srcs: &[&[u32]], out: &mut Vec<u3
     }
 }
 
-/// Popcount of `srcs[0] & srcs[1] & ...` without materialising the AND —
-/// the non-materializing COUNT path for bitset-only multiway
-/// intersections. Allocation-free.
-pub fn and_words_k_count(srcs: &[&[u32]]) -> usize {
-    and_words_k_count_with(simd_level(), srcs)
-}
-
-/// [`and_words_k_count`] at an explicit level.
-#[doc(hidden)]
-pub fn and_words_k_count_with(level: SimdLevel, srcs: &[&[u32]]) -> usize {
-    let n = srcs[0].len();
-    debug_assert!(srcs.iter().all(|s| s.len() == n));
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => unsafe { and_k_count_avx2(srcs, n) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => unsafe { and_k_count_sse2(srcs, n) },
-        _ => and_k_count_portable(srcs, n),
-    }
-}
-
-/// Portable count fallback, 4-word unrolled like [`and_k_portable`].
-fn and_k_count_portable(srcs: &[&[u32]], n: usize) -> usize {
-    let mut count = 0usize;
-    let mut i = 0;
-    while i + 4 <= n {
-        let (mut w0, mut w1, mut w2, mut w3) =
-            (srcs[0][i], srcs[0][i + 1], srcs[0][i + 2], srcs[0][i + 3]);
-        for s in &srcs[1..] {
-            w0 &= s[i];
-            w1 &= s[i + 1];
-            w2 &= s[i + 2];
-            w3 &= s[i + 3];
-        }
-        count += (w0.count_ones() + w1.count_ones() + w2.count_ones() + w3.count_ones()) as usize;
-        i += 4;
-    }
-    while i < n {
-        let mut w = srcs[0][i];
-        for s in &srcs[1..] {
-            w &= s[i];
-        }
-        count += w.count_ones() as usize;
-        i += 1;
-    }
-    count
-}
-
 /// True when `srcs[0] & srcs[1] & ...` has any set bit, with early exit —
 /// the non-materializing EXISTS path for bitset-only intersections.
-pub fn and_words_k_any(srcs: &[&[u32]]) -> bool {
+pub(crate) fn and_words_k_any(srcs: &[&[u32]]) -> bool {
     let n = srcs[0].len();
     debug_assert!(srcs.iter().all(|s| s.len() == n));
     for i in 0..n {
@@ -284,64 +240,6 @@ unsafe fn and_k_sse2(srcs: &[&[u32]], out: &mut [u32]) -> usize {
     count
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn and_k_count_sse2(srcs: &[&[u32]], n: usize) -> usize {
-    use std::arch::x86_64::*;
-    let mut count = 0usize;
-    let mut i = 0;
-    let mut chunk = [0u32; 4];
-    while i + 4 <= n {
-        let mut acc = _mm_loadu_si128(srcs[0].as_ptr().add(i) as *const __m128i);
-        for s in &srcs[1..] {
-            acc = _mm_and_si128(acc, _mm_loadu_si128(s.as_ptr().add(i) as *const __m128i));
-        }
-        _mm_storeu_si128(chunk.as_mut_ptr() as *mut __m128i, acc);
-        for w in &chunk {
-            count += w.count_ones() as usize;
-        }
-        i += 4;
-    }
-    while i < n {
-        let mut w = srcs[0][i];
-        for s in &srcs[1..] {
-            w &= s[i];
-        }
-        count += w.count_ones() as usize;
-        i += 1;
-    }
-    count
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn and_k_count_avx2(srcs: &[&[u32]], n: usize) -> usize {
-    use std::arch::x86_64::*;
-    let mut count = 0usize;
-    let mut i = 0;
-    let mut chunk = [0u32; 8];
-    while i + 8 <= n {
-        let mut acc = _mm256_loadu_si256(srcs[0].as_ptr().add(i) as *const __m256i);
-        for s in &srcs[1..] {
-            acc = _mm256_and_si256(acc, _mm256_loadu_si256(s.as_ptr().add(i) as *const __m256i));
-        }
-        _mm256_storeu_si256(chunk.as_mut_ptr() as *mut __m256i, acc);
-        for w in &chunk {
-            count += w.count_ones() as usize;
-        }
-        i += 8;
-    }
-    while i < n {
-        let mut w = srcs[0][i];
-        for s in &srcs[1..] {
-            w &= s[i];
-        }
-        count += w.count_ones() as usize;
-        i += 1;
-    }
-    count
-}
-
 // ---------------------------------------------------------------------------
 // uint ∩ uint merge (sorted unique u32 slices)
 // ---------------------------------------------------------------------------
@@ -356,27 +254,11 @@ pub(crate) fn intersect_merge_v(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 }
 
 /// [`intersect_merge_v`] at an explicit level (byte-identity tests).
-#[doc(hidden)]
-pub fn intersect_merge_v_with(level: SimdLevel, a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+pub(crate) fn intersect_merge_v_with(level: SimdLevel, a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     match level {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx2 | SimdLevel::Sse2 => unsafe { intersect_merge_sse2(a, b, out) },
         _ => intersect_merge_blockskip(a, b, out),
-    }
-}
-
-/// Cardinality of the merge-shaped intersection without materialising it.
-pub(crate) fn intersect_merge_count_v(a: &[u32], b: &[u32]) -> usize {
-    intersect_merge_count_v_with(simd_level(), a, b)
-}
-
-/// [`intersect_merge_count_v`] at an explicit level.
-#[doc(hidden)]
-pub fn intersect_merge_count_v_with(level: SimdLevel, a: &[u32], b: &[u32]) -> usize {
-    match level {
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 | SimdLevel::Sse2 => unsafe { intersect_merge_count_sse2(a, b) },
-        _ => intersect_merge_count_blockskip(a, b),
     }
 }
 
@@ -393,22 +275,6 @@ fn scalar_merge_tail(a: &[u32], b: &[u32], mut i: usize, mut j: usize, out: &mut
             }
         }
     }
-}
-
-fn scalar_merge_count_tail(a: &[u32], b: &[u32], mut i: usize, mut j: usize) -> usize {
-    let mut n = 0usize;
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    n
 }
 
 /// Portable block-skipping merge: whole 4-element blocks whose ranges
@@ -440,34 +306,6 @@ fn intersect_merge_blockskip(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
         }
     }
     scalar_merge_tail(a, b, i, j, out);
-}
-
-fn intersect_merge_count_blockskip(a: &[u32], b: &[u32]) -> usize {
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut n = 0usize;
-    while i + 4 <= a.len() && j + 4 <= b.len() {
-        if a[i + 3] < b[j] {
-            i += 4;
-            continue;
-        }
-        if b[j + 3] < a[i] {
-            j += 4;
-            continue;
-        }
-        let (ae, be) = (i + 4, j + 4);
-        while i < ae && j < be {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    n += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-    }
-    n + scalar_merge_count_tail(a, b, i, j)
 }
 
 /// 4×4 cyclic compare intersection: each 4-element window of `a` is
@@ -507,34 +345,6 @@ unsafe fn intersect_merge_sse2(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     scalar_merge_tail(a, b, i, j, out);
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn intersect_merge_count_sse2(a: &[u32], b: &[u32]) -> usize {
-    use std::arch::x86_64::*;
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut n = 0usize;
-    while i + 4 <= a.len() && j + 4 <= b.len() {
-        let va = _mm_loadu_si128(a.as_ptr().add(i) as *const __m128i);
-        let vb = _mm_loadu_si128(b.as_ptr().add(j) as *const __m128i);
-        let r1 = _mm_shuffle_epi32(vb, 0b00_11_10_01);
-        let r2 = _mm_shuffle_epi32(vb, 0b01_00_11_10);
-        let r3 = _mm_shuffle_epi32(vb, 0b10_01_00_11);
-        let eq = _mm_or_si128(
-            _mm_or_si128(_mm_cmpeq_epi32(va, vb), _mm_cmpeq_epi32(va, r1)),
-            _mm_or_si128(_mm_cmpeq_epi32(va, r2), _mm_cmpeq_epi32(va, r3)),
-        );
-        n += (_mm_movemask_ps(_mm_castsi128_ps(eq)) as u32).count_ones() as usize;
-        let (amax, bmax) = (a[i + 3], b[j + 3]);
-        if amax <= bmax {
-            i += 4;
-        }
-        if bmax <= amax {
-            j += 4;
-        }
-    }
-    n + scalar_merge_count_tail(a, b, i, j)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,7 +373,6 @@ mod tests {
                 let count = and_words_k_into_with(level, &srcs, &mut out);
                 assert_eq!(out, reference, "and_words at {level}");
                 assert_eq!(count, ref_count, "and_words count at {level}");
-                assert_eq!(and_words_k_count_with(level, &srcs), ref_count);
             }
             assert_eq!(and_words_k_any(&srcs), ref_count > 0);
         }
@@ -591,7 +400,6 @@ mod tests {
             let mut out = Vec::new();
             intersect_merge_v_with(level, &a, &b, &mut out);
             assert_eq!(out, reference, "merge at {level}");
-            assert_eq!(intersect_merge_count_v_with(level, &a, &b), reference.len());
             // Asymmetric operand order too.
             let mut swapped = Vec::new();
             intersect_merge_v_with(level, &b, &a, &mut swapped);
@@ -616,7 +424,6 @@ mod tests {
                 let mut out = Vec::new();
                 intersect_merge_v_with(level, a, b, &mut out);
                 assert_eq!(out, expect, "{a:?} x {b:?} at {level}");
-                assert_eq!(intersect_merge_count_v_with(level, a, b), expect.len());
             }
         }
     }

@@ -1,95 +1,10 @@
-//! Sorted unsigned-integer-array set layout (paper §II-A2).
+//! Kernels over the sorted unsigned-integer-array layout (paper §II-A2):
+//! EmptyHeaded's default layout is a sorted array of unique `u32`s —
+//! compact for sparse sets, `O(log n)` membership by binary search, and
+//! merge or galloping intersection.
 
 use crate::optimizer::{choose_uint_strategy, UintStrategy};
-use crate::simd::{intersect_merge_count_v, intersect_merge_v};
-
-/// A set of `u32` values stored as a sorted array of unique elements.
-///
-/// This is EmptyHeaded's default layout: compact for sparse sets, with
-/// `O(log n)` membership via binary search and merge/galloping
-/// intersection.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct UintSet {
-    values: Box<[u32]>,
-}
-
-impl UintSet {
-    /// Build from a slice that is already sorted and duplicate-free.
-    ///
-    /// # Panics
-    /// Panics in debug builds if the input is not strictly increasing.
-    pub fn from_sorted(values: &[u32]) -> Self {
-        debug_assert!(values.windows(2).all(|w| w[0] < w[1]), "input must be strictly increasing");
-        UintSet { values: values.into() }
-    }
-
-    /// Build from an arbitrary slice: sorts and deduplicates.
-    pub fn from_unsorted(values: &[u32]) -> Self {
-        let mut v = values.to_vec();
-        v.sort_unstable();
-        v.dedup();
-        UintSet { values: v.into_boxed_slice() }
-    }
-
-    /// Take ownership of a vector known to be sorted and unique.
-    pub fn from_sorted_vec(values: Vec<u32>) -> Self {
-        debug_assert!(values.windows(2).all(|w| w[0] < w[1]), "input must be strictly increasing");
-        UintSet { values: values.into_boxed_slice() }
-    }
-
-    /// Number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when the set has no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Membership test by binary search: `O(log n)`. This is the cost the
-    /// paper contrasts with the bitset's `O(1)` probe in §III-A.
-    #[inline]
-    pub fn contains(&self, v: u32) -> bool {
-        self.values.binary_search(&v).is_ok()
-    }
-
-    /// Rank of `v` in the set (its index), if present.
-    #[inline]
-    pub fn rank(&self, v: u32) -> Option<usize> {
-        self.values.binary_search(&v).ok()
-    }
-
-    /// Smallest element.
-    #[inline]
-    pub fn min(&self) -> Option<u32> {
-        self.values.first().copied()
-    }
-
-    /// Largest element.
-    #[inline]
-    pub fn max(&self) -> Option<u32> {
-        self.values.last().copied()
-    }
-
-    /// The sorted elements as a slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[u32] {
-        &self.values
-    }
-
-    /// Iterate elements in increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.values.iter().copied()
-    }
-
-    /// Memory footprint of the payload in bytes (used by layout ablations).
-    pub fn bytes(&self) -> usize {
-        self.values.len() * std::mem::size_of::<u32>()
-    }
-}
+use crate::simd::intersect_merge_v;
 
 /// Merge-based intersection of two sorted slices, appending to `out` —
 /// the scalar reference the vectorized kernels are checked against.
@@ -115,8 +30,8 @@ pub(crate) fn intersect_merge(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
 /// search over the final window — `O(log d)` in the distance `d`
 /// advanced, so a monotone sequence of seeks (the multiway probe
 /// driver's cursors) stays linear overall. (A block-linear pre-phase was
-/// measured against this on the `setops_kernels` workloads and lost;
-/// the pure exponential probe is also the shape the fold baseline uses.)
+/// measured against this on the since-retired `setops_kernels`
+/// microbench and lost.)
 pub(crate) fn gallop_seek(list: &[u32], lo: usize, v: u32) -> usize {
     // Find a window [prev, hi) with list[prev - 1] < v and
     // (hi == len or list[hi] >= v).
@@ -154,25 +69,6 @@ pub(crate) fn intersect_gallop(small: &[u32], large: &[u32], out: &mut Vec<u32>)
     }
 }
 
-/// Counting variant of [`intersect_gallop`] — no output buffer.
-pub(crate) fn intersect_gallop_count(small: &[u32], large: &[u32]) -> usize {
-    let mut lo = 0usize;
-    let mut n = 0usize;
-    for &v in small {
-        if lo >= large.len() {
-            break;
-        }
-        let idx = gallop_seek(large, lo, v);
-        if idx < large.len() && large[idx] == v {
-            n += 1;
-            lo = idx + 1;
-        } else {
-            lo = idx;
-        }
-    }
-    n
-}
-
 /// Layout-internal intersection of two sorted slices with automatic
 /// merge/gallop strategy selection ([`choose_uint_strategy`], using the
 /// measured [`crate::optimizer::GALLOP_SKEW`] threshold). The merge arm
@@ -185,45 +81,9 @@ pub(crate) fn intersect_uint(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
     }
 }
 
-/// Cardinality of a uint ∩ uint pair, allocation-free, with the same
-/// merge/gallop strategy selection as [`intersect_uint`].
-pub(crate) fn intersect_uint_count(a: &[u32], b: &[u32]) -> usize {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    match choose_uint_strategy(small.len(), large.len()) {
-        UintStrategy::Gallop => intersect_gallop_count(small, large),
-        UintStrategy::Merge => intersect_merge_count_v(a, b),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn from_unsorted_dedups() {
-        let s = UintSet::from_unsorted(&[5, 1, 5, 3, 1]);
-        assert_eq!(s.as_slice(), &[1, 3, 5]);
-        assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn contains_and_rank() {
-        let s = UintSet::from_sorted(&[2, 4, 8]);
-        assert!(s.contains(4));
-        assert!(!s.contains(5));
-        assert_eq!(s.rank(8), Some(2));
-        assert_eq!(s.rank(3), None);
-    }
-
-    #[test]
-    fn min_max_empty() {
-        let e = UintSet::default();
-        assert!(e.is_empty());
-        assert_eq!(e.min(), None);
-        assert_eq!(e.max(), None);
-        let s = UintSet::from_sorted(&[7, 9]);
-        assert_eq!((s.min(), s.max()), (Some(7), Some(9)));
-    }
 
     #[test]
     fn merge_intersection_basic() {
@@ -284,19 +144,6 @@ mod tests {
         let mut out2 = vec![];
         intersect_uint(&[1, 2, 3], &[2, 3, 4], &mut out2);
         assert_eq!(out2, vec![2, 3]);
-    }
-
-    #[test]
-    fn count_agrees_with_materialising_path() {
-        let small = vec![4u32, 64, 641, 9_000];
-        let large: Vec<u32> = (0..10_000).collect();
-        let balanced: Vec<u32> = (0..10_000).map(|x| x * 2).collect();
-        for (a, b) in [(&small, &large), (&large, &balanced), (&small, &small)] {
-            let mut out = vec![];
-            intersect_uint(a, b, &mut out);
-            assert_eq!(intersect_uint_count(a, b), out.len());
-            assert_eq!(intersect_uint_count(b, a), out.len());
-        }
     }
 
     #[test]

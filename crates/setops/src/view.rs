@@ -1,42 +1,34 @@
-//! Borrowed set views and the frozen (arena) set encoding.
+//! The encoded set block and its borrowed views — the one set
+//! representation of the crate.
 //!
-//! [`SetRef`] is the layout-shared read interface of the crate: every
-//! membership, rank, iteration, and intersection kernel is written once
-//! over these views, and both representations of a set route through
-//! them —
-//!
-//! * an **owned** [`Set`](crate::Set) borrows its heap payload via
-//!   [`Set::as_ref`](crate::Set::as_ref);
-//! * a **frozen** set decodes in place from the `u32` words of a trie
-//!   arena ([`decode_set`]), with no per-block allocation.
-//!
-//! This is what lets snapshot-loaded (frozen) tries and freshly built
-//! (mutable) tries execute through one code path.
-//!
-//! ## Frozen encoding
-//!
-//! A set occupies a contiguous run of `u32` words:
+//! A set is a contiguous run of `u32` words inside a larger arena (a
+//! trie's, in practice), written once by [`encode_sorted_into`], checked
+//! by [`validate_encoded_set`] where the words cross a trust boundary,
+//! and read in place through [`decode_set`] with no per-block allocation:
 //!
 //! ```text
 //! uint:   [TAG_UINT,   len, v0, v1, ... v(len-1)]
 //! bitset: [TAG_BITSET, len, base_word, nwords, words..., ranks...]
 //! ```
 //!
-//! The bitset's rank directory is materialised in the arena so frozen
-//! tries keep the O(1) rank (= child lookup) of owned ones.
+//! [`SetRef`] is the read interface over both layouts: every membership,
+//! rank, iteration, merge and intersection kernel in the crate is written
+//! once over these views. The bitset's rank directory (prefix popcounts)
+//! is part of the block, so rank — a trie's child lookup — is O(1).
+//!
+//! There is no owned set type: code that wants to keep a set keeps the
+//! sorted `Vec<u32>` it encoded from, or the words it encoded into.
 
-use crate::bitset::{rank_directory, BitIter, BitSet, WORD_BITS};
+use crate::bitset::{BitIter, WORD_BITS};
 use crate::optimizer::{choose_layout, Layout};
-use crate::set::Set;
-use crate::uint::UintSet;
 
-/// Frozen-encoding tag for a sorted uint array payload.
-pub const TAG_UINT: u32 = 0;
-/// Frozen-encoding tag for a bitset payload.
-pub const TAG_BITSET: u32 = 1;
+/// Block tag for a sorted uint array payload.
+pub(crate) const TAG_UINT: u32 = 0;
+/// Block tag for a bitset payload.
+pub(crate) const TAG_BITSET: u32 = 1;
 
-/// A borrowed bitset: base word plus word and rank slices (either owned
-/// by a [`BitSet`] or living inside a frozen arena).
+/// A borrowed bitset: base word plus the word and rank slices of a
+/// `TAG_BITSET` block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BitsRef<'a> {
     base_word: u32,
@@ -127,58 +119,6 @@ impl<'a> BitsRef<'a> {
             remaining: self.len as usize,
         }
     }
-
-    /// The overlapping word windows of two bitsets, as equal-length
-    /// slices ready for the word-`AND` kernels, plus the first shared
-    /// word index. `None` when the extents don't overlap.
-    pub(crate) fn overlap<'b>(&self, other: &BitsRef<'b>) -> Option<(u32, &'a [u32], &'b [u32])> {
-        let lo = self.base_word.max(other.base_word);
-        let hi = (self.base_word + self.words.len() as u32)
-            .min(other.base_word + other.words.len() as u32);
-        if lo >= hi {
-            return None;
-        }
-        let n = (hi - lo) as usize;
-        let a = &self.words[(lo - self.base_word) as usize..][..n];
-        let b = &other.words[(lo - other.base_word) as usize..][..n];
-        Some((lo, a, b))
-    }
-
-    /// Count of the word-wise AND with another bitset view (SIMD where
-    /// available), without materialising the result.
-    pub fn intersect_count(&self, other: BitsRef<'_>) -> usize {
-        match self.overlap(&other) {
-            None => 0,
-            Some((_, a, b)) => crate::simd::and_words_k_count(&[a, b]),
-        }
-    }
-
-    /// True when the word-wise AND is non-empty (early exit per word).
-    pub fn intersects(&self, other: BitsRef<'_>) -> bool {
-        match self.overlap(&other) {
-            None => false,
-            Some((_, a, b)) => crate::simd::and_words_k_any(&[a, b]),
-        }
-    }
-}
-
-/// Word-wise AND of two bitset views, materialised as an owned [`BitSet`]
-/// over the overlapping (and then trimmed) word range. The single bitset
-/// intersection kernel: owned `Set`s and frozen arena sets both land here.
-pub(crate) fn intersect_bits(a: BitsRef<'_>, b: BitsRef<'_>) -> BitSet {
-    let (lo, wa, wb) = match a.overlap(&b) {
-        None => return BitSet::default(),
-        Some(o) => o,
-    };
-    let mut words = Vec::new();
-    let len = crate::simd::and_words_k_into(&[wa, wb], &mut words);
-    if len == 0 {
-        return BitSet::default();
-    }
-    // Trim zero words at both ends so `base_word`/extent stay tight.
-    let f = words.iter().position(|w| *w != 0).expect("len > 0");
-    let l = words.iter().rposition(|w| *w != 0).unwrap();
-    BitSet::from_words(lo + f as u32, words[f..=l].to_vec(), len)
 }
 
 /// A borrowed, layout-polymorphic set view — the read-side currency of
@@ -265,24 +205,6 @@ impl<'a> SetRef<'a> {
         }
     }
 
-    /// Materialise an owned [`Set`] in this view's layout. Both arms are
-    /// straight payload copies — this sits on the single-participant
-    /// join path (`intersect_all_refs` with one set), so a per-element
-    /// rebuild would be a measurable regression on dense predicates.
-    pub fn to_set(&self) -> Set {
-        #[cfg(test)]
-        crate::instrument::note_materialization();
-        match self {
-            SetRef::Uint(s) => Set::Uint(UintSet::from_sorted(s)),
-            SetRef::Bits(b) => Set::Bits(BitSet::from_raw(
-                b.base_word,
-                b.words.to_vec(),
-                b.ranks.to_vec(),
-                b.len as usize,
-            )),
-        }
-    }
-
     /// Payload bytes of the viewed set.
     pub fn bytes(&self) -> usize {
         match self {
@@ -292,8 +214,7 @@ impl<'a> SetRef<'a> {
     }
 }
 
-/// Layout-polymorphic iterator over a [`SetRef`] (and, via delegation,
-/// over an owned [`Set`]).
+/// Layout-polymorphic iterator over a [`SetRef`].
 pub enum SetRefIter<'a> {
     /// Iterating a sorted uint slice.
     Uint(std::slice::Iter<'a, u32>),
@@ -322,10 +243,9 @@ impl Iterator for SetRefIter<'_> {
 
 impl ExactSizeIterator for SetRefIter<'_> {}
 
-/// Append the frozen encoding of a sorted duplicate-free slice to `out`,
+/// Append the encoded block of a sorted duplicate-free slice to `out`,
 /// choosing the layout with the standard optimizer unless `forced` pins
-/// one. Returns the number of words written. This writes the arena
-/// directly — no intermediate [`Set`] is built.
+/// one. Returns the number of words written.
 pub fn encode_sorted_into(vals: &[u32], forced: Option<Layout>, out: &mut Vec<u32>) -> usize {
     debug_assert!(vals.windows(2).all(|w| w[0] < w[1]), "input must be strictly increasing");
     let start = out.len();
@@ -365,37 +285,13 @@ pub fn encode_sorted_into(vals: &[u32], forced: Option<Layout>, out: &mut Vec<u3
     out.len() - start
 }
 
-/// Append the frozen encoding of an owned [`Set`] to `out` (payload words
-/// copied verbatim — freezing a set and re-decoding it views identical
-/// content). Returns the number of words written.
-pub fn encode_set_into(set: &Set, out: &mut Vec<u32>) -> usize {
-    let start = out.len();
-    match set {
-        Set::Uint(s) => {
-            out.push(TAG_UINT);
-            out.push(s.len() as u32);
-            out.extend_from_slice(s.as_slice());
-        }
-        Set::Bits(b) => {
-            let r = b.as_bits_ref();
-            out.push(TAG_BITSET);
-            out.push(r.len() as u32);
-            out.push(r.base_word());
-            out.push(r.words().len() as u32);
-            out.extend_from_slice(r.words());
-            out.extend_from_slice(&rank_directory(r.words()));
-        }
-    }
-    out.len() - start
-}
-
-/// Decode a frozen set starting at `words[0]`, returning the view and the
+/// Decode the block starting at `words[0]`, returning the view and the
 /// number of words the encoding occupies.
 ///
 /// # Panics
 /// Panics (via slice indexing) when `words` is not a valid encoding —
-/// arena content is produced by the encoders above and integrity-checked
-/// (checksummed) before it is trusted; see [`validate_encoded_set`] for
+/// arena content is produced by [`encode_sorted_into`] and integrity-
+/// checked (checksummed) before it is trusted; see [`validate_encoded_set`] for
 /// the non-panicking structural check used at snapshot load.
 #[inline]
 pub fn decode_set(words: &[u32]) -> (SetRef<'_>, usize) {
@@ -420,7 +316,7 @@ pub fn decode_set(words: &[u32]) -> (SetRef<'_>, usize) {
     }
 }
 
-/// Structurally validate a frozen set encoding at `words[0]`: bounds, tag,
+/// Structurally validate the block at `words[0]`: bounds, tag,
 /// element count, sortedness (uint) / rank-directory consistency (bitset).
 /// Returns `(encoded length, cardinality)`, or `None` when the bytes are
 /// not a valid encoding — the defence that turns a corrupt-but-
@@ -470,30 +366,41 @@ pub fn validate_encoded_set(words: &[u32]) -> Option<(usize, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{block, view};
 
-    fn layouts(vals: &[u32]) -> [Set; 2] {
-        [
-            Set::from_sorted_with(vals, Layout::UintArray),
-            Set::from_sorted_with(vals, Layout::Bitset),
-        ]
+    const LAYOUTS: [Layout; 2] = [Layout::UintArray, Layout::Bitset];
+
+    #[test]
+    fn views_agree_with_the_encoded_values_in_both_layouts() {
+        let vals = [3u32, 31, 32, 64, 65, 127, 128, 300];
+        for layout in LAYOUTS {
+            let words = block(&vals, layout);
+            let r = view(&words);
+            assert_eq!(r.layout(), layout);
+            assert_eq!(r.len(), vals.len());
+            assert!(!r.is_empty());
+            assert_eq!(r.to_vec(), vals);
+            assert_eq!(r.iter().len(), vals.len(), "exact size hint");
+            assert_eq!((r.min(), r.max()), (Some(3), Some(300)));
+            for probe in 0..400u32 {
+                let rank = vals.binary_search(&probe).ok();
+                assert_eq!(r.contains(probe), rank.is_some(), "contains {probe}");
+                assert_eq!(r.rank(probe), rank, "rank {probe}");
+            }
+            assert!(!r.contains(100_000), "above the extent");
+        }
     }
 
     #[test]
-    fn set_ref_agrees_with_owned_set() {
-        let vals = [3u32, 31, 32, 64, 65, 127, 128, 300];
-        for s in layouts(&vals) {
-            let r = s.as_ref();
-            assert_eq!(r.layout(), s.layout());
-            assert_eq!(r.len(), s.len());
-            assert_eq!(r.to_vec(), s.to_vec());
-            assert_eq!(r.min(), s.min());
-            assert_eq!(r.max(), s.max());
-            for probe in 0..400u32 {
-                assert_eq!(r.contains(probe), s.contains(probe), "contains {probe}");
-                assert_eq!(r.rank(probe), s.rank(probe), "rank {probe}");
-            }
-            assert_eq!(r.to_set(), s);
-        }
+    fn bitset_block_is_offset_by_its_first_word() {
+        // A dense cluster far from zero costs one payload word, not 200.
+        let words = block(&[6400, 6401], Layout::Bitset);
+        assert_eq!(words, vec![TAG_BITSET, 2, 200, 1, 0b11, 0]);
+        let r = view(&words);
+        assert_eq!(r.bytes(), 4);
+        assert!(!r.contains(0), "below the base word");
+        assert_eq!(r.rank(6399), None);
+        assert_eq!(r.to_vec(), vec![6400, 6401]);
     }
 
     #[test]
@@ -513,26 +420,28 @@ mod tests {
     }
 
     #[test]
-    fn encode_set_matches_encode_sorted() {
-        let vals: Vec<u32> = (100..400).chain([5000, 9000]).collect();
-        for s in layouts(&vals) {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            encode_set_into(&s, &mut a);
-            encode_sorted_into(&vals, Some(s.layout()), &mut b);
-            assert_eq!(a, b, "{:?}", s.layout());
-        }
+    fn optimizer_picks_the_layout_when_none_is_forced() {
+        let mut out = Vec::new();
+        encode_sorted_into(&(100..400).collect::<Vec<u32>>(), None, &mut out);
+        assert_eq!(decode_set(&out).0.layout(), Layout::Bitset);
+        out.clear();
+        encode_sorted_into(&[1, 100_000, 4_000_000], None, &mut out);
+        assert_eq!(decode_set(&out).0.layout(), Layout::UintArray);
     }
 
     #[test]
     fn empty_set_encodes_as_uint() {
-        let mut out = Vec::new();
-        let n = encode_sorted_into(&[], None, &mut out);
-        assert_eq!(out, vec![TAG_UINT, 0]);
-        let (r, consumed) = decode_set(&out);
-        assert_eq!(consumed, n);
-        assert!(r.is_empty());
-        assert_eq!(r.iter().count(), 0);
+        for forced in [None, Some(Layout::Bitset)] {
+            let mut out = Vec::new();
+            let n = encode_sorted_into(&[], forced, &mut out);
+            assert_eq!(out, vec![TAG_UINT, 0]);
+            let (r, consumed) = decode_set(&out);
+            assert_eq!(consumed, n);
+            assert!(r.is_empty());
+            assert_eq!(r.iter().count(), 0);
+            assert_eq!((r.min(), r.max()), (None, None));
+            assert!(!r.contains(0));
+        }
     }
 
     #[test]
@@ -548,14 +457,12 @@ mod tests {
         // Unsorted uint payload.
         assert_eq!(validate_encoded_set(&[TAG_UINT, 2, 9, 4]), None);
         // Bitset whose rank directory disagrees with its words.
-        let mut bits = Vec::new();
-        encode_sorted_into(&[0, 1, 64], Some(Layout::Bitset), &mut bits);
+        let mut bits = block(&[0, 1, 64], Layout::Bitset);
         let last = bits.len() - 1;
         bits[last] ^= 1;
         assert_eq!(validate_encoded_set(&bits), None);
         // Bitset whose cardinality disagrees with its popcount.
-        let mut bits2 = Vec::new();
-        encode_sorted_into(&[0, 1, 64], Some(Layout::Bitset), &mut bits2);
+        let mut bits2 = block(&[0, 1, 64], Layout::Bitset);
         bits2[1] = 9;
         assert_eq!(validate_encoded_set(&bits2), None);
         // Too short to even carry a header.
@@ -567,16 +474,5 @@ mod tests {
         // The largest legitimate base word still validates.
         let top = u32::MAX / WORD_BITS;
         assert_eq!(validate_encoded_set(&[TAG_BITSET, 1, top, 1, 1, 0]), Some((6, 1)));
-    }
-
-    #[test]
-    fn bits_ref_intersections_agree_with_owned() {
-        let a: Vec<u32> = (0..128).step_by(3).collect();
-        let b: Vec<u32> = (60..300).step_by(2).collect();
-        let (sa, sb) = (BitSet::from_sorted(&a), BitSet::from_sorted(&b));
-        let expect: Vec<u32> = a.iter().copied().filter(|v| b.contains(v)).collect();
-        assert_eq!(sa.intersect_bitset(&sb).iter().collect::<Vec<_>>(), expect);
-        assert_eq!(sa.as_bits_ref().intersect_count(sb.as_bits_ref()), expect.len());
-        assert!(sa.as_bits_ref().intersects(sb.as_bits_ref()));
     }
 }

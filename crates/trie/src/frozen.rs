@@ -1,12 +1,10 @@
 //! The frozen trie: every level, block, child base, and set payload
 //! flattened into one contiguous `u32` arena.
 //!
-//! A [`FrozenTrie`] is the zero-copy counterpart of [`Trie`]: identical
-//! navigation semantics, but the storage is a single allocation that can
-//! be written to — and memory-loaded from — a snapshot file wholesale,
-//! with no per-block allocation and no re-sorting. Sets decode in place
-//! as [`SetRef`] views, so frozen tries run through exactly the same
-//! intersection kernels as mutable ones.
+//! The storage is a single allocation that can be written to — and
+//! memory-loaded from — a snapshot file wholesale, with no per-block
+//! allocation and no re-sorting. Sets decode in place as [`SetRef`]
+//! views, the one form every intersection kernel reads.
 //!
 //! ## Arena layout
 //!
@@ -35,10 +33,17 @@ use std::sync::Arc;
 
 use eh_setops::{decode_set, encode_sorted_into, validate_encoded_set, Layout, SetRef};
 
-use crate::build::LayoutPolicy;
-#[cfg(test)]
-use crate::build::Trie;
 use crate::tuples::TupleBuffer;
+
+/// Which set layouts trie levels may use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum LayoutPolicy {
+    /// Let the per-set layout optimizer choose (paper §II-A2).
+    Auto,
+    /// Force sorted uint arrays everywhere — the "index layout" baseline
+    /// of the Table I +Layout ablation.
+    UintOnly,
+}
 
 /// A shared byte region a [`FrozenTrie`] arena may live inside — in
 /// practice a memory-mapped snapshot file (`eh-rdf`'s `MappedRegion`),
@@ -122,7 +127,7 @@ impl FrozenTrie {
 
     /// Build from tuples already sorted lexicographically and unique
     /// (e.g. a `PairTable`-order slice), writing set payloads straight
-    /// into the arena — no intermediate per-block `Set` allocations.
+    /// into the arena.
     pub fn from_sorted(tuples: TupleBuffer, policy: LayoutPolicy) -> FrozenTrie {
         debug_assert!(tuples.is_sorted_unique());
         let arity = tuples.arity();
@@ -471,31 +476,9 @@ fn validate_parts(
 }
 
 #[cfg(test)]
-impl Trie {
-    /// Freeze this trie into its arena representation. The frozen trie is
-    /// identical to [`FrozenTrie::from_sorted`] over the same tuples —
-    /// layouts included — because both derive each block's layout from
-    /// the same optimizer inputs.
-    pub fn freeze(&self) -> FrozenTrie {
-        let arity = self.arity();
-        let mut tables: Vec<Vec<u32>> = Vec::with_capacity(arity);
-        let mut payload: Vec<u32> = Vec::new();
-        for level in 0..arity {
-            let mut table = Vec::with_capacity(self.num_blocks(level));
-            for block in 0..self.num_blocks(level) {
-                table.push(payload.len() as u32);
-                payload.push(self.child_base(level, block) as u32);
-                eh_setops::encode_set_into(self.set(level, block), &mut payload);
-            }
-            tables.push(table);
-        }
-        FrozenTrie::assemble(arity as u32, self.num_tuples() as u32, tables, payload)
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::Trie;
 
     fn figure1_tuples() -> TupleBuffer {
         // Figure 1: suborganizationOf = {(Univ0,Dept0),(Univ0,Dept1),
@@ -524,8 +507,9 @@ mod tests {
 
     #[test]
     fn matches_mutable_trie_everywhere() {
-        // A mixed-density relation: frozen navigation, layouts, and
-        // enumeration must agree with the Vec-of-Set trie exactly.
+        // A mixed-density relation: frozen values, ranks, child blocks and
+        // enumeration must agree with the Vec-of-blocks oracle exactly,
+        // whatever layout each block took.
         let mut t = TupleBuffer::new(3);
         for a in 0..4u32 {
             for b in 0..300u32 {
@@ -535,23 +519,19 @@ mod tests {
                 }
             }
         }
+        let mutable = Trie::build(t.clone());
         for policy in [LayoutPolicy::Auto, LayoutPolicy::UintOnly] {
-            let mutable = Trie::build(t.clone(), policy);
             let frozen = FrozenTrie::build(t.clone(), policy);
             assert_eq!(frozen.num_tuples(), mutable.num_tuples());
             assert_eq!(frozen.to_tuples(), mutable.to_tuples());
-            assert_eq!(frozen.bitset_blocks(), mutable.bitset_blocks());
-            assert_eq!(frozen.set_bytes(), mutable.set_bytes());
             for level in 0..mutable.arity() {
                 assert_eq!(frozen.num_blocks(level), mutable.num_blocks(level));
                 for block in 0..mutable.num_blocks(level) {
-                    assert_eq!(
-                        frozen.set(level, block).to_vec(),
-                        mutable.set(level, block).to_vec(),
-                        "level {level} block {block}"
-                    );
-                    if level + 1 < mutable.arity() {
-                        for v in mutable.set(level, block).iter() {
+                    let (set, vals) = (frozen.set(level, block), mutable.set(level, block));
+                    assert_eq!(set.to_vec(), vals, "level {level} block {block}");
+                    for (rank, &v) in vals.iter().enumerate() {
+                        assert_eq!(set.rank(v), Some(rank));
+                        if level + 1 < mutable.arity() {
                             assert_eq!(
                                 frozen.child(level, block, v),
                                 mutable.child(level, block, v)
@@ -560,18 +540,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn freeze_equals_direct_build() {
-        let mut t = TupleBuffer::new(2);
-        for v in 0..1000u32 {
-            t.push(&[v % 7, v]);
-        }
-        for policy in [LayoutPolicy::Auto, LayoutPolicy::UintOnly] {
-            let mutable = Trie::build(t.clone(), policy);
-            assert_eq!(mutable.freeze(), FrozenTrie::build(t.clone(), policy), "{policy:?}");
         }
     }
 
@@ -759,5 +727,7 @@ mod tests {
         assert_eq!(uint.bitset_blocks(), 0);
         assert_eq!(auto.num_tuples(), uint.num_tuples());
         assert!(auto.arena_bytes() < uint.arena_bytes());
+        // 1000 values as 4-byte array elements vs 1000 bits in 32 words.
+        assert_eq!((uint.set_bytes(), auto.set_bytes()), (4000, 128));
     }
 }

@@ -29,13 +29,13 @@
 //! assert_eq!(trie.set(1, child).to_vec(), vec![1, 2]);
 //! ```
 
-mod build;
 mod frozen;
+#[cfg(test)]
+mod oracle;
 mod overlay;
 mod tuples;
 
-pub use build::LayoutPolicy;
-pub use frozen::{ArenaBytes, FrozenTrie};
+pub use frozen::{ArenaBytes, FrozenTrie, LayoutPolicy};
 pub use overlay::DeltaOverlay;
 pub use tuples::TupleBuffer;
 

@@ -19,8 +19,7 @@ use std::sync::OnceLock;
 
 use eh_setops::SetRef;
 
-use crate::build::LayoutPolicy;
-use crate::frozen::FrozenTrie;
+use crate::frozen::{FrozenTrie, LayoutPolicy};
 use crate::tuples::TupleBuffer;
 
 /// Staged inserts and tombstones for one `(predicate, order)` relation,

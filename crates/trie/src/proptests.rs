@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-use crate::build::Trie;
+use crate::oracle::Trie;
 use crate::{FrozenTrie, LayoutPolicy, TupleBuffer};
 
 fn tuples(arity: usize) -> impl Strategy<Value = Vec<Vec<u32>>> {
@@ -24,7 +24,7 @@ proptest! {
     fn roundtrip_is_sorted_distinct(rows in tuples(2)) {
         let expect: BTreeSet<Vec<u32>> = rows.iter().cloned().collect();
         for policy in [LayoutPolicy::Auto, LayoutPolicy::UintOnly] {
-            let trie = Trie::build(buffer_of(&rows, 2), policy);
+            let trie = FrozenTrie::build(buffer_of(&rows, 2), policy);
             prop_assert_eq!(trie.num_tuples(), expect.len());
             let mut got = Vec::new();
             trie.for_each_tuple(|r| got.push(r.to_vec()));
@@ -35,7 +35,7 @@ proptest! {
     #[test]
     fn ternary_roundtrip(rows in tuples(3)) {
         let expect: BTreeSet<Vec<u32>> = rows.iter().cloned().collect();
-        let trie = Trie::build(buffer_of(&rows, 3), LayoutPolicy::Auto);
+        let trie = Trie::build(buffer_of(&rows, 3));
         let out = trie.to_tuples();
         prop_assert_eq!(out.len(), expect.len());
         for (i, r) in expect.iter().enumerate() {
@@ -46,7 +46,7 @@ proptest! {
     #[test]
     fn contains_matches_membership(rows in tuples(2), probes in tuples(2)) {
         let set: BTreeSet<Vec<u32>> = rows.iter().cloned().collect();
-        let trie = Trie::build(buffer_of(&rows, 2), LayoutPolicy::Auto);
+        let trie = Trie::build(buffer_of(&rows, 2));
         for p in &probes {
             prop_assert_eq!(trie.contains_prefix(p), set.contains(p));
         }
@@ -58,10 +58,10 @@ proptest! {
 
     #[test]
     fn child_navigation_consistent(rows in tuples(2)) {
-        let trie = Trie::build(buffer_of(&rows, 2), LayoutPolicy::Auto);
+        let trie = Trie::build(buffer_of(&rows, 2));
         // For every root value, the child's set is exactly the objects
         // grouped under that subject.
-        for v in trie.root_set().iter() {
+        for &v in trie.root_set() {
             let child = trie.child(0, 0, v).unwrap();
             let expect: BTreeSet<u32> =
                 rows.iter().filter(|r| r[0] == v).map(|r| r[1]).collect();
@@ -78,29 +78,27 @@ proptest! {
         let perm = [2usize, 0, 1];
         let permuted_rows: Vec<Vec<u32>> =
             rows.iter().map(|r| perm.iter().map(|&c| r[c]).collect()).collect();
-        let a = Trie::build(buffer_of(&rows, 3).permute(&perm), LayoutPolicy::Auto);
-        let b = Trie::build(buffer_of(&permuted_rows, 3), LayoutPolicy::Auto);
+        let a = Trie::build(buffer_of(&rows, 3).permute(&perm));
+        let b = Trie::build(buffer_of(&permuted_rows, 3));
         prop_assert_eq!(a.to_tuples(), b.to_tuples());
     }
 
     #[test]
     fn layout_policy_never_changes_contents(rows in tuples(2)) {
-        let auto = Trie::build(buffer_of(&rows, 2), LayoutPolicy::Auto);
-        let uint = Trie::build(buffer_of(&rows, 2), LayoutPolicy::UintOnly);
+        let auto = FrozenTrie::build(buffer_of(&rows, 2), LayoutPolicy::Auto);
+        let uint = FrozenTrie::build(buffer_of(&rows, 2), LayoutPolicy::UintOnly);
         prop_assert_eq!(auto.to_tuples(), uint.to_tuples());
     }
 
     #[test]
     fn frozen_trie_is_navigation_equivalent(rows in tuples(3), probes in tuples(3)) {
-        // The arena representation must agree with the Vec-of-Set trie on
-        // every observable: contents, membership, per-block sets, child
-        // links, and the freeze() of the mutable trie must equal the
-        // directly built arena bit for bit.
+        // The arena representation must agree with the Vec-of-blocks
+        // oracle on every observable: contents, membership, per-block
+        // values and ranks, child links.
         let set: BTreeSet<Vec<u32>> = rows.iter().cloned().collect();
+        let mutable = Trie::build(buffer_of(&rows, 3));
         for policy in [LayoutPolicy::Auto, LayoutPolicy::UintOnly] {
-            let mutable = Trie::build(buffer_of(&rows, 3), policy);
             let frozen = FrozenTrie::build(buffer_of(&rows, 3), policy);
-            prop_assert_eq!(&mutable.freeze(), &frozen);
             prop_assert_eq!(frozen.num_tuples(), set.len());
             prop_assert_eq!(frozen.to_tuples(), mutable.to_tuples());
             for p in &probes {
@@ -109,10 +107,17 @@ proptest! {
             for level in 0..3 {
                 prop_assert_eq!(frozen.num_blocks(level), mutable.num_blocks(level));
                 for block in 0..mutable.num_blocks(level) {
-                    prop_assert_eq!(
-                        frozen.set(level, block).to_vec(),
-                        mutable.set(level, block).to_vec()
-                    );
+                    let (fset, vals) = (frozen.set(level, block), mutable.set(level, block));
+                    prop_assert_eq!(fset.to_vec(), vals);
+                    for (rank, &v) in vals.iter().enumerate() {
+                        prop_assert_eq!(fset.rank(v), Some(rank));
+                        if level < 2 {
+                            prop_assert_eq!(
+                                frozen.child(level, block, v),
+                                mutable.child(level, block, v)
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -10,6 +10,10 @@
 //! * [`emptyheaded`] — the worst-case optimal join engine with GHD query
 //!   plans and the paper's three classic optimizations (index layouts,
 //!   selection pushdown, pipelining).
+//! * [`trie`] and [`setops`] — the storage under it: a relation is a
+//!   [`trie::FrozenTrie`] arena whose levels are encoded set blocks (uint
+//!   array or bitset), and [`setops::SetRef`] — the borrowed view over a
+//!   block — is the only form of a set the join kernels read.
 //! * [`par`] — the deterministic multicore runtime: joins partition their
 //!   outermost iterated attribute into morsels across worker threads and
 //!   merge results in deterministic order (configure via
