@@ -31,6 +31,7 @@ mod pairwise;
 mod rdf3x;
 mod traits;
 mod triplebit;
+mod vp;
 
 pub use logicblox::LogicBloxStyle;
 pub use monetdb::MonetDbStyle;

@@ -6,7 +6,10 @@
 //! (a) selections executed as column scans, (b) pairwise hash joins with
 //! fully materialised intermediates, and (c) a join order driven by base
 //! table sizes rather than bound-constant selectivities. This analogue
-//! implements exactly those mechanics over the shared [`TripleStore`].
+//! implements exactly those mechanics over its own vertically partitioned
+//! copy of the store's logical contents.
+
+use std::collections::HashMap;
 
 use eh_query::{ConjunctiveQuery, Var};
 use eh_rdf::TripleStore;
@@ -14,16 +17,23 @@ use eh_trie::TupleBuffer;
 
 use crate::pairwise::{distinct_project, hash_join, Bindings};
 use crate::traits::QueryEngine;
+use crate::vp::PairTable;
 
 /// Pairwise column-store engine (see module docs).
 pub struct MonetDbStyle<'s> {
     store: &'s TripleStore,
+    tables: HashMap<u32, PairTable>,
 }
 
 impl<'s> MonetDbStyle<'s> {
-    /// An engine over `store`.
+    /// An engine over `store`'s logical contents (every shard, staged
+    /// deltas included), copied into column pairs at construction.
     pub fn new(store: &'s TripleStore) -> MonetDbStyle<'s> {
-        MonetDbStyle { store }
+        MonetDbStyle { store, tables: PairTable::tables_of(store) }
+    }
+
+    fn table(&self, relation: &str) -> Option<&PairTable> {
+        self.store.resolve_iri(relation).and_then(|p| self.tables.get(&p))
     }
 
     /// Scan one atom's predicate column pair, applying equality selections
@@ -40,7 +50,7 @@ impl<'s> MonetDbStyle<'s> {
             vars.push(a.vars[1]);
         }
         let mut rows = TupleBuffer::new(vars.len());
-        if let Some(table) = self.store.table_by_name(&a.relation) {
+        if let Some(table) = self.table(&a.relation) {
             for &(s, o) in table.so_pairs() {
                 if s_sel.is_some_and(|c| c != s) || o_sel.is_some_and(|c| c != o) {
                     continue;
@@ -57,7 +67,7 @@ impl<'s> MonetDbStyle<'s> {
     }
 
     fn table_len(&self, q: &ConjunctiveQuery, i: usize) -> usize {
-        self.store.table_by_name(&q.atoms()[i].relation).map_or(0, |t| t.len())
+        self.table(&q.atoms()[i].relation).map_or(0, PairTable::len)
     }
 }
 
@@ -79,10 +89,7 @@ impl QueryEngine for MonetDbStyle<'_> {
             let s_sel = q.selection(a.vars[0]).map(|c| c.unwrap());
             let o_sel = q.selection(a.vars[1]).map(|c| c.unwrap());
             if let (Some(s), Some(o)) = (s_sel, o_sel) {
-                let hit = self
-                    .store
-                    .table_by_name(&a.relation)
-                    .is_some_and(|t| t.so_pairs().contains(&(s, o)));
+                let hit = self.table(&a.relation).is_some_and(|t| t.so_pairs().contains(&(s, o)));
                 if !hit {
                     return empty();
                 }

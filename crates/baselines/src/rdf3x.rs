@@ -78,8 +78,9 @@ pub struct Rdf3xStyle<'s> {
 }
 
 impl<'s> Rdf3xStyle<'s> {
-    /// Build the six permutation indexes and aggregate statistics
-    /// (construction is "load time" — excluded from query timing, like
+    /// Build the six permutation indexes and aggregate statistics over
+    /// `store`'s logical contents (every shard, staged deltas included;
+    /// construction is "load time" — excluded from query timing, like
     /// the paper's methodology).
     pub fn new(store: &'s TripleStore) -> Rdf3xStyle<'s> {
         let t = || store.encoded_triples();
@@ -89,16 +90,19 @@ impl<'s> Rdf3xStyle<'s> {
         let ops = Permutation::build(t().map(|t| [t.o, t.p, t.s]));
         let sop = Permutation::build(t().map(|t| [t.s, t.o, t.p]));
         let osp = Permutation::build(t().map(|t| [t.o, t.s, t.p]));
+        // Aggregate statistics off the PSO/POS permutations: a predicate's
+        // distinct subjects (objects) are its distinct (p, s) ((p, o))
+        // prefixes.
         let mut stats: HashMap<u32, PredStats> = HashMap::new();
-        for table in store.tables() {
-            stats.insert(
-                table.pred(),
-                PredStats {
-                    triples: table.len(),
-                    distinct_s: table.distinct_subjects(),
-                    distinct_o: table.distinct_objects(),
-                },
-            );
+        for (i, r) in pso.rows.iter().enumerate() {
+            let st = stats.entry(r[0]).or_default();
+            st.triples += 1;
+            st.distinct_s += usize::from(i == 0 || pso.rows[i - 1][..2] != r[..2]);
+        }
+        for (i, r) in pos.rows.iter().enumerate() {
+            if i == 0 || pos.rows[i - 1][..2] != r[..2] {
+                stats.entry(r[0]).or_default().distinct_o += 1;
+            }
         }
         Rdf3xStyle { store, pso, pos, spo, ops, sop, osp, stats }
     }

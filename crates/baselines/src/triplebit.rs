@@ -7,8 +7,8 @@
 //! use the selectivity estimation of query patterns to select the most
 //! effective indexes, minimize the number of indexes needed, and determine
 //! the query plan" (paper §IV-A2). This analogue keeps exactly one SO and
-//! one OS clustered order per predicate (reusing the store's vertically
-//! partitioned tables as the matrix), per-predicate aggregate
+//! one OS clustered order per predicate (a vertically partitioned copy of
+//! the store's logical contents as the matrix), per-predicate aggregate
 //! subject/object lists, and prunes candidate bindings by intersecting the
 //! aggregate lists of every pattern a variable occurs in — TripleBit's
 //! semi-join-style reduction — before the same greedy pairwise pipeline as
@@ -23,6 +23,7 @@ use eh_trie::TupleBuffer;
 
 use crate::pairwise::{greedy_inl_execute, InlBackend};
 use crate::traits::QueryEngine;
+use crate::vp::PairTable;
 
 /// Aggregate index for one predicate: sorted distinct subjects/objects.
 #[derive(Debug, Default)]
@@ -34,6 +35,7 @@ struct Aggregates {
 /// TripleBit analogue (see module docs).
 pub struct TripleBitStyle<'s> {
     store: &'s TripleStore,
+    tables: HashMap<u32, PairTable>,
     aggregates: HashMap<u32, Aggregates>,
     /// Per-query candidate sets computed by the semi-join pruning pass;
     /// keyed by variable. Interior-mutable because [`QueryEngine`] takes
@@ -42,21 +44,24 @@ pub struct TripleBitStyle<'s> {
 }
 
 impl<'s> TripleBitStyle<'s> {
-    /// Build the aggregate indexes (load time, excluded from timing).
+    /// Copy `store`'s logical contents (every shard, staged deltas
+    /// included) into the two-order matrix and build the aggregate
+    /// indexes (load time, excluded from timing).
     pub fn new(store: &'s TripleStore) -> TripleBitStyle<'s> {
+        let tables = PairTable::tables_of(store);
         let mut aggregates = HashMap::new();
-        for table in store.tables() {
+        for (&pred, table) in &tables {
             let mut subjects: Vec<u32> = table.so_pairs().iter().map(|&(s, _)| s).collect();
             subjects.dedup(); // so_pairs is subject-sorted
             let mut objects: Vec<u32> = table.os_pairs().iter().map(|&(o, _)| o).collect();
             objects.dedup();
-            aggregates.insert(table.pred(), Aggregates { subjects, objects });
+            aggregates.insert(pred, Aggregates { subjects, objects });
         }
-        TripleBitStyle { store, aggregates, candidates: RefCell::new(HashMap::new()) }
+        TripleBitStyle { store, tables, aggregates, candidates: RefCell::new(HashMap::new()) }
     }
 
-    fn table(&self, atom: &Atom) -> Option<&eh_rdf::PairTable> {
-        self.store.table_by_name(&atom.relation)
+    fn table(&self, atom: &Atom) -> Option<&PairTable> {
+        self.store.resolve_iri(&atom.relation).and_then(|p| self.tables.get(&p))
     }
 
     /// TripleBit's pruning pass: for every variable occurring in more
@@ -79,7 +84,10 @@ impl<'s> TripleBitStyle<'s> {
                     lists.push(&[]);
                     continue;
                 };
-                let agg = &self.aggregates[&p];
+                let Some(agg) = self.aggregates.get(&p) else {
+                    lists.push(&[]);
+                    continue;
+                };
                 if a.vars[0] == v {
                     lists.push(&agg.subjects);
                 } else if a.vars[1] == v {

@@ -6,19 +6,27 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use eh_lubm::{generate_store, pred_iri, GeneratorConfig, Predicate};
-use eh_trie::{FrozenTrie, LayoutPolicy, TupleBuffer};
+use eh_rdf::TriePair;
+use eh_trie::{FrozenTrie, LayoutPolicy};
+
+/// The `takesCourse` relation of LUBM(1): the store's two tries.
+fn takes_course() -> TriePair {
+    let store = generate_store(&GeneratorConfig::scale(1));
+    let pred = store.resolve_iri(&pred_iri(Predicate::TakesCourse)).expect("predicate");
+    store.trie_pair(0, pred).expect("relation").clone()
+}
 
 fn bench_trie_build(c: &mut Criterion) {
-    let store = generate_store(&GeneratorConfig::scale(1));
-    let takes = store.table_by_name(&pred_iri(Predicate::TakesCourse)).expect("table");
+    let takes = takes_course();
     let mut g = c.benchmark_group("trie_build");
     g.sample_size(20);
     for (label, policy) in [("auto", LayoutPolicy::Auto), ("uint_only", LayoutPolicy::UintOnly)] {
-        for (order, pairs) in [("so", takes.so_pairs()), ("os", takes.os_pairs())] {
+        for (order, trie) in [("so", takes.so()), ("os", takes.os())] {
+            let pairs: Vec<(u32, u32)> = trie.pairs().collect();
             let id = BenchmarkId::new(format!("takesCourse_{order}"), label);
             g.bench_with_input(id, &policy, |b, &policy| {
                 b.iter(|| {
-                    let t = FrozenTrie::from_sorted(TupleBuffer::from_pairs(pairs), policy);
+                    let t = FrozenTrie::from_sorted_pairs(&pairs, policy);
                     black_box(t.num_tuples())
                 })
             });
@@ -28,12 +36,11 @@ fn bench_trie_build(c: &mut Criterion) {
 }
 
 fn bench_trie_probe(c: &mut Criterion) {
-    let store = generate_store(&GeneratorConfig::scale(1));
-    let takes = store.table_by_name(&pred_iri(Predicate::TakesCourse)).expect("table");
-    let subjects: Vec<u32> = takes.so_pairs().iter().map(|&(s, _)| s).step_by(37).collect();
+    let takes = takes_course();
+    let subjects: Vec<u32> = takes.so().root_set().iter().step_by(37).collect();
     let mut g = c.benchmark_group("trie_probe");
     for (label, policy) in [("auto", LayoutPolicy::Auto), ("uint_only", LayoutPolicy::UintOnly)] {
-        let trie = FrozenTrie::from_sorted(TupleBuffer::from_pairs(takes.so_pairs()), policy);
+        let trie = FrozenTrie::from_sorted(takes.so().to_tuples(), policy);
         g.bench_function(format!("contains_prefix/{label}"), |b| {
             b.iter(|| {
                 let mut hits = 0usize;

@@ -8,15 +8,17 @@
 //! paths a production deployment has:
 //!
 //! * **cold** — read an `.nt` file, parse it, dictionary-encode, sort
-//!   every predicate table twice, and build the hot-order tries;
-//! * **snapshot** — `StoreSnapshot::read` (bulk load, checksum, zero
-//!   re-sorting) plus preloading the shipped frozen tries;
+//!   every predicate's pairs in both orders and freeze both tries;
+//! * **snapshot** — `StoreSnapshot::read` (bulk load, checksum, the
+//!   reader's checks, zero re-sorting): the shipped tries *are* the
+//!   store;
 //! * **mmap** — `StoreSnapshot::read_from_path_mmap`: the same decode
-//!   and checksums, but trie arenas serve straight from the mapped
-//!   file's page-cache pages instead of being copied into the heap.
+//!   and checks, but trie arenas serve straight from the mapped file's
+//!   page-cache pages instead of being copied into the heap.
 //!
-//! Startup means *index-ready*: store loaded and every hot-order trie
-//! resident — the state from which a first query pays only execution.
+//! Startup means *index-ready*: store loaded and both tries of every
+//! relation resident — the state from which a first query pays only
+//! execution.
 //! Query execution itself is identical in all paths (the tries are
 //! equal), so it runs outside the timed region purely as the
 //! equivalence check: every engine must answer LUBM query 2
@@ -32,7 +34,7 @@ use std::time::Instant;
 use eh_bench::{fmt_ms, measure, BenchReport, TablePrinter};
 use eh_lubm::queries::lubm_query;
 use eh_lubm::{generate_triples, GeneratorConfig};
-use eh_rdf::{parse_ntriples, write_ntriples, StoreSnapshot, TripleStore};
+use eh_rdf::{parse_ntriples, write_ntriples, TripleStore};
 use emptyheaded::{Engine, LoadMode, OptFlags, PlannerConfig, QueryResult};
 
 struct Args {
@@ -85,21 +87,15 @@ fn first_answer(engine: &Engine) -> QueryResult {
     engine.run(&q).expect("query 2 runs")
 }
 
-/// Cold path: parse N-Triples text, build the store (dictionary + both
-/// sort orders per predicate), and build the hot-order tries.
+/// Cold path: parse N-Triples text and build the store (dictionary +
+/// both frozen tries per predicate).
 fn cold_start(nt_text: &str) -> Engine {
     let triples = parse_ntriples(nt_text).expect("generated N-Triples parse");
-    let store = TripleStore::from_triples(triples);
-    let tries = StoreSnapshot::hot_tries(&store);
-    let engine = Engine::new(store, OptFlags::all());
-    engine
-        .catalog()
-        .preload(tries.into_iter().map(|e| (e.pred, e.subject_first, e.shard as usize, e.trie)));
-    engine
+    Engine::new(TripleStore::from_triples(triples), OptFlags::all())
 }
 
-/// Snapshot path: bulk-load the snapshot file and preload its frozen
-/// tries.
+/// Snapshot path: bulk-load the snapshot file; its tries are the
+/// store's.
 fn snapshot_start(path: &std::path::Path) -> Engine {
     Engine::from_snapshot(path, PlannerConfig::with_flags(OptFlags::all())).expect("snapshot loads")
 }

@@ -4,7 +4,6 @@
 //! `subOrganizationOf` example.
 
 use eh_rdf::{Term, Triple, TripleStore};
-use eh_trie::{FrozenTrie, LayoutPolicy, TupleBuffer};
 
 fn main() {
     // The figure's predicate relation.
@@ -33,11 +32,12 @@ fn main() {
         println!("  {id:<4} {}", term.as_str());
     }
 
-    let table = store.table_by_name("suborganizationOf").expect("predicate table");
-    println!("\nEncoded pairs (subject-major): {:?}", table.so_pairs());
+    // The store holds the relation as its tries: the subject-major one
+    // is the figure's.
+    let pred = store.resolve_iri("suborganizationOf").expect("predicate");
+    let trie = store.trie_pair(0, pred).expect("predicate relation").so();
+    println!("\nEncoded pairs (subject-major): {:?}", trie.pairs().collect::<Vec<_>>());
 
-    let trie =
-        FrozenTrie::from_sorted(TupleBuffer::from_pairs(table.so_pairs()), LayoutPolicy::Auto);
     println!("\nTrie representation:");
     let root = trie.root_set();
     for v in root.iter() {

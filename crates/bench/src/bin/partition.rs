@@ -100,11 +100,8 @@ fn main() {
     let dir = std::env::temp_dir();
     let p1_path = dir.join(format!("eh-partition-{}-p1.snap", std::process::id()));
     let split_path = dir.join(format!("eh-partition-{}-p{SHARDS}.snap", std::process::id()));
-    let p1_bytes = StoreSnapshot::write_to_path(&base, &StoreSnapshot::hot_tries(&base), &p1_path)
-        .expect("write P=1");
-    let split_bytes =
-        StoreSnapshot::write_to_path(&split, &StoreSnapshot::hot_tries(&split), &split_path)
-            .expect("write split");
+    let p1_bytes = StoreSnapshot::write_to_path(&base, &p1_path).expect("write P=1");
+    let split_bytes = StoreSnapshot::write_to_path(&split, &split_path).expect("write split");
     println!("snapshots: P=1 {p1_bytes} bytes, {SHARDS}-shard {split_bytes} bytes");
 
     // Byte-identity across the whole workload before any timing: the

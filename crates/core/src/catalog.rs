@@ -1,77 +1,71 @@
-//! The trie catalog: loads vertically partitioned predicate tables as
-//! tries in the orders the plan needs, with caching.
+//! The trie catalog: hands the executor each relation as the tries the
+//! plan's attribute orders need.
 //!
 //! A trie over one attribute order is "analogous to a single index in a
-//! standard database" (paper §III-A); the catalog is therefore the
-//! engine's index manager. Binary RDF atoms need at most two orders per
-//! predicate — subject-major (`[s, o]`) and object-major (`[o, s]`) — and
-//! both sort orders are already materialised in the store's
-//! [`PairTable`](eh_rdf::PairTable)s, so trie construction skips sorting.
+//! standard database" (paper §III-A), and the store already *is* those
+//! indexes: every (shard, predicate) lives as its two frozen
+//! auto-layout tries, subject-major (`[s, o]`) and object-major
+//! (`[o, s]`) — the only two orders a binary RDF atom needs. An
+//! auto-layout operand is therefore the store's own `Arc`: nothing is
+//! built and nothing is cached. The catalog builds only what the store
+//! does not hold: staged-delta overlays, the merged root domains of
+//! partitioned relations, and the `UintOnly` tries of the Table I
+//! +Layout ablation (re-frozen from the store trie's tuples).
 //!
 //! ## Sharding
 //!
 //! The store hash-partitions subjects into `P` shards, each owning its
-//! own `PairTable`s and staged deltas; the catalog mirrors that layout
-//! one level down: every cache key carries the shard, so each shard's
-//! trie freezes into its own contiguous arena and a shard-local
-//! compaction retires exactly one shard's tries. [`Catalog::relation`]
-//! assembles the executor's view, a [`Layered`] operand: one
-//! `(base, overlay?)` [`Layer`] at `P = 1` (or when only one shard holds
-//! the predicate, or the plan is shard-local), byte-identical to the
-//! unpartitioned engine; otherwise one layer per non-empty shard under
-//! the merged root domain that the generic join unions through its
+//! own relations and staged deltas; every cache key carries the shard, so
+//! a shard-local compaction retires exactly one shard's entries.
+//! [`Catalog::relation`] assembles the executor's view, a [`Layered`]
+//! operand: one `(base, overlay?)` [`Layer`] at `P = 1` (or when only one
+//! shard holds the predicate, or the plan is shard-local), byte-identical
+//! to the unpartitioned engine; otherwise one layer per non-empty shard
+//! under the merged root domain that the generic join unions through its
 //! layered cursor.
 //!
 //! ## Ownership and mutation
 //!
 //! The catalog co-owns its [`SharedStore`]: queries and updates share one
-//! store behind a `RwLock`, and the catalog's job is keeping its tries
-//! consistent with whatever that store currently holds. After a mutation,
-//! [`Catalog::refresh_after_update`] retires exactly the changed
-//! (predicate, shard) pairs' tries (untouched shards keep theirs),
-//! advances the epoch, and rebuilds the previously cached orders
-//! concurrently on the runtime's workers. Layers that cache *derived*
+//! store behind a `RwLock`, and the catalog's job is keeping what it
+//! derived consistent with whatever that store currently holds. After a
+//! mutation, [`Catalog::refresh_after_update`] retires exactly the
+//! changed (predicate, shard) pairs' derived entries (untouched shards
+//! keep theirs) and advances the epoch. Layers that cache *derived*
 //! artifacts (a serving tier's result cache) key them by
 //! [`Catalog::epoch`] so every retired state is unreachable at once.
 //!
 //! ## Concurrency
 //!
-//! The cache is shared-state concurrent: tries live behind `Arc` and the
-//! map behind an `RwLock`, so the parallel runtime can both *read* tries
-//! from many worker threads during join execution and *build* distinct
-//! tries concurrently during [`Engine::warm`](crate::Engine::warm) — all
-//! through `&self`. Construction happens outside the lock; when two
-//! workers race to build the same trie, the first insert wins and both
-//! end up sharing one copy. Because construction is outside the lock, a
-//! build can race with an invalidation — publication therefore re-checks
-//! the epoch under the cache's write lock (the epoch only mutates under
-//! that lock) and rebuilds instead of inserting a trie made from retired
-//! data.
+//! The cache is shared-state concurrent: entries live behind `Arc` and
+//! the maps behind an `RwLock`, so the parallel runtime can both *read*
+//! operands from many worker threads during join execution and *build*
+//! distinct ablation tries concurrently during
+//! [`Engine::warm`](crate::Engine::warm) — all through `&self`.
+//! Construction happens outside the lock; when two workers race to build
+//! the same entry, the first insert wins and both end up sharing one
+//! copy. Because construction is outside the lock, a build can race with
+//! an invalidation — publication therefore re-checks the epoch under the
+//! cache's write lock (the epoch only mutates under that lock) and
+//! rebuilds instead of inserting an entry made from retired data.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-use eh_par::RuntimeConfig;
 use eh_query::Atom;
 use eh_rdf::PredDelta;
 use eh_trie::{DeltaOverlay, FrozenTrie, LayoutPolicy, TupleBuffer};
 
 use crate::shared::SharedStore;
 
+/// One shard's trie for one predicate in one attribute order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct TrieKey {
     pred: u32,
     shard: usize,
     subject_first: bool,
-    auto_layout: bool,
 }
-
-/// Overlay cache key: `(predicate, subject_first, shard)`. Overlays are
-/// layout-independent — their sets stay in the uint layout and the
-/// kernels intersect mixed layouts anyway — so both layout modes share
-/// one entry per (order, shard).
-type OverlayKey = (u32, bool, usize);
 
 /// Union-root cache key: `(predicate, subject_first)`. The merged root
 /// domain across shards is a plain value set, independent of layout.
@@ -80,12 +74,15 @@ type UnionKey = (u32, bool);
 /// All cache maps behind one lock: the epoch-recheck publication
 /// protocol requires the epoch to mutate only under this lock, and
 /// splitting the maps across several locks would force an ordering
-/// discipline for no gain (overlay and union-root construction are
-/// O(delta) / O(roots), never the bottleneck).
+/// discipline for no gain.
 #[derive(Default)]
 struct CacheMaps {
-    tries: HashMap<TrieKey, Arc<FrozenTrie>>,
-    overlays: HashMap<OverlayKey, Arc<DeltaOverlay>>,
+    /// `UintOnly` ablation tries; auto-layout operands are the store's.
+    uint_tries: HashMap<TrieKey, Arc<FrozenTrie>>,
+    /// Staged-delta overlays. Layout-independent — their sets stay in the
+    /// uint layout and the kernels intersect mixed layouts anyway — so
+    /// both layout modes share one entry per (order, shard).
+    overlays: HashMap<TrieKey, Arc<DeltaOverlay>>,
     unions: HashMap<UnionKey, Arc<Vec<u32>>>,
 }
 
@@ -154,13 +151,11 @@ pub(crate) fn layout_policy(auto: bool) -> LayoutPolicy {
     }
 }
 
-/// Trie provider over a [`SharedStore`]. Every trie it serves is a
+/// Operand provider over a [`SharedStore`]. Every trie it serves is a
 /// [`FrozenTrie`] — one contiguous arena per (predicate, shard, order,
-/// layout) — whether it was built from the live store or preloaded from
-/// a snapshot ([`Catalog::preload`]). An update *thaws* only the changed
-/// (predicate, shard) pairs: their frozen tries are retired and rebuilt
-/// from the mutable store through [`Catalog::refresh_after_update`],
-/// exactly like any cache miss.
+/// layout): the store's own for the auto layout (built at commit,
+/// refrozen by compaction, or mapped from a snapshot), a cached re-freeze
+/// for the `UintOnly` ablation.
 pub struct Catalog {
     store: SharedStore,
     cache: RwLock<CacheMaps>,
@@ -168,13 +163,12 @@ pub struct Catalog {
     /// Monotonic version of the catalog's contents. Advanced by
     /// [`Catalog::invalidate`] / [`Catalog::refresh_after_update`], and
     /// only ever mutated while the `cache` write lock is held — that is
-    /// what makes the publish-time epoch re-check in [`Catalog::obtain`]
-    /// race-free.
+    /// what makes the publish-time epoch re-check race-free.
     epoch: AtomicU64,
     /// The [`SharedStore::version`] this catalog last synchronised with.
     /// Several engines can share one store; only the updating engine's
     /// catalog gets the precise per-predicate refresh, so every other
-    /// catalog detects the skew here and retires *all* of its tries (it
+    /// catalog detects the skew here and retires *all* of its entries (it
     /// cannot know which predicates the foreign update touched). Mutated
     /// only under the `cache` write lock, like `epoch`.
     synced_version: AtomicU64,
@@ -209,7 +203,7 @@ impl Catalog {
 
     /// Catch up with updates applied through *other* engines over the
     /// same store: when the store version moved past the one this catalog
-    /// last synchronised with, drop every trie and advance the epoch.
+    /// last synchronised with, drop every entry and advance the epoch.
     /// (The updating engine's own catalog is kept in step by
     /// [`Catalog::refresh_after_update`], which records the version it
     /// covered.)
@@ -222,9 +216,7 @@ impl Catalog {
         if self.synced_version.load(Ordering::Acquire) == version {
             return;
         }
-        cache.tries.clear();
-        cache.overlays.clear();
-        cache.unions.clear();
+        *cache = CacheMaps::default();
         self.epoch.fetch_add(1, Ordering::AcqRel);
         self.synced_version.store(version, Ordering::Release);
     }
@@ -235,7 +227,7 @@ impl Catalog {
     /// exactly the changed (predicate, shard) pairs, so readers racing
     /// into the gap must not treat the version skew as a foreign update
     /// and full-invalidate (which would throw away every untouched
-    /// predicate's trie).
+    /// predicate's entries).
     pub(crate) fn claim_version(&self, version: u64) {
         // Under the cache lock purely to keep the invariant that
         // `synced_version` mutates only there.
@@ -243,14 +235,12 @@ impl Catalog {
         self.synced_version.fetch_max(version, Ordering::AcqRel);
     }
 
-    /// Drop every cached trie and advance the epoch, forcing downstream
-    /// caches keyed by `(query, epoch)` to miss. Tries rebuild lazily on
-    /// the next access.
+    /// Drop every cached entry and advance the epoch, forcing downstream
+    /// caches keyed by `(query, epoch)` to miss. Entries rebuild lazily
+    /// on the next access.
     pub fn invalidate(&self) -> u64 {
         let mut cache = self.cache.write().expect("catalog lock poisoned");
-        cache.tries.clear();
-        cache.overlays.clear();
-        cache.unions.clear();
+        *cache = CacheMaps::default();
         // A full clear also covers any store version we had not yet
         // synchronised with — record that so the next epoch read does not
         // invalidate a second time.
@@ -263,27 +253,23 @@ impl Catalog {
         &self.store
     }
 
-    /// The trie for `atom`'s predicate table in the given column order —
-    /// the `P = 1` view. Predicates absent from the store (or with
-    /// emptied tables) resolve to a shared empty trie.
+    /// The trie for `atom`'s predicate in the given column order — the
+    /// `P = 1` view. Predicates absent from the store resolve to a shared
+    /// empty trie.
     ///
     /// # Panics
     /// Panics on a partitioned catalog: a single trie per predicate is
     /// ill-defined there — use [`Catalog::relation`].
     pub fn trie(&self, atom: &Atom, subject_first: bool, auto_layout: bool) -> Arc<FrozenTrie> {
         assert_eq!(self.partitions(), 1, "partitioned catalog: use relation()");
-        let Some(pred) = self.store.read().resolve_iri(&atom.relation) else {
-            return Arc::clone(&self.empty);
-        };
-        let key = TrieKey { pred, shard: 0, subject_first, auto_layout };
-        self.obtain(key, &|| {})
+        self.trie_with_publish_window(atom, subject_first, auto_layout, &|| {})
     }
 
     /// Test hook: like [`Catalog::trie`], but runs `window` between
-    /// building a trie and publishing it — the exact window in which a
-    /// concurrent invalidation used to be able to slip a stale trie into
-    /// a freshly cleared cache. Kept public (hidden) so the regression
-    /// test can drive the interleaving deterministically.
+    /// building an ablation trie and publishing it — the exact window in
+    /// which a concurrent invalidation used to be able to slip a stale
+    /// trie into a freshly cleared cache. Kept public (hidden) so the
+    /// regression test can drive the interleaving deterministically.
     #[doc(hidden)]
     pub fn trie_with_publish_window(
         &self,
@@ -295,12 +281,13 @@ impl Catalog {
         let Some(pred) = self.store.read().resolve_iri(&atom.relation) else {
             return Arc::clone(&self.empty);
         };
-        self.obtain(TrieKey { pred, shard: 0, subject_first, auto_layout }, window)
+        self.obtain(TrieKey { pred, shard: 0, subject_first }, auto_layout, window)
     }
 
-    /// Build (or fetch) one shard's trie for `atom` — the warm path's
-    /// per-shard unit of work ([`Engine::warm`](crate::Engine::warm) fans
-    /// (predicate, order, shard) jobs over the runtime's workers).
+    /// Fetch (building an ablation trie if needed) one shard's trie for
+    /// `atom` — the warm path's per-shard unit of work
+    /// ([`Engine::warm`](crate::Engine::warm) fans (predicate, order,
+    /// shard) jobs over the runtime's workers).
     pub(crate) fn warm_shard(
         &self,
         atom: &Atom,
@@ -309,15 +296,18 @@ impl Catalog {
         shard: usize,
     ) {
         if let Some(pred) = self.store.read().resolve_iri(&atom.relation) {
-            self.obtain(TrieKey { pred, shard, subject_first, auto_layout }, &|| {});
+            self.obtain(TrieKey { pred, shard, subject_first }, auto_layout, &|| {});
         }
     }
 
-    /// Cached-or-built trie for `key`, with race-safe publication:
+    /// The trie for `key`: the store's own base trie in the auto layout
+    /// (or when it is empty, where layouts coincide), otherwise the
+    /// cached-or-built `UintOnly` re-freeze of it, with race-safe
+    /// publication:
     ///
     /// 1. fast path — return a cached trie;
-    /// 2. record the epoch, then build from the store *outside* any
-    ///    catalog lock (concurrent warm-up builds distinct tries in
+    /// 2. record the epoch, then build from the store's trie *outside*
+    ///    any catalog lock (concurrent warm-up builds distinct tries in
     ///    parallel instead of serialising on the map);
     /// 3. publish under the cache write lock **only if the epoch is
     ///    unchanged** — an invalidation between (2) and (3) means the
@@ -326,20 +316,34 @@ impl Catalog {
     /// Without step 3's re-check, a build racing an invalidation could
     /// insert a pre-invalidation trie into the cleared cache and serve it
     /// under the new epoch indefinitely.
-    fn obtain(&self, key: TrieKey, window: &dyn Fn()) -> Arc<FrozenTrie> {
+    fn obtain(&self, key: TrieKey, auto_layout: bool, window: &dyn Fn()) -> Arc<FrozenTrie> {
         // The hook models a single racing invalidation, injected into the
         // first build's publish window; it must not re-fire on the retry
         // or the retry can never settle.
         let mut window = Some(window);
         loop {
             self.sync_with_store();
-            if let Some(t) = self.cache.read().expect("catalog lock poisoned").tries.get(&key) {
+            if let Some(t) = self.cache.read().expect("catalog lock poisoned").uint_tries.get(&key)
+            {
                 return Arc::clone(t);
             }
             let epoch = self.epoch.load(Ordering::Acquire);
-            let Some(trie) = self.build(key) else {
-                return Arc::clone(&self.empty);
+            let base = {
+                let store = self.store.read();
+                // A racing repartition can shrink the shard count; the
+                // version bump retires this key's world momentarily.
+                let pair = (key.shard < store.partitions())
+                    .then(|| store.trie_pair(key.shard, key.pred))
+                    .flatten();
+                match pair {
+                    Some(pair) => Arc::clone(pair.order(key.subject_first)),
+                    None => return Arc::clone(&self.empty),
+                }
             };
+            if auto_layout || base.is_empty() {
+                return base;
+            }
+            let trie = Arc::new(FrozenTrie::from_sorted(base.to_tuples(), layout_policy(false)));
             if let Some(w) = window.take() {
                 w();
             }
@@ -350,21 +354,20 @@ impl Catalog {
             // A version skew at this point is fine to publish through: the
             // next sync (no later than the next epoch read) retires it.
             if self.epoch.load(Ordering::Acquire) == epoch {
-                return Arc::clone(cache.tries.entry(key).or_insert(trie));
+                return Arc::clone(cache.uint_tries.entry(key).or_insert(trie));
             }
             // Epoch moved while building: the data this trie was built
             // from may be gone. Drop it and start over.
         }
     }
 
-    /// The staged-delta overlay for `(pred, subject_first, shard)`, or
-    /// `None` when that shard has no uncompacted delta for the predicate.
-    /// Cached with the same race-safe epoch-recheck publication as
-    /// [`Catalog::obtain`]; the delta's presence is re-read from the
-    /// store on every miss (no negative caching — a predicate without
-    /// deltas costs one map probe and one store read).
-    fn overlay(&self, pred: u32, subject_first: bool, shard: usize) -> Option<Arc<DeltaOverlay>> {
-        let key: OverlayKey = (pred, subject_first, shard);
+    /// The staged-delta overlay for `key`, or `None` when that shard has
+    /// no uncompacted delta for the predicate. Cached with the same
+    /// race-safe epoch-recheck publication as [`Catalog::obtain`]; the
+    /// delta's presence is re-read from the store on every miss (no
+    /// negative caching — a predicate without deltas costs one map probe
+    /// and one store read).
+    fn overlay(&self, key: TrieKey) -> Option<Arc<DeltaOverlay>> {
         loop {
             self.sync_with_store();
             if let Some(ov) = self.cache.read().expect("catalog lock poisoned").overlays.get(&key) {
@@ -373,10 +376,10 @@ impl Catalog {
             let epoch = self.epoch.load(Ordering::Acquire);
             let built = {
                 let store = self.store.read();
-                if shard >= store.partitions() {
+                if key.shard >= store.partitions() {
                     return None;
                 }
-                Arc::new(build_overlay(store.shard_delta(shard, pred)?, subject_first))
+                Arc::new(build_overlay(store.shard_delta(key.shard, key.pred)?, key.subject_first))
             };
             let mut cache = self.cache.write().expect("catalog lock poisoned");
             // Same raw load as obtain(): epoch() would re-enter the lock.
@@ -431,9 +434,12 @@ impl Catalog {
         };
         let mut layers: Vec<Layer> = only
             .map_or(0..partitions, |shard| shard..shard + 1)
-            .map(|shard| Layer {
-                base: self.obtain(TrieKey { pred, shard, subject_first, auto_layout }, &|| {}),
-                overlay: self.overlay(pred, subject_first, shard).filter(|ov| !ov.is_empty()),
+            .map(|shard| {
+                let key = TrieKey { pred, shard, subject_first };
+                Layer {
+                    base: self.obtain(key, auto_layout, &|| {}),
+                    overlay: self.overlay(key).filter(|ov| !ov.is_empty()),
+                }
             })
             .collect();
         // Skip shards that contribute nothing to any set view: dropping
@@ -447,112 +453,46 @@ impl Catalog {
         Layered { layers, union_root }
     }
 
-    /// Build a trie for `key` from the current store contents, or `None`
-    /// when the predicate's table is absent or empty in that shard.
-    fn build(&self, key: TrieKey) -> Option<Arc<FrozenTrie>> {
-        let store = self.store.read();
-        if key.shard >= store.partitions() {
-            // A racing repartition shrank the shard count; the version
-            // bump will retire this key's world momentarily.
-            return None;
-        }
-        let table = store.shard_table(key.shard, key.pred)?;
-        let pairs = if key.subject_first { table.so_pairs() } else { table.os_pairs() };
-        if pairs.is_empty() {
-            return None;
-        }
-        let policy = layout_policy(key.auto_layout);
-        Some(Arc::new(FrozenTrie::from_sorted(TupleBuffer::from_pairs(pairs), policy)))
-    }
-
-    /// Seed the cache with pre-built frozen tries (auto-layout orders) —
-    /// the snapshot cold-start path: a loaded engine starts *warm*, no
-    /// trie is rebuilt until an update thaws its (predicate, shard).
-    /// Entries are inserted as given and trusted to match the store's
-    /// current shard tables (the snapshot reader validates exactly that
-    /// before handing them over). Intended for startup; entries are
-    /// published under the current epoch like any built trie.
-    pub fn preload(&self, entries: impl IntoIterator<Item = (u32, bool, usize, Arc<FrozenTrie>)>) {
-        let mut cache = self.cache.write().expect("catalog lock poisoned");
-        for (pred, subject_first, shard, trie) in entries {
-            cache.tries.insert(TrieKey { pred, shard, subject_first, auto_layout: true }, trie);
-        }
-    }
-
-    /// The store's base tables changed under `preds` (every shard — a
-    /// whole-predicate fold such as `compact_pred` rebuilds all of them)
-    /// at store version `version`: retire those predicates' cached tries,
-    /// advance the epoch, and eagerly rebuild the retired ("hot") orders
-    /// concurrently on `runtime`'s workers so the next query doesn't pay
-    /// the build. Untouched predicates keep their tries untouched.
-    pub fn refresh_preds(
-        &self,
-        preds: &[u32],
-        version: u64,
-        runtime: RuntimeConfig,
-    ) -> (u64, usize) {
-        let partitions = self.partitions();
-        let compacted: Vec<(u32, usize)> =
-            preds.iter().flat_map(|&p| (0..partitions).map(move |s| (p, s))).collect();
-        self.refresh_after_update(&[], &compacted, version, runtime)
-    }
-
-    /// The overlay-aware refresh behind [`Engine::update`](crate::Engine::update):
+    /// The overlay-aware refresh behind [`Engine::update`](crate::Engine::update),
+    /// at store version `version`:
     ///
     /// * `staged` predicates gained or changed a delta but kept their base
-    ///   tables — their base tries **survive** (that is the whole point of
-    ///   the overlay: O(delta) apply cost), only their cached overlays
-    ///   (every shard's — overlay rebuilds are O(delta), precision buys
-    ///   nothing) and union roots are retired, rebuilt lazily from the
-    ///   store's new deltas;
+    ///   tries — those **survive** (that is the whole point of the
+    ///   overlay: O(delta) apply cost); only their cached overlays (every
+    ///   shard's — overlay rebuilds are O(delta), precision buys nothing)
+    ///   and union roots are retired, rebuilt lazily from the store's new
+    ///   deltas;
     /// * `compacted` (predicate, shard) pairs had that shard's delta
-    ///   folded into a fresh base table — exactly that shard's base tries
-    ///   retire and the previously hot orders rebuild eagerly on
-    ///   `runtime`'s workers, plus the shard's cached overlay drops (the
-    ///   delta is gone). Other shards of the same predicate keep their
-    ///   tries — the shard-local compaction contract.
+    ///   folded into freshly frozen base tries by the store itself —
+    ///   exactly that shard's cached ablation tries and overlay retire.
+    ///   Other shards of the same predicate keep their entries — the
+    ///   shard-local compaction contract.
     ///
-    /// One epoch bump covers the whole batch. Returns the new epoch and
-    /// the number of base tries rebuilt.
+    /// One epoch bump covers the whole batch. Returns the new epoch.
     pub fn refresh_after_update(
         &self,
         staged: &[u32],
         compacted: &[(u32, usize)],
         version: u64,
-        runtime: RuntimeConfig,
-    ) -> (u64, usize) {
-        let (epoch, stale) = {
-            let mut cache = self.cache.write().expect("catalog lock poisoned");
-            let stale: Vec<TrieKey> = cache
-                .tries
-                .keys()
-                .filter(|k| compacted.contains(&(k.pred, k.shard)))
-                .copied()
-                .collect();
-            for k in &stale {
-                cache.tries.remove(k);
-            }
-            cache
-                .overlays
-                .retain(|&(p, _, s), _| !staged.contains(&p) && !compacted.contains(&(p, s)));
-            // Either kind of change moves some shard's effective root, so
-            // the merged domain is stale for every touched predicate.
-            cache.unions.retain(|&(p, _), _| {
-                !staged.contains(&p) && !compacted.iter().any(|&(cp, _)| cp == p)
-            });
-            // fetch_max, not store: if an even newer foreign version
-            // exists, the next sync must still do its full invalidation.
-            self.synced_version.fetch_max(version, Ordering::AcqRel);
-            (self.epoch.fetch_add(1, Ordering::AcqRel) + 1, stale)
-        };
-        eh_par::run_tasks(runtime.num_threads, stale.len(), |i| {
-            self.obtain(stale[i], &|| {});
-        });
-        (epoch, stale.len())
+    ) -> u64 {
+        let mut cache = self.cache.write().expect("catalog lock poisoned");
+        cache.uint_tries.retain(|k, _| !compacted.contains(&(k.pred, k.shard)));
+        cache
+            .overlays
+            .retain(|k, _| !staged.contains(&k.pred) && !compacted.contains(&(k.pred, k.shard)));
+        // Either kind of change moves some shard's effective root, so
+        // the merged domain is stale for every touched predicate.
+        cache
+            .unions
+            .retain(|&(p, _), _| !staged.contains(&p) && !compacted.iter().any(|&(cp, _)| cp == p));
+        // fetch_max, not store: if an even newer foreign version exists,
+        // the next sync must still do its full invalidation.
+        self.synced_version.fetch_max(version, Ordering::AcqRel);
+        self.epoch.fetch_add(1, Ordering::AcqRel) + 1
     }
 
     /// Logical cardinality of an atom's predicate (0 when absent): the
-    /// base tables adjusted by the staged deltas across all shards, so
+    /// base relations adjusted by the staged deltas across all shards, so
     /// the planner's cost-model sees the same relation the executor
     /// serves — identical at every partition count.
     pub fn cardinality(&self, atom: &Atom) -> usize {
@@ -563,27 +503,16 @@ impl Catalog {
         store.pred_logical_len(pred)
     }
 
-    /// Number of distinct tries currently cached (diagnostics).
+    /// Number of `UintOnly` ablation tries currently cached
+    /// (diagnostics). Auto-layout operands are the store's own tries and
+    /// are never cached here.
     pub fn cached_tries(&self) -> usize {
-        self.cache.read().expect("catalog lock poisoned").tries.len()
+        self.cache.read().expect("catalog lock poisoned").uint_tries.len()
     }
 
     /// Number of distinct delta overlays currently cached (diagnostics).
     pub fn cached_overlays(&self) -> usize {
         self.cache.read().expect("catalog lock poisoned").overlays.len()
-    }
-
-    /// Cached arena bytes per shard (index = shard), for the serving
-    /// tier's per-shard gauges. Shards with nothing cached report 0.
-    pub fn arena_bytes_by_shard(&self) -> Vec<u64> {
-        let mut out = vec![0u64; self.partitions()];
-        let cache = self.cache.read().expect("catalog lock poisoned");
-        for (k, t) in &cache.tries {
-            if let Some(slot) = out.get_mut(k.shard) {
-                *slot += t.arena_bytes() as u64;
-            }
-        }
-        out
     }
 }
 
@@ -622,8 +551,7 @@ mod tests {
         ])
     }
 
-    /// Stage one triple and fold it, so it lands in the base table the
-    /// cached tries are built from.
+    /// Stage one triple and fold it, so it lands in the base tries.
     fn add_to_base(s: &SharedStore, t: Triple) {
         let mut store = s.write();
         store.stage_add_triples(vec![t]);
@@ -636,6 +564,18 @@ mod tests {
         let pred = store.resolve_iri(rel).unwrap_or(u32::MAX);
         qb.atom(rel, pred, x, y);
         qb.select(vec![x]).build().unwrap().atoms()[0].clone()
+    }
+
+    /// The store's own base trie for a predicate IRI (shard, order).
+    fn store_trie(
+        s: &SharedStore,
+        rel: &str,
+        shard: usize,
+        subject_first: bool,
+    ) -> Arc<FrozenTrie> {
+        let store = s.read();
+        let pred = store.resolve_iri(rel).unwrap();
+        Arc::clone(store.trie_pair(shard, pred).unwrap().order(subject_first))
     }
 
     /// Unwrap a one-layer operand of [`Catalog::relation`] — the whole
@@ -674,17 +614,25 @@ mod tests {
     }
 
     #[test]
-    fn cache_hits() {
+    fn auto_operands_are_the_store_tries_and_ablation_tries_are_cached() {
         let s = store();
         let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "p");
-        let t1 = c.trie(&a, true, true);
-        let t2 = c.trie(&a, true, true);
+        // Auto layout: the store's own Arc, nothing built or cached.
+        for subject_first in [true, false] {
+            let t = c.trie(&a, subject_first, true);
+            assert!(Arc::ptr_eq(&t, &store_trie(&s, "p", 0, subject_first)));
+        }
+        assert_eq!(c.cached_tries(), 0);
+        // UintOnly: built once per key from the store trie's tuples.
+        let t1 = c.trie(&a, true, false);
+        let t2 = c.trie(&a, true, false);
         assert!(Arc::ptr_eq(&t1, &t2));
+        assert_eq!(t1.to_tuples(), store_trie(&s, "p", 0, true).to_tuples());
+        assert_eq!(t1.bitset_blocks(), 0);
         assert_eq!(c.cached_tries(), 1);
-        let _ = c.trie(&a, false, true);
-        let _ = c.trie(&a, true, false);
-        assert_eq!(c.cached_tries(), 3);
+        let _ = c.trie(&a, false, false);
+        assert_eq!(c.cached_tries(), 2);
     }
 
     #[test]
@@ -693,6 +641,7 @@ mod tests {
         let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "absent");
         assert!(c.trie(&a, true, true).is_empty());
+        assert!(c.trie(&a, true, false).is_empty());
         assert_eq!(c.cardinality(&a), 0);
     }
 
@@ -702,15 +651,15 @@ mod tests {
         let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "p");
         assert_eq!(c.epoch(), 0);
-        let before = c.trie(&a, true, true);
+        let before = c.trie(&a, true, false);
         assert_eq!(c.cached_tries(), 1);
         assert_eq!(c.invalidate(), 1);
         assert_eq!(c.epoch(), 1);
         assert_eq!(c.cached_tries(), 0);
         // The trie rebuilds on demand, content-identical.
-        let after = c.trie(&a, true, true);
+        let after = c.trie(&a, true, false);
         assert!(!Arc::ptr_eq(&before, &after));
-        assert_eq!(before.num_tuples(), after.num_tuples());
+        assert_eq!(*before, *after);
     }
 
     #[test]
@@ -723,11 +672,12 @@ mod tests {
     #[test]
     fn concurrent_access_shares_one_trie_per_key() {
         // The warm-path contract: many workers requesting overlapping
-        // keys through &self agree on a single cached Arc per key.
+        // ablation keys through &self agree on a single cached Arc per
+        // key.
         let s = store();
         let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "p");
-        let tries = eh_par::run_tasks(4, 16, |i| c.trie(&a, i % 2 == 0, true));
+        let tries = eh_par::run_tasks(4, 16, |i| c.trie(&a, i % 2 == 0, false));
         assert_eq!(c.cached_tries(), 2);
         for (i, t) in tries.iter().enumerate() {
             assert!(Arc::ptr_eq(t, &tries[i % 2]));
@@ -735,30 +685,29 @@ mod tests {
     }
 
     #[test]
-    fn refresh_preds_keeps_untouched_predicates() {
+    fn compaction_refresh_keeps_untouched_predicates() {
         let s = SharedStore::from_triples(vec![triple("a", "p", "b"), triple("a", "q", "b")]);
         let c = Catalog::new(s.clone());
         let (ap, aq) = { (atom_for(&s.read(), "p"), atom_for(&s.read(), "q")) };
-        let p_before = c.trie(&ap, true, true);
-        let q_before = c.trie(&aq, true, true);
+        let p_before = c.trie(&ap, true, false);
+        let q_before = c.trie(&aq, true, false);
         let pred_p = s.read().resolve_iri("p").unwrap();
 
         add_to_base(&s, triple("c", "p", "d"));
         let v = s.bump_version();
-        let (epoch, rebuilt) = c.refresh_preds(&[pred_p], v, RuntimeConfig::serial());
+        let epoch = c.refresh_after_update(&[], &all_shards(&c, &[pred_p]), v);
         assert_eq!(epoch, 1);
-        assert_eq!(rebuilt, 1);
-        // p was rebuilt eagerly (still cached) with the new contents; q's
-        // trie is the very same Arc as before.
-        assert_eq!(c.cached_tries(), 2);
-        let p_after = c.trie(&ap, true, true);
+        // p's ablation trie retired (rebuilt lazily with the new
+        // contents); q's is the very same Arc as before.
+        assert_eq!(c.cached_tries(), 1);
+        let p_after = c.trie(&ap, true, false);
         assert!(!Arc::ptr_eq(&p_before, &p_after));
         assert_eq!(p_after.num_tuples(), 2);
-        assert!(Arc::ptr_eq(&q_before, &c.trie(&aq, true, true)));
+        assert!(Arc::ptr_eq(&q_before, &c.trie(&aq, true, false)));
     }
 
     #[test]
-    fn emptied_table_resolves_to_empty_trie() {
+    fn emptied_relation_resolves_to_empty_trie() {
         let s = SharedStore::from_triples(vec![triple("a", "p", "b")]);
         let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "p");
@@ -770,8 +719,9 @@ mod tests {
             store.compact_all();
         }
         let v = s.bump_version();
-        c.refresh_preds(&[pred], v, RuntimeConfig::serial());
+        c.refresh_after_update(&[], &all_shards(&c, &[pred]), v);
         assert!(c.trie(&a, true, true).is_empty());
+        assert!(c.trie(&a, true, false).is_empty());
         assert_eq!(c.cardinality(&a), 0);
     }
 
@@ -787,22 +737,22 @@ mod tests {
         let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "p");
         let pred = s.read().resolve_iri("p").unwrap();
-        // Build p's trie; in the window between build and publish, the
-        // store gains a triple and the catalog invalidates p.
-        let served = c.trie_with_publish_window(&a, true, true, &|| {
+        // Build p's ablation trie; in the window between build and
+        // publish, the store gains a triple and the catalog retires p.
+        let served = c.trie_with_publish_window(&a, true, false, &|| {
             add_to_base(&s, triple("c", "p", "d"));
             let v = s.bump_version();
-            c.refresh_preds(&[pred], v, RuntimeConfig::serial());
+            c.refresh_after_update(&[], &all_shards(&c, &[pred]), v);
         });
         // The racing builder must have retried against the new contents…
         assert_eq!(served.num_tuples(), 2, "stale trie escaped the publish window");
         // …and whatever the cache now serves must also be current.
-        assert_eq!(c.trie(&a, true, true).num_tuples(), 2, "stale trie cached across invalidation");
+        assert_eq!(c.trie(&a, true, false).num_tuples(), 2, "stale trie cached across refresh");
     }
 
     /// The LSM contract: a staged update serves through an overlay
     /// while the base trie Arc survives untouched; compaction then
-    /// retires both base trie and overlay.
+    /// replaces the store's base tries and retires the overlay.
     #[test]
     fn staged_deltas_serve_overlays_and_keep_base_tries() {
         let s = SharedStore::from_triples(vec![triple("a", "p", "b")]);
@@ -814,8 +764,7 @@ mod tests {
         s.write().stage_add_triples(vec![triple("c", "p", "d")]);
         let v = s.bump_version();
         c.claim_version(v);
-        let (epoch, rebuilt) = c.refresh_after_update(&[pred], &[], v, RuntimeConfig::serial());
-        assert_eq!((epoch, rebuilt), (1, 0), "staged updates must not rebuild base tries");
+        assert_eq!(c.refresh_after_update(&[pred], &[], v), 1);
 
         let (trie, ov) = single_rel(&c, &a, true, None);
         assert!(Arc::ptr_eq(&base, &trie), "base trie retired by a staged update");
@@ -828,15 +777,14 @@ mod tests {
         assert_eq!(ov_os.expect("os overlay").inserted(), 1);
         assert_eq!(c.cached_overlays(), 2);
 
-        // Compaction folds the delta: base tries rebuild, overlays drop.
+        // Compaction folds the delta into fresh store tries; overlays drop.
         let compacted = s.write().compact_all();
         let v = s.bump_version();
         c.claim_version(v);
-        let pairs = all_shards(&c, &compacted);
-        let (_, rebuilt) = c.refresh_after_update(&[], &pairs, v, RuntimeConfig::serial());
-        assert_eq!(rebuilt, 2, "both cached orders of p rebuild on compaction");
+        c.refresh_after_update(&[], &all_shards(&c, &compacted), v);
         let (trie, ov) = single_rel(&c, &a, true, None);
         assert!(!Arc::ptr_eq(&base, &trie));
+        assert!(Arc::ptr_eq(&trie, &store_trie(&s, "p", 0, true)));
         assert_eq!(trie.num_tuples(), 2);
         assert!(ov.is_none());
         assert_eq!(c.cached_overlays(), 0);
@@ -850,12 +798,12 @@ mod tests {
         let s = SharedStore::from_triples(vec![triple("a", "p", "b")]);
         let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "p");
-        let served = c.trie_with_publish_window(&a, true, true, &|| {
+        let served = c.trie_with_publish_window(&a, true, false, &|| {
             add_to_base(&s, triple("c", "p", "d"));
             c.invalidate();
         });
         assert_eq!(served.num_tuples(), 2);
-        assert_eq!(c.trie(&a, true, true).num_tuples(), 2);
+        assert_eq!(c.trie(&a, true, false).num_tuples(), 2);
     }
 
     /// Enough distinct subjects to populate every shard at P = 4.
@@ -865,9 +813,8 @@ mod tests {
         SharedStore::from(TripleStore::from_triples_partitioned(triples, partitions))
     }
 
-    /// The tentpole contract: a partitioned catalog serves per-shard
-    /// operands whose union root reproduces the P = 1 root set exactly,
-    /// in both trie orders.
+    /// A partitioned catalog serves per-shard operands whose union root
+    /// reproduces the P = 1 root set exactly, in both trie orders.
     #[test]
     fn partitioned_relation_serves_sharded_operands() {
         let s1 = wide_store(1);
@@ -894,7 +841,7 @@ mod tests {
     }
 
     /// Shard-local compaction precision: folding one shard's delta must
-    /// retire exactly that shard's tries — every other shard keeps its
+    /// replace exactly that shard's tries — every other shard keeps its
     /// Arcs.
     #[test]
     fn shard_local_refresh_retires_only_that_shard() {
@@ -902,7 +849,6 @@ mod tests {
         let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "p");
         let pred = s.read().resolve_iri("p").unwrap();
-        // Warm every shard's subject-major trie.
         let before: Vec<Arc<FrozenTrie>> =
             (0..4).map(|shard| single_rel(&c, &a, true, Some(shard)).0).collect();
 
@@ -915,19 +861,17 @@ mod tests {
         s.write().stage_add_triples(vec![triple("s0", "p", "o9")]);
         let v = s.bump_version();
         c.claim_version(v);
-        c.refresh_after_update(&[pred], &[], v, RuntimeConfig::serial());
+        c.refresh_after_update(&[pred], &[], v);
         assert!(s.write().compact_pred_in(target, pred));
         let v = s.bump_version();
         c.claim_version(v);
-        let (_, rebuilt) =
-            c.refresh_after_update(&[], &[(pred, target)], v, RuntimeConfig::serial());
-        assert_eq!(rebuilt, 1, "only the folded shard's cached order rebuilds");
+        c.refresh_after_update(&[], &[(pred, target)], v);
 
         for (shard, old) in before.iter().enumerate() {
             let (now, ov) = single_rel(&c, &a, true, Some(shard));
             assert!(ov.is_none(), "delta folded");
             if shard == target {
-                assert!(!Arc::ptr_eq(old, &now), "folded shard must retire its trie");
+                assert!(!Arc::ptr_eq(old, &now), "folded shard must replace its trie");
                 assert_eq!(now.num_tuples(), old.num_tuples() + 1);
             } else {
                 assert!(Arc::ptr_eq(old, &now), "untouched shard {shard} lost its trie");
@@ -951,7 +895,7 @@ mod tests {
         s.write().stage_add_triples(vec![triple("s1", "p", "o77")]);
         let v = s.bump_version();
         c.claim_version(v);
-        c.refresh_after_update(&[pred], &[], v, RuntimeConfig::serial());
+        c.refresh_after_update(&[pred], &[], v);
 
         for shard in 0..4 {
             let (_, ov) = single_rel(&c, &a, true, Some(shard));
@@ -964,7 +908,7 @@ mod tests {
         let v = s.bump_version();
         c.claim_version(v);
         let q_pred = s.read().resolve_iri("q").unwrap();
-        c.refresh_preds(&[q_pred], v, RuntimeConfig::serial());
+        c.refresh_after_update(&[], &all_shards(&c, &[q_pred]), v);
         let aq = atom_for(&s.read(), "q");
         assert_eq!(single_rel(&c, &aq, true, None).0.num_tuples(), 1);
     }

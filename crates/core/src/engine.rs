@@ -6,7 +6,7 @@ use std::time::Instant;
 
 use eh_query::{parse_sparql, ConjunctiveQuery};
 use eh_rdf::{LoadInfo, SnapshotError, StoreSnapshot, TripleStore};
-use eh_wal::{crash_point, FsyncPolicy, Wal, WalError};
+use eh_wal::{crash_point, FsyncPolicy, Wal, WalError, WalScan};
 
 use crate::catalog::Catalog;
 use crate::error::EngineError;
@@ -99,6 +99,36 @@ pub struct WalRecovery {
     pub torn_tail_dropped: bool,
 }
 
+impl WalRecovery {
+    /// The one replay loop: decode each scanned record into a batch and
+    /// hand it to `apply` — the engine's own staging on recovery, its
+    /// logged update path for a foreign log, a serving tier's update path
+    /// for `REPLAY` — tallying what the batches changed. A record whose
+    /// payload does not decode refuses the whole replay with a typed
+    /// [`WalError::Corrupt`], never replaying around it.
+    pub fn replay(
+        scan: &WalScan,
+        mut apply: impl FnMut(UpdateBatch) -> Result<UpdateSummary, WalError>,
+    ) -> Result<WalRecovery, WalError> {
+        let mut recovery = WalRecovery {
+            base_seq: scan.base_seq,
+            last_seq: scan.last_seq(),
+            torn_tail_dropped: scan.torn.is_some(),
+            ..WalRecovery::default()
+        };
+        for record in &scan.records {
+            let (deletes, inserts) = eh_rdf::decode_update(&record.payload).map_err(|e| {
+                WalError::Corrupt { seq: record.seq, offset: 0, reason: payload_decode_reason(&e) }
+            })?;
+            let summary = apply(UpdateBatch { inserts, deletes })?;
+            recovery.replayed += 1;
+            recovery.inserted += summary.inserted;
+            recovery.deleted += summary.deleted;
+        }
+        Ok(recovery)
+    }
+}
+
 /// Live WAL observables (surfaced in `STATS` and `METRICS`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalStatus {
@@ -132,12 +162,11 @@ impl Engine {
     }
 
     /// An engine restored from a snapshot file: the store loads without
-    /// parsing or re-sorting, and any frozen tries the snapshot carries
-    /// are preloaded into the catalog — so the engine starts *warm*, its
-    /// first query served from arenas that were `memcpy`d off disk. The
-    /// loaded store is as mutable as a cold-built one; an
-    /// [`Engine::update`] thaws (rebuilds) only the changed predicates'
-    /// tries, exactly as it would after any invalidation.
+    /// parsing or re-freezing, its base tries the image's — so the engine
+    /// starts *warm*, its first query served from arenas that were
+    /// `memcpy`d off disk. The loaded store is as mutable as a cold-built
+    /// one; compaction re-freezes only the folded (predicate, shard)
+    /// tries, exactly as on any store.
     pub fn from_snapshot(
         path: impl AsRef<Path>,
         config: PlannerConfig,
@@ -151,10 +180,10 @@ impl Engine {
     }
 
     /// [`Engine::from_snapshot`], zero-copy: the snapshot file is
-    /// `mmap`ed and the preloaded tries serve their arenas straight from
-    /// the mapped pages — cold start pays metadata decode and checksums,
-    /// not an arena copy, and co-located processes mapping the same file
-    /// share physical memory. Falls back to the copy path (recorded in
+    /// `mmap`ed and the store's base tries serve their arenas straight
+    /// from the mapped pages — cold start pays metadata decode and the
+    /// reader's checks, not an arena copy, and co-located processes
+    /// mapping the same file share physical memory. Falls back to the copy path (recorded in
     /// [`Engine::load_info`]) when the file or platform cannot be
     /// mapped; fails only on genuine corruption or I/O errors.
     pub fn from_snapshot_mmap(
@@ -170,9 +199,6 @@ impl Engine {
     pub fn from_loaded_snapshot(snapshot: StoreSnapshot, config: PlannerConfig) -> Engine {
         let mut engine = Engine::with_config(snapshot.store, config);
         engine.load = Some(snapshot.load);
-        engine.catalog.preload(
-            snapshot.tries.into_iter().map(|e| (e.pred, e.subject_first, e.shard as usize, e.trie)),
-        );
         engine
     }
 
@@ -184,16 +210,17 @@ impl Engine {
         self.load
     }
 
-    /// Persist the current store — dictionary, predicate tables, and
-    /// freshly frozen hot-order tries — to a snapshot file. Returns the
-    /// bytes written and the number of triples the image holds.
+    /// Persist the current store — dictionary and both frozen tries of
+    /// every relation — to a snapshot file. Returns the bytes written and
+    /// the number of triples the image holds.
     ///
     /// The store's read lock is held only long enough to *clone* the
-    /// store, so the image is a consistent point in time but writers are
-    /// not stalled behind trie freezing and file I/O (the expensive
-    /// parts, which run on the private clone). The triple count is taken
-    /// from that same clone, so it always agrees with the file contents
-    /// even when updates land mid-save.
+    /// store (`Arc` bumps plus the dictionary and deltas), so the image is
+    /// a consistent point in time but writers are not stalled behind
+    /// folding deltas and file I/O (the expensive parts, which run on the
+    /// private clone). The triple count is taken from that same clone, so
+    /// it always agrees with the file contents even when updates land
+    /// mid-save.
     /// With a WAL attached, `save` also *truncates the log*: records
     /// folded into the image are dropped (atomic temp-and-rename, like
     /// the snapshot itself), so the log only ever holds the tail since
@@ -225,14 +252,13 @@ impl Engine {
                 // freezes and writes below.
             }
         };
-        // Snapshots encode base tables only; fold the clone's staged
+        // Snapshots encode base relations only; fold the clone's staged
         // deltas in so overlay novelty is never silently dropped from the
         // image. The live store keeps its deltas — this is the private
         // copy.
         store.compact_all();
-        let tries = StoreSnapshot::hot_tries(&store);
         crash_point("engine-save-pre");
-        let bytes = StoreSnapshot::write_to_path(&store, &tries, path)?;
+        let bytes = StoreSnapshot::write_to_path(&store, path)?;
         crash_point("engine-save-renamed");
         if let (Some(wal), Some(seq)) = (&self.wal, wal_seq) {
             Self::lock_wal(wal)
@@ -256,21 +282,7 @@ impl Engine {
     pub fn open_wal(&mut self, path: impl AsRef<Path>) -> Result<WalRecovery, WalError> {
         assert!(self.wal.is_none(), "engine already has a wal attached");
         let (wal, scan) = Wal::open(path.as_ref(), self.config.wal_fsync)?;
-        let mut recovery = WalRecovery {
-            base_seq: scan.base_seq,
-            last_seq: scan.last_seq(),
-            torn_tail_dropped: scan.torn.is_some(),
-            ..WalRecovery::default()
-        };
-        for record in &scan.records {
-            let (deletes, inserts) = eh_rdf::decode_update(&record.payload).map_err(|e| {
-                WalError::Corrupt { seq: record.seq, offset: 0, reason: payload_decode_reason(&e) }
-            })?;
-            let summary = self.apply_batch(UpdateBatch { inserts, deletes });
-            recovery.replayed += 1;
-            recovery.inserted += summary.inserted;
-            recovery.deleted += summary.deleted;
-        }
+        let recovery = WalRecovery::replay(&scan, |batch| Ok(self.apply_batch(batch)))?;
         self.wal = Some(Mutex::new(wal));
         Ok(recovery)
     }
@@ -281,23 +293,7 @@ impl Engine {
     /// follower has its own WAL attached the replayed batches are
     /// logged there like any other write.
     pub fn replay(&self, path: impl AsRef<Path>) -> Result<WalRecovery, WalError> {
-        let scan = eh_wal::scan_path(path.as_ref())?;
-        let mut recovery = WalRecovery {
-            base_seq: scan.base_seq,
-            last_seq: scan.last_seq(),
-            torn_tail_dropped: scan.torn.is_some(),
-            ..WalRecovery::default()
-        };
-        for record in &scan.records {
-            let (deletes, inserts) = eh_rdf::decode_update(&record.payload).map_err(|e| {
-                WalError::Corrupt { seq: record.seq, offset: 0, reason: payload_decode_reason(&e) }
-            })?;
-            let summary = self.try_update(UpdateBatch { inserts, deletes })?;
-            recovery.replayed += 1;
-            recovery.inserted += summary.inserted;
-            recovery.deleted += summary.deleted;
-        }
-        Ok(recovery)
+        WalRecovery::replay(&eh_wal::scan_path(path.as_ref())?, |batch| self.try_update(batch))
     }
 
     /// Current WAL observables, `None` when no log is attached.
@@ -321,7 +317,7 @@ impl Engine {
     }
 
     /// Redistribute the store across `max(1, partitions)` subject-hash
-    /// shards and retire every cached trie and overlay (placement moved;
+    /// shards and retire every cached catalog entry (placement moved;
     /// logical contents did not, so query answers are unchanged). A
     /// request matching the current partitioning is a free no-op.
     /// Returns the partition count now in effect.
@@ -358,11 +354,11 @@ impl Engine {
     /// (SPARQL Update convention), atomically under the store's write
     /// lock. The batch is **staged** LSM-style — sorted per-predicate
     /// delta sets of inserts and tombstones — in O(delta) time, without
-    /// rebuilding any base table or re-freezing any trie: queries serve
-    /// the novelty by handing each delta to the multiway driver as one
-    /// more set operand. Only a predicate whose accumulated delta crosses
-    /// [`PlannerConfig::compaction_threshold`] is folded into a fresh
-    /// base table (and its cached tries rebuilt) as part of the batch.
+    /// re-freezing any trie: queries serve the novelty by handing each
+    /// delta to the multiway driver as one more set operand. Only a
+    /// predicate whose accumulated delta crosses
+    /// [`PlannerConfig::compaction_threshold`] is folded into freshly
+    /// frozen base tries as part of the batch.
     /// The epoch advances once per batch; a batch that changes nothing —
     /// duplicates of resident triples, deletions of absent ones — leaves
     /// deltas, epoch, and downstream caches untouched.
@@ -441,7 +437,7 @@ impl Engine {
                         if staged == 0 {
                             continue;
                         }
-                        let base = store.shard_table(s, p).map_or(0, |t| t.len());
+                        let base = store.trie_pair(s, p).map_or(0, eh_rdf::TriePair::len);
                         if staged >= self.config.compaction_threshold(base) {
                             let t0 = Instant::now();
                             store.compact_pred_in(s, p);
@@ -487,15 +483,14 @@ impl Engine {
                 wal: None,
             };
         }
-        let (epoch, rebuilt) =
-            self.catalog.refresh_after_update(&staged, &compacted, version, self.config.runtime);
+        let epoch = self.catalog.refresh_after_update(&staged, &compacted, version);
         let mut compacted_preds: Vec<u32> = compacted.iter().map(|&(p, _)| p).collect();
         compacted_preds.dedup();
         UpdateSummary {
             inserted: report.added,
             deleted: report.removed,
             changed_predicates: report.changed_preds.len(),
-            rebuilt_tries: rebuilt,
+            rebuilt_tries: 2 * compacted.len(),
             compacted_predicates: compacted_preds.len(),
             epoch,
             shard_pauses,
@@ -503,18 +498,17 @@ impl Engine {
         }
     }
 
-    /// Fold every staged delta into fresh base tables and rebuild the
-    /// affected cached tries — the off-hot-path compaction entry point a
-    /// serving tier calls from its maintenance trigger (or a caller who
-    /// wants overlay memory back). No-op (epoch untouched) when nothing
-    /// is staged.
+    /// Fold every staged delta into freshly frozen base tries — the
+    /// off-hot-path compaction entry point a serving tier calls from its
+    /// maintenance trigger (or a caller who wants overlay memory back).
+    /// No-op (epoch untouched) when nothing is staged.
     pub fn compact(&self) -> UpdateSummary {
         let shared = self.catalog.store();
         let (pairs, shard_pauses, version) = {
             let mut store = shared.write();
             // Fold shard by shard so the pause attribution matches the
             // shard-local storage: each shard's fold only touches its own
-            // tables and is timed on its own.
+            // relations and is timed on its own.
             let partitions = store.partitions();
             let mut pairs: Vec<(u32, usize)> = Vec::new();
             let mut shard_pauses: Vec<(usize, u64)> = Vec::new();
@@ -550,8 +544,7 @@ impl Engine {
                 wal: None,
             };
         }
-        let (epoch, rebuilt) =
-            self.catalog.refresh_after_update(&[], &pairs, version, self.config.runtime);
+        let epoch = self.catalog.refresh_after_update(&[], &pairs, version);
         let mut preds: Vec<u32> = pairs.iter().map(|&(p, _)| p).collect();
         preds.sort_unstable();
         preds.dedup();
@@ -559,7 +552,7 @@ impl Engine {
             inserted: 0,
             deleted: 0,
             changed_predicates: preds.len(),
-            rebuilt_tries: rebuilt,
+            rebuilt_tries: 2 * pairs.len(),
             compacted_predicates: preds.len(),
             epoch,
             shard_pauses,
@@ -676,6 +669,8 @@ impl Engine {
     /// Pre-build the tries a query needs, so a subsequent timed
     /// [`Engine::run`] measures join execution, not index construction —
     /// the paper's timing methodology (§IV-A4) excludes index build time.
+    /// Auto-layout tries are the store's own and always built; what warms
+    /// here are the `UintOnly` ablation tries.
     ///
     /// Distinct tries build **concurrently** on the configured runtime's
     /// workers (EmptyHeaded's trie construction is parallel too): the
@@ -888,15 +883,19 @@ mod tests {
     fn parallel_warm_builds_each_trie_once() {
         let store = triangle_store();
         let q = triangle_query(&store.read());
-        let engine = Engine::with_config(
-            store.clone(),
-            PlannerConfig::with_flags(OptFlags::all()).with_threads(4),
-        );
-        engine.warm(&q).unwrap();
-        // Three self-join atoms over one predicate share at most two trie
-        // orders; the jobs were deduplicated before fan-out.
-        assert!(engine.catalog.cached_tries() <= 2);
-        assert_eq!(engine.run(&q).unwrap().cardinality(), 2);
+        for (flags, most) in [(OptFlags::all(), 0), (OptFlags::none(), 2)] {
+            let engine = Engine::with_config(
+                store.clone(),
+                PlannerConfig::with_flags(flags).with_threads(4),
+            );
+            engine.warm(&q).unwrap();
+            // Auto-layout operands are the store's tries (nothing to
+            // build); the ablation's three self-join atoms over one
+            // predicate share at most two trie orders — the jobs were
+            // deduplicated before fan-out.
+            assert!(engine.catalog.cached_tries() <= most, "{flags:?}");
+            assert_eq!(engine.run(&q).unwrap().cardinality(), 2);
+        }
     }
 
     #[test]
@@ -942,12 +941,13 @@ mod tests {
         // (1,3) kills triangle (1,2,3), inserting (0,3) closes (0,2,3).
         assert_eq!(engine.run(&q).unwrap().cardinality(), 2);
 
-        // Explicit compaction folds the overlay into fresh base tables
-        // and rebuilds the affected cached tries; answers are unchanged.
+        // Explicit compaction folds the overlay into freshly frozen base
+        // tries — both orders of the one folded (predicate, shard) —
+        // and answers are unchanged.
         let before = engine.run(&q).unwrap();
         let c = engine.compact();
         assert_eq!(c.compacted_predicates, 1);
-        assert!(c.rebuilt_tries >= 1, "cached orders of the predicate rebuild");
+        assert_eq!(c.rebuilt_tries, 2, "the fold froze both orders");
         assert!(!engine.store().has_deltas());
         assert_eq!(engine.run(&q).unwrap(), before);
         // Compacting an already-compacted store is a no-op on the epoch.
@@ -987,7 +987,7 @@ mod tests {
             .expect("snapshot loads");
         std::fs::remove_file(&path).ok();
         // The image carries the delta-merged contents even though the
-        // snapshot format encodes base tables only.
+        // snapshot format encodes base relations only.
         assert_eq!(restored.run(&q).unwrap(), reference);
         assert!(!restored.store().has_deltas());
         // Saving compacted only the private clone; the live overlay stays.
@@ -1034,8 +1034,12 @@ mod tests {
             .expect("snapshot loads");
         std::fs::remove_file(&path).ok();
 
-        // Preloaded: the hot orders are already cached, before any query.
-        assert!(restored.catalog().cached_tries() >= 2);
+        // Warm from the image: the store's base tries are the image's.
+        {
+            let store = restored.store();
+            let edge = store.resolve_iri("edge").unwrap();
+            assert_eq!(store.trie_pair(0, edge).map(eh_rdf::TriePair::len), Some(5));
+        }
         assert_eq!(restored.run(&q).unwrap(), reference);
 
         // The loaded store stays live: updates thaw only what changed.

@@ -66,7 +66,7 @@ mod update;
 
 pub use catalog::Catalog;
 pub use eh_par::RuntimeConfig;
-pub use eh_rdf::{FrozenTrieEntry, LoadInfo, LoadMode, SnapshotError, StoreSnapshot};
+pub use eh_rdf::{LoadInfo, LoadMode, SnapshotError, StoreSnapshot};
 pub use eh_wal::{FsyncPolicy, WalError};
 pub use engine::{Engine, WalRecovery, WalStatus};
 pub use error::EngineError;

@@ -109,8 +109,9 @@ fn enumerate(
     if v == q.num_vars() {
         let ok = q.atoms().iter().all(|a| {
             store
-                .table_by_name(&a.relation)
-                .is_some_and(|t| t.contains(assignment[a.vars[0]], assignment[a.vars[1]]))
+                .resolve_iri(&a.relation)
+                .and_then(|p| store.trie_pair(0, p))
+                .is_some_and(|r| r.contains(assignment[a.vars[0]], assignment[a.vars[1]]))
         });
         if ok {
             out.insert(q.projection().iter().map(|&p| assignment[p]).collect());

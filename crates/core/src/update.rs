@@ -68,14 +68,14 @@ pub struct UpdateSummary {
     pub inserted: usize,
     /// Triples actually removed (absent victims don't count).
     pub deleted: usize,
-    /// Predicates whose tables changed.
+    /// Predicates whose relations changed.
     pub changed_predicates: usize,
-    /// Hot tries rebuilt eagerly after invalidation (previously cached
-    /// orders of the changed predicates). Staged (overlay) updates leave
-    /// this at 0 — base tries survive; only compaction rebuilds.
+    /// Base tries the batch's folds froze: both orders of every
+    /// compacted (predicate, shard). Staged (overlay) updates leave this
+    /// at 0 — base tries survive; only compaction re-freezes.
     pub rebuilt_tries: usize,
     /// Changed predicates whose deltas crossed the compaction threshold
-    /// and were folded into fresh base tables as part of this batch. The
+    /// and were folded into fresh base tries as part of this batch. The
     /// remaining `changed_predicates - compacted_predicates` predicates
     /// serve their novelty from the in-memory overlay.
     pub compacted_predicates: usize,

@@ -339,21 +339,28 @@ mod tests {
             Predicate::Telephone,
             Predicate::HeadOf,
         ] {
-            assert!(store.table_by_name(&pred_iri(p)).is_some(), "missing table for {p:?}");
+            assert!(store.pred_card(&pred_iri(p)).is_some(), "missing relation for {p:?}");
         }
-        assert!(store.table_by_name(&rdf_type()).is_some());
+        assert!(store.pred_card(&rdf_type()).is_some());
+    }
+
+    /// The base relation of a predicate IRI (the generator builds `P = 1`).
+    fn relation<'a>(store: &'a TripleStore, iri: &str) -> &'a eh_rdf::TriePair {
+        store.trie_pair(0, store.resolve_iri(iri).unwrap()).unwrap()
+    }
+
+    /// The subjects with `(subject, o)` in `rel`, ascending.
+    fn subjects_of(rel: &eh_rdf::TriePair, o: u32) -> Vec<u32> {
+        rel.os().child(0, 0, o).map_or_else(Vec::new, |block| rel.os().set(1, block).to_vec())
     }
 
     #[test]
     fn type_table_counts_match() {
         let store = generate_store(&tiny());
         let counts = generate_with(&tiny(), &mut |_| {});
-        let type_table = store.table_by_name(&rdf_type()).unwrap();
+        let types = store.pred_card(&rdf_type()).unwrap();
         let class_id = |c: Class| store.resolve_iri(&class_iri(c)).unwrap();
-        let count_of = |c: Class| {
-            let id = class_id(c);
-            type_table.pairs_for_object(id).len() as u64
-        };
+        let count_of = |c: Class| types.matches_for_object(class_id(c)) as u64;
         assert_eq!(count_of(Class::University), counts.universities);
         assert_eq!(count_of(Class::Department), counts.departments);
         assert_eq!(count_of(Class::UndergraduateStudent), counts.undergrad_students);
@@ -368,27 +375,30 @@ mod tests {
         // groups to departments — never research groups to universities
         // (this is why paper query 11 returns 0 tuples without inference).
         let store = generate_store(&tiny());
-        let sub = store.table_by_name(&pred_iri(Predicate::SubOrganizationOf)).unwrap();
+        let sub = relation(&store, &pred_iri(Predicate::SubOrganizationOf));
         let univ0 = store.resolve_iri(&university_iri(0)).unwrap();
-        let type_table = store.table_by_name(&rdf_type()).unwrap();
+        let types = relation(&store, &rdf_type());
         let rg = store.resolve_iri(&class_iri(Class::ResearchGroup)).unwrap();
-        for &(_, s) in sub.pairs_for_object(univ0) {
+        let under = subjects_of(sub, univ0);
+        assert!(!under.is_empty());
+        for s in under {
             // Everything directly under University0 is a department.
-            assert!(!type_table.contains(s, rg));
+            assert!(!types.contains(s, rg));
         }
     }
 
     #[test]
     fn grad_students_take_graduate_courses() {
         let store = generate_store(&tiny());
-        let takes = store.table_by_name(&pred_iri(Predicate::TakesCourse)).unwrap();
-        let type_table = store.table_by_name(&rdf_type()).unwrap();
+        let takes = relation(&store, &pred_iri(Predicate::TakesCourse));
+        let types = relation(&store, &rdf_type());
         let grad = store.resolve_iri(&class_iri(Class::GraduateStudent)).unwrap();
         let gcourse = store.resolve_iri(&class_iri(Class::GraduateCourse)).unwrap();
         let mut checked = 0;
-        for &(_, stu) in type_table.pairs_for_object(grad) {
-            for &(_, course) in takes.pairs_for_subject(stu) {
-                assert!(type_table.contains(course, gcourse));
+        for stu in subjects_of(types, grad) {
+            let Some(block) = takes.so().child(0, 0, stu) else { continue };
+            for course in takes.so().set(1, block).iter() {
+                assert!(types.contains(course, gcourse));
                 checked += 1;
             }
         }
@@ -398,11 +408,10 @@ mod tests {
     #[test]
     fn every_grad_student_has_an_advisor() {
         let store = generate_store(&tiny());
-        let advisor = store.table_by_name(&pred_iri(Predicate::Advisor)).unwrap();
-        let type_table = store.table_by_name(&rdf_type()).unwrap();
+        let advisor = relation(&store, &pred_iri(Predicate::Advisor));
         let grad = store.resolve_iri(&class_iri(Class::GraduateStudent)).unwrap();
-        for &(_, stu) in type_table.pairs_for_object(grad) {
-            assert!(!advisor.pairs_for_subject(stu).is_empty(), "grad student without advisor");
+        for stu in subjects_of(relation(&store, &rdf_type()), grad) {
+            assert!(advisor.so().fanout(stu) > 0, "grad student without advisor");
         }
     }
 

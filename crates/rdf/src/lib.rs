@@ -16,8 +16,10 @@
 //!     Term::iri("http://ub/subOrganizationOf"),
 //!     Term::iri("http://www.University0.edu"),
 //! )]);
-//! let table = store.table_by_name("http://ub/subOrganizationOf").unwrap();
-//! assert_eq!(table.len(), 1);
+//! let pred = store.resolve_iri("http://ub/subOrganizationOf").unwrap();
+//! let relation = store.trie_pair(0, pred).unwrap();
+//! assert_eq!(relation.len(), 1);
+//! assert_eq!(relation.os().root_set().len(), 1); // one distinct object
 //! ```
 
 mod batch;
@@ -29,7 +31,6 @@ mod snapshot;
 mod store;
 mod term;
 mod triple;
-mod vp;
 
 pub use batch::{decode_update, encode_update, encode_update_into, BatchCodecError};
 pub use dict::Dictionary;
@@ -37,10 +38,8 @@ pub use mmap::MappedRegion;
 pub use ntriples::{parse_ntriples, write_ntriples, NtError};
 pub use partition::Partitioner;
 pub use snapshot::{
-    xxh64, FrozenTrieEntry, LoadInfo, LoadMode, SnapshotError, StoreSnapshot, SNAPSHOT_MAGIC,
-    SNAPSHOT_VERSION,
+    xxh64, LoadInfo, LoadMode, SnapshotError, StoreSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use store::{PredCard, PredDelta, ShardStats, StoreStats, TripleStore, UpdateReport};
+pub use store::{PredCard, PredDelta, ShardStats, StoreStats, TriePair, TripleStore, UpdateReport};
 pub use term::Term;
 pub use triple::{EncodedTriple, Triple};
-pub use vp::PairTable;

@@ -1,19 +1,19 @@
 //! Versioned, checksummed store snapshots: the cold-start path.
 //!
-//! A production server cannot re-parse N-Triples and re-sort every
-//! predicate table on restart. A snapshot persists the whole read-path
-//! state — dictionary, both sort orders of every [`PairTable`], and
-//! (optionally) pre-built [`FrozenTrie`] arenas for the hot trie orders —
-//! so a reload is bulk `memcpy`-shaped at worst and *zero-copy* at best:
-//! the file can be `mmap`ed ([`StoreSnapshot::read_from_path_mmap`]) and
-//! its trie arenas served straight off the page cache, no arena byte ever
-//! copied into the process.
+//! A production server cannot re-parse N-Triples and re-freeze every
+//! predicate on restart. A snapshot persists the whole read-path state —
+//! the dictionary and, per (shard, predicate), the two frozen tries that
+//! *are* the relation ([`TriePair`]) — so a reload is bulk
+//! `memcpy`-shaped at worst and *zero-copy* at best: the file can be
+//! `mmap`ed ([`StoreSnapshot::read_from_path_mmap`]) and every trie
+//! arena served straight off the page cache, no arena byte ever copied
+//! into the process. Each relation is in the image exactly once.
 //!
-//! ## File format (version 3, little-endian)
+//! ## File format (version 4, little-endian)
 //!
 //! ```text
-//! [0..8)   magic  b"EHSNAP03"
-//! [8..12)  format version (u32) = 3
+//! [0..8)   magic  b"EHSNAP04"
+//! [8..12)  format version (u32) = 4
 //! [12..16) partition count P (u32, >= 1)
 //! [16..20) section count (u32) = P + 1
 //! [20..)   directory: per section (length u64, XXH64 checksum u64)
@@ -24,19 +24,43 @@
 //!
 //! Section 0 is store-wide state: the dictionary (term count, then each
 //! term as `(kind u8, len u32, utf-8 bytes)` in key order) and the
-//! predicate registry (`count`, then `(pred, name, cross-shard
-//! distinct-object count)` per table — the registration order every shard
-//! shares; the persisted count spares the load path the k-way merge that
+//! predicate registry (`count`, then `(pred, cross-shard distinct-object
+//! count)` per predicate — the registration order every shard shares;
+//! the persisted count spares the load path the cross-shard merge that
 //! derived it, and is bounds-checked against the decoded shards).
-//! Sections `1..=P` each hold one
-//! shard: per registry entry `(pair count, so pairs, os pairs)`, then that
-//! shard's frozen tries (`count`, then `(pred, subject_first, arity,
-//! num_tuples, level directory, arena_len, pad u8 + that many zero bytes,
-//! arena words)` per trie). The pad byte exists for exactly one reason:
-//! with the section 4-aligned in the file, it lands every arena's first
-//! word on a 4-byte file offset, so a mapped load can reinterpret the
-//! page-cache bytes as `&[u32]` in place. It is always the smallest pad
-//! that does so (`0..=3`); the reader rejects any other.
+//!
+//! Sections `1..=P` each hold one shard: in registry order, one `so`
+//! trie record and then one `os` trie record per predicate — nothing
+//! else. The order is implied by position and every relation is binary,
+//! so a record carries no predicate, order flag or arity:
+//!
+//! ```text
+//! num_tuples u32 | level 0 (offset u32, count u32) | level 1 (offset u32,
+//! count u32) | arena_len u32 | arena_len arena words (u32)
+//! ```
+//!
+//! Every field is a `u32`, so with the section 4-aligned in the file
+//! every arena's first word lands on a 4-byte file offset with no pad at
+//! all, and a mapped load reinterprets the page-cache bytes as `&[u32]`
+//! in place.
+//!
+//! ## What the reader checks
+//!
+//! Checksums guard against corruption; a checksum-valid image is then
+//! held to five structural checks per relation before anything serves
+//! from it, all inside the parallel per-shard pass:
+//!
+//! 1. **structure** — every level offset, block, child base and set
+//!    encoding of both tries (`FrozenTrie` validation; no empty set below
+//!    a root);
+//! 2. **ids** — every id of the `so` trie is below the dictionary length;
+//! 3. **affinity** — every subject (the `so` root set) hashes to the
+//!    shard holding it;
+//! 4. **transpose** — `os` is exactly the transpose of `so` (which also
+//!    carries check 2 over to `os`);
+//! 5. **distinct objects** — the registry's cross-shard claim lies
+//!    between the largest per-shard `os` root and the smaller of their
+//!    sum and the dictionary size (exact at `P = 1`).
 //!
 //! Per-shard sections carry **independent checksums** so a partitioned
 //! load verifies and decodes shards in parallel
@@ -48,17 +72,17 @@
 //!
 //! ## Compatibility policy
 //!
-//! There is one format. `EHSNAP03` is the only image this build writes or
-//! reads, and a store has exactly one encoding in it (every pad is the
-//! minimal one), so every readable image is also mappable. The two
-//! retired magics (`EHSNAP01`, `EHSNAP02`) are recognised only to say so
-//! — [`SnapshotError::BadVersion`] — and anything else unknown,
-//! truncated, mis-sized, or failing a checksum is likewise a typed
+//! There is one format. `EHSNAP04` is the only image this build writes or
+//! reads, and a store has exactly one encoding in it, so every readable
+//! image is also mappable and save → load → save is a byte fixed point.
+//! The three retired magics (`EHSNAP01`–`EHSNAP03`) are recognised only
+//! to say so — [`SnapshotError::BadVersion`] — and anything else unknown,
+//! truncated, mis-sized, or failing a check is likewise a typed
 //! [`SnapshotError`], never a panic. Snapshots are an *optimisation*, not
 //! the system of record: on any read error, rebuild from the source
 //! N-Triples and save again.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -70,18 +94,18 @@ use eh_trie::{ArenaBytes, FrozenTrie};
 
 use crate::mmap::MappedRegion;
 use crate::partition::Partitioner;
-use crate::store::TripleStore;
+use crate::store::{is_transpose, TriePair, TripleStore};
 use crate::term::Term;
-use crate::vp::PairTable;
 
 /// The 8-byte magic that opens every snapshot this build reads or writes.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"EHSNAP03";
+pub const SNAPSHOT_MAGIC: [u8; 8] = *b"EHSNAP04";
 /// The format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 3;
-/// The magics of the two retired formats, with the version each names.
+pub const SNAPSHOT_VERSION: u32 = 4;
+/// The magics of the retired formats, with the version each names.
 /// Nothing decodes them; they are matched so an old image fails as
 /// [`SnapshotError::BadVersion`] rather than as "not a snapshot".
-const RETIRED_MAGICS: [([u8; 8], u32); 2] = [(*b"EHSNAP01", 1), (*b"EHSNAP02", 2)];
+const RETIRED_MAGICS: [([u8; 8], u32); 3] =
+    [(*b"EHSNAP01", 1), (*b"EHSNAP02", 2), (*b"EHSNAP03", 3)];
 /// Fixed header size before the section directory. 20 bytes and 16-byte
 /// directory entries together put the first section on a 4-byte offset
 /// with no padding, for any partition count.
@@ -92,6 +116,8 @@ const DIR_ENTRY_BYTES: usize = 16;
 /// any real deployment, low enough that a corrupt header cannot provoke
 /// a giant allocation before checksums are consulted.
 const MAX_PARTITIONS: u32 = 1 << 16;
+/// Every relation is binary: a trie record has exactly two levels.
+const ARITY: u32 = 2;
 
 /// Why a snapshot could not be written or read.
 #[derive(Debug)]
@@ -101,7 +127,7 @@ pub enum SnapshotError {
     /// The file does not start with a snapshot magic.
     BadMagic,
     /// The file is a snapshot of a version this build does not read: a
-    /// retired format (1, 2) or a version field that is not
+    /// retired format (1–3) or a version field that is not
     /// [`SNAPSHOT_VERSION`].
     BadVersion(u32),
     /// The file ends before the declared payload does.
@@ -133,21 +159,6 @@ impl From<std::io::Error> for SnapshotError {
     fn from(e: std::io::Error) -> Self {
         SnapshotError::Io(e)
     }
-}
-
-/// A pre-built frozen trie shipped inside a snapshot: one (predicate,
-/// order) within one shard that the serving engine treats as hot.
-#[derive(Debug, Clone)]
-pub struct FrozenTrieEntry {
-    /// Dictionary key of the predicate this trie indexes.
-    pub pred: u32,
-    /// `true` for the subject-major `[s, o]` order, `false` for `[o, s]`.
-    pub subject_first: bool,
-    /// The shard whose slice of the predicate this trie covers (always 0
-    /// on a `P = 1` store).
-    pub shard: u32,
-    /// The arena-backed trie, ready to serve.
-    pub trie: Arc<FrozenTrie>,
 }
 
 /// How a snapshot's trie arenas entered the process.
@@ -191,58 +202,22 @@ impl LoadInfo {
     }
 }
 
-/// A loaded snapshot: the reassembled store plus any frozen tries it
-/// carried (see [`StoreSnapshot::read`]).
+/// A loaded snapshot: the reassembled store, whose base tries are the
+/// image's (see [`StoreSnapshot::read`]).
 #[derive(Debug)]
 pub struct StoreSnapshot {
     /// The store, committed and fully queryable (and mutable — updates
     /// after a snapshot load work exactly as on a cold-built store).
     pub store: TripleStore,
-    /// Pre-built tries for the hot orders, for an index catalog to
-    /// preload.
-    pub tries: Vec<FrozenTrieEntry>,
     /// How this load was served (copy vs mmap, and why if it fell back).
     pub load: LoadInfo,
 }
 
 impl StoreSnapshot {
-    /// The standard hot orders: an auto-layout [`FrozenTrie`] for both
-    /// `[s, o]` and `[o, s]` of every non-empty (shard, predicate) —
-    /// exactly the set of tries a warmed query engine holds for a
-    /// binary-atom workload.
-    pub fn hot_tries(store: &TripleStore) -> Vec<FrozenTrieEntry> {
-        let mut out = Vec::new();
-        for shard in 0..store.partitions() {
-            for table in store.shard_tables(shard) {
-                if table.is_empty() {
-                    continue;
-                }
-                for subject_first in [true, false] {
-                    let pairs = if subject_first { table.so_pairs() } else { table.os_pairs() };
-                    let trie = FrozenTrie::from_sorted(
-                        eh_trie::TupleBuffer::from_pairs(pairs),
-                        eh_trie::LayoutPolicy::Auto,
-                    );
-                    out.push(FrozenTrieEntry {
-                        pred: table.pred(),
-                        subject_first,
-                        shard: shard as u32,
-                        trie: Arc::new(trie),
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// Serialize `store` (plus optional pre-built tries) to `w`. Returns
-    /// the total bytes written.
-    pub fn write(
-        store: &TripleStore,
-        tries: &[FrozenTrieEntry],
-        w: impl Write,
-    ) -> Result<u64, SnapshotError> {
-        write_v3_parts(store.partitions() as u32, &encode_sections(store, tries), w)
+    /// Serialize `store`'s base relations to `w`. Returns the total bytes
+    /// written. Staged deltas are not part of an image: fold them first.
+    pub fn write(store: &TripleStore, w: impl Write) -> Result<u64, SnapshotError> {
+        write_parts(store.partitions() as u32, &encode_sections(store), w)
     }
 
     /// Serialize to a file path (buffered), atomically: the bytes go to
@@ -257,7 +232,6 @@ impl StoreSnapshot {
     /// rename lands last wins, whole.
     pub fn write_to_path(
         store: &TripleStore,
-        tries: &[FrozenTrieEntry],
         path: impl AsRef<Path>,
     ) -> Result<u64, SnapshotError> {
         let path = path.as_ref();
@@ -276,8 +250,8 @@ impl StoreSnapshot {
                 )))
             }
         };
-        let result = StoreSnapshot::write(store, tries, BufWriter::new(File::create(&tmp)?))
-            .and_then(|n| {
+        let result =
+            StoreSnapshot::write(store, BufWriter::new(File::create(&tmp)?)).and_then(|n| {
                 std::fs::rename(&tmp, path)?;
                 Ok(n)
             });
@@ -310,8 +284,8 @@ impl StoreSnapshot {
 
     /// Read from a file path. The whole file is slurped in one
     /// (size-hinted) read — on the cold-start critical path, funnelling
-    /// a couple hundred KB through a `BufReader`'s 8 KiB window would
-    /// just be an extra copy.
+    /// it through a `BufReader`'s 8 KiB window would just be an extra
+    /// copy.
     pub fn read_from_path(path: impl AsRef<Path>) -> Result<StoreSnapshot, SnapshotError> {
         StoreSnapshot::read_from_path_with(path, 1)
     }
@@ -325,10 +299,10 @@ impl StoreSnapshot {
         decode_image(&std::fs::read(path)?, threads, None)
     }
 
-    /// Zero-copy load: map the file and serve trie arenas as windows of
-    /// the mapping. Verification is not weakened — every section
-    /// checksum and every structural invariant still runs eagerly over
-    /// the mapped bytes; only the arena copy is skipped.
+    /// Zero-copy load: map the file and serve every trie arena as a
+    /// window of the mapping. Verification is not weakened — every
+    /// section checksum and every structural invariant still runs eagerly
+    /// over the mapped bytes; only the arena copy is skipped.
     ///
     /// Every readable image is mappable, so the only reasons to **fall
     /// back to the copy path** are the platform's: it has no `mmap`, or
@@ -365,7 +339,7 @@ impl StoreSnapshot {
 /// header, directory, then each section at the next 4-aligned offset
 /// with zero gap bytes between. Returns the total bytes written. The
 /// tests also use this directly to forge section-level corruptions.
-fn write_v3_parts(
+fn write_parts(
     partitions: u32,
     sections: &[Vec<u8>],
     mut w: impl Write,
@@ -391,11 +365,8 @@ fn write_v3_parts(
     Ok((HEADER_BYTES + DIR_ENTRY_BYTES * sections.len()) as u64 + at)
 }
 
-/// Encode the store as `P + 1` sections (see the module docs). Each trie
-/// record carries the minimal pad that starts its arena words on a 4-byte
-/// offset *within the section*; the file assembler aligns section starts,
-/// so within-section alignment is file alignment.
-fn encode_sections(store: &TripleStore, tries: &[FrozenTrieEntry]) -> Vec<Vec<u8>> {
+/// Encode the store as `P + 1` sections (see the module docs).
+fn encode_sections(store: &TripleStore) -> Vec<Vec<u8>> {
     let partitions = store.partitions();
     let mut sections = Vec::with_capacity(partitions + 1);
     // Section 0: dictionary + predicate registry.
@@ -411,61 +382,41 @@ fn encode_sections(store: &TripleStore, tries: &[FrozenTrieEntry]) -> Vec<Vec<u8
         put_u32(&mut head, text.len() as u32);
         head.extend_from_slice(text.as_bytes());
     }
-    let registry = store.shard_tables(0);
-    put_u32(&mut head, registry.len() as u32);
-    for t in registry {
-        put_u32(&mut head, t.pred());
-        put_u32(&mut head, t.name().len() as u32);
-        head.extend_from_slice(t.name().as_bytes());
+    put_u32(&mut head, store.preds().len() as u32);
+    for &pred in store.preds() {
+        put_u32(&mut head, pred);
         // The cross-shard distinct-object count: derived read-path state,
-        // persisted like the frozen tries so a load never replays the
-        // k-way merge that computed it.
-        let distinct = store.pred_card(t.name()).map_or(0, |c| c.distinct_objects());
+        // persisted so a load never replays the merge that computed it.
+        let distinct = store.card_of(pred).map_or(0, |c| c.distinct_objects());
         put_u32(&mut head, distinct as u32);
     }
     sections.push(head);
-    // Sections 1..=P: one shard each — its slice of every registered
-    // table (registry order; pred/name implied) plus its frozen tries.
+    // Sections 1..=P: one shard each — both tries of every registered
+    // relation, registry order.
     for shard in 0..partitions {
         let mut out = Vec::new();
-        for t in store.shard_tables(shard) {
-            put_u32(&mut out, t.len() as u32);
-            for &(a, b) in t.so_pairs() {
-                put_u32(&mut out, a);
-                put_u32(&mut out, b);
-            }
-            for &(a, b) in t.os_pairs() {
-                put_u32(&mut out, a);
-                put_u32(&mut out, b);
-            }
-        }
-        let mine: Vec<&FrozenTrieEntry> =
-            tries.iter().filter(|e| e.shard as usize == shard).collect();
-        put_u32(&mut out, mine.len() as u32);
-        for e in mine {
-            let (arity, num_tuples, levels, arena) = e.trie.raw_parts();
-            put_u32(&mut out, e.pred);
-            out.push(e.subject_first as u8);
-            put_u32(&mut out, arity);
-            put_u32(&mut out, num_tuples);
-            put_u32(&mut out, levels.len() as u32);
-            for &(off, count) in levels {
-                put_u32(&mut out, off);
-                put_u32(&mut out, count);
-            }
-            put_u32(&mut out, arena.len() as u32);
-            // One count byte plus that many zeros, so the arena's first
-            // word lands on a 4-byte within-section offset.
-            let pad = (4 - ((out.len() + 1) % 4)) % 4;
-            out.push(pad as u8);
-            out.extend(std::iter::repeat_n(0u8, pad));
-            for &w in arena {
-                put_u32(&mut out, w);
-            }
+        for rel in store.shard_rels(shard) {
+            put_trie(&mut out, &rel.so);
+            put_trie(&mut out, &rel.os);
         }
         sections.push(out);
     }
     sections
+}
+
+/// One trie record (see the module docs).
+fn put_trie(out: &mut Vec<u8>, trie: &FrozenTrie) {
+    let (arity, num_tuples, levels, arena) = trie.raw_parts();
+    debug_assert_eq!(arity, ARITY);
+    put_u32(out, num_tuples);
+    for &(off, count) in levels {
+        put_u32(out, off);
+        put_u32(out, count);
+    }
+    put_u32(out, arena.len() as u32);
+    for &w in arena {
+        put_u32(out, w);
+    }
 }
 
 /// The one header/directory walk behind every read entry point. With
@@ -477,7 +428,7 @@ fn decode_image(
     region: Option<&Arc<MappedRegion>>,
 ) -> Result<StoreSnapshot, SnapshotError> {
     let Some(magic) = bytes.get(..8) else {
-        // All three magics share their first seven bytes.
+        // Every magic shares its first seven bytes.
         return Err(if SNAPSHOT_MAGIC.starts_with(bytes) {
             SnapshotError::Truncated
         } else {
@@ -549,10 +500,9 @@ fn decode_image(
         return Err(SnapshotError::ChecksumMismatch);
     }
     let (terms, registry) = decode_head_section(head)?;
-    // Shard sections verify and decode independently — fan them out. The
-    // subject→shard affinity check rides inside the same fan-out (fused
-    // with the per-pair validation scan), so reassembly has no sequential
-    // sweep left to pay.
+    // Shard sections verify and decode independently — fan them out.
+    // Checks 1–4 of every relation ride inside the same fan-out, so
+    // reassembly has no sequential sweep left to pay.
     let n_terms = terms.len();
     let partitioner = Partitioner::new(partitions as usize);
     let shard_results = eh_par::run_tasks(threads.max(1), partitions as usize, |shard| {
@@ -561,7 +511,7 @@ fn decode_image(
             return Err(SnapshotError::ChecksumMismatch);
         }
         let mapped = region.map(|region| (region, section_off));
-        decode_shard_section(body, &registry, n_terms, partitioner, shard, mapped)
+        decode_shard_section(body, registry.len(), n_terms, partitioner, shard, mapped)
     });
     let load = match region {
         Some(region) => {
@@ -573,64 +523,54 @@ fn decode_image(
 }
 
 /// The tail of a read: collect the per-shard decode results, validate
-/// the persisted distinct-object claims against them, and reassemble the
-/// store.
+/// the persisted distinct-object claims against them (check 5), and
+/// reassemble the store.
 fn assemble_snapshot(
     partitions: u32,
     terms: Vec<Term>,
     registry: Vec<RegistryEntry>,
-    shard_results: Vec<ShardResult>,
+    shard_results: Vec<Result<Vec<TriePair>, SnapshotError>>,
     load: LoadInfo,
 ) -> Result<StoreSnapshot, SnapshotError> {
     let n_terms = terms.len();
-    let mut shard_tables = Vec::with_capacity(partitions as usize);
-    let mut tries = Vec::new();
-    for (shard, r) in shard_results.into_iter().enumerate() {
-        let (tables, shard_tries) = r?;
-        shard_tables.push(tables);
-        tries.extend(shard_tries.into_iter().map(|(pred, subject_first, trie)| FrozenTrieEntry {
-            pred,
-            subject_first,
-            shard: shard as u32,
-            trie: Arc::new(trie),
-        }));
-    }
+    let shard_rels = shard_results.into_iter().collect::<Result<Vec<_>, _>>()?;
     // The persisted distinct-object stats shape plans, never answer
-    // bytes, so exact recomputation (a cross-shard k-way merge per
-    // predicate — the cost this field exists to avoid) is not worth the
-    // load-path time; bounds against the decoded shards keep a corrupt
-    // claim from surviving: the true count is at least the largest
-    // single-shard count and at most the smaller of the per-shard sum
-    // and the dictionary size. At P = 1 the shard count *is* the true
-    // count, so the claim is checked exactly.
-    let mut agg = std::collections::HashMap::with_capacity(registry.len());
-    for (idx, &(pred, _, claimed)) in registry.iter().enumerate() {
+    // bytes, so exact recomputation (a cross-shard merge per predicate —
+    // the cost this field exists to avoid) is not worth the load-path
+    // time; bounds against the decoded shards keep a corrupt claim from
+    // surviving: the true count is at least the largest single-shard
+    // count and at most the smaller of the per-shard sum and the
+    // dictionary size. At P = 1 the shard count *is* the true count, so
+    // the claim is checked exactly.
+    let mut agg = HashMap::with_capacity(registry.len());
+    for (idx, &(pred, claimed)) in registry.iter().enumerate() {
         let claimed = claimed as usize;
-        let largest = shard_tables.iter().map(|t| t[idx].distinct_objects()).max().unwrap_or(0);
-        let sum: usize = shard_tables.iter().map(|t| t[idx].distinct_objects()).sum();
+        let per_shard = || shard_rels.iter().map(|rels| rels[idx].os.root_set().len());
+        let largest = per_shard().max().unwrap_or(0);
         let ok = if partitions == 1 {
             claimed == largest
         } else {
-            claimed >= largest && claimed <= sum.min(n_terms)
+            claimed >= largest && claimed <= per_shard().sum::<usize>().min(n_terms)
         };
         if !ok {
             return Err(SnapshotError::Malformed("distinct-object stat out of bounds"));
         }
         agg.insert(pred, claimed);
     }
-    let store = TripleStore::from_partitioned_parts(terms, partitions as usize, shard_tables, agg)
-        .map_err(SnapshotError::Malformed)?;
-    Ok(StoreSnapshot { store, tries, load })
+    let preds = registry.iter().map(|&(pred, _)| pred).collect();
+    let store =
+        TripleStore::from_partitioned_parts(terms, partitions as usize, preds, shard_rels, agg)
+            .map_err(SnapshotError::Malformed)?;
+    Ok(StoreSnapshot { store, load })
 }
 
-/// One predicate-registry entry from section 0: `(pred key, predicate
-/// name, claimed cross-shard distinct-object count)`.
-type RegistryEntry = (u32, String, u32);
+/// One predicate-registry entry from section 0: `(pred key, claimed
+/// cross-shard distinct-object count)`.
+type RegistryEntry = (u32, u32);
 
 /// Decode section 0: dictionary terms in key order plus the predicate
-/// registry shared by every shard — one [`RegistryEntry`] per table. The
-/// distinct-object claim is validated against the decoded shards in
-/// [`assemble_snapshot`].
+/// registry shared by every shard. The distinct-object claims are
+/// validated against the decoded shards in [`assemble_snapshot`].
 fn decode_head_section(bytes: &[u8]) -> Result<(Vec<Term>, Vec<RegistryEntry>), SnapshotError> {
     let mut c = Cursor { bytes, pos: 0 };
     let n_terms = c.u32()? as usize;
@@ -644,20 +584,18 @@ fn decode_head_section(bytes: &[u8]) -> Result<(Vec<Term>, Vec<RegistryEntry>), 
             _ => return Err(SnapshotError::Malformed("unknown term kind")),
         });
     }
-    let n_tables = c.u32()? as usize;
-    let mut registry = Vec::with_capacity(n_tables.min(c.remaining()));
+    let n_preds = c.u32()? as usize;
+    let mut registry = Vec::with_capacity(n_preds.min(c.remaining()));
     let mut seen = HashSet::new();
-    for _ in 0..n_tables {
+    for _ in 0..n_preds {
         let pred = c.u32()?;
         if !seen.insert(pred) {
-            return Err(SnapshotError::Malformed("duplicate predicate table"));
+            return Err(SnapshotError::Malformed("duplicate predicate"));
         }
         if pred as usize >= terms.len() {
-            return Err(SnapshotError::Malformed("table predicate outside dictionary"));
+            return Err(SnapshotError::Malformed("predicate outside dictionary"));
         }
-        let name = c.string()?;
-        let distinct = c.u32()?;
-        registry.push((pred, name, distinct));
+        registry.push((pred, c.u32()?));
     }
     if c.remaining() != 0 {
         return Err(SnapshotError::Malformed("unconsumed section bytes"));
@@ -665,141 +603,88 @@ fn decode_head_section(bytes: &[u8]) -> Result<(Vec<Term>, Vec<RegistryEntry>), 
     Ok((terms, registry))
 }
 
-/// One decoded shard: its tables plus its `(pred, subject_first, trie)`
-/// entries.
-type ShardResult = Result<(Vec<PairTable>, Vec<(u32, bool, FrozenTrie)>), SnapshotError>;
-
-/// Decode one shard section: its slice of every registered table (with
-/// full structural validation, including that every subject hashes to
-/// this shard) and its frozen tries (validated against the tables just
-/// decoded). With `mapped` — the mapping `bytes` is a window of, plus the
-/// section's absolute file offset in it — trie arenas are served in place
-/// instead of copied.
+/// Decode one shard section — `n_preds` relations of two trie records
+/// each — running checks 1–4 (module docs) on every relation. With
+/// `mapped` — the mapping `bytes` is a window of, plus the section's
+/// absolute file offset in it — trie arenas are served in place instead
+/// of copied.
 fn decode_shard_section(
     bytes: &[u8],
-    registry: &[RegistryEntry],
+    n_preds: usize,
     n_terms: usize,
     partitioner: Partitioner,
     shard: usize,
     mapped: Option<(&Arc<MappedRegion>, usize)>,
-) -> ShardResult {
+) -> Result<Vec<TriePair>, SnapshotError> {
     let mut c = Cursor { bytes, pos: 0 };
-    let mut tables = Vec::with_capacity(registry.len());
-    for (pred, name, _) in registry {
-        let n_pairs = c.u32()? as usize;
-        let so = c.pairs(n_pairs)?;
-        let os = c.pairs(n_pairs)?;
-        // One fused pass per order: sorted-unique (so binary searches
-        // work) and id-bounded (an out-of-dictionary id surviving into a
-        // query result would panic in `Dictionary::decode` much later, on
-        // a serving thread — exactly the class of failure the never-panic
-        // guarantee exists for).
-        for pairs in [&so, &os] {
-            let sorted = pairs.windows(2).all(|w| w[0] < w[1]);
-            let bounded =
-                pairs.iter().all(|&(a, b)| (a as usize) < n_terms && (b as usize) < n_terms);
-            if !sorted || !bounded {
-                return Err(SnapshotError::Malformed("table pairs not sorted or out of range"));
-            }
+    let mut rels = Vec::with_capacity(n_preds.min(c.remaining()));
+    for _ in 0..n_preds {
+        let so = decode_trie(&mut c, mapped)?;
+        let os = decode_trie(&mut c, mapped)?;
+        // An out-of-dictionary id surviving into a query result would
+        // panic in `Dictionary::decode` much later, on a serving thread —
+        // exactly the class of failure the never-panic guarantee exists
+        // for. Bitset maxima are O(1), so this is O(blocks).
+        if so.max_symbol().is_some_and(|m| m as usize >= n_terms) {
+            return Err(SnapshotError::Malformed("trie id outside dictionary"));
         }
         // Subjects must live in the shard their hash names, or a
         // shard-local join would silently miss them (a swapped pair of
         // otherwise-valid sections passes every per-section checksum).
-        // Checked here, inside the parallel fan-out, rather than as a
-        // second store-wide sweep at reassembly.
-        if !so.iter().all(|&(s, _)| partitioner.shard_of(s) == shard) {
+        if !so.root_set().iter().all(|s| partitioner.shard_of(s) == shard) {
             return Err(SnapshotError::Malformed("subject resident in the wrong shard"));
         }
         // The two orders must describe the same relation, or the same
         // query would answer differently depending on which access order
-        // the planner picks. Both are sorted unique and equally long, so
-        // membership of every transposed `os` pair in `so` is a full
-        // bijection check — O(n log n) binary searches, no re-sort.
-        if !os.iter().all(|&(o, s)| so.binary_search(&(s, o)).is_ok()) {
-            return Err(SnapshotError::Malformed("table orders are not transposes"));
+        // the planner picks.
+        if !is_transpose(&so, &os) {
+            return Err(SnapshotError::Malformed("os trie is not the transpose of so"));
         }
-        tables.push(PairTable::from_sorted_parts(name.clone(), *pred, so, os));
-    }
-    let n_tries = c.u32()? as usize;
-    let mut tries = Vec::with_capacity(n_tries.min(c.remaining()));
-    let mut seen_orders = HashSet::new();
-    for _ in 0..n_tries {
-        let pred = c.u32()?;
-        let subject_first = match c.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Malformed("bad trie order flag")),
-        };
-        if !seen_orders.insert((pred, subject_first)) {
-            return Err(SnapshotError::Malformed("duplicate frozen trie entry"));
-        }
-        let arity = c.u32()?;
-        let num_tuples = c.u32()?;
-        let n_levels = c.u32()? as usize;
-        let mut levels = Vec::with_capacity(n_levels.min(c.remaining()));
-        for _ in 0..n_levels {
-            let off = c.u32()?;
-            let count = c.u32()?;
-            levels.push((off, count));
-        }
-        let arena_len = c.u32()? as usize;
-        // A count byte plus that many zeros, placed so the arena words
-        // start on a 4-byte offset. Only the minimal pad is accepted —
-        // an image has one encoding, and every image is mappable — and
-        // it is validated zero so a flipped pad byte cannot slide the
-        // arena silently.
-        let pad = c.u8()? as usize;
-        if pad >= 4 || !(c.pos() + pad).is_multiple_of(4) {
-            return Err(SnapshotError::Malformed("trie arena padding is not minimal"));
-        }
-        if c.take(pad)?.iter().any(|&b| b != 0) {
-            return Err(SnapshotError::Malformed("nonzero trie arena padding"));
-        }
-        let trie = match mapped {
-            None => {
-                let arena = c.words(arena_len)?;
-                FrozenTrie::from_raw_parts(arity, num_tuples, levels, arena)
-            }
-            Some((region, section_off)) => {
-                let at = section_off.checked_add(c.pos()).ok_or(SnapshotError::Truncated)?;
-                let n_bytes = arena_len.checked_mul(4).ok_or(SnapshotError::Truncated)?;
-                // Advance past (and bounds-check) the arena words without
-                // materialising them.
-                c.take(n_bytes)?;
-                // Fault the arena pages in the background while decode
-                // continues: first-query latency should not eat the
-                // fault storm.
-                region.advise_willneed(at, n_bytes);
-                FrozenTrie::from_shared_region(
-                    arity,
-                    num_tuples,
-                    levels,
-                    Arc::clone(region) as Arc<dyn ArenaBytes>,
-                    at,
-                    arena_len,
-                )
-            }
-        }
-        .map_err(SnapshotError::Malformed)?;
-        // A preloaded trie is served by the catalog as if it were built
-        // from the shard's table, so its contents must *be* that table in
-        // the claimed order, tuple for tuple — a count or id-range check
-        // would let a transposed (or otherwise mislabeled) trie through
-        // and silently corrupt every query over its predicate.
-        let Some(table) = registry.iter().position(|&(p, _, _)| p == pred).map(|i| &tables[i])
-        else {
-            return Err(SnapshotError::Malformed("frozen trie for an absent table"));
-        };
-        let pairs = if subject_first { table.so_pairs() } else { table.os_pairs() };
-        if !trie.matches_pairs(pairs) {
-            return Err(SnapshotError::Malformed("frozen trie does not match its table"));
-        }
-        tries.push((pred, subject_first, trie));
+        rels.push(TriePair { so: Arc::new(so), os: Arc::new(os) });
     }
     if c.remaining() != 0 {
         return Err(SnapshotError::Malformed("unconsumed section bytes"));
     }
-    Ok((tables, tries))
+    Ok(rels)
+}
+
+/// Decode and structurally validate one trie record (check 1).
+fn decode_trie(
+    c: &mut Cursor<'_>,
+    mapped: Option<(&Arc<MappedRegion>, usize)>,
+) -> Result<FrozenTrie, SnapshotError> {
+    let num_tuples = c.u32()?;
+    let mut levels = Vec::with_capacity(ARITY as usize);
+    for _ in 0..ARITY {
+        levels.push((c.u32()?, c.u32()?));
+    }
+    let arena_len = c.u32()? as usize;
+    match mapped {
+        None => {
+            let arena = c.words(arena_len)?;
+            FrozenTrie::from_raw_parts(ARITY, num_tuples, levels, arena)
+        }
+        Some((region, section_off)) => {
+            let at = section_off.checked_add(c.pos()).ok_or(SnapshotError::Truncated)?;
+            let n_bytes = arena_len.checked_mul(4).ok_or(SnapshotError::Truncated)?;
+            // Advance past (and bounds-check) the arena words without
+            // materialising them.
+            c.take(n_bytes)?;
+            // Fault the arena pages in the background while decode
+            // continues: first-query latency should not eat the fault
+            // storm.
+            region.advise_willneed(at, n_bytes);
+            FrozenTrie::from_shared_region(
+                ARITY,
+                num_tuples,
+                levels,
+                Arc::clone(region) as Arc<dyn ArenaBytes>,
+                at,
+                arena_len,
+            )
+        }
+    }
+    .map_err(SnapshotError::Malformed)
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -846,19 +731,6 @@ impl Cursor<'_> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?.to_vec();
         String::from_utf8(bytes).map_err(|_| SnapshotError::Malformed("invalid utf-8 text"))
-    }
-
-    fn pairs(&mut self, n: usize) -> Result<Vec<(u32, u32)>, SnapshotError> {
-        let bytes = self.take(n.checked_mul(8).ok_or(SnapshotError::Truncated)?)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| {
-                (
-                    u32::from_le_bytes(c[0..4].try_into().expect("fixed slice")),
-                    u32::from_le_bytes(c[4..8].try_into().expect("fixed slice")),
-                )
-            })
-            .collect())
     }
 
     fn words(&mut self, n: usize) -> Result<Vec<u32>, SnapshotError> {
@@ -952,6 +824,7 @@ pub fn xxh64(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
     use crate::triple::Triple;
+    use eh_trie::LayoutPolicy;
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
@@ -978,18 +851,50 @@ mod tests {
         v
     }
 
-    /// A `P = 1` store assembled from raw parts with none of the
-    /// decoder's validation — what the writer would emit for a store no
-    /// honest build can produce.
-    fn forged_store(terms: Vec<Term>, tables: Vec<PairTable>) -> TripleStore {
-        TripleStore::from_partitioned_parts(terms, 1, vec![tables], Default::default()).unwrap()
+    fn trie_of(pairs: &[(u32, u32)]) -> Arc<FrozenTrie> {
+        Arc::new(FrozenTrie::from_sorted_pairs(pairs, LayoutPolicy::Auto))
+    }
+
+    /// `store` (P = 1) reassembled with its first relation replaced by
+    /// `edit`'s — none of the decoder's validation runs, so this is what
+    /// the writer would emit for a store no honest build can produce.
+    fn forged(store: &TripleStore, edit: impl FnOnce(&mut TriePair)) -> TripleStore {
+        let terms = store.dict().iter().map(|(_, term)| term.clone()).collect();
+        let mut rels = store.shard_rels(0).to_vec();
+        edit(&mut rels[0]);
+        let preds = store.preds().to_vec();
+        TripleStore::from_partitioned_parts(terms, 1, preds, vec![rels], HashMap::new()).unwrap()
     }
 
     fn snapshot_bytes(store: &TripleStore) -> Vec<u8> {
-        let tries = StoreSnapshot::hot_tries(store);
         let mut buf = Vec::new();
-        StoreSnapshot::write(store, &tries, &mut buf).unwrap();
+        StoreSnapshot::write(store, &mut buf).unwrap();
         buf
+    }
+
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("eh-snap-{tag}-{}.snap", std::process::id()))
+    }
+
+    /// Both orders of every (shard, predicate) hold the same tuples in
+    /// `a` and `b` (content equality — storage backing may differ).
+    fn assert_same_relations(a: &TripleStore, b: &TripleStore) {
+        assert_eq!(a.partitions(), b.partitions());
+        assert_eq!(a.preds(), b.preds());
+        for shard in 0..a.partitions() {
+            for (ra, rb) in a.shard_rels(shard).iter().zip(b.shard_rels(shard)) {
+                assert_eq!(*ra.so, *rb.so, "shard {shard}");
+                assert_eq!(*ra.os, *rb.os, "shard {shard}");
+            }
+        }
+    }
+
+    /// Every trie of the store, both orders, all shards.
+    fn all_tries(store: &TripleStore) -> Vec<Arc<FrozenTrie>> {
+        (0..store.partitions())
+            .flat_map(|shard| store.shard_rels(shard).iter())
+            .flat_map(|r| [Arc::clone(&r.so), Arc::clone(&r.os)])
+            .collect()
     }
 
     #[test]
@@ -1005,39 +910,27 @@ mod tests {
     #[test]
     fn roundtrip_is_lossless() {
         let store = sample_store();
-        let bytes = snapshot_bytes(&store);
-        let snap = StoreSnapshot::read(&bytes[..]).unwrap();
+        let snap = StoreSnapshot::read(&snapshot_bytes(&store)[..]).unwrap();
         // Dictionary: identical keys and terms.
         assert_eq!(snap.store.dict().len(), store.dict().len());
         for (k, term) in store.dict().iter() {
             assert_eq!(snap.store.dict().decode(k), term);
         }
-        // Tables: identical contents in both orders.
-        assert_eq!(snap.store.tables().len(), store.tables().len());
-        for (a, b) in store.tables().iter().zip(snap.store.tables()) {
-            assert_eq!((a.pred(), a.name()), (b.pred(), b.name()));
-            assert_eq!(a.so_pairs(), b.so_pairs());
-            assert_eq!(a.os_pairs(), b.os_pairs());
-            assert_eq!(a.distinct_subjects(), b.distinct_subjects());
-            assert_eq!(a.distinct_objects(), b.distinct_objects());
+        // Relations: identical tries in both orders, identical stats.
+        assert_same_relations(&store, &snap.store);
+        assert_eq!(snap.store.stats(), store.stats());
+        for iri in ["p", "q"] {
+            let (a, b) = (store.pred_card(iri).unwrap(), snap.store.pred_card(iri).unwrap());
+            assert_eq!(
+                (a.len(), a.distinct_subjects(), a.distinct_objects()),
+                (b.len(), b.distinct_subjects(), b.distinct_objects())
+            );
         }
         assert_eq!(
             store.encoded_triples().collect::<Vec<_>>(),
             snap.store.encoded_triples().collect::<Vec<_>>()
         );
-        // Frozen tries: one per (non-empty predicate, order), identical
-        // to a fresh build from the loaded table.
-        assert_eq!(snap.tries.len(), 2 * store.tables().len());
-        for e in &snap.tries {
-            assert_eq!(e.shard, 0);
-            let table = snap.store.table(e.pred).unwrap();
-            let pairs = if e.subject_first { table.so_pairs() } else { table.os_pairs() };
-            let fresh = FrozenTrie::from_sorted(
-                eh_trie::TupleBuffer::from_pairs(pairs),
-                eh_trie::LayoutPolicy::Auto,
-            );
-            assert_eq!(*e.trie, fresh);
-        }
+        assert!(snap.store.__invariant_check());
     }
 
     #[test]
@@ -1052,36 +945,43 @@ mod tests {
                 store.encoded_triples().collect::<Vec<_>>(),
                 "threads={threads}"
             );
+            assert_same_relations(&store, &snap.store);
+            let hub = snap.store.pred_card("q").unwrap();
+            assert_eq!(hub.distinct_objects(), 1, "the persisted cross-shard count");
             assert!(snap.store.__invariant_check());
-            // Every shipped trie round-trips into the shard it came from.
-            for shard in 0..4 {
-                for table in store.shard_tables(shard) {
-                    if table.is_empty() {
-                        continue;
-                    }
-                    for subject_first in [true, false] {
-                        let e = snap
-                            .tries
-                            .iter()
-                            .find(|e| {
-                                e.shard as usize == shard
-                                    && e.pred == table.pred()
-                                    && e.subject_first == subject_first
-                            })
-                            .expect("trie present for shard order");
-                        let pairs = if subject_first { table.so_pairs() } else { table.os_pairs() };
-                        assert!(e.trie.matches_pairs(pairs));
-                    }
-                }
+        }
+    }
+
+    #[test]
+    fn image_holds_each_relation_once() {
+        // A shard section is its trie records and nothing else: two per
+        // registered predicate, each a 24-byte header plus its arena.
+        let record = |trie: &FrozenTrie| 24 + 4 * trie.raw_parts().3.len();
+        for partitions in [1, 4] {
+            let mut store = TripleStore::from_triples_partitioned(wide_triples(), partitions);
+            // A predicate registered by a batch that cancelled out still
+            // owns its (empty) records.
+            store.stage_add_triples(vec![t("x", "r", "y")]);
+            store.stage_remove_triples(vec![t("x", "r", "y")]);
+            assert!(!store.has_deltas());
+            assert_eq!(store.stats().predicates, 3);
+            let sections = encode_sections(&store);
+            assert_eq!(sections.len(), partitions + 1);
+            for shard in 0..partitions {
+                let rels = store.shard_rels(shard);
+                assert_eq!(rels.len(), store.stats().predicates, "P={partitions}");
+                let expect: usize = rels.iter().map(|r| record(&r.so) + record(&r.os)).sum();
+                assert_eq!(sections[shard + 1].len(), expect, "P={partitions} shard {shard}");
             }
+            let snap = StoreSnapshot::read(&snapshot_bytes(&store)[..]).unwrap();
+            assert_same_relations(&store, &snap.store);
         }
     }
 
     #[test]
     fn loaded_store_stays_mutable() {
         let store = sample_store();
-        let bytes = snapshot_bytes(&store);
-        let mut loaded = StoreSnapshot::read(&bytes[..]).unwrap().store;
+        let mut loaded = StoreSnapshot::read(&snapshot_bytes(&store)[..]).unwrap().store;
         let report = loaded.stage_add_triples(vec![t("s9", "p", "o9"), t("s9", "r", "o9")]);
         assert_eq!(report.added, 2);
         assert_eq!(loaded.num_triples(), store.num_triples() + 2);
@@ -1094,12 +994,9 @@ mod tests {
 
     #[test]
     fn empty_store_roundtrips() {
-        let store = TripleStore::new();
-        let mut buf = Vec::new();
-        StoreSnapshot::write(&store, &[], &mut buf).unwrap();
-        let snap = StoreSnapshot::read(&buf[..]).unwrap();
+        let snap = StoreSnapshot::read(&snapshot_bytes(&TripleStore::new())[..]).unwrap();
         assert_eq!(snap.store.dict().len(), 0);
-        assert!(snap.tries.is_empty());
+        assert_eq!(snap.store.stats().predicates, 0);
     }
 
     #[test]
@@ -1168,15 +1065,15 @@ mod tests {
     fn swapped_shard_sections_are_rejected() {
         // Swap the two shard payloads of a P=2 snapshot and re-seal their
         // checksums: every per-section check still passes, but subjects
-        // now sit in shards their hash does not name — the cross-section
-        // affinity check must catch it (a shard-local join would
-        // otherwise silently miss them).
+        // now sit in shards their hash does not name — the affinity check
+        // must catch it (a shard-local join would otherwise silently miss
+        // them).
         let store = TripleStore::from_triples_partitioned(wide_triples(), 2);
-        let mut sections = encode_sections(&store, &[]);
+        let mut sections = encode_sections(&store);
         assert!(sections[1] != sections[2], "both shards populated");
         sections.swap(1, 2);
         let mut forged = Vec::new();
-        write_v3_parts(2, &sections, &mut forged).unwrap();
+        write_parts(2, &sections, &mut forged).unwrap();
         assert!(
             matches!(
                 StoreSnapshot::read(&forged[..]),
@@ -1189,11 +1086,11 @@ mod tests {
     #[test]
     fn single_byte_mutations_never_panic() {
         // The corruption property, exhaustively for small snapshots at
-        // P ∈ {1, 2}: every single-byte mutation
-        // either still reads (a single flip never collides the checksum,
-        // but stay permissive) or returns a typed error — it must never
-        // panic. The workspace-level proptest widens this to random
-        // multi-byte mutations over random stores.
+        // P ∈ {1, 2}: every single-byte mutation either still reads (a
+        // single flip never collides the checksum, but stay permissive)
+        // or returns a typed error — it must never panic. The
+        // workspace-level proptest widens this to random multi-byte
+        // mutations over random stores.
         let store = TripleStore::from_triples(vec![t("a", "p", "b")]);
         let mut cases = vec![snapshot_bytes(&store)];
         cases.push(snapshot_bytes(&TripleStore::from_triples_partitioned(
@@ -1214,106 +1111,77 @@ mod tests {
     #[test]
     fn checksum_valid_out_of_dictionary_ids_are_rejected() {
         // A snapshot can be internally consistent (good magic, version,
-        // checksum) and still carry ids the dictionary cannot decode; reading
-        // one must be a typed error, never a later decode panic.
-        let bogus_table = forged_store(
-            vec![Term::iri("p")],
-            vec![PairTable::from_sorted_parts("p".into(), 0, vec![(5, 6)], vec![(6, 5)])],
-        );
-        let mut buf = Vec::new();
-        StoreSnapshot::write(&bogus_table, &[], &mut buf).unwrap();
-        assert!(
-            matches!(StoreSnapshot::read(&buf[..]), Err(SnapshotError::Malformed(m)) if m.contains("pair")),
-            "out-of-dictionary pair must be rejected"
-        );
-
-        // Same for a shipped frozen trie: right predicate, right tuple
-        // count, but values outside the dictionary.
+        // checksum, `os` the transpose of `so`) and still carry ids the
+        // dictionary cannot decode; reading one must be a typed error,
+        // never a later decode panic.
         let store = TripleStore::from_triples(vec![t("a", "p", "b")]);
-        let pred = store.resolve_iri("p").unwrap();
-        let rogue = FrozenTrie::from_sorted(
-            eh_trie::TupleBuffer::from_pairs(&[(7, 8)]),
-            eh_trie::LayoutPolicy::Auto,
-        );
-        let entry = FrozenTrieEntry {
-            pred,
-            subject_first: true,
-            shard: 0,
-            trie: std::sync::Arc::new(rogue),
-        };
-        let mut buf = Vec::new();
-        StoreSnapshot::write(&store, &[entry], &mut buf).unwrap();
+        let rogue = forged(&store, |rel| {
+            rel.so = trie_of(&[(7, 8)]);
+            rel.os = trie_of(&[(8, 7)]);
+        });
         assert!(
-            matches!(StoreSnapshot::read(&buf[..]), Err(SnapshotError::Malformed(m)) if m.contains("trie")),
+            matches!(
+                StoreSnapshot::read(&snapshot_bytes(&rogue)[..]),
+                Err(SnapshotError::Malformed(m)) if m.contains("dictionary")
+            ),
             "out-of-dictionary trie value must be rejected"
         );
     }
 
     #[test]
-    fn mislabeled_and_duplicate_entries_are_rejected() {
-        // A trie whose order flag lies — the [o, s] trie labeled as
-        // subject-major — passes any count/id-range check (same length,
-        // same id universe) but would silently transpose every answer
-        // over its predicate; only exact content comparison catches it.
-        let store = TripleStore::from_triples(vec![t("a", "p", "b"), t("c", "p", "a")]);
-        let table = store.table_by_name("p").unwrap();
-        let transposed = FrozenTrie::from_sorted(
-            eh_trie::TupleBuffer::from_pairs(table.os_pairs()),
-            eh_trie::LayoutPolicy::Auto,
-        );
-        let entry = FrozenTrieEntry {
-            pred: table.pred(),
-            subject_first: true, // lie: this is the [o, s] trie
-            shard: 0,
-            trie: std::sync::Arc::new(transposed),
-        };
-        let mut buf = Vec::new();
-        StoreSnapshot::write(&store, &[entry], &mut buf).unwrap();
-        assert!(
-            matches!(StoreSnapshot::read(&buf[..]), Err(SnapshotError::Malformed(m)) if m.contains("match")),
-            "a transposed trie must not load"
-        );
+    fn an_os_trie_that_is_not_the_transpose_is_malformed_on_both_read_paths() {
+        // Each order valid on its own, checksums valid, ids in range —
+        // but the two orders describe different relations, so the same
+        // query would answer differently depending on the access order
+        // the planner picks.
+        let store = TripleStore::from_triples(vec![
+            t("a", "p", "b"),
+            t("a", "p", "c"),
+            t("d", "p", "b"),
+            t("d", "p", "a"),
+        ]);
+        let os: Vec<(u32, u32)> = store.shard_rels(0)[0].os.pairs().collect();
+        let mut altered = os.clone();
+        let last = os.len() - 1;
+        altered[last].1 = os[0].1; // (c, a) -> (c, d): (d, c) is not in `so`
+        let dropped = os[1..].to_vec();
+        let path = temp_path("not-transposed");
+        for (label, os) in [("altered", altered), ("dropped", dropped)] {
+            let bad = forged(&store, |rel| rel.os = trie_of(&os));
+            let bytes = snapshot_bytes(&bad);
+            std::fs::write(&path, &bytes).unwrap();
+            for result in
+                [StoreSnapshot::read(&bytes[..]), StoreSnapshot::read_from_path_mmap(&path, 1)]
+            {
+                assert!(
+                    matches!(result, Err(SnapshotError::Malformed(m)) if m.contains("transpose")),
+                    "{label}"
+                );
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
 
-        // Duplicate (pred, order) trie entries are inconsistent by
-        // construction (which one would the catalog serve?).
-        let tries = StoreSnapshot::hot_tries(&store);
-        let doubled: Vec<FrozenTrieEntry> = tries.iter().chain(tries.iter()).cloned().collect();
-        let mut buf = Vec::new();
-        StoreSnapshot::write(&store, &doubled, &mut buf).unwrap();
-        assert!(
-            matches!(StoreSnapshot::read(&buf[..]), Err(SnapshotError::Malformed(m)) if m.contains("duplicate")),
-            "duplicate trie entries must not load"
-        );
-
-        // A table whose two orders are each valid but describe different
-        // relations would answer the same query differently depending on
-        // the access order the planner picks.
-        let skewed = forged_store(
-            vec![Term::iri("a"), Term::iri("p"), Term::iri("b")],
-            vec![PairTable::from_sorted_parts("p".into(), 1, vec![(0, 2)], vec![(1, 0)])],
-        );
-        let mut buf = Vec::new();
-        StoreSnapshot::write(&skewed, &[], &mut buf).unwrap();
-        assert!(
-            matches!(StoreSnapshot::read(&buf[..]), Err(SnapshotError::Malformed(m)) if m.contains("transpose")),
-            "non-transposed orders must not load"
-        );
-
-        // Duplicate predicate tables: `by_pred` would answer from one
-        // while whole-store iteration sees both.
-        let twin = forged_store(
-            vec![Term::iri("a"), Term::iri("p"), Term::iri("b")],
-            vec![
-                PairTable::from_sorted_parts("p".into(), 1, vec![(0, 2)], vec![(2, 0)]),
-                PairTable::from_sorted_parts("p".into(), 1, vec![(2, 0)], vec![(0, 2)]),
-            ],
-        );
-        let mut buf = Vec::new();
-        StoreSnapshot::write(&twin, &[], &mut buf).unwrap();
-        assert!(
-            matches!(StoreSnapshot::read(&buf[..]), Err(SnapshotError::Malformed(m)) if m.contains("duplicate")),
-            "duplicate tables must not load"
-        );
+    #[test]
+    fn duplicate_registry_entries_are_rejected() {
+        // `by_pred` would answer from one relation while whole-store
+        // iteration sees both.
+        let store = sample_store();
+        let terms = store.dict().iter().map(|(_, term)| term.clone()).collect();
+        let p = store.preds()[0];
+        let rel = store.shard_rels(0)[0].clone();
+        let twin = TripleStore::from_partitioned_parts(
+            terms,
+            1,
+            vec![p, p],
+            vec![vec![rel.clone(), rel]],
+            HashMap::new(),
+        )
+        .unwrap();
+        assert!(matches!(
+            StoreSnapshot::read(&snapshot_bytes(&twin)[..]),
+            Err(SnapshotError::Malformed(m)) if m.contains("duplicate")
+        ));
     }
 
     mod corruption_proptests {
@@ -1363,50 +1231,24 @@ mod tests {
         }
     }
 
-    fn temp_path(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("eh-snap-{tag}-{}.snap", std::process::id()))
-    }
-
-    /// Stores loaded two ways must be indistinguishable: same triples,
-    /// same tries (content equality — storage backing may differ).
-    fn assert_snapshots_equal(a: &StoreSnapshot, b: &StoreSnapshot) {
-        assert_eq!(
-            a.store.encoded_triples().collect::<Vec<_>>(),
-            b.store.encoded_triples().collect::<Vec<_>>()
-        );
-        assert_eq!(a.tries.len(), b.tries.len());
-        for ea in &a.tries {
-            let eb = b
-                .tries
-                .iter()
-                .find(|e| {
-                    e.pred == ea.pred && e.subject_first == ea.subject_first && e.shard == ea.shard
-                })
-                .expect("trie present in both loads");
-            assert_eq!(*ea.trie, *eb.trie);
-        }
-    }
-
     #[test]
     fn mmap_load_is_zero_copy_and_identical() {
         let store = TripleStore::from_triples_partitioned(wide_triples(), 2);
         let path = temp_path("mmap-identical");
-        let total =
-            StoreSnapshot::write_to_path(&store, &StoreSnapshot::hot_tries(&store), &path).unwrap();
+        let total = StoreSnapshot::write_to_path(&store, &path).unwrap();
         assert_eq!(total, std::fs::metadata(&path).unwrap().len());
         let copied = StoreSnapshot::read_from_path(&path).unwrap();
+        assert!(all_tries(&copied.store).iter().all(|t| !t.is_shared()));
         for threads in [1, 4] {
             let mapped = StoreSnapshot::read_from_path_mmap(&path, threads).unwrap();
             assert_eq!(mapped.load.mode, LoadMode::Mmap, "threads={threads}");
             assert_eq!(mapped.load.mapped_bytes, total);
             assert!(mapped.load.fallback.is_none());
-            assert!(!mapped.tries.is_empty());
             assert!(
-                mapped.tries.iter().all(|e| e.trie.is_shared()),
-                "every mapped trie serves from the mapping, not a copy"
+                all_tries(&mapped.store).iter().all(|t| t.is_shared()),
+                "every base trie serves from the mapping, not a copy"
             );
-            assert!(copied.tries.iter().all(|e| !e.trie.is_shared()));
-            assert_snapshots_equal(&mapped, &copied);
+            assert_same_relations(&mapped.store, &copied.store);
             // A mapped load stays as mutable as a copy load.
             let mut s = mapped.store;
             assert_eq!(s.stage_add_triples(vec![t("new", "p", "o")]).added, 1);
@@ -1415,63 +1257,26 @@ mod tests {
     }
 
     #[test]
-    fn over_padded_trie_records_are_malformed() {
-        // An image has exactly one encoding: a trie record whose pad is
-        // anything but the minimal one is rejected on both read paths,
-        // even with every checksum valid and (at +4) the arena still
-        // aligned. One predicate, one trie, P = 1, so the pad byte's
-        // offset in the shard section follows from the record layout.
-        let store = TripleStore::from_triples(vec![t("a", "p", "b"), t("c", "p", "d")]);
-        let entry = StoreSnapshot::hot_tries(&store).swap_remove(0);
-        let n_levels = entry.trie.raw_parts().2.len();
-        let sections = encode_sections(&store, std::slice::from_ref(&entry));
-        let n_pairs = store.tables()[0].len();
-        // pairs (count, so, os), trie count, then pred, order flag, arity,
-        // tuple count, level count, level directory, arena length.
-        let pad_at = (4 + 16 * n_pairs) + 4 + (4 + 1 + 4 + 4 + 4) + 8 * n_levels + 4;
-        let pad = sections[1][pad_at];
-        assert!(pad < 4 && (pad_at + 1 + pad as usize).is_multiple_of(4), "located the pad byte");
-        let path = temp_path("over-padded");
-        for extra in 1..=4u8 {
-            let mut forged = sections.clone();
-            forged[1][pad_at] = pad + extra;
-            forged[1].splice(pad_at + 1..pad_at + 1, std::iter::repeat_n(0u8, extra as usize));
-            let mut buf = Vec::new();
-            write_v3_parts(1, &forged, &mut buf).unwrap();
-            std::fs::write(&path, &buf).unwrap();
-            for result in
-                [StoreSnapshot::read(&buf[..]), StoreSnapshot::read_from_path_mmap(&path, 1)]
-            {
-                assert!(
-                    matches!(result, Err(SnapshotError::Malformed(m)) if m.contains("minimal")),
-                    "extra={extra}"
-                );
-            }
-        }
-        // The unforged sections are the writer's bytes and load.
-        let mut buf = Vec::new();
-        write_v3_parts(1, &sections, &mut buf).unwrap();
-        assert_eq!(StoreSnapshot::read(&buf[..]).unwrap().tries.len(), 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn retired_images_fail_as_bad_version() {
         // The v1 (magic, version, payload length, checksum: 28 bytes) and
-        // v2 (magic, version, partitions, sections: 20 bytes) headers,
+        // v2/v3 (magic, version, partitions, sections: 20 bytes) headers,
         // forged by hand — nothing in this build can write them. The
         // magic alone decides; nothing behind it is decoded.
         let mut v1 = b"EHSNAP01".to_vec();
         v1.extend_from_slice(&1u32.to_le_bytes());
         v1.extend_from_slice(&0u64.to_le_bytes());
         v1.extend_from_slice(&xxh64(b"").to_le_bytes());
-        let mut v2 = b"EHSNAP02".to_vec();
-        v2.extend_from_slice(&2u32.to_le_bytes());
-        v2.extend_from_slice(&1u32.to_le_bytes());
-        v2.extend_from_slice(&2u32.to_le_bytes());
-        assert_eq!((v1.len(), v2.len()), (28, 20));
+        let sectioned = |version: u32| {
+            let mut image = format!("EHSNAP0{version}").into_bytes();
+            image.extend_from_slice(&version.to_le_bytes());
+            image.extend_from_slice(&1u32.to_le_bytes());
+            image.extend_from_slice(&2u32.to_le_bytes());
+            image
+        };
+        let (v2, v3) = (sectioned(2), sectioned(3));
+        assert_eq!((v1.len(), v2.len(), v3.len()), (28, 20, 20));
         let path = temp_path("retired");
-        for (image, version) in [(v1, 1), (v2, 2)] {
+        for (image, version) in [(v1, 1), (v2, 2), (v3, 3)] {
             std::fs::write(&path, &image).unwrap();
             for result in [
                 StoreSnapshot::read(&image[..]),
@@ -1484,8 +1289,8 @@ mod tests {
                 );
             }
         }
-        let message = SnapshotError::BadVersion(2).to_string();
-        assert!(message.contains("version 2") && message.contains("reads 3"), "{message}");
+        let message = SnapshotError::BadVersion(3).to_string();
+        assert!(message.contains("version 3") && message.contains("reads 4"), "{message}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1527,23 +1332,19 @@ mod tests {
         // the old inode survives until the mapping drops.
         let before = TripleStore::from_triples(vec![t("a", "p", "b"), t("c", "p", "d")]);
         let path = temp_path("mmap-atomic");
-        StoreSnapshot::write_to_path(&before, &StoreSnapshot::hot_tries(&before), &path).unwrap();
+        StoreSnapshot::write_to_path(&before, &path).unwrap();
         let mapped = StoreSnapshot::read_from_path_mmap(&path, 1).unwrap();
         assert_eq!(mapped.load.mode, LoadMode::Mmap);
-        let arenas_before: Vec<Vec<u32>> =
-            mapped.tries.iter().map(|e| e.trie.raw_parts().3.to_vec()).collect();
+        let arenas = |store: &TripleStore| -> Vec<Vec<u32>> {
+            all_tries(store).iter().map(|t| t.raw_parts().3.to_vec()).collect()
+        };
+        let arenas_before = arenas(&mapped.store);
         // Overwrite the path with a different store.
         let after = TripleStore::from_triples(vec![t("x", "q", "y")]);
-        StoreSnapshot::write_to_path(&after, &StoreSnapshot::hot_tries(&after), &path).unwrap();
+        StoreSnapshot::write_to_path(&after, &path).unwrap();
         // The live mapping still serves the old bytes, bit for bit...
-        let arenas_after: Vec<Vec<u32>> =
-            mapped.tries.iter().map(|e| e.trie.raw_parts().3.to_vec()).collect();
-        assert_eq!(arenas_before, arenas_after);
-        for e in &mapped.tries {
-            let table = mapped.store.table(e.pred).unwrap();
-            let pairs = if e.subject_first { table.so_pairs() } else { table.os_pairs() };
-            assert!(e.trie.matches_pairs(pairs));
-        }
+        assert_eq!(arenas(&mapped.store), arenas_before);
+        assert_same_relations(&mapped.store, &before);
         // ...a fresh load sees the new store...
         let reread = StoreSnapshot::read_from_path_mmap(&path, 1).unwrap();
         assert_eq!(reread.store.num_triples(), after.num_triples());
@@ -1562,7 +1363,7 @@ mod tests {
     fn write_reports_total_bytes() {
         let store = sample_store();
         let mut buf = Vec::new();
-        let n = StoreSnapshot::write(&store, &[], &mut buf).unwrap();
+        let n = StoreSnapshot::write(&store, &mut buf).unwrap();
         assert_eq!(n, buf.len() as u64);
         assert!(n > 24);
     }
@@ -1571,8 +1372,7 @@ mod tests {
     fn path_roundtrip() {
         let store = sample_store();
         let path = std::env::temp_dir().join(format!("eh-snap-test-{}.snap", std::process::id()));
-        let tries = StoreSnapshot::hot_tries(&store);
-        StoreSnapshot::write_to_path(&store, &tries, &path).unwrap();
+        StoreSnapshot::write_to_path(&store, &path).unwrap();
         let snap = StoreSnapshot::read_from_path(&path).unwrap();
         assert_eq!(snap.store.num_triples(), store.num_triples());
         std::fs::remove_file(&path).ok();

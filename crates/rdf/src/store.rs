@@ -1,59 +1,141 @@
-//! The in-memory triple store: dictionary + vertically partitioned tables,
-//! hash-partitioned into subject shards.
+//! The in-memory triple store: dictionary + one pair of frozen tries per
+//! predicate, hash-partitioned into subject shards.
 
 use std::collections::HashMap;
+use std::sync::Arc;
+
+use eh_trie::{FrozenTrie, LayoutPolicy};
 
 use crate::dict::Dictionary;
 use crate::partition::Partitioner;
 use crate::term::Term;
 use crate::triple::{EncodedTriple, Triple};
-use crate::vp::PairTable;
+
+/// One (shard, predicate)'s base relation: a frozen trie per attribute
+/// order. A trie over one order *is* that order's index (paper §III-A),
+/// so the pair is the relation — the store keeps no other copy of it.
+#[derive(Debug, Clone)]
+pub struct TriePair {
+    /// The subject-major `[s, o]` trie.
+    pub(crate) so: Arc<FrozenTrie>,
+    /// The object-major `[o, s]` trie — always exactly the transpose of
+    /// `so`.
+    pub(crate) os: Arc<FrozenTrie>,
+}
+
+impl TriePair {
+    /// Freeze both orders from sorted-unique subject-major pairs, the
+    /// object-major one from the same buffer transposed in place.
+    fn from_so(mut pairs: Vec<(u32, u32)>) -> TriePair {
+        let so = freeze(&pairs);
+        transpose_in_place(&mut pairs);
+        TriePair { so, os: freeze(&pairs) }
+    }
+
+    /// Freeze both orders, each given sorted and unique.
+    fn from_sorted(so: &[(u32, u32)], os: &[(u32, u32)]) -> TriePair {
+        TriePair { so: freeze(so), os: freeze(os) }
+    }
+
+    /// The subject-major `[s, o]` trie.
+    pub fn so(&self) -> &Arc<FrozenTrie> {
+        &self.so
+    }
+
+    /// The object-major `[o, s]` trie.
+    pub fn os(&self) -> &Arc<FrozenTrie> {
+        &self.os
+    }
+
+    /// The trie for one attribute order.
+    pub fn order(&self, subject_first: bool) -> &Arc<FrozenTrie> {
+        if subject_first {
+            &self.so
+        } else {
+            &self.os
+        }
+    }
+
+    /// Number of `(subject, object)` pairs.
+    pub fn len(&self) -> usize {
+        self.so.num_tuples()
+    }
+
+    /// True when the relation holds no pairs.
+    pub fn is_empty(&self) -> bool {
+        self.so.is_empty()
+    }
+
+    /// True when the exact pair is present.
+    pub fn contains(&self, s: u32, o: u32) -> bool {
+        self.so.contains_prefix(&[s, o])
+    }
+}
+
+/// The auto-layout trie of sorted-unique pairs.
+fn freeze(pairs: &[(u32, u32)]) -> Arc<FrozenTrie> {
+    Arc::new(FrozenTrie::from_sorted_pairs(pairs, LayoutPolicy::Auto))
+}
+
+/// Flip every pair to `(b, a)` and re-sort.
+fn transpose_in_place(pairs: &mut [(u32, u32)]) {
+    for p in pairs.iter_mut() {
+        *p = (p.1, p.0);
+    }
+    pairs.sort_unstable();
+}
+
+/// True iff `os` holds exactly the transposed tuples of `so` (both
+/// binary). Trie sets are strictly increasing, so each trie is a set of
+/// distinct tuples: equal counts plus every transposed `os` tuple found
+/// in `so` is a bijection — one probe per tuple, no sort.
+pub(crate) fn is_transpose(so: &FrozenTrie, os: &FrozenTrie) -> bool {
+    so.num_tuples() == os.num_tuples() && os.pairs().all(|(o, s)| so.contains_prefix(&[s, o]))
+}
 
 /// An in-memory RDF store in the paper's storage model: every term is
 /// dictionary-encoded to a `u32` and triples are vertically partitioned
-/// into one [`PairTable`] per predicate (§II-A1, §IV-A2).
+/// by predicate (§II-A1, §IV-A2), each predicate's relation held as the
+/// two frozen tries of a [`TriePair`] and nothing else.
 ///
 /// On top of the vertical partitioning, the store is **hash-partitioned
 /// by subject** into `P` shards (see [`Partitioner`]): each shard owns its
-/// own slice of every predicate's pairs plus its own staged
-/// [`PredDelta`]s, while the dictionary is shared store-wide. `P = 1`
-/// (the default everywhere) is layout-identical to the unpartitioned
-/// store — one shard holding every table.
+/// own slice of every predicate plus its own staged [`PredDelta`]s, while
+/// the dictionary is shared store-wide. `P = 1` (the default everywhere)
+/// is layout-identical to the unpartitioned store — one shard holding
+/// every relation.
 ///
-/// The store's lifecycle has one mechanism per step:
+/// The store's lifecycle has one mechanism per step, and every step ends
+/// in frozen tries:
 ///
 /// * **Build** — [`insert`](TripleStore::insert) buffers raw pairs and
 ///   [`commit`](TripleStore::commit) (or the bulk
 ///   [`from_triples`](TripleStore::from_triples)) sorts and deduplicates
-///   them into the base tables, once, on an empty store. Read accessors
-///   panic on an uncommitted store to make misuse loud rather than subtly
-///   stale.
+///   them and freezes both orders of every (shard, predicate), once, on an
+///   empty store. Read accessors panic on an uncommitted store to make
+///   misuse loud rather than subtly stale.
 /// * **Mutate** — [`stage_add_triples`](TripleStore::stage_add_triples)
 ///   and [`stage_remove_triples`](TripleStore::stage_remove_triples)
 ///   record a batch as a sorted per-(shard, predicate) [`PredDelta`]
-///   (inserts + tombstones) in O(delta) without touching the base tables.
+///   (inserts + tombstones) in O(delta) without touching the base tries.
 ///   This is the only way a built store changes.
 /// * **Fold** — [`compact_pred`](TripleStore::compact_pred) /
-///   [`compact_all`](TripleStore::compact_all) merge deltas into fresh
-///   base tables off the hot path — or, shard-locally,
-///   [`compact_pred_in`](TripleStore::compact_pred_in) folds a single
-///   shard.
+///   [`compact_all`](TripleStore::compact_all) merge each base trie's
+///   tuples with its delta and freeze fresh tries off the hot path — or,
+///   shard-locally, [`compact_pred_in`](TripleStore::compact_pred_in)
+///   folds a single shard. Every other relation keeps its `Arc`s.
 ///
 /// Logical accessors ([`num_triples`], [`encoded_triples`], [`stats`])
 /// always report the merged view across all shards;
-/// [`shard_table`](TripleStore::shard_table) exposes one shard's frozen
+/// [`trie_pair`](TripleStore::trie_pair) exposes one shard's frozen
 /// **base** only, with [`shard_delta`](TripleStore::shard_delta) carrying
-/// the rest.
+/// the rest. Cloning a store bumps the tries' `Arc`s and copies only the
+/// dictionary and the deltas.
 ///
 /// Staging reports which predicates actually changed, so an index layer
-/// can invalidate only the tries those predicates back. Removal never
-/// shrinks the dictionary and leaves emptied tables in place — term keys
-/// stay stable for the lifetime of the store.
-///
-/// The single-table accessors ([`table`](TripleStore::table),
-/// [`tables`](TripleStore::tables), [`delta`](TripleStore::delta)) are the
-/// `P = 1` view and panic on a partitioned store; partitioned callers use
-/// the shard accessors or the aggregate [`PredCard`] statistics view.
+/// can invalidate only what those predicates back. Removal never shrinks
+/// the dictionary and leaves emptied relations in place — term keys stay
+/// stable for the lifetime of the store.
 ///
 /// [`num_triples`]: TripleStore::num_triples
 /// [`encoded_triples`]: TripleStore::encoded_triples
@@ -62,29 +144,30 @@ use crate::vp::PairTable;
 pub struct TripleStore {
     dict: Dictionary,
     partitioner: Partitioner,
-    /// Predicate key → table index; the index is valid in **every**
-    /// shard (all shards register every predicate, in the same order).
+    /// Registered predicate keys in registration order: a key's position
+    /// here is its relation's index in **every** shard.
+    preds: Vec<u32>,
     by_pred: HashMap<u32, usize>,
     shards: Vec<StoreShard>,
     /// `P > 1` only: per-predicate distinct-object counts across shards
     /// (objects, unlike subjects, are not disjoint across shards).
-    /// Recomputed whenever a base table changes — the same events that
-    /// already pay an O(predicate) rebuild.
+    /// Recomputed from the `os` root sets whenever a base relation
+    /// changes.
     agg_distinct_objects: HashMap<u32, usize>,
     pending: HashMap<u32, Vec<(u32, u32)>>,
     n_pending: usize,
 }
 
-/// One subject-hash shard: its slice of every predicate's base pairs plus
-/// its staged deltas. Table indices align across shards.
+/// One subject-hash shard: its slice of every predicate's base relation
+/// plus its staged deltas. Relation indices align across shards.
 #[derive(Debug, Default, Clone)]
 struct StoreShard {
-    tables: Vec<PairTable>,
+    rels: Vec<TriePair>,
     deltas: HashMap<u32, PredDelta>,
 }
 
 /// Staged, uncompacted mutations for one predicate within one shard:
-/// sorted insert pairs disjoint from the shard's base table and sorted
+/// sorted insert pairs disjoint from the shard's base relation and sorted
 /// tombstone pairs resident in it. Both slices are subject-major
 /// `(s, o)`; consumers needing the object-major orientation permute and
 /// re-sort (deltas are small).
@@ -116,13 +199,14 @@ impl PredDelta {
     }
 }
 
-/// Three-way linear merge `(base − del) ∪ ins` over sorted-unique pair
-/// slices — the compaction kernel, O(base + delta).
-fn merge_pairs(base: &[(u32, u32)], del: &[(u32, u32)], ins: &[(u32, u32)]) -> Vec<(u32, u32)> {
-    let mut out = Vec::with_capacity(base.len() + ins.len() - del.len().min(base.len()));
+/// Three-way linear merge `(base − del) ∪ ins` of a binary trie's tuples
+/// with sorted-unique pair slices — the compaction kernel, O(base +
+/// delta).
+fn merge_pairs(base: &FrozenTrie, del: &[(u32, u32)], ins: &[(u32, u32)]) -> Vec<(u32, u32)> {
+    let mut out = Vec::with_capacity(base.num_tuples() + ins.len());
     let mut di = del.iter().peekable();
     let mut ii = ins.iter().peekable();
-    for &pair in base {
+    for pair in base.pairs() {
         while di.next_if(|&&d| d < pair).is_some() {}
         if di.next_if(|&&d| d == pair).is_some() {
             continue;
@@ -149,7 +233,7 @@ fn merge_pairs(base: &[(u32, u32)], del: &[(u32, u32)], ins: &[(u32, u32)]) -> V
 pub struct StoreStats {
     /// Distinct triples across all predicates.
     pub triples: usize,
-    /// Number of predicates (= vertically partitioned tables).
+    /// Number of predicates (= vertically partitioned relations).
     pub predicates: usize,
     /// Distinct dictionary-encoded terms.
     pub terms: usize,
@@ -164,6 +248,9 @@ pub struct ShardStats {
     pub triples: usize,
     /// Staged pairs (inserts + tombstones) across this shard's deltas.
     pub staged_pairs: usize,
+    /// Arena bytes of this shard's resident base tries (both orders of
+    /// every predicate).
+    pub arena_bytes: usize,
 }
 
 /// What a mutation actually changed, in dictionary-encoded terms.
@@ -177,12 +264,12 @@ pub struct UpdateReport {
     pub added: usize,
     /// Pairs removed across all predicates.
     pub removed: usize,
-    /// Keys of predicates whose tables changed, sorted ascending.
+    /// Keys of predicates whose relations changed, sorted ascending.
     pub changed_preds: Vec<u32>,
 }
 
 impl UpdateReport {
-    /// True when the mutation was a no-op on the table contents.
+    /// True when the mutation was a no-op on the relations' contents.
     pub fn is_empty(&self) -> bool {
         self.changed_preds.is_empty()
     }
@@ -201,8 +288,9 @@ impl UpdateReport {
 /// Aggregate per-predicate statistics that are **partition-invariant**:
 /// the same numbers whether the store holds one shard or many, so the
 /// planner's cardinality heuristics (and therefore the chosen plans) do
-/// not depend on `P`. Subjects are disjoint across shards (sums are
-/// exact); distinct objects come from the store's cross-shard count.
+/// not depend on `P`. All of them read trie set lengths: subjects are
+/// disjoint across shards (sums of `so` root lengths are exact); distinct
+/// objects come from the store's cross-shard count.
 #[derive(Debug, Clone, Copy)]
 pub struct PredCard<'a> {
     store: &'a TripleStore,
@@ -211,26 +299,30 @@ pub struct PredCard<'a> {
 }
 
 impl PredCard<'_> {
-    /// Base pairs across all shards (deltas excluded, like the `P = 1`
-    /// table view the planner always used).
-    pub fn len(&self) -> usize {
-        self.store.shards.iter().map(|sh| sh.tables[self.idx].len()).sum()
+    fn rels(&self) -> impl Iterator<Item = &TriePair> + '_ {
+        self.store.shards.iter().map(|sh| &sh.rels[self.idx])
     }
 
-    /// True when every shard's base table is empty.
+    /// Base pairs across all shards (deltas excluded, like the `P = 1`
+    /// base view the planner always used).
+    pub fn len(&self) -> usize {
+        self.rels().map(TriePair::len).sum()
+    }
+
+    /// True when every shard's base relation is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Distinct subjects across all shards (disjoint by construction).
     pub fn distinct_subjects(&self) -> usize {
-        self.store.shards.iter().map(|sh| sh.tables[self.idx].distinct_subjects()).sum()
+        self.rels().map(|r| r.so.root_set().len()).sum()
     }
 
     /// Distinct objects across all shards (deduplicated cross-shard).
     pub fn distinct_objects(&self) -> usize {
         if self.store.partitions() == 1 {
-            self.store.shards[0].tables[self.idx].distinct_objects()
+            self.store.shards[0].rels[self.idx].os.root_set().len()
         } else {
             self.store.agg_distinct_objects.get(&self.pred).copied().unwrap_or(0)
         }
@@ -240,12 +332,12 @@ impl PredCard<'_> {
     /// that owns it.
     pub fn matches_for_subject(&self, s: u32) -> usize {
         let shard = self.store.partitioner.shard_of(s);
-        self.store.shards[shard].tables[self.idx].pairs_for_subject(s).len()
+        self.store.shards[shard].rels[self.idx].so.fanout(s)
     }
 
     /// Base pairs with the given object, summed across shards.
     pub fn matches_for_object(&self, o: u32) -> usize {
-        self.store.shards.iter().map(|sh| sh.tables[self.idx].pairs_for_object(o).len()).sum()
+        self.rels().map(|r| r.os.fanout(o)).sum()
     }
 }
 
@@ -262,6 +354,7 @@ impl TripleStore {
         TripleStore {
             dict: Dictionary::default(),
             partitioner,
+            preds: Vec::new(),
             by_pred: HashMap::new(),
             shards: vec![StoreShard::default(); partitioner.partitions()],
             agg_distinct_objects: HashMap::new(),
@@ -291,51 +384,38 @@ impl TripleStore {
 
     /// Reassemble a committed partitioned store from per-shard snapshot
     /// parts plus the persisted per-predicate cross-shard distinct-object
-    /// counts. Every shard must register the same predicates in the same
-    /// order — checked here. Two invariants are the *caller's* contract,
+    /// counts. Every shard must hold one relation per registered
+    /// predicate — checked here. Relation contents (ids in the
+    /// dictionary, subjects in their shard, `os` the transpose of `so`)
+    /// and the distinct-object claims are the *caller's* contract,
     /// verified by the snapshot decoder (the only untrusted input path)
-    /// where they are cheap: subject→shard affinity inside the parallel
-    /// per-shard decode pass (fused with the sorted/bounded scan), and
-    /// the distinct-object claims bounds-checked against the decoded
-    /// shards — so reassembly replays neither a store-wide pair sweep nor
-    /// a k-way merge per predicate.
+    /// inside its parallel per-shard pass, so reassembly replays no
+    /// store-wide sweep.
     pub(crate) fn from_partitioned_parts(
         terms: Vec<Term>,
         partitions: usize,
-        shard_tables: Vec<Vec<PairTable>>,
+        preds: Vec<u32>,
+        shard_rels: Vec<Vec<TriePair>>,
         agg_distinct_objects: HashMap<u32, usize>,
     ) -> Result<TripleStore, &'static str> {
         let partitioner = Partitioner::new(partitions);
-        if shard_tables.len() != partitioner.partitions() {
+        if shard_rels.len() != partitioner.partitions() {
             return Err("shard count does not match partition count");
         }
-        let first = &shard_tables[0];
-        for tables in &shard_tables {
-            if tables.len() != first.len() {
-                return Err("shards register different predicate counts");
-            }
-            for (a, b) in tables.iter().zip(first) {
-                if a.pred() != b.pred() || a.name() != b.name() {
-                    return Err("shards register different predicates");
-                }
-            }
+        if shard_rels.iter().any(|rels| rels.len() != preds.len()) {
+            return Err("shards register different predicate counts");
         }
-        debug_assert!(shard_tables.iter().enumerate().all(|(shard, tables)| {
-            tables
-                .iter()
-                .all(|t| t.so_pairs().iter().all(|&(s, _)| partitioner.shard_of(s) == shard))
-        }));
-        let by_pred: HashMap<u32, usize> =
-            first.iter().enumerate().map(|(i, t)| (t.pred(), i)).collect();
+        let by_pred: HashMap<u32, usize> = preds.iter().enumerate().map(|(i, &p)| (p, i)).collect();
         let agg_distinct_objects =
             if partitioner.partitions() > 1 { agg_distinct_objects } else { HashMap::new() };
         Ok(TripleStore {
             dict: Dictionary::from_terms(terms),
             partitioner,
+            preds,
             by_pred,
-            shards: shard_tables
+            shards: shard_rels
                 .into_iter()
-                .map(|tables| StoreShard { tables, deltas: HashMap::new() })
+                .map(|rels| StoreShard { rels, deltas: HashMap::new() })
                 .collect(),
             agg_distinct_objects,
             pending: HashMap::new(),
@@ -347,8 +427,8 @@ impl TripleStore {
     /// [`commit`](TripleStore::commit) before reading).
     ///
     /// # Panics
-    /// Panics on a store that already has tables: a built store changes
-    /// only through `stage_*` + `compact_*`.
+    /// Panics on a store that already has relations: a built store
+    /// changes only through `stage_*` + `compact_*`.
     pub fn insert(&mut self, t: Triple) {
         assert!(
             self.by_pred.is_empty(),
@@ -361,13 +441,13 @@ impl TripleStore {
         self.n_pending += 1;
     }
 
-    /// The bulk build: sort and deduplicate all buffered pairs into one
-    /// base table per predicate, split across the shards.
+    /// The bulk build: sort and deduplicate all buffered pairs and freeze
+    /// both orders of every predicate, split across the shards.
     pub fn commit(&mut self) {
-        // Drain in predicate-key order, not HashMap order: table
-        // registration order must be deterministic so two stores built
-        // from the same triples are identical regardless of hasher seeds
-        // (the partition-determinism matrix compares across instances).
+        // Drain in predicate-key order, not HashMap order: registration
+        // order must be deterministic so two stores built from the same
+        // triples are identical regardless of hasher seeds (the
+        // partition-determinism matrix compares across instances).
         let mut pending: Vec<(u32, Vec<(u32, u32)>)> =
             std::mem::take(&mut self.pending).into_iter().collect();
         pending.sort_unstable_by_key(|&(p, _)| p);
@@ -375,51 +455,56 @@ impl TripleStore {
         for (p, mut pairs) in pending {
             pairs.sort_unstable();
             pairs.dedup();
-            let name = self.dict.decode(p).as_str().to_string();
-            let idx = self.register_pred(p, &name);
-            for shard in 0..self.shards.len() {
-                let mine: Vec<(u32, u32)> = pairs
-                    .iter()
-                    .copied()
-                    .filter(|&(s, _)| self.partitioner.shard_of(s) == shard)
-                    .collect();
-                self.shards[shard].tables[idx] = PairTable::build(name.clone(), p, mine);
+            let idx = self.register_pred(p);
+            let mut split = vec![Vec::new(); self.shards.len()];
+            if let [only] = split.as_mut_slice() {
+                *only = pairs;
+            } else {
+                for pair in pairs {
+                    split[self.partitioner.shard_of(pair.0)].push(pair);
+                }
+            }
+            for (sh, mine) in self.shards.iter_mut().zip(split) {
+                sh.rels[idx] = TriePair::from_so(mine);
             }
             self.recompute_agg(p);
         }
     }
 
-    /// Register a predicate: every shard gets an (initially empty) table
-    /// at the same index. Returns the shared table index.
-    fn register_pred(&mut self, p: u32, name: &str) -> usize {
-        let idx = self.num_tables();
+    /// Register a predicate: every shard gets an (initially empty)
+    /// relation at the same index. Returns that index.
+    fn register_pred(&mut self, p: u32) -> usize {
+        let idx = self.preds.len();
+        let empty = TriePair::from_so(Vec::new());
         for sh in &mut self.shards {
-            sh.tables.push(PairTable::build(name.to_string(), p, Vec::new()));
+            sh.rels.push(empty.clone());
         }
+        self.preds.push(p);
         self.by_pred.insert(p, idx);
         idx
     }
 
     /// Recompute the cross-shard distinct-object count for one predicate
-    /// (only maintained when partitioned; `P = 1` reads the table's own
-    /// count). O(predicate pairs) — called only from paths that already
-    /// rebuilt a base table at that cost.
+    /// by merging the shards' `os` root sets (only maintained when
+    /// partitioned; `P = 1` reads its one root set). Called only from
+    /// paths that just froze a base relation at greater cost.
     fn recompute_agg(&mut self, pred: u32) {
         if self.partitions() == 1 {
             return;
         }
         let Some(&idx) = self.by_pred.get(&pred) else { return };
-        let slices: Vec<&[(u32, u32)]> =
-            self.shards.iter().map(|sh| sh.tables[idx].os_pairs()).collect();
-        let distinct = distinct_first_across(&slices);
-        self.agg_distinct_objects.insert(pred, distinct);
+        let mut objects: Vec<u32> =
+            self.shards.iter().flat_map(|sh| sh.rels[idx].os.root_set().iter()).collect();
+        objects.sort_unstable();
+        objects.dedup();
+        self.agg_distinct_objects.insert(pred, objects.len());
     }
 
     /// Stage an insert batch as per-(shard, predicate) deltas without
-    /// rebuilding any base table: O(delta) in the batch, not the
-    /// predicate. New terms grow the dictionary; a new predicate gets an
-    /// empty base table in every shard (so its key is stable) with the
-    /// pairs staged as inserts. Each pair routes to the single shard its
+    /// freezing any base trie: O(delta) in the batch, not the predicate.
+    /// New terms grow the dictionary; a new predicate gets an empty base
+    /// relation in every shard (so its key is stable) with the pairs
+    /// staged as inserts. Each pair routes to the single shard its
     /// subject hashes to. Inserting a tombstoned pair cancels the
     /// tombstone; inserting a resident or already-staged pair is a no-op.
     /// The report counts real logical change only.
@@ -435,14 +520,14 @@ impl TripleStore {
             let o = self.dict.encode(&t.o);
             let idx = match self.by_pred.get(&p) {
                 Some(&idx) => idx,
-                None => self.register_pred(p, t.p.as_str()),
+                None => self.register_pred(p),
             };
             let pair = (s, o);
             let sh = &mut self.shards[self.partitioner.shard_of(s)];
             let d = sh.deltas.entry(p).or_default();
             if let Ok(at) = d.del.binary_search(&pair) {
                 d.del.remove(at); // insert cancels the tombstone
-            } else if sh.tables[idx].contains(s, o) || d.ins.binary_search(&pair).is_ok() {
+            } else if sh.rels[idx].contains(s, o) || d.ins.binary_search(&pair).is_ok() {
                 continue;
             } else if let Err(at) = d.ins.binary_search(&pair) {
                 d.ins.insert(at, pair);
@@ -455,10 +540,10 @@ impl TripleStore {
     }
 
     /// Stage a delete batch as per-(shard, predicate) tombstones without
-    /// rebuilding any base table: O(delta) in the batch. Deleting a
-    /// staged insert cancels it; deleting an absent pair (or a triple
-    /// naming unknown terms or predicates) is a no-op — such a triple
-    /// cannot be resident. The report counts real logical change only.
+    /// freezing any base trie: O(delta) in the batch. Deleting a staged
+    /// insert cancels it; deleting an absent pair (or a triple naming
+    /// unknown terms or predicates) is a no-op — such a triple cannot be
+    /// resident. The report counts real logical change only.
     ///
     /// # Panics
     /// Panics when called on an uncommitted store.
@@ -482,7 +567,7 @@ impl TripleStore {
             let d = sh.deltas.entry(p).or_default();
             if let Ok(at) = d.ins.binary_search(&pair) {
                 d.ins.remove(at); // delete cancels the staged insert
-            } else if sh.tables[idx].contains(s, o) {
+            } else if sh.rels[idx].contains(s, o) {
                 match d.del.binary_search(&pair) {
                     Ok(_) => continue, // already tombstoned
                     Err(at) => d.del.insert(at, pair),
@@ -558,11 +643,10 @@ impl TripleStore {
         preds
     }
 
-    /// Fold one predicate's staged delta into a fresh base table in
-    /// **every** shard that has one (one linear three-way merge per sort
-    /// order per shard). Returns whether any delta was present. Logical
-    /// contents are unchanged — compaction only moves pairs across the
-    /// base/delta split.
+    /// Fold one predicate's staged delta into fresh base tries in
+    /// **every** shard that has one. Returns whether any delta was
+    /// present. Logical contents are unchanged — compaction only moves
+    /// pairs across the base/delta split.
     pub fn compact_pred(&mut self, pred: u32) -> bool {
         let mut any = false;
         for shard in 0..self.shards.len() {
@@ -572,28 +656,26 @@ impl TripleStore {
     }
 
     /// Fold one predicate's staged delta within **one** shard — the
-    /// shard-local compaction primitive: other shards' overlays (and
-    /// their cached tries) are untouched.
+    /// shard-local compaction primitive: per order, one linear merge of
+    /// the base trie's tuples with the delta, then one freeze. Other
+    /// shards' relations and overlays are untouched.
     pub fn compact_pred_in(&mut self, shard: usize, pred: u32) -> bool {
         let Some(d) = self.shards[shard].deltas.remove(&pred) else {
             return false;
         };
         let idx = self.by_pred[&pred];
-        let old = &self.shards[shard].tables[idx];
-        let so = merge_pairs(old.so_pairs(), &d.del, &d.ins);
-        let permute_sort = |pairs: &[(u32, u32)]| {
-            let mut v: Vec<(u32, u32)> = pairs.iter().map(|&(s, o)| (o, s)).collect();
-            v.sort_unstable();
-            v
-        };
-        let os = merge_pairs(old.os_pairs(), &permute_sort(&d.del), &permute_sort(&d.ins));
-        self.shards[shard].tables[idx] =
-            PairTable::from_sorted_parts(old.name().to_string(), pred, so, os);
+        let old = &self.shards[shard].rels[idx];
+        let so = merge_pairs(&old.so, &d.del, &d.ins);
+        let (mut del, mut ins) = (d.del, d.ins);
+        transpose_in_place(&mut del);
+        transpose_in_place(&mut ins);
+        let os = merge_pairs(&old.os, &del, &ins);
+        self.shards[shard].rels[idx] = TriePair::from_sorted(&so, &os);
         self.recompute_agg(pred);
         true
     }
 
-    /// Fold every staged delta in every shard into its base table,
+    /// Fold every staged delta in every shard into its base relation,
     /// returning the compacted predicate keys sorted ascending.
     pub fn compact_all(&mut self) -> Vec<u32> {
         let preds = self.delta_preds();
@@ -648,95 +730,54 @@ impl TripleStore {
         self.partitioner
     }
 
-    /// Number of registered predicates (= tables per shard).
-    fn num_tables(&self) -> usize {
-        self.shards[0].tables.len()
+    /// Registered predicate keys, in registration order (the order every
+    /// shard holds its relations in).
+    pub(crate) fn preds(&self) -> &[u32] {
+        &self.preds
     }
 
-    /// Table for a predicate key — the `P = 1` view.
-    ///
-    /// # Panics
-    /// Panics on a partitioned store; use
-    /// [`shard_table`](TripleStore::shard_table) or [`PredCard`] there.
-    pub fn table(&self, pred: u32) -> Option<&PairTable> {
+    /// One shard's base relation for a predicate key: its two frozen
+    /// tries (deltas excluded — see [`shard_delta`](TripleStore::shard_delta)).
+    pub fn trie_pair(&self, shard: usize, pred: u32) -> Option<&TriePair> {
         self.assert_committed();
-        assert_eq!(self.partitions(), 1, "partitioned store: use shard_table / pred_card");
-        self.by_pred.get(&pred).map(|&i| &self.shards[0].tables[i])
+        self.by_pred.get(&pred).map(|&i| &self.shards[shard].rels[i])
     }
 
-    /// Table for a predicate IRI — the `P = 1` view (see
-    /// [`table`](TripleStore::table)).
-    pub fn table_by_name(&self, iri: &str) -> Option<&PairTable> {
-        self.resolve_iri(iri).and_then(|p| self.table(p))
-    }
-
-    /// All predicate tables — the `P = 1` view.
-    ///
-    /// # Panics
-    /// Panics on a partitioned store; use
-    /// [`shard_tables`](TripleStore::shard_tables) there.
-    pub fn tables(&self) -> &[PairTable] {
-        self.assert_committed();
-        assert_eq!(self.partitions(), 1, "partitioned store: use shard_tables");
-        &self.shards[0].tables
-    }
-
-    /// One shard's table for a predicate key (its slice of the pairs).
-    pub fn shard_table(&self, shard: usize, pred: u32) -> Option<&PairTable> {
-        self.assert_committed();
-        self.by_pred.get(&pred).map(|&i| &self.shards[shard].tables[i])
-    }
-
-    /// One shard's predicate tables, in registration order (the order is
-    /// identical across shards).
-    pub fn shard_tables(&self, shard: usize) -> &[PairTable] {
-        self.assert_committed();
-        &self.shards[shard].tables
+    /// One shard's base relations, in registration order.
+    pub(crate) fn shard_rels(&self, shard: usize) -> &[TriePair] {
+        &self.shards[shard].rels
     }
 
     /// Partition-invariant cardinality statistics for a predicate IRI
     /// (the planner's view — identical numbers at every `P`).
     pub fn pred_card(&self, iri: &str) -> Option<PredCard<'_>> {
-        self.assert_committed();
-        let pred = self.resolve_iri(iri)?;
-        let idx = *self.by_pred.get(&pred)?;
-        Some(PredCard { store: self, idx, pred })
+        self.card_of(self.resolve_iri(iri)?)
     }
 
-    /// Total base pairs for a predicate across all shards (deltas
-    /// excluded).
-    pub fn pred_len(&self, pred: u32) -> usize {
+    /// [`pred_card`](TripleStore::pred_card) by predicate key.
+    pub(crate) fn card_of(&self, pred: u32) -> Option<PredCard<'_>> {
         self.assert_committed();
-        self.by_pred
-            .get(&pred)
-            .map_or(0, |&i| self.shards.iter().map(|sh| sh.tables[i].len()).sum())
+        let idx = *self.by_pred.get(&pred)?;
+        Some(PredCard { store: self, idx, pred })
     }
 
     /// Logical (delta-merged) pairs for a predicate across all shards.
     pub fn pred_logical_len(&self, pred: u32) -> usize {
         self.assert_committed();
-        self.by_pred.get(&pred).map_or(0, |&i| {
-            self.shards
-                .iter()
-                .map(|sh| {
-                    let (ins, del) = sh
-                        .deltas
-                        .get(&sh.tables[i].pred())
-                        .map_or((0, 0), |d| (d.ins.len(), d.del.len()));
-                    sh.tables[i].len() + ins - del
-                })
-                .sum()
-        })
+        self.by_pred
+            .get(&pred)
+            .map_or(0, |&i| self.shards.iter().map(|sh| sh.logical_len(i, pred)).sum())
     }
 
     /// Total distinct triples in the **logical** (delta-merged) view,
     /// across all shards.
     pub fn num_triples(&self) -> usize {
         self.assert_committed();
-        self.shards.iter().map(StoreShard::logical_triples).sum()
+        self.shards.iter().map(|sh| sh.logical_triples(&self.preds)).sum()
     }
 
-    /// Per-shard logical sizes, for skew observability.
+    /// Per-shard logical sizes and resident arena bytes, for skew
+    /// observability.
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.assert_committed();
         self.shards
@@ -744,40 +785,32 @@ impl TripleStore {
             .enumerate()
             .map(|(shard, sh)| ShardStats {
                 shard,
-                triples: sh.logical_triples(),
+                triples: sh.logical_triples(&self.preds),
                 staged_pairs: sh.staged_pairs(),
+                arena_bytes: sh.rels.iter().map(|r| r.so.arena_bytes() + r.os.arena_bytes()).sum(),
             })
             .collect()
     }
 
     /// Iterate every triple of the **logical** (delta-merged) view in
     /// encoded form, predicate-major order; within a predicate, pairs are
-    /// sorted `(s, o)` across shards. Tables with staged deltas (or more
-    /// than one shard) pay a merge allocation; untouched single-shard
-    /// tables stream their base pairs.
+    /// sorted `(s, o)` across shards. Each predicate's pairs are read off
+    /// its `so` tries (merged with any staged delta) into one buffer.
     pub fn encoded_triples(&self) -> impl Iterator<Item = EncodedTriple> + '_ {
         self.assert_committed();
-        (0..self.num_tables()).flat_map(move |idx| {
-            let p = self.shards[0].tables[idx].pred();
-            let pairs: Box<dyn Iterator<Item = (u32, u32)> + '_> = if self.partitions() == 1 {
-                let t = &self.shards[0].tables[idx];
-                match self.shards[0].deltas.get(&p) {
-                    None => Box::new(t.so_pairs().iter().copied()),
-                    Some(d) => Box::new(merge_pairs(t.so_pairs(), &d.del, &d.ins).into_iter()),
+        self.preds.iter().enumerate().flat_map(move |(idx, &p)| {
+            let mut pairs: Vec<(u32, u32)> = Vec::new();
+            for sh in &self.shards {
+                let so = &sh.rels[idx].so;
+                match sh.deltas.get(&p) {
+                    None => pairs.extend(so.pairs()),
+                    Some(d) => pairs.extend(merge_pairs(so, &d.del, &d.ins)),
                 }
-            } else {
-                let mut v: Vec<(u32, u32)> = Vec::new();
-                for sh in &self.shards {
-                    let t = &sh.tables[idx];
-                    match sh.deltas.get(&p) {
-                        None => v.extend_from_slice(t.so_pairs()),
-                        Some(d) => v.extend(merge_pairs(t.so_pairs(), &d.del, &d.ins)),
-                    }
-                }
-                v.sort_unstable();
-                Box::new(v.into_iter())
-            };
-            pairs.map(move |(s, o)| EncodedTriple { s, p, o })
+            }
+            if self.shards.len() > 1 {
+                pairs.sort_unstable();
+            }
+            pairs.into_iter().map(move |(s, o)| EncodedTriple { s, p, o })
         })
     }
 
@@ -794,15 +827,16 @@ impl TripleStore {
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             triples: self.num_triples(),
-            predicates: self.num_tables(),
+            predicates: self.preds.len(),
             terms: self.dict.len(),
         }
     }
 
     /// Redistribute the store across `max(1, partitions)` subject shards.
     /// Staged deltas are folded first (their routing would change), then
-    /// every predicate's logical pairs are re-split by the new hash. The
-    /// logical contents are unchanged; only placement moves. O(store).
+    /// every predicate's tuples are read off the old shards' tries,
+    /// re-split by the new hash and frozen again. The logical contents
+    /// are unchanged; only placement moves. O(store).
     pub fn repartition(&mut self, partitions: usize) {
         self.assert_committed();
         self.compact_all();
@@ -810,18 +844,15 @@ impl TripleStore {
         if partitioner == self.partitioner {
             return;
         }
-        let n = self.num_tables();
         let mut new_shards = vec![StoreShard::default(); partitioner.partitions()];
-        for idx in 0..n {
-            let pred = self.shards[0].tables[idx].pred();
-            let name = self.shards[0].tables[idx].name().to_string();
-            // Merge each order across the old shards (concatenate + sort:
-            // the per-shard slices are sorted, the union is not).
+        for idx in 0..self.preds.len() {
+            // Gather each order across the old shards (concatenate +
+            // sort: each shard's tuples are sorted, the union is not).
             let mut so: Vec<(u32, u32)> = Vec::new();
             let mut os: Vec<(u32, u32)> = Vec::new();
             for sh in &self.shards {
-                so.extend_from_slice(sh.tables[idx].so_pairs());
-                os.extend_from_slice(sh.tables[idx].os_pairs());
+                so.extend(sh.rels[idx].so.pairs());
+                os.extend(sh.rels[idx].os.pairs());
             }
             so.sort_unstable();
             os.sort_unstable();
@@ -830,34 +861,27 @@ impl TripleStore {
                     so.iter().copied().filter(|&(s, _)| partitioner.shard_of(s) == shard).collect();
                 let os_mine: Vec<(u32, u32)> =
                     os.iter().copied().filter(|&(_, s)| partitioner.shard_of(s) == shard).collect();
-                new_sh.tables.push(PairTable::from_sorted_parts(
-                    name.clone(),
-                    pred,
-                    so_mine,
-                    os_mine,
-                ));
+                new_sh.rels.push(TriePair::from_sorted(&so_mine, &os_mine));
             }
         }
         self.partitioner = partitioner;
         self.shards = new_shards;
         self.agg_distinct_objects.clear();
-        let preds: Vec<u32> = self.by_pred.keys().copied().collect();
-        for p in preds {
+        for p in self.preds.clone() {
             self.recompute_agg(p);
         }
     }
 }
 
 impl StoreShard {
-    fn logical_triples(&self) -> usize {
-        self.tables
-            .iter()
-            .map(|t| {
-                let (ins, del) =
-                    self.deltas.get(&t.pred()).map_or((0, 0), |d| (d.ins.len(), d.del.len()));
-                t.len() + ins - del
-            })
-            .sum()
+    /// Logical pairs of the relation at `idx` (predicate `pred`).
+    fn logical_len(&self, idx: usize, pred: u32) -> usize {
+        let (ins, del) = self.deltas.get(&pred).map_or((0, 0), |d| (d.ins.len(), d.del.len()));
+        self.rels[idx].len() + ins - del
+    }
+
+    fn logical_triples(&self, preds: &[u32]) -> usize {
+        preds.iter().enumerate().map(|(idx, &p)| self.logical_len(idx, p)).sum()
     }
 
     fn staged_pairs(&self) -> usize {
@@ -865,69 +889,41 @@ impl StoreShard {
     }
 }
 
-/// Count distinct first components across sorted slices by k-way merge —
-/// the cross-shard distinct-object count for one predicate (each slice
-/// one shard's `os` order).
-fn distinct_first_across(slices: &[&[(u32, u32)]]) -> usize {
-    let mut pos = vec![0usize; slices.len()];
-    let mut distinct = 0usize;
-    loop {
-        let mut cur: Option<u32> = None;
-        for (k, sl) in slices.iter().enumerate() {
-            if pos[k] < sl.len() {
-                let o = sl[pos[k]].0;
-                cur = Some(cur.map_or(o, |c| c.min(o)));
-            }
-        }
-        let Some(o) = cur else { break };
-        distinct += 1;
-        for (k, sl) in slices.iter().enumerate() {
-            while pos[k] < sl.len() && sl[pos[k]].0 == o {
-                pos[k] += 1;
-            }
-        }
-    }
-    distinct
-}
-
 impl TripleStore {
     #[doc(hidden)]
     pub fn __invariant_check(&self) -> bool {
-        // Registration alignment: every shard holds a table for every
+        // Registration alignment: every shard holds a relation for every
         // registered predicate, at the same index.
         if self.shards.is_empty()
-            || self.shards.iter().any(|sh| sh.tables.len() != self.by_pred.len())
+            || self.by_pred.len() != self.preds.len()
+            || self.preds.iter().enumerate().any(|(i, p)| self.by_pred.get(p) != Some(&i))
+            || self.shards.iter().any(|sh| sh.rels.len() != self.preds.len())
         {
             return false;
         }
-        for (&p, &idx) in &self.by_pred {
-            if self.shards.iter().any(|sh| sh.tables[idx].pred() != p) {
-                return false;
-            }
-        }
         for (shard, sh) in self.shards.iter().enumerate() {
-            // Subject affinity: every base pair lives in the shard its
-            // subject hashes to.
-            if sh
-                .tables
-                .iter()
-                .any(|t| t.so_pairs().iter().any(|&(s, _)| self.partitioner.shard_of(s) != shard))
-            {
+            // Subject affinity (every base subject lives in the shard it
+            // hashes to) and one relation behind both orders.
+            let ok = sh.rels.iter().all(|r| {
+                r.so.root_set().iter().all(|s| self.partitioner.shard_of(s) == shard)
+                    && is_transpose(&r.so, &r.os)
+            });
+            if !ok {
                 return false;
             }
-            // Staged deltas: sorted-unique, anchored to a real table,
+            // Staged deltas: sorted-unique, anchored to a real relation,
             // routed to this shard, with del ⊆ base and ins ∩ base = ∅
             // (and therefore non-empty).
             let ok = sh.deltas.iter().all(|(&p, d)| {
                 let Some(&idx) = self.by_pred.get(&p) else {
                     return false;
                 };
-                let t = &sh.tables[idx];
+                let r = &sh.rels[idx];
                 !d.is_empty()
                     && d.ins.windows(2).all(|w| w[0] < w[1])
                     && d.del.windows(2).all(|w| w[0] < w[1])
-                    && d.del.iter().all(|&(s, o)| t.contains(s, o))
-                    && d.ins.iter().all(|&(s, o)| !t.contains(s, o))
+                    && d.del.iter().all(|&(s, o)| r.contains(s, o))
+                    && d.ins.iter().all(|&(s, o)| !r.contains(s, o))
                     && d.ins
                         .iter()
                         .chain(&d.del)
@@ -949,6 +945,11 @@ mod tests {
         Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
     }
 
+    /// The `P = 1` base relation of a predicate IRI.
+    fn rel<'a>(store: &'a TripleStore, iri: &str) -> &'a TriePair {
+        store.trie_pair(0, store.resolve_iri(iri).unwrap()).unwrap()
+    }
+
     #[test]
     fn bulk_build_and_stats() {
         let store = TripleStore::from_triples(vec![
@@ -960,7 +961,12 @@ mod tests {
         let stats = store.stats();
         assert_eq!(stats.triples, 3);
         assert_eq!(stats.predicates, 2);
-        assert_eq!(store.table_by_name("p1").unwrap().len(), 2);
+        let p1 = rel(&store, "p1");
+        assert_eq!(p1.len(), 2);
+        let [s1, s2, o1] = ["s1", "s2", "o1"].map(|iri| store.resolve_iri(iri).unwrap());
+        assert_eq!(p1.so.pairs().collect::<Vec<_>>(), vec![(s1, o1), (s2, o1)]);
+        assert_eq!(p1.os.pairs().collect::<Vec<_>>(), vec![(o1, s1), (o1, s2)]);
+        assert!(store.__invariant_check());
     }
 
     #[test]
@@ -987,12 +993,14 @@ mod tests {
     }
 
     #[test]
-    fn resolve_and_table_lookup() {
+    fn resolve_and_trie_pair_lookup() {
         let store = TripleStore::from_triples(vec![t("s", "p", "o")]);
         let pid = store.resolve_iri("p").unwrap();
-        assert_eq!(store.table(pid).unwrap().name(), "p");
+        let (s, o) = (store.resolve_iri("s").unwrap(), store.resolve_iri("o").unwrap());
+        let pair = store.trie_pair(0, pid).unwrap();
+        assert!(pair.contains(s, o) && !pair.contains(o, s));
         assert!(store.resolve_iri("absent").is_none());
-        assert!(store.table(9999).is_none());
+        assert!(store.trie_pair(0, 9999).is_none());
     }
 
     #[test]
@@ -1011,9 +1019,10 @@ mod tests {
     }
 
     #[test]
-    fn staging_reports_real_change_and_leaves_base_tables_alone() {
+    fn staging_reports_real_change_and_leaves_base_tries_alone() {
         let mut store = TripleStore::from_triples(vec![t("a", "p", "b"), t("c", "p", "d")]);
         let p = store.resolve_iri("p").unwrap();
+        let base = rel(&store, "p").clone();
         let report = store.stage_add_triples(vec![
             t("a", "p", "b"), // resident: no-op
             t("x", "p", "y"), // new pair
@@ -1026,9 +1035,10 @@ mod tests {
             v.sort_unstable();
             v
         });
-        // Base tables untouched; logical view merged.
-        assert_eq!(store.table(p).unwrap().len(), 2);
-        assert!(store.table(q).unwrap().is_empty());
+        // Base tries untouched (the very same Arcs); logical view merged.
+        assert!(Arc::ptr_eq(&rel(&store, "p").so, &base.so));
+        assert!(Arc::ptr_eq(&rel(&store, "p").os, &base.os));
+        assert!(rel(&store, "q").is_empty());
         assert_eq!(store.num_triples(), 4);
         assert_eq!(store.delta_len(p), 1);
         assert_eq!(store.staged_pairs(), 2);
@@ -1080,20 +1090,32 @@ mod tests {
         assert!(!store.has_deltas());
         let after: Vec<_> = store.encoded_triples().collect();
         assert_eq!(logical, after);
-        // Compacted tables are fully coherent (os order included).
-        let table = store.table(p).unwrap();
-        assert_eq!(table.len(), 2);
+        // Compacted tries are fully coherent (os order included).
+        assert_eq!(rel(&store, "p").len(), 2);
         let y = store.resolve_iri("y").unwrap();
-        assert_eq!(table.pairs_for_object(y).len(), 1);
+        assert_eq!(store.pred_card("p").unwrap().matches_for_object(y), 1);
         assert!(store.__invariant_check());
     }
 
     #[test]
-    fn staged_store_clones_carry_their_deltas() {
+    fn compaction_replaces_only_the_folded_relation() {
+        let mut store = TripleStore::from_triples(vec![t("a", "p", "b"), t("e", "q", "f")]);
+        let (p_before, q_before) = (rel(&store, "p").clone(), rel(&store, "q").clone());
+        store.stage_add_triples(vec![t("x", "p", "y")]);
+        store.compact_all();
+        assert!(!Arc::ptr_eq(&rel(&store, "p").so, &p_before.so));
+        assert!(!Arc::ptr_eq(&rel(&store, "p").os, &p_before.os));
+        assert!(Arc::ptr_eq(&rel(&store, "q").so, &q_before.so));
+        assert!(Arc::ptr_eq(&rel(&store, "q").os, &q_before.os));
+    }
+
+    #[test]
+    fn staged_store_clones_share_tries_and_carry_their_deltas() {
         let mut store = TripleStore::from_triples(vec![t("a", "p", "b")]);
         store.stage_add_triples(vec![t("x", "p", "y")]);
         let clone = store.clone();
         assert_eq!(clone.staged_pairs(), 1);
+        assert!(Arc::ptr_eq(&rel(&clone, "p").so, &rel(&store, "p").so));
         assert_eq!(
             clone.encoded_triples().collect::<Vec<_>>(),
             store.encoded_triples().collect::<Vec<_>>()
@@ -1110,8 +1132,8 @@ mod tests {
         store.compact_all();
         let after: Vec<_> = store.encoded_triples().collect();
         assert_eq!(before, after);
-        // The emptied table stays registered: predicate keys are stable.
-        assert!(store.table_by_name("r").unwrap().is_empty());
+        // The emptied relation stays registered: predicate keys are stable.
+        assert!(rel(&store, "r").is_empty());
         assert_eq!(store.stats().predicates, 2);
         assert!(store.__invariant_check());
     }
@@ -1147,9 +1169,11 @@ mod tests {
         let reference = TripleStore::from_triples(sample_triples());
         let rc = reference.pred_card("p").unwrap();
         let (len, ds, dobj) = (rc.len(), rc.distinct_subjects(), rc.distinct_objects());
+        assert_eq!((len, ds, dobj), (40, 40, 7));
         let s3 = reference.resolve_iri("s3").unwrap();
         let o1 = reference.resolve_iri("o1").unwrap();
         let (ms, mo) = (rc.matches_for_subject(s3), rc.matches_for_object(o1));
+        assert_eq!((ms, mo), (1, 6));
         for partitions in [2, 4] {
             let store = TripleStore::from_triples_partitioned(sample_triples(), partitions);
             let c = store.pred_card("p").unwrap();
@@ -1205,20 +1229,36 @@ mod tests {
     }
 
     #[test]
-    fn shard_stats_cover_all_triples() {
+    fn shard_stats_cover_all_triples_and_arenas() {
         let mut store = TripleStore::from_triples_partitioned(sample_triples(), 4);
         store.stage_add_triples(vec![t("fresh", "p", "x")]);
         let stats = store.shard_stats();
         assert_eq!(stats.len(), 4);
         assert_eq!(stats.iter().map(|s| s.triples).sum::<usize>(), store.num_triples());
         assert_eq!(stats.iter().map(|s| s.staged_pairs).sum::<usize>(), 1);
+        for (shard, s) in stats.iter().enumerate() {
+            let expect: usize = store
+                .shard_rels(shard)
+                .iter()
+                .map(|r| r.so.arena_bytes() + r.os.arena_bytes())
+                .sum();
+            assert!(s.arena_bytes > 0 && s.arena_bytes == expect, "shard {shard}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "use shard_table")]
-    fn single_table_view_panics_when_partitioned() {
+    fn invariant_check_catches_a_relation_whose_orders_disagree() {
+        let mut store = TripleStore::from_triples(vec![t("a", "p", "b"), t("c", "p", "d")]);
+        let other = TriePair::from_so(vec![(0, 2)]);
+        store.shards[0].rels[0].os = other.os;
+        assert!(!store.__invariant_check());
+    }
+
+    #[test]
+    #[should_panic(expected = "use shard_delta")]
+    fn single_shard_delta_view_panics_when_partitioned() {
         let store = TripleStore::from_triples_partitioned(sample_triples(), 2);
         let p = store.resolve_iri("p").unwrap();
-        let _ = store.table(p);
+        let _ = store.delta(p);
     }
 }

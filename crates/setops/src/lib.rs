@@ -62,7 +62,10 @@ mod view;
 pub use multiway::{intersect_all_into, intersects_all_refs, IntersectScratch};
 pub use optimizer::{Layout, MultiwayKernel};
 pub use overlay::overlay_merge_into;
-pub use view::{decode_set, encode_sorted_into, validate_encoded_set, BitsRef, SetRef, SetRefIter};
+pub use view::{
+    decode_set, encode_sorted_into, encoded_words, validate_encoded_set, BitsRef, SetRef,
+    SetRefIter,
+};
 
 /// Test-only bookkeeping, compiled under `cfg(test)` or the `instrument`
 /// feature (which downstream crates enable from *dev*-dependencies only,

@@ -243,18 +243,35 @@ impl Iterator for SetRefIter<'_> {
 
 impl ExactSizeIterator for SetRefIter<'_> {}
 
+/// The layout a sorted duplicate-free set of `len` values spanning
+/// `[min, max]` is encoded in: the standard optimizer's choice unless
+/// `forced` pins one, and always uint when empty.
+fn layout_of(len: usize, min: u32, max: u32, forced: Option<Layout>) -> Layout {
+    match (forced, len) {
+        (_, 0) => Layout::UintArray,
+        (Some(l), _) => l,
+        (None, _) => choose_layout(len, min, max),
+    }
+}
+
+/// The words [`encode_sorted_into`] writes for a sorted duplicate-free
+/// set of `len` values spanning `[min, max]` — known without encoding it,
+/// so a builder can allocate its arena exactly once.
+pub fn encoded_words(len: usize, min: u32, max: u32, forced: Option<Layout>) -> usize {
+    match layout_of(len, min, max, forced) {
+        Layout::UintArray => 2 + len,
+        Layout::Bitset => 4 + 2 * (max / WORD_BITS - min / WORD_BITS + 1) as usize,
+    }
+}
+
 /// Append the encoded block of a sorted duplicate-free slice to `out`,
 /// choosing the layout with the standard optimizer unless `forced` pins
 /// one. Returns the number of words written.
 pub fn encode_sorted_into(vals: &[u32], forced: Option<Layout>, out: &mut Vec<u32>) -> usize {
     debug_assert!(vals.windows(2).all(|w| w[0] < w[1]), "input must be strictly increasing");
     let start = out.len();
-    let layout = match (forced, vals.is_empty()) {
-        (_, true) => Layout::UintArray,
-        (Some(l), _) => l,
-        (None, _) => choose_layout(vals.len(), vals[0], vals[vals.len() - 1]),
-    };
-    match layout {
+    let (min, max) = (vals.first().copied().unwrap_or(0), vals.last().copied().unwrap_or(0));
+    match layout_of(vals.len(), min, max, forced) {
         Layout::UintArray => {
             out.push(TAG_UINT);
             out.push(vals.len() as u32);
@@ -416,6 +433,24 @@ mod tests {
                 assert_eq!(r.rank(v), Some(i));
             }
             assert_eq!(validate_encoded_set(&arena[1..]), Some((written, vals.len())));
+        }
+    }
+
+    #[test]
+    fn encoded_words_predicts_every_encoding() {
+        let sets: [&[u32]; 5] = [&[], &[7], &[3, 31, 32, 64, 300], &[0, 100_000], &[6400, 6401]];
+        for vals in sets {
+            for forced in [None, Some(Layout::UintArray), Some(Layout::Bitset)] {
+                let mut out = Vec::new();
+                let written = encode_sorted_into(vals, forced, &mut out);
+                let (min, max) =
+                    (vals.first().copied().unwrap_or(0), vals.last().copied().unwrap_or(0));
+                assert_eq!(
+                    encoded_words(vals.len(), min, max, forced),
+                    written,
+                    "{vals:?} {forced:?}"
+                );
+            }
         }
     }
 

@@ -143,13 +143,13 @@ fn main() {
             eprintln!("mmap load of {path} fell back to copy: {reason}");
         }
         println!(
-            "loaded snapshot {path} in {:.1} ms ({} tries preloaded, load_mode={})",
+            "loaded snapshot {path} in {:.1} ms ({} arena bytes resident, load_mode={})",
             t0.elapsed().as_secs_f64() * 1e3,
-            svc.engine().catalog().cached_tries(),
+            svc.store().shard_stats().iter().map(|s| s.arena_bytes).sum::<usize>(),
             load.mode
         );
         // Re-shard only on an explicit request that disagrees with the
-        // image: repartitioning discards the snapshot's preloaded tries
+        // image: repartitioning re-freezes every base trie off the image
         // (placement moved), so the silent default keeps them.
         if let Some(p) = args.partitions {
             if p != svc.store().partitions() {

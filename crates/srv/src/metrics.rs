@@ -167,7 +167,7 @@ impl ServiceMetrics {
         self.registry
             .gauge_with(
                 "eh_shard_arena_bytes",
-                "Frozen-trie arena bytes cached for the shard",
+                "Frozen-trie arena bytes of the shard's resident base relations",
                 &labels,
             )
             .set(arena);

@@ -13,7 +13,7 @@
 //! | `INSERT <s> <p> <o> .` | `OK pending inserts=<n> deletes=<n>` (staged, N-Triples term syntax) |
 //! | `DELETE <s> <p> <o> .` | `OK pending inserts=<n> deletes=<n>` (staged) |
 //! | `APPLY` | `OK applied inserted=<n> deleted=<n> predicates=<n> compacted=<n> epoch=<n>` (staged batch applied atomically) |
-//! | `COMPACT` | `OK compacted predicates=<n> rebuilt=<n> epoch=<n>` (staged deltas folded into fresh base tables) |
+//! | `COMPACT` | `OK compacted predicates=<n> rebuilt=<n> epoch=<n>` (staged deltas folded into freshly frozen base tries; `rebuilt` counts them, two per folded (predicate, shard)) |
 //! | `STATS` | `OK plan_hits=<n> plan_misses=<n> result_hits=<n> result_misses=<n> plan_entries=<n> cache_entries=<n> cache_bytes=<n> epoch=<n> updates=<n> updates_noop=<n> inserted=<n> deleted=<n> staged=<n> query_p50_us=<n> query_p99_us=<n> partitions=<n> max_shard_skew=<x.xx> load_mode=<mmap\|copy> mapped_bytes=<n> wal_seq=<n> wal_bytes=<n> wal_fsync_mode=<always\|never\|interval:<ms>\|off>` |
 //! | `INVALIDATE` | `OK epoch=<n>` (caches dropped, catalog epoch advanced) |
 //! | `SAVE <path>` | `OK saved bytes=<n> triples=<n>` (snapshot written server-side; restart with `--snapshot <path>`; with a WAL attached, also truncates the log down to the new image) |
@@ -590,7 +590,7 @@ mod tests {
     use super::*;
     use crate::service::ServiceConfig;
     use eh_rdf::{Term, Triple, TripleStore};
-    use emptyheaded::{OptFlags, PlannerConfig, SharedStore};
+    use emptyheaded::{Engine, OptFlags, PlannerConfig, SharedStore};
 
     fn store() -> SharedStore {
         SharedStore::from_triples(vec![
@@ -792,10 +792,11 @@ mod tests {
         assert!(r.contains("triples=3"), "{r}");
 
         // A service restarted from the snapshot serves identical bytes —
-        // and starts warm (tries preloaded before any query ran).
+        // and starts warm (its base tries came off the image, before any
+        // query ran).
         let restarted = QueryService::from_snapshot(&path, config(1)).unwrap();
         std::fs::remove_file(&path).ok();
-        assert!(restarted.engine().catalog().cached_tries() > 0);
+        assert!(restarted.store().shard_stats()[0].arena_bytes > 0);
         assert_eq!(respond(&restarted, q), expect);
 
         // Failure modes answer ERR, they don't kill the session.
@@ -1284,6 +1285,31 @@ mod tests {
         // Failure modes answer ERR, they don't kill the session.
         assert!(respond(&follower, "REPLAY").starts_with("ERR REPLAY needs"));
         assert!(respond(&follower, "REPLAY /nonexistent-zzz/x.wal").starts_with("ERR "));
+        std::fs::remove_file(&wal_path).ok();
+    }
+
+    /// One decoder behind every replay loop: a checksum-valid frame whose
+    /// payload is not a batch refuses `REPLAY` with exactly the typed
+    /// reason the engine's own replay reports.
+    #[test]
+    fn replay_verb_reports_the_engines_payload_decode_error() {
+        let wal_path =
+            std::env::temp_dir().join(format!("eh-srv-replay-bad-{}.wal", std::process::id()));
+        std::fs::remove_file(&wal_path).ok();
+        {
+            let (mut wal, _) = eh_wal::Wal::open(&wal_path, eh_wal::FsyncPolicy::Never).unwrap();
+            wal.append(&[0xFF]).unwrap();
+        }
+        let service = QueryService::new(store(), config(1));
+        let over_wire = respond_in_session(
+            &service,
+            &mut Session::new(),
+            &format!("REPLAY {}", wal_path.display()),
+        );
+        let engine = Engine::new(store(), OptFlags::all());
+        let direct = engine.replay(&wal_path).expect_err("the payload does not decode");
+        assert!(direct.to_string().contains("payload decode: "), "{direct}");
+        assert_eq!(over_wire, format!("ERR {direct}\n"));
         std::fs::remove_file(&wal_path).ok();
     }
 

@@ -307,9 +307,9 @@ impl QueryService {
     }
 
     /// A service restored from a snapshot file ([`Engine::from_snapshot`]):
-    /// the store loads without parsing or sorting and the catalog starts
-    /// warm with the snapshot's frozen tries, so even the *first* query
-    /// skips index construction.
+    /// the store loads without parsing or sorting and its base tries are
+    /// the snapshot's, so even the *first* query skips index
+    /// construction.
     pub fn from_snapshot(
         path: impl AsRef<std::path::Path>,
         config: ServiceConfig,
@@ -329,12 +329,12 @@ impl QueryService {
         Ok(QueryService::from_engine(Engine::from_snapshot_mmap(path, config.planner)?, config))
     }
 
-    /// Persist the current store (and freshly frozen hot-order tries) to
-    /// `path` — the protocol's `SAVE` verb. Returns the bytes written
-    /// and the triple count of the image. The store is cloned under its
-    /// read lock and serialized from the clone, so the image is a
-    /// consistent point in time and concurrent `APPLY` traffic is never
-    /// stalled behind trie freezing or file I/O.
+    /// Persist the current store — its dictionary and base tries — to
+    /// `path`, the protocol's `SAVE` verb. Returns the bytes written and
+    /// the triple count of the image. The store is cloned under its read
+    /// lock and serialized from the clone, so the image is a consistent
+    /// point in time and concurrent `APPLY` traffic is never stalled
+    /// behind delta folding or file I/O.
     pub fn save_snapshot(
         &self,
         path: impl AsRef<std::path::Path>,
@@ -365,23 +365,7 @@ impl QueryService {
     /// (when this service has its own WAL) re-logging all behave exactly
     /// as for live write traffic.
     pub fn replay(&self, path: impl AsRef<std::path::Path>) -> Result<WalRecovery, WalError> {
-        let scan = eh_wal::scan_path(path.as_ref())?;
-        let mut recovery = WalRecovery {
-            base_seq: scan.base_seq,
-            last_seq: scan.last_seq(),
-            torn_tail_dropped: scan.torn.is_some(),
-            ..WalRecovery::default()
-        };
-        for record in &scan.records {
-            let (deletes, inserts) = eh_rdf::decode_update(&record.payload).map_err(|_| {
-                WalError::Corrupt { seq: record.seq, offset: 0, reason: "payload decode failed" }
-            })?;
-            let summary = self.update(UpdateBatch { inserts, deletes });
-            recovery.replayed += 1;
-            recovery.inserted += summary.inserted;
-            recovery.deleted += summary.deleted;
-        }
-        Ok(recovery)
+        WalRecovery::replay(&eh_wal::scan_path(path.as_ref())?, |batch| Ok(self.update(batch)))
     }
 
     /// The underlying engine.
@@ -699,14 +683,12 @@ impl QueryService {
         if let Some(w) = self.engine.wal_status() {
             self.metrics.wal_bytes.set(w.bytes as i64);
         }
-        let arena = self.engine.catalog().arena_bytes_by_shard();
         for s in self.store().shard_stats() {
-            let bytes = arena.get(s.shard).copied().unwrap_or(0);
             self.metrics.set_shard_gauges(
                 s.shard,
                 s.triples as i64,
                 s.staged_pairs as i64,
-                bytes as i64,
+                s.arena_bytes as i64,
             );
         }
         self.metrics.expose()

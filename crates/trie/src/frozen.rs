@@ -9,12 +9,16 @@
 //! ## Arena layout
 //!
 //! ```text
-//! arena = [ level-0 offset table | level-1 offset table | ...
-//!         | block | block | ... ]
+//! arena = [ block | block | ...
+//!         | level-0 offset table | level-1 offset table | ... ]
 //!
 //! offset table entry  = arena index of the block's first word
 //! block               = [ child_base, frozen set encoding... ]
 //! ```
+//!
+//! The offset tables trail the blocks, so a build sizes the whole arena
+//! first and then appends every block and every table to one allocation
+//! of exactly that size.
 //!
 //! Per-level table positions live in the (tiny, `arity`-sized) `levels`
 //! side array; everything whose size scales with the data is inside the
@@ -31,7 +35,9 @@
 
 use std::sync::Arc;
 
-use eh_setops::{decode_set, encode_sorted_into, validate_encoded_set, Layout, SetRef};
+use eh_setops::{
+    decode_set, encode_sorted_into, encoded_words, validate_encoded_set, Layout, SetRef,
+};
 
 use crate::tuples::TupleBuffer;
 
@@ -125,78 +131,109 @@ impl FrozenTrie {
         FrozenTrie::from_sorted(tuples, policy)
     }
 
-    /// Build from tuples already sorted lexicographically and unique
-    /// (e.g. a `PairTable`-order slice), writing set payloads straight
-    /// into the arena.
+    /// Build from tuples already sorted lexicographically and unique,
+    /// writing set payloads straight into the arena.
     pub fn from_sorted(tuples: TupleBuffer, policy: LayoutPolicy) -> FrozenTrie {
         debug_assert!(tuples.is_sorted_unique());
-        let arity = tuples.arity();
+        FrozenTrie::build_sorted(tuples.arity(), tuples.len(), |i, l| tuples.row(i)[l], policy)
+    }
+
+    /// Build a binary trie from pairs already sorted and unique (one order
+    /// of a relation), read in place — no tuple buffer is copied out.
+    pub fn from_sorted_pairs(pairs: &[(u32, u32)], policy: LayoutPolicy) -> FrozenTrie {
+        debug_assert!(pairs.windows(2).all(|w| w[0] < w[1]), "pairs must be sorted unique");
+        let value = |i: usize, l: usize| if l == 0 { pairs[i].0 } else { pairs[i].1 };
+        FrozenTrie::build_sorted(2, pairs.len(), value, policy)
+    }
+
+    /// The one build: `n` sorted-unique tuples of `arity`, column `l` of
+    /// row `i` read through `value(i, l)`. A first pass splits every
+    /// level into its blocks' row ranges and sizes each block's encoding;
+    /// the second encodes into an arena allocated once, at exactly that
+    /// size.
+    fn build_sorted(
+        arity: usize,
+        n: usize,
+        value: impl Fn(usize, usize) -> u32,
+        policy: LayoutPolicy,
+    ) -> FrozenTrie {
         assert!(arity > 0, "tries need arity >= 1");
-        let n = tuples.len();
         assert!(u32::try_from(n).is_ok(), "frozen tries cap at 2^32 tuples");
         let forced = match policy {
             LayoutPolicy::Auto => None,
             LayoutPolicy::UintOnly => Some(Layout::UintArray),
         };
-        // Pass over the sorted tuples level by level, appending encoded
-        // blocks to `payload` and recording each block's start in its
-        // level's offset table (payload-relative; rebased below).
-        let mut tables: Vec<Vec<u32>> = Vec::with_capacity(arity);
-        let mut payload: Vec<u32> = Vec::new();
-        let mut ranges: Vec<(usize, usize)> = vec![(0, n)];
-        let mut vals: Vec<u32> = Vec::new();
+        // Rows are sorted, so a block's values run from its first row's to
+        // its last row's. Below the leaf level each distinct value (a run
+        // of equal rows) opens one block on the next level; at the leaf
+        // every row is its own value (rows are unique).
+        let mut ranges: Vec<Vec<(usize, usize)>> = vec![vec![(0, n)]];
+        let mut words = 0usize;
         for level in 0..arity {
-            let mut table = Vec::with_capacity(ranges.len());
-            let mut next_ranges = Vec::new();
-            for &(start, end) in &ranges {
-                vals.clear();
-                let child_base = next_ranges.len();
+            let leaf = level + 1 == arity;
+            let mut children = Vec::new();
+            for &(start, end) in &ranges[level] {
+                let before = children.len();
                 let mut i = start;
-                while i < end {
-                    let v = tuples.row(i)[level];
+                while i < end && !leaf {
+                    let v = value(i, level);
                     let mut j = i + 1;
-                    while j < end && tuples.row(j)[level] == v {
+                    while j < end && value(j, level) == v {
                         j += 1;
                     }
-                    vals.push(v);
-                    next_ranges.push((i, j));
+                    children.push((i, j));
                     i = j;
                 }
-                table.push(payload.len() as u32);
-                payload.push(child_base as u32);
-                encode_sorted_into(&vals, forced, &mut payload);
+                let len = if leaf { end - start } else { children.len() - before };
+                let (min, max) =
+                    if len == 0 { (0, 0) } else { (value(start, level), value(end - 1, level)) };
+                // Offset-table entry, child base, encoded set.
+                words += 2 + encoded_words(len, min, max, forced);
+            }
+            if !leaf {
+                ranges.push(children);
+            }
+        }
+        assert!(u32::try_from(words).is_ok(), "frozen trie arena caps at 2^32 words");
+        // Blocks level by level, then each level's offset table.
+        let mut arena: Vec<u32> = Vec::with_capacity(words);
+        let mut tables: Vec<Vec<u32>> = Vec::with_capacity(arity);
+        let mut vals: Vec<u32> = Vec::new();
+        for (level, blocks) in ranges.iter().enumerate() {
+            let (mut table, mut child) = (Vec::with_capacity(blocks.len()), 0usize);
+            for &(start, end) in blocks {
+                vals.clear();
+                // The first child block's index; at the leaf, the count of
+                // values (= rows) before this block.
+                let child_base = match ranges.get(level + 1) {
+                    None => {
+                        vals.extend((start..end).map(|i| value(i, level)));
+                        start
+                    }
+                    Some(children) => {
+                        let first = child;
+                        while child < children.len() && children[child].0 < end {
+                            vals.push(value(children[child].0, level));
+                            child += 1;
+                        }
+                        first
+                    }
+                };
+                table.push(arena.len() as u32);
+                arena.push(child_base as u32);
+                encode_sorted_into(&vals, forced, &mut arena);
             }
             tables.push(table);
-            ranges = next_ranges;
         }
-        Self::assemble(arity as u32, n as u32, tables, payload)
-    }
-
-    /// Glue the per-level offset tables and the block payload into the
-    /// final arena, rebasing payload-relative offsets past the tables.
-    fn assemble(
-        arity: u32,
-        num_tuples: u32,
-        tables: Vec<Vec<u32>>,
-        payload: Vec<u32>,
-    ) -> FrozenTrie {
-        let tables_len: usize = tables.iter().map(|t| t.len()).sum();
-        let total = tables_len + payload.len();
-        assert!(u32::try_from(total).is_ok(), "frozen trie arena caps at 2^32 words");
-        let mut arena = Vec::with_capacity(total);
-        let mut levels = Vec::with_capacity(tables.len());
-        let mut table_pos = 0u32;
-        for t in &tables {
-            levels.push((table_pos, t.len() as u32));
-            table_pos += t.len() as u32;
+        let mut levels = Vec::with_capacity(arity);
+        for table in tables {
+            levels.push((arena.len() as u32, table.len() as u32));
+            arena.extend(table);
         }
-        for t in tables {
-            arena.extend(t.into_iter().map(|off| off + tables_len as u32));
-        }
-        arena.extend(payload);
+        debug_assert_eq!(arena.len(), words);
         FrozenTrie {
-            arity,
-            num_tuples,
+            arity: arity as u32,
+            num_tuples: n as u32,
             levels: levels.into_boxed_slice(),
             arena: ArenaStore::Owned(arena.into_boxed_slice()),
         }
@@ -338,32 +375,24 @@ impl FrozenTrie {
         self.blocks().filter_map(|(_, set)| set.max()).max()
     }
 
-    /// True iff this is a binary trie whose tuples are exactly `pairs`,
-    /// in order. This is the snapshot reader's content check — a shipped
-    /// trie is served as if built from its table, so it must *be* the
-    /// table — written as one flat in-place-decode pass (no recursion,
-    /// no per-row allocation) because it runs on the cold-start critical
-    /// path for every loaded trie.
-    pub fn matches_pairs(&self, pairs: &[(u32, u32)]) -> bool {
-        if self.arity() != 2 || self.num_tuples() != pairs.len() {
-            return false;
-        }
-        if pairs.is_empty() {
-            return true;
-        }
-        let root_off = self.block_offset(0, 0);
-        let root_base = self.arena()[root_off] as usize;
-        let mut i = 0usize;
-        for (r, s) in decode_set(&self.arena()[root_off + 1..]).0.iter().enumerate() {
-            let off = self.block_offset(1, root_base + r);
-            for o in decode_set(&self.arena()[off + 1..]).0.iter() {
-                if i >= pairs.len() || pairs[i] != (s, o) {
-                    return false;
-                }
-                i += 1;
-            }
-        }
-        i == pairs.len()
+    /// Every tuple of a binary trie as `(first, second)`, in order — one
+    /// flat in-place decode pass, no recursion and no per-row allocation.
+    ///
+    /// # Panics
+    /// Panics when the trie's arity is not 2.
+    pub fn pairs(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        assert_eq!(self.arity(), 2, "pairs() reads binary tries");
+        let root_base = self.arena()[self.block_offset(0, 0)] as usize;
+        self.root_set().iter().enumerate().flat_map(move |(r, a)| {
+            let leaf = self.set(1, root_base + r);
+            leaf.iter().map(move |b| (a, b))
+        })
+    }
+
+    /// Number of children of `value` in the root set (0 when absent) — a
+    /// binary relation's per-key match count, read off one set header.
+    pub fn fanout(&self, value: u32) -> usize {
+        self.child(0, 0, value).map_or(0, |block| self.set(1, block).len())
     }
 
     /// Total arena size in bytes (the single allocation a snapshot
@@ -462,6 +491,11 @@ fn validate_parts(
             let Some((_, set_len)) = validate_encoded_set(&arena[off + 1..]) else {
                 return Err("corrupt set encoding");
             };
+            // Every block below the root hangs off one value of its parent,
+            // so an empty one is a value with no tuples behind it.
+            if level > 0 && set_len == 0 {
+                return Err("empty set below the root");
+            }
             if arena[off] as u64 != child_blocks {
                 return Err("child bases do not tile the next level");
             }
@@ -569,41 +603,35 @@ mod tests {
     }
 
     #[test]
-    fn matches_pairs_detects_any_divergence() {
-        let pairs: Vec<(u32, u32)> = (0..200u32).map(|i| (i / 7, i * 3)).collect();
-        let mut sorted = pairs.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let trie = FrozenTrie::from_sorted(TupleBuffer::from_pairs(&sorted), LayoutPolicy::Auto);
-        assert!(trie.matches_pairs(&sorted));
-        // Transposed order, dropped pair, altered pair, extra pair: all
-        // must be detected.
-        let transposed: Vec<(u32, u32)> = {
-            let mut t: Vec<(u32, u32)> = sorted.iter().map(|&(a, b)| (b, a)).collect();
-            t.sort_unstable();
-            t
-        };
-        assert!(!trie.matches_pairs(&transposed));
-        assert!(!trie.matches_pairs(&sorted[1..]));
-        let mut altered = sorted.clone();
-        altered[17].1 ^= 1;
-        assert!(!trie.matches_pairs(&altered));
-        let mut extra = sorted.clone();
-        extra.push((u32::MAX, u32::MAX));
-        assert!(!trie.matches_pairs(&extra));
-        // Arity and emptiness edges.
-        let unary = FrozenTrie::build(
-            {
-                let mut t = TupleBuffer::new(1);
-                t.push(&[1]);
-                t
-            },
-            LayoutPolicy::Auto,
-        );
-        assert!(!unary.matches_pairs(&[(1, 1)]));
+    fn pairs_and_fanout_read_a_binary_trie() {
+        let mut pairs: Vec<(u32, u32)> = (0..200u32).map(|i| (i / 7, i * 3)).collect();
+        pairs.sort_unstable();
+        for policy in [LayoutPolicy::Auto, LayoutPolicy::UintOnly] {
+            let trie = FrozenTrie::from_sorted(TupleBuffer::from_pairs(&pairs), policy);
+            assert_eq!(trie.pairs().collect::<Vec<_>>(), pairs);
+            assert_eq!(trie.fanout(0), 7);
+            assert_eq!(trie.fanout(28), 4);
+            assert_eq!(trie.fanout(29), 0, "absent key");
+        }
         let empty = FrozenTrie::build(TupleBuffer::new(2), LayoutPolicy::Auto);
-        assert!(empty.matches_pairs(&[]));
-        assert!(!empty.matches_pairs(&[(0, 0)]));
+        assert_eq!(empty.pairs().count(), 0);
+        assert_eq!(empty.fanout(0), 0);
+    }
+
+    #[test]
+    fn an_empty_set_below_the_root_is_rejected() {
+        // Root {0, 3} where 3's child block is hand-emptied: the root
+        // would claim a value that has no tuples.
+        let trie = FrozenTrie::build(figure1_tuples(), LayoutPolicy::UintOnly);
+        let (arity, n, levels, arena) = trie.raw_parts();
+        let mut arena = arena.to_vec();
+        let block = arena[levels[1].0 as usize + 1] as usize;
+        assert_eq!(&arena[block + 1..block + 4], &[0, 1, 2], "uint block [tag, len, 2]");
+        arena[block + 2] = 0;
+        assert_eq!(
+            FrozenTrie::from_raw_parts(arity, n - 1, levels.to_vec(), arena),
+            Err("empty set below the root")
+        );
     }
 
     /// A heap-backed [`ArenaBytes`] stand-in for the mapped region the
@@ -683,7 +711,7 @@ mod tests {
         // Structural corruption inside the shared bytes is rejected too:
         // point the root block offset past the arena's end.
         let mut bad = arena.to_vec();
-        bad[0] = bad.len() as u32;
+        bad[levels[0].0 as usize] = bad.len() as u32;
         let (bad_region, _) = region_of(&bad, 0);
         assert!(FrozenTrie::from_shared_region(
             arity,

@@ -8,9 +8,10 @@
 //! The example (1) builds LUBM tiny(1) the slow way and serves it over
 //! TCP, (2) persists the live store with the protocol's `SAVE` verb,
 //! (3) shuts the server down, (4) "restarts" by loading the snapshot —
-//! no N-Triples parse, no sorting, hot tries preloaded — and (5) shows
-//! the restarted service answering the same query byte-identically,
-//! with its very first answer skipping index construction.
+//! no N-Triples parse, no sorting, the image's tries are the store — and
+//! (5) shows the restarted service answering the same query
+//! byte-identically, with its very first answer skipping index
+//! construction.
 
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -77,9 +78,9 @@ fn main() {
     let restarted =
         QueryService::from_snapshot(&snap_path, service_config()).expect("snapshot loads");
     let load_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let resident: usize = restarted.store().shard_stats().iter().map(|s| s.arena_bytes).sum();
     println!(
-        "restart from snapshot: {load_ms:.1} ms, {} tries already resident",
-        restarted.engine().catalog().cached_tries()
+        "restart from snapshot: {load_ms:.1} ms, {resident} trie arena bytes already resident"
     );
 
     with_server(&restarted, |client| {

@@ -10,9 +10,16 @@ use wcoj_rdf::lubm::queries::{lubm_query, QUERY_NUMBERS};
 use wcoj_rdf::lubm::{
     class_iri, generate_store, generate_with, pred_iri, rdf_type, Class, GeneratorConfig, Predicate,
 };
+use wcoj_rdf::rdf::{TriePair, TripleStore};
 
 fn rows(t: &wcoj_rdf::trie::TupleBuffer) -> BTreeSet<Vec<u32>> {
     t.rows().map(|r| r.to_vec()).collect()
+}
+
+/// The base relation of a predicate IRI: the store's two tries (the
+/// generator builds one shard).
+fn relation<'a>(store: &'a TripleStore, iri: &str) -> &'a TriePair {
+    store.trie_pair(0, store.resolve_iri(iri).unwrap()).unwrap()
 }
 
 #[test]
@@ -55,15 +62,15 @@ fn query_4_counts_department0_associate_professors() {
     let engine = Engine::new(store.clone(), OptFlags::all());
     let q = lubm_query(4, &store).unwrap();
     let result = engine.run(&q).unwrap();
-    // Ground truth from the raw tables: associate professors working for
-    // Department0.University0 (each contributes exactly one
+    // Ground truth from the raw relations: associate professors working
+    // for Department0.University0 (each contributes exactly one
     // name/email/telephone row).
-    let works = store.table_by_name(&pred_iri(Predicate::WorksFor)).unwrap();
-    let types = store.table_by_name(&rdf_type()).unwrap();
+    let works = relation(&store, &pred_iri(Predicate::WorksFor)).os();
+    let types = relation(&store, &rdf_type());
     let dept0 = store.resolve_iri("http://www.Department0.University0.edu").unwrap();
     let assoc = store.resolve_iri(&class_iri(Class::AssociateProfessor)).unwrap();
-    let expected =
-        works.pairs_for_object(dept0).iter().filter(|&&(_, s)| types.contains(s, assoc)).count();
+    let staff = works.set(1, works.child(0, 0, dept0).unwrap());
+    let expected = staff.iter().filter(|&s| types.contains(s, assoc)).count();
     assert!(expected > 0, "tiny profile still has associate professors");
     assert_eq!(result.cardinality(), expected);
 }
@@ -89,10 +96,10 @@ fn query_2_triangle_members_are_consistent() {
         result.cardinality() > 0,
         "tiny(2) has triangle matches (degrees within 2 universities)"
     );
-    let types = store.table_by_name(&rdf_type()).unwrap();
-    let member = store.table_by_name(&pred_iri(Predicate::MemberOf)).unwrap();
-    let suborg = store.table_by_name(&pred_iri(Predicate::SubOrganizationOf)).unwrap();
-    let degree = store.table_by_name(&pred_iri(Predicate::UndergraduateDegreeFrom)).unwrap();
+    let types = relation(&store, &rdf_type());
+    let member = relation(&store, &pred_iri(Predicate::MemberOf));
+    let suborg = relation(&store, &pred_iri(Predicate::SubOrganizationOf));
+    let degree = relation(&store, &pred_iri(Predicate::UndergraduateDegreeFrom));
     let grad = store.resolve_iri(&class_iri(Class::GraduateStudent)).unwrap();
     let univ = store.resolve_iri(&class_iri(Class::University)).unwrap();
     let dept = store.resolve_iri(&class_iri(Class::Department)).unwrap();
@@ -113,7 +120,7 @@ fn scale_grows_monotonically() {
     let three = generate_store(&GeneratorConfig::tiny(3));
     assert!(three.num_triples() > one.num_triples() * 2);
     // University entities match the scale knob.
-    let types = three.table_by_name(&rdf_type()).unwrap();
+    let types = three.pred_card(&rdf_type()).unwrap();
     let univ = three.resolve_iri(&class_iri(Class::University)).unwrap();
-    assert_eq!(types.pairs_for_object(univ).len(), 3);
+    assert_eq!(types.matches_for_object(univ), 3);
 }

@@ -5,11 +5,15 @@
 //! post-load updates — and two mapped engines sharing one file must stay
 //! independent under mutation.
 
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
 use wcoj_rdf::emptyheaded::{Engine, LoadMode, OptFlags, PlannerConfig, SharedStore, UpdateBatch};
 use wcoj_rdf::lubm::queries::{lubm_query, lubm_sparql, QUERY_NUMBERS};
 use wcoj_rdf::lubm::{generate_store, GeneratorConfig};
-use wcoj_rdf::rdf::{Term, Triple};
+use wcoj_rdf::rdf::{Term, Triple, TripleStore};
 use wcoj_rdf::srv::{respond, QueryService, ServiceConfig};
+use wcoj_rdf::trie::FrozenTrie;
 
 fn temp_snapshot(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("eh-mmap-{tag}-{}.snap", std::process::id()))
@@ -42,6 +46,21 @@ fn assert_lubm_equal(reference: &Engine, candidate: &Engine, label: &str) {
         let got = candidate.run(&q).expect("candidate runs");
         assert_eq!(got, expect, "{label}: query {n} diverged");
     }
+}
+
+/// Every base trie of the store: `((predicate, shard), so, os)`.
+type BaseTries = Vec<((u32, usize), Arc<FrozenTrie>, Arc<FrozenTrie>)>;
+
+fn base_tries(store: &TripleStore) -> BaseTries {
+    let preds: BTreeSet<u32> = store.encoded_triples().map(|t| t.p).collect();
+    let mut out = Vec::new();
+    for p in preds {
+        for shard in 0..store.partitions() {
+            let rel = store.trie_pair(shard, p).expect("registered predicate");
+            out.push(((p, shard), Arc::clone(rel.so()), Arc::clone(rel.os())));
+        }
+    }
+    out
 }
 
 /// An update batch touching both an existing predicate and a new term.
@@ -86,7 +105,10 @@ fn mmap_matches_copy_across_partitions_threads_and_updates() {
             assert_eq!(copy_load.mode, LoadMode::Copy, "{tag}");
             assert_eq!(copy_load.mapped_bytes, 0, "{tag}");
             assert_eq!(mapped.store().partitions(), partitions, "{tag}");
-            assert!(mapped.catalog().cached_tries() > 0, "{tag}: starts warm");
+            // Starts warm: every base trie is served from the mapping.
+            let tries = base_tries(&mapped.store());
+            assert!(!tries.is_empty(), "{tag}");
+            assert!(tries.iter().all(|(_, so, os)| so.is_shared() && os.is_shared()), "{tag}");
             assert_lubm_equal(&copied, &mapped, &format!("{tag} fresh"));
             // Second pass over the workload: cached plans and warm tries
             // on both sides must not change a single row.
@@ -163,6 +185,56 @@ fn two_mapped_services_share_one_file_and_stay_independent() {
     std::fs::remove_file(&path).ok();
 }
 
+/// The trie is the relation, and compaction is surgical: folding one
+/// (predicate, shard)'s delta replaces exactly that relation's two
+/// `Arc`s with owned tries, while every other base trie stays the very
+/// same mapped `Arc`.
+#[test]
+fn compact_replaces_exactly_the_folded_tries_and_the_rest_stay_mapped() {
+    let ub = "http://www.lehigh.edu/~zhp2/2004/0401/univ-bench.owl#";
+    for partitions in [1usize, 4] {
+        let cold = Engine::with_config(generate_store(&GeneratorConfig::tiny(1)), config(2));
+        cold.repartition(partitions);
+        let path = temp_snapshot(&format!("surgical-p{partitions}"));
+        cold.save_snapshot(&path).expect("snapshot writes");
+        let mapped = Engine::from_snapshot_mmap(&path, config(2)).expect("mmap load");
+        let before = base_tries(&mapped.store());
+
+        // One triple, one existing subject: exactly one (pred, shard).
+        let student = Term::iri("http://www.Department0.University0.edu/GraduateStudent0");
+        let mut b = UpdateBatch::new();
+        b.insert(Triple::new(
+            student.clone(),
+            Term::iri(format!("{ub}takesCourse")),
+            Term::iri("http://www.Department0.University0.edu/Course0"),
+        ));
+        assert_eq!(mapped.update(b).inserted, 1, "P={partitions}");
+        let target = {
+            let store = mapped.store();
+            let pred = store.resolve_iri(&format!("{ub}takesCourse")).expect("predicate");
+            let subject = store.dict().lookup(&student).expect("existing subject");
+            (pred, store.partitioner().shard_of(subject))
+        };
+        let summary = mapped.compact();
+        assert_eq!((summary.compacted_predicates, summary.rebuilt_tries), (1, 2));
+
+        let after = base_tries(&mapped.store());
+        assert_eq!(after.len(), before.len());
+        for ((key, so0, os0), (key1, so1, os1)) in before.iter().zip(&after) {
+            assert_eq!(key, key1);
+            if *key == target {
+                assert!(!Arc::ptr_eq(so0, so1) && !Arc::ptr_eq(os0, os1), "P={partitions}");
+                assert!(!so1.is_shared() && !os1.is_shared(), "P={partitions}: folded tries own");
+                assert_eq!(so1.num_tuples(), so0.num_tuples() + 1);
+            } else {
+                assert!(Arc::ptr_eq(so0, so1) && Arc::ptr_eq(os0, os1), "P={partitions} {key:?}");
+                assert!(so1.is_shared() && os1.is_shared(), "P={partitions} {key:?}");
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
 /// An image has one encoding: saving a store, loading the image (copy
 /// and mmap) and saving again reproduces the file byte for byte — with
 /// staged deltas resident at the first save, so the fold inside `SAVE`
@@ -177,6 +249,7 @@ fn save_load_save_is_a_byte_fixed_point() {
         let first = temp_snapshot(&format!("fixed-point-p{partitions}"));
         live.save_snapshot(&first).expect("first save");
         let image = std::fs::read(&first).expect("first image reads");
+        assert_eq!(&image[..8], b"EHSNAP04");
 
         let again = temp_snapshot(&format!("fixed-point-p{partitions}-again"));
         let copied = Engine::from_snapshot(&first, config(2)).expect("copy load");
