@@ -4,10 +4,10 @@
 //! unselective two-hop path, with per-thread-count speedups.
 //!
 //! Before timing, every configuration's result is checked identical to
-//! the sequential one (the runtime's determinism contract), and every
-//! engine is warmed so the measurement excludes index construction
-//! (paper §IV-A4). Index (trie) construction itself is parallel in
-//! `Engine::warm`; it is reported separately.
+//! the sequential one (the runtime's determinism contract). The tries
+//! every engine reads are the store's own, frozen once at load, so the
+//! measurement excludes index construction (paper §IV-A4) with no warm
+//! step.
 //!
 //! ```text
 //! cargo run --release -p eh-bench --bin scaling -- --universities 1
@@ -16,7 +16,7 @@
 //! Speedups require real cores: on a single-core host every thread count
 //! measures the same serial machine and the table degenerates to ~1.00x.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use eh_bench::{fmt_ms, measure, BenchReport, HarnessArgs, TablePrinter};
 use eh_lubm::queries::lubm_query;
@@ -74,7 +74,7 @@ fn main() {
         .meta("seed", args.seed)
         .meta("cores", cores)
         .metric("triples", store.read().stats().triples as f64);
-    let mut table = TablePrinter::new(&["Query", "Threads", "Warm (ms)", "Join (ms)", "Speedup"]);
+    let mut table = TablePrinter::new(&["Query", "Threads", "Join (ms)", "Speedup"]);
     for (label, q) in &queries {
         let reference = Engine::new(store.clone(), OptFlags::all()).run(q).expect("reference");
         let mut baseline: Option<Duration> = None;
@@ -83,10 +83,6 @@ fn main() {
                 .with_runtime(RuntimeConfig::with_threads(threads));
             let engine = Engine::with_config(store.clone(), config);
             let plan = engine.plan(q).expect("plannable");
-            // Parallel index construction (fresh catalog per engine).
-            let t0 = Instant::now();
-            engine.warm(q).expect("warm");
-            let warm = t0.elapsed();
             // Determinism check against the sequential reference.
             let result = engine.run_plan(q, &plan);
             assert_eq!(result, reference, "{label}: parallel result diverged at {threads} threads");
@@ -98,17 +94,13 @@ fn main() {
             table.row(&[
                 label.clone(),
                 threads.to_string(),
-                fmt_ms(warm),
                 fmt_ms(joined),
                 format!("{:.2}x", base.as_secs_f64() / joined.as_secs_f64()),
             ]);
-            report
-                .metric_ms(&format!("{label}.t{threads}.warm_ms"), warm)
-                .metric_ms(&format!("{label}.t{threads}.join_ms"), joined)
-                .metric(
-                    &format!("{label}.t{threads}.speedup"),
-                    base.as_secs_f64() / joined.as_secs_f64(),
-                );
+            report.metric_ms(&format!("{label}.t{threads}.join_ms"), joined).metric(
+                &format!("{label}.t{threads}.speedup"),
+                base.as_secs_f64() / joined.as_secs_f64(),
+            );
         }
     }
     println!("\n{}", table.render());

@@ -49,18 +49,18 @@ fn payload_decode_reason(e: &eh_rdf::BatchCodecError) -> &'static str {
 
 /// A worst-case optimal join engine over a [`SharedStore`].
 ///
-/// The engine owns a trie catalog (its "indexes"); tries are built lazily
-/// per (predicate, order, layout) and cached, mirroring how EmptyHeaded
-/// loads relations once and reuses them across queries. Timing
+/// The engine reads its operands through a [`Catalog`]: the store's own
+/// frozen tries (its "indexes"), built once at load and reused across
+/// queries as EmptyHeaded does, plus what the store memoises from them on
+/// first use (overlays, merged roots, ablation re-freezes). Timing
 /// methodology note: the paper excludes index construction from query
 /// time (§IV-A4) — call [`Engine::warm`] before measuring.
 ///
-/// The store is *live*: [`Engine::update`] applies a batch of insertions
-/// and deletions, invalidates only the changed predicates' tries, and
-/// advances the catalog epoch so downstream result caches retire their
-/// stale entries. Queries running concurrently with an update are
-/// answered from a consistent trie snapshot — tries are immutable
-/// `Arc`s, never mutated in place.
+/// The store is *live*: [`Engine::update`] stages a batch of insertions
+/// and deletions as deltas beside the untouched base tries and advances
+/// the epoch so downstream result caches retire their stale entries.
+/// Tries are immutable `Arc`s, never mutated in place, and a join whose
+/// operands straddle an update is re-run (see [`Engine::run_plan`]).
 pub struct Engine {
     catalog: Catalog,
     config: PlannerConfig,
@@ -317,25 +317,18 @@ impl Engine {
     }
 
     /// Redistribute the store across `max(1, partitions)` subject-hash
-    /// shards and retire every cached catalog entry (placement moved;
-    /// logical contents did not, so query answers are unchanged). A
-    /// request matching the current partitioning is a free no-op.
-    /// Returns the partition count now in effect.
+    /// shards and advance the epoch (placement moved; logical contents
+    /// did not, so query answers are unchanged). A request matching the
+    /// current partitioning is a free no-op. Returns the partition count
+    /// now in effect.
     pub fn repartition(&self, partitions: usize) -> usize {
         let shared = self.catalog.store();
-        {
-            let mut store = shared.write();
-            if store.partitions() == partitions.max(1) {
-                return store.partitions();
-            }
+        let mut store = shared.write();
+        if store.partitions() != partitions.max(1) {
             store.repartition(partitions);
+            shared.bump_version();
         }
-        // Version first, then the full clear: invalidate records the
-        // version it covered, so the next epoch read does not double-pay
-        // a foreign-update invalidation.
-        shared.bump_version();
-        self.catalog.invalidate();
-        partitions.max(1)
+        store.partitions()
     }
 
     /// The planner configuration.
@@ -359,7 +352,8 @@ impl Engine {
     /// predicate whose accumulated delta crosses
     /// [`PlannerConfig::compaction_threshold`] is folded into freshly
     /// frozen base tries as part of the batch.
-    /// The epoch advances once per batch; a batch that changes nothing —
+    /// The epoch — the store's version — advances once per batch, before
+    /// the write lock is released; a batch that changes nothing —
     /// duplicates of resident triples, deletions of absent ones — leaves
     /// deltas, epoch, and downstream caches untouched.
     ///
@@ -414,76 +408,43 @@ impl Engine {
     /// from).
     fn apply_batch(&self, batch: UpdateBatch) -> UpdateSummary {
         let shared = self.catalog.store();
-        let (report, compacted, version) = {
-            let mut store = shared.write();
-            let mut report = store.stage_remove_triples(batch.deletes);
-            report.merge(store.stage_add_triples(batch.inserts));
-            if report.is_empty() {
-                (report, (Vec::new(), Vec::new(), Vec::new()), 0)
-            } else {
-                // Threshold compaction, still under the write lock, at
-                // shard granularity: fold exactly the (predicate, shard)
-                // deltas that grew past max(absolute floor, frac% of that
-                // shard's base table). A skewed shard folds alone — every
-                // other shard's tries and deltas are untouched, and the
-                // pause is recorded against the shard that caused it.
-                // Everything below the threshold stays an overlay.
-                let partitions = store.partitions();
-                let mut compacted: Vec<(u32, usize)> = Vec::new();
-                let mut shard_pauses: Vec<(usize, u64)> = Vec::new();
-                for &p in &report.changed_preds {
-                    for s in 0..partitions {
-                        let staged = store.shard_delta_len(s, p);
-                        if staged == 0 {
-                            continue;
-                        }
-                        let base = store.trie_pair(s, p).map_or(0, eh_rdf::TriePair::len);
-                        if staged >= self.config.compaction_threshold(base) {
-                            let t0 = Instant::now();
-                            store.compact_pred_in(s, p);
-                            let us = t0.elapsed().as_micros() as u64;
-                            match shard_pauses.iter_mut().find(|(sh, _)| *sh == s) {
-                                Some(e) => e.1 += us,
-                                None => shard_pauses.push((s, us)),
-                            }
-                            compacted.push((p, s));
-                        }
-                    }
-                }
-                // Predicates with any delta left after the folds still
-                // serve part of their novelty as an overlay.
-                let staged: Vec<u32> = report
-                    .changed_preds
-                    .iter()
-                    .copied()
-                    .filter(|&p| store.delta_len(p) > 0)
-                    .collect();
-                // Bump while the write lock is still held: any reader
-                // that can observe the new data can also observe the new
-                // version, so sibling catalogs over this store can't keep
-                // serving their now-stale view (see SharedStore docs).
-                // Our own catalog claims the version immediately — the
-                // precise refresh below covers it, and readers racing
-                // into the gap must not full-invalidate on the skew.
-                let version = shared.bump_version();
-                self.catalog.claim_version(version);
-                (report, (compacted, staged, shard_pauses), version)
-            }
-        };
-        let (compacted, staged, shard_pauses) = compacted;
+        let mut store = shared.write();
+        let mut report = store.stage_remove_triples(batch.deletes);
+        report.merge(store.stage_add_triples(batch.inserts));
         if report.is_empty() {
-            return UpdateSummary {
-                inserted: 0,
-                deleted: 0,
-                changed_predicates: 0,
-                rebuilt_tries: 0,
-                compacted_predicates: 0,
-                epoch: self.catalog.epoch(),
-                shard_pauses: Vec::new(),
-                wal: None,
-            };
+            return UpdateSummary::unchanged(shared.version());
         }
-        let epoch = self.catalog.refresh_after_update(&staged, &compacted, version);
+        // Threshold compaction, still under the write lock, at shard
+        // granularity: fold exactly the (predicate, shard) deltas that
+        // grew past max(absolute floor, frac% of that shard's base
+        // table). A skewed shard folds alone — every other shard's tries
+        // and deltas are untouched, and the pause is recorded against the
+        // shard that caused it. Everything below the threshold stays an
+        // overlay.
+        let mut compacted: Vec<(u32, usize)> = Vec::new();
+        let mut shard_pauses: Vec<(usize, u64)> = Vec::new();
+        for &p in &report.changed_preds {
+            for s in 0..store.partitions() {
+                let staged = store.shard_delta_len(s, p);
+                if staged == 0 {
+                    continue;
+                }
+                let base = store.trie_pair(s, p).map_or(0, eh_rdf::TriePair::len);
+                if staged >= self.config.compaction_threshold(base) {
+                    let t0 = Instant::now();
+                    store.compact_pred_in(s, p);
+                    let us = t0.elapsed().as_micros() as u64;
+                    match shard_pauses.iter_mut().find(|(sh, _)| *sh == s) {
+                        Some(e) => e.1 += us,
+                        None => shard_pauses.push((s, us)),
+                    }
+                    compacted.push((p, s));
+                }
+            }
+        }
+        // Bump while the write guard is held: a reader that can see the
+        // new state can also see the new epoch (see `SharedStore`).
+        let epoch = shared.bump_version();
         let mut compacted_preds: Vec<u32> = compacted.iter().map(|&(p, _)| p).collect();
         compacted_preds.dedup();
         UpdateSummary {
@@ -504,47 +465,25 @@ impl Engine {
     /// No-op (epoch untouched) when nothing is staged.
     pub fn compact(&self) -> UpdateSummary {
         let shared = self.catalog.store();
-        let (pairs, shard_pauses, version) = {
-            let mut store = shared.write();
-            // Fold shard by shard so the pause attribution matches the
-            // shard-local storage: each shard's fold only touches its own
-            // relations and is timed on its own.
-            let partitions = store.partitions();
-            let mut pairs: Vec<(u32, usize)> = Vec::new();
-            let mut shard_pauses: Vec<(usize, u64)> = Vec::new();
-            for s in 0..partitions {
-                let t0 = Instant::now();
-                let preds = store.compact_shard(s);
-                if !preds.is_empty() {
-                    shard_pauses.push((s, t0.elapsed().as_micros() as u64));
-                    pairs.extend(preds.into_iter().map(|p| (p, s)));
-                }
+        let mut store = shared.write();
+        // Fold shard by shard so the pause attribution matches the
+        // shard-local storage: each shard's fold only touches its own
+        // relations and is timed on its own.
+        let mut pairs: Vec<(u32, usize)> = Vec::new();
+        let mut shard_pauses: Vec<(usize, u64)> = Vec::new();
+        for s in 0..store.partitions() {
+            let t0 = Instant::now();
+            let preds = store.compact_shard(s);
+            if !preds.is_empty() {
+                shard_pauses.push((s, t0.elapsed().as_micros() as u64));
+                pairs.extend(preds.into_iter().map(|p| (p, s)));
             }
-            if pairs.is_empty() {
-                (pairs, shard_pauses, 0)
-            } else {
-                // Same protocol as `update`: compaction changes which
-                // physical structures serve each predicate, so sibling
-                // catalogs holding (base trie + now-vanished delta) views
-                // must observe the version move.
-                let version = shared.bump_version();
-                self.catalog.claim_version(version);
-                (pairs, shard_pauses, version)
-            }
-        };
-        if pairs.is_empty() {
-            return UpdateSummary {
-                inserted: 0,
-                deleted: 0,
-                changed_predicates: 0,
-                rebuilt_tries: 0,
-                compacted_predicates: 0,
-                epoch: self.catalog.epoch(),
-                shard_pauses: Vec::new(),
-                wal: None,
-            };
         }
-        let epoch = self.catalog.refresh_after_update(&[], &pairs, version);
+        if pairs.is_empty() {
+            return UpdateSummary::unchanged(shared.version());
+        }
+        // Same protocol as `update`: the bump lands under the write guard.
+        let epoch = shared.bump_version();
         let mut preds: Vec<u32> = pairs.iter().map(|&(p, _)| p).collect();
         preds.sort_unstable();
         preds.dedup();
@@ -578,12 +517,13 @@ impl Engine {
     /// sequential by default, morsel-parallel when
     /// [`PlannerConfig::with_threads`] asked for workers).
     ///
-    /// Execution fetches tries lazily, so a multi-predicate update
-    /// landing *mid-join* could otherwise mix pre- and post-update tries
-    /// into one answer that matches no store state. The epoch bracket
-    /// below closes that: if the epoch moved while the join ran, the
-    /// result is discarded and the join re-executes against the settled
-    /// catalog.
+    /// Execution fetches operands one at a time, each from one store
+    /// state, so an update landing *mid-join* could otherwise mix pre-
+    /// and post-update operands into one answer that matches no store
+    /// state. The epoch bracket below closes that: every change bumps the
+    /// epoch under its write lock, so an unchanged epoch means one state
+    /// served every operand; if it moved, the result is discarded and the
+    /// join re-executes against the new state.
     ///
     /// Retries are bounded: a sustained writer whose inter-batch gap is
     /// shorter than this query's runtime would otherwise starve the
@@ -669,18 +609,20 @@ impl Engine {
     /// Pre-build the tries a query needs, so a subsequent timed
     /// [`Engine::run`] measures join execution, not index construction —
     /// the paper's timing methodology (§IV-A4) excludes index build time.
-    /// Auto-layout tries are the store's own and always built; what warms
-    /// here are the `UintOnly` ablation tries.
+    /// Auto-layout tries are the store's own and always built, so this
+    /// only plans the query unless the engine runs the `UintOnly`
+    /// ablation, whose re-freezes it builds.
     ///
     /// Distinct tries build **concurrently** on the configured runtime's
-    /// workers (EmptyHeaded's trie construction is parallel too): the
-    /// catalog is shared under `&self`, its lock taken only to publish
-    /// each finished trie.
+    /// workers (EmptyHeaded's trie construction is parallel too); each
+    /// one is built once however many workers ask for it.
     pub fn warm(&self, q: &ConjunctiveQuery) -> Result<(), EngineError> {
         let plan = self.plan(q)?;
-        // One build job per distinct (predicate, column order); duplicate
-        // atoms over the same table would otherwise race to build the
-        // same trie redundantly.
+        if self.config.flags.layouts {
+            return Ok(());
+        }
+        // One build job per distinct (predicate, column order) and shard:
+        // each shard's trie is its own arena.
         let mut jobs: Vec<(u32, bool, usize)> = plan
             .nodes
             .iter()
@@ -689,17 +631,11 @@ impl Engine {
             .collect();
         jobs.sort_unstable();
         jobs.dedup_by_key(|&mut (pred, subject_first, _)| (pred, subject_first));
-        // Each shard's trie is its own arena and its own build job — the
-        // fan-out dimension is (predicate, order) × shard.
         let partitions = self.catalog.partitions();
         eh_par::run_tasks(self.config.runtime.num_threads, jobs.len() * partitions, |i| {
             let (_, subject_first, atom_index) = jobs[i / partitions];
-            self.catalog.warm_shard(
-                &q.atoms()[atom_index],
-                subject_first,
-                self.config.flags.layouts,
-                i % partitions,
-            );
+            let atom = &q.atoms()[atom_index];
+            self.catalog.relation(atom, subject_first, false, Some(i % partitions));
         });
         Ok(())
     }
@@ -883,17 +819,28 @@ mod tests {
     fn parallel_warm_builds_each_trie_once() {
         let store = triangle_store();
         let q = triangle_query(&store.read());
-        for (flags, most) in [(OptFlags::all(), 0), (OptFlags::none(), 2)] {
-            let engine = Engine::with_config(
-                store.clone(),
-                PlannerConfig::with_flags(flags).with_threads(4),
-            );
-            engine.warm(&q).unwrap();
-            // Auto-layout operands are the store's tries (nothing to
-            // build); the ablation's three self-join atoms over one
-            // predicate share at most two trie orders — the jobs were
-            // deduplicated before fan-out.
-            assert!(engine.catalog.cached_tries() <= most, "{flags:?}");
+        let atom = &q.atoms()[0];
+        let engines = [OptFlags::all(), OptFlags::none(), OptFlags::none()].map(|flags| {
+            Engine::with_config(store.clone(), PlannerConfig::with_flags(flags).with_threads(4))
+        });
+        std::thread::scope(|scope| {
+            for engine in &engines {
+                scope.spawn(|| engine.warm(&q).unwrap());
+            }
+        });
+        for subject_first in [true, false] {
+            // Auto-layout operands are the store's tries: nothing to build.
+            let auto = engines[0].catalog.trie(atom, subject_first, true);
+            let pair = store.read().trie_pair(0, atom.pred).cloned().unwrap();
+            assert!(std::sync::Arc::ptr_eq(&auto, pair.order(subject_first)));
+            // The ablation's three self-join atoms over one predicate,
+            // warmed by two engines on four workers each, share one
+            // re-freeze per order: the store's pair keeps it.
+            let uint = engines.each_ref().map(|e| e.catalog.trie(atom, subject_first, false));
+            assert!(uint.iter().all(|t| std::sync::Arc::ptr_eq(t, &uint[0])));
+            assert!(!std::sync::Arc::ptr_eq(&uint[0], &auto));
+        }
+        for engine in &engines {
             assert_eq!(engine.run(&q).unwrap().cardinality(), 2);
         }
     }

@@ -624,7 +624,6 @@ fn descend(st: &mut State<'_>, here: &[(usize, usize)], v: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::merged_root;
     use eh_trie::{DeltaOverlay, LayoutPolicy, TupleBuffer};
     use proptest::prelude::*;
 
@@ -640,6 +639,21 @@ mod tests {
     fn layer(base: Pairs<'_>, delta: Option<(Pairs<'_>, Pairs<'_>)>) -> Layer {
         let overlay = delta.map(|(ins, del)| Arc::new(DeltaOverlay::from_pairs(ins, del)));
         Layer { base: trie_of(base), overlay }
+    }
+
+    /// The union of each layer's overlay-merged root set, sorted unique —
+    /// what the store's merged-root memo holds for its shards.
+    fn merged_root(layers: &[Layer]) -> Vec<u32> {
+        let mut root: Vec<u32> = Vec::new();
+        for l in layers {
+            match &l.overlay {
+                Some(ov) => root.extend_from_slice(ov.root(&l.base)),
+                None => root.extend(l.base.root_set().iter()),
+            }
+        }
+        root.sort_unstable();
+        root.dedup();
+        root
     }
 
     /// A catalog-style operand over `layers`: several carry their merged

@@ -6,14 +6,15 @@
 //! concurrent readers, an occasional writer — so the engine now holds a
 //! [`SharedStore`]: a cloneable `Arc<RwLock<TripleStore>>` handle.
 //!
-//! Reads take the lock briefly (parse a query's constants, copy a
-//! predicate's pairs into a trie build) and never across a join — joins
-//! run against immutable `Arc<Trie>` snapshots from the
-//! [`Catalog`](crate::Catalog), so a writer is never blocked by a
-//! long-running query, only by short index builds. Writes go through
-//! [`Engine::update`](crate::Engine::update), which is also what keeps
-//! the catalog's tries and epoch in sync; the raw write lock is therefore
-//! not exposed outside the crate.
+//! Reads take the lock briefly (resolve a query's constants, assemble one
+//! operand's layers) and never across a join — joins run against the
+//! `Arc<FrozenTrie>` and `Arc<DeltaOverlay>` values the
+//! [`Catalog`](crate::Catalog) clones out of the store, so a writer is
+//! never blocked by a long-running query, only by an operand assembly
+//! (which may build a delta's overlay or an ablation re-freeze). Writes
+//! go through [`Engine`](crate::Engine), which bumps the version with
+//! every change; the raw write lock is therefore not exposed outside the
+//! crate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -25,9 +26,8 @@ use eh_rdf::{Triple, TripleStore};
 /// Clones share the same underlying store: data added through one
 /// handle's engine is visible to every other clone. The handle carries a
 /// monotonically increasing [`version`](SharedStore::version), bumped on
-/// every mutation, which lets *every* catalog over this store — not just
-/// the one whose engine applied the update — notice that its tries are
-/// out of date and retire them (see `Catalog`'s store-version sync).
+/// every change, which is the epoch of *every* catalog over this store —
+/// not just the one whose engine applied the change.
 #[derive(Clone, Debug, Default)]
 pub struct SharedStore {
     inner: Arc<RwLock<TripleStore>>,
@@ -53,23 +53,21 @@ impl SharedStore {
     }
 
     /// Write access, crate-internal: all mutation flows through
-    /// [`Engine::update`](crate::Engine::update) so trie invalidation and
-    /// the catalog epoch can't be skipped.
+    /// [`Engine`](crate::Engine) so the version bump can't be skipped.
     pub(crate) fn write(&self) -> RwLockWriteGuard<'_, TripleStore> {
         self.inner.write().expect("store lock poisoned")
     }
 
-    /// The current mutation version. Catalogs compare this against the
-    /// version they last synchronised with; a mismatch means another
-    /// engine's update changed the store under them.
+    /// The current version: the number of changes recorded so far, and
+    /// the epoch of every catalog over this store.
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
 
-    /// Record one mutation; returns the new version. Called by
-    /// [`Engine::update`](crate::Engine::update) while the write lock is
-    /// still held, so any reader that can see the new data can also see
-    /// the new version.
+    /// Record one change; returns the new version. Callers hold the write
+    /// guard of the change it records, so any reader that can see the new
+    /// state can also see the new version, and a reader that saw the old
+    /// version before and after reading saw only the old state.
     pub(crate) fn bump_version(&self) -> u64 {
         self.version.fetch_add(1, Ordering::AcqRel) + 1
     }

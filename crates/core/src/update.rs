@@ -94,3 +94,20 @@ pub struct UpdateSummary {
     /// logical contents and are never logged).
     pub wal: Option<WalAppend>,
 }
+
+impl UpdateSummary {
+    /// What a batch or compaction that changed nothing reports: every
+    /// count zero, the epoch where it was.
+    pub(crate) fn unchanged(epoch: u64) -> UpdateSummary {
+        UpdateSummary {
+            inserted: 0,
+            deleted: 0,
+            changed_predicates: 0,
+            rebuilt_tries: 0,
+            compacted_predicates: 0,
+            epoch,
+            shard_pauses: Vec::new(),
+            wal: None,
+        }
+    }
+}

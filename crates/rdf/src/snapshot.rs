@@ -640,7 +640,7 @@ fn decode_shard_section(
         if !is_transpose(&so, &os) {
             return Err(SnapshotError::Malformed("os trie is not the transpose of so"));
         }
-        rels.push(TriePair { so: Arc::new(so), os: Arc::new(os) });
+        rels.push(TriePair::new(Arc::new(so), Arc::new(os)));
     }
     if c.remaining() != 0 {
         return Err(SnapshotError::Malformed("unconsumed section bytes"));

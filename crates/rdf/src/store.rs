@@ -2,9 +2,9 @@
 //! predicate, hash-partitioned into subject shards.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use eh_trie::{FrozenTrie, LayoutPolicy};
+use eh_trie::{DeltaOverlay, FrozenTrie, LayoutPolicy};
 
 use crate::dict::Dictionary;
 use crate::partition::Partitioner;
@@ -21,20 +21,28 @@ pub struct TriePair {
     /// The object-major `[o, s]` trie — always exactly the transpose of
     /// `so`.
     pub(crate) os: Arc<FrozenTrie>,
+    /// The `UintOnly` re-freeze of each order, indexed by
+    /// `subject_first`: built on first use, gone with the pair.
+    uint_only: [OnceLock<Arc<FrozenTrie>>; 2],
 }
 
 impl TriePair {
+    /// A pair over two frozen tries, `os` the transpose of `so`.
+    pub(crate) fn new(so: Arc<FrozenTrie>, os: Arc<FrozenTrie>) -> TriePair {
+        TriePair { so, os, uint_only: Default::default() }
+    }
+
     /// Freeze both orders from sorted-unique subject-major pairs, the
     /// object-major one from the same buffer transposed in place.
     fn from_so(mut pairs: Vec<(u32, u32)>) -> TriePair {
         let so = freeze(&pairs);
         transpose_in_place(&mut pairs);
-        TriePair { so, os: freeze(&pairs) }
+        TriePair::new(so, freeze(&pairs))
     }
 
     /// Freeze both orders, each given sorted and unique.
     fn from_sorted(so: &[(u32, u32)], os: &[(u32, u32)]) -> TriePair {
-        TriePair { so: freeze(so), os: freeze(os) }
+        TriePair::new(freeze(so), freeze(os))
     }
 
     /// The subject-major `[s, o]` trie.
@@ -54,6 +62,20 @@ impl TriePair {
         } else {
             &self.os
         }
+    }
+
+    /// One order's trie in the auto layout, or — for the Table I
+    /// +Layout ablation — its `UintOnly` re-freeze, built from the auto
+    /// trie's tuples on first use and kept as long as this pair. An empty
+    /// trie is the same in both layouts.
+    pub fn trie(&self, subject_first: bool, auto_layout: bool) -> &Arc<FrozenTrie> {
+        let base = self.order(subject_first);
+        if auto_layout || base.is_empty() {
+            return base;
+        }
+        self.uint_only[usize::from(subject_first)].get_or_init(|| {
+            Arc::new(FrozenTrie::from_sorted(base.to_tuples(), LayoutPolicy::UintOnly))
+        })
     }
 
     /// Number of `(subject, object)` pairs.
@@ -154,6 +176,11 @@ pub struct TripleStore {
     /// Recomputed from the `os` root sets whenever a base relation
     /// changes.
     agg_distinct_objects: HashMap<u32, usize>,
+    /// Each predicate's merged root domain across shards (see
+    /// [`union_root`](TripleStore::union_root)), aligned with `preds` and
+    /// indexed by `subject_first`: built on first use, reset whenever a
+    /// batch changes the predicate.
+    union_roots: Vec<[OnceLock<Arc<Vec<u32>>>; 2]>,
     pending: HashMap<u32, Vec<(u32, u32)>>,
     n_pending: usize,
 }
@@ -169,12 +196,14 @@ struct StoreShard {
 /// Staged, uncompacted mutations for one predicate within one shard:
 /// sorted insert pairs disjoint from the shard's base relation and sorted
 /// tombstone pairs resident in it. Both slices are subject-major
-/// `(s, o)`; consumers needing the object-major orientation permute and
-/// re-sort (deltas are small).
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
+/// `(s, o)`; [`overlay`](PredDelta::overlay) serves either order.
+#[derive(Debug, Default, Clone)]
 pub struct PredDelta {
     ins: Vec<(u32, u32)>,
     del: Vec<(u32, u32)>,
+    /// The delta as each order's overlay, indexed by `subject_first`:
+    /// built on first use, dropped whenever staging changes the delta.
+    overlays: [OnceLock<Arc<DeltaOverlay>>; 2],
 }
 
 impl PredDelta {
@@ -196,6 +225,22 @@ impl PredDelta {
     /// True when nothing is staged.
     pub fn is_empty(&self) -> bool {
         self.ins.is_empty() && self.del.is_empty()
+    }
+
+    /// This delta as one order's [`DeltaOverlay`], built on first use and
+    /// kept until staging changes the delta or compaction folds it. The
+    /// object-major overlay transposes and re-sorts the pairs — O(delta
+    /// log delta), and deltas are small by the compaction threshold.
+    pub fn overlay(&self, subject_first: bool) -> &Arc<DeltaOverlay> {
+        self.overlays[usize::from(subject_first)].get_or_init(|| {
+            if subject_first {
+                return Arc::new(DeltaOverlay::from_pairs(&self.ins, &self.del));
+            }
+            let (mut ins, mut del) = (self.ins.clone(), self.del.clone());
+            transpose_in_place(&mut ins);
+            transpose_in_place(&mut del);
+            Arc::new(DeltaOverlay::from_pairs(&ins, &del))
+        })
     }
 }
 
@@ -358,6 +403,7 @@ impl TripleStore {
             by_pred: HashMap::new(),
             shards: vec![StoreShard::default(); partitioner.partitions()],
             agg_distinct_objects: HashMap::new(),
+            union_roots: Vec::new(),
             pending: HashMap::new(),
             n_pending: 0,
         }
@@ -409,6 +455,7 @@ impl TripleStore {
         let agg_distinct_objects =
             if partitioner.partitions() > 1 { agg_distinct_objects } else { HashMap::new() };
         Ok(TripleStore {
+            union_roots: vec![Default::default(); preds.len()],
             dict: Dictionary::from_terms(terms),
             partitioner,
             preds,
@@ -481,6 +528,7 @@ impl TripleStore {
         }
         self.preds.push(p);
         self.by_pred.insert(p, idx);
+        self.union_roots.push(Default::default());
         idx
     }
 
@@ -532,6 +580,7 @@ impl TripleStore {
             } else if let Err(at) = d.ins.binary_search(&pair) {
                 d.ins.insert(at, pair);
             }
+            d.overlays = Default::default();
             report.added += 1;
             report.changed_preds.push(p);
         }
@@ -575,6 +624,7 @@ impl TripleStore {
             } else {
                 continue;
             }
+            d.overlays = Default::default();
             report.removed += 1;
             report.changed_preds.push(p);
         }
@@ -582,14 +632,17 @@ impl TripleStore {
         report
     }
 
-    /// Drop delta entries that cancelled out to nothing and canonicalise
-    /// the report.
+    /// Drop delta entries that cancelled out to nothing, reset the
+    /// changed predicates' union roots and canonicalise the report.
     fn finish_staging(&mut self, report: &mut UpdateReport) {
         for sh in &mut self.shards {
             sh.deltas.retain(|_, d| !d.is_empty());
         }
         report.changed_preds.sort_unstable();
         report.changed_preds.dedup();
+        for p in &report.changed_preds {
+            self.union_roots[self.by_pred[p]] = Default::default();
+        }
     }
 
     /// The staged delta for a predicate — the `P = 1` view.
@@ -738,9 +791,36 @@ impl TripleStore {
 
     /// One shard's base relation for a predicate key: its two frozen
     /// tries (deltas excluded — see [`shard_delta`](TripleStore::shard_delta)).
+    /// `None` for an unknown predicate or a shard past the partition
+    /// count.
     pub fn trie_pair(&self, shard: usize, pred: u32) -> Option<&TriePair> {
         self.assert_committed();
-        self.by_pred.get(&pred).map(|&i| &self.shards[shard].rels[i])
+        Some(&self.shards.get(shard)?.rels[*self.by_pred.get(&pred)?])
+    }
+
+    /// A predicate's merged root domain across every shard, in one
+    /// order: the union of each shard's base root set with that shard's
+    /// staged overlay applied. Subject-major roots are disjoint across
+    /// shards (subjects hash to exactly one); object-major roots overlap,
+    /// and sort + dedup restores the `P = 1` root set either way. Built
+    /// on first use and kept until a batch changes the predicate: the
+    /// domain is a function of the logical relation, which compaction and
+    /// repartition only move between base, delta and shards.
+    pub fn union_root(&self, pred: u32, subject_first: bool) -> Option<&Arc<Vec<u32>>> {
+        let idx = *self.by_pred.get(&pred)?;
+        Some(self.union_roots[idx][usize::from(subject_first)].get_or_init(|| {
+            let mut root: Vec<u32> = Vec::new();
+            for sh in &self.shards {
+                let base = sh.rels[idx].order(subject_first);
+                match sh.deltas.get(&pred) {
+                    Some(d) => root.extend_from_slice(d.overlay(subject_first).root(base)),
+                    None => root.extend(base.root_set().iter()),
+                }
+            }
+            root.sort_unstable();
+            root.dedup();
+            Arc::new(root)
+        }))
     }
 
     /// One shard's base relations, in registration order.

@@ -29,10 +29,10 @@
 //!
 //! The store behind the service is **live**: `INSERT`/`DELETE` lines
 //! stage triples into a per-connection [`Session`] batch and `APPLY`
-//! pushes them through [`QueryService::update`], which invalidates only
-//! the changed predicates' tries and advances the epoch that keys the
-//! result cache — queries after an update are answered exactly as a cold
-//! engine over the new data would.
+//! pushes them through [`QueryService::update`], which stages them beside
+//! the untouched base tries and advances the epoch that keys the result
+//! cache — queries after an update are answered exactly as a cold engine
+//! over the new data would.
 //!
 //! Determinism is load-bearing: cached, fresh-sequential, and
 //! fresh-parallel answers are all byte-identical, so a cache is never

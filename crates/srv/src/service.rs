@@ -513,9 +513,9 @@ impl QueryService {
     }
 
     /// Drop every cached plan and result and advance the catalog epoch
-    /// (also clearing cached tries). In-flight queries keyed by the old
-    /// epoch may still publish stale entries; the epoch in the key keeps
-    /// them unreachable, and LRU pressure retires them.
+    /// (the store's version; every trie survives). In-flight queries
+    /// keyed by the old epoch may still publish stale entries; the epoch
+    /// in the key keeps them unreachable, and LRU pressure retires them.
     pub fn invalidate(&self) -> u64 {
         self.drop_derived_caches();
         self.engine.catalog().invalidate()
@@ -525,8 +525,8 @@ impl QueryService {
     /// derived cache entry the change invalidates.
     ///
     /// The division of labour: [`Engine::update`] touches only the
-    /// *changed* predicates' tries (untouched predicates keep theirs),
-    /// while this layer drops **all** cached plans and results — a plan
+    /// *changed* predicates' deltas (every base trie survives), while
+    /// this layer drops **all** cached plans and results — a plan
     /// embeds cardinality-driven decisions (GHD choice, attribute order)
     /// that the mutation may have shifted, and a materialised result can
     /// join across any predicate, so neither can be retained per

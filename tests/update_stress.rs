@@ -4,14 +4,14 @@
 //! applied through the TCP protocol, a repeated query returns results
 //! **byte-identical** to a cold engine built from the post-update triple
 //! set — on the cached, sequential, and parallel paths — while untouched
-//! predicates keep their tries (no gratuitous rebuild). A writer/reader
-//! stress run exercises the same machinery under contention; the
-//! deterministic stale-trie race regression itself lives next to
-//! `Catalog` in `emptyheaded`.
+//! predicates keep their tries (no gratuitous rebuild). Writer/reader
+//! stress runs exercise the same machinery under contention, down to
+//! joins racing a writer that must each read one store state.
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 use wcoj_rdf::emptyheaded::{Engine, OptFlags, PlannerConfig, SharedStore, UpdateBatch};
 use wcoj_rdf::lubm::queries::lubm_sparql;
@@ -334,6 +334,79 @@ fn readers_race_a_writer_and_only_ever_see_consistent_states() {
     assert_eq!(stats.updates_applied, rounds as u64);
     assert_eq!(stats.triples_inserted, (rounds as u64).div_ceil(2));
     assert_eq!(stats.triples_deleted, rounds as u64 / 2);
+}
+
+/// A join racing a writer reads one store state. Two predicates move in
+/// lockstep — batch `k` deletes `s{k-1}` and inserts `s{k}` under both
+/// `p` and `q` — so every store state answers `?x p ?y . ?x q ?y` with
+/// exactly one row, and an answer assembled from two states has none.
+/// Whatever the epoch bracket accepts (`epoch_retries` below the cap)
+/// must be one state's answer, whether the writer only stages, compacts
+/// every other batch, or compacts every batch. The best-effort answer
+/// after the last retry is outside the contract. Each mode runs until
+/// the readers have had `ANSWERS` answers accepted or `MODE_CAP` passes,
+/// so the check does not depend on how the threads get scheduled.
+#[test]
+fn a_reader_racing_a_writer_sees_one_store_state() {
+    const READERS: usize = 3;
+    const ANSWERS: usize = 50_000;
+    const MODE_CAP: Duration = Duration::from_millis(2500);
+    for compact_every in [None, Some(2), Some(1)] {
+        let store = SharedStore::from_triples(vec![t("s0", "p", "o"), t("s0", "q", "o")]);
+        let engine = Engine::new(store.clone(), OptFlags::all());
+        let q = {
+            let guard = store.read();
+            let mut qb = QueryBuilder::new();
+            let (x, y) = (qb.var("x"), qb.var("y"));
+            for rel in ["p", "q"] {
+                qb.atom(rel, guard.resolve_iri(rel).unwrap(), x, y);
+            }
+            qb.select(vec![x, y]).build().unwrap()
+        };
+        let plan = engine.plan(&q).unwrap();
+        let done = AtomicBool::new(false);
+        let (answers, torn) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        std::thread::scope(|scope| {
+            let readers: Vec<_> = (0..READERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        while !done.load(Ordering::Acquire) {
+                            let (r, profile) = engine.run_plan_profiled(&q, &plan);
+                            if profile.epoch_retries < 3 {
+                                answers.fetch_add(1, Ordering::Relaxed);
+                                if r.cardinality() != 1 {
+                                    torn.fetch_add(1, Ordering::Relaxed);
+                                }
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let t0 = Instant::now();
+            let mut k = 0usize;
+            while answers.load(Ordering::Relaxed) < ANSWERS && t0.elapsed() < MODE_CAP {
+                k += 1;
+                let mut batch = UpdateBatch::new();
+                for rel in ["p", "q"] {
+                    batch.delete(t(&format!("s{}", k - 1), rel, "o"));
+                    batch.insert(t(&format!("s{k}"), rel, "o"));
+                }
+                engine.update(batch);
+                if compact_every.is_some_and(|n| k.is_multiple_of(n)) {
+                    engine.compact();
+                }
+            }
+            done.store(true, Ordering::Release);
+            for r in readers {
+                r.join().expect("a reader panicked mid-join");
+            }
+        });
+        let (answers, torn) = (answers.into_inner(), torn.into_inner());
+        assert_eq!(
+            torn, 0,
+            "compact every {compact_every:?}: {torn} of {answers} accepted answers mixed two states"
+        );
+    }
 }
 
 /// The protocol parses real N-Triples term syntax, including literals and
