@@ -520,7 +520,7 @@ impl Engine {
     /// Execution fetches operands one at a time, each from one store
     /// state, so an update landing *mid-join* could otherwise mix pre-
     /// and post-update operands into one answer that matches no store
-    /// state. The epoch bracket below closes that: every change bumps the
+    /// state. The epoch bracket closes that: every change bumps the
     /// epoch under its write lock, so an unchanged epoch means one state
     /// served every operand; if it moved, the result is discarded and the
     /// join re-executes against the new state.
@@ -533,25 +533,7 @@ impl Engine {
     /// may straddle adjacent updates. Only workloads updating faster than
     /// they can run a single join ever see this.
     pub fn run_plan(&self, q: &ConjunctiveQuery, plan: &Plan) -> QueryResult {
-        if obs_forced() {
-            return self.run_plan_profiled(q, plan).0;
-        }
-        let mut attempts = 0;
-        loop {
-            let epoch = self.catalog.epoch();
-            let result = execute_plan(
-                &self.catalog,
-                q,
-                plan,
-                self.config.flags.layouts,
-                self.config.runtime,
-                None,
-            );
-            attempts += 1;
-            if self.catalog.epoch() == epoch || attempts > MID_JOIN_UPDATE_RETRIES {
-                return result;
-            }
-        }
+        self.run_bracketed(q, plan, obs_forced()).0
     }
 
     /// Execute a previously built plan with full profiling: same retry
@@ -565,11 +547,23 @@ impl Engine {
         q: &ConjunctiveQuery,
         plan: &Plan,
     ) -> (QueryResult, QueryProfile) {
+        let (result, profile) = self.run_bracketed(q, plan, true);
+        (result, profile.expect("a profiled run returns its profile"))
+    }
+
+    /// The epoch bracket behind both entry points; `profiled` decides
+    /// whether attempts record into a collector (and read the clock).
+    fn run_bracketed(
+        &self,
+        q: &ConjunctiveQuery,
+        plan: &Plan,
+        profiled: bool,
+    ) -> (QueryResult, Option<QueryProfile>) {
         let threads = self.config.runtime.num_threads;
-        let t0 = Instant::now();
-        let mut retries = 0u64;
+        let t0 = profiled.then(Instant::now);
+        let mut retries = 0;
         loop {
-            let stats = ExecStats::new(threads);
+            let stats = profiled.then(|| ExecStats::new(threads));
             let epoch = self.catalog.epoch();
             let result = execute_plan(
                 &self.catalog,
@@ -577,10 +571,12 @@ impl Engine {
                 plan,
                 self.config.flags.layouts,
                 self.config.runtime,
-                Some(&stats),
+                stats.as_ref(),
             );
             if self.catalog.epoch() == epoch || retries >= MID_JOIN_UPDATE_RETRIES {
-                let profile = stats.snapshot(threads, t0.elapsed().as_nanos() as u64, retries);
+                let profile = stats.zip(t0).map(|(stats, t0)| {
+                    stats.snapshot(threads, t0.elapsed().as_nanos() as u64, retries)
+                });
                 return (result, profile);
             }
             retries += 1;
@@ -1239,17 +1235,20 @@ mod tests {
 
     #[test]
     fn wal_fsync_policy_flows_from_config() {
-        let wal_path = temp_path("wal-policy", "wal");
-        std::fs::remove_file(&wal_path).ok();
-        let config = PlannerConfig::default().with_wal_fsync(FsyncPolicy::Never);
-        let mut engine = Engine::with_config(triangle_store(), config);
-        engine.open_wal(&wal_path).unwrap();
-        assert_eq!(engine.wal_status().unwrap().fsync, FsyncPolicy::Never);
-        let mut batch = UpdateBatch::new();
-        batch.insert(edge(0, 3));
-        let w = engine.update(batch).wal.unwrap();
-        assert!(!w.fsynced);
-        assert_eq!(w.fsync_us, 0);
-        std::fs::remove_file(&wal_path).ok();
+        // A 60 s interval cannot come due between open and first append.
+        for policy in [FsyncPolicy::Never, FsyncPolicy::Interval(60_000)] {
+            let wal_path = temp_path("wal-policy", "wal");
+            std::fs::remove_file(&wal_path).ok();
+            let config = PlannerConfig::default().with_wal_fsync(policy);
+            let mut engine = Engine::with_config(triangle_store(), config);
+            engine.open_wal(&wal_path).unwrap();
+            assert_eq!(engine.wal_status().unwrap().fsync, policy);
+            let mut batch = UpdateBatch::new();
+            batch.insert(edge(0, 3)).insert(edge(3, 0));
+            let s = engine.update(batch);
+            let w = s.wal.unwrap();
+            assert_eq!((s.inserted, w.fsynced, w.fsync_us), (2, false, 0), "{policy}");
+            std::fs::remove_file(&wal_path).ok();
+        }
     }
 }

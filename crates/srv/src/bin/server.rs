@@ -5,7 +5,7 @@
 //! cargo run --release -p eh-srv --bin server -- --data graph.nt --port 7878
 //!
 //! # Warm start: memory-load a snapshot written by the SAVE verb (or
-//! # eh-bench's coldstart harness) — milliseconds instead of a re-parse.
+//! # `Engine::save_snapshot`) — milliseconds instead of a re-parse.
 //! cargo run --release -p eh-srv --bin server -- --snapshot store.snap --port 7878
 //!
 //! # Demo data: generate an N-Triples file first (keeps the benchmark

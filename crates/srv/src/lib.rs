@@ -25,7 +25,7 @@
 //!   cache streamed to the socket in chunks (see the `server` module's
 //!   "Emit path"); [`respond`] collects the same bytes in process.
 //! * [`Client`] — a minimal blocking client for tests, examples, and the
-//!   throughput harness.
+//!   `ledger` benchmark's TCP workloads.
 //!
 //! The store behind the service is **live**: `INSERT`/`DELETE` lines
 //! stage triples into a per-connection [`Session`] batch and `APPLY`

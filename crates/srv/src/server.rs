@@ -437,7 +437,8 @@ fn handle_connection(service: &QueryService, stream: TcpStream) {
 /// responses are written, then every session's read side is shut down, so
 /// workers blocked waiting for a next request wake with EOF and exit —
 /// an idle client cannot pin the server open. The listener is switched to
-/// non-blocking so the accept loop can observe the flag.
+/// non-blocking so the accept loop can observe the flag; a failed accept
+/// is retried, never fatal.
 ///
 /// Known limit: a connected session occupies its pool worker until it
 /// disconnects, so `server_sessions` *idle* clients stall later arrivals
@@ -497,12 +498,13 @@ pub fn serve(service: &QueryService, listener: TcpListener, shutdown: &AtomicBoo
                         Err(_) => drop(stream),
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    // Idle poll: 20 ms bounds both shutdown latency and
-                    // the wakeup rate of an otherwise quiet server.
+                Err(_) => {
+                    // Idle poll or a transient failure (fd exhaustion,
+                    // an aborted handshake): 20 ms bounds shutdown
+                    // latency and the retry rate. Only `shutdown` ends
+                    // the loop.
                     std::thread::sleep(Duration::from_millis(20));
                 }
-                Err(_) => break,
             }
         }
         queue.close();
@@ -516,7 +518,7 @@ pub fn serve(service: &QueryService, listener: TcpListener, shutdown: &AtomicBoo
 }
 
 /// A minimal blocking client for the line protocol, used by the examples,
-/// the stress test, and the throughput harness.
+/// the stress test, and the `ledger` benchmark's TCP workloads.
 pub struct Client {
     stream: TcpStream,
     /// Receive buffer, reused across requests and grown to the largest

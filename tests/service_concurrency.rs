@@ -141,11 +141,17 @@ fn invalidation_over_the_wire_is_serialized_with_traffic() {
         assert_eq!(client.send("INVALIDATE").unwrap(), "OK epoch=1\n");
         // Same answer after invalidation — recomputed, not served stale.
         assert_eq!(client.send(&requests[0]).unwrap(), reference[0]);
+        // A write to a predicate no query reads bumps the epoch as well;
+        // the recomputed answer is still the reference's bytes.
+        let insert = "INSERT <http://ex/s> <http://ex/untouched> <http://ex/o> .";
+        assert!(client.send(insert).unwrap().starts_with("OK pending"));
+        assert!(client.send("APPLY").unwrap().starts_with("OK applied inserted=1"));
+        assert_eq!(client.send(&requests[0]).unwrap(), reference[0]);
         let stats = client.send("STATS").unwrap();
-        assert!(stats.contains("epoch=1"), "{stats}");
+        assert!(stats.contains("epoch=2"), "{stats}");
         client.send("QUIT").ok();
         drop(client);
         shutdown.store(true, Ordering::Release);
     });
-    assert_eq!(svc.stats().result_misses, 2, "both passes recomputed across the epoch bump");
+    assert_eq!(svc.stats().result_misses, 3, "every pass recomputed across its epoch bump");
 }
