@@ -29,7 +29,7 @@ use std::time::Instant;
 use eh_bench::{fmt_ms, measure, BenchReport, TablePrinter};
 use eh_lubm::queries::{lubm_query, QUERY_NUMBERS};
 use eh_lubm::{generate_store, GeneratorConfig};
-use eh_rdf::StoreSnapshot;
+use eh_rdf::{LoadMode, StoreSnapshot};
 use emptyheaded::{Engine, OptFlags, PlannerConfig, RuntimeConfig, SharedStore};
 
 const SHARDS: usize = 4;
@@ -121,11 +121,11 @@ fn main() {
     // rest; files come through the OS cache in both paths — the restart
     // scenario that matters).
     let load_p1 = measure(args.runs, || {
-        let snap = StoreSnapshot::read_from_path(&p1_path).expect("P=1 loads");
+        let snap = StoreSnapshot::open(&p1_path, LoadMode::Copy, 1).expect("P=1 loads");
         assert_eq!(snap.store.partitions(), 1);
     });
     let load_split = measure(args.runs, || {
-        let snap = StoreSnapshot::read_from_path_with(&split_path, threads).expect("split loads");
+        let snap = StoreSnapshot::open(&split_path, LoadMode::Copy, threads).expect("split loads");
         assert_eq!(snap.store.partitions(), SHARDS);
     });
     let load_speedup = load_p1.as_secs_f64() / load_split.as_secs_f64();

@@ -5,12 +5,11 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, RwLockReadGuard};
 use std::time::Instant;
 
 use eh_query::{parse_sparql, ConjunctiveQuery};
-use eh_rdf::{LoadInfo, SnapshotError, StoreSnapshot, TripleStore};
+use eh_rdf::{LoadInfo, LoadMode, SnapshotError, StoreSnapshot, TripleStore};
 use eh_wal::{crash_point, FsyncPolicy, Wal, WalError, WalScan};
 
-use crate::catalog::Catalog;
 use crate::error::EngineError;
-use crate::exec::execute_plan;
+use crate::exec::{execute_plan, relation};
 use crate::flags::{OptFlags, PlannerConfig};
 use crate::plan::Plan;
 use crate::planner::build_plan_with;
@@ -49,10 +48,10 @@ fn payload_decode_reason(e: &eh_rdf::BatchCodecError) -> &'static str {
 
 /// A worst-case optimal join engine over a [`SharedStore`].
 ///
-/// The engine reads its operands through a [`Catalog`]: the store's own
-/// frozen tries (its "indexes"), built once at load and reused across
-/// queries as EmptyHeaded does, plus what the store memoises from them on
-/// first use (overlays, merged roots, ablation re-freezes). Timing
+/// The engine reads its operands straight from the store: its own frozen
+/// tries (its "indexes"), built once at load and reused across queries as
+/// EmptyHeaded does, plus what the store memoises from them on first use
+/// (overlays, merged roots, ablation re-freezes). Timing
 /// methodology note: the paper excludes index construction from query
 /// time (§IV-A4) — call [`Engine::warm`] before measuring.
 ///
@@ -62,7 +61,7 @@ fn payload_decode_reason(e: &eh_rdf::BatchCodecError) -> &'static str {
 /// Tries are immutable `Arc`s, never mutated in place, and a join whose
 /// operands straddle an update is re-run (see [`Engine::run_plan`]).
 pub struct Engine {
-    catalog: Catalog,
+    store: SharedStore,
     config: PlannerConfig,
     /// How the snapshot behind this engine loaded (copy vs mmap, with
     /// any fallback reason); `None` for engines not built from a
@@ -143,8 +142,7 @@ pub struct WalStatus {
 impl Engine {
     /// An engine with the given optimization flags. Accepts a
     /// [`SharedStore`] (clone the handle to keep access) or a bare
-    /// [`TripleStore`] (moved in; retrieve it through
-    /// [`Engine::store`] / [`Engine::shared_store`]).
+    /// [`TripleStore`] (moved in; read it through [`Engine::store`]).
     pub fn new(store: impl Into<SharedStore>, flags: OptFlags) -> Engine {
         Engine::with_config(store, PlannerConfig::with_flags(flags))
     }
@@ -152,54 +150,33 @@ impl Engine {
     /// An engine with a full planner configuration (used by the
     /// LogicBlox-style baseline).
     pub fn with_config(store: impl Into<SharedStore>, config: PlannerConfig) -> Engine {
-        Engine {
-            catalog: Catalog::new(store.into()),
-            config,
-            load: None,
-            wal: None,
-            save: Mutex::new(()),
-        }
+        Engine { store: store.into(), config, load: None, wal: None, save: Mutex::new(()) }
     }
 
-    /// An engine restored from a snapshot file: the store loads without
-    /// parsing or re-freezing, its base tries the image's — so the engine
-    /// starts *warm*, its first query served from arenas that were
-    /// `memcpy`d off disk. The loaded store is as mutable as a cold-built
-    /// one; compaction re-freezes only the folded (predicate, shard)
-    /// tries, exactly as on any store.
-    pub fn from_snapshot(
+    /// An engine restored from the snapshot file at `path`: the store
+    /// loads without parsing or re-freezing, its base tries the image's —
+    /// so the engine starts *warm*. The loaded store is as mutable as a
+    /// cold-built one; compaction re-freezes only the folded (predicate,
+    /// shard) tries, exactly as on any store.
+    ///
+    /// [`LoadMode::Copy`] decodes the arenas into owned memory;
+    /// [`LoadMode::Mmap`] serves them straight from the mapped pages, so
+    /// cold start pays metadata decode and the reader's checks, not an
+    /// arena copy, and co-located processes mapping the same file share
+    /// physical memory. A mapping the platform refuses falls back to the
+    /// copy path (recorded in [`Engine::load_info`]); only corruption and
+    /// I/O errors fail. Shard sections load and verify on the configured
+    /// runtime's workers, so a partitioned cold start is bounded by the
+    /// largest shard, not the whole file.
+    pub fn open(
         path: impl AsRef<Path>,
+        mode: LoadMode,
         config: PlannerConfig,
     ) -> Result<Engine, SnapshotError> {
-        // Shard sections load and verify on the configured runtime's
-        // workers — the snapshot format's per-shard layout exists so a
-        // partitioned cold start is bounded by the largest shard, not the
-        // whole file.
-        let snapshot = StoreSnapshot::read_from_path_with(path, config.runtime.num_threads)?;
-        Ok(Engine::from_loaded_snapshot(snapshot, config))
-    }
-
-    /// [`Engine::from_snapshot`], zero-copy: the snapshot file is
-    /// `mmap`ed and the store's base tries serve their arenas straight
-    /// from the mapped pages — cold start pays metadata decode and the
-    /// reader's checks, not an arena copy, and co-located processes
-    /// mapping the same file share physical memory. Falls back to the copy path (recorded in
-    /// [`Engine::load_info`]) when the file or platform cannot be
-    /// mapped; fails only on genuine corruption or I/O errors.
-    pub fn from_snapshot_mmap(
-        path: impl AsRef<Path>,
-        config: PlannerConfig,
-    ) -> Result<Engine, SnapshotError> {
-        let snapshot = StoreSnapshot::read_from_path_mmap(path, config.runtime.num_threads)?;
-        Ok(Engine::from_loaded_snapshot(snapshot, config))
-    }
-
-    /// An engine over an already-loaded [`StoreSnapshot`] (see
-    /// [`Engine::from_snapshot`]).
-    pub fn from_loaded_snapshot(snapshot: StoreSnapshot, config: PlannerConfig) -> Engine {
+        let snapshot = StoreSnapshot::open(path, mode, config.runtime.num_threads)?;
         let mut engine = Engine::with_config(snapshot.store, config);
         engine.load = Some(snapshot.load);
-        engine
+        Ok(engine)
     }
 
     /// How this engine's snapshot loaded — `None` when the engine was
@@ -308,12 +285,7 @@ impl Engine {
     /// only for short lookups (term resolution, row decoding), not across
     /// another engine call.
     pub fn store(&self) -> RwLockReadGuard<'_, TripleStore> {
-        self.catalog.store().read()
-    }
-
-    /// A clone of the shared store handle.
-    pub fn shared_store(&self) -> SharedStore {
-        self.catalog.store().clone()
+        self.store.read()
     }
 
     /// Redistribute the store across `max(1, partitions)` subject-hash
@@ -322,11 +294,10 @@ impl Engine {
     /// current partitioning is a free no-op. Returns the partition count
     /// now in effect.
     pub fn repartition(&self, partitions: usize) -> usize {
-        let shared = self.catalog.store();
-        let mut store = shared.write();
+        let mut store = self.store.write();
         if store.partitions() != partitions.max(1) {
             store.repartition(partitions);
-            shared.bump_version();
+            self.store.bump_version();
         }
         store.partitions()
     }
@@ -336,11 +307,20 @@ impl Engine {
         self.config
     }
 
-    /// The trie catalog — the hook a caching layer needs: its
-    /// [`epoch`](Catalog::epoch) versions derived-result caches and
-    /// [`invalidate`](Catalog::invalidate) retires them.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+    /// The current epoch: the store's
+    /// [`version`](SharedStore::version), which every change to the store
+    /// advances. Engines over one store share it, and layers that cache
+    /// *derived* artifacts (a serving tier's result cache) key them by it.
+    pub fn epoch(&self) -> u64 {
+        self.store.version()
+    }
+
+    /// Advance the epoch without changing the store, forcing downstream
+    /// caches keyed by `(query, epoch)` to miss. Every trie survives.
+    /// Returns the new epoch.
+    pub fn invalidate(&self) -> u64 {
+        let _store = self.store.write();
+        self.store.bump_version()
     }
 
     /// Apply a batch of live updates: deletions first, then insertions
@@ -407,12 +387,11 @@ impl Engine {
     /// recovered batches are *not* re-appended to the log they came
     /// from).
     fn apply_batch(&self, batch: UpdateBatch) -> UpdateSummary {
-        let shared = self.catalog.store();
-        let mut store = shared.write();
+        let mut store = self.store.write();
         let mut report = store.stage_remove_triples(batch.deletes);
         report.merge(store.stage_add_triples(batch.inserts));
         if report.is_empty() {
-            return UpdateSummary::unchanged(shared.version());
+            return UpdateSummary::unchanged(self.store.version());
         }
         // Threshold compaction, still under the write lock, at shard
         // granularity: fold exactly the (predicate, shard) deltas that
@@ -444,7 +423,7 @@ impl Engine {
         }
         // Bump while the write guard is held: a reader that can see the
         // new state can also see the new epoch (see `SharedStore`).
-        let epoch = shared.bump_version();
+        let epoch = self.store.bump_version();
         let mut compacted_preds: Vec<u32> = compacted.iter().map(|&(p, _)| p).collect();
         compacted_preds.dedup();
         UpdateSummary {
@@ -464,8 +443,7 @@ impl Engine {
     /// maintenance trigger (or a caller who wants overlay memory back).
     /// No-op (epoch untouched) when nothing is staged.
     pub fn compact(&self) -> UpdateSummary {
-        let shared = self.catalog.store();
-        let mut store = shared.write();
+        let mut store = self.store.write();
         // Fold shard by shard so the pause attribution matches the
         // shard-local storage: each shard's fold only touches its own
         // relations and is timed on its own.
@@ -480,10 +458,10 @@ impl Engine {
             }
         }
         if pairs.is_empty() {
-            return UpdateSummary::unchanged(shared.version());
+            return UpdateSummary::unchanged(self.store.version());
         }
         // Same protocol as `update`: the bump lands under the write guard.
-        let epoch = shared.bump_version();
+        let epoch = self.store.bump_version();
         let mut preds: Vec<u32> = pairs.iter().map(|&(p, _)| p).collect();
         preds.sort_unstable();
         preds.dedup();
@@ -564,16 +542,16 @@ impl Engine {
         let mut retries = 0;
         loop {
             let stats = profiled.then(|| ExecStats::new(threads));
-            let epoch = self.catalog.epoch();
+            let epoch = self.epoch();
             let result = execute_plan(
-                &self.catalog,
+                &self.store,
                 q,
                 plan,
                 self.config.flags.layouts,
                 self.config.runtime,
                 stats.as_ref(),
             );
-            if self.catalog.epoch() == epoch || retries >= MID_JOIN_UPDATE_RETRIES {
+            if self.epoch() == epoch || retries >= MID_JOIN_UPDATE_RETRIES {
                 let profile = stats.zip(t0).map(|(stats, t0)| {
                     stats.snapshot(threads, t0.elapsed().as_nanos() as u64, retries)
                 });
@@ -581,16 +559,6 @@ impl Engine {
             }
             retries += 1;
         }
-    }
-
-    /// Plan, execute, and profile a query (see
-    /// [`Engine::run_plan_profiled`]).
-    pub fn profile(
-        &self,
-        q: &ConjunctiveQuery,
-    ) -> Result<(QueryResult, QueryProfile), EngineError> {
-        let plan = self.plan(q)?;
-        Ok(self.run_plan_profiled(q, &plan))
     }
 
     /// Parse a SPARQL query against this engine's store and run it.
@@ -627,77 +595,40 @@ impl Engine {
             .collect();
         jobs.sort_unstable();
         jobs.dedup_by_key(|&mut (pred, subject_first, _)| (pred, subject_first));
-        let partitions = self.catalog.partitions();
-        eh_par::run_tasks(self.config.runtime.num_threads, jobs.len() * partitions, |i| {
+        let partitions = self.store().partitions();
+        eh_par::run_tasks(self.config.runtime.num_threads, jobs.len() * partitions, None, |i| {
             let (_, subject_first, atom_index) = jobs[i / partitions];
             let atom = &q.atoms()[atom_index];
-            self.catalog.relation(atom, subject_first, false, Some(i % partitions));
+            relation(&self.store, atom, subject_first, false, Some(i % partitions));
         });
         Ok(())
     }
 
-    /// Human-readable plan explanation: the GHD, global attribute order,
-    /// width and pipelining decision, plus per-atom base cardinalities
-    /// and the chosen trie orders — the `EXPLAIN` a downstream user would
-    /// expect.
-    pub fn explain(&self, q: &ConjunctiveQuery) -> Result<String, EngineError> {
-        let plan = self.plan(q)?;
-        Ok(self.explain_with(q, &plan))
-    }
-
-    /// Render an already-built plan (the body shared by
-    /// [`Engine::explain`] and [`Engine::explain_analyze`]).
-    fn explain_with(&self, q: &ConjunctiveQuery, plan: &Plan) -> String {
-        use std::fmt::Write;
-        let mut out = plan.render(q);
-        let _ = writeln!(out, "atom access paths:");
-        for node in &plan.nodes {
-            for ap in &node.atoms {
-                let atom = &q.atoms()[ap.atom_index];
-                let short = atom.relation.rsplit(['/', '#']).next().unwrap_or(&atom.relation);
-                let order = if ap.subject_first { "[s, o]" } else { "[o, s]" };
-                let _ = writeln!(
-                    out,
-                    "  {short}: trie {order}, {} tuples",
-                    self.catalog.cardinality(atom)
-                );
-            }
-        }
-        out
-    }
-
-    /// Parse and explain a SPARQL query (see [`Engine::explain`]).
-    pub fn explain_sparql(&self, text: &str) -> Result<String, EngineError> {
-        let q = {
-            let store = self.store();
-            parse_sparql(text, &store)?
-        };
-        self.explain(&q)
-    }
-
-    /// `EXPLAIN ANALYZE`: the static plan explanation followed by the
-    /// measured execution profile of an actual run — per-depth kernel
-    /// choices, candidate counts, probe counts, wall times — and the
-    /// result cardinality. Volatile (timing) lines are `~`-prefixed; the
-    /// rest is schedule-invariant across thread counts.
+    /// `EXPLAIN ANALYZE`: plan and run `q` with full profiling (see
+    /// [`Engine::run_plan_profiled`]) and render the plan — the GHD,
+    /// global attribute order, width and pipelining decision, then each
+    /// atom's chosen trie order and logical cardinality — followed by the
+    /// measured profile (per-depth kernel choices, candidate and probe
+    /// counts, wall times) and the result cardinality. Volatile (timing)
+    /// lines are `~`-prefixed; the rest is schedule-invariant across
+    /// thread counts.
     pub fn explain_analyze(&self, q: &ConjunctiveQuery) -> Result<String, EngineError> {
         use std::fmt::Write;
         let plan = self.plan(q)?;
         let (result, profile) = self.run_plan_profiled(q, &plan);
-        let mut out = self.explain_with(q, &plan);
+        let mut out = plan.render(q);
+        let _ = writeln!(out, "atom access paths:");
+        let store = self.store();
+        for ap in plan.nodes.iter().flat_map(|node| &node.atoms) {
+            let atom = &q.atoms()[ap.atom_index];
+            let short = atom.relation.rsplit(['/', '#']).next().unwrap_or(&atom.relation);
+            let order = if ap.subject_first { "[s, o]" } else { "[o, s]" };
+            let tuples = store.resolve_iri(&atom.relation).map_or(0, |p| store.pred_logical_len(p));
+            let _ = writeln!(out, "  {short}: trie {order}, {tuples} tuples");
+        }
         out.push_str(&profile.render());
         let _ = writeln!(out, "result rows: {}", result.cardinality());
         Ok(out)
-    }
-
-    /// Parse and `EXPLAIN ANALYZE` a SPARQL query (see
-    /// [`Engine::explain_analyze`]).
-    pub fn explain_analyze_sparql(&self, text: &str) -> Result<String, EngineError> {
-        let q = {
-            let store = self.store();
-            parse_sparql(text, &store)?
-        };
-        self.explain_analyze(&q)
     }
 }
 
@@ -824,15 +755,18 @@ mod tests {
                 scope.spawn(|| engine.warm(&q).unwrap());
             }
         });
+        let trie = |engine: &Engine, subject_first, auto_layout| {
+            relation(&engine.store, atom, subject_first, auto_layout, None).layers.remove(0).base
+        };
         for subject_first in [true, false] {
             // Auto-layout operands are the store's tries: nothing to build.
-            let auto = engines[0].catalog.trie(atom, subject_first, true);
+            let auto = trie(&engines[0], subject_first, true);
             let pair = store.read().trie_pair(0, atom.pred).cloned().unwrap();
             assert!(std::sync::Arc::ptr_eq(&auto, pair.order(subject_first)));
             // The ablation's three self-join atoms over one predicate,
             // warmed by two engines on four workers each, share one
             // re-freeze per order: the store's pair keeps it.
-            let uint = engines.each_ref().map(|e| e.catalog.trie(atom, subject_first, false));
+            let uint = engines.each_ref().map(|e| trie(e, subject_first, false));
             assert!(uint.iter().all(|t| std::sync::Arc::ptr_eq(t, &uint[0])));
             assert!(!std::sync::Arc::ptr_eq(&uint[0], &auto));
         }
@@ -855,14 +789,39 @@ mod tests {
         let summary = engine.update(batch);
         assert_eq!((summary.inserted, summary.deleted, summary.changed_predicates), (1, 1, 1));
         assert_eq!(summary.epoch, 1);
-        assert_eq!(engine.catalog().epoch(), 1);
+        assert_eq!(engine.epoch(), 1);
         assert_eq!(engine.run(&q).unwrap().cardinality(), 2); // (0,1,2) and (0,2,3)
 
         // A no-op batch leaves the epoch alone.
         let mut noop = UpdateBatch::new();
         noop.insert(edge(0, 1)).delete(edge(7, 9));
         assert_eq!(engine.update(noop).epoch, 1);
-        assert_eq!(engine.catalog().epoch(), 1);
+        assert_eq!(engine.epoch(), 1);
+    }
+
+    /// `INVALIDATE` is an epoch bump and nothing else: every trie and
+    /// overlay survives by `Arc` identity, in both layouts.
+    #[test]
+    fn invalidate_advances_the_epoch_and_keeps_every_trie() {
+        let store = triangle_store();
+        let engine = Engine::new(store.clone(), OptFlags::all());
+        let mut batch = UpdateBatch::new();
+        batch.insert(edge(0, 3));
+        assert_eq!(engine.update(batch).epoch, 1);
+        let q = triangle_query(&store.read());
+        let atom = &q.atoms()[0];
+        let layer = |auto_layout| {
+            relation(&store, atom, true, auto_layout, None).layers.pop().expect("one layer")
+        };
+        let before = [true, false].map(layer);
+        assert_eq!(engine.invalidate(), 2);
+        assert_eq!((engine.epoch(), store.version()), (2, 2));
+        for (auto, old) in [true, false].into_iter().zip(&before) {
+            let now = layer(auto);
+            let (old_ov, now_ov) = (old.overlay.as_ref().unwrap(), now.overlay.as_ref().unwrap());
+            assert!(std::sync::Arc::ptr_eq(&old.base, &now.base), "auto {auto}");
+            assert!(std::sync::Arc::ptr_eq(old_ov, now_ov), "auto {auto}");
+        }
     }
 
     #[test]
@@ -926,8 +885,9 @@ mod tests {
         let path =
             std::env::temp_dir().join(format!("eh-engine-delta-snap-{}.snap", std::process::id()));
         engine.save_snapshot(&path).unwrap();
-        let restored = Engine::from_snapshot(&path, PlannerConfig::with_flags(OptFlags::all()))
-            .expect("snapshot loads");
+        let restored =
+            Engine::open(&path, LoadMode::Copy, PlannerConfig::with_flags(OptFlags::all()))
+                .expect("snapshot loads");
         std::fs::remove_file(&path).ok();
         // The image carries the delta-merged contents even though the
         // snapshot format encodes base relations only.
@@ -938,18 +898,18 @@ mod tests {
     }
 
     /// Several engines over one [`SharedStore`]: an update applied
-    /// through one must be observed by the others (their catalogs detect
-    /// the store-version skew and retire their tries), not served stale
-    /// from tries built before the foreign update.
+    /// through one must be observed by the others — they read the same
+    /// store and share its epoch — not served stale from tries read
+    /// before the foreign update.
     #[test]
     fn sibling_engines_observe_foreign_updates() {
         let store = triangle_store();
         let writer = Engine::new(store.clone(), OptFlags::all());
         let reader = Engine::new(store.clone(), OptFlags::all());
         let q = triangle_query(&store.read());
-        // Warm the reader's catalog so it has pre-update tries cached.
+        // Warm the reader so it has read the pre-update tries.
         assert_eq!(reader.run(&q).unwrap().cardinality(), 2);
-        assert_eq!(reader.catalog().epoch(), 0);
+        assert_eq!(reader.epoch(), 0);
 
         let mut batch = UpdateBatch::new();
         batch.insert(edge(0, 3));
@@ -960,7 +920,7 @@ mod tests {
         // two — and its epoch moved, so a serving tier's result cache
         // over it misses too.
         assert_eq!(reader.run(&q).unwrap().cardinality(), 4);
-        assert_eq!(reader.catalog().epoch(), 1);
+        assert_eq!(reader.epoch(), 1);
         assert_eq!(writer.run(&q).unwrap().cardinality(), 4);
     }
 
@@ -973,8 +933,9 @@ mod tests {
 
         let path = std::env::temp_dir().join(format!("eh-engine-snap-{}.snap", std::process::id()));
         engine.save_snapshot(&path).unwrap();
-        let restored = Engine::from_snapshot(&path, PlannerConfig::with_flags(OptFlags::all()))
-            .expect("snapshot loads");
+        let restored =
+            Engine::open(&path, LoadMode::Copy, PlannerConfig::with_flags(OptFlags::all()))
+                .expect("snapshot loads");
         std::fs::remove_file(&path).ok();
 
         // Warm from the image: the store's base tries are the image's.
@@ -1006,12 +967,12 @@ mod tests {
             std::env::temp_dir().join(format!("eh-engine-mmap-snap-{}.snap", std::process::id()));
         engine.save_snapshot(&path).unwrap();
         let config = || PlannerConfig::with_flags(OptFlags::all());
-        let copied = Engine::from_snapshot(&path, config()).expect("copy load");
-        let mapped = Engine::from_snapshot_mmap(&path, config()).expect("mmap load");
+        let copied = Engine::open(&path, LoadMode::Copy, config()).expect("copy load");
+        let mapped = Engine::open(&path, LoadMode::Mmap, config()).expect("mmap load");
 
-        assert!(copied.load_info().is_some_and(|l| l.mode == eh_rdf::LoadMode::Copy));
+        assert!(copied.load_info().is_some_and(|l| l.mode == LoadMode::Copy));
         let info = mapped.load_info().expect("snapshot engine records load info");
-        assert_eq!(info.mode, eh_rdf::LoadMode::Mmap);
+        assert_eq!(info.mode, LoadMode::Mmap);
         assert!(info.mapped_bytes > 0 && info.fallback.is_none());
         assert!(engine.load_info().is_none(), "cold-built engine has no load info");
 
@@ -1027,21 +988,9 @@ mod tests {
         mapped.compact();
         assert_eq!(mapped.run(&q).unwrap().cardinality(), 4);
         mapped.save_snapshot(&path).expect("re-save over the mapped path");
-        let reread = Engine::from_snapshot_mmap(&path, config()).expect("reload");
+        let reread = Engine::open(&path, LoadMode::Mmap, config()).expect("reload");
         assert_eq!(reread.run(&q).unwrap().cardinality(), 4);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn explain_lists_access_paths() {
-        let store = triangle_store();
-        let engine = Engine::new(store.clone(), OptFlags::all());
-        let text =
-            engine.explain_sparql("SELECT ?x ?y WHERE { ?x <edge> ?y . ?y <edge> <n3> }").unwrap();
-        assert!(text.contains("global attribute order"), "{text}");
-        assert!(text.contains("atom access paths"), "{text}");
-        assert!(text.contains("edge: trie"), "{text}");
-        assert!(text.contains("5 tuples"), "{text}");
     }
 
     #[test]
@@ -1049,7 +998,8 @@ mod tests {
         let store = triangle_store();
         let q = triangle_query(&store.read());
         let engine = Engine::new(store.clone(), OptFlags::all());
-        let (r, p) = engine.profile(&q).unwrap();
+        let profile = |engine: &Engine| engine.run_plan_profiled(&q, &engine.plan(&q).unwrap());
+        let (r, p) = profile(&engine);
         assert_eq!(r.cardinality(), 2);
         assert!(!p.joins.is_empty());
         let totals = p.kernel_totals();
@@ -1065,7 +1015,7 @@ mod tests {
             let config = PlannerConfig::with_flags(OptFlags::all())
                 .with_runtime(eh_par::RuntimeConfig::with_threads(threads).with_morsel_size(1));
             let engine_t = Engine::with_config(store.clone(), config);
-            let (r_t, p_t) = engine_t.profile(&q).unwrap();
+            let (r_t, p_t) = profile(&engine_t);
             assert_eq!(r_t.cardinality(), 2);
             assert_eq!(p_t.kernel_totals(), totals, "threads {threads}");
             assert_eq!(stable(&p_t), stable(&p), "threads {threads}");
@@ -1073,15 +1023,14 @@ mod tests {
     }
 
     #[test]
-    fn explain_analyze_appends_profile_to_plan() {
+    fn explain_analyze_renders_plan_access_paths_and_profile() {
         let store = triangle_store();
         let engine = Engine::new(store.clone(), OptFlags::all());
-        let text = engine
-            .explain_analyze_sparql(
-                "SELECT ?x ?y ?z WHERE { ?x <edge> ?y . ?y <edge> ?z . ?x <edge> ?z }",
-            )
-            .unwrap();
+        let text = engine.explain_analyze(&triangle_query(&store.read())).unwrap();
+        assert!(text.contains("global attribute order"), "{text}");
         assert!(text.contains("atom access paths"), "{text}");
+        assert!(text.contains("edge: trie"), "{text}");
+        assert!(text.contains("5 tuples"), "{text}");
         assert!(text.contains("profile:"), "{text}");
         assert!(text.contains("kernels {"), "{text}");
         assert!(text.contains("result rows: 2"), "{text}");
@@ -1173,7 +1122,7 @@ mod tests {
         let reference = answer(&writer);
 
         // Clean restart: snapshot + truncated (empty-tail) log.
-        let mut clean = Engine::from_snapshot(&snap_path, PlannerConfig::default()).unwrap();
+        let mut clean = Engine::open(&snap_path, LoadMode::Copy, PlannerConfig::default()).unwrap();
         let r = clean.open_wal(&wal_path).unwrap();
         assert_eq!((r.replayed, r.base_seq, r.last_seq), (0, 1, 1));
         assert_eq!(answer(&clean), reference);
@@ -1181,7 +1130,8 @@ mod tests {
         // Crashed-between restart: snapshot + the stale pre-truncation
         // log. The folded record replays as a no-op (set semantics).
         std::fs::write(&wal_path, &stale_log).unwrap();
-        let mut crashed = Engine::from_snapshot(&snap_path, PlannerConfig::default()).unwrap();
+        let mut crashed =
+            Engine::open(&snap_path, LoadMode::Copy, PlannerConfig::default()).unwrap();
         let r = crashed.open_wal(&wal_path).unwrap();
         assert_eq!((r.replayed, r.inserted, r.deleted), (1, 0, 0));
         assert_eq!(answer(&crashed), reference);

@@ -20,11 +20,11 @@
 //! tuples live. There are two sources:
 //!
 //! * **Arena** — one [`FrozenTrie`] of any arity: every intermediate, and
-//!   every catalog relation that is a single base trie with nothing staged.
+//!   every store relation that is a single base trie with nothing staged.
 //!   Reads are the raw `FrozenTrie::set` / `child` calls; the arm is
 //!   matched and inlined at each read, so the common `P = 1`, no-delta
 //!   relation costs one predictable branch over the bare arena read.
-//! * **Layered** — `k ≥ 1` `(base, overlay?)` layers of an arity-2 catalog
+//! * **Layered** — `k ≥ 1` `(base, overlay?)` layers of an arity-2 store
 //!   relation under a merged root domain. A descent routes every layer for
 //!   the bound root value: one live layer whose block is untouched by its
 //!   delta serves it in place; anything else — tombstones to subtract,
@@ -65,7 +65,7 @@ use eh_setops::{
 };
 use eh_trie::FrozenTrie;
 
-use crate::catalog::{Layer, Layered};
+use crate::exec::relation::{Layer, Layered};
 use crate::profile::JoinObs;
 
 /// One relation participating in a join: where its tuples live plus the
@@ -82,9 +82,9 @@ pub(crate) struct PreparedRel {
 
 /// Where a relation's tuples live (see the module docs).
 enum Source {
-    /// One frozen arena, shared with the catalog cache and across workers.
+    /// One frozen arena, shared with the store and across workers.
     Arena(Arc<FrozenTrie>),
-    /// Layers of an arity-2 catalog relation under a merged root.
+    /// Layers of an arity-2 store relation under a merged root.
     Layered(Layered),
 }
 
@@ -94,7 +94,7 @@ impl PreparedRel {
         PreparedRel { source: Source::Arena(trie), depths }
     }
 
-    /// A catalog relation. A lone layer with nothing staged *is* its base
+    /// A store relation. A lone layer with nothing staged *is* its base
     /// arena and reads as one.
     pub fn layered(mut operand: Layered, depths: Vec<usize>) -> PreparedRel {
         let source = match operand.layers.as_slice() {
@@ -440,7 +440,7 @@ where
     }
     let observer = spec.obs.as_ref().map(|o| &*o.tasks);
     let base = st;
-    eh_par::run_morsels_observed(&rt, candidates.len(), observer, |_, range| {
+    eh_par::run_morsels(&rt, candidates.len(), observer, |_, range| {
         let mut sink = init();
         let mut st = base.clone();
         {
@@ -634,7 +634,7 @@ mod tests {
     }
 
     /// One layer: a base trie plus, when `delta` is given, an overlay of
-    /// `(inserts, tombstones)` — all sorted unique, as the catalog hands
+    /// `(inserts, tombstones)` — all sorted unique, as the store hands
     /// them over.
     fn layer(base: Pairs<'_>, delta: Option<(Pairs<'_>, Pairs<'_>)>) -> Layer {
         let overlay = delta.map(|(ins, del)| Arc::new(DeltaOverlay::from_pairs(ins, del)));
@@ -656,8 +656,8 @@ mod tests {
         root
     }
 
-    /// A catalog-style operand over `layers`: several carry their merged
-    /// root, exactly as [`Catalog::relation`](crate::Catalog) builds them.
+    /// A store operand over `layers`: several carry their merged root,
+    /// exactly as [`relation`](crate::exec::relation) builds them.
     fn layered(layers: Vec<Layer>, depths: Vec<usize>) -> PreparedRel {
         let union_root = (layers.len() > 1).then(|| Arc::new(merged_root(&layers)));
         PreparedRel::layered(Layered { layers, union_root }, depths)

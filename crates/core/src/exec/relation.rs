@@ -1,52 +1,18 @@
-//! The trie catalog: hands the executor each relation as the tries the
+//! Operand assembly: hands the join each relation as the tries the
 //! plan's attribute orders need.
 //!
 //! A trie over one attribute order is "analogous to a single index in a
 //! standard database" (paper §III-A), and the store already *is* those
-//! indexes: every (shard, predicate) lives as its two frozen
-//! auto-layout tries, subject-major (`[s, o]`) and object-major
-//! (`[o, s]`) — the only two orders a binary RDF atom needs. What an
-//! operand needs beyond them is memoised by the store value it is
-//! derived from: a staged delta holds its overlays, a
-//! [`TriePair`](eh_rdf::TriePair) its `UintOnly` re-freezes for the
-//! Table I +Layout ablation, and a partitioned store each predicate's
-//! merged root domain.
-//!
-//! ## Sharding
-//!
-//! The store hash-partitions subjects into `P` shards, each owning its
-//! own relations and staged deltas. [`Catalog::relation`] assembles the
-//! executor's view, a [`Layered`] operand: one `(base, overlay?)`
-//! [`Layer`] at `P = 1` (or when only one shard holds the predicate, or
-//! the plan is shard-local), byte-identical to the unpartitioned engine;
-//! otherwise one layer per non-empty shard under the merged root domain
-//! that the generic join unions through its layered cursor.
-//!
-//! ## Ownership
-//!
-//! The catalog holds the [`SharedStore`] handle and a shared empty trie,
-//! and nothing else: it caches nothing, so there is nothing to retire. A
-//! derived value lives exactly as long as the store value it came from —
-//! staging a batch drops the touched deltas' overlays and merged roots,
-//! compaction and repartition replace the pairs and deltas they fold,
-//! and every other value keeps its `Arc`.
-//!
-//! ## Concurrency
-//!
-//! [`Catalog::relation`] builds an operand's every layer, overlay and
-//! union root under one store read guard, so each operand is one store
-//! state; memos fill through `OnceLock`, so concurrent readers build each
-//! value once (and a writer waits for the builds in flight). The epoch
-//! is the store's [`version`](SharedStore::version), and every change —
-//! an applied batch, a non-empty compaction, a repartition,
-//! [`Catalog::invalidate`] — bumps it under the write guard of the change
-//! it records. Equal epochs before and after a join therefore mean every
-//! operand it read came from one store state, which is the bracket
-//! [`Engine::run_plan`](crate::Engine::run_plan) relies on. Engines over
-//! one store share its epoch; layers that cache *derived* artifacts (a
-//! serving tier's result cache) key them by [`Catalog::epoch`].
+//! indexes: every (shard, predicate) lives as its two frozen auto-layout
+//! tries, subject-major (`[s, o]`) and object-major (`[o, s]`) — the only
+//! two orders a binary RDF atom needs. What an operand needs beyond them
+//! is memoised by the store value it is derived from: a staged delta
+//! holds its overlays, a [`TriePair`](eh_rdf::TriePair) its `UintOnly`
+//! re-freezes for the Table I +Layout ablation, and a partitioned store
+//! each predicate's merged root domain. Nothing here caches anything, so
+//! a derived value lives exactly as long as the store value it came from.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use eh_query::Atom;
 use eh_trie::{DeltaOverlay, FrozenTrie, LayoutPolicy, TupleBuffer};
@@ -60,9 +26,9 @@ pub(crate) struct Layer {
     pub overlay: Option<Arc<DeltaOverlay>>,
 }
 
-/// What [`Catalog::relation`] hands the executor for one access path:
-/// `k ≥ 1` layers. One layer is the `P = 1` case, a predicate resident in
-/// a single shard, one shard's slice for a shard-local plan, or an absent
+/// What [`relation`] hands the executor for one access path: `k ≥ 1`
+/// layers. One layer is the `P = 1` case, a predicate resident in a
+/// single shard, one shard's slice for a shard-local plan, or an absent
 /// predicate (empty trie). Several are the non-empty shards of a
 /// partitioned predicate, and then carry the merged effective root domain
 /// — the generic join iterates/probes it at the relation's first level
@@ -101,120 +67,60 @@ pub(crate) fn layout_policy(auto: bool) -> LayoutPolicy {
     }
 }
 
-/// Operand provider over a [`SharedStore`]. Every trie it serves is a
-/// [`FrozenTrie`] the store holds — one contiguous arena per (predicate,
-/// shard, order, layout): the auto-layout trie built at commit, refrozen
-/// by compaction or mapped from a snapshot, or its `UintOnly` re-freeze.
-pub struct Catalog {
-    store: SharedStore,
-    empty: Arc<FrozenTrie>,
-}
-
-impl Catalog {
-    /// A catalog over `store`.
-    pub fn new(store: SharedStore) -> Catalog {
-        Catalog {
-            store,
-            empty: Arc::new(FrozenTrie::build(TupleBuffer::new(2), LayoutPolicy::Auto)),
-        }
-    }
-
-    /// The current epoch: the store's version, which every change to the
-    /// store advances (see the module docs).
-    pub fn epoch(&self) -> u64 {
-        self.store.version()
-    }
-
-    /// Number of subject-hash shards in the underlying store.
-    pub fn partitions(&self) -> usize {
-        self.store.read().partitions()
-    }
-
-    /// Advance the epoch without changing the store, forcing downstream
-    /// caches keyed by `(query, epoch)` to miss. Every trie survives.
-    /// Returns the new epoch.
-    pub fn invalidate(&self) -> u64 {
-        let _store = self.store.write();
-        self.store.bump_version()
-    }
-
-    /// The store handle this catalog indexes.
-    pub fn store(&self) -> &SharedStore {
-        &self.store
-    }
-
-    /// The trie for `atom`'s predicate in the given column order — the
-    /// `P = 1` view. Predicates absent from the store resolve to a shared
-    /// empty trie.
-    ///
-    /// # Panics
-    /// Panics on a partitioned catalog: a single trie per predicate is
-    /// ill-defined there — use [`Catalog::relation`].
-    pub fn trie(&self, atom: &Atom, subject_first: bool, auto_layout: bool) -> Arc<FrozenTrie> {
-        let store = self.store.read();
-        assert_eq!(store.partitions(), 1, "partitioned catalog: use relation()");
-        match store.resolve_iri(&atom.relation).and_then(|pred| store.trie_pair(0, pred)) {
-            Some(pair) => Arc::clone(pair.trie(subject_first, auto_layout)),
-            None => Arc::clone(&self.empty),
-        }
-    }
-
-    /// The operand for one access path — what the executor consumes,
-    /// assembled under one store read guard. Overlays ride into the join
-    /// as extra [`SetRef`](eh_setops::SetRef) operands, never folded into
-    /// an arena. `only` restricts the view to one shard's slice of the
-    /// predicate (the shard-local execution path, whose eligibility check
-    /// makes the restriction lossless; a shard past a concurrent
-    /// repartition reads as empty); otherwise every shard that holds base
-    /// pairs or staged novelty contributes a layer.
-    pub(crate) fn relation(
-        &self,
-        atom: &Atom,
-        subject_first: bool,
-        auto_layout: bool,
-        only: Option<usize>,
-    ) -> Layered {
-        let store = self.store.read();
-        let pred = store.resolve_iri(&atom.relation);
-        let mut layers: Vec<Layer> = pred
-            .map(|pred| {
-                only.map_or(0..store.partitions(), |shard| shard..shard + 1)
-                    .filter_map(|shard| {
-                        let pair = store.trie_pair(shard, pred)?;
-                        let delta = store.shard_delta(shard, pred);
-                        Some(Layer {
-                            base: Arc::clone(pair.trie(subject_first, auto_layout)),
-                            overlay: delta.map(|d| Arc::clone(d.overlay(subject_first))),
-                        })
+/// The operand for one access path of `atom` — what the executor
+/// consumes. Overlays ride into the join as extra
+/// [`SetRef`](eh_setops::SetRef) operands, never folded into an arena.
+/// `only` restricts the view to one shard's slice of the predicate (the
+/// shard-local execution path, whose eligibility check makes the
+/// restriction lossless; a shard past a concurrent repartition reads as
+/// empty); otherwise every shard that holds base pairs or staged novelty
+/// contributes a layer. Predicates absent from the store resolve to one
+/// shared empty trie.
+///
+/// Every layer, overlay and union root of the operand is taken under
+/// **one** store read guard, so each operand is one store state; memos
+/// fill through `OnceLock`, so concurrent readers build each value once
+/// (and a writer waits for the builds in flight). Operands of one join
+/// may still come from different states — the epoch bracket in
+/// [`Engine::run_plan`](crate::Engine::run_plan) is what rules that out.
+pub(crate) fn relation(
+    store: &SharedStore,
+    atom: &Atom,
+    subject_first: bool,
+    auto_layout: bool,
+    only: Option<usize>,
+) -> Layered {
+    static EMPTY: OnceLock<Arc<FrozenTrie>> = OnceLock::new();
+    let store = store.read();
+    let pred = store.resolve_iri(&atom.relation);
+    let mut layers: Vec<Layer> = pred
+        .map(|pred| {
+            only.map_or(0..store.partitions(), |shard| shard..shard + 1)
+                .filter_map(|shard| {
+                    let pair = store.trie_pair(shard, pred)?;
+                    let delta = store.shard_delta(shard, pred);
+                    Some(Layer {
+                        base: Arc::clone(pair.trie(subject_first, auto_layout)),
+                        overlay: delta.map(|d| Arc::clone(d.overlay(subject_first))),
                     })
-                    // Skip shards that contribute nothing to any set view:
-                    // dropping them here is what collapses a
-                    // one-shard-resident predicate back onto the exact
-                    // single-layer code path.
-                    .filter(|l| l.base.num_tuples() > 0 || l.overlay.is_some())
-                    .collect()
-            })
-            .unwrap_or_default();
-        if layers.is_empty() {
-            layers.push(Layer { base: Arc::clone(&self.empty), overlay: None });
-        }
-        let union_root = pred
-            .filter(|_| layers.len() > 1)
-            .and_then(|pred| store.union_root(pred, subject_first).cloned());
-        Layered { layers, union_root }
+                })
+                // Skip shards that contribute nothing to any set view:
+                // dropping them here is what collapses a
+                // one-shard-resident predicate back onto the exact
+                // single-layer code path.
+                .filter(|l| l.base.num_tuples() > 0 || l.overlay.is_some())
+                .collect()
+        })
+        .unwrap_or_default();
+    if layers.is_empty() {
+        let empty = EMPTY
+            .get_or_init(|| Arc::new(FrozenTrie::build(TupleBuffer::new(2), LayoutPolicy::Auto)));
+        layers.push(Layer { base: Arc::clone(empty), overlay: None });
     }
-
-    /// Logical cardinality of an atom's predicate (0 when absent): the
-    /// base relations adjusted by the staged deltas across all shards, so
-    /// the planner's cost-model sees the same relation the executor
-    /// serves — identical at every partition count.
-    pub fn cardinality(&self, atom: &Atom) -> usize {
-        let store = self.store.read();
-        let Some(pred) = store.resolve_iri(&atom.relation) else {
-            return 0;
-        };
-        store.pred_logical_len(pred)
-    }
+    let union_root = pred
+        .filter(|_| layers.len() > 1)
+        .and_then(|pred| store.union_root(pred, subject_first).cloned());
+    Layered { layers, union_root }
 }
 
 #[cfg(test)]
@@ -250,6 +156,26 @@ mod tests {
         qb.select(vec![x]).build().unwrap().atoms()[0].clone()
     }
 
+    /// Unwrap a one-layer operand of [`relation`] — the whole relation
+    /// (`only = None`) or one shard's slice of it.
+    fn single_rel(
+        s: &SharedStore,
+        a: &Atom,
+        subject_first: bool,
+        auto_layout: bool,
+        only: Option<usize>,
+    ) -> (Arc<FrozenTrie>, Option<Arc<DeltaOverlay>>) {
+        let Layered { mut layers, union_root } = relation(s, a, subject_first, auto_layout, only);
+        assert!(layers.len() == 1 && union_root.is_none(), "expected a single layer");
+        let Layer { base, overlay } = layers.pop().expect("checked length");
+        (base, overlay)
+    }
+
+    /// The base trie of a one-layer operand, whatever is staged on it.
+    fn base(s: &SharedStore, a: &Atom, subject_first: bool, auto_layout: bool) -> Arc<FrozenTrie> {
+        single_rel(s, a, subject_first, auto_layout, None).0
+    }
+
     /// The store's own base trie for a predicate IRI (shard, order).
     fn store_trie(
         s: &SharedStore,
@@ -262,19 +188,10 @@ mod tests {
         Arc::clone(store.trie_pair(shard, pred).unwrap().order(subject_first))
     }
 
-    /// Unwrap a one-layer operand of [`Catalog::relation`] — the whole
-    /// relation (`only = None`) or one shard's slice of it.
-    fn single_rel(
-        c: &Catalog,
-        a: &Atom,
-        subject_first: bool,
-        auto_layout: bool,
-        only: Option<usize>,
-    ) -> (Arc<FrozenTrie>, Option<Arc<DeltaOverlay>>) {
-        let Layered { mut layers, union_root } = c.relation(a, subject_first, auto_layout, only);
-        assert!(layers.len() == 1 && union_root.is_none(), "expected a single layer");
-        let Layer { base, overlay } = layers.pop().expect("checked length");
-        (base, overlay)
+    /// The logical cardinality the planner and `EXPLAIN ANALYZE` read.
+    fn cardinality(s: &SharedStore, a: &Atom) -> usize {
+        let store = s.read();
+        store.resolve_iri(&a.relation).map_or(0, |pred| store.pred_logical_len(pred))
     }
 
     /// Whether two optional `Arc`s are both absent or the same value.
@@ -288,10 +205,9 @@ mod tests {
     #[test]
     fn loads_both_orders() {
         let s = store();
-        let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "p");
-        let so = c.trie(&a, true, true);
-        let os = c.trie(&a, false, true);
+        let so = base(&s, &a, true, true);
+        let os = base(&s, &a, false, true);
         assert_eq!(so.num_tuples(), 3);
         assert_eq!(os.num_tuples(), 3);
         // Subject-major roots on subjects (2 of them), object-major on
@@ -303,17 +219,15 @@ mod tests {
     #[test]
     fn auto_operands_are_the_store_tries_and_ablation_tries_are_memoised() {
         let s = store();
-        let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "p");
         for subject_first in [true, false] {
             // Auto layout: the store's own Arc.
-            let t = c.trie(&a, subject_first, true);
+            let t = base(&s, &a, subject_first, true);
             assert!(Arc::ptr_eq(&t, &store_trie(&s, "p", 0, subject_first)));
             // UintOnly: re-frozen once from the store trie's tuples and
-            // kept by its pair — a second catalog over the store gets the
-            // same Arc.
-            let t1 = c.trie(&a, subject_first, false);
-            let t2 = Catalog::new(s.clone()).trie(&a, subject_first, false);
+            // kept by its pair — a second read gets the same Arc.
+            let t1 = base(&s, &a, subject_first, false);
+            let t2 = base(&s, &a, subject_first, false);
             assert!(Arc::ptr_eq(&t1, &t2));
             assert_eq!(t1.to_tuples(), t.to_tuples());
             assert_eq!(t1.bitset_blocks(), 0);
@@ -323,46 +237,28 @@ mod tests {
     #[test]
     fn missing_predicate_is_empty() {
         let s = store();
-        let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "absent");
-        assert!(c.trie(&a, true, true).is_empty());
-        assert!(c.trie(&a, true, false).is_empty());
-        assert_eq!(c.cardinality(&a), 0);
+        assert!(base(&s, &a, true, true).is_empty());
+        assert!(base(&s, &a, true, false).is_empty());
+        assert_eq!(cardinality(&s, &a), 0);
     }
 
-    /// `INVALIDATE` is an epoch bump and nothing else: every trie and
-    /// overlay survives by `Arc` identity, in both layouts.
     #[test]
-    fn invalidate_advances_the_epoch_and_keeps_every_trie() {
+    fn cardinality_is_the_logical_relation_size() {
         let s = store();
-        s.write().stage_add_triples(vec![triple("s3", "p", "o1")]);
-        let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "p");
-        assert_eq!(c.epoch(), 0);
-        let before: Vec<_> = [true, false].map(|auto| single_rel(&c, &a, true, auto, None)).into();
-        assert_eq!(c.invalidate(), 1);
-        assert_eq!((c.epoch(), s.version()), (1, 1));
-        for (auto, (base, overlay)) in [true, false].into_iter().zip(&before) {
-            let (now, ov) = single_rel(&c, &a, true, auto, None);
-            assert!(Arc::ptr_eq(base, &now) && same(overlay, &ov), "auto {auto}");
-        }
-    }
-
-    #[test]
-    fn cardinality() {
-        let s = store();
-        let c = Catalog::new(s.clone());
-        assert_eq!(c.cardinality(&atom_for(&s.read(), "p")), 3);
+        assert_eq!(cardinality(&s, &a), 3);
+        s.write().stage_add_triples(vec![triple("s3", "p", "o1")]);
+        assert_eq!(cardinality(&s, &a), 4);
     }
 
     /// The warm-path contract: many workers requesting overlapping
-    /// ablation tries through `&self` build one `Arc` per (pair, order).
+    /// ablation tries build one `Arc` per (pair, order).
     #[test]
     fn concurrent_warmers_get_one_ablation_trie_per_pair_and_order() {
         let s = store();
-        let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "p");
-        let tries = eh_par::run_tasks(4, 16, |i| c.trie(&a, i % 2 == 0, false));
+        let tries = eh_par::run_tasks(4, 16, None, |i| base(&s, &a, i % 2 == 0, false));
         assert!(!Arc::ptr_eq(&tries[0], &tries[1]), "the orders are two tries");
         for (i, t) in tries.iter().enumerate() {
             assert!(Arc::ptr_eq(t, &tries[i % 2]));
@@ -375,33 +271,31 @@ mod tests {
     #[test]
     fn compaction_keeps_untouched_predicates() {
         let s = SharedStore::from_triples(vec![triple("a", "p", "b"), triple("a", "q", "b")]);
-        let c = Catalog::new(s.clone());
         let (ap, aq) = { (atom_for(&s.read(), "p"), atom_for(&s.read(), "q")) };
-        let p_before = c.trie(&ap, true, false);
-        let q_before = c.trie(&aq, true, false);
+        let p_before = base(&s, &ap, true, false);
+        let q_before = base(&s, &aq, true, false);
 
         add_to_base(&s, triple("c", "p", "d"));
-        let p_after = c.trie(&ap, true, false);
+        let p_after = base(&s, &ap, true, false);
         assert!(!Arc::ptr_eq(&p_before, &p_after));
         assert_eq!(p_after.num_tuples(), 2);
-        assert!(Arc::ptr_eq(&p_after, &c.trie(&ap, true, false)), "re-frozen once");
-        assert!(Arc::ptr_eq(&q_before, &c.trie(&aq, true, false)));
+        assert!(Arc::ptr_eq(&p_after, &base(&s, &ap, true, false)), "re-frozen once");
+        assert!(Arc::ptr_eq(&q_before, &base(&s, &aq, true, false)));
     }
 
     #[test]
     fn emptied_relation_resolves_to_empty_trie() {
         let s = SharedStore::from_triples(vec![triple("a", "p", "b")]);
-        let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "p");
-        assert_eq!(c.trie(&a, true, true).num_tuples(), 1);
+        assert_eq!(base(&s, &a, true, true).num_tuples(), 1);
         {
             let mut store = s.write();
             store.stage_remove_triples(vec![triple("a", "p", "b")]);
             store.compact_all();
         }
-        assert!(c.trie(&a, true, true).is_empty());
-        assert!(c.trie(&a, true, false).is_empty());
-        assert_eq!(c.cardinality(&a), 0);
+        assert!(base(&s, &a, true, true).is_empty());
+        assert!(base(&s, &a, true, false).is_empty());
+        assert_eq!(cardinality(&s, &a), 0);
     }
 
     /// The LSM contract: a staged batch on `p` gives `p` a new overlay
@@ -411,39 +305,38 @@ mod tests {
     #[test]
     fn staged_deltas_serve_overlays_and_keep_base_tries() {
         let s = SharedStore::from_triples(vec![triple("a", "p", "b"), triple("a", "q", "b")]);
-        let c = Catalog::new(s.clone());
         let (a, aq) = (atom_for(&s.read(), "p"), atom_for(&s.read(), "q"));
-        let base = c.trie(&a, true, true);
+        let before = base(&s, &a, true, true);
 
         s.write().stage_add_triples(vec![triple("c", "p", "d"), triple("c", "q", "d")]);
-        let (trie, ov) = single_rel(&c, &a, true, true, None);
-        assert!(Arc::ptr_eq(&base, &trie), "base trie retired by a staged update");
+        let (trie, ov) = single_rel(&s, &a, true, true, None);
+        assert!(Arc::ptr_eq(&before, &trie), "base trie retired by a staged update");
         let ov = ov.expect("delta resident");
         assert_eq!((ov.inserted(), ov.deleted()), (1, 0));
-        assert!(same(&Some(Arc::clone(&ov)), &single_rel(&c, &a, true, true, None).1));
-        assert_eq!(c.cardinality(&a), 2);
+        assert!(same(&Some(Arc::clone(&ov)), &single_rel(&s, &a, true, true, None).1));
+        assert_eq!(cardinality(&s, &a), 2);
         // Object-major overlay is served independently.
-        let (_, ov_os) = single_rel(&c, &a, false, true, None);
+        let (_, ov_os) = single_rel(&s, &a, false, true, None);
         assert_eq!(ov_os.expect("os overlay").inserted(), 1);
-        let q_ov = single_rel(&c, &aq, true, true, None).1;
+        let q_ov = single_rel(&s, &aq, true, true, None).1;
 
         // A second batch on p alone: p's overlay is rebuilt, q's is not.
         s.write().stage_remove_triples(vec![triple("a", "p", "b")]);
-        let (trie, ov2) = single_rel(&c, &a, true, true, None);
-        assert!(Arc::ptr_eq(&base, &trie));
+        let (trie, ov2) = single_rel(&s, &a, true, true, None);
+        assert!(Arc::ptr_eq(&before, &trie));
         let ov2 = ov2.expect("delta resident");
         assert!(!Arc::ptr_eq(&ov, &ov2));
         assert_eq!((ov2.inserted(), ov2.deleted()), (1, 1));
-        assert!(same(&q_ov, &single_rel(&c, &aq, true, true, None).1));
+        assert!(same(&q_ov, &single_rel(&s, &aq, true, true, None).1));
 
         // Compaction folds the deltas into fresh store tries; overlays drop.
         s.write().compact_all();
-        let (trie, ov) = single_rel(&c, &a, true, true, None);
-        assert!(!Arc::ptr_eq(&base, &trie));
+        let (trie, ov) = single_rel(&s, &a, true, true, None);
+        assert!(!Arc::ptr_eq(&before, &trie));
         assert!(Arc::ptr_eq(&trie, &store_trie(&s, "p", 0, true)));
         assert_eq!(trie.num_tuples(), 1);
         assert!(ov.is_none());
-        assert_eq!(c.cardinality(&a), 1);
+        assert_eq!(cardinality(&s, &a), 1);
     }
 
     /// Enough distinct subjects to populate every shard at P = 4, under
@@ -464,7 +357,7 @@ mod tests {
         store.partitioner().shard_of(store.resolve_iri(subject).unwrap())
     }
 
-    /// A partitioned catalog serves per-shard operands whose union root
+    /// A partitioned store serves per-shard operands whose union root
     /// reproduces the P = 1 root set exactly, in both trie orders. The
     /// union root is one `Arc` across reads until a batch stages on the
     /// predicate.
@@ -472,16 +365,14 @@ mod tests {
     fn partitioned_relation_serves_sharded_operands() {
         let s1 = wide_store(1);
         let s4 = wide_store(4);
-        let c1 = Catalog::new(s1.clone());
-        let c4 = Catalog::new(s4.clone());
         let a = atom_for(&s4.read(), "p");
-        assert_eq!(c4.partitions(), 4);
+        assert_eq!(s4.read().partitions(), 4);
         let union_root = |subject_first| {
-            c4.relation(&a, subject_first, true, None).union_root.expect("several layers")
+            relation(&s4, &a, subject_first, true, None).union_root.expect("several layers")
         };
         for subject_first in [true, false] {
-            let reference = c1.trie(&a, subject_first, true);
-            let rel = c4.relation(&a, subject_first, true, None);
+            let reference = base(&s1, &a, subject_first, true);
+            let rel = relation(&s4, &a, subject_first, true, None);
             assert!(rel.layers.len() >= 2, "32 spread subjects must occupy several shards");
             let total: usize = rel.layers.iter().map(|l| l.base.num_tuples()).sum();
             assert_eq!(total, reference.num_tuples(), "shards partition the pairs");
@@ -504,7 +395,7 @@ mod tests {
         assert!(Arc::ptr_eq(&os_root, &union_root(false)));
         let mut flat = s4.read().clone();
         flat.repartition(1);
-        let flat = Catalog::new(SharedStore::from(flat)).trie(&a, false, true);
+        let flat = base(&SharedStore::from(flat), &a, false, true);
         assert_eq!(*os_root, flat.root_set().iter().collect::<Vec<u32>>());
     }
 
@@ -514,7 +405,6 @@ mod tests {
     #[test]
     fn shard_local_compaction_drops_only_that_shards_memos() {
         let s = wide_store(4);
-        let c = Catalog::new(s.clone());
         let (a, aq) = (atom_for(&s.read(), "p"), atom_for(&s.read(), "q"));
         let pred = s.read().resolve_iri("p").unwrap();
         let target = shard_of(&s, "s0");
@@ -527,8 +417,8 @@ mod tests {
         let memos = |atom: &Atom| -> Vec<Memos> {
             (0..4)
                 .map(|shard| {
-                    let (auto, ov) = single_rel(&c, atom, true, true, Some(shard));
-                    (auto, single_rel(&c, atom, true, false, Some(shard)).0, ov)
+                    let (auto, ov) = single_rel(&s, atom, true, true, Some(shard));
+                    (auto, single_rel(&s, atom, true, false, Some(shard)).0, ov)
                 })
                 .collect()
         };
@@ -560,10 +450,9 @@ mod tests {
     #[test]
     fn partitioned_overlays_route_by_subject_shard() {
         let s = wide_store(4);
-        let c = Catalog::new(s.clone());
         let a = atom_for(&s.read(), "p");
         let overlays = || -> Vec<_> {
-            (0..4).map(|shard| single_rel(&c, &a, true, true, Some(shard)).1).collect()
+            (0..4).map(|shard| single_rel(&s, &a, true, true, Some(shard)).1).collect()
         };
         s.write().stage_add_triples((0..32).map(|i| triple(&format!("s{i}"), "p", "o77")));
         let before = overlays();
@@ -579,6 +468,6 @@ mod tests {
         // operand even on a partitioned store.
         add_to_base(&s, triple("lonely", "r", "z"));
         let ar = atom_for(&s.read(), "r");
-        assert_eq!(single_rel(&c, &ar, true, true, None).0.num_tuples(), 1);
+        assert_eq!(single_rel(&s, &ar, true, true, None).0.num_tuples(), 1);
     }
 }

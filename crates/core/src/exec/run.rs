@@ -18,11 +18,12 @@ use eh_par::RuntimeConfig;
 use eh_query::{ConjunctiveQuery, Var};
 use eh_trie::{FrozenTrie, TupleBuffer};
 
-use crate::catalog::{layout_policy, Catalog};
 use crate::exec::generic::{run_join_parallel, JoinSpec, PreparedRel};
+use crate::exec::relation::{layout_policy, relation};
 use crate::plan::Plan;
 use crate::profile::{ExecStats, JoinObs, JoinStats};
 use crate::result::QueryResult;
+use crate::shared::SharedStore;
 
 /// A materialised per-node result.
 struct NodeResult {
@@ -73,7 +74,7 @@ fn observe_join(
 /// dispatches, candidate counts, probes, wall times); without it the
 /// executor performs no recording at all.
 pub(crate) fn execute_plan(
-    catalog: &Catalog,
+    store: &SharedStore,
     q: &ConjunctiveQuery,
     plan: &Plan,
     auto_layout: bool,
@@ -97,12 +98,12 @@ pub(crate) fn execute_plan(
             .collect();
         // Subject-rooted plans on a partitioned store run shard-local:
         // one join per shard, each over that shard's slice of every atom.
-        // Specs are built serially: catalog publication and profile
+        // Specs are built serially: operand assembly and profile
         // registration order stay deterministic regardless of thread count.
         let spec_for = |shard: Option<usize>, label: String| {
-            node_spec(catalog, q, plan, root, Vec::new(), auto_layout, stats, shard, label)
+            node_spec(store, q, plan, root, Vec::new(), auto_layout, stats, shard, label)
         };
-        let specs: Vec<JoinSpec> = match shard_local_partitions(catalog, plan, root) {
+        let specs: Vec<JoinSpec> = match shard_local_partitions(store, plan, root) {
             None => vec![spec_for(None, format!("node {root}"))],
             Some(partitions) => (0..partitions)
                 .map(|s| spec_for(Some(s), format!("node {root} [shard {s}]")))
@@ -117,7 +118,7 @@ pub(crate) fn execute_plan(
         if t == plan.ghd.root {
             break;
         }
-        match run_node(catalog, q, plan, t, &results, auto_layout, rt, stats) {
+        match run_node(store, q, plan, t, &results, auto_layout, rt, stats) {
             Some(r) => results[t] = Some(r),
             None => return QueryResult::empty(columns),
         }
@@ -125,13 +126,13 @@ pub(crate) fn execute_plan(
 
     if plan.pipelined {
         // §III-C: stream the root join directly into the final result.
-        let out = run_pipelined(catalog, q, plan, &results, auto_layout, rt, stats);
+        let out = run_pipelined(store, q, plan, &results, auto_layout, rt, stats);
         return QueryResult::new(columns, out);
     }
 
     // Materialise the root like any other node, then join all node
     // results (the top-down message-passing pass).
-    match run_node(catalog, q, plan, plan.ghd.root, &results, auto_layout, rt, stats) {
+    match run_node(store, q, plan, plan.ghd.root, &results, auto_layout, rt, stats) {
         Some(r) => results[plan.ghd.root] = Some(r),
         None => return QueryResult::empty(columns),
     }
@@ -143,7 +144,7 @@ pub(crate) fn execute_plan(
 /// empties the whole query.
 #[allow(clippy::too_many_arguments)]
 fn run_node(
-    catalog: &Catalog,
+    store: &SharedStore,
     q: &ConjunctiveQuery,
     plan: &Plan,
     t: usize,
@@ -154,7 +155,7 @@ fn run_node(
 ) -> Option<NodeResult> {
     let children = children_rels(plan, t, results, auto_layout)?;
     let spec =
-        node_spec(catalog, q, plan, t, children, auto_layout, stats, None, format!("node {t}"));
+        node_spec(store, q, plan, t, children, auto_layout, stats, None, format!("node {t}"));
     let node = &plan.nodes[t];
     let out_positions: Vec<usize> =
         node.output.iter().map(|v| node.vars.iter().position(|w| w == v).unwrap()).collect();
@@ -177,7 +178,7 @@ fn run_node(
 /// ([`shard_local_partitions`]) guarantees the restriction is lossless.
 #[allow(clippy::too_many_arguments)]
 fn node_spec(
-    catalog: &Catalog,
+    store: &SharedStore,
     q: &ConjunctiveQuery,
     plan: &Plan,
     t: usize,
@@ -195,7 +196,7 @@ fn node_spec(
         .iter()
         .map(|ap| {
             let atom = &q.atoms()[ap.atom_index];
-            let operand = catalog.relation(atom, ap.subject_first, auto_layout, shard);
+            let operand = relation(store, atom, ap.subject_first, auto_layout, shard);
             overlay_rels += usize::from(operand.has_overlay());
             PreparedRel::layered(operand, ap.attrs.iter().map(|&v| depth_of(v)).collect())
         })
@@ -263,8 +264,8 @@ fn children_rels(
 /// `None` when the store is unpartitioned or the plan is not
 /// subject-rooted (some atom roots at a non-subject attribute); the join
 /// then reads every shard as a layer of one cross-shard relation.
-fn shard_local_partitions(catalog: &Catalog, plan: &Plan, t: usize) -> Option<usize> {
-    let partitions = catalog.partitions();
+fn shard_local_partitions(store: &SharedStore, plan: &Plan, t: usize) -> Option<usize> {
+    let partitions = store.read().partitions();
     let node = &plan.nodes[t];
     let root_var = *node.vars.first()?;
     let subject_rooted =
@@ -324,7 +325,7 @@ where
             o.stats.add_wall_ns(t0.elapsed().as_nanos() as u64);
         }
     };
-    let parts = eh_par::run_shards(&rt, specs.len(), |s| {
+    let parts = eh_par::run_tasks(rt.num_threads, specs.len(), None, |s| {
         let spec = &specs[s];
         let t0 = spec.obs.as_ref().map(|_| Instant::now());
         let sinks = run_join_parallel(
@@ -417,7 +418,7 @@ struct NodeExt {
 /// and BFS order guarantees shared values are assembled before use.
 #[allow(clippy::too_many_arguments)]
 fn run_pipelined(
-    catalog: &Catalog,
+    store: &SharedStore,
     q: &ConjunctiveQuery,
     plan: &Plan,
     results: &[Option<NodeResult>],
@@ -480,7 +481,7 @@ fn run_pipelined(
     }
 
     let spec = node_spec(
-        catalog,
+        store,
         q,
         plan,
         root,

@@ -83,8 +83,9 @@ pub struct PlannerConfig {
     pub compact_frac_pct: u32,
     /// When appended WAL records reach stable storage (used only once a
     /// log is attached via [`Engine::open_wal`](crate::Engine::open_wal)).
-    /// Defaults to [`FsyncPolicy::Always`] — durability first; opt into
-    /// `interval:<ms>`/`never` to trade the loss window for latency.
+    /// Defaults to [`FsyncPolicy::Always`](eh_wal::FsyncPolicy::Always) —
+    /// durability first; opt into `interval:<ms>`/`never` to trade the
+    /// loss window for latency.
     pub wal_fsync: eh_wal::FsyncPolicy,
 }
 

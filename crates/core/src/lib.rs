@@ -37,7 +37,7 @@
 //! The store is shared and **live**: the engine holds a [`SharedStore`]
 //! (`Arc<RwLock<TripleStore>>`) rather than a borrow, and
 //! [`Engine::update`] applies insert/delete batches that invalidate only
-//! the changed predicates' tries and advance the catalog epoch — the
+//! the changed predicates' tries and advance the engine's epoch — the
 //! contract serving tiers key their caches by.
 //!
 //! ```
@@ -52,7 +52,6 @@
 //! assert!(result.cardinality() > 0);
 //! ```
 
-mod catalog;
 mod engine;
 mod error;
 mod exec;
@@ -64,7 +63,6 @@ mod result;
 mod shared;
 mod update;
 
-pub use catalog::Catalog;
 pub use eh_par::RuntimeConfig;
 pub use eh_rdf::{LoadInfo, LoadMode, SnapshotError, StoreSnapshot};
 pub use eh_wal::{FsyncPolicy, WalError};

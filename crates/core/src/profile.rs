@@ -1,5 +1,7 @@
 //! Query profiling: measured execution statistics behind
-//! [`Engine::profile`](crate::Engine::profile) / `EXPLAIN ANALYZE`.
+//! [`Engine::run_plan_profiled`](crate::Engine::run_plan_profiled) and
+//! [`Engine::explain_analyze`](crate::Engine::explain_analyze), the
+//! `EXPLAIN ANALYZE` a serving tier's `PROFILE` verb returns.
 //!
 //! Recording is split in two layers:
 //!
@@ -297,7 +299,7 @@ pub struct JoinProfile {
     pub emit_depth: usize,
     /// Relations served through an LSM novelty overlay (base trie plus
     /// staged delta) rather than a plain frozen arena. 0 on a fully
-    /// compacted catalog; schedule-invariant.
+    /// compacted store; schedule-invariant.
     pub overlay_rels: u64,
     /// Rows this join emitted (pre-deduplication of the final buffer).
     pub rows: u64,
@@ -330,7 +332,7 @@ pub struct QueryProfile {
     /// Total wall time of the returned attempt (volatile).
     pub total_ns: u64,
     /// Times the executed plan was re-run because an update moved the
-    /// catalog epoch mid-join (volatile).
+    /// engine's epoch mid-join (volatile).
     pub epoch_retries: u64,
     /// Worker threads configured for the run.
     pub threads: usize,

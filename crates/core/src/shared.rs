@@ -1,20 +1,19 @@
 //! Shared ownership of the triple store.
 //!
-//! The paper's storage model is built once and queried forever, and the
-//! engine used to inherit that shape: `Catalog` borrowed an immutable
-//! `&TripleStore`. Live updates need the opposite — one store, many
-//! concurrent readers, an occasional writer — so the engine now holds a
-//! [`SharedStore`]: a cloneable `Arc<RwLock<TripleStore>>` handle.
+//! The paper's storage model is built once and queried forever. Live
+//! updates need the opposite — one store, many concurrent readers, an
+//! occasional writer — so the engine holds a [`SharedStore`]: a cloneable
+//! `Arc<RwLock<TripleStore>>` handle.
 //!
 //! Reads take the lock briefly (resolve a query's constants, assemble one
 //! operand's layers) and never across a join — joins run against the
-//! `Arc<FrozenTrie>` and `Arc<DeltaOverlay>` values the
-//! [`Catalog`](crate::Catalog) clones out of the store, so a writer is
-//! never blocked by a long-running query, only by an operand assembly
-//! (which may build a delta's overlay or an ablation re-freeze). Writes
-//! go through [`Engine`](crate::Engine), which bumps the version with
-//! every change; the raw write lock is therefore not exposed outside the
-//! crate.
+//! `Arc<FrozenTrie>` and `Arc<DeltaOverlay>` values each operand clones
+//! out of the store under one read guard, so a writer is never blocked by
+//! a long-running query, only by an operand assembly (which may build a
+//! delta's overlay or an ablation re-freeze). Writes go through
+//! [`Engine`](crate::Engine), which bumps the version with every change
+//! under the write guard of the change it records; the raw write lock is
+//! therefore not exposed outside the crate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -26,8 +25,8 @@ use eh_rdf::{Triple, TripleStore};
 /// Clones share the same underlying store: data added through one
 /// handle's engine is visible to every other clone. The handle carries a
 /// monotonically increasing [`version`](SharedStore::version), bumped on
-/// every change, which is the epoch of *every* catalog over this store —
-/// not just the one whose engine applied the change.
+/// every change, which is the [epoch](crate::Engine::epoch) of *every*
+/// engine over this store — not just the one that applied the change.
 #[derive(Clone, Debug, Default)]
 pub struct SharedStore {
     inner: Arc<RwLock<TripleStore>>,
@@ -59,15 +58,18 @@ impl SharedStore {
     }
 
     /// The current version: the number of changes recorded so far, and
-    /// the epoch of every catalog over this store.
+    /// the epoch of every engine over this store.
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)
     }
 
     /// Record one change; returns the new version. Callers hold the write
-    /// guard of the change it records, so any reader that can see the new
-    /// state can also see the new version, and a reader that saw the old
-    /// version before and after reading saw only the old state.
+    /// guard of the change it records — an applied batch, a non-empty
+    /// compaction, a repartition, an [`invalidate`](crate::Engine::invalidate)
+    /// — so any reader that can see the new state can also see the new
+    /// version, and a reader that saw the old version before and after
+    /// reading saw only the old state. That is the bracket
+    /// [`Engine::run_plan`](crate::Engine::run_plan) relies on.
     pub(crate) fn bump_version(&self) -> u64 {
         self.version.fetch_add(1, Ordering::AcqRel) + 1
     }

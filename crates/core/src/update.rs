@@ -79,7 +79,7 @@ pub struct UpdateSummary {
     /// remaining `changed_predicates - compacted_predicates` predicates
     /// serve their novelty from the in-memory overlay.
     pub compacted_predicates: usize,
-    /// The catalog epoch after the batch. Unchanged when the batch was a
+    /// The engine's epoch after the batch. Unchanged when the batch was a
     /// no-op on table contents — no-ops don't invalidate anything.
     pub epoch: u64,
     /// Per-shard compaction pause times in microseconds, `(shard, µs)`,

@@ -26,11 +26,11 @@
 //! ```
 //! use eh_par::{run_tasks, RuntimeConfig};
 //!
-//! let squares = run_tasks(4, 10, |i| i * i);
+//! let squares = run_tasks(4, 10, None, |i| i * i);
 //! assert_eq!(squares, (0..10).map(|i| i * i).collect::<Vec<_>>());
 //!
 //! let cfg = RuntimeConfig::with_threads(4);
-//! let sums = eh_par::run_morsels(&cfg, 1000, |_, range| range.sum::<usize>());
+//! let sums = eh_par::run_morsels(&cfg, 1000, None, |_, range| range.sum::<usize>());
 //! assert_eq!(sums.iter().sum::<usize>(), (0..1000).sum::<usize>());
 //! ```
 
@@ -98,10 +98,10 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Per-worker busy-time and task-count accounting for
-/// [`run_tasks_observed`] / [`run_morsels_observed`]. Recording is two
-/// relaxed atomic adds per task, and happens **only when an observer is
-/// passed** — the unobserved entry points never read the clock.
+/// Per-worker busy-time and task-count accounting for [`run_tasks`] /
+/// [`run_morsels`]. Recording is two relaxed atomic adds per task, and
+/// happens **only when an observer is passed** — without one the
+/// scheduler never reads the clock.
 ///
 /// One observer can accumulate across several scheduler invocations
 /// (e.g. every morsel batch of a query); slot `w` aggregates whatever
@@ -125,11 +125,6 @@ impl TaskObserver {
         }
     }
 
-    /// Number of worker slots.
-    pub fn workers(&self) -> usize {
-        self.busy_ns.len()
-    }
-
     fn note(&self, worker: usize, elapsed_ns: u64) {
         let w = worker.min(self.busy_ns.len() - 1);
         self.busy_ns[w].fetch_add(elapsed_ns, Ordering::Relaxed);
@@ -144,11 +139,6 @@ impl TaskObserver {
     /// Tasks completed per worker slot.
     pub fn tasks(&self) -> Vec<u64> {
         self.tasks.iter().map(|a| a.load(Ordering::Relaxed)).collect()
-    }
-
-    /// Tasks completed across all workers.
-    pub fn total_tasks(&self) -> u64 {
-        self.tasks.iter().map(|a| a.load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -179,21 +169,13 @@ fn run_one<T>(
 /// uneven task costs still balance. With `threads <= 1` or fewer than two
 /// tasks everything runs inline on the caller's thread.
 ///
+/// With an `observer`, each task's wall time and completion is credited
+/// to the worker that ran it (the caller's thread is worker 0 on the
+/// inline path); without one no clock is read.
+///
 /// Panics in a task propagate to the caller after all workers stop
 /// claiming new tasks.
-pub fn run_tasks<T, F>(threads: usize, num_tasks: usize, task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_tasks_observed(threads, num_tasks, None, task)
-}
-
-/// [`run_tasks`] with optional per-worker accounting: when `observer` is
-/// `Some`, each task's wall time and completion is credited to the worker
-/// that ran it (the caller's thread is worker 0 on the inline path).
-/// With `observer` of `None` this *is* `run_tasks` — no clock reads.
-pub fn run_tasks_observed<T, F>(
+pub fn run_tasks<T, F>(
     threads: usize,
     num_tasks: usize,
     observer: Option<&TaskObserver>,
@@ -258,7 +240,7 @@ pub fn num_morsels(total: usize, morsel_size: usize) -> usize {
 }
 
 /// The item range of morsel `m`.
-pub fn morsel_range(m: usize, morsel_size: usize, total: usize) -> Range<usize> {
+fn morsel_range(m: usize, morsel_size: usize, total: usize) -> Range<usize> {
     let morsel_size = morsel_size.max(1);
     let start = m * morsel_size;
     start..((start + morsel_size).min(total))
@@ -267,18 +249,8 @@ pub fn morsel_range(m: usize, morsel_size: usize, total: usize) -> Range<usize> 
 /// Partition `0..total` into morsels of `cfg.morsel_size` and run
 /// `f(morsel_index, item_range)` per morsel on `cfg.num_threads` workers;
 /// results come back in morsel order (see [`run_tasks`] for the
-/// determinism contract).
-pub fn run_morsels<T, F>(cfg: &RuntimeConfig, total: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, Range<usize>) -> T + Sync,
-{
-    run_morsels_observed(cfg, total, None, f)
-}
-
-/// [`run_morsels`] with optional per-worker accounting (see
-/// [`run_tasks_observed`]).
-pub fn run_morsels_observed<T, F>(
+/// determinism contract and the `observer`).
+pub fn run_morsels<T, F>(
     cfg: &RuntimeConfig,
     total: usize,
     observer: Option<&TaskObserver>,
@@ -289,30 +261,7 @@ where
     F: Fn(usize, Range<usize>) -> T + Sync,
 {
     let n = num_morsels(total, cfg.morsel_size);
-    run_tasks_observed(cfg.num_threads, n, observer, |m| {
-        f(m, morsel_range(m, cfg.morsel_size, total))
-    })
-}
-
-/// Run one task per storage shard on the existing worker pool and return
-/// the results **in shard order** — shards are the outer morsel dimension
-/// of a partitioned store: shard-local joins, per-shard snapshot section
-/// loads, and per-shard trie builds all schedule through here, inheriting
-/// [`run_tasks`]'s determinism contract (merge order is shard index, never
-/// scheduling order) so partitioned execution concatenates byte-identically
-/// at any thread count.
-///
-/// This is [`run_tasks`] with the shard count as the task count; it exists
-/// as a named entry point so call sites say what the outer dimension *is*,
-/// and so per-shard work composes with inner morsel-parallel loops (the
-/// shard task itself may call [`run_morsels`] with a serial config when
-/// the pool is already saturated at the shard level).
-pub fn run_shards<T, F>(cfg: &RuntimeConfig, num_shards: usize, shard_task: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_tasks(cfg.num_threads, num_shards, shard_task)
+    run_tasks(cfg.num_threads, n, observer, |m| f(m, morsel_range(m, cfg.morsel_size, total)))
 }
 
 /// A blocking multi-producer/multi-consumer work queue for long-lived
@@ -428,19 +377,9 @@ mod tests {
     }
 
     #[test]
-    fn shards_merge_in_shard_order_at_any_thread_count() {
-        let reference: Vec<usize> = (0..7).map(|s| s * s + 1).collect();
-        for threads in [1, 2, 4, 8] {
-            let cfg = RuntimeConfig::with_threads(threads);
-            let out = run_shards(&cfg, 7, |shard| shard * shard + 1);
-            assert_eq!(out, reference, "threads {threads}");
-        }
-    }
-
-    #[test]
     fn results_arrive_in_task_order() {
         for threads in [1, 2, 3, 8] {
-            let out = run_tasks(threads, 100, |i| i * 3);
+            let out = run_tasks(threads, 100, None, |i| i * 3);
             assert_eq!(out, (0..100).map(|i| i * 3).collect::<Vec<_>>(), "threads {threads}");
         }
     }
@@ -449,7 +388,7 @@ mod tests {
     fn uneven_task_costs_still_merge_in_order() {
         // Early tasks are slow, late tasks fast: completion order inverts
         // submission order, the merged result must not.
-        let out = run_tasks(4, 16, |i| {
+        let out = run_tasks(4, 16, None, |i| {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(3));
             }
@@ -460,8 +399,8 @@ mod tests {
 
     #[test]
     fn zero_and_single_task_run_inline() {
-        assert_eq!(run_tasks(8, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(run_tasks(8, 1, |i| i + 7), vec![7]);
+        assert_eq!(run_tasks(8, 0, None, |i| i), Vec::<usize>::new());
+        assert_eq!(run_tasks(8, 1, None, |i| i + 7), vec![7]);
     }
 
     #[test]
@@ -479,22 +418,27 @@ mod tests {
     #[test]
     fn run_morsels_matches_sequential_fold() {
         let cfg = RuntimeConfig::with_threads(4).with_morsel_size(3);
-        let per_morsel = run_morsels(&cfg, 100, |_, r| r.map(|i| i as u64).sum::<u64>());
+        let per_morsel = run_morsels(&cfg, 100, None, |_, r| r.map(|i| i as u64).sum::<u64>());
         assert_eq!(per_morsel.len(), num_morsels(100, 3));
         assert_eq!(per_morsel.iter().sum::<u64>(), (0..100u64).sum::<u64>());
+    }
+
+    /// Sum of an observer's per-worker task counts.
+    fn total_tasks(obs: &TaskObserver) -> u64 {
+        obs.tasks().iter().sum()
     }
 
     #[test]
     fn observer_accounts_for_every_task() {
         for threads in [1usize, 2, 4] {
             let obs = TaskObserver::new(threads);
-            let out = run_tasks_observed(threads, 40, Some(&obs), |i| {
+            let out = run_tasks(threads, 40, Some(&obs), |i| {
                 std::thread::sleep(std::time::Duration::from_micros(50));
                 i
             });
             assert_eq!(out, (0..40).collect::<Vec<_>>(), "threads {threads}");
-            assert_eq!(obs.total_tasks(), 40, "threads {threads}");
-            assert_eq!(obs.workers(), threads);
+            assert_eq!(total_tasks(&obs), 40, "threads {threads}");
+            assert_eq!(obs.tasks().len(), threads);
             // Every task slept, so total busy time is strictly positive
             // and at least the sum of the sleeps.
             let busy: u64 = obs.busy_ns().iter().sum();
@@ -509,18 +453,18 @@ mod tests {
     fn observer_accumulates_across_invocations() {
         let cfg = RuntimeConfig::with_threads(2).with_morsel_size(5);
         let obs = TaskObserver::new(cfg.num_threads);
-        run_morsels_observed(&cfg, 20, Some(&obs), |_, r| r.count());
-        run_morsels_observed(&cfg, 30, Some(&obs), |_, r| r.count());
-        assert_eq!(obs.total_tasks(), (num_morsels(20, 5) + num_morsels(30, 5)) as u64);
+        run_morsels(&cfg, 20, Some(&obs), |_, r| r.count());
+        run_morsels(&cfg, 30, Some(&obs), |_, r| r.count());
+        assert_eq!(total_tasks(&obs), (num_morsels(20, 5) + num_morsels(30, 5)) as u64);
     }
 
     #[test]
     fn observer_clamps_degenerate_sizes() {
         let obs = TaskObserver::new(0);
-        assert_eq!(obs.workers(), 1);
+        assert_eq!(obs.tasks().len(), 1);
         // Workers past the slot count fold into the last slot.
-        run_tasks_observed(4, 8, Some(&obs), |i| i);
-        assert_eq!(obs.total_tasks(), 8);
+        run_tasks(4, 8, Some(&obs), |i| i);
+        assert_eq!(total_tasks(&obs), 8);
     }
 
     #[test]
@@ -567,7 +511,7 @@ mod tests {
     #[test]
     fn worker_panics_propagate() {
         let caught = std::panic::catch_unwind(|| {
-            run_tasks(2, 8, |i| {
+            run_tasks(2, 8, None, |i| {
                 assert!(i != 5, "boom");
                 i
             })
@@ -581,7 +525,7 @@ mod tests {
         // still surface one catchable panic, not abort via a
         // panic-while-panicking during the scope's implicit joins.
         let caught =
-            std::panic::catch_unwind(|| run_tasks(4, 8, |i| -> usize { panic!("boom {i}") }));
+            std::panic::catch_unwind(|| run_tasks(4, 8, None, |i| -> usize { panic!("boom {i}") }));
         assert!(caught.is_err());
     }
 
@@ -597,8 +541,8 @@ mod tests {
                 threads in 1usize..5,
             ) {
                 let cfg = RuntimeConfig::with_threads(threads).with_morsel_size(morsel);
-                let par = run_morsels(&cfg, total, |m, r| (m, r.collect::<Vec<_>>()));
-                let seq = run_morsels(&RuntimeConfig::serial().with_morsel_size(morsel), total, |m, r| {
+                let par = run_morsels(&cfg, total, None, |m, r| (m, r.collect::<Vec<_>>()));
+                let seq = run_morsels(&RuntimeConfig::serial().with_morsel_size(morsel), total, None, |m, r| {
                     (m, r.collect::<Vec<_>>())
                 });
                 prop_assert_eq!(par, seq);
@@ -606,7 +550,7 @@ mod tests {
 
             #[test]
             fn task_order_is_schedule_independent(n in 0usize..300, threads in 1usize..6) {
-                let out = run_tasks(threads, n, |i| i as u64 * 7);
+                let out = run_tasks(threads, n, None, |i| i as u64 * 7);
                 prop_assert_eq!(out, (0..n as u64).map(|i| i * 7).collect::<Vec<_>>());
             }
         }

@@ -5,7 +5,7 @@
 //! the dictionary and, per (shard, predicate), the two frozen tries that
 //! *are* the relation ([`TriePair`]) — so a reload is bulk
 //! `memcpy`-shaped at worst and *zero-copy* at best: the file can be
-//! `mmap`ed ([`StoreSnapshot::read_from_path_mmap`]) and every trie
+//! `mmap`ed ([`StoreSnapshot::open`] with [`LoadMode::Mmap`]) and every trie
 //! arena served straight off the page cache, no arena byte ever copied
 //! into the process. Each relation is in the image exactly once.
 //!
@@ -64,7 +64,7 @@
 //!
 //! Per-shard sections carry **independent checksums** so a partitioned
 //! load verifies and decodes shards in parallel
-//! ([`StoreSnapshot::read_with_threads`]) — the cold-start path scales
+//! ([`StoreSnapshot::open`]'s `threads`) — the cold-start path scales
 //! with cores instead of serialising one whole-file checksum pass.
 //! Checksum verification stays eager on the mapped path too (it is cheap,
 //! sequential, and reads the bytes `madvise` is about to want anyway);
@@ -261,75 +261,55 @@ impl StoreSnapshot {
         result
     }
 
-    /// Read and verify a snapshot, sequentially. All failure modes are
-    /// `Err`, never panics — corrupt input must not take a serving
-    /// process down.
-    pub fn read(r: impl Read) -> Result<StoreSnapshot, SnapshotError> {
-        StoreSnapshot::read_with_threads(r, 1)
-    }
-
-    /// Read and verify a snapshot, checksumming and decoding per-shard
-    /// sections on up to `threads` workers (a `P = 1` image has a single
-    /// shard section and decodes sequentially regardless). Verification
-    /// is not weakened by parallelism: every section's checksum and every
-    /// structural invariant is still checked.
-    pub fn read_with_threads(
-        mut r: impl Read,
-        threads: usize,
-    ) -> Result<StoreSnapshot, SnapshotError> {
+    /// Read and verify a snapshot already in memory (or behind any
+    /// reader), sequentially. All failure modes are `Err`, never panics —
+    /// corrupt input must not take a serving process down.
+    pub fn read(mut r: impl Read) -> Result<StoreSnapshot, SnapshotError> {
         let mut bytes = Vec::new();
         r.read_to_end(&mut bytes)?;
-        decode_image(&bytes, threads, None)
+        decode_image(&bytes, 1, None)
     }
 
-    /// Read from a file path. The whole file is slurped in one
-    /// (size-hinted) read — on the cold-start critical path, funnelling
-    /// it through a `BufReader`'s 8 KiB window would just be an extra
-    /// copy.
-    pub fn read_from_path(path: impl AsRef<Path>) -> Result<StoreSnapshot, SnapshotError> {
-        StoreSnapshot::read_from_path_with(path, 1)
-    }
-
-    /// Read from a file path with parallel section verification (see
-    /// [`read_with_threads`](StoreSnapshot::read_with_threads)).
-    pub fn read_from_path_with(
-        path: impl AsRef<Path>,
-        threads: usize,
-    ) -> Result<StoreSnapshot, SnapshotError> {
-        decode_image(&std::fs::read(path)?, threads, None)
-    }
-
-    /// Zero-copy load: map the file and serve every trie arena as a
-    /// window of the mapping. Verification is not weakened — every
-    /// section checksum and every structural invariant still runs eagerly
-    /// over the mapped bytes; only the arena copy is skipped.
+    /// Open the snapshot file at `path`, checksumming and decoding its
+    /// per-shard sections on up to `threads` workers (a `P = 1` image has
+    /// a single shard section and decodes sequentially regardless).
+    /// Verification is never weakened — every section checksum and every
+    /// structural invariant runs eagerly in both modes:
     ///
-    /// Every readable image is mappable, so the only reasons to **fall
-    /// back to the copy path** are the platform's: it has no `mmap`, or
-    /// the map itself failed. The reason is recorded in
-    /// [`LoadInfo::fallback`]. A corrupt, truncated or retired image is
-    /// the same typed error on this path as on the copy path.
-    pub fn read_from_path_mmap(
+    /// * [`LoadMode::Copy`] slurps the file in one size-hinted read and
+    ///   decodes every arena into owned memory.
+    /// * [`LoadMode::Mmap`] maps the file and serves every trie arena as
+    ///   a window of the mapping; only the arena copy is skipped. Every
+    ///   readable image is mappable, so the only reasons to **fall back
+    ///   to the copy path** are the platform's: it has no `mmap`, or the
+    ///   map itself failed. The reason is recorded in
+    ///   [`LoadInfo::fallback`].
+    ///
+    /// A missing file is [`SnapshotError::Io`] of kind `NotFound` in both
+    /// modes, never a fallback; a corrupt, truncated or retired image is
+    /// the same typed error in both.
+    pub fn open(
         path: impl AsRef<Path>,
+        mode: LoadMode,
         threads: usize,
     ) -> Result<StoreSnapshot, SnapshotError> {
         let path = path.as_ref();
-        let copy_fallback = |reason: &'static str| -> Result<StoreSnapshot, SnapshotError> {
-            let mut snap = StoreSnapshot::read_from_path_with(path, threads)?;
-            snap.load.fallback = Some(reason);
-            Ok(snap)
+        let fallback = match mode {
+            LoadMode::Copy => None,
+            LoadMode::Mmap => match MappedRegion::map_file(path) {
+                Ok(region) => {
+                    let region = Arc::new(region);
+                    return decode_image(region.bytes(), threads, Some(&region));
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
+                    Some("mmap unsupported on this platform")
+                }
+                Err(_) => Some("mmap syscall failed"),
+            },
         };
-        match MappedRegion::map_file(path) {
-            Ok(region) => {
-                let region = Arc::new(region);
-                decode_image(region.bytes(), threads, Some(&region))
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
-                copy_fallback("mmap unsupported on this platform")
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(SnapshotError::Io(e)),
-            Err(_) => copy_fallback("mmap syscall failed"),
-        }
+        let mut snap = decode_image(&std::fs::read(path)?, threads, None)?;
+        snap.load.fallback = fallback;
+        Ok(snap)
     }
 }
 
@@ -505,7 +485,7 @@ fn decode_image(
     // reassembly has no sequential sweep left to pay.
     let n_terms = terms.len();
     let partitioner = Partitioner::new(partitions as usize);
-    let shard_results = eh_par::run_tasks(threads.max(1), partitions as usize, |shard| {
+    let shard_results = eh_par::run_tasks(threads.max(1), partitions as usize, None, |shard| {
         let (body, sum, section_off) = sections[shard + 1];
         if xxh64(body) != sum {
             return Err(SnapshotError::ChecksumMismatch);
@@ -936,9 +916,10 @@ mod tests {
     #[test]
     fn partitioned_roundtrip_preserves_shards() {
         let store = TripleStore::from_triples_partitioned(wide_triples(), 4);
-        let bytes = snapshot_bytes(&store);
+        let path = temp_path("partitioned-roundtrip");
+        StoreSnapshot::write_to_path(&store, &path).unwrap();
         for threads in [1, 4] {
-            let snap = StoreSnapshot::read_with_threads(&bytes[..], threads).unwrap();
+            let snap = StoreSnapshot::open(&path, LoadMode::Copy, threads).unwrap();
             assert_eq!(snap.store.partitions(), 4);
             assert_eq!(
                 snap.store.encoded_triples().collect::<Vec<_>>(),
@@ -950,6 +931,7 @@ mod tests {
             assert_eq!(hub.distinct_objects(), 1, "the persisted cross-shard count");
             assert!(snap.store.__invariant_check());
         }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1151,7 +1133,7 @@ mod tests {
             let bytes = snapshot_bytes(&bad);
             std::fs::write(&path, &bytes).unwrap();
             for result in
-                [StoreSnapshot::read(&bytes[..]), StoreSnapshot::read_from_path_mmap(&path, 1)]
+                [StoreSnapshot::read(&bytes[..]), StoreSnapshot::open(&path, LoadMode::Mmap, 1)]
             {
                 assert!(
                     matches!(result, Err(SnapshotError::Malformed(m)) if m.contains("transpose")),
@@ -1237,10 +1219,10 @@ mod tests {
         let path = temp_path("mmap-identical");
         let total = StoreSnapshot::write_to_path(&store, &path).unwrap();
         assert_eq!(total, std::fs::metadata(&path).unwrap().len());
-        let copied = StoreSnapshot::read_from_path(&path).unwrap();
+        let copied = StoreSnapshot::open(&path, LoadMode::Copy, 1).unwrap();
         assert!(all_tries(&copied.store).iter().all(|t| !t.is_shared()));
         for threads in [1, 4] {
-            let mapped = StoreSnapshot::read_from_path_mmap(&path, threads).unwrap();
+            let mapped = StoreSnapshot::open(&path, LoadMode::Mmap, threads).unwrap();
             assert_eq!(mapped.load.mode, LoadMode::Mmap, "threads={threads}");
             assert_eq!(mapped.load.mapped_bytes, total);
             assert!(mapped.load.fallback.is_none());
@@ -1280,8 +1262,8 @@ mod tests {
             std::fs::write(&path, &image).unwrap();
             for result in [
                 StoreSnapshot::read(&image[..]),
-                StoreSnapshot::read_from_path_with(&path, 2),
-                StoreSnapshot::read_from_path_mmap(&path, 2),
+                StoreSnapshot::open(&path, LoadMode::Copy, 2),
+                StoreSnapshot::open(&path, LoadMode::Mmap, 2),
             ] {
                 assert!(
                     matches!(result, Err(SnapshotError::BadVersion(v)) if v == version),
@@ -1312,7 +1294,7 @@ mod tests {
                 let mut bad = good.clone();
                 bad[i] ^= flip;
                 std::fs::write(&path, &bad).unwrap();
-                match StoreSnapshot::read_from_path_mmap(&path, 2) {
+                match StoreSnapshot::open(&path, LoadMode::Mmap, 2) {
                     Ok(snap) => {
                         // Stay permissive, as on the copy path: a load
                         // that does succeed must be coherent.
@@ -1333,7 +1315,7 @@ mod tests {
         let before = TripleStore::from_triples(vec![t("a", "p", "b"), t("c", "p", "d")]);
         let path = temp_path("mmap-atomic");
         StoreSnapshot::write_to_path(&before, &path).unwrap();
-        let mapped = StoreSnapshot::read_from_path_mmap(&path, 1).unwrap();
+        let mapped = StoreSnapshot::open(&path, LoadMode::Mmap, 1).unwrap();
         assert_eq!(mapped.load.mode, LoadMode::Mmap);
         let arenas = |store: &TripleStore| -> Vec<Vec<u32>> {
             all_tries(store).iter().map(|t| t.raw_parts().3.to_vec()).collect()
@@ -1346,7 +1328,7 @@ mod tests {
         assert_eq!(arenas(&mapped.store), arenas_before);
         assert_same_relations(&mapped.store, &before);
         // ...a fresh load sees the new store...
-        let reread = StoreSnapshot::read_from_path_mmap(&path, 1).unwrap();
+        let reread = StoreSnapshot::open(&path, LoadMode::Mmap, 1).unwrap();
         assert_eq!(reread.store.num_triples(), after.num_triples());
         // ...and no temp litter survives the rename.
         let dir = path.parent().unwrap();
@@ -1373,11 +1355,16 @@ mod tests {
         let store = sample_store();
         let path = std::env::temp_dir().join(format!("eh-snap-test-{}.snap", std::process::id()));
         StoreSnapshot::write_to_path(&store, &path).unwrap();
-        let snap = StoreSnapshot::read_from_path(&path).unwrap();
+        let snap = StoreSnapshot::open(&path, LoadMode::Copy, 1).unwrap();
         assert_eq!(snap.store.num_triples(), store.num_triples());
         std::fs::remove_file(&path).ok();
-        // A missing file is an I/O error on both paths, not a fallback.
-        assert!(matches!(StoreSnapshot::read_from_path(&path), Err(SnapshotError::Io(_))));
-        assert!(matches!(StoreSnapshot::read_from_path_mmap(&path, 1), Err(SnapshotError::Io(_))));
+        // A missing file is an I/O error in both modes, not a fallback.
+        for mode in [LoadMode::Copy, LoadMode::Mmap] {
+            let err = StoreSnapshot::open(&path, mode, 1).unwrap_err();
+            assert!(
+                matches!(&err, SnapshotError::Io(e) if e.kind() == std::io::ErrorKind::NotFound),
+                "{mode}: {err}"
+            );
+        }
     }
 }

@@ -141,11 +141,12 @@ pub(crate) fn is_transpose(so: &FrozenTrie, os: &FrozenTrie) -> bool {
 ///   record a batch as a sorted per-(shard, predicate) [`PredDelta`]
 ///   (inserts + tombstones) in O(delta) without touching the base tries.
 ///   This is the only way a built store changes.
-/// * **Fold** — [`compact_pred`](TripleStore::compact_pred) /
-///   [`compact_all`](TripleStore::compact_all) merge each base trie's
-///   tuples with its delta and freeze fresh tries off the hot path — or,
-///   shard-locally, [`compact_pred_in`](TripleStore::compact_pred_in)
-///   folds a single shard. Every other relation keeps its `Arc`s.
+/// * **Fold** — [`compact_pred_in`](TripleStore::compact_pred_in) merges
+///   one (shard, predicate)'s base trie tuples with its delta and freezes
+///   fresh tries off the hot path;
+///   [`compact_shard`](TripleStore::compact_shard) folds every delta of a
+///   shard and [`compact_all`](TripleStore::compact_all) every shard.
+///   Every other relation keeps its `Arc`s.
 ///
 /// Logical accessors ([`num_triples`], [`encoded_triples`], [`stats`])
 /// always report the merged view across all shards;
@@ -645,25 +646,9 @@ impl TripleStore {
         }
     }
 
-    /// The staged delta for a predicate — the `P = 1` view.
-    ///
-    /// # Panics
-    /// Panics on a partitioned store; use
-    /// [`shard_delta`](TripleStore::shard_delta) there.
-    pub fn delta(&self, pred: u32) -> Option<&PredDelta> {
-        assert_eq!(self.partitions(), 1, "partitioned store: use shard_delta");
-        self.shards[0].deltas.get(&pred)
-    }
-
     /// The staged delta for a predicate within one shard, if any.
     pub fn shard_delta(&self, shard: usize, pred: u32) -> Option<&PredDelta> {
         self.shards[shard].deltas.get(&pred)
-    }
-
-    /// Staged pairs (inserts + tombstones) for one predicate, across all
-    /// shards.
-    pub fn delta_len(&self, pred: u32) -> usize {
-        self.shards.iter().map(|sh| sh.deltas.get(&pred).map_or(0, PredDelta::len)).sum()
     }
 
     /// Staged pairs for one predicate within one shard.
@@ -680,32 +665,6 @@ impl TripleStore {
     /// memory bound, up to constant factors).
     pub fn staged_pairs(&self) -> usize {
         self.shards.iter().map(StoreShard::staged_pairs).sum()
-    }
-
-    /// Staged pairs within one shard.
-    pub fn shard_staged_pairs(&self, shard: usize) -> usize {
-        self.shards[shard].staged_pairs()
-    }
-
-    /// Predicates with staged deltas in any shard, sorted ascending.
-    pub fn delta_preds(&self) -> Vec<u32> {
-        let mut preds: Vec<u32> =
-            self.shards.iter().flat_map(|sh| sh.deltas.keys().copied()).collect();
-        preds.sort_unstable();
-        preds.dedup();
-        preds
-    }
-
-    /// Fold one predicate's staged delta into fresh base tries in
-    /// **every** shard that has one. Returns whether any delta was
-    /// present. Logical contents are unchanged — compaction only moves
-    /// pairs across the base/delta split.
-    pub fn compact_pred(&mut self, pred: u32) -> bool {
-        let mut any = false;
-        for shard in 0..self.shards.len() {
-            any |= self.compact_pred_in(shard, pred);
-        }
-        any
     }
 
     /// Fold one predicate's staged delta within **one** shard — the
@@ -731,10 +690,10 @@ impl TripleStore {
     /// Fold every staged delta in every shard into its base relation,
     /// returning the compacted predicate keys sorted ascending.
     pub fn compact_all(&mut self) -> Vec<u32> {
-        let preds = self.delta_preds();
-        for &p in &preds {
-            self.compact_pred(p);
-        }
+        let mut preds: Vec<u32> =
+            (0..self.shards.len()).flat_map(|shard| self.compact_shard(shard)).collect();
+        preds.sort_unstable();
+        preds.dedup();
         preds
     }
 
@@ -1120,7 +1079,7 @@ mod tests {
         assert!(Arc::ptr_eq(&rel(&store, "p").os, &base.os));
         assert!(rel(&store, "q").is_empty());
         assert_eq!(store.num_triples(), 4);
-        assert_eq!(store.delta_len(p), 1);
+        assert_eq!(store.shard_delta_len(0, p), 1);
         assert_eq!(store.staged_pairs(), 2);
         assert!(store.has_deltas());
         assert!(store.__invariant_check());
@@ -1133,16 +1092,17 @@ mod tests {
         assert_eq!(report.removed, 2);
         assert_eq!(report.changed_preds, vec![p]);
         assert_eq!(store.num_triples(), 2);
-        assert_eq!(store.delta(p).unwrap().del_pairs().len(), 1);
-        assert!(store.delta(p).unwrap().ins_pairs().is_empty());
+        assert_eq!(store.shard_delta(0, p).unwrap().del_pairs().len(), 1);
+        assert!(store.shard_delta(0, p).unwrap().ins_pairs().is_empty());
         assert!(store.__invariant_check());
 
         // Re-inserting the tombstoned pair cancels the tombstone and the
         // delta evaporates entirely.
         let report = store.stage_add_triples(vec![t("a", "p", "b")]);
         assert_eq!(report.added, 1);
-        assert!(store.delta(p).is_none());
-        assert_eq!(store.delta_preds(), vec![q]);
+        assert!(store.shard_delta(0, p).is_none());
+        assert_eq!(store.shard_delta_len(0, q), 1);
+        assert_eq!(store.staged_pairs(), 1, "only q's insert is left staged");
         assert_eq!(store.num_triples(), 3);
     }
 
@@ -1275,16 +1235,16 @@ mod tests {
         assert_eq!(store.num_triples(), before + 1);
         assert!(store.__invariant_check());
         // Each staged pair sits in exactly the shard its subject hashes to.
-        let total: usize = (0..4).map(|s| store.shard_delta_len(s, p)).sum();
-        assert_eq!(total, 3);
-        assert_eq!(store.delta_len(p), 3);
+        let staged =
+            |store: &TripleStore| (0..4).map(|s| store.shard_delta_len(s, p)).sum::<usize>();
+        assert_eq!(staged(&store), 3);
         // Shard-local compaction folds only that shard's delta.
         let loaded: Vec<usize> = (0..4).filter(|&s| store.shard_delta_len(s, p) > 0).collect();
         let first = loaded[0];
         let folded = store.shard_delta_len(first, p);
         assert!(store.compact_pred_in(first, p));
         assert_eq!(store.shard_delta_len(first, p), 0);
-        assert_eq!(store.delta_len(p), 3 - folded, "other shards' deltas untouched");
+        assert_eq!(staged(&store), 3 - folded, "other shards' deltas untouched");
         assert_eq!(store.num_triples(), before + 1, "logical view unchanged");
         store.compact_all();
         assert!(!store.has_deltas());
@@ -1332,13 +1292,5 @@ mod tests {
         let other = TriePair::from_so(vec![(0, 2)]);
         store.shards[0].rels[0].os = other.os;
         assert!(!store.__invariant_check());
-    }
-
-    #[test]
-    #[should_panic(expected = "use shard_delta")]
-    fn single_shard_delta_view_panics_when_partitioned() {
-        let store = TripleStore::from_triples_partitioned(sample_triples(), 2);
-        let p = store.resolve_iri("p").unwrap();
-        let _ = store.delta(p);
     }
 }

@@ -8,7 +8,7 @@ use std::fmt;
 /// language tags, or blank nodes), so the model stays deliberately small.
 ///
 /// `Hash` is implemented manually (not derived) so that it depends only on
-/// the [`kind`](Term::kind) discriminant and the text — the contract the
+/// the kind discriminant (`KIND_IRI` / `KIND_LITERAL`) and the text — the contract the
 /// [`Dictionary`](crate::Dictionary)'s allocation-free borrowed probes
 /// rely on to hash a bare `&str` identically to the owned term.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]

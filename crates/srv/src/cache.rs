@@ -1,7 +1,7 @@
 //! A byte-budgeted LRU cache for materialised query results.
 //!
-//! Keys are `(canonical query, catalog epoch)`: α-equivalent SPARQL
-//! strings share an entry, and bumping the engine's catalog epoch
+//! Keys are `(canonical query, epoch)`: α-equivalent SPARQL
+//! strings share an entry, and bumping the engine's epoch
 //! (invalidation) strands every old entry — stale results are never
 //! served, and the strays age out through normal LRU eviction.
 
@@ -12,7 +12,7 @@ use eh_query::CanonicalQuery;
 
 use crate::service::CachedResult;
 
-/// Cache key: canonical query plus the catalog epoch it was computed at.
+/// Cache key: canonical query plus the engine epoch it was computed at.
 pub(crate) type ResultKey = (CanonicalQuery, u64);
 
 struct Entry {

@@ -14,7 +14,7 @@
 //!   one engine, a **plan cache** keyed by the
 //!   [canonical query form](eh_query::canonicalize) (α-equivalent SPARQL
 //!   strings plan once), and a byte-budgeted **LRU result cache** keyed
-//!   by canonical query + catalog epoch.
+//!   by canonical query + engine epoch.
 //! * [`serve`] — a threaded TCP front end speaking a line-delimited
 //!   protocol (`QUERY` / `PROFILE` / `METRICS` / `INSERT` / `DELETE` /
 //!   `APPLY` / `STATS` / `INVALIDATE` / `QUIT`), its session pool sized

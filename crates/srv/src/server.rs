@@ -15,15 +15,16 @@
 //! | `APPLY` | `OK applied inserted=<n> deleted=<n> predicates=<n> compacted=<n> epoch=<n>` (staged batch applied atomically) |
 //! | `COMPACT` | `OK compacted predicates=<n> rebuilt=<n> epoch=<n>` (staged deltas folded into freshly frozen base tries; `rebuilt` counts them, two per folded (predicate, shard)) |
 //! | `STATS` | `OK plan_hits=<n> plan_misses=<n> result_hits=<n> result_misses=<n> plan_entries=<n> cache_entries=<n> cache_bytes=<n> epoch=<n> updates=<n> updates_noop=<n> inserted=<n> deleted=<n> staged=<n> query_p50_us=<n> query_p99_us=<n> partitions=<n> max_shard_skew=<x.xx> load_mode=<mmap\|copy> mapped_bytes=<n> wal_seq=<n> wal_bytes=<n> wal_fsync_mode=<always\|never\|interval:<ms>\|off>` |
-//! | `INVALIDATE` | `OK epoch=<n>` (caches dropped, catalog epoch advanced) |
+//! | `INVALIDATE` | `OK epoch=<n>` (caches dropped, epoch advanced) |
 //! | `SAVE <path>` | `OK saved bytes=<n> triples=<n>` (snapshot written server-side; restart with `--snapshot <path>`; with a WAL attached, also truncates the log down to the new image) |
 //! | `REPLAY <path>` | `OK replayed records=<n> inserted=<n> deleted=<n> epoch=<n>` (a WAL file on the server's filesystem replayed through the update path — replica catch-up) |
 //! | `QUIT` | `OK bye`, then the connection closes |
 //! | anything else | `ERR <message>` (single line; the connection stays open) |
 //!
 //! `PROFILE` executes the query with full instrumentation (bypassing the
-//! result cache — the point is to measure a real run) and renders the
-//! plan annotated with per-depth kernel choices, candidate counts, and
+//! result cache — the point is to measure a real run) on the plan a
+//! `QUERY` of the same text runs, and renders that canonical plan
+//! annotated with per-depth kernel choices, candidate counts, and
 //! wall times; timing lines are `~`-prefixed, the rest is deterministic.
 //! `METRICS` dumps every service metric (latency histograms, per-verb
 //! request counters, cache hit/miss counters, occupancy gauges) in
@@ -264,7 +265,7 @@ fn answer(
                 r.replayed,
                 r.inserted,
                 r.deleted,
-                service.engine().catalog().epoch()
+                service.engine().epoch()
             )?,
             Err(e) => write_err(buf, &e),
         },
@@ -428,7 +429,7 @@ fn handle_connection(service: &QueryService, stream: TcpStream) {
 /// accepts connections and a pool of
 /// [`server_sessions`](crate::ServiceConfig::server_sessions) workers
 /// answers them, so N clients execute concurrently against the one shared
-/// catalog (each request still runs on the engine's
+/// store (each request still runs on the engine's
 /// [`eh_par::RuntimeConfig`] for execution parallelism — the two pools
 /// are deliberately separate, because a session occupies its worker for
 /// the whole connection, idle time included).

@@ -112,7 +112,7 @@ pub struct ServiceStats {
     pub result_cache_bytes: u64,
     /// Entries currently held by the result cache.
     pub result_cache_entries: u64,
-    /// Current catalog epoch.
+    /// Current epoch (the engine's).
     pub epoch: u64,
     /// Update batches that actually changed data. No-op batches are
     /// counted separately in [`ServiceStats::updates_noop`], so apply
@@ -247,7 +247,7 @@ pub struct Answer {
 /// 1. the SPARQL text is parsed and [canonicalized](eh_query::canonicalize),
 ///    so α-equivalent query strings share one cache identity;
 /// 2. the **result cache** (LRU, byte-budgeted, keyed by canonical query +
-///    catalog epoch) is consulted;
+///    engine epoch) is consulted;
 /// 3. on a miss, the **plan cache** supplies (or planning builds) the
 ///    `Plan` for the canonical form — GHD enumeration and the fractional
 ///    cover LP run once per query shape, not once per request;
@@ -306,27 +306,27 @@ impl QueryService {
         QueryService::new(store, ServiceConfig::default())
     }
 
-    /// A service restored from a snapshot file ([`Engine::from_snapshot`]):
-    /// the store loads without parsing or sorting and its base tries are
-    /// the snapshot's, so even the *first* query skips index
-    /// construction.
+    /// A service restored from a snapshot file
+    /// ([`Engine::open`] with [`LoadMode::Copy`]): the store loads
+    /// without parsing or sorting and its base tries are the snapshot's,
+    /// so even the *first* query skips index construction.
     pub fn from_snapshot(
         path: impl AsRef<std::path::Path>,
         config: ServiceConfig,
     ) -> Result<QueryService, SnapshotError> {
-        Ok(QueryService::from_engine(Engine::from_snapshot(path, config.planner)?, config))
+        Ok(QueryService::from_engine(Engine::open(path, LoadMode::Copy, config.planner)?, config))
     }
 
     /// [`QueryService::from_snapshot`], zero-copy: trie arenas serve
-    /// from the `mmap`ed snapshot file ([`Engine::from_snapshot_mmap`]),
-    /// falling back to the copy path on unmappable files or platforms.
-    /// `STATS` reports `load_mode=mmap|copy` and the `eh_mapped_bytes`
-    /// gauge shows how much of the file is held mapped.
+    /// from the `mmap`ed snapshot file ([`LoadMode::Mmap`]), falling back
+    /// to the copy path on unmappable platforms. `STATS` reports
+    /// `load_mode=mmap|copy` and the `eh_mapped_bytes` gauge shows how
+    /// much of the file is held mapped.
     pub fn from_snapshot_mmap(
         path: impl AsRef<std::path::Path>,
         config: ServiceConfig,
     ) -> Result<QueryService, SnapshotError> {
-        Ok(QueryService::from_engine(Engine::from_snapshot_mmap(path, config.planner)?, config))
+        Ok(QueryService::from_engine(Engine::open(path, LoadMode::Mmap, config.planner)?, config))
     }
 
     /// Persist the current store — its dictionary and base tries — to
@@ -439,7 +439,7 @@ impl QueryService {
         let columns: Vec<String> =
             q.projection().iter().map(|&v| q.var_name(v).to_string()).collect();
         let canonical = canonicalize(q);
-        let epoch = self.engine.catalog().epoch();
+        let epoch = self.engine.epoch();
         let key = (canonical, epoch);
 
         if let Some(result) = self.results.lock().unwrap_or_else(PoisonError::into_inner).get(&key)
@@ -484,7 +484,7 @@ impl QueryService {
             return Ok((Arc::clone(p), true));
         }
         self.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let planned_epoch = self.engine.catalog().epoch();
+        let planned_epoch = self.engine.epoch();
         let query = canonical.to_query()?;
         let plan = self.engine.plan(&query)?;
         let entry = Arc::new(CachedPlan { query, plan });
@@ -498,7 +498,7 @@ impl QueryService {
         // order shapes the byte-exact row order) could otherwise be
         // published into the post-update cache and served indefinitely.
         // Planning is per-shape, so running this one uncached is cheap.
-        if self.engine.catalog().epoch() != planned_epoch {
+        if self.engine.epoch() != planned_epoch {
             return Ok((entry, false));
         }
         let cap = self.config.plan_cache_entries.max(1);
@@ -512,13 +512,13 @@ impl QueryService {
         Ok((entry, false))
     }
 
-    /// Drop every cached plan and result and advance the catalog epoch
+    /// Drop every cached plan and result and advance the engine's epoch
     /// (the store's version; every trie survives). In-flight queries
     /// keyed by the old epoch may still publish stale entries; the epoch
     /// in the key keeps them unreachable, and LRU pressure retires them.
     pub fn invalidate(&self) -> u64 {
         self.drop_derived_caches();
-        self.engine.catalog().invalidate()
+        self.engine.invalidate()
     }
 
     /// Apply a batch of live updates through the engine and retire every
@@ -633,7 +633,7 @@ impl QueryService {
                 as u64,
             result_cache_bytes: bytes,
             result_cache_entries: entries,
-            epoch: self.engine.catalog().epoch(),
+            epoch: self.engine.epoch(),
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
             updates_noop: self.updates_noop.load(Ordering::Relaxed),
             staged_pairs: self.store().staged_pairs() as u64,
@@ -677,7 +677,7 @@ impl QueryService {
         self.metrics
             .plan_cache_entries
             .set(self.plans.read().unwrap_or_else(PoisonError::into_inner).map.len() as i64);
-        self.metrics.epoch.set(self.engine.catalog().epoch() as i64);
+        self.metrics.epoch.set(self.engine.epoch() as i64);
         self.metrics.staged_pairs.set(self.store().staged_pairs() as i64);
         self.metrics.mapped_bytes.set(self.engine.load_info().map_or(0, |l| l.mapped_bytes) as i64);
         if let Some(w) = self.engine.wal_status() {
@@ -700,13 +700,18 @@ impl QueryService {
         self.metrics.slow_log()
     }
 
-    /// `EXPLAIN ANALYZE` for the `PROFILE` verb: parse the SPARQL text,
-    /// plan it, execute it with full profiling, and render the plan with
-    /// measured numbers. Deliberately bypasses the result cache — the
-    /// point is to measure a real execution — but shares the service's
-    /// engine, so it profiles against the live store and warm tries.
+    /// `EXPLAIN ANALYZE` for the `PROFILE` verb: parse and canonicalize
+    /// the SPARQL text exactly as [`QueryService::query_sparql`] does, then
+    /// plan, execute with full profiling, and render the canonical query
+    /// ([`Engine::explain_analyze`]) — so the report describes the plan a
+    /// `QUERY` of the same text runs, under canonical variable names.
+    /// Deliberately bypasses the result cache and leaves every cache
+    /// counter alone — the point is to measure a real execution — but
+    /// shares the service's engine, so it profiles against the live store
+    /// and warm tries.
     pub fn profile_sparql(&self, text: &str) -> Result<String, EngineError> {
-        self.engine.explain_analyze_sparql(text)
+        let q = parse_sparql(text, &self.store())?;
+        self.engine.explain_analyze(&canonicalize(&q).to_query()?)
     }
 }
 

@@ -6,9 +6,12 @@
 //! independent under mutation.
 
 use std::collections::BTreeSet;
+use std::io::ErrorKind::NotFound;
 use std::sync::Arc;
 
-use wcoj_rdf::emptyheaded::{Engine, LoadMode, OptFlags, PlannerConfig, SharedStore, UpdateBatch};
+use wcoj_rdf::emptyheaded::{
+    Engine, LoadMode, OptFlags, PlannerConfig, SharedStore, SnapshotError, UpdateBatch,
+};
 use wcoj_rdf::lubm::queries::{lubm_query, lubm_sparql, QUERY_NUMBERS};
 use wcoj_rdf::lubm::{generate_store, GeneratorConfig};
 use wcoj_rdf::rdf::{Term, Triple, TripleStore};
@@ -96,8 +99,8 @@ fn mmap_matches_copy_across_partitions_threads_and_updates() {
             cold.save_snapshot(&path).expect("snapshot writes");
             let file_len = std::fs::metadata(&path).expect("snapshot exists").len();
 
-            let copied = Engine::from_snapshot(&path, config(threads)).expect("copy load");
-            let mapped = Engine::from_snapshot_mmap(&path, config(threads)).expect("mmap load");
+            let copied = Engine::open(&path, LoadMode::Copy, config(threads)).expect("copy load");
+            let mapped = Engine::open(&path, LoadMode::Mmap, config(threads)).expect("mmap load");
             let load = mapped.load_info().expect("loaded engine records its load");
             assert_eq!(load.mode, LoadMode::Mmap, "{tag}: {:?}", load.fallback);
             assert_eq!(load.mapped_bytes, file_len, "{tag}: whole file mapped");
@@ -130,7 +133,7 @@ fn mmap_matches_copy_across_partitions_threads_and_updates() {
             // a fresh mapped load of the new file sees the updated data.
             mapped.save_snapshot(&path).expect("re-save over mapped file");
             assert_lubm_equal(&copied, &mapped, &format!("{tag} post-resave"));
-            let reloaded = Engine::from_snapshot_mmap(&path, config(threads)).expect("reload");
+            let reloaded = Engine::open(&path, LoadMode::Mmap, config(threads)).expect("reload");
             assert_eq!(
                 reloaded.load_info().expect("reload records its load").mode,
                 LoadMode::Mmap,
@@ -197,7 +200,7 @@ fn compact_replaces_exactly_the_folded_tries_and_the_rest_stay_mapped() {
         cold.repartition(partitions);
         let path = temp_snapshot(&format!("surgical-p{partitions}"));
         cold.save_snapshot(&path).expect("snapshot writes");
-        let mapped = Engine::from_snapshot_mmap(&path, config(2)).expect("mmap load");
+        let mapped = Engine::open(&path, LoadMode::Mmap, config(2)).expect("mmap load");
         let before = base_tries(&mapped.store());
 
         // One triple, one existing subject: exactly one (pred, shard).
@@ -238,7 +241,8 @@ fn compact_replaces_exactly_the_folded_tries_and_the_rest_stay_mapped() {
 /// An image has one encoding: saving a store, loading the image (copy
 /// and mmap) and saving again reproduces the file byte for byte — with
 /// staged deltas resident at the first save, so the fold inside `SAVE`
-/// is part of what must be canonical.
+/// is part of what must be canonical. Once the image is gone, every open
+/// path reports the missing file as a typed `NotFound`, never a fallback.
 #[test]
 fn save_load_save_is_a_byte_fixed_point() {
     for partitions in [1usize, 4] {
@@ -252,8 +256,8 @@ fn save_load_save_is_a_byte_fixed_point() {
         assert_eq!(&image[..8], b"EHSNAP04");
 
         let again = temp_snapshot(&format!("fixed-point-p{partitions}-again"));
-        let copied = Engine::from_snapshot(&first, config(2)).expect("copy load");
-        let mapped = Engine::from_snapshot_mmap(&first, config(2)).expect("mmap load");
+        let copied = Engine::open(&first, LoadMode::Copy, config(2)).expect("copy load");
+        let mapped = Engine::open(&first, LoadMode::Mmap, config(2)).expect("mmap load");
         assert_eq!(mapped.load_info().expect("load recorded").mode, LoadMode::Mmap);
         for (engine, mode) in [(&copied, "copy"), (&mapped, "mmap")] {
             engine.save_snapshot(&again).expect("second save");
@@ -262,5 +266,16 @@ fn save_load_save_is_a_byte_fixed_point() {
         }
         std::fs::remove_file(&first).ok();
         std::fs::remove_file(&again).ok();
+
+        let not_found =
+            |e: SnapshotError| matches!(&e, SnapshotError::Io(io) if io.kind() == NotFound);
+        for mode in [LoadMode::Copy, LoadMode::Mmap] {
+            let e = Engine::open(&first, mode, config(2)).err().expect("the image is gone");
+            assert!(not_found(e), "P={partitions} Engine::open {mode}");
+        }
+        let svc = QueryService::from_snapshot(&first, svc_config(2)).err().expect("image is gone");
+        assert!(not_found(svc), "P={partitions} QueryService::from_snapshot");
+        let svc = QueryService::from_snapshot_mmap(&first, svc_config(2)).err().expect("is gone");
+        assert!(not_found(svc), "P={partitions} QueryService::from_snapshot_mmap");
     }
 }

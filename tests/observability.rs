@@ -9,6 +9,8 @@
 //! * Profiles are schedule-invariant: tallies, candidate counts, and the
 //!   stable lines of `EXPLAIN ANALYZE` are byte-identical across 1/2/4
 //!   worker threads; volatile lines are `~`-prefixed and stripped.
+//! * `PROFILE` measures the canonical plan a `QUERY` of the same text
+//!   runs, not the plan of the text as written.
 //! * The serving tier's `STATS`, `METRICS`, and slow-query log report
 //!   what actually happened, end to end through the facade crate.
 //!
@@ -18,11 +20,14 @@
 
 use std::sync::Mutex;
 
-use wcoj_rdf::emptyheaded::{Engine, OptFlags, PlannerConfig, SharedStore};
+use wcoj_rdf::emptyheaded::{
+    Engine, OptFlags, PlannerConfig, QueryProfile, QueryResult, SharedStore,
+};
 use wcoj_rdf::lubm::queries::{lubm_query, lubm_sparql, QUERY_NUMBERS};
 use wcoj_rdf::lubm::{generate_store, GeneratorConfig};
 use wcoj_rdf::obs::parse_exposition;
 use wcoj_rdf::par::RuntimeConfig;
+use wcoj_rdf::query::{canonicalize, parse_sparql, ConjunctiveQuery};
 use wcoj_rdf::setops::instrument;
 use wcoj_rdf::srv::{respond, QueryService, ServiceConfig};
 
@@ -37,6 +42,11 @@ fn engine_with_threads(store: &SharedStore, threads: usize) -> Engine {
     let config = PlannerConfig::with_flags(OptFlags::all())
         .with_runtime(RuntimeConfig::with_threads(threads).with_morsel_size(1));
     Engine::with_config(store.clone(), config)
+}
+
+/// Plan `q` and run it with full profiling.
+fn profile(engine: &Engine, q: &ConjunctiveQuery) -> (QueryResult, QueryProfile) {
+    engine.run_plan_profiled(q, &engine.plan(q).expect("query plans"))
 }
 
 /// The stable (schedule-invariant) lines of a rendered profile or
@@ -54,7 +64,7 @@ fn kernel_tallies_match_instrument_counters_on_the_lubm_workload() {
     for n in QUERY_NUMBERS {
         let q = lubm_query(n, &store.read()).expect("workload query");
         instrument::reset_kernel_counts();
-        let (result, profile) = engine.profile(&q).expect("profiled run");
+        let (result, profile) = profile(&engine, &q);
         let raw = instrument::kernel_counts();
         let tallies = profile.kernel_totals();
         assert_eq!(
@@ -88,12 +98,12 @@ fn profiles_are_schedule_invariant_across_thread_counts() {
     for n in [2u32, 9] {
         let q = lubm_query(n, &store.read()).expect("workload query");
         let reference = {
-            let (result, profile) = engine_with_threads(&store, 1).profile(&q).expect("1 thread");
+            let (result, profile) = profile(&engine_with_threads(&store, 1), &q);
             (result, profile.kernel_totals(), profile.render())
         };
         for threads in [2usize, 4] {
             let engine = engine_with_threads(&store, threads);
-            let (result, profile) = engine.profile(&q).expect("profiled run");
+            let (result, profile) = profile(&engine, &q);
             assert_eq!(result, reference.0, "Q{n}: answers must not depend on threads");
             assert_eq!(
                 profile.kernel_totals(),
@@ -146,6 +156,45 @@ fn explain_analyze_is_stable_modulo_volatile_lines_over_the_wire_format() {
     }
 }
 
+/// `PROFILE` measures the plan `QUERY` runs: the service plans the
+/// canonical form of a query, and the planner breaks cardinality ties by
+/// appearance, so profiling the text as written can measure a different
+/// attribute order (on this fixture LUBM 3 takes 6 candidates as written
+/// and 192 canonical). Every iterated depth's candidate count in the
+/// `PROFILE` report must be the canonical plan's.
+#[test]
+fn profile_verb_measures_the_plan_query_runs() {
+    let _guard = ENGINE_LOCK.lock().unwrap();
+    let store = tiny_store();
+    let service = QueryService::new(store.clone(), ServiceConfig::default());
+    let mut diverged = Vec::new();
+    for n in QUERY_NUMBERS {
+        let text = lubm_sparql(n).expect("workload query");
+        let report = service.profile_sparql(&text).expect("PROFILE runs");
+        let reported: Vec<u64> = report
+            .lines()
+            .filter(|l| l.trim_start().starts_with("depth "))
+            .filter_map(|l| l.split(" candidates ").nth(1))
+            .map(|rest| rest.split(',').next().unwrap().parse().expect("candidate count"))
+            .collect();
+        let parsed = parse_sparql(&text, &store.read()).expect("workload query parses");
+        let canonical = canonicalize(&parsed).to_query().expect("canonical form rebuilds");
+        let (_, expect) = profile(service.engine(), &canonical);
+        let expect: Vec<u64> = expect
+            .joins
+            .iter()
+            .flat_map(|j| j.depths.iter().filter(|d| !d.selected).map(|d| d.candidates))
+            .collect();
+        if reported != expect {
+            diverged.push((n, reported, expect));
+        }
+    }
+    assert!(diverged.is_empty(), "PROFILE measured plans QUERY does not run: {diverged:?}");
+    let stats = service.stats();
+    assert_eq!((stats.result_hits, stats.result_misses), (0, 0), "PROFILE bypasses caches");
+    assert_eq!((stats.plan_hits, stats.plan_misses), (0, 0), "PROFILE bypasses caches");
+}
+
 #[test]
 fn profile_answers_exactly_match_unprofiled_runs() {
     let _guard = ENGINE_LOCK.lock().unwrap();
@@ -154,7 +203,7 @@ fn profile_answers_exactly_match_unprofiled_runs() {
     for n in QUERY_NUMBERS {
         let q = lubm_query(n, &store.read()).expect("workload query");
         let plain = engine.run(&q).expect("plain run");
-        let (profiled, _) = engine.profile(&q).expect("profiled run");
+        let (profiled, _) = profile(&engine, &q);
         // This equivalence is what makes EH_OBS_FORCE (which routes every
         // run through the profiled path) safe to turn on in CI.
         assert_eq!(plain, profiled, "Q{n}: profiling must not change the answer");

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use wcoj_rdf::emptyheaded::{
-    Engine, OptFlags, PlannerConfig, SharedStore, StoreSnapshot, UpdateBatch,
+    Engine, LoadMode, OptFlags, PlannerConfig, SharedStore, StoreSnapshot, UpdateBatch,
 };
 use wcoj_rdf::lubm::queries::{lubm_query, lubm_sparql, QUERY_NUMBERS};
 use wcoj_rdf::lubm::{generate_store, GeneratorConfig};
@@ -26,7 +26,7 @@ fn config(threads: usize) -> PlannerConfig {
 fn reload(engine: &Engine, tag: &str, threads: usize) -> Engine {
     let path = temp_snapshot(tag);
     engine.save_snapshot(&path).expect("snapshot writes");
-    let loaded = Engine::from_snapshot(&path, config(threads)).expect("snapshot loads");
+    let loaded = Engine::open(&path, LoadMode::Copy, config(threads)).expect("snapshot loads");
     std::fs::remove_file(&path).ok();
     loaded
 }
@@ -249,8 +249,8 @@ proptest! {
         };
         let cold = Engine::new(store, OptFlags::all());
         for threads in [1usize, 4] {
-            let loaded = Engine::from_loaded_snapshot(
-                StoreSnapshot::read(&bytes[..]).expect("re-reads"),
+            let loaded = Engine::with_config(
+                StoreSnapshot::read(&bytes[..]).expect("re-reads").store,
                 config(threads),
             );
             prop_assert_eq!(

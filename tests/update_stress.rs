@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use wcoj_rdf::emptyheaded::{Engine, OptFlags, PlannerConfig, SharedStore, UpdateBatch};
+use wcoj_rdf::emptyheaded::{Engine, LoadMode, OptFlags, PlannerConfig, SharedStore, UpdateBatch};
 use wcoj_rdf::lubm::queries::lubm_sparql;
 use wcoj_rdf::lubm::{generate_store, GeneratorConfig};
 use wcoj_rdf::query::QueryBuilder;
@@ -118,18 +118,14 @@ fn tcp_updates_answer_like_a_cold_engine_on_every_path() {
 fn untouched_predicates_keep_their_tries() {
     let store = SharedStore::from_triples(base_triples());
     let engine = Engine::new(store.clone(), OptFlags::all());
-    let (edge_atom, kind_atom) = {
-        let guard = store.read();
-        let atom = |rel: &str| {
-            let mut qb = QueryBuilder::new();
-            let (x, y) = (qb.var("x"), qb.var("y"));
-            qb.atom(rel, guard.resolve_iri(rel).unwrap(), x, y);
-            qb.select(vec![x]).build().unwrap().atoms()[0].clone()
-        };
-        (atom("edge"), atom("kind"))
+    // The subject-major base trie the store holds for a predicate.
+    let so = |rel: &str| {
+        let store = engine.store();
+        let pred = store.resolve_iri(rel).unwrap();
+        std::sync::Arc::clone(store.trie_pair(0, pred).unwrap().so())
     };
-    let edge_before = engine.catalog().trie(&edge_atom, true, true);
-    let kind_before = engine.catalog().trie(&kind_atom, true, true);
+    let edge_before = so("edge");
+    let kind_before = so("kind");
 
     let mut batch = UpdateBatch::new();
     batch.insert(t("d", "edge", "e"));
@@ -144,7 +140,7 @@ fn untouched_predicates_keep_their_tries() {
         ),
         (1, 1, 0, 0)
     );
-    let edge_staged = engine.catalog().trie(&edge_atom, true, true);
+    let edge_staged = so("edge");
     assert!(
         std::sync::Arc::ptr_eq(&edge_before, &edge_staged),
         "a staged batch must keep the base trie frozen in place"
@@ -156,8 +152,8 @@ fn untouched_predicates_keep_their_tries() {
     let c = engine.compact();
     assert_eq!(c.compacted_predicates, 1);
     assert!(c.rebuilt_tries >= 1, "compaction rebuilds the cached orders");
-    let edge_after = engine.catalog().trie(&edge_atom, true, true);
-    let kind_after = engine.catalog().trie(&kind_atom, true, true);
+    let edge_after = so("edge");
+    let kind_after = so("kind");
     assert!(
         !std::sync::Arc::ptr_eq(&edge_before, &edge_after),
         "compacted predicate must get a fresh trie"
@@ -579,8 +575,9 @@ fn run_kill_scenario(
     // happened after the rename), then the log tail.
     let context = format!("{point}:{hit} threads={threads} P={partitions}");
     let mut recovered = if snap.exists() {
-        Engine::from_snapshot(
+        Engine::open(
             &snap,
+            LoadMode::Copy,
             PlannerConfig::with_flags(OptFlags::all()).with_threads(threads),
         )
         .unwrap()
@@ -717,7 +714,7 @@ fn save_racing_a_writer_loses_no_acknowledged_batch() {
     // Recover from the last image + the log tail: every acknowledged
     // batch must be there, and nothing else.
     let mut recovered =
-        Engine::from_snapshot(&snap, PlannerConfig::with_flags(OptFlags::all())).unwrap();
+        Engine::open(&snap, LoadMode::Copy, PlannerConfig::with_flags(OptFlags::all())).unwrap();
     recovered.open_wal(&wal).unwrap();
     assert_answers_match(&recovered, &engine, "saves racing writer");
     let triples = |e: &Engine| -> Vec<String> {
