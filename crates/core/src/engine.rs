@@ -1,7 +1,7 @@
 //! The user-facing engine API.
 
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError, RwLockReadGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use eh_query::{parse_sparql, ConjunctiveQuery};
@@ -17,9 +17,6 @@ use crate::profile::{ExecStats, QueryProfile};
 use crate::result::QueryResult;
 use crate::shared::SharedStore;
 use crate::update::{UpdateBatch, UpdateSummary, WalAppend};
-
-/// Bound on mid-join epoch-moved re-executions (see [`Engine::run_plan`]).
-const MID_JOIN_UPDATE_RETRIES: u64 = 3;
 
 /// `EH_OBS_FORCE=1` routes every plan execution through the profiled
 /// path (the profile is recorded and discarded when the caller didn't ask
@@ -58,8 +55,12 @@ fn payload_decode_reason(e: &eh_rdf::BatchCodecError) -> &'static str {
 /// The store is *live*: [`Engine::update`] stages a batch of insertions
 /// and deletions as deltas beside the untouched base tries and advances
 /// the epoch so downstream result caches retire their stale entries.
-/// Tries are immutable `Arc`s, never mutated in place, and a join whose
-/// operands straddle an update is re-run (see [`Engine::run_plan`]).
+/// Every operation pins one store version when it starts and reads only
+/// that version, so an answer is always one store state's answer; a write
+/// landing meanwhile publishes the next version without waiting for it
+/// (see [`SharedStore`]).
+///
+/// [`SharedStore`]: crate::SharedStore
 pub struct Engine {
     store: SharedStore,
     config: PlannerConfig,
@@ -191,27 +192,25 @@ impl Engine {
     /// every relation — to a snapshot file. Returns the bytes written and
     /// the number of triples the image holds.
     ///
-    /// The store's read lock is held only long enough to *clone* the
-    /// store (`Arc` bumps plus the dictionary and deltas), so the image is
-    /// a consistent point in time but writers are not stalled behind
-    /// folding deltas and file I/O (the expensive parts, which run on the
-    /// private clone). The triple count is taken from that same clone, so
-    /// it always agrees with the file contents even when updates land
-    /// mid-save.
+    /// The save pins one store version, so the image is a consistent
+    /// point in time, and folds that version's deltas into a private copy
+    /// of it: writers are not stalled behind the fold and the file I/O.
+    /// The triple count is taken from that same copy, so it always agrees
+    /// with the file contents even when updates land mid-save.
     /// With a WAL attached, `save` also *truncates the log*: records
     /// folded into the image are dropped (atomic temp-and-rename, like
     /// the snapshot itself), so the log only ever holds the tail since
-    /// the last image. The WAL sequence is captured under the wal lock
-    /// in the same bracket as the store clone — and because updates
-    /// hold that lock from append through staging, every record `<=`
-    /// the captured sequence is *in* the clone and every later one is
-    /// not. A crash between the image rename and the log truncation
-    /// leaves both the new image and the untruncated log; replaying
+    /// the last image. The version is pinned and the WAL sequence
+    /// captured under the wal lock — and because updates hold that lock
+    /// from append through staging, every record `<=` the captured
+    /// sequence is *in* the pinned version and every later one is not.
+    /// A crash between the image rename and the log truncation leaves
+    /// both the new image and the untruncated log; replaying
     /// already-folded records is idempotent (set semantics: re-inserts
     /// and re-deletes of applied operations are no-ops), so recovery
     /// still converges to the identical store.
     ///
-    /// Concurrent saves run one at a time, each from its clone to its
+    /// Concurrent saves run one at a time, each from its pin to its
     /// truncation. Otherwise a save that captured sequence 5 could rename
     /// its image over one that captured 7 and already truncated the log
     /// through 7 — leaving records 6–7 in neither file.
@@ -219,20 +218,19 @@ impl Engine {
         // The guard protects no data, so a save that panicked mid-way
         // leaves nothing behind it for the next one to trip over.
         let _saving = self.save.lock().unwrap_or_else(PoisonError::into_inner);
-        let (mut store, wal_seq) = match &self.wal {
-            None => (self.store().clone(), None),
+        let (pinned, wal_seq) = match &self.wal {
+            None => (self.store(), None),
             Some(wal) => {
                 let w = Self::lock_wal(wal);
-                let store = self.store().clone();
-                (store, Some(w.last_seq()))
-                // wal lock drops here: writers proceed while the clone
-                // freezes and writes below.
+                (self.store(), Some(w.last_seq()))
+                // wal lock drops here: writers proceed while the copy
+                // folds and writes below.
             }
         };
-        // Snapshots encode base relations only; fold the clone's staged
-        // deltas in so overlay novelty is never silently dropped from the
-        // image. The live store keeps its deltas — this is the private
-        // copy.
+        // Snapshots encode base relations only; fold the staged deltas
+        // into a private copy so overlay novelty is never silently
+        // dropped from the image. The live store keeps its deltas.
+        let mut store = Arc::unwrap_or_clone(pinned);
         store.compact_all();
         crash_point("engine-save-pre");
         let bytes = StoreSnapshot::write_to_path(&store, path)?;
@@ -281,10 +279,13 @@ impl Engine {
         })
     }
 
-    /// Read access to the underlying store. The guard is cheap; hold it
-    /// only for short lookups (term resolution, row decoding), not across
-    /// another engine call.
-    pub fn store(&self) -> RwLockReadGuard<'_, TripleStore> {
+    /// Pin the current store version (see [`SharedStore::read`]): a
+    /// fixed state for term resolution and row decoding. A pin blocks no
+    /// writer, but the first write while it is held copies the store, so
+    /// drop it when done.
+    ///
+    /// [`SharedStore::read`]: crate::SharedStore::read
+    pub fn store(&self) -> Arc<TripleStore> {
         self.store.read()
     }
 
@@ -294,12 +295,12 @@ impl Engine {
     /// current partitioning is a free no-op. Returns the partition count
     /// now in effect.
     pub fn repartition(&self, partitions: usize) -> usize {
-        let mut store = self.store.write();
-        if store.partitions() != partitions.max(1) {
-            store.repartition(partitions);
-            self.store.bump_version();
+        let mut version = self.store.write();
+        if version.store.partitions() != partitions.max(1) {
+            Arc::make_mut(&mut version.store).repartition(partitions);
+            version.epoch += 1;
         }
-        store.partitions()
+        version.store.partitions()
     }
 
     /// The planner configuration.
@@ -319,23 +320,24 @@ impl Engine {
     /// caches keyed by `(query, epoch)` to miss. Every trie survives.
     /// Returns the new epoch.
     pub fn invalidate(&self) -> u64 {
-        let _store = self.store.write();
-        self.store.bump_version()
+        let mut version = self.store.write();
+        version.epoch += 1;
+        version.epoch
     }
 
     /// Apply a batch of live updates: deletions first, then insertions
-    /// (SPARQL Update convention), atomically under the store's write
-    /// lock. The batch is **staged** LSM-style — sorted per-predicate
-    /// delta sets of inserts and tombstones — in O(delta) time, without
-    /// re-freezing any trie: queries serve the novelty by handing each
-    /// delta to the multiway driver as one more set operand. Only a
-    /// predicate whose accumulated delta crosses
+    /// (SPARQL Update convention), atomically: the batch lands as one
+    /// new store version. The batch is **staged** LSM-style — sorted
+    /// per-predicate delta sets of inserts and tombstones — in O(delta)
+    /// time, without re-freezing any trie: queries serve the novelty by
+    /// handing each delta to the multiway driver as one more set operand.
+    /// Only a predicate whose accumulated delta crosses
     /// [`PlannerConfig::compaction_threshold`] is folded into freshly
     /// frozen base tries as part of the batch.
-    /// The epoch — the store's version — advances once per batch, before
-    /// the write lock is released; a batch that changes nothing —
-    /// duplicates of resident triples, deletions of absent ones — leaves
-    /// deltas, epoch, and downstream caches untouched.
+    /// The epoch — the store's version — advances once per batch, in the
+    /// write guard that publishes the batch; a batch that changes
+    /// nothing — duplicates of resident triples, deletions of absent
+    /// ones — leaves deltas, epoch, and downstream caches untouched.
     ///
     /// With a log attached ([`Engine::open_wal`]) the encoded batch is
     /// appended — and pushed to stable storage per the configured
@@ -387,13 +389,14 @@ impl Engine {
     /// recovered batches are *not* re-appended to the log they came
     /// from).
     fn apply_batch(&self, batch: UpdateBatch) -> UpdateSummary {
-        let mut store = self.store.write();
+        let mut version = self.store.write();
+        let store = Arc::make_mut(&mut version.store);
         let mut report = store.stage_remove_triples(batch.deletes);
         report.merge(store.stage_add_triples(batch.inserts));
         if report.is_empty() {
-            return UpdateSummary::unchanged(self.store.version());
+            return UpdateSummary::unchanged(version.epoch);
         }
-        // Threshold compaction, still under the write lock, at shard
+        // Threshold compaction, still under the write guard, at shard
         // granularity: fold exactly the (predicate, shard) deltas that
         // grew past max(absolute floor, frac% of that shard's base
         // table). A skewed shard folds alone — every other shard's tries
@@ -421,9 +424,7 @@ impl Engine {
                 }
             }
         }
-        // Bump while the write guard is held: a reader that can see the
-        // new state can also see the new epoch (see `SharedStore`).
-        let epoch = self.store.bump_version();
+        version.epoch += 1;
         let mut compacted_preds: Vec<u32> = compacted.iter().map(|&(p, _)| p).collect();
         compacted_preds.dedup();
         UpdateSummary {
@@ -432,7 +433,7 @@ impl Engine {
             changed_predicates: report.changed_preds.len(),
             rebuilt_tries: 2 * compacted.len(),
             compacted_predicates: compacted_preds.len(),
-            epoch,
+            epoch: version.epoch,
             shard_pauses,
             wal: None,
         }
@@ -443,7 +444,11 @@ impl Engine {
     /// maintenance trigger (or a caller who wants overlay memory back).
     /// No-op (epoch untouched) when nothing is staged.
     pub fn compact(&self) -> UpdateSummary {
-        let mut store = self.store.write();
+        let mut version = self.store.write();
+        if !version.store.has_deltas() {
+            return UpdateSummary::unchanged(version.epoch);
+        }
+        let store = Arc::make_mut(&mut version.store);
         // Fold shard by shard so the pause attribution matches the
         // shard-local storage: each shard's fold only touches its own
         // relations and is timed on its own.
@@ -457,11 +462,7 @@ impl Engine {
                 pairs.extend(preds.into_iter().map(|p| (p, s)));
             }
         }
-        if pairs.is_empty() {
-            return UpdateSummary::unchanged(self.store.version());
-        }
-        // Same protocol as `update`: the bump lands under the write guard.
-        let epoch = self.store.bump_version();
+        version.epoch += 1;
         let mut preds: Vec<u32> = pairs.iter().map(|&(p, _)| p).collect();
         preds.sort_unstable();
         preds.dedup();
@@ -471,7 +472,7 @@ impl Engine {
             changed_predicates: preds.len(),
             rebuilt_tries: 2 * pairs.len(),
             compacted_predicates: preds.len(),
-            epoch,
+            epoch: version.epoch,
             shard_pauses,
             wal: None,
         }
@@ -479,95 +480,77 @@ impl Engine {
 
     /// Plan a query without running it.
     pub fn plan(&self, q: &ConjunctiveQuery) -> Result<Plan, EngineError> {
+        self.plan_on(&self.store(), q)
+    }
+
+    fn plan_on(&self, store: &TripleStore, q: &ConjunctiveQuery) -> Result<Plan, EngineError> {
         if q.projection().is_empty() {
             return Err(EngineError::EmptyProjection);
         }
-        Ok(build_plan_with(q, self.config, Some(&self.store())))
+        Ok(build_plan_with(q, self.config, Some(store)))
     }
 
     /// Plan and execute a query.
     pub fn run(&self, q: &ConjunctiveQuery) -> Result<QueryResult, EngineError> {
-        let plan = self.plan(q)?;
-        Ok(self.run_plan(q, &plan))
+        let store = self.store();
+        let plan = self.plan_on(&store, q)?;
+        Ok(self.execute(&store, q, &plan, obs_forced()).0)
     }
 
     /// Execute a previously built plan (on the configured runtime:
     /// sequential by default, morsel-parallel when
-    /// [`PlannerConfig::with_threads`] asked for workers).
-    ///
-    /// Execution fetches operands one at a time, each from one store
-    /// state, so an update landing *mid-join* could otherwise mix pre-
-    /// and post-update operands into one answer that matches no store
-    /// state. The epoch bracket closes that: every change bumps the
-    /// epoch under its write lock, so an unchanged epoch means one state
-    /// served every operand; if it moved, the result is discarded and the
-    /// join re-executes against the new state.
-    ///
-    /// Retries are bounded: a sustained writer whose inter-batch gap is
-    /// shorter than this query's runtime would otherwise starve the
-    /// reader forever. After the last retry the result is returned as a
-    /// best-effort answer — each trie in it is still an immutable
-    /// snapshot of its own predicate, but tries of different predicates
-    /// may straddle adjacent updates. Only workloads updating faster than
-    /// they can run a single join ever see this.
+    /// [`PlannerConfig::with_threads`] asked for workers) against the
+    /// store version current when it starts. Every operand comes from
+    /// that version, so the answer is one store state's answer however
+    /// many updates land while the join runs.
     pub fn run_plan(&self, q: &ConjunctiveQuery, plan: &Plan) -> QueryResult {
-        self.run_bracketed(q, plan, obs_forced()).0
+        self.execute(&self.store(), q, plan, obs_forced()).0
     }
 
-    /// Execute a previously built plan with full profiling: same retry
-    /// semantics as [`Engine::run_plan`], but every join records kernel
-    /// dispatches, candidate counts, probes, and wall times. Each retry
-    /// attempt starts a fresh collector, so the returned profile describes
-    /// exactly the attempt whose result is returned (plus how many
-    /// attempts were discarded in `epoch_retries`).
+    /// Execute a previously built plan with full profiling, as
+    /// [`Engine::run_plan`] does, recording every join's kernel
+    /// dispatches, candidate counts, probes, and wall times.
     pub fn run_plan_profiled(
         &self,
         q: &ConjunctiveQuery,
         plan: &Plan,
     ) -> (QueryResult, QueryProfile) {
-        let (result, profile) = self.run_bracketed(q, plan, true);
+        let (result, profile) = self.execute(&self.store(), q, plan, true);
         (result, profile.expect("a profiled run returns its profile"))
     }
 
-    /// The epoch bracket behind both entry points; `profiled` decides
-    /// whether attempts record into a collector (and read the clock).
-    fn run_bracketed(
+    /// Run `plan` on the pinned `store`; `profiled` decides whether the
+    /// run records into a collector (and reads the clock).
+    fn execute(
         &self,
+        store: &TripleStore,
         q: &ConjunctiveQuery,
         plan: &Plan,
         profiled: bool,
     ) -> (QueryResult, Option<QueryProfile>) {
         let threads = self.config.runtime.num_threads;
         let t0 = profiled.then(Instant::now);
-        let mut retries = 0;
-        loop {
-            let stats = profiled.then(|| ExecStats::new(threads));
-            let epoch = self.epoch();
-            let result = execute_plan(
-                &self.store,
-                q,
-                plan,
-                self.config.flags.layouts,
-                self.config.runtime,
-                stats.as_ref(),
-            );
-            if self.epoch() == epoch || retries >= MID_JOIN_UPDATE_RETRIES {
-                let profile = stats.zip(t0).map(|(stats, t0)| {
-                    stats.snapshot(threads, t0.elapsed().as_nanos() as u64, retries)
-                });
-                return (result, profile);
-            }
-            retries += 1;
-        }
+        let stats = profiled.then(|| ExecStats::new(threads));
+        let result = execute_plan(
+            store,
+            q,
+            plan,
+            self.config.flags.layouts,
+            self.config.runtime,
+            stats.as_ref(),
+        );
+        let profile = stats
+            .zip(t0)
+            .map(|(stats, t0)| stats.snapshot(threads, t0.elapsed().as_nanos() as u64));
+        (result, profile)
     }
 
     /// Parse a SPARQL query against this engine's store and run it.
     pub fn run_sparql(&self, text: &str) -> Result<QueryResult, EngineError> {
-        let q = {
-            let store = self.store();
-            parse_sparql(text, &store)?
-        };
-        self.run(&q)
+        let store = self.store();
+        let q = parse_sparql(text, &store)?;
+        let plan = self.plan_on(&store, &q)?;
+        Ok(self.execute(&store, &q, &plan, obs_forced()).0)
     }
 
     /// Pre-build the tries a query needs, so a subsequent timed
@@ -581,7 +564,8 @@ impl Engine {
     /// workers (EmptyHeaded's trie construction is parallel too); each
     /// one is built once however many workers ask for it.
     pub fn warm(&self, q: &ConjunctiveQuery) -> Result<(), EngineError> {
-        let plan = self.plan(q)?;
+        let store = self.store();
+        let plan = self.plan_on(&store, q)?;
         if self.config.flags.layouts {
             return Ok(());
         }
@@ -595,11 +579,11 @@ impl Engine {
             .collect();
         jobs.sort_unstable();
         jobs.dedup_by_key(|&mut (pred, subject_first, _)| (pred, subject_first));
-        let partitions = self.store().partitions();
+        let partitions = store.partitions();
         eh_par::run_tasks(self.config.runtime.num_threads, jobs.len() * partitions, None, |i| {
             let (_, subject_first, atom_index) = jobs[i / partitions];
             let atom = &q.atoms()[atom_index];
-            relation(&self.store, atom, subject_first, false, Some(i % partitions));
+            relation(&store, atom, subject_first, false, Some(i % partitions));
         });
         Ok(())
     }
@@ -609,16 +593,16 @@ impl Engine {
     /// global attribute order, width and pipelining decision, then each
     /// atom's chosen trie order and logical cardinality — followed by the
     /// measured profile (per-depth kernel choices, candidate and probe
-    /// counts, wall times) and the result cardinality. Volatile (timing)
-    /// lines are `~`-prefixed; the rest is schedule-invariant across
-    /// thread counts.
+    /// counts, wall times) and the result cardinality, all from one store
+    /// version. Volatile (timing) lines are `~`-prefixed; the rest is
+    /// schedule-invariant across thread counts.
     pub fn explain_analyze(&self, q: &ConjunctiveQuery) -> Result<String, EngineError> {
         use std::fmt::Write;
-        let plan = self.plan(q)?;
-        let (result, profile) = self.run_plan_profiled(q, &plan);
+        let store = self.store();
+        let plan = self.plan_on(&store, q)?;
+        let (result, profile) = self.execute(&store, q, &plan, true);
         let mut out = plan.render(q);
         let _ = writeln!(out, "atom access paths:");
-        let store = self.store();
         for ap in plan.nodes.iter().flat_map(|node| &node.atoms) {
             let atom = &q.atoms()[ap.atom_index];
             let short = atom.relation.rsplit(['/', '#']).next().unwrap_or(&atom.relation);
@@ -626,7 +610,7 @@ impl Engine {
             let tuples = store.resolve_iri(&atom.relation).map_or(0, |p| store.pred_logical_len(p));
             let _ = writeln!(out, "  {short}: trie {order}, {tuples} tuples");
         }
-        out.push_str(&profile.render());
+        out.push_str(&profile.expect("a profiled run returns its profile").render());
         let _ = writeln!(out, "result rows: {}", result.cardinality());
         Ok(out)
     }
@@ -756,7 +740,7 @@ mod tests {
             }
         });
         let trie = |engine: &Engine, subject_first, auto_layout| {
-            relation(&engine.store, atom, subject_first, auto_layout, None).layers.remove(0).base
+            relation(&engine.store(), atom, subject_first, auto_layout, None).layers.remove(0).base
         };
         for subject_first in [true, false] {
             // Auto-layout operands are the store's tries: nothing to build.
@@ -811,7 +795,7 @@ mod tests {
         let q = triangle_query(&store.read());
         let atom = &q.atoms()[0];
         let layer = |auto_layout| {
-            relation(&store, atom, true, auto_layout, None).layers.pop().expect("one layer")
+            relation(&store.read(), atom, true, auto_layout, None).layers.pop().expect("one layer")
         };
         let before = [true, false].map(layer);
         assert_eq!(engine.invalidate(), 2);
@@ -822,6 +806,53 @@ mod tests {
             assert!(std::sync::Arc::ptr_eq(&old.base, &now.base), "auto {auto}");
             assert!(std::sync::Arc::ptr_eq(old_ov, now_ov), "auto {auto}");
         }
+    }
+
+    /// A held version is one fixed store state: holding it blocks no
+    /// writer, the write publishes a copy beside it, and the held version
+    /// is freed when its holder drops it.
+    #[test]
+    fn a_held_version_blocks_no_writer_and_is_freed_when_dropped() {
+        let engine = &Engine::new(triangle_store(), OptFlags::all());
+        // Everything lives inside the scope, so a failed wait drops the
+        // pin before the scope joins the writer.
+        std::thread::scope(|scope| {
+            let held = engine.store();
+            let old = Arc::downgrade(&held);
+            let (tx, rx) = std::sync::mpsc::channel();
+            scope.spawn(move || {
+                let mut batch = UpdateBatch::new();
+                batch.insert(edge(0, 9));
+                tx.send(engine.update(batch).epoch).unwrap();
+            });
+            let epoch = rx.recv_timeout(std::time::Duration::from_secs(10));
+            assert_eq!(epoch, Ok(1), "the writer waited for a reader's pin");
+            assert_eq!((held.num_triples(), engine.store().num_triples()), (5, 6));
+            drop(held);
+            assert!(old.upgrade().is_none(), "the old version outlived its last pin");
+        });
+    }
+
+    /// With no version pinned, writes change the store in place: the
+    /// sequential update → query loop never copies it. (A copy is made
+    /// while the original is alive, so one write that copied would move
+    /// the address; each write is checked on its own.)
+    #[test]
+    fn unpinned_writes_change_the_store_in_place() {
+        let engine = Engine::new(triangle_store(), OptFlags::all());
+        let at = || Arc::as_ptr(&engine.store());
+        let before = at();
+        let mut batch = UpdateBatch::new();
+        batch.insert(edge(0, 9)).delete(edge(1, 3));
+        engine.update(batch);
+        assert_eq!(at(), before, "update");
+        engine.compact();
+        assert_eq!(at(), before, "compact");
+        engine.repartition(2);
+        assert_eq!(at(), before, "repartition");
+        engine.invalidate();
+        assert_eq!(at(), before, "invalidate");
+        assert_eq!((engine.epoch(), engine.store().num_triples()), (4, 5));
     }
 
     #[test]

@@ -15,9 +15,8 @@
 use std::sync::{Arc, OnceLock};
 
 use eh_query::Atom;
+use eh_rdf::TripleStore;
 use eh_trie::{DeltaOverlay, FrozenTrie, LayoutPolicy, TupleBuffer};
-
-use crate::shared::SharedStore;
 
 /// One shard's contribution to a relation: its frozen base trie plus its
 /// staged-delta overlay (when that shard has uncompacted novelty).
@@ -72,26 +71,19 @@ pub(crate) fn layout_policy(auto: bool) -> LayoutPolicy {
 /// [`SetRef`](eh_setops::SetRef) operands, never folded into an arena.
 /// `only` restricts the view to one shard's slice of the predicate (the
 /// shard-local execution path, whose eligibility check makes the
-/// restriction lossless; a shard past a concurrent repartition reads as
-/// empty); otherwise every shard that holds base pairs or staged novelty
-/// contributes a layer. Predicates absent from the store resolve to one
-/// shared empty trie.
-///
-/// Every layer, overlay and union root of the operand is taken under
-/// **one** store read guard, so each operand is one store state; memos
-/// fill through `OnceLock`, so concurrent readers build each value once
-/// (and a writer waits for the builds in flight). Operands of one join
-/// may still come from different states — the epoch bracket in
-/// [`Engine::run_plan`](crate::Engine::run_plan) is what rules that out.
+/// restriction lossless); otherwise every shard that holds base pairs or
+/// staged novelty contributes a layer. Predicates absent from the store
+/// resolve to one shared empty trie. Memos fill through `OnceLock` on the
+/// pinned version with no lock held, so concurrent readers build each
+/// value once and no writer waits for them.
 pub(crate) fn relation(
-    store: &SharedStore,
+    store: &TripleStore,
     atom: &Atom,
     subject_first: bool,
     auto_layout: bool,
     only: Option<usize>,
 ) -> Layered {
     static EMPTY: OnceLock<Arc<FrozenTrie>> = OnceLock::new();
-    let store = store.read();
     let pred = store.resolve_iri(&atom.relation);
     let mut layers: Vec<Layer> = pred
         .map(|pred| {
@@ -126,8 +118,9 @@ pub(crate) fn relation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SharedStore;
     use eh_query::QueryBuilder;
-    use eh_rdf::{Term, Triple, TripleStore};
+    use eh_rdf::{Term, Triple};
 
     fn triple(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
@@ -143,7 +136,8 @@ mod tests {
 
     /// Stage one triple and fold it, so it lands in the base tries.
     fn add_to_base(s: &SharedStore, t: Triple) {
-        let mut store = s.write();
+        let mut version = s.write();
+        let store = Arc::make_mut(&mut version.store);
         store.stage_add_triples(vec![t]);
         store.compact_all();
     }
@@ -165,7 +159,8 @@ mod tests {
         auto_layout: bool,
         only: Option<usize>,
     ) -> (Arc<FrozenTrie>, Option<Arc<DeltaOverlay>>) {
-        let Layered { mut layers, union_root } = relation(s, a, subject_first, auto_layout, only);
+        let Layered { mut layers, union_root } =
+            relation(&s.read(), a, subject_first, auto_layout, only);
         assert!(layers.len() == 1 && union_root.is_none(), "expected a single layer");
         let Layer { base, overlay } = layers.pop().expect("checked length");
         (base, overlay)
@@ -248,7 +243,7 @@ mod tests {
         let s = store();
         let a = atom_for(&s.read(), "p");
         assert_eq!(cardinality(&s, &a), 3);
-        s.write().stage_add_triples(vec![triple("s3", "p", "o1")]);
+        Arc::make_mut(&mut s.write().store).stage_add_triples(vec![triple("s3", "p", "o1")]);
         assert_eq!(cardinality(&s, &a), 4);
     }
 
@@ -289,7 +284,8 @@ mod tests {
         let a = atom_for(&s.read(), "p");
         assert_eq!(base(&s, &a, true, true).num_tuples(), 1);
         {
-            let mut store = s.write();
+            let mut version = s.write();
+            let store = Arc::make_mut(&mut version.store);
             store.stage_remove_triples(vec![triple("a", "p", "b")]);
             store.compact_all();
         }
@@ -308,7 +304,8 @@ mod tests {
         let (a, aq) = (atom_for(&s.read(), "p"), atom_for(&s.read(), "q"));
         let before = base(&s, &a, true, true);
 
-        s.write().stage_add_triples(vec![triple("c", "p", "d"), triple("c", "q", "d")]);
+        Arc::make_mut(&mut s.write().store)
+            .stage_add_triples(vec![triple("c", "p", "d"), triple("c", "q", "d")]);
         let (trie, ov) = single_rel(&s, &a, true, true, None);
         assert!(Arc::ptr_eq(&before, &trie), "base trie retired by a staged update");
         let ov = ov.expect("delta resident");
@@ -321,7 +318,7 @@ mod tests {
         let q_ov = single_rel(&s, &aq, true, true, None).1;
 
         // A second batch on p alone: p's overlay is rebuilt, q's is not.
-        s.write().stage_remove_triples(vec![triple("a", "p", "b")]);
+        Arc::make_mut(&mut s.write().store).stage_remove_triples(vec![triple("a", "p", "b")]);
         let (trie, ov2) = single_rel(&s, &a, true, true, None);
         assert!(Arc::ptr_eq(&before, &trie));
         let ov2 = ov2.expect("delta resident");
@@ -330,7 +327,7 @@ mod tests {
         assert!(same(&q_ov, &single_rel(&s, &aq, true, true, None).1));
 
         // Compaction folds the deltas into fresh store tries; overlays drop.
-        s.write().compact_all();
+        Arc::make_mut(&mut s.write().store).compact_all();
         let (trie, ov) = single_rel(&s, &a, true, true, None);
         assert!(!Arc::ptr_eq(&before, &trie));
         assert!(Arc::ptr_eq(&trie, &store_trie(&s, "p", 0, true)));
@@ -368,11 +365,11 @@ mod tests {
         let a = atom_for(&s4.read(), "p");
         assert_eq!(s4.read().partitions(), 4);
         let union_root = |subject_first| {
-            relation(&s4, &a, subject_first, true, None).union_root.expect("several layers")
+            relation(&s4.read(), &a, subject_first, true, None).union_root.expect("several layers")
         };
         for subject_first in [true, false] {
             let reference = base(&s1, &a, subject_first, true);
-            let rel = relation(&s4, &a, subject_first, true, None);
+            let rel = relation(&s4.read(), &a, subject_first, true, None);
             assert!(rel.layers.len() >= 2, "32 spread subjects must occupy several shards");
             let total: usize = rel.layers.iter().map(|l| l.base.num_tuples()).sum();
             assert_eq!(total, reference.num_tuples(), "shards partition the pairs");
@@ -381,7 +378,7 @@ mod tests {
             assert!(Arc::ptr_eq(rel.union_root.as_ref().unwrap(), &union_root(subject_first)));
         }
         let before = [true, false].map(union_root);
-        s4.write().stage_add_triples(vec![triple("s1", "p", "o9")]);
+        Arc::make_mut(&mut s4.write().store).stage_add_triples(vec![triple("s1", "p", "o9")]);
         for (subject_first, old) in [true, false].into_iter().zip(&before) {
             let now = union_root(subject_first);
             assert!(!Arc::ptr_eq(old, &now), "a staged batch resets the merged root");
@@ -391,9 +388,9 @@ mod tests {
         assert!(os_root.contains(&s4.read().resolve_iri("o9").unwrap()));
         // Compaction moves pairs from delta to base without changing the
         // relation, so the merged root it would rebuild is the one kept.
-        s4.write().compact_all();
+        Arc::make_mut(&mut s4.write().store).compact_all();
         assert!(Arc::ptr_eq(&os_root, &union_root(false)));
-        let mut flat = s4.read().clone();
+        let mut flat = TripleStore::clone(&s4.read());
         flat.repartition(1);
         let flat = base(&SharedStore::from(flat), &a, false, true);
         assert_eq!(*os_root, flat.root_set().iter().collect::<Vec<u32>>());
@@ -409,7 +406,7 @@ mod tests {
         let pred = s.read().resolve_iri("p").unwrap();
         let target = shard_of(&s, "s0");
         let other = (0..32).map(|i| format!("s{i}")).find(|x| shard_of(&s, x) != target).unwrap();
-        s.write().stage_add_triples(
+        Arc::make_mut(&mut s.write().store).stage_add_triples(
             [("s0", "p"), (other.as_str(), "p"), ("s0", "q"), (other.as_str(), "q")]
                 .map(|(subject, rel)| triple(subject, rel, "o9")),
         );
@@ -425,7 +422,7 @@ mod tests {
         let (p_before, q_before) = (memos(&a), memos(&aq));
         assert!(p_before[target].2.is_some() && q_before[target].2.is_some());
 
-        assert!(s.write().compact_pred_in(target, pred));
+        assert!(Arc::make_mut(&mut s.write().store).compact_pred_in(target, pred));
         for (shard, (old, now)) in p_before.iter().zip(memos(&a)).enumerate() {
             let kept =
                 Arc::ptr_eq(&old.0, &now.0) && Arc::ptr_eq(&old.1, &now.1) && same(&old.2, &now.2);
@@ -454,12 +451,13 @@ mod tests {
         let overlays = || -> Vec<_> {
             (0..4).map(|shard| single_rel(&s, &a, true, true, Some(shard)).1).collect()
         };
-        s.write().stage_add_triples((0..32).map(|i| triple(&format!("s{i}"), "p", "o77")));
+        Arc::make_mut(&mut s.write().store)
+            .stage_add_triples((0..32).map(|i| triple(&format!("s{i}"), "p", "o77")));
         let before = overlays();
         assert!(before.iter().all(Option::is_some), "every shard staged a pair");
 
         let target = shard_of(&s, "s1");
-        s.write().stage_add_triples(vec![triple("s1", "p", "o78")]);
+        Arc::make_mut(&mut s.write().store).stage_add_triples(vec![triple("s1", "p", "o78")]);
         for (shard, (old, now)) in before.iter().zip(overlays()).enumerate() {
             assert_eq!(!same(old, &now), shard == target, "overlay misrouted for shard {shard}");
         }

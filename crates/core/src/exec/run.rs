@@ -16,6 +16,7 @@ use std::time::Instant;
 
 use eh_par::RuntimeConfig;
 use eh_query::{ConjunctiveQuery, Var};
+use eh_rdf::TripleStore;
 use eh_trie::{FrozenTrie, TupleBuffer};
 
 use crate::exec::generic::{run_join_parallel, JoinSpec, PreparedRel};
@@ -23,7 +24,6 @@ use crate::exec::relation::{layout_policy, relation};
 use crate::plan::Plan;
 use crate::profile::{ExecStats, JoinObs, JoinStats};
 use crate::result::QueryResult;
-use crate::shared::SharedStore;
 
 /// A materialised per-node result.
 struct NodeResult {
@@ -74,7 +74,7 @@ fn observe_join(
 /// dispatches, candidate counts, probes, wall times); without it the
 /// executor performs no recording at all.
 pub(crate) fn execute_plan(
-    store: &SharedStore,
+    store: &TripleStore,
     q: &ConjunctiveQuery,
     plan: &Plan,
     auto_layout: bool,
@@ -144,7 +144,7 @@ pub(crate) fn execute_plan(
 /// empties the whole query.
 #[allow(clippy::too_many_arguments)]
 fn run_node(
-    store: &SharedStore,
+    store: &TripleStore,
     q: &ConjunctiveQuery,
     plan: &Plan,
     t: usize,
@@ -178,7 +178,7 @@ fn run_node(
 /// ([`shard_local_partitions`]) guarantees the restriction is lossless.
 #[allow(clippy::too_many_arguments)]
 fn node_spec(
-    store: &SharedStore,
+    store: &TripleStore,
     q: &ConjunctiveQuery,
     plan: &Plan,
     t: usize,
@@ -264,8 +264,8 @@ fn children_rels(
 /// `None` when the store is unpartitioned or the plan is not
 /// subject-rooted (some atom roots at a non-subject attribute); the join
 /// then reads every shard as a layer of one cross-shard relation.
-fn shard_local_partitions(store: &SharedStore, plan: &Plan, t: usize) -> Option<usize> {
-    let partitions = store.read().partitions();
+fn shard_local_partitions(store: &TripleStore, plan: &Plan, t: usize) -> Option<usize> {
+    let partitions = store.partitions();
     let node = &plan.nodes[t];
     let root_var = *node.vars.first()?;
     let subject_rooted =
@@ -418,7 +418,7 @@ struct NodeExt {
 /// and BFS order guarantees shared values are assembled before use.
 #[allow(clippy::too_many_arguments)]
 fn run_pipelined(
-    store: &SharedStore,
+    store: &TripleStore,
     q: &ConjunctiveQuery,
     plan: &Plan,
     results: &[Option<NodeResult>],

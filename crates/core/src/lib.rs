@@ -35,10 +35,11 @@
 //! bit-identical to sequential ones.
 //!
 //! The store is shared and **live**: the engine holds a [`SharedStore`]
-//! (`Arc<RwLock<TripleStore>>`) rather than a borrow, and
-//! [`Engine::update`] applies insert/delete batches that invalidate only
-//! the changed predicates' tries and advance the engine's epoch — the
-//! contract serving tiers key their caches by.
+//! (the current `Arc<TripleStore>` version and its epoch) rather than a
+//! borrow. Each operation pins one version; [`Engine::update`] publishes
+//! the next, invalidating only the changed predicates' tries and
+//! advancing the engine's epoch — the contract serving tiers key their
+//! caches by.
 //!
 //! ```
 //! use eh_lubm::{generate_store, GeneratorConfig};

@@ -17,8 +17,8 @@
 //! candidate counts, probe counts, and row counts are identical for 1,
 //! 2, or N worker threads (the parallel split materialises the split
 //! depth's candidates exactly the way the sequential step would, and all
-//! deeper work is per-candidate). Wall times, morsel counts, worker
-//! loads, and epoch retries are inherently volatile; the renderer
+//! deeper work is per-candidate). Wall times, morsel counts and worker
+//! loads are inherently volatile; the renderer
 //! prefixes those lines with `~` so consumers (and the byte-stability
 //! tests) can separate the two.
 
@@ -188,7 +188,7 @@ impl ExecStats {
         self.joins.lock().expect("profile lock poisoned").push(join);
     }
 
-    pub fn snapshot(&self, threads: usize, total_ns: u64, epoch_retries: u64) -> QueryProfile {
+    pub fn snapshot(&self, threads: usize, total_ns: u64) -> QueryProfile {
         let joins = self
             .joins
             .lock()
@@ -198,7 +198,6 @@ impl ExecStats {
             .collect();
         QueryProfile {
             total_ns,
-            epoch_retries,
             threads,
             joins,
             workers: WorkerLoad { busy_ns: self.observer.busy_ns(), tasks: self.observer.tasks() },
@@ -325,15 +324,12 @@ pub struct WorkerLoad {
 ///
 /// Kernel tallies, candidate counts, probe counts, and row counts are
 /// schedule-invariant (identical across thread counts); wall times,
-/// morsels, worker loads, and retry counts are volatile and render on
+/// morsels and worker loads are volatile and render on
 /// `~`-prefixed lines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryProfile {
-    /// Total wall time of the returned attempt (volatile).
+    /// Total wall time of the run (volatile).
     pub total_ns: u64,
-    /// Times the executed plan was re-run because an update moved the
-    /// engine's epoch mid-join (volatile).
-    pub epoch_retries: u64,
     /// Worker threads configured for the run.
     pub threads: usize,
     /// Per-join breakdown, in execution order.
@@ -357,8 +353,8 @@ impl QueryProfile {
     }
 
     /// Render the profile as indented text. Stable (schedule-invariant)
-    /// lines carry counts; volatile lines (timings, morsels, workers,
-    /// retries) are prefixed with `~` so consumers can strip them when
+    /// lines carry counts; volatile lines (timings, morsels, workers) are
+    /// prefixed with `~` so consumers can strip them when
     /// comparing across runs or thread counts.
     pub fn render(&self) -> String {
         use std::fmt::Write;
@@ -407,7 +403,6 @@ impl QueryProfile {
         let tasks: Vec<String> = self.workers.tasks.iter().map(|t| t.to_string()).collect();
         let _ =
             writeln!(out, "~ worker busy: [{}], tasks: [{}]", busy.join(", "), tasks.join(", "));
-        let _ = writeln!(out, "~ epoch retries: {}", self.epoch_retries);
         let _ = writeln!(out, "~ total wall: {} us", self.total_ns / 1_000);
         out
     }
@@ -435,7 +430,7 @@ mod tests {
         j.note_selected(1);
         j.set_rows(13);
         j.add_wall_ns(2_000_000);
-        let p = stats.snapshot(2, 5_000_000, 1);
+        let p = stats.snapshot(2, 5_000_000);
         let totals = p.kernel_totals();
         assert_eq!(
             totals,
@@ -453,7 +448,7 @@ mod tests {
         // carry wall-clock content), so stripping ~ lines leaves only
         // schedule-invariant output.
         for line in text.lines() {
-            if line.contains(" us") || line.contains("morsels") || line.contains("retries") {
+            if line.contains(" us") || line.contains("morsels") {
                 assert!(line.trim_start().starts_with('~'), "volatile line not marked: {line:?}");
             }
         }

@@ -1,42 +1,55 @@
-//! Shared ownership of the triple store.
+//! Shared ownership of the triple store, as a sequence of immutable
+//! versions.
 //!
 //! The paper's storage model is built once and queried forever. Live
-//! updates need the opposite — one store, many concurrent readers, an
-//! occasional writer — so the engine holds a [`SharedStore`]: a cloneable
-//! `Arc<RwLock<TripleStore>>` handle.
+//! updates add an occasional writer, so the engine holds a
+//! [`SharedStore`]: a cloneable handle to the *current version*, an
+//! `Arc<TripleStore>` kept with its epoch under one lock.
 //!
-//! Reads take the lock briefly (resolve a query's constants, assemble one
-//! operand's layers) and never across a join — joins run against the
-//! `Arc<FrozenTrie>` and `Arc<DeltaOverlay>` values each operand clones
-//! out of the store under one read guard, so a writer is never blocked by
-//! a long-running query, only by an operand assembly (which may build a
-//! delta's overlay or an ablation re-freeze). Writes go through
-//! [`Engine`](crate::Engine), which bumps the version with every change
-//! under the write guard of the change it records; the raw write lock is
-//! therefore not exposed outside the crate.
+//! A reader pins the current version ([`SharedStore::read`], one `Arc`
+//! clone under the read lock) and resolves, plans, assembles operands and
+//! decodes from it with no lock held: every answer is one store state's
+//! answer, and a held version never blocks a writer. A writer takes the
+//! write lock, mutates through `Arc::make_mut` and bumps the epoch in the
+//! same guard — in place when no reader holds the current version,
+//! through a copy when one does, so the pinned version stays as it was
+//! and is freed when its last reader drops it. A copy shares every trie
+//! and the dictionary's frozen part, so it costs O(shards × predicates +
+//! staged pairs + dictionary tail). Writes go through
+//! [`Engine`](crate::Engine), so the write guard is crate-internal.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockWriteGuard};
 
 use eh_rdf::{Triple, TripleStore};
 
-/// A cloneable, thread-safe handle to one [`TripleStore`].
+/// A cloneable, thread-safe handle to one live [`TripleStore`].
 ///
-/// Clones share the same underlying store: data added through one
-/// handle's engine is visible to every other clone. The handle carries a
-/// monotonically increasing [`version`](SharedStore::version), bumped on
-/// every change, which is the [epoch](crate::Engine::epoch) of *every*
-/// engine over this store — not just the one that applied the change.
+/// Clones share the same versions: data added through one handle's engine
+/// is visible to every other clone. The current version carries a
+/// monotonically increasing [`version`](SharedStore::version) number,
+/// advanced by every change, which is the [epoch](crate::Engine::epoch)
+/// of *every* engine over this store — not just the one that applied the
+/// change.
 #[derive(Clone, Debug, Default)]
 pub struct SharedStore {
-    inner: Arc<RwLock<TripleStore>>,
-    version: Arc<AtomicU64>,
+    current: Arc<RwLock<Version>>,
+}
+
+/// The current version: the store and the number of changes behind it.
+/// A writer holds it through [`SharedStore::write`]'s guard, changes the
+/// store through `Arc::make_mut` — in place unless a reader pins it — and
+/// advances `epoch` in the same guard.
+#[derive(Debug, Default)]
+pub(crate) struct Version {
+    pub(crate) epoch: u64,
+    pub(crate) store: Arc<TripleStore>,
 }
 
 impl SharedStore {
     /// Wrap an existing (committed) store.
     pub fn new(store: TripleStore) -> SharedStore {
-        SharedStore { inner: Arc::new(RwLock::new(store)), version: Arc::default() }
+        let version = Version { epoch: 0, store: Arc::new(store) };
+        SharedStore { current: Arc::new(RwLock::new(version)) }
     }
 
     /// Bulk-build a committed store and wrap it.
@@ -44,34 +57,23 @@ impl SharedStore {
         SharedStore::new(TripleStore::from_triples(triples))
     }
 
-    /// Read access. Hold the guard only for short, non-reentrant
-    /// operations (term resolution, pair copies) — never across a call
-    /// that takes the lock again on the same thread.
-    pub fn read(&self) -> RwLockReadGuard<'_, TripleStore> {
-        self.inner.read().expect("store lock poisoned")
+    /// Pin the current version. Later changes never reach it; holding it
+    /// blocks no writer, but keeps the version's memory alive and makes
+    /// the next write copy the store instead of changing it in place.
+    pub fn read(&self) -> Arc<TripleStore> {
+        Arc::clone(&self.current.read().expect("store lock poisoned").store)
     }
 
     /// Write access, crate-internal: all mutation flows through
-    /// [`Engine`](crate::Engine) so the version bump can't be skipped.
-    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, TripleStore> {
-        self.inner.write().expect("store lock poisoned")
+    /// [`Engine`](crate::Engine) so the epoch bump can't be skipped.
+    pub(crate) fn write(&self) -> RwLockWriteGuard<'_, Version> {
+        self.current.write().expect("store lock poisoned")
     }
 
-    /// The current version: the number of changes recorded so far, and
-    /// the epoch of every engine over this store.
+    /// The current version number: the number of changes recorded so
+    /// far, and the epoch of every engine over this store.
     pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
-    }
-
-    /// Record one change; returns the new version. Callers hold the write
-    /// guard of the change it records — an applied batch, a non-empty
-    /// compaction, a repartition, an [`invalidate`](crate::Engine::invalidate)
-    /// — so any reader that can see the new state can also see the new
-    /// version, and a reader that saw the old version before and after
-    /// reading saw only the old state. That is the bracket
-    /// [`Engine::run_plan`](crate::Engine::run_plan) relies on.
-    pub(crate) fn bump_version(&self) -> u64 {
-        self.version.fetch_add(1, Ordering::AcqRel) + 1
+        self.current.read().expect("store lock poisoned").epoch
     }
 }
 
@@ -86,19 +88,15 @@ mod tests {
     use super::*;
     use eh_rdf::Term;
 
+    fn t(s: &str) -> Triple {
+        Triple::new(Term::iri(s), Term::iri("p"), Term::iri("o"))
+    }
+
     #[test]
     fn clones_share_one_store() {
-        let a = SharedStore::from_triples(vec![Triple::new(
-            Term::iri("s"),
-            Term::iri("p"),
-            Term::iri("o"),
-        )]);
+        let a = SharedStore::from_triples(vec![t("s")]);
         let b = a.clone();
-        b.write().stage_add_triples(vec![Triple::new(
-            Term::iri("s2"),
-            Term::iri("p"),
-            Term::iri("o"),
-        )]);
+        Arc::make_mut(&mut b.write().store).stage_add_triples(vec![t("s2")]);
         assert_eq!(a.read().num_triples(), 2);
     }
 }

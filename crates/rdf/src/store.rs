@@ -152,8 +152,9 @@ pub(crate) fn is_transpose(so: &FrozenTrie, os: &FrozenTrie) -> bool {
 /// always report the merged view across all shards;
 /// [`trie_pair`](TripleStore::trie_pair) exposes one shard's frozen
 /// **base** only, with [`shard_delta`](TripleStore::shard_delta) carrying
-/// the rest. Cloning a store bumps the tries' `Arc`s and copies only the
-/// dictionary and the deltas.
+/// the rest. Cloning a store bumps the tries' `Arc`s and the dictionary's
+/// frozen part, and copies only the deltas and the terms minted since the
+/// last commit or compaction (the dictionary's tail, which both fold).
 ///
 /// Staging reports which predicates actually changed, so an index layer
 /// can invalidate only what those predicates back. Removal never shrinks
@@ -517,6 +518,7 @@ impl TripleStore {
             }
             self.recompute_agg(p);
         }
+        self.dict.fold();
     }
 
     /// Register a predicate: every shard gets an (initially empty)
@@ -670,7 +672,9 @@ impl TripleStore {
     /// Fold one predicate's staged delta within **one** shard — the
     /// shard-local compaction primitive: per order, one linear merge of
     /// the base trie's tuples with the delta, then one freeze. Other
-    /// shards' relations and overlays are untouched.
+    /// shards' relations and overlays are untouched. The dictionary's
+    /// tail folds too, so it holds at most the terms minted since the
+    /// last compaction.
     pub fn compact_pred_in(&mut self, shard: usize, pred: u32) -> bool {
         let Some(d) = self.shards[shard].deltas.remove(&pred) else {
             return false;
@@ -684,6 +688,7 @@ impl TripleStore {
         let os = merge_pairs(&old.os, &del, &ins);
         self.shards[shard].rels[idx] = TriePair::from_sorted(&so, &os);
         self.recompute_agg(pred);
+        self.dict.fold();
         true
     }
 

@@ -74,9 +74,9 @@
 //! `END` in one vectored write; a result too large to cache is rendered
 //! and written in chunks of whole rows (about 64 KB), so the client
 //! drains one chunk while the next is rendered and the full reply never
-//! exists on the server. The store's read lock is held while a chunk is
-//! rendered and released before it is written, so a reader that stalls
-//! mid-reply cannot block `APPLY`. A reply that fits the buffer is one
+//! exists on the server. Each chunk renders from a store version pinned
+//! for that chunk and dropped before the chunk is written, so a reader
+//! that stalls mid-reply keeps no old version alive. A reply that fits the buffer is one
 //! `write`, the last chunk of a longer one carries `END`, and both ends
 //! set `TCP_NODELAY`.
 
@@ -313,12 +313,12 @@ fn write_answer(
     let mut next = 0;
     while next < total {
         {
-            // The read lock covers rendering only, never a write to the
-            // socket, so a reader that stalls mid-reply cannot hold up
-            // `APPLY`. Letting updates in between chunks is safe: the
-            // rows are ids fixed when the query ran, and the dictionary
-            // only grows — an id decodes to the same term for the
-            // lifetime of the store.
+            // Each chunk renders from a pin of its own, dropped before the
+            // socket write, so a reader that stalls mid-reply keeps no old
+            // version alive. Versions may change between chunks: the rows
+            // are ids fixed when the query ran, and the dictionary only
+            // grows — an id decodes to the same term in every later
+            // version.
             let store = service.store();
             while next < total && buf.len() < CHUNK_BYTES {
                 render_rows_into(result, &store, next..next + 1, buf);

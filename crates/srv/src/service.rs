@@ -1,7 +1,7 @@
 //! The query service: one shared engine, two caches, many callers.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use eh_query::{canonicalize, parse_sparql, CanonicalQuery, ConjunctiveQuery};
@@ -373,8 +373,8 @@ impl QueryService {
         &self.engine
     }
 
-    /// Read access to the underlying store (short-lived guard).
-    pub fn store(&self) -> RwLockReadGuard<'_, TripleStore> {
+    /// Pin the current store version (see [`Engine::store`]).
+    pub fn store(&self) -> Arc<TripleStore> {
         self.engine.store()
     }
 
@@ -386,10 +386,7 @@ impl QueryService {
     /// Parse, canonicalize, and answer a SPARQL query through the caches.
     pub fn query_sparql(&self, text: &str) -> Result<Answer, EngineError> {
         let t0 = self.config.record_metrics.then(Instant::now);
-        let q = {
-            let store = self.store();
-            parse_sparql(text, &store)?
-        };
+        let q = parse_sparql(text, &self.store())?;
         let out = self.query_inner(&q);
         if let Some(t0) = t0 {
             self.record_query(t0, &out, Some(text));
@@ -616,8 +613,9 @@ impl QueryService {
             (results.bytes() as u64, results.len() as u64)
         };
         let wal = self.engine.wal_status();
+        let store = self.store();
         let (partitions, max_shard_skew) = {
-            let shards = self.store().shard_stats();
+            let shards = store.shard_stats();
             let total: u64 = shards.iter().map(|s| s.triples as u64).sum();
             let max = shards.iter().map(|s| s.triples as u64).max().unwrap_or(0);
             let skew =
@@ -636,7 +634,7 @@ impl QueryService {
             epoch: self.engine.epoch(),
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
             updates_noop: self.updates_noop.load(Ordering::Relaxed),
-            staged_pairs: self.store().staged_pairs() as u64,
+            staged_pairs: store.staged_pairs() as u64,
             triples_inserted: self.triples_inserted.load(Ordering::Relaxed),
             triples_deleted: self.triples_deleted.load(Ordering::Relaxed),
             query_p50_us: self.metrics.query_latency_us.p50(),
@@ -678,12 +676,13 @@ impl QueryService {
             .plan_cache_entries
             .set(self.plans.read().unwrap_or_else(PoisonError::into_inner).map.len() as i64);
         self.metrics.epoch.set(self.engine.epoch() as i64);
-        self.metrics.staged_pairs.set(self.store().staged_pairs() as i64);
+        let store = self.store();
+        self.metrics.staged_pairs.set(store.staged_pairs() as i64);
         self.metrics.mapped_bytes.set(self.engine.load_info().map_or(0, |l| l.mapped_bytes) as i64);
         if let Some(w) = self.engine.wal_status() {
             self.metrics.wal_bytes.set(w.bytes as i64);
         }
-        for s in self.store().shard_stats() {
+        for s in store.shard_stats() {
             self.metrics.set_shard_gauges(
                 s.shard,
                 s.triples as i64,

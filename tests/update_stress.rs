@@ -83,7 +83,7 @@ fn tcp_updates_answer_like_a_cold_engine_on_every_path() {
             // A cold engine over the post-update triple set: same store
             // contents (the dictionary is part of the store's identity),
             // zero warm state — every trie and cache rebuilt from scratch.
-            let cold_store = svc.store().clone();
+            let cold_store = TripleStore::clone(&svc.store());
             let fresh = |runtime_threads: usize| {
                 let cold = QueryService::new(cold_store.clone(), config(runtime_threads));
                 respond(&cold, &format!("QUERY {q}"))
@@ -213,7 +213,7 @@ fn overlay_lifecycle_matches_cold_engine_at_every_stage() {
             // The reference: a cold engine over the final logical
             // contents (clone carries the deltas; compact folds them).
             let cold = {
-                let mut snap = live.store().clone();
+                let mut snap = TripleStore::clone(&live.store());
                 snap.compact_all();
                 Engine::with_config(
                     SharedStore::new(snap),
@@ -336,26 +336,34 @@ fn readers_race_a_writer_and_only_ever_see_consistent_states() {
 /// lockstep — batch `k` deletes `s{k-1}` and inserts `s{k}` under both
 /// `p` and `q` — so every store state answers `?x p ?y . ?x q ?y` with
 /// exactly one row, and an answer assembled from two states has none.
-/// Whatever the epoch bracket accepts (`epoch_retries` below the cap)
-/// must be one state's answer, whether the writer only stages, compacts
-/// every other batch, or compacts every batch. The best-effort answer
-/// after the last retry is outside the contract. Each mode runs until
-/// the readers have had `ANSWERS` answers accepted or `MODE_CAP` passes,
-/// so the check does not depend on how the threads get scheduled.
+/// Every answer counts, whether the writer only stages, compacts every
+/// other batch, compacts every batch, or moves the store between four
+/// shards and one on alternate batches (the query is subject-rooted, so
+/// at four shards it runs shard-local). Each mode runs until the readers
+/// have had `ANSWERS` answers or `MODE_CAP` passes, so the check does not
+/// depend on how the threads get scheduled.
 #[test]
 fn a_reader_racing_a_writer_sees_one_store_state() {
+    #[derive(Debug, Clone, Copy)]
+    enum Writer {
+        Stage,
+        CompactEvery(usize),
+        Repartition,
+    }
     const READERS: usize = 3;
     const ANSWERS: usize = 50_000;
     const MODE_CAP: Duration = Duration::from_millis(2500);
-    for compact_every in [None, Some(2), Some(1)] {
+    for mode in
+        [Writer::Stage, Writer::CompactEvery(2), Writer::CompactEvery(1), Writer::Repartition]
+    {
         let store = SharedStore::from_triples(vec![t("s0", "p", "o"), t("s0", "q", "o")]);
         let engine = Engine::new(store.clone(), OptFlags::all());
         let q = {
-            let guard = store.read();
+            let pinned = store.read();
             let mut qb = QueryBuilder::new();
             let (x, y) = (qb.var("x"), qb.var("y"));
             for rel in ["p", "q"] {
-                qb.atom(rel, guard.resolve_iri(rel).unwrap(), x, y);
+                qb.atom(rel, pinned.resolve_iri(rel).unwrap(), x, y);
             }
             qb.select(vec![x, y]).build().unwrap()
         };
@@ -367,12 +375,10 @@ fn a_reader_racing_a_writer_sees_one_store_state() {
                 .map(|_| {
                     scope.spawn(|| {
                         while !done.load(Ordering::Acquire) {
-                            let (r, profile) = engine.run_plan_profiled(&q, &plan);
-                            if profile.epoch_retries < 3 {
-                                answers.fetch_add(1, Ordering::Relaxed);
-                                if r.cardinality() != 1 {
-                                    torn.fetch_add(1, Ordering::Relaxed);
-                                }
+                            let r = engine.run_plan(&q, &plan);
+                            answers.fetch_add(1, Ordering::Relaxed);
+                            if r.cardinality() != 1 {
+                                torn.fetch_add(1, Ordering::Relaxed);
                             }
                         }
                     })
@@ -388,8 +394,16 @@ fn a_reader_racing_a_writer_sees_one_store_state() {
                     batch.insert(t(&format!("s{k}"), rel, "o"));
                 }
                 engine.update(batch);
-                if compact_every.is_some_and(|n| k.is_multiple_of(n)) {
-                    engine.compact();
+                match mode {
+                    Writer::Stage => {}
+                    Writer::CompactEvery(n) => {
+                        if k.is_multiple_of(n) {
+                            engine.compact();
+                        }
+                    }
+                    Writer::Repartition => {
+                        engine.repartition(if k.is_multiple_of(2) { 1 } else { 4 });
+                    }
                 }
             }
             done.store(true, Ordering::Release);
@@ -398,10 +412,7 @@ fn a_reader_racing_a_writer_sees_one_store_state() {
             }
         });
         let (answers, torn) = (answers.into_inner(), torn.into_inner());
-        assert_eq!(
-            torn, 0,
-            "compact every {compact_every:?}: {torn} of {answers} accepted answers mixed two states"
-        );
+        assert_eq!(torn, 0, "{mode:?}: {torn} of {answers} answers mixed two states");
     }
 }
 
@@ -757,7 +768,7 @@ fn lubm_store_survives_update_cycles() {
 
     let after = respond(&svc, &format!("QUERY {q14}"));
     let cold = {
-        let snapshot: TripleStore = svc.store().clone();
+        let snapshot = TripleStore::clone(&svc.store());
         respond(&QueryService::new(snapshot, config(1)), &format!("QUERY {q14}"))
     };
     assert_eq!(after, cold, "post-update LUBM answer equals a cold engine's");
