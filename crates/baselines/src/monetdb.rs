@@ -26,8 +26,8 @@ pub struct MonetDbStyle<'s> {
 }
 
 impl<'s> MonetDbStyle<'s> {
-    /// An engine over `store`'s logical contents (every shard, staged
-    /// deltas included), copied into column pairs at construction.
+    /// An engine over `store`'s logical contents (staged deltas
+    /// included), copied into column pairs at construction.
     pub fn new(store: &'s TripleStore) -> MonetDbStyle<'s> {
         MonetDbStyle { store, tables: PairTable::tables_of(store) }
     }

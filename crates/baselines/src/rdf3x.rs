@@ -79,7 +79,7 @@ pub struct Rdf3xStyle<'s> {
 
 impl<'s> Rdf3xStyle<'s> {
     /// Build the six permutation indexes and aggregate statistics over
-    /// `store`'s logical contents (every shard, staged deltas included;
+    /// `store`'s logical contents (staged deltas included;
     /// construction is "load time" — excluded from query timing, like
     /// the paper's methodology).
     pub fn new(store: &'s TripleStore) -> Rdf3xStyle<'s> {

@@ -44,9 +44,9 @@ pub struct TripleBitStyle<'s> {
 }
 
 impl<'s> TripleBitStyle<'s> {
-    /// Copy `store`'s logical contents (every shard, staged deltas
-    /// included) into the two-order matrix and build the aggregate
-    /// indexes (load time, excluded from timing).
+    /// Copy `store`'s logical contents (staged deltas included) into the
+    /// two-order matrix and build the aggregate indexes (load time,
+    /// excluded from timing).
     pub fn new(store: &'s TripleStore) -> TripleBitStyle<'s> {
         let tables = PairTable::tables_of(store);
         let mut aggregates = HashMap::new();

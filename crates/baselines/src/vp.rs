@@ -29,8 +29,8 @@ impl PairTable {
     }
 
     /// One table per predicate key over `store`'s **logical** view —
-    /// every shard, staged deltas merged — so a baseline answers exactly
-    /// what the store currently holds, at any partition count.
+    /// staged deltas merged — so a baseline answers exactly what the
+    /// store currently holds.
     pub(crate) fn tables_of(store: &TripleStore) -> HashMap<u32, PairTable> {
         let mut pairs: HashMap<u32, Vec<(u32, u32)>> = HashMap::new();
         for t in store.encoded_triples() {

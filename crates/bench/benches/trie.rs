@@ -13,7 +13,7 @@ use eh_trie::{FrozenTrie, LayoutPolicy};
 fn takes_course() -> TriePair {
     let store = generate_store(&GeneratorConfig::scale(1));
     let pred = store.resolve_iri(&pred_iri(Predicate::TakesCourse)).expect("predicate");
-    store.trie_pair(0, pred).expect("relation").clone()
+    store.trie_pair(pred).expect("relation").clone()
 }
 
 fn bench_trie_build(c: &mut Criterion) {

@@ -35,7 +35,7 @@ fn main() {
     // The store holds the relation as its tries: the subject-major one
     // is the figure's.
     let pred = store.resolve_iri("suborganizationOf").expect("predicate");
-    let trie = store.trie_pair(0, pred).expect("predicate relation").so();
+    let trie = store.trie_pair(pred).expect("predicate relation").so();
     println!("\nEncoded pairs (subject-major): {:?}", trie.pairs().collect::<Vec<_>>());
 
     println!("\nTrie representation:");

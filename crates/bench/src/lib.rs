@@ -11,11 +11,10 @@
 //! | Figure 2 | `figure2` | the GHD chosen for LUBM query 2 (fhw 3/2) |
 //! | Figure 3 | `figure3` | the across-node GHD transformation of LUBM query 4 |
 //!
-//! Two more binaries time what the repository's `ledger` benchmark does
+//! One more binary times what the repository's `ledger` benchmark does
 //! not run yet: `scaling` (the LUBM cyclic queries at 1/2/4/8 worker
-//! threads) and `partition` (the sectioned P = 4 snapshot load and query
-//! mix against P = 1). Serving, update, cold-start and write-ahead-log
-//! costs are `ledger` workloads, not binaries here.
+//! threads). Serving, update, cold-start and write-ahead-log costs are
+//! `ledger` workloads, not binaries here.
 //!
 //! Criterion micro/ablation benches live under `benches/`.
 //!

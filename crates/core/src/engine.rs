@@ -48,9 +48,9 @@ fn payload_decode_reason(e: &eh_rdf::BatchCodecError) -> &'static str {
 /// The engine reads its operands straight from the store: its own frozen
 /// tries (its "indexes"), built once at load and reused across queries as
 /// EmptyHeaded does, plus what the store memoises from them on first use
-/// (overlays, merged roots, ablation re-freezes). Timing
-/// methodology note: the paper excludes index construction from query
-/// time (§IV-A4) — call [`Engine::warm`] before measuring.
+/// (overlays, ablation re-freezes). Timing methodology note: the paper
+/// excludes index construction from query time (§IV-A4) — call
+/// [`Engine::warm`] before measuring.
 ///
 /// The store is *live*: [`Engine::update`] stages a batch of insertions
 /// and deletions as deltas beside the untouched base tries and advances
@@ -157,8 +157,8 @@ impl Engine {
     /// An engine restored from the snapshot file at `path`: the store
     /// loads without parsing or re-freezing, its base tries the image's —
     /// so the engine starts *warm*. The loaded store is as mutable as a
-    /// cold-built one; compaction re-freezes only the folded (predicate,
-    /// shard) tries, exactly as on any store.
+    /// cold-built one; compaction re-freezes only the folded predicate's
+    /// tries, exactly as on any store.
     ///
     /// [`LoadMode::Copy`] decodes the arenas into owned memory;
     /// [`LoadMode::Mmap`] serves them straight from the mapped pages, so
@@ -166,15 +166,13 @@ impl Engine {
     /// arena copy, and co-located processes mapping the same file share
     /// physical memory. A mapping the platform refuses falls back to the
     /// copy path (recorded in [`Engine::load_info`]); only corruption and
-    /// I/O errors fail. Shard sections load and verify on the configured
-    /// runtime's workers, so a partitioned cold start is bounded by the
-    /// largest shard, not the whole file.
+    /// I/O errors fail.
     pub fn open(
         path: impl AsRef<Path>,
         mode: LoadMode,
         config: PlannerConfig,
     ) -> Result<Engine, SnapshotError> {
-        let snapshot = StoreSnapshot::open(path, mode, config.runtime.num_threads)?;
+        let snapshot = StoreSnapshot::open(path, mode)?;
         let mut engine = Engine::with_config(snapshot.store, config);
         engine.load = Some(snapshot.load);
         Ok(engine)
@@ -289,20 +287,6 @@ impl Engine {
         self.store.read()
     }
 
-    /// Redistribute the store across `max(1, partitions)` subject-hash
-    /// shards and advance the epoch (placement moved; logical contents
-    /// did not, so query answers are unchanged). A request matching the
-    /// current partitioning is a free no-op. Returns the partition count
-    /// now in effect.
-    pub fn repartition(&self, partitions: usize) -> usize {
-        let mut version = self.store.write();
-        if version.store.partitions() != partitions.max(1) {
-            Arc::make_mut(&mut version.store).repartition(partitions);
-            version.epoch += 1;
-        }
-        version.store.partitions()
-    }
-
     /// The planner configuration.
     pub fn config(&self) -> PlannerConfig {
         self.config
@@ -396,45 +380,27 @@ impl Engine {
         if report.is_empty() {
             return UpdateSummary::unchanged(version.epoch);
         }
-        // Threshold compaction, still under the write guard, at shard
-        // granularity: fold exactly the (predicate, shard) deltas that
-        // grew past max(absolute floor, frac% of that shard's base
-        // table). A skewed shard folds alone — every other shard's tries
-        // and deltas are untouched, and the pause is recorded against the
-        // shard that caused it. Everything below the threshold stays an
-        // overlay.
-        let mut compacted: Vec<(u32, usize)> = Vec::new();
-        let mut shard_pauses: Vec<(usize, u64)> = Vec::new();
+        // Threshold compaction, still under the write guard: fold exactly
+        // the predicates whose deltas grew past max(absolute floor, frac%
+        // of the base table). Every other predicate's tries and deltas are
+        // untouched; everything below the threshold stays an overlay.
+        let mut compacted = 0;
         for &p in &report.changed_preds {
-            for s in 0..store.partitions() {
-                let staged = store.shard_delta_len(s, p);
-                if staged == 0 {
-                    continue;
-                }
-                let base = store.trie_pair(s, p).map_or(0, eh_rdf::TriePair::len);
-                if staged >= self.config.compaction_threshold(base) {
-                    let t0 = Instant::now();
-                    store.compact_pred_in(s, p);
-                    let us = t0.elapsed().as_micros() as u64;
-                    match shard_pauses.iter_mut().find(|(sh, _)| *sh == s) {
-                        Some(e) => e.1 += us,
-                        None => shard_pauses.push((s, us)),
-                    }
-                    compacted.push((p, s));
-                }
+            let staged = store.delta(p).map_or(0, eh_rdf::PredDelta::len);
+            let base = store.trie_pair(p).map_or(0, eh_rdf::TriePair::len);
+            if staged > 0 && staged >= self.config.compaction_threshold(base) {
+                store.compact_pred(p);
+                compacted += 1;
             }
         }
         version.epoch += 1;
-        let mut compacted_preds: Vec<u32> = compacted.iter().map(|&(p, _)| p).collect();
-        compacted_preds.dedup();
         UpdateSummary {
             inserted: report.added,
             deleted: report.removed,
             changed_predicates: report.changed_preds.len(),
-            rebuilt_tries: 2 * compacted.len(),
-            compacted_predicates: compacted_preds.len(),
+            rebuilt_tries: 2 * compacted,
+            compacted_predicates: compacted,
             epoch: version.epoch,
-            shard_pauses,
             wal: None,
         }
     }
@@ -448,32 +414,15 @@ impl Engine {
         if !version.store.has_deltas() {
             return UpdateSummary::unchanged(version.epoch);
         }
-        let store = Arc::make_mut(&mut version.store);
-        // Fold shard by shard so the pause attribution matches the
-        // shard-local storage: each shard's fold only touches its own
-        // relations and is timed on its own.
-        let mut pairs: Vec<(u32, usize)> = Vec::new();
-        let mut shard_pauses: Vec<(usize, u64)> = Vec::new();
-        for s in 0..store.partitions() {
-            let t0 = Instant::now();
-            let preds = store.compact_shard(s);
-            if !preds.is_empty() {
-                shard_pauses.push((s, t0.elapsed().as_micros() as u64));
-                pairs.extend(preds.into_iter().map(|p| (p, s)));
-            }
-        }
+        let folded = Arc::make_mut(&mut version.store).compact_all().len();
         version.epoch += 1;
-        let mut preds: Vec<u32> = pairs.iter().map(|&(p, _)| p).collect();
-        preds.sort_unstable();
-        preds.dedup();
         UpdateSummary {
             inserted: 0,
             deleted: 0,
-            changed_predicates: preds.len(),
-            rebuilt_tries: 2 * pairs.len(),
-            compacted_predicates: preds.len(),
+            changed_predicates: folded,
+            rebuilt_tries: 2 * folded,
+            compacted_predicates: folded,
             epoch: version.epoch,
-            shard_pauses,
             wal: None,
         }
     }
@@ -569,8 +518,7 @@ impl Engine {
         if self.config.flags.layouts {
             return Ok(());
         }
-        // One build job per distinct (predicate, column order) and shard:
-        // each shard's trie is its own arena.
+        // One build job per distinct (predicate, column order).
         let mut jobs: Vec<(u32, bool, usize)> = plan
             .nodes
             .iter()
@@ -579,11 +527,9 @@ impl Engine {
             .collect();
         jobs.sort_unstable();
         jobs.dedup_by_key(|&mut (pred, subject_first, _)| (pred, subject_first));
-        let partitions = store.partitions();
-        eh_par::run_tasks(self.config.runtime.num_threads, jobs.len() * partitions, None, |i| {
-            let (_, subject_first, atom_index) = jobs[i / partitions];
-            let atom = &q.atoms()[atom_index];
-            relation(&store, atom, subject_first, false, Some(i % partitions));
+        eh_par::run_tasks(self.config.runtime.num_threads, jobs.len(), None, |i| {
+            let (_, subject_first, atom_index) = jobs[i];
+            relation(&store, &q.atoms()[atom_index], subject_first, false);
         });
         Ok(())
     }
@@ -740,12 +686,12 @@ mod tests {
             }
         });
         let trie = |engine: &Engine, subject_first, auto_layout| {
-            relation(&engine.store(), atom, subject_first, auto_layout, None).layers.remove(0).base
+            relation(&engine.store(), atom, subject_first, auto_layout).base
         };
         for subject_first in [true, false] {
             // Auto-layout operands are the store's tries: nothing to build.
             let auto = trie(&engines[0], subject_first, true);
-            let pair = store.read().trie_pair(0, atom.pred).cloned().unwrap();
+            let pair = store.read().trie_pair(atom.pred).cloned().unwrap();
             assert!(std::sync::Arc::ptr_eq(&auto, pair.order(subject_first)));
             // The ablation's three self-join atoms over one predicate,
             // warmed by two engines on four workers each, share one
@@ -794,9 +740,7 @@ mod tests {
         assert_eq!(engine.update(batch).epoch, 1);
         let q = triangle_query(&store.read());
         let atom = &q.atoms()[0];
-        let layer = |auto_layout| {
-            relation(&store.read(), atom, true, auto_layout, None).layers.pop().expect("one layer")
-        };
+        let layer = |auto_layout| relation(&store.read(), atom, true, auto_layout);
         let before = [true, false].map(layer);
         assert_eq!(engine.invalidate(), 2);
         assert_eq!((engine.epoch(), store.version()), (2, 2));
@@ -848,11 +792,9 @@ mod tests {
         assert_eq!(at(), before, "update");
         engine.compact();
         assert_eq!(at(), before, "compact");
-        engine.repartition(2);
-        assert_eq!(at(), before, "repartition");
         engine.invalidate();
         assert_eq!(at(), before, "invalidate");
-        assert_eq!((engine.epoch(), engine.store().num_triples()), (4, 5));
+        assert_eq!((engine.epoch(), engine.store().num_triples()), (3, 5));
     }
 
     #[test]
@@ -875,7 +817,7 @@ mod tests {
         assert_eq!(engine.run(&q).unwrap().cardinality(), 2);
 
         // Explicit compaction folds the overlay into freshly frozen base
-        // tries — both orders of the one folded (predicate, shard) —
+        // tries — both orders of the one folded predicate —
         // and answers are unchanged.
         let before = engine.run(&q).unwrap();
         let c = engine.compact();
@@ -973,7 +915,7 @@ mod tests {
         {
             let store = restored.store();
             let edge = store.resolve_iri("edge").unwrap();
-            assert_eq!(store.trie_pair(0, edge).map(eh_rdf::TriePair::len), Some(5));
+            assert_eq!(store.trie_pair(edge).map(eh_rdf::TriePair::len), Some(5));
         }
         assert_eq!(restored.run(&q).unwrap(), reference);
 

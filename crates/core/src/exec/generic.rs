@@ -22,17 +22,16 @@
 //! * **Arena** — one [`FrozenTrie`] of any arity: every intermediate, and
 //!   every store relation that is a single base trie with nothing staged.
 //!   Reads are the raw `FrozenTrie::set` / `child` calls; the arm is
-//!   matched and inlined at each read, so the common `P = 1`, no-delta
-//!   relation costs one predictable branch over the bare arena read.
-//! * **Layered** — `k ≥ 1` `(base, overlay?)` layers of an arity-2 store
-//!   relation under a merged root domain. A descent routes every layer for
-//!   the bound root value: one live layer whose block is untouched by its
-//!   delta serves it in place; anything else — tombstones to subtract,
-//!   inserts to add, several live shards to union — merges into the
-//!   cursor's buffer and enters the kernels as a plain [`SetRef`]. Base +
-//!   delta is the `k = 1` instance and the cross-shard union the `k = P`
-//!   instance of the same routine; a remote shard or a range-restricted
-//!   scan would be a third source, not another copy of `step`.
+//!   matched and inlined at each read, so the common no-delta relation
+//!   costs one predictable branch over the bare arena read.
+//! * **Layered** — an arity-2 store relation's base trie under its
+//!   staged-delta overlay, read through the overlay-merged root domain.
+//!   A descent routes the bound root value: a base block untouched by the
+//!   delta, or an insert-only block, is served in place; a block with
+//!   tombstones to subtract or inserts to add merges into the cursor's
+//!   buffer and enters the kernels as a plain [`SetRef`]. A
+//!   range-restricted scan would be a third source, not another copy of
+//!   `step`.
 //!
 //! Cursors borrow from the [`JoinSpec`], which outlives the join: nothing
 //! under `search` clones an `Arc` or touches any other shared atomic.
@@ -63,9 +62,9 @@ use eh_par::RuntimeConfig;
 use eh_setops::{
     intersect_all_into, intersects_all_refs, overlay_merge_into, IntersectScratch, SetRef,
 };
-use eh_trie::FrozenTrie;
+use eh_trie::{DeltaOverlay, FrozenTrie};
 
-use crate::exec::relation::{Layer, Layered};
+use crate::exec::relation::Layered;
 use crate::profile::JoinObs;
 
 /// One relation participating in a join: where its tuples live plus the
@@ -84,8 +83,8 @@ pub(crate) struct PreparedRel {
 enum Source {
     /// One frozen arena, shared with the store and across workers.
     Arena(Arc<FrozenTrie>),
-    /// Layers of an arity-2 store relation under a merged root.
-    Layered(Layered),
+    /// An arity-2 store relation's base trie and its staged-delta overlay.
+    Layered(Arc<FrozenTrie>, Arc<DeltaOverlay>),
 }
 
 impl PreparedRel {
@@ -94,12 +93,12 @@ impl PreparedRel {
         PreparedRel { source: Source::Arena(trie), depths }
     }
 
-    /// A store relation. A lone layer with nothing staged *is* its base
-    /// arena and reads as one.
-    pub fn layered(mut operand: Layered, depths: Vec<usize>) -> PreparedRel {
-        let source = match operand.layers.as_slice() {
-            [Layer { overlay: None, .. }] => Source::Arena(operand.layers.remove(0).base),
-            _ => Source::Layered(operand),
+    /// A store relation. One with nothing staged *is* its base arena and
+    /// reads as one.
+    pub fn layered(operand: Layered, depths: Vec<usize>) -> PreparedRel {
+        let source = match operand.overlay {
+            None => Source::Arena(operand.base),
+            Some(overlay) => Source::Layered(operand.base, overlay),
         };
         PreparedRel { source, depths }
     }
@@ -137,24 +136,23 @@ enum Cursor<'a> {
     Layered(LayeredCursor<'a>),
 }
 
-/// The layered source's cursor state. Level 0 is the merged root; the
-/// leaf under the bound root value is either one layer's block served in
+/// The layered source's cursor state. Level 0 is the overlay-merged
+/// root; the leaf under the bound root value is either a block served in
 /// place or the merge buffer.
 #[derive(Clone)]
 struct LayeredCursor<'a> {
-    layers: &'a [Layer],
+    base: &'a FrozenTrie,
+    overlay: &'a DeltaOverlay,
     root: &'a [u32],
     /// Whether the relation's leaf level binds in this join. A
     /// prefix-only participant never reads a leaf, so its descents skip
     /// the routing (and any merge) entirely.
     reads_leaf: bool,
-    /// The current leaf when exactly one layer is live for the bound root
-    /// value and its block is untouched by the delta (a base block with
-    /// no tombstones or inserts under it, or an insert-only block).
+    /// The current leaf when its block is untouched by the delta (a base
+    /// block with no tombstones or inserts under it, or an insert-only
+    /// block).
     in_place: Option<SetRef<'a>>,
-    /// The current leaf otherwise: `(base − del) ∪ ins` per layer, and —
-    /// object-major orders, where one root value has subjects in several
-    /// shards — the sorted concatenation across layers.
+    /// The current leaf otherwise: `(base − del) ∪ ins`.
     merged: Vec<u32>,
 }
 
@@ -180,9 +178,10 @@ impl<'a> Cursor<'a> {
     fn open(rel: &'a PreparedRel) -> Cursor<'a> {
         match &rel.source {
             Source::Arena(trie) => Cursor::Arena { trie, blocks: vec![0; trie.arity()] },
-            Source::Layered(l) => Cursor::Layered(LayeredCursor {
-                layers: &l.layers,
-                root: l.root(),
+            Source::Layered(base, overlay) => Cursor::Layered(LayeredCursor {
+                base,
+                overlay,
+                root: overlay.root(base),
                 reads_leaf: rel.depths.len() > 1,
                 in_place: None,
                 merged: Vec::new(),
@@ -255,51 +254,27 @@ impl<'a> LayeredCursor<'a> {
     }
 
     /// Route the leaf under root value `v`, which is present in the merged
-    /// root. Per layer: absent, served in place, or `(base − del) ∪ ins`
-    /// appended to the merge buffer (a value fully tombstoned in one shard
-    /// appends nothing there — its presence in the *merged* root says
-    /// nothing about any one layer). Subject-major orders have one live
-    /// layer per root value (subjects hash to exactly one shard);
-    /// object-major leaves are subjects, disjoint across shards, so
-    /// several live layers concatenate and sort.
+    /// root: served in place, or `(base − del) ∪ ins` into the merge
+    /// buffer.
     fn route(&mut self, v: u32) {
-        self.in_place = None;
         self.merged.clear();
-        let mut live = 0usize;
-        for layer in self.layers {
-            let base = if layer.base.num_tuples() == 0 {
+        let base = if self.base.num_tuples() == 0 {
+            None
+        } else {
+            self.base.child(0, 0, v).map(|b| self.base.set(1, b))
+        };
+        let (ins, del) = (self.overlay.ins_child(v), self.overlay.del_child(v));
+        self.in_place = match (base, ins, del) {
+            (Some(set), None, None) | (None, Some(set), _) => Some(set),
+            (base, ins, del) => {
+                overlay_merge_into(base, del, ins, &mut self.merged);
                 None
-            } else {
-                layer.base.child(0, 0, v).map(|b| layer.base.set(1, b))
-            };
-            let (ins, del) = match &layer.overlay {
-                Some(ov) => (ov.ins_child(v), ov.del_child(v)),
-                None => (None, None),
-            };
-            match (base, ins, del) {
-                (None, None, _) => {}
-                (Some(set), None, None) | (None, Some(set), _) => {
-                    live += 1;
-                    match self.in_place {
-                        None => self.in_place = Some(set),
-                        Some(_) => self.merged.extend(set.iter()),
-                    }
-                }
-                (base, ins, del) => {
-                    let before = self.merged.len();
-                    overlay_merge_into(base, del, ins, &mut self.merged);
-                    live += usize::from(self.merged.len() > before);
-                }
             }
-        }
-        debug_assert!(live > 0, "descend value must be live in at least one layer");
-        if live > 1 {
-            if let Some(set) = self.in_place.take() {
-                self.merged.extend(set.iter());
-            }
-            self.merged.sort_unstable();
-            self.merged.dedup();
-        }
+        };
+        debug_assert!(
+            self.in_place.is_some() || !self.merged.is_empty(),
+            "descend value must be live in the merged root"
+        );
     }
 }
 
@@ -624,7 +599,7 @@ fn descend(st: &mut State<'_>, here: &[(usize, usize)], v: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eh_trie::{DeltaOverlay, LayoutPolicy, TupleBuffer};
+    use eh_trie::{LayoutPolicy, TupleBuffer};
     use proptest::prelude::*;
 
     type Pairs<'a> = &'a [(u32, u32)];
@@ -633,34 +608,16 @@ mod tests {
         Arc::new(FrozenTrie::build(TupleBuffer::from_pairs(pairs), LayoutPolicy::Auto))
     }
 
-    /// One layer: a base trie plus, when `delta` is given, an overlay of
-    /// `(inserts, tombstones)` — all sorted unique, as the store hands
-    /// them over.
-    fn layer(base: Pairs<'_>, delta: Option<(Pairs<'_>, Pairs<'_>)>) -> Layer {
-        let overlay = delta.map(|(ins, del)| Arc::new(DeltaOverlay::from_pairs(ins, del)));
-        Layer { base: trie_of(base), overlay }
+    /// A store operand: a base trie plus an overlay of `(inserts,
+    /// tombstones)` — all sorted unique, as the store hands them over.
+    fn staged(base: Pairs<'_>, ins: Pairs<'_>, del: Pairs<'_>, depths: Vec<usize>) -> PreparedRel {
+        let overlay = Some(Arc::new(DeltaOverlay::from_pairs(ins, del)));
+        PreparedRel::layered(Layered { base: trie_of(base), overlay }, depths)
     }
 
-    /// The union of each layer's overlay-merged root set, sorted unique —
-    /// what the store's merged-root memo holds for its shards.
-    fn merged_root(layers: &[Layer]) -> Vec<u32> {
-        let mut root: Vec<u32> = Vec::new();
-        for l in layers {
-            match &l.overlay {
-                Some(ov) => root.extend_from_slice(ov.root(&l.base)),
-                None => root.extend(l.base.root_set().iter()),
-            }
-        }
-        root.sort_unstable();
-        root.dedup();
-        root
-    }
-
-    /// A store operand over `layers`: several carry their merged root,
-    /// exactly as [`relation`](crate::exec::relation) builds them.
-    fn layered(layers: Vec<Layer>, depths: Vec<usize>) -> PreparedRel {
-        let union_root = (layers.len() > 1).then(|| Arc::new(merged_root(&layers)));
-        PreparedRel::layered(Layered { layers, union_root }, depths)
+    /// [`staged`] over an already-built base trie and overlay.
+    fn layered(base: Arc<FrozenTrie>, ov: Arc<DeltaOverlay>, depths: Vec<usize>) -> PreparedRel {
+        PreparedRel::layered(Layered { base, overlay: Some(ov) }, depths)
     }
 
     /// `R(x, y)` scanned at both levels.
@@ -809,7 +766,7 @@ mod tests {
             sel: vec![None, None],
             emit_depth: 2,
             obs: None,
-            rels: vec![layered(vec![Layer { base, overlay: Some(ov) }], vec![0, 1])],
+            rels: vec![layered(base, ov, vec![0, 1])],
         };
         assert_eq!(collect(&spec), vec![vec![1, 11], vec![1, 12], vec![3, 30], vec![4, 40]]);
     }
@@ -827,10 +784,7 @@ mod tests {
             sel: vec![None, None],
             emit_depth: 2,
             obs: None,
-            rels: vec![
-                layered(vec![Layer { base: r, overlay: Some(ov) }], vec![0, 1]),
-                PreparedRel::arena(s, vec![0, 1]),
-            ],
+            rels: vec![layered(r, ov, vec![0, 1]), PreparedRel::arena(s, vec![0, 1])],
         };
         assert_eq!(collect(&spec), vec![vec![2, 21], vec![5, 50]]);
     }
@@ -845,10 +799,7 @@ mod tests {
             sel,
             emit_depth: 2,
             obs: None,
-            rels: vec![layered(
-                vec![Layer { base: Arc::clone(&r), overlay: Some(Arc::clone(&ov)) }],
-                vec![0, 1],
-            )],
+            rels: vec![layered(Arc::clone(&r), Arc::clone(&ov), vec![0, 1])],
         };
         // A tombstoned pair must miss, the staged insert must hit, and a
         // base-resident pair still hits.
@@ -868,7 +819,7 @@ mod tests {
             sel: vec![None, None],
             emit_depth: 1,
             obs: None,
-            rels: vec![layered(vec![Layer { base: r, overlay: Some(ov) }], vec![0, 1])],
+            rels: vec![layered(r, ov, vec![0, 1])],
         };
         assert_eq!(collect(&spec), vec![vec![5], vec![7]]);
     }
@@ -884,7 +835,7 @@ mod tests {
             sel: vec![None, None],
             emit_depth: 2,
             obs: None,
-            rels: vec![layered(vec![Layer { base: e, overlay: Some(ov) }], vec![0, 1])],
+            rels: vec![layered(e, ov, vec![0, 1])],
         };
         assert_eq!(collect(&spec), vec![vec![1, 10], vec![2, 20]]);
     }
@@ -902,10 +853,7 @@ mod tests {
             sel: vec![None, None],
             emit_depth: 2,
             obs: None,
-            rels: vec![
-                PreparedRel::arena(r, vec![0, 1]),
-                layered(vec![Layer { base: f_base, overlay: Some(f_ov) }], vec![0]),
-            ],
+            rels: vec![PreparedRel::arena(r, vec![0, 1]), layered(f_base, f_ov, vec![0])],
         };
         assert_eq!(collect(&spec), vec![vec![2, 20], vec![3, 30]]);
     }
@@ -927,60 +875,11 @@ mod tests {
     }
 
     #[test]
-    fn every_layer_route_serves_its_leaf() {
-        // Two subject-major shards (roots disjoint). Shard 0 stages a
-        // delta, shard 1 is bare. Per root value:
-        //   1 — merged: base {10,11} − tombstone 10 ∪ insert 12
-        //   2 — fully tombstoned: vanishes from the merged root
-        //   3 — base block untouched by the delta, served in place
-        //   4 — insert-only block, served in place
-        //   6 — absent from shard 0, base block of shard 1
-        let shard0 = layer(
-            &[(1, 10), (1, 11), (2, 20), (3, 30)],
-            Some((&[(1, 12), (4, 40)], &[(1, 10), (2, 20)])),
-        );
-        let shard1 = layer(&[(6, 60), (6, 61)], None);
-        let spec = scan(layered(vec![shard0, shard1], vec![0, 1]));
-        assert_eq!(
-            collect(&spec),
-            vec![vec![1, 11], vec![1, 12], vec![3, 30], vec![4, 40], vec![6, 60], vec![6, 61]]
-        );
-    }
-
-    #[test]
-    fn object_major_value_live_in_several_shards_concatenates_and_sorts() {
-        // Object-major: root 5 has subjects in all three shards (leaf
-        // sets disjoint, interleaved), one of them behind a delta; root 8
-        // lives in one shard only.
-        let shard0 = layer(&[(5, 1), (5, 7)], None);
-        let shard1 = layer(&[(5, 3), (5, 4), (8, 2)], None);
-        let shard2 = layer(&[(5, 6)], Some((&[(5, 0)], &[(5, 6)])));
-        let spec = scan(layered(vec![shard0, shard1, shard2], vec![0, 1]));
-        assert_eq!(
-            collect(&spec),
-            vec![vec![5, 0], vec![5, 1], vec![5, 3], vec![5, 4], vec![5, 7], vec![8, 2]]
-        );
-    }
-
-    #[test]
-    fn value_tombstoned_in_one_shard_stays_live_through_another() {
-        // Root 5 survives in the merged root through shard 1; shard 0's
-        // own merge for it comes up empty and must not count as live.
-        let shard0 = layer(&[(5, 1), (9, 9)], Some((&[], &[(5, 1)])));
-        let shard1 = layer(&[(5, 2)], None);
-        let spec = scan(layered(vec![shard0, shard1], vec![0, 1]));
-        assert_eq!(collect(&spec), vec![vec![5, 2], vec![9, 9]]);
-    }
-
-    #[test]
     fn prefix_only_layered_participant_never_routes_a_leaf() {
-        // A two-shard filter participating only at depth 0: the merged
-        // root ({2, 9} − {9}) ∪ {3} ∪ {7} applies, and descents leave the
-        // cursor's leaf untouched — no block lookup, no merge.
-        let f = || {
-            let shard0 = layer(&[(2, 1), (9, 1)], Some((&[(3, 1)], &[(9, 1)])));
-            layered(vec![shard0, layer(&[(7, 1)], None)], vec![0])
-        };
+        // A staged filter participating only at depth 0: the merged root
+        // ({2, 9} − {9}) ∪ {3} applies, and descents leave the cursor's
+        // leaf untouched — no block lookup, no merge.
+        let f = || staged(&[(2, 1), (9, 1)], &[(3, 1)], &[(9, 1)], vec![0]);
         let r = trie_of(&[(1, 10), (2, 20), (3, 30), (7, 70)]);
         let spec = JoinSpec {
             num_vars: 2,
@@ -989,40 +888,36 @@ mod tests {
             obs: None,
             rels: vec![PreparedRel::arena(r, vec![0, 1]), f()],
         };
-        assert_eq!(collect(&spec), vec![vec![2, 20], vec![3, 30], vec![7, 70]]);
+        assert_eq!(collect(&spec), vec![vec![2, 20], vec![3, 30]]);
 
         let rel = f();
         let mut cursor = Cursor::open(&rel);
-        assert_eq!(cursor.set(0).to_vec(), vec![2, 3, 7]);
+        assert_eq!(cursor.set(0).to_vec(), vec![2, 3]);
         cursor.descend(0, 2);
-        let Cursor::Layered(c) = &cursor else { panic!("two layers read layered") };
+        let Cursor::Layered(c) = &cursor else { panic!("a staged relation reads layered") };
         assert!(c.in_place.is_none() && c.merged.is_empty(), "a prefix-only descent routed");
     }
 
     #[test]
-    fn selected_prefix_probe_through_the_merged_root_then_parallel_split() {
-        // Selection on the root of a sharded object-major relation: the
-        // probe descends into a cross-shard merged leaf *before* the
-        // parallel split, so every morsel's forked cursor must carry the
-        // buffer's contents.
-        let shards = || vec![layer(&[(5, 1), (5, 7), (6, 1)], None), layer(&[(5, 3)], None)];
+    fn selected_prefix_probe_into_a_merged_leaf_then_parallel_split() {
+        // Selection on the root of a staged relation: the probe descends
+        // into a merged leaf *before* the parallel split, so every
+        // morsel's forked cursor must carry the buffer's contents.
+        let rel = || staged(&[(5, 1), (5, 7), (6, 1)], &[(5, 3)], &[], vec![0, 1]);
         let s = trie_of(&[(1, 100), (3, 300), (3, 301), (7, 700), (8, 800)]);
         let mk = |c| JoinSpec {
             num_vars: 3,
             sel: vec![Some(c), None, None],
             emit_depth: 3,
             obs: None,
-            rels: vec![
-                layered(shards(), vec![0, 1]),
-                PreparedRel::arena(Arc::clone(&s), vec![1, 2]),
-            ],
+            rels: vec![rel(), PreparedRel::arena(Arc::clone(&s), vec![1, 2])],
         };
         assert_eq!(
             collect(&mk(5)),
             vec![vec![5, 1, 100], vec![5, 3, 300], vec![5, 3, 301], vec![5, 7, 700]]
         );
         assert_eq!(collect(&mk(6)), vec![vec![6, 1, 100]]);
-        assert!(collect(&mk(4)).is_empty(), "4 is in no shard's root");
+        assert!(collect(&mk(4)).is_empty(), "4 is not in the merged root");
     }
 
     #[test]
@@ -1033,11 +928,8 @@ mod tests {
         // Under x = 1 both leaves are merge buffers (held out of the
         // state while iterated, restored after); x = 2 then re-routes
         // both cursors to in-place blocks.
-        let t = || {
-            let shard0 = layer(&[(1, 5), (1, 7), (2, 6)], Some((&[(1, 4)], &[(1, 5)])));
-            layered(vec![shard0, layer(&[(3, 3)], None)], vec![0, 1])
-        };
-        let r = || layered(vec![layer(&[(1, 10), (2, 20)], Some((&[(1, 11)], &[])))], vec![0, 2]);
+        let t = || staged(&[(1, 5), (1, 7), (2, 6)], &[(1, 4)], &[(1, 5)], vec![0, 1]);
+        let r = || staged(&[(1, 10), (2, 20)], &[(1, 11)], &[], vec![0, 2]);
         let spec = JoinSpec {
             num_vars: 3,
             sel: vec![None, None, None],
@@ -1087,19 +979,9 @@ mod tests {
             PreparedRel::arena(trie_of(&pairs), depths)
         }
 
-        /// The layered source over `k` hash shards. `split_col` is the
-        /// column the store partitions on: 0 for a subject-major order
-        /// (roots disjoint across shards), 1 for an object-major one
-        /// (roots overlap, leaves disjoint). `k = 1` is plain base+delta.
-        fn sharded(&self, k: u32, split_col: usize, depths: Vec<usize>) -> PreparedRel {
-            let of = |pairs: &[(u32, u32)], shard: u32| -> Vec<(u32, u32)> {
-                let key = |p: &(u32, u32)| if split_col == 0 { p.0 } else { p.1 };
-                pairs.iter().filter(|p| key(p) % k == shard).copied().collect()
-            };
-            let layers = (0..k)
-                .map(|s| layer(&of(&self.base, s), Some((&of(&self.ins, s), &of(&self.del, s)))))
-                .collect();
-            layered(layers, depths)
+        /// The layered source: the base trie under the delta's overlay.
+        fn layered(&self, depths: Vec<usize>) -> PreparedRel {
+            staged(&self.base, &self.ins, &self.del, depths)
         }
     }
 
@@ -1122,25 +1004,18 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The "degenerate instances" claim: the arena source over the
-        /// materialised relation, the layered source at `k = 1`
-        /// (base+delta) and the layered source over `k` shards emit the
-        /// same tuples — at 1/2/4 threads each, through `collect` — for a
-        /// two-level scan, the self-join `R(x,y), R(y,z)` and an
-        /// existence query.
+        /// materialised relation and the layered source over base + delta
+        /// emit the same tuples — at 1/2/4 threads each, through
+        /// `collect` — for a two-level scan, the self-join
+        /// `R(x,y), R(y,z)` and an existence query.
         #[test]
-        fn arena_base_delta_and_shard_union_are_one_relation(
-            staged in staged_strategy(),
-            k in 1u32..5,
-            split_col in 0usize..2,
-        ) {
+        fn arena_and_base_delta_are_one_relation(staged in staged_strategy()) {
             let run = |rel: &dyn Fn(Vec<usize>) -> PreparedRel| {
                 shapes(rel).map(|(shape, spec)| (shape, collect(&spec)))
             };
             let expect = run(&|depths| staged.materialised(depths));
-            let delta = run(&|depths| staged.sharded(1, split_col, depths));
-            prop_assert_eq!(&delta, &expect, "layered k=1 vs arena");
-            let union = run(&|depths| staged.sharded(k, split_col, depths));
-            prop_assert_eq!(&union, &expect, "layered k={} vs arena", k);
+            let delta = run(&|depths| staged.layered(depths));
+            prop_assert_eq!(&delta, &expect, "layered vs arena");
         }
     }
 }

@@ -96,20 +96,9 @@ pub(crate) fn execute_plan(
             .iter()
             .map(|v| node.vars.iter().position(|w| w == v).expect("projection var in single node"))
             .collect();
-        // Subject-rooted plans on a partitioned store run shard-local:
-        // one join per shard, each over that shard's slice of every atom.
-        // Specs are built serially: operand assembly and profile
-        // registration order stay deterministic regardless of thread count.
-        let spec_for = |shard: Option<usize>, label: String| {
-            node_spec(store, q, plan, root, Vec::new(), auto_layout, stats, shard, label)
-        };
-        let specs: Vec<JoinSpec> = match shard_local_partitions(store, plan, root) {
-            None => vec![spec_for(None, format!("node {root}"))],
-            Some(partitions) => (0..partitions)
-                .map(|s| spec_for(Some(s), format!("node {root} [shard {s}]")))
-                .collect(),
-        };
-        return QueryResult::new(columns, project_rows(&specs, &proj_positions, rt).0);
+        let spec =
+            node_spec(store, q, plan, root, Vec::new(), auto_layout, stats, format!("node {root}"));
+        return QueryResult::new(columns, project_rows(&spec, &proj_positions, rt).0);
     }
 
     // Bottom-up pass over non-root nodes (post-order ends at the root).
@@ -154,8 +143,7 @@ fn run_node(
     stats: Option<&ExecStats>,
 ) -> Option<NodeResult> {
     let children = children_rels(plan, t, results, auto_layout)?;
-    let spec =
-        node_spec(store, q, plan, t, children, auto_layout, stats, None, format!("node {t}"));
+    let spec = node_spec(store, q, plan, t, children, auto_layout, stats, format!("node {t}"));
     let node = &plan.nodes[t];
     let out_positions: Vec<usize> =
         node.output.iter().map(|v| node.vars.iter().position(|w| w == v).unwrap()).collect();
@@ -163,7 +151,7 @@ fn run_node(
     // node result turns it into a trie, so they all take the arena-direct
     // `FrozenTrie::from_sorted` path, and duplicated intermediates shrink
     // before they are cloned around.
-    let (tuples, satisfiable) = project_rows(&[spec], &out_positions, rt);
+    let (tuples, satisfiable) = project_rows(&spec, &out_positions, rt);
     let result = NodeResult { attrs: node.output.clone(), tuples, satisfiable };
     if result.is_empty_relation() {
         None
@@ -173,9 +161,7 @@ fn run_node(
 }
 
 /// Build the JoinSpec for a node: its λ atoms plus prepared child
-/// intermediates (`extra`). `shard` restricts every atom to that shard's
-/// slice of its predicate — the shard-local path, whose eligibility check
-/// ([`shard_local_partitions`]) guarantees the restriction is lossless.
+/// intermediates (`extra`).
 #[allow(clippy::too_many_arguments)]
 fn node_spec(
     store: &TripleStore,
@@ -185,7 +171,6 @@ fn node_spec(
     mut extra: Vec<PreparedRel>,
     auto_layout: bool,
     stats: Option<&ExecStats>,
-    shard: Option<usize>,
     label: String,
 ) -> JoinSpec {
     let node = &plan.nodes[t];
@@ -196,8 +181,8 @@ fn node_spec(
         .iter()
         .map(|ap| {
             let atom = &q.atoms()[ap.atom_index];
-            let operand = relation(store, atom, ap.subject_first, auto_layout, shard);
-            overlay_rels += usize::from(operand.has_overlay());
+            let operand = relation(store, atom, ap.subject_first, auto_layout);
+            overlay_rels += usize::from(operand.overlay.is_some());
             PreparedRel::layered(operand, ap.attrs.iter().map(|&v| depth_of(v)).collect())
         })
         .collect();
@@ -252,27 +237,6 @@ fn children_rels(
     Some(rels)
 }
 
-/// The shard count when node `t` can run **shard-local**: when its
-/// depth-0 variable is every atom's subject (the store's partitioning
-/// key), any result row's root binding hashes to exactly one shard, and
-/// each atom restricted to that shard contains precisely the pairs that
-/// can participate. The join therefore runs independently per shard —
-/// shards become the outer morsel dimension — and the concatenated
-/// results, canonicalised by the same trailing `sort_dedup` as every
-/// other path, are byte-identical to the unpartitioned engine's.
-///
-/// `None` when the store is unpartitioned or the plan is not
-/// subject-rooted (some atom roots at a non-subject attribute); the join
-/// then reads every shard as a layer of one cross-shard relation.
-fn shard_local_partitions(store: &TripleStore, plan: &Plan, t: usize) -> Option<usize> {
-    let partitions = store.partitions();
-    let node = &plan.nodes[t];
-    let root_var = *node.vars.first()?;
-    let subject_rooted =
-        node.atoms.iter().all(|ap| ap.subject_first && ap.attrs.first() == Some(&root_var));
-    (partitions > 1 && subject_rooted).then_some(partitions)
-}
-
 /// The per-morsel sink of every join the driver runs: projected output
 /// rows, the row staging slot, row-assembly scratch (the pipelined pass
 /// only), and whether anything was emitted at all — zero-width rows
@@ -296,19 +260,17 @@ impl RowSink {
 }
 
 /// [`collect_rows`] with one output row per emission: `binding[positions]`.
-fn project_rows(specs: &[JoinSpec], positions: &[usize], rt: RuntimeConfig) -> (TupleBuffer, bool) {
-    collect_rows(specs, positions.len(), 0, rt, |sink, binding| sink.push(positions, binding))
+fn project_rows(spec: &JoinSpec, positions: &[usize], rt: RuntimeConfig) -> (TupleBuffer, bool) {
+    collect_rows(spec, positions.len(), 0, rt, |sink, binding| sink.push(positions, binding))
 }
 
-/// Run `specs` and collect what `emit` pushes into the sinks: `arity`-wide
-/// rows, sorted and deduplicated, plus whether any join emitted. Sinks
-/// carry `width` words of row-assembly scratch. One spec — every case but
-/// a shard-local plan — runs morsel-parallel under `rt`. Several are the
-/// shards of a shard-local plan: they become the outer morsel dimension
-/// and each join runs serially inside its shard task. Observed specs get
-/// their row count and wall time recorded.
+/// Run `spec` morsel-parallel under `rt` and collect what `emit` pushes
+/// into the sinks: `arity`-wide rows, sorted and deduplicated, plus
+/// whether anything was emitted. Sinks carry `width` words of
+/// row-assembly scratch. An observed spec gets its row count and wall
+/// time recorded.
 fn collect_rows<E>(
-    specs: &[JoinSpec],
+    spec: &JoinSpec,
     arity: usize,
     width: usize,
     rt: RuntimeConfig,
@@ -317,44 +279,28 @@ fn collect_rows<E>(
 where
     E: Fn(&mut RowSink, &[u32]) + Sync,
 {
-    let lone = specs.len() == 1;
-    let inner = if lone { rt } else { RuntimeConfig::serial() };
-    let note = |spec: &JoinSpec, t0: Option<Instant>, rows: usize| {
-        if let (Some(o), Some(t0)) = (&spec.obs, t0) {
-            o.stats.set_rows(rows as u64);
-            o.stats.add_wall_ns(t0.elapsed().as_nanos() as u64);
-        }
-    };
-    let parts = eh_par::run_tasks(rt.num_threads, specs.len(), None, |s| {
-        let spec = &specs[s];
-        let t0 = spec.obs.as_ref().map(|_| Instant::now());
-        let sinks = run_join_parallel(
-            spec,
-            inner,
-            || RowSink {
-                out: TupleBuffer::new(arity),
-                row: vec![0u32; arity],
-                assembled: vec![0u32; width],
-                emitted: false,
-            },
-            &emit,
-        );
-        // A shard reports its raw contribution (deduplication happens
-        // across shards, below); a lone join its canonical row count.
-        if !lone {
-            note(spec, t0, sinks.iter().map(|sink| sink.out.len()).sum());
-        }
-        (sinks, t0)
-    });
+    let t0 = spec.obs.as_ref().map(|_| Instant::now());
+    let sinks = run_join_parallel(
+        spec,
+        rt,
+        || RowSink {
+            out: TupleBuffer::new(arity),
+            row: vec![0u32; arity],
+            assembled: vec![0u32; width],
+            emitted: false,
+        },
+        &emit,
+    );
     let mut out = TupleBuffer::new(arity);
     let mut emitted = false;
-    for sink in parts.iter().flat_map(|(sinks, _)| sinks) {
+    for sink in &sinks {
         out.append(&sink.out);
         emitted |= sink.emitted;
     }
     out.sort_dedup();
-    if lone {
-        note(&specs[0], parts[0].1, out.len());
+    if let (Some(o), Some(t0)) = (&spec.obs, t0) {
+        o.stats.set_rows(out.len() as u64);
+        o.stats.add_wall_ns(t0.elapsed().as_nanos() as u64);
     }
     (out, emitted)
 }
@@ -396,7 +342,7 @@ fn final_join(
     let sel: Vec<Option<u32>> = vec![None; join_vars.len()];
     let obs = observe_join(stats, q, "final join".to_string(), &join_vars, &sel, emit_depth, 0);
     let spec = JoinSpec { num_vars: join_vars.len(), sel, emit_depth, obs, rels };
-    project_rows(&[spec], &proj_positions, rt).0
+    project_rows(&spec, &proj_positions, rt).0
 }
 
 /// One node's contribution to the pipelined emission: its result trie,
@@ -488,7 +434,6 @@ fn run_pipelined(
         intermediates,
         auto_layout,
         stats,
-        None,
         format!("node {root} (pipelined)"),
     );
     let root_out_positions: Vec<usize> = node.output.iter().map(|&v| depth_of(v)).collect();
@@ -502,7 +447,7 @@ fn run_pipelined(
 
     // Each morsel assembles into its own sink's scratch row, taken out
     // for the walk so the walk's leaf callback can push into the sink.
-    collect_rows(&[spec], proj_positions.len(), emit_attrs.len(), rt, |sink, binding| {
+    collect_rows(&spec, proj_positions.len(), emit_attrs.len(), rt, |sink, binding| {
         let mut assembled = std::mem::take(&mut sink.assembled);
         for (j, &p) in root_out_positions.iter().enumerate() {
             assembled[j] = binding[p];

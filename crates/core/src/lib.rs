@@ -28,11 +28,16 @@
 //! Like the original EmptyHeaded (whose reported numbers are multicore),
 //! execution parallelizes across the outermost iterated attribute:
 //! configure workers with [`PlannerConfig::with_threads`] /
-//! [`RuntimeConfig`] and the engine partitions each join's first
-//! unselected attribute into morsels, runs the remaining levels on worker
+//! [`RuntimeConfig`] and the engine splits each join's first unselected
+//! attribute into morsels, runs the remaining levels on worker
 //! threads, builds indexes concurrently in [`Engine::warm`], and merges
 //! per-morsel buffers in deterministic order — parallel results are
 //! bit-identical to sequential ones.
+//!
+//! Each atom reads its predicate's relation as one frozen trie in the
+//! order the plan needs, plus at most one overlay of staged inserts and
+//! tombstones: the same generic join serves a freshly built store and a
+//! live one.
 //!
 //! The store is shared and **live**: the engine holds a [`SharedStore`]
 //! (the current `Arc<TripleStore>` version and its epoch) rather than a

@@ -21,11 +21,9 @@ fn var_cardinalities(
 ) -> Vec<usize> {
     let mut est = vec![usize::MAX; q.num_vars()];
     for a in q.atoms() {
-        // Statistics come through the partition-invariant [`PredCard`]
-        // view, never a single shard's table: a partitioned store must
-        // yield the exact numbers a P=1 store would, or the chosen
-        // attribute order — and therefore the emitted bytes — would
-        // depend on the partition count.
+        // Statistics come through the [`PredCard`] view of the base
+        // relation, so the chosen attribute order does not move with
+        // staged deltas.
         let Some(card) = store.pred_card(&a.relation) else {
             // Missing predicate: the query is empty; any order works.
             est[a.vars[0]] = 0;

@@ -110,7 +110,7 @@ fn enumerate(
         let ok = q.atoms().iter().all(|a| {
             store
                 .resolve_iri(&a.relation)
-                .and_then(|p| store.trie_pair(0, p))
+                .and_then(|p| store.trie_pair(p))
                 .is_some_and(|r| r.contains(assignment[a.vars[0]], assignment[a.vars[1]]))
         });
         if ok {

@@ -14,8 +14,8 @@
 //! same guard — in place when no reader holds the current version,
 //! through a copy when one does, so the pinned version stays as it was
 //! and is freed when its last reader drops it. A copy shares every trie
-//! and the dictionary's frozen part, so it costs O(shards × predicates +
-//! staged pairs + dictionary tail). Writes go through
+//! and the dictionary's frozen part, so it costs O(predicates + staged
+//! pairs + dictionary tail). Writes go through
 //! [`Engine`](crate::Engine), so the write guard is crate-internal.
 
 use std::sync::{Arc, RwLock, RwLockWriteGuard};

@@ -71,7 +71,7 @@ pub struct UpdateSummary {
     /// Predicates whose relations changed.
     pub changed_predicates: usize,
     /// Base tries the batch's folds froze: both orders of every
-    /// compacted (predicate, shard). Staged (overlay) updates leave this
+    /// compacted predicate. Staged (overlay) updates leave this
     /// at 0 — base tries survive; only compaction re-freezes.
     pub rebuilt_tries: usize,
     /// Changed predicates whose deltas crossed the compaction threshold
@@ -82,12 +82,6 @@ pub struct UpdateSummary {
     /// The engine's epoch after the batch. Unchanged when the batch was a
     /// no-op on table contents — no-ops don't invalidate anything.
     pub epoch: u64,
-    /// Per-shard compaction pause times in microseconds, `(shard, µs)`,
-    /// one entry per shard that folded at least one delta during this
-    /// batch. Empty when nothing compacted — the common staged case.
-    /// Shard-local compaction means a skewed shard's fold pauses only
-    /// itself; this is the observable that proves it.
-    pub shard_pauses: Vec<(usize, u64)>,
     /// The batch's write-ahead-log append, `None` when no log is
     /// attached (or for maintenance summaries like
     /// [`Engine::compact`](crate::Engine::compact), which change no
@@ -106,7 +100,6 @@ impl UpdateSummary {
             rebuilt_tries: 0,
             compacted_predicates: 0,
             epoch,
-            shard_pauses: Vec::new(),
             wal: None,
         }
     }

@@ -344,9 +344,9 @@ mod tests {
         assert!(store.pred_card(&rdf_type()).is_some());
     }
 
-    /// The base relation of a predicate IRI (the generator builds `P = 1`).
+    /// The base relation of a predicate IRI.
     fn relation<'a>(store: &'a TripleStore, iri: &str) -> &'a eh_rdf::TriePair {
-        store.trie_pair(0, store.resolve_iri(iri).unwrap()).unwrap()
+        store.trie_pair(store.resolve_iri(iri).unwrap()).unwrap()
     }
 
     /// The subjects with `(subject, o)` in `rel`, ascending.

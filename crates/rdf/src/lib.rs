@@ -17,7 +17,7 @@
 //!     Term::iri("http://www.University0.edu"),
 //! )]);
 //! let pred = store.resolve_iri("http://ub/subOrganizationOf").unwrap();
-//! let relation = store.trie_pair(0, pred).unwrap();
+//! let relation = store.trie_pair(pred).unwrap();
 //! assert_eq!(relation.len(), 1);
 //! assert_eq!(relation.os().root_set().len(), 1); // one distinct object
 //! ```
@@ -26,7 +26,6 @@ mod batch;
 mod dict;
 mod mmap;
 mod ntriples;
-mod partition;
 mod snapshot;
 mod store;
 mod term;
@@ -36,10 +35,9 @@ pub use batch::{decode_update, encode_update, encode_update_into, BatchCodecErro
 pub use dict::Dictionary;
 pub use mmap::MappedRegion;
 pub use ntriples::{parse_ntriples, write_ntriples, NtError};
-pub use partition::Partitioner;
 pub use snapshot::{
     xxh64, LoadInfo, LoadMode, SnapshotError, StoreSnapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
-pub use store::{PredCard, PredDelta, ShardStats, StoreStats, TriePair, TripleStore, UpdateReport};
+pub use store::{PredCard, PredDelta, StoreStats, TriePair, TripleStore, UpdateReport};
 pub use term::Term;
 pub use triple::{EncodedTriple, Triple};

@@ -2,37 +2,33 @@
 //!
 //! A production server cannot re-parse N-Triples and re-freeze every
 //! predicate on restart. A snapshot persists the whole read-path state —
-//! the dictionary and, per (shard, predicate), the two frozen tries that
-//! *are* the relation ([`TriePair`]) — so a reload is bulk
-//! `memcpy`-shaped at worst and *zero-copy* at best: the file can be
-//! `mmap`ed ([`StoreSnapshot::open`] with [`LoadMode::Mmap`]) and every trie
-//! arena served straight off the page cache, no arena byte ever copied
-//! into the process. Each relation is in the image exactly once.
+//! the dictionary and, per predicate, the two frozen tries that *are* the
+//! relation ([`TriePair`]) — so a reload is bulk `memcpy`-shaped at worst
+//! and *zero-copy* at best: the file can be `mmap`ed
+//! ([`StoreSnapshot::open`] with [`LoadMode::Mmap`]) and every trie arena
+//! served straight off the page cache, no arena byte ever copied into the
+//! process. Each relation is in the image exactly once.
 //!
-//! ## File format (version 4, little-endian)
+//! ## File format (version 5, little-endian)
 //!
 //! ```text
-//! [0..8)   magic  b"EHSNAP04"
-//! [8..12)  format version (u32) = 4
-//! [12..16) partition count P (u32, >= 1)
-//! [16..20) section count (u32) = P + 1
-//! [20..)   directory: per section (length u64, XXH64 checksum u64)
-//! then the sections, each starting on a 4-byte file offset (the gap
+//! [0..8)   magic  b"EHSNAP05"
+//! [8..12)  format version (u32) = 5
+//! [12..44) directory: per section (length u64, XXH64 checksum u64), two
+//!          sections
+//! then the two sections, each starting on a 4-byte file offset (the gap
 //! bytes before a section are zero and validated at load; no padding
 //! after the last section)
 //! ```
 //!
-//! Section 0 is store-wide state: the dictionary (term count, then each
-//! term as `(kind u8, len u32, utf-8 bytes)` in key order) and the
-//! predicate registry (`count`, then `(pred, cross-shard distinct-object
-//! count)` per predicate — the registration order every shard shares;
-//! the persisted count spares the load path the cross-shard merge that
-//! derived it, and is bounds-checked against the decoded shards).
+//! The header section holds the dictionary (term count, then each term as
+//! `(kind u8, len u32, utf-8 bytes)` in key order) and the predicate
+//! registry (`count`, then each predicate key in registration order).
 //!
-//! Sections `1..=P` each hold one shard: in registry order, one `so`
-//! trie record and then one `os` trie record per predicate — nothing
-//! else. The order is implied by position and every relation is binary,
-//! so a record carries no predicate, order flag or arity:
+//! The trie section holds, in registry order, one `so` trie record and
+//! then one `os` trie record per predicate — nothing else. The order is
+//! implied by position and every relation is binary, so a record carries
+//! no predicate, order flag or arity:
 //!
 //! ```text
 //! num_tuples u32 | level 0 (offset u32, count u32) | level 1 (offset u32,
@@ -47,42 +43,33 @@
 //! ## What the reader checks
 //!
 //! Checksums guard against corruption; a checksum-valid image is then
-//! held to five structural checks per relation before anything serves
-//! from it, all inside the parallel per-shard pass:
+//! held to three structural checks per relation before anything serves
+//! from it:
 //!
 //! 1. **structure** — every level offset, block, child base and set
 //!    encoding of both tries (`FrozenTrie` validation; no empty set below
 //!    a root);
 //! 2. **ids** — every id of the `so` trie is below the dictionary length;
-//! 3. **affinity** — every subject (the `so` root set) hashes to the
-//!    shard holding it;
-//! 4. **transpose** — `os` is exactly the transpose of `so` (which also
-//!    carries check 2 over to `os`);
-//! 5. **distinct objects** — the registry's cross-shard claim lies
-//!    between the largest per-shard `os` root and the smaller of their
-//!    sum and the dictionary size (exact at `P = 1`).
+//! 3. **transpose** — `os` is exactly the transpose of `so` (which also
+//!    carries check 2 over to `os`).
 //!
-//! Per-shard sections carry **independent checksums** so a partitioned
-//! load verifies and decodes shards in parallel
-//! ([`StoreSnapshot::open`]'s `threads`) — the cold-start path scales
-//! with cores instead of serialising one whole-file checksum pass.
 //! Checksum verification stays eager on the mapped path too (it is cheap,
 //! sequential, and reads the bytes `madvise` is about to want anyway);
 //! only the arena *copy* is skipped.
 //!
 //! ## Compatibility policy
 //!
-//! There is one format. `EHSNAP04` is the only image this build writes or
+//! There is one format. `EHSNAP05` is the only image this build writes or
 //! reads, and a store has exactly one encoding in it, so every readable
 //! image is also mappable and save → load → save is a byte fixed point.
-//! The three retired magics (`EHSNAP01`–`EHSNAP03`) are recognised only
+//! The four retired magics (`EHSNAP01`–`EHSNAP04`) are recognised only
 //! to say so — [`SnapshotError::BadVersion`] — and anything else unknown,
 //! truncated, mis-sized, or failing a check is likewise a typed
 //! [`SnapshotError`], never a panic. Snapshots are an *optimisation*, not
 //! the system of record: on any read error, rebuild from the source
 //! N-Triples and save again.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
@@ -93,29 +80,28 @@ use std::sync::Arc;
 use eh_trie::{ArenaBytes, FrozenTrie};
 
 use crate::mmap::MappedRegion;
-use crate::partition::Partitioner;
 use crate::store::{is_transpose, TriePair, TripleStore};
 use crate::term::Term;
 
 /// The 8-byte magic that opens every snapshot this build reads or writes.
-pub const SNAPSHOT_MAGIC: [u8; 8] = *b"EHSNAP04";
+pub const SNAPSHOT_MAGIC: [u8; 8] = *b"EHSNAP05";
 /// The format version this build reads and writes.
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 /// The magics of the retired formats, with the version each names.
 /// Nothing decodes them; they are matched so an old image fails as
 /// [`SnapshotError::BadVersion`] rather than as "not a snapshot".
-const RETIRED_MAGICS: [([u8; 8], u32); 3] =
-    [(*b"EHSNAP01", 1), (*b"EHSNAP02", 2), (*b"EHSNAP03", 3)];
-/// Fixed header size before the section directory. 20 bytes and 16-byte
+const RETIRED_MAGICS: [([u8; 8], u32); 4] =
+    [(*b"EHSNAP01", 1), (*b"EHSNAP02", 2), (*b"EHSNAP03", 3), (*b"EHSNAP04", 4)];
+/// Fixed header size before the section directory. 12 bytes and 16-byte
 /// directory entries together put the first section on a 4-byte offset
-/// with no padding, for any partition count.
-const HEADER_BYTES: usize = 20;
+/// with no padding.
+const HEADER_BYTES: usize = 12;
 /// Per-section directory entry: length + checksum.
 const DIR_ENTRY_BYTES: usize = 16;
-/// Upper bound on the partition count a snapshot may declare — far above
-/// any real deployment, low enough that a corrupt header cannot provoke
-/// a giant allocation before checksums are consulted.
-const MAX_PARTITIONS: u32 = 1 << 16;
+/// The header section and the trie section.
+const SECTIONS: usize = 2;
+/// Where the first section starts.
+const DIR_END: usize = HEADER_BYTES + DIR_ENTRY_BYTES * SECTIONS;
 /// Every relation is binary: a trie record has exactly two levels.
 const ARITY: u32 = 2;
 
@@ -127,7 +113,7 @@ pub enum SnapshotError {
     /// The file does not start with a snapshot magic.
     BadMagic,
     /// The file is a snapshot of a version this build does not read: a
-    /// retired format (1–3) or a version field that is not
+    /// retired format (1–4) or a version field that is not
     /// [`SNAPSHOT_VERSION`].
     BadVersion(u32),
     /// The file ends before the declared payload does.
@@ -217,7 +203,7 @@ impl StoreSnapshot {
     /// Serialize `store`'s base relations to `w`. Returns the total bytes
     /// written. Staged deltas are not part of an image: fold them first.
     pub fn write(store: &TripleStore, w: impl Write) -> Result<u64, SnapshotError> {
-        write_parts(store.partitions() as u32, &encode_sections(store), w)
+        write_parts(&encode_sections(store), w)
     }
 
     /// Serialize to a file path (buffered), atomically: the bytes go to
@@ -267,14 +253,12 @@ impl StoreSnapshot {
     pub fn read(mut r: impl Read) -> Result<StoreSnapshot, SnapshotError> {
         let mut bytes = Vec::new();
         r.read_to_end(&mut bytes)?;
-        decode_image(&bytes, 1, None)
+        decode_image(&bytes, None)
     }
 
-    /// Open the snapshot file at `path`, checksumming and decoding its
-    /// per-shard sections on up to `threads` workers (a `P = 1` image has
-    /// a single shard section and decodes sequentially regardless).
-    /// Verification is never weakened — every section checksum and every
-    /// structural invariant runs eagerly in both modes:
+    /// Open the snapshot file at `path`. Verification is never weakened —
+    /// both section checksums and every structural invariant run eagerly
+    /// in both modes:
     ///
     /// * [`LoadMode::Copy`] slurps the file in one size-hinted read and
     ///   decodes every arena into owned memory.
@@ -288,18 +272,14 @@ impl StoreSnapshot {
     /// A missing file is [`SnapshotError::Io`] of kind `NotFound` in both
     /// modes, never a fallback; a corrupt, truncated or retired image is
     /// the same typed error in both.
-    pub fn open(
-        path: impl AsRef<Path>,
-        mode: LoadMode,
-        threads: usize,
-    ) -> Result<StoreSnapshot, SnapshotError> {
+    pub fn open(path: impl AsRef<Path>, mode: LoadMode) -> Result<StoreSnapshot, SnapshotError> {
         let path = path.as_ref();
         let fallback = match mode {
             LoadMode::Copy => None,
             LoadMode::Mmap => match MappedRegion::map_file(path) {
                 Ok(region) => {
                     let region = Arc::new(region);
-                    return decode_image(region.bytes(), threads, Some(&region));
+                    return decode_image(region.bytes(), Some(&region));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
                     Some("mmap unsupported on this platform")
@@ -307,7 +287,7 @@ impl StoreSnapshot {
                 Err(_) => Some("mmap syscall failed"),
             },
         };
-        let mut snap = decode_image(&std::fs::read(path)?, threads, None)?;
+        let mut snap = decode_image(&std::fs::read(path)?, None)?;
         snap.load.fallback = fallback;
         Ok(snap)
     }
@@ -315,24 +295,17 @@ impl StoreSnapshot {
 
 // ---------------------------------------------------------------- payload
 
-/// Assemble already-encoded sections into a complete file image:
+/// Assemble the two encoded sections into a complete file image:
 /// header, directory, then each section at the next 4-aligned offset
-/// with zero gap bytes between. Returns the total bytes written. The
-/// tests also use this directly to forge section-level corruptions.
-fn write_parts(
-    partitions: u32,
-    sections: &[Vec<u8>],
-    mut w: impl Write,
-) -> Result<u64, SnapshotError> {
+/// with zero gap bytes between. Returns the total bytes written.
+fn write_parts(sections: &[Vec<u8>; SECTIONS], mut w: impl Write) -> Result<u64, SnapshotError> {
     w.write_all(&SNAPSHOT_MAGIC)?;
     w.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-    w.write_all(&partitions.to_le_bytes())?;
-    w.write_all(&(sections.len() as u32).to_le_bytes())?;
     for s in sections {
         w.write_all(&(s.len() as u64).to_le_bytes())?;
         w.write_all(&xxh64(s).to_le_bytes())?;
     }
-    // The directory end is 4-aligned by construction (20-byte header,
+    // The directory end is 4-aligned by construction (12-byte header,
     // 16-byte entries), so aligning within the body aligns in the file.
     let mut at = 0u64;
     for s in sections {
@@ -342,14 +315,12 @@ fn write_parts(
         at = aligned + s.len() as u64;
     }
     w.flush()?;
-    Ok((HEADER_BYTES + DIR_ENTRY_BYTES * sections.len()) as u64 + at)
+    Ok(DIR_END as u64 + at)
 }
 
-/// Encode the store as `P + 1` sections (see the module docs).
-fn encode_sections(store: &TripleStore) -> Vec<Vec<u8>> {
-    let partitions = store.partitions();
-    let mut sections = Vec::with_capacity(partitions + 1);
-    // Section 0: dictionary + predicate registry.
+/// Encode the store as its header and trie sections (see the module
+/// docs).
+fn encode_sections(store: &TripleStore) -> [Vec<u8>; SECTIONS] {
     let mut head = Vec::new();
     let dict = store.dict();
     put_u32(&mut head, dict.len() as u32);
@@ -365,23 +336,13 @@ fn encode_sections(store: &TripleStore) -> Vec<Vec<u8>> {
     put_u32(&mut head, store.preds().len() as u32);
     for &pred in store.preds() {
         put_u32(&mut head, pred);
-        // The cross-shard distinct-object count: derived read-path state,
-        // persisted so a load never replays the merge that computed it.
-        let distinct = store.card_of(pred).map_or(0, |c| c.distinct_objects());
-        put_u32(&mut head, distinct as u32);
     }
-    sections.push(head);
-    // Sections 1..=P: one shard each — both tries of every registered
-    // relation, registry order.
-    for shard in 0..partitions {
-        let mut out = Vec::new();
-        for rel in store.shard_rels(shard) {
-            put_trie(&mut out, &rel.so);
-            put_trie(&mut out, &rel.os);
-        }
-        sections.push(out);
+    let mut tries = Vec::new();
+    for rel in store.rels() {
+        put_trie(&mut tries, &rel.so);
+        put_trie(&mut tries, &rel.os);
     }
-    sections
+    [head, tries]
 }
 
 /// One trie record (see the module docs).
@@ -404,7 +365,6 @@ fn put_trie(out: &mut Vec<u8>, trie: &FrozenTrie) {
 /// without, they are decoded into owned memory.
 fn decode_image(
     bytes: &[u8],
-    threads: usize,
     region: Option<&Arc<MappedRegion>>,
 ) -> Result<StoreSnapshot, SnapshotError> {
     let Some(magic) = bytes.get(..8) else {
@@ -428,35 +388,22 @@ fn decode_image(
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::BadVersion(version));
     }
-    let partitions = u32::from_le_bytes(bytes[12..16].try_into().expect("fixed slice"));
-    let n_sections = u32::from_le_bytes(bytes[16..20].try_into().expect("fixed slice"));
-    if partitions == 0 || partitions > MAX_PARTITIONS {
-        return Err(SnapshotError::Malformed("implausible partition count"));
-    }
-    if n_sections != partitions + 1 {
-        return Err(SnapshotError::Malformed("section count does not match partitions"));
-    }
-    let n_sections = n_sections as usize;
-    let dir_end = HEADER_BYTES + DIR_ENTRY_BYTES * n_sections;
-    if bytes.len() < dir_end {
+    if bytes.len() < DIR_END {
         return Err(SnapshotError::Truncated);
-    }
-    let mut dir = Vec::with_capacity(n_sections);
-    for i in 0..n_sections {
-        let at = HEADER_BYTES + DIR_ENTRY_BYTES * i;
-        let len = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("fixed slice"));
-        let checksum = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().expect("fixed slice"));
-        dir.push((len, checksum));
     }
     // Walk the directory, placing each section at the next 4-aligned
     // body offset. Gap bytes are outside every checksum, so they are
     // validated zero here — otherwise a flipped gap byte would read
     // back clean. Checked arithmetic throughout: the lengths are
     // attacker-controlled until their checksums pass.
-    let body = &bytes[dir_end..];
-    let mut sections = Vec::with_capacity(n_sections);
+    let body = &bytes[DIR_END..];
+    let mut sections = Vec::with_capacity(SECTIONS);
     let mut at = 0u64;
-    for &(len, checksum) in &dir {
+    for i in 0..SECTIONS {
+        let entry = HEADER_BYTES + DIR_ENTRY_BYTES * i;
+        let len = u64::from_le_bytes(bytes[entry..entry + 8].try_into().expect("fixed slice"));
+        let checksum =
+            u64::from_le_bytes(bytes[entry + 8..entry + 16].try_into().expect("fixed slice"));
         let aligned = at.checked_add(3).ok_or(SnapshotError::Truncated)? & !3;
         let end = aligned.checked_add(len).ok_or(SnapshotError::Truncated)?;
         if end > body.len() as u64 {
@@ -466,92 +413,34 @@ fn decode_image(
         if body[gap_at..s_at].iter().any(|&b| b != 0) {
             return Err(SnapshotError::Malformed("nonzero section alignment padding"));
         }
+        let section = &body[s_at..s_end];
+        if xxh64(section) != checksum {
+            return Err(SnapshotError::ChecksumMismatch);
+        }
         // The section's absolute file offset, for mapped-arena windows.
-        sections.push((&body[s_at..s_end], checksum, dir_end + s_at));
+        sections.push((section, DIR_END + s_at));
         at = end;
     }
     if at != body.len() as u64 {
         return Err(SnapshotError::Malformed("trailing bytes after payload"));
     }
-    // Section 0 (dictionary + registry) gates everything else: decode it
-    // first, sequentially.
-    let (head, head_sum, _) = sections[0];
-    if xxh64(head) != head_sum {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-    let (terms, registry) = decode_head_section(head)?;
-    // Shard sections verify and decode independently — fan them out.
-    // Checks 1–4 of every relation ride inside the same fan-out, so
-    // reassembly has no sequential sweep left to pay.
-    let n_terms = terms.len();
-    let partitioner = Partitioner::new(partitions as usize);
-    let shard_results = eh_par::run_tasks(threads.max(1), partitions as usize, None, |shard| {
-        let (body, sum, section_off) = sections[shard + 1];
-        if xxh64(body) != sum {
-            return Err(SnapshotError::ChecksumMismatch);
-        }
-        let mapped = region.map(|region| (region, section_off));
-        decode_shard_section(body, registry.len(), n_terms, partitioner, shard, mapped)
-    });
+    let (terms, preds) = decode_head_section(sections[0].0)?;
+    let (tries, tries_off) = sections[1];
+    let mapped = region.map(|region| (region, tries_off));
+    let rels = decode_trie_section(tries, preds.len(), terms.len(), mapped)?;
     let load = match region {
         Some(region) => {
             LoadInfo { mode: LoadMode::Mmap, mapped_bytes: region.len() as u64, fallback: None }
         }
         None => LoadInfo::copied(),
     };
-    assemble_snapshot(partitions, terms, registry, shard_results, load)
-}
-
-/// The tail of a read: collect the per-shard decode results, validate
-/// the persisted distinct-object claims against them (check 5), and
-/// reassemble the store.
-fn assemble_snapshot(
-    partitions: u32,
-    terms: Vec<Term>,
-    registry: Vec<RegistryEntry>,
-    shard_results: Vec<Result<Vec<TriePair>, SnapshotError>>,
-    load: LoadInfo,
-) -> Result<StoreSnapshot, SnapshotError> {
-    let n_terms = terms.len();
-    let shard_rels = shard_results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    // The persisted distinct-object stats shape plans, never answer
-    // bytes, so exact recomputation (a cross-shard merge per predicate —
-    // the cost this field exists to avoid) is not worth the load-path
-    // time; bounds against the decoded shards keep a corrupt claim from
-    // surviving: the true count is at least the largest single-shard
-    // count and at most the smaller of the per-shard sum and the
-    // dictionary size. At P = 1 the shard count *is* the true count, so
-    // the claim is checked exactly.
-    let mut agg = HashMap::with_capacity(registry.len());
-    for (idx, &(pred, claimed)) in registry.iter().enumerate() {
-        let claimed = claimed as usize;
-        let per_shard = || shard_rels.iter().map(|rels| rels[idx].os.root_set().len());
-        let largest = per_shard().max().unwrap_or(0);
-        let ok = if partitions == 1 {
-            claimed == largest
-        } else {
-            claimed >= largest && claimed <= per_shard().sum::<usize>().min(n_terms)
-        };
-        if !ok {
-            return Err(SnapshotError::Malformed("distinct-object stat out of bounds"));
-        }
-        agg.insert(pred, claimed);
-    }
-    let preds = registry.iter().map(|&(pred, _)| pred).collect();
-    let store =
-        TripleStore::from_partitioned_parts(terms, partitions as usize, preds, shard_rels, agg)
-            .map_err(SnapshotError::Malformed)?;
+    let store = TripleStore::from_parts(terms, preds, rels).map_err(SnapshotError::Malformed)?;
     Ok(StoreSnapshot { store, load })
 }
 
-/// One predicate-registry entry from section 0: `(pred key, claimed
-/// cross-shard distinct-object count)`.
-type RegistryEntry = (u32, u32);
-
-/// Decode section 0: dictionary terms in key order plus the predicate
-/// registry shared by every shard. The distinct-object claims are
-/// validated against the decoded shards in [`assemble_snapshot`].
-fn decode_head_section(bytes: &[u8]) -> Result<(Vec<Term>, Vec<RegistryEntry>), SnapshotError> {
+/// Decode the header section: dictionary terms in key order plus the
+/// predicate registry.
+fn decode_head_section(bytes: &[u8]) -> Result<(Vec<Term>, Vec<u32>), SnapshotError> {
     let mut c = Cursor { bytes, pos: 0 };
     let n_terms = c.u32()? as usize;
     let mut terms = Vec::with_capacity(n_terms.min(c.remaining()));
@@ -565,7 +454,7 @@ fn decode_head_section(bytes: &[u8]) -> Result<(Vec<Term>, Vec<RegistryEntry>), 
         });
     }
     let n_preds = c.u32()? as usize;
-    let mut registry = Vec::with_capacity(n_preds.min(c.remaining()));
+    let mut preds = Vec::with_capacity(n_preds.min(c.remaining()));
     let mut seen = HashSet::new();
     for _ in 0..n_preds {
         let pred = c.u32()?;
@@ -575,25 +464,23 @@ fn decode_head_section(bytes: &[u8]) -> Result<(Vec<Term>, Vec<RegistryEntry>), 
         if pred as usize >= terms.len() {
             return Err(SnapshotError::Malformed("predicate outside dictionary"));
         }
-        registry.push((pred, c.u32()?));
+        preds.push(pred);
     }
     if c.remaining() != 0 {
         return Err(SnapshotError::Malformed("unconsumed section bytes"));
     }
-    Ok((terms, registry))
+    Ok((terms, preds))
 }
 
-/// Decode one shard section — `n_preds` relations of two trie records
-/// each — running checks 1–4 (module docs) on every relation. With
+/// Decode the trie section — `n_preds` relations of two trie records
+/// each — running checks 1–3 (module docs) on every relation. With
 /// `mapped` — the mapping `bytes` is a window of, plus the section's
 /// absolute file offset in it — trie arenas are served in place instead
 /// of copied.
-fn decode_shard_section(
+fn decode_trie_section(
     bytes: &[u8],
     n_preds: usize,
     n_terms: usize,
-    partitioner: Partitioner,
-    shard: usize,
     mapped: Option<(&Arc<MappedRegion>, usize)>,
 ) -> Result<Vec<TriePair>, SnapshotError> {
     let mut c = Cursor { bytes, pos: 0 };
@@ -607,12 +494,6 @@ fn decode_shard_section(
         // for. Bitset maxima are O(1), so this is O(blocks).
         if so.max_symbol().is_some_and(|m| m as usize >= n_terms) {
             return Err(SnapshotError::Malformed("trie id outside dictionary"));
-        }
-        // Subjects must live in the shard their hash names, or a
-        // shard-local join would silently miss them (a swapped pair of
-        // otherwise-valid sections passes every per-section checksum).
-        if !so.root_set().iter().all(|s| partitioner.shard_of(s) == shard) {
-            return Err(SnapshotError::Malformed("subject resident in the wrong shard"));
         }
         // The two orders must describe the same relation, or the same
         // query would answer differently depending on which access order
@@ -821,8 +702,6 @@ mod tests {
     }
 
     fn wide_triples() -> Vec<Triple> {
-        // Enough distinct subjects that every shard of a P=4 store is
-        // non-empty.
         let mut v = Vec::new();
         for i in 0..32u32 {
             v.push(t(&format!("s{i}"), "p", &format!("o{}", i % 5)));
@@ -835,15 +714,14 @@ mod tests {
         Arc::new(FrozenTrie::from_sorted_pairs(pairs, LayoutPolicy::Auto))
     }
 
-    /// `store` (P = 1) reassembled with its first relation replaced by
-    /// `edit`'s — none of the decoder's validation runs, so this is what
-    /// the writer would emit for a store no honest build can produce.
+    /// `store` reassembled with its first relation replaced by `edit`'s —
+    /// none of the decoder's validation runs, so this is what the writer
+    /// would emit for a store no honest build can produce.
     fn forged(store: &TripleStore, edit: impl FnOnce(&mut TriePair)) -> TripleStore {
         let terms = store.dict().iter().map(|(_, term)| term.clone()).collect();
-        let mut rels = store.shard_rels(0).to_vec();
+        let mut rels = store.rels().to_vec();
         edit(&mut rels[0]);
-        let preds = store.preds().to_vec();
-        TripleStore::from_partitioned_parts(terms, 1, preds, vec![rels], HashMap::new()).unwrap()
+        TripleStore::from_parts(terms, store.preds().to_vec(), rels).unwrap()
     }
 
     fn snapshot_bytes(store: &TripleStore) -> Vec<u8> {
@@ -856,25 +734,19 @@ mod tests {
         std::env::temp_dir().join(format!("eh-snap-{tag}-{}.snap", std::process::id()))
     }
 
-    /// Both orders of every (shard, predicate) hold the same tuples in
-    /// `a` and `b` (content equality — storage backing may differ).
+    /// Both orders of every predicate hold the same tuples in `a` and `b`
+    /// (content equality — storage backing may differ).
     fn assert_same_relations(a: &TripleStore, b: &TripleStore) {
-        assert_eq!(a.partitions(), b.partitions());
         assert_eq!(a.preds(), b.preds());
-        for shard in 0..a.partitions() {
-            for (ra, rb) in a.shard_rels(shard).iter().zip(b.shard_rels(shard)) {
-                assert_eq!(*ra.so, *rb.so, "shard {shard}");
-                assert_eq!(*ra.os, *rb.os, "shard {shard}");
-            }
+        for (ra, rb) in a.rels().iter().zip(b.rels()) {
+            assert_eq!(*ra.so, *rb.so);
+            assert_eq!(*ra.os, *rb.os);
         }
     }
 
-    /// Every trie of the store, both orders, all shards.
+    /// Every trie of the store, both orders.
     fn all_tries(store: &TripleStore) -> Vec<Arc<FrozenTrie>> {
-        (0..store.partitions())
-            .flat_map(|shard| store.shard_rels(shard).iter())
-            .flat_map(|r| [Arc::clone(&r.so), Arc::clone(&r.os)])
-            .collect()
+        store.rels().iter().flat_map(|r| [Arc::clone(&r.so), Arc::clone(&r.os)]).collect()
     }
 
     #[test]
@@ -914,50 +786,23 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_roundtrip_preserves_shards() {
-        let store = TripleStore::from_triples_partitioned(wide_triples(), 4);
-        let path = temp_path("partitioned-roundtrip");
-        StoreSnapshot::write_to_path(&store, &path).unwrap();
-        for threads in [1, 4] {
-            let snap = StoreSnapshot::open(&path, LoadMode::Copy, threads).unwrap();
-            assert_eq!(snap.store.partitions(), 4);
-            assert_eq!(
-                snap.store.encoded_triples().collect::<Vec<_>>(),
-                store.encoded_triples().collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-            assert_same_relations(&store, &snap.store);
-            let hub = snap.store.pred_card("q").unwrap();
-            assert_eq!(hub.distinct_objects(), 1, "the persisted cross-shard count");
-            assert!(snap.store.__invariant_check());
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn image_holds_each_relation_once() {
-        // A shard section is its trie records and nothing else: two per
+        // The trie section is its trie records and nothing else: two per
         // registered predicate, each a 24-byte header plus its arena.
         let record = |trie: &FrozenTrie| 24 + 4 * trie.raw_parts().3.len();
-        for partitions in [1, 4] {
-            let mut store = TripleStore::from_triples_partitioned(wide_triples(), partitions);
-            // A predicate registered by a batch that cancelled out still
-            // owns its (empty) records.
-            store.stage_add_triples(vec![t("x", "r", "y")]);
-            store.stage_remove_triples(vec![t("x", "r", "y")]);
-            assert!(!store.has_deltas());
-            assert_eq!(store.stats().predicates, 3);
-            let sections = encode_sections(&store);
-            assert_eq!(sections.len(), partitions + 1);
-            for shard in 0..partitions {
-                let rels = store.shard_rels(shard);
-                assert_eq!(rels.len(), store.stats().predicates, "P={partitions}");
-                let expect: usize = rels.iter().map(|r| record(&r.so) + record(&r.os)).sum();
-                assert_eq!(sections[shard + 1].len(), expect, "P={partitions} shard {shard}");
-            }
-            let snap = StoreSnapshot::read(&snapshot_bytes(&store)[..]).unwrap();
-            assert_same_relations(&store, &snap.store);
-        }
+        let mut store = TripleStore::from_triples(wide_triples());
+        // A predicate registered by a batch that cancelled out still owns
+        // its (empty) records.
+        store.stage_add_triples(vec![t("x", "r", "y")]);
+        store.stage_remove_triples(vec![t("x", "r", "y")]);
+        assert!(!store.has_deltas());
+        assert_eq!(store.stats().predicates, 3);
+        let [_, tries] = encode_sections(&store);
+        assert_eq!(store.rels().len(), store.stats().predicates);
+        let expect: usize = store.rels().iter().map(|r| record(&r.so) + record(&r.os)).sum();
+        assert_eq!(tries.len(), expect);
+        let snap = StoreSnapshot::read(&snapshot_bytes(&store)[..]).unwrap();
+        assert_same_relations(&store, &snap.store);
     }
 
     #[test]
@@ -994,7 +839,7 @@ mod tests {
         bad[8] = 99;
         assert!(matches!(StoreSnapshot::read(&bad[..]), Err(SnapshotError::BadVersion(99))));
 
-        for cut in [0, 7, 12, 19, 24, good.len() / 2, good.len() - 1] {
+        for cut in [0, 7, 12, 19, 24, 43, good.len() / 2, good.len() - 1] {
             assert!(
                 matches!(StoreSnapshot::read(&good[..cut]), Err(SnapshotError::Truncated)),
                 "cut at {cut}"
@@ -1014,71 +859,36 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_section_headers_are_typed_errors() {
-        let store = TripleStore::from_triples_partitioned(wide_triples(), 2);
-        let good = snapshot_bytes(&store);
+    fn corrupt_section_directories_are_typed_errors() {
+        let good = snapshot_bytes(&TripleStore::from_triples(wide_triples()));
 
-        // Partition count of 0 and an implausibly huge one.
-        for forged in [0u32, u32::MAX] {
+        // A directory length pointing past the file, for either section.
+        for entry in [12, 28] {
             let mut bad = good.clone();
-            bad[12..16].copy_from_slice(&forged.to_le_bytes());
-            assert!(
-                matches!(StoreSnapshot::read(&bad[..]), Err(SnapshotError::Malformed(_))),
-                "partitions={forged}"
-            );
+            bad[entry..entry + 8].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
+            assert!(matches!(StoreSnapshot::read(&bad[..]), Err(SnapshotError::Truncated)));
         }
-        // Section count disagreeing with the partition count.
-        let mut bad = good.clone();
-        bad[16..20].copy_from_slice(&9u32.to_le_bytes());
-        assert!(matches!(StoreSnapshot::read(&bad[..]), Err(SnapshotError::Malformed(_))));
-
-        // A directory length pointing past the file.
-        let mut bad = good.clone();
-        bad[20..28].copy_from_slice(&(u64::MAX / 2).to_le_bytes());
-        assert!(matches!(StoreSnapshot::read(&bad[..]), Err(SnapshotError::Truncated)));
 
         // A directory checksum that no longer matches its section.
-        let mut bad = good.clone();
-        bad[28] ^= 0xFF;
-        assert!(matches!(StoreSnapshot::read(&bad[..]), Err(SnapshotError::ChecksumMismatch)));
-    }
-
-    #[test]
-    fn swapped_shard_sections_are_rejected() {
-        // Swap the two shard payloads of a P=2 snapshot and re-seal their
-        // checksums: every per-section check still passes, but subjects
-        // now sit in shards their hash does not name — the affinity check
-        // must catch it (a shard-local join would otherwise silently miss
-        // them).
-        let store = TripleStore::from_triples_partitioned(wide_triples(), 2);
-        let mut sections = encode_sections(&store);
-        assert!(sections[1] != sections[2], "both shards populated");
-        sections.swap(1, 2);
-        let mut forged = Vec::new();
-        write_parts(2, &sections, &mut forged).unwrap();
-        assert!(
-            matches!(
-                StoreSnapshot::read(&forged[..]),
-                Err(SnapshotError::Malformed(m)) if m.contains("shard")
-            ),
-            "mis-sharded subjects must be rejected"
-        );
+        for entry in [20, 36] {
+            let mut bad = good.clone();
+            bad[entry] ^= 0xFF;
+            assert!(matches!(StoreSnapshot::read(&bad[..]), Err(SnapshotError::ChecksumMismatch)));
+        }
     }
 
     #[test]
     fn single_byte_mutations_never_panic() {
-        // The corruption property, exhaustively for small snapshots at
-        // P ∈ {1, 2}: every single-byte mutation either still reads (a
-        // single flip never collides the checksum, but stay permissive)
-        // or returns a typed error — it must never panic. The
-        // workspace-level proptest widens this to random multi-byte
-        // mutations over random stores.
-        let store = TripleStore::from_triples(vec![t("a", "p", "b")]);
-        let mut cases = vec![snapshot_bytes(&store)];
-        cases.push(snapshot_bytes(&TripleStore::from_triples_partitioned(
-            vec![t("a", "p", "b"), t("c", "p", "d"), t("e", "p", "f")],
-            2,
-        )));
+        // The corruption property, exhaustively for small snapshots: every
+        // single-byte mutation either still reads (a single flip never
+        // collides the checksum, but stay permissive) or returns a typed
+        // error — it must never panic. The workspace-level proptest widens
+        // this to random multi-byte mutations over random stores.
+        let cases = [
+            vec![t("a", "p", "b")],
+            vec![t("a", "p", "b"), t("c", "p", "d"), t("e", "p", "f"), t("a", "q", "f")],
+        ]
+        .map(|triples| snapshot_bytes(&TripleStore::from_triples(triples)));
         for good in cases {
             for i in 0..good.len() {
                 for flip in [0x01u8, 0x80, 0xFF] {
@@ -1122,7 +932,7 @@ mod tests {
             t("d", "p", "b"),
             t("d", "p", "a"),
         ]);
-        let os: Vec<(u32, u32)> = store.shard_rels(0)[0].os.pairs().collect();
+        let os: Vec<(u32, u32)> = store.rels()[0].os.pairs().collect();
         let mut altered = os.clone();
         let last = os.len() - 1;
         altered[last].1 = os[0].1; // (c, a) -> (c, d): (d, c) is not in `so`
@@ -1133,7 +943,7 @@ mod tests {
             let bytes = snapshot_bytes(&bad);
             std::fs::write(&path, &bytes).unwrap();
             for result in
-                [StoreSnapshot::read(&bytes[..]), StoreSnapshot::open(&path, LoadMode::Mmap, 1)]
+                [StoreSnapshot::read(&bytes[..]), StoreSnapshot::open(&path, LoadMode::Mmap)]
             {
                 assert!(
                     matches!(result, Err(SnapshotError::Malformed(m)) if m.contains("transpose")),
@@ -1151,15 +961,8 @@ mod tests {
         let store = sample_store();
         let terms = store.dict().iter().map(|(_, term)| term.clone()).collect();
         let p = store.preds()[0];
-        let rel = store.shard_rels(0)[0].clone();
-        let twin = TripleStore::from_partitioned_parts(
-            terms,
-            1,
-            vec![p, p],
-            vec![vec![rel.clone(), rel]],
-            HashMap::new(),
-        )
-        .unwrap();
+        let rel = store.rels()[0].clone();
+        let twin = TripleStore::from_parts(terms, vec![p, p], vec![rel.clone(), rel]).unwrap();
         assert!(matches!(
             StoreSnapshot::read(&snapshot_bytes(&twin)[..]),
             Err(SnapshotError::Malformed(m)) if m.contains("duplicate")
@@ -1178,15 +981,14 @@ mod tests {
             /// checksum mismatch, or malformed structure — never a panic.
             #[test]
             fn random_mutations_return_err_not_panic(
-                partitions in 1usize..=4,
                 flips in proptest::collection::vec((0usize..2048, 1u8..=255), 1..16),
                 cut in 0usize..4096,
             ) {
-                let store = TripleStore::from_triples_partitioned(vec![
+                let store = TripleStore::from_triples(vec![
                     t("a", "p", "b"),
                     t("a", "p", "c"),
                     t("b", "q", "c"),
-                ], partitions);
+                ]);
                 let good = snapshot_bytes(&store);
                 let mut bad = good.clone();
                 for &(pos, mask) in &flips {
@@ -1215,33 +1017,32 @@ mod tests {
 
     #[test]
     fn mmap_load_is_zero_copy_and_identical() {
-        let store = TripleStore::from_triples_partitioned(wide_triples(), 2);
+        let store = TripleStore::from_triples(wide_triples());
         let path = temp_path("mmap-identical");
         let total = StoreSnapshot::write_to_path(&store, &path).unwrap();
         assert_eq!(total, std::fs::metadata(&path).unwrap().len());
-        let copied = StoreSnapshot::open(&path, LoadMode::Copy, 1).unwrap();
+        let copied = StoreSnapshot::open(&path, LoadMode::Copy).unwrap();
         assert!(all_tries(&copied.store).iter().all(|t| !t.is_shared()));
-        for threads in [1, 4] {
-            let mapped = StoreSnapshot::open(&path, LoadMode::Mmap, threads).unwrap();
-            assert_eq!(mapped.load.mode, LoadMode::Mmap, "threads={threads}");
-            assert_eq!(mapped.load.mapped_bytes, total);
-            assert!(mapped.load.fallback.is_none());
-            assert!(
-                all_tries(&mapped.store).iter().all(|t| t.is_shared()),
-                "every base trie serves from the mapping, not a copy"
-            );
-            assert_same_relations(&mapped.store, &copied.store);
-            // A mapped load stays as mutable as a copy load.
-            let mut s = mapped.store;
-            assert_eq!(s.stage_add_triples(vec![t("new", "p", "o")]).added, 1);
-        }
+        let mapped = StoreSnapshot::open(&path, LoadMode::Mmap).unwrap();
+        assert_eq!(mapped.load.mode, LoadMode::Mmap);
+        assert_eq!(mapped.load.mapped_bytes, total);
+        assert!(mapped.load.fallback.is_none());
+        assert!(
+            all_tries(&mapped.store).iter().all(|t| t.is_shared()),
+            "every base trie serves from the mapping, not a copy"
+        );
+        assert_same_relations(&mapped.store, &copied.store);
+        assert_same_relations(&mapped.store, &store);
+        // A mapped load stays as mutable as a copy load.
+        let mut s = mapped.store;
+        assert_eq!(s.stage_add_triples(vec![t("new", "p", "o")]).added, 1);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn retired_images_fail_as_bad_version() {
         // The v1 (magic, version, payload length, checksum: 28 bytes) and
-        // v2/v3 (magic, version, partitions, sections: 20 bytes) headers,
+        // v2–v4 (magic, version, two u32 header fields: 20 bytes) headers,
         // forged by hand — nothing in this build can write them. The
         // magic alone decides; nothing behind it is decoded.
         let mut v1 = b"EHSNAP01".to_vec();
@@ -1255,15 +1056,15 @@ mod tests {
             image.extend_from_slice(&2u32.to_le_bytes());
             image
         };
-        let (v2, v3) = (sectioned(2), sectioned(3));
-        assert_eq!((v1.len(), v2.len(), v3.len()), (28, 20, 20));
+        let (v2, v3, v4) = (sectioned(2), sectioned(3), sectioned(4));
+        assert_eq!((v1.len(), v2.len(), v3.len(), v4.len()), (28, 20, 20, 20));
         let path = temp_path("retired");
-        for (image, version) in [(v1, 1), (v2, 2), (v3, 3)] {
+        for (image, version) in [(v1, 1), (v2, 2), (v3, 3), (v4, 4)] {
             std::fs::write(&path, &image).unwrap();
             for result in [
                 StoreSnapshot::read(&image[..]),
-                StoreSnapshot::open(&path, LoadMode::Copy, 2),
-                StoreSnapshot::open(&path, LoadMode::Mmap, 2),
+                StoreSnapshot::open(&path, LoadMode::Copy),
+                StoreSnapshot::open(&path, LoadMode::Mmap),
             ] {
                 assert!(
                     matches!(result, Err(SnapshotError::BadVersion(v)) if v == version),
@@ -1271,8 +1072,8 @@ mod tests {
                 );
             }
         }
-        let message = SnapshotError::BadVersion(3).to_string();
-        assert!(message.contains("version 3") && message.contains("reads 4"), "{message}");
+        let message = SnapshotError::BadVersion(4).to_string();
+        assert!(message.contains("version 4") && message.contains("reads 5"), "{message}");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1283,10 +1084,12 @@ mod tests {
         // here — a flip never cancels) or returns a typed error.
         // Corruption in a mapped arena must be caught by the eager
         // checksum/validation at load, never by a later fault.
-        let store = TripleStore::from_triples_partitioned(
-            vec![t("a", "p", "b"), t("c", "p", "d"), t("e", "p", "f")],
-            2,
-        );
+        let store = TripleStore::from_triples(vec![
+            t("a", "p", "b"),
+            t("c", "p", "d"),
+            t("e", "p", "f"),
+            t("a", "q", "f"),
+        ]);
         let good = snapshot_bytes(&store);
         let path = temp_path("mmap-mutations");
         for i in 0..good.len() {
@@ -1294,7 +1097,7 @@ mod tests {
                 let mut bad = good.clone();
                 bad[i] ^= flip;
                 std::fs::write(&path, &bad).unwrap();
-                match StoreSnapshot::open(&path, LoadMode::Mmap, 2) {
+                match StoreSnapshot::open(&path, LoadMode::Mmap) {
                     Ok(snap) => {
                         // Stay permissive, as on the copy path: a load
                         // that does succeed must be coherent.
@@ -1315,7 +1118,7 @@ mod tests {
         let before = TripleStore::from_triples(vec![t("a", "p", "b"), t("c", "p", "d")]);
         let path = temp_path("mmap-atomic");
         StoreSnapshot::write_to_path(&before, &path).unwrap();
-        let mapped = StoreSnapshot::open(&path, LoadMode::Mmap, 1).unwrap();
+        let mapped = StoreSnapshot::open(&path, LoadMode::Mmap).unwrap();
         assert_eq!(mapped.load.mode, LoadMode::Mmap);
         let arenas = |store: &TripleStore| -> Vec<Vec<u32>> {
             all_tries(store).iter().map(|t| t.raw_parts().3.to_vec()).collect()
@@ -1328,7 +1131,7 @@ mod tests {
         assert_eq!(arenas(&mapped.store), arenas_before);
         assert_same_relations(&mapped.store, &before);
         // ...a fresh load sees the new store...
-        let reread = StoreSnapshot::open(&path, LoadMode::Mmap, 1).unwrap();
+        let reread = StoreSnapshot::open(&path, LoadMode::Mmap).unwrap();
         assert_eq!(reread.store.num_triples(), after.num_triples());
         // ...and no temp litter survives the rename.
         let dir = path.parent().unwrap();
@@ -1355,12 +1158,12 @@ mod tests {
         let store = sample_store();
         let path = std::env::temp_dir().join(format!("eh-snap-test-{}.snap", std::process::id()));
         StoreSnapshot::write_to_path(&store, &path).unwrap();
-        let snap = StoreSnapshot::open(&path, LoadMode::Copy, 1).unwrap();
+        let snap = StoreSnapshot::open(&path, LoadMode::Copy).unwrap();
         assert_eq!(snap.store.num_triples(), store.num_triples());
         std::fs::remove_file(&path).ok();
         // A missing file is an I/O error in both modes, not a fallback.
         for mode in [LoadMode::Copy, LoadMode::Mmap] {
-            let err = StoreSnapshot::open(&path, mode, 1).unwrap_err();
+            let err = StoreSnapshot::open(&path, mode).unwrap_err();
             assert!(
                 matches!(&err, SnapshotError::Io(e) if e.kind() == std::io::ErrorKind::NotFound),
                 "{mode}: {err}"

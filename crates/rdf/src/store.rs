@@ -1,5 +1,5 @@
 //! The in-memory triple store: dictionary + one pair of frozen tries per
-//! predicate, hash-partitioned into subject shards.
+//! predicate.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -7,13 +7,12 @@ use std::sync::{Arc, OnceLock};
 use eh_trie::{DeltaOverlay, FrozenTrie, LayoutPolicy};
 
 use crate::dict::Dictionary;
-use crate::partition::Partitioner;
 use crate::term::Term;
 use crate::triple::{EncodedTriple, Triple};
 
-/// One (shard, predicate)'s base relation: a frozen trie per attribute
-/// order. A trie over one order *is* that order's index (paper §III-A),
-/// so the pair is the relation — the store keeps no other copy of it.
+/// One predicate's base relation: a frozen trie per attribute order. A
+/// trie over one order *is* that order's index (paper §III-A), so the
+/// pair is the relation — the store keeps no other copy of it.
 #[derive(Debug, Clone)]
 pub struct TriePair {
     /// The subject-major `[s, o]` trie.
@@ -118,14 +117,8 @@ pub(crate) fn is_transpose(so: &FrozenTrie, os: &FrozenTrie) -> bool {
 /// An in-memory RDF store in the paper's storage model: every term is
 /// dictionary-encoded to a `u32` and triples are vertically partitioned
 /// by predicate (§II-A1, §IV-A2), each predicate's relation held as the
-/// two frozen tries of a [`TriePair`] and nothing else.
-///
-/// On top of the vertical partitioning, the store is **hash-partitioned
-/// by subject** into `P` shards (see [`Partitioner`]): each shard owns its
-/// own slice of every predicate plus its own staged [`PredDelta`]s, while
-/// the dictionary is shared store-wide. `P = 1` (the default everywhere)
-/// is layout-identical to the unpartitioned store — one shard holding
-/// every relation.
+/// two frozen tries of a [`TriePair`] and nothing else, plus at most one
+/// staged [`PredDelta`].
 ///
 /// The store's lifecycle has one mechanism per step, and every step ends
 /// in frozen tries:
@@ -133,28 +126,26 @@ pub(crate) fn is_transpose(so: &FrozenTrie, os: &FrozenTrie) -> bool {
 /// * **Build** — [`insert`](TripleStore::insert) buffers raw pairs and
 ///   [`commit`](TripleStore::commit) (or the bulk
 ///   [`from_triples`](TripleStore::from_triples)) sorts and deduplicates
-///   them and freezes both orders of every (shard, predicate), once, on an
-///   empty store. Read accessors panic on an uncommitted store to make
+///   them and freezes both orders of every predicate, once, on an empty
+///   store. Read accessors panic on an uncommitted store to make
 ///   misuse loud rather than subtly stale.
 /// * **Mutate** — [`stage_add_triples`](TripleStore::stage_add_triples)
 ///   and [`stage_remove_triples`](TripleStore::stage_remove_triples)
-///   record a batch as a sorted per-(shard, predicate) [`PredDelta`]
+///   record a batch as a sorted per-predicate [`PredDelta`]
 ///   (inserts + tombstones) in O(delta) without touching the base tries.
 ///   This is the only way a built store changes.
-/// * **Fold** — [`compact_pred_in`](TripleStore::compact_pred_in) merges
-///   one (shard, predicate)'s base trie tuples with its delta and freezes
-///   fresh tries off the hot path;
-///   [`compact_shard`](TripleStore::compact_shard) folds every delta of a
-///   shard and [`compact_all`](TripleStore::compact_all) every shard.
-///   Every other relation keeps its `Arc`s.
+/// * **Fold** — [`compact_pred`](TripleStore::compact_pred) merges one
+///   predicate's base trie tuples with its delta and freezes fresh tries
+///   off the hot path; [`compact_all`](TripleStore::compact_all) folds
+///   every delta. Every other relation keeps its `Arc`s.
 ///
 /// Logical accessors ([`num_triples`], [`encoded_triples`], [`stats`])
-/// always report the merged view across all shards;
-/// [`trie_pair`](TripleStore::trie_pair) exposes one shard's frozen
-/// **base** only, with [`shard_delta`](TripleStore::shard_delta) carrying
-/// the rest. Cloning a store bumps the tries' `Arc`s and the dictionary's
-/// frozen part, and copies only the deltas and the terms minted since the
-/// last commit or compaction (the dictionary's tail, which both fold).
+/// always report the merged view; [`trie_pair`](TripleStore::trie_pair)
+/// exposes a predicate's frozen **base** only, with
+/// [`delta`](TripleStore::delta) carrying the rest. Cloning a store bumps
+/// the tries' `Arc`s and the dictionary's frozen part, and copies only the
+/// deltas and the terms minted since the last commit or compaction (the
+/// dictionary's tail, which both fold).
 ///
 /// Staging reports which predicates actually changed, so an index layer
 /// can invalidate only what those predicates back. Removal never shrinks
@@ -167,37 +158,19 @@ pub(crate) fn is_transpose(so: &FrozenTrie, os: &FrozenTrie) -> bool {
 #[derive(Debug, Default, Clone)]
 pub struct TripleStore {
     dict: Dictionary,
-    partitioner: Partitioner,
     /// Registered predicate keys in registration order: a key's position
-    /// here is its relation's index in **every** shard.
+    /// here is its relation's index in `rels`.
     preds: Vec<u32>,
     by_pred: HashMap<u32, usize>,
-    shards: Vec<StoreShard>,
-    /// `P > 1` only: per-predicate distinct-object counts across shards
-    /// (objects, unlike subjects, are not disjoint across shards).
-    /// Recomputed from the `os` root sets whenever a base relation
-    /// changes.
-    agg_distinct_objects: HashMap<u32, usize>,
-    /// Each predicate's merged root domain across shards (see
-    /// [`union_root`](TripleStore::union_root)), aligned with `preds` and
-    /// indexed by `subject_first`: built on first use, reset whenever a
-    /// batch changes the predicate.
-    union_roots: Vec<[OnceLock<Arc<Vec<u32>>>; 2]>,
+    rels: Vec<TriePair>,
+    deltas: HashMap<u32, PredDelta>,
     pending: HashMap<u32, Vec<(u32, u32)>>,
     n_pending: usize,
 }
 
-/// One subject-hash shard: its slice of every predicate's base relation
-/// plus its staged deltas. Relation indices align across shards.
-#[derive(Debug, Default, Clone)]
-struct StoreShard {
-    rels: Vec<TriePair>,
-    deltas: HashMap<u32, PredDelta>,
-}
-
-/// Staged, uncompacted mutations for one predicate within one shard:
-/// sorted insert pairs disjoint from the shard's base relation and sorted
-/// tombstone pairs resident in it. Both slices are subject-major
+/// Staged, uncompacted mutations for one predicate: sorted insert pairs
+/// disjoint from its base relation and sorted tombstone pairs resident in
+/// it. Both slices are subject-major
 /// `(s, o)`; [`overlay`](PredDelta::overlay) serves either order.
 #[derive(Debug, Default, Clone)]
 pub struct PredDelta {
@@ -286,20 +259,6 @@ pub struct StoreStats {
     pub terms: usize,
 }
 
-/// Per-shard summary statistics, for skew observability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Shard index.
-    pub shard: usize,
-    /// Distinct triples in this shard's **logical** (delta-merged) view.
-    pub triples: usize,
-    /// Staged pairs (inserts + tombstones) across this shard's deltas.
-    pub staged_pairs: usize,
-    /// Arena bytes of this shard's resident base tries (both orders of
-    /// every predicate).
-    pub arena_bytes: usize,
-}
-
 /// What a mutation actually changed, in dictionary-encoded terms.
 ///
 /// "Actually" is load-bearing: inserting a resident triple or deleting an
@@ -332,97 +291,54 @@ impl UpdateReport {
     }
 }
 
-/// Aggregate per-predicate statistics that are **partition-invariant**:
-/// the same numbers whether the store holds one shard or many, so the
-/// planner's cardinality heuristics (and therefore the chosen plans) do
-/// not depend on `P`. All of them read trie set lengths: subjects are
-/// disjoint across shards (sums of `so` root lengths are exact); distinct
-/// objects come from the store's cross-shard count.
+/// Per-predicate statistics for the planner's cardinality heuristics,
+/// read off the base relation's trie set lengths (deltas excluded).
 #[derive(Debug, Clone, Copy)]
 pub struct PredCard<'a> {
-    store: &'a TripleStore,
-    idx: usize,
-    pred: u32,
+    rel: &'a TriePair,
 }
 
 impl PredCard<'_> {
-    fn rels(&self) -> impl Iterator<Item = &TriePair> + '_ {
-        self.store.shards.iter().map(|sh| &sh.rels[self.idx])
-    }
-
-    /// Base pairs across all shards (deltas excluded, like the `P = 1`
-    /// base view the planner always used).
+    /// Base pairs.
     pub fn len(&self) -> usize {
-        self.rels().map(TriePair::len).sum()
+        self.rel.len()
     }
 
-    /// True when every shard's base relation is empty.
+    /// True when the base relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.rel.is_empty()
     }
 
-    /// Distinct subjects across all shards (disjoint by construction).
+    /// Distinct subjects: the `so` root length.
     pub fn distinct_subjects(&self) -> usize {
-        self.rels().map(|r| r.so.root_set().len()).sum()
+        self.rel.so.root_set().len()
     }
 
-    /// Distinct objects across all shards (deduplicated cross-shard).
+    /// Distinct objects: the `os` root length.
     pub fn distinct_objects(&self) -> usize {
-        if self.store.partitions() == 1 {
-            self.store.shards[0].rels[self.idx].os.root_set().len()
-        } else {
-            self.store.agg_distinct_objects.get(&self.pred).copied().unwrap_or(0)
-        }
+        self.rel.os.root_set().len()
     }
 
-    /// Base pairs with the given subject — served by exactly the shard
-    /// that owns it.
+    /// Base pairs with the given subject.
     pub fn matches_for_subject(&self, s: u32) -> usize {
-        let shard = self.store.partitioner.shard_of(s);
-        self.store.shards[shard].rels[self.idx].so.fanout(s)
+        self.rel.so.fanout(s)
     }
 
-    /// Base pairs with the given object, summed across shards.
+    /// Base pairs with the given object.
     pub fn matches_for_object(&self, o: u32) -> usize {
-        self.rels().map(|r| r.os.fanout(o)).sum()
+        self.rel.os.fanout(o)
     }
 }
 
 impl TripleStore {
-    /// An empty single-shard store.
+    /// An empty store.
     pub fn new() -> TripleStore {
-        TripleStore::with_partitions(1)
+        TripleStore::default()
     }
 
-    /// An empty store hash-partitioned into `max(1, partitions)` subject
-    /// shards.
-    pub fn with_partitions(partitions: usize) -> TripleStore {
-        let partitioner = Partitioner::new(partitions);
-        TripleStore {
-            dict: Dictionary::default(),
-            partitioner,
-            preds: Vec::new(),
-            by_pred: HashMap::new(),
-            shards: vec![StoreShard::default(); partitioner.partitions()],
-            agg_distinct_objects: HashMap::new(),
-            union_roots: Vec::new(),
-            pending: HashMap::new(),
-            n_pending: 0,
-        }
-    }
-
-    /// Bulk-build a committed single-shard store.
+    /// Bulk-build a committed store.
     pub fn from_triples(triples: impl IntoIterator<Item = Triple>) -> TripleStore {
-        TripleStore::from_triples_partitioned(triples, 1)
-    }
-
-    /// Bulk-build a committed store hash-partitioned into `partitions`
-    /// subject shards.
-    pub fn from_triples_partitioned(
-        triples: impl IntoIterator<Item = Triple>,
-        partitions: usize,
-    ) -> TripleStore {
-        let mut store = TripleStore::with_partitions(partitions);
+        let mut store = TripleStore::new();
         for t in triples {
             store.insert(t);
         }
@@ -430,43 +346,27 @@ impl TripleStore {
         store
     }
 
-    /// Reassemble a committed partitioned store from per-shard snapshot
-    /// parts plus the persisted per-predicate cross-shard distinct-object
-    /// counts. Every shard must hold one relation per registered
-    /// predicate — checked here. Relation contents (ids in the
-    /// dictionary, subjects in their shard, `os` the transpose of `so`)
-    /// and the distinct-object claims are the *caller's* contract,
-    /// verified by the snapshot decoder (the only untrusted input path)
-    /// inside its parallel per-shard pass, so reassembly replays no
-    /// store-wide sweep.
-    pub(crate) fn from_partitioned_parts(
+    /// Reassemble a committed store from snapshot parts: the dictionary's
+    /// terms in key order, the registered predicates and one relation per
+    /// predicate — the count is checked here. Relation contents (ids in
+    /// the dictionary, `os` the transpose of `so`) are the *caller's*
+    /// contract, verified by the snapshot decoder (the only untrusted
+    /// input path), so reassembly replays no store-wide sweep.
+    pub(crate) fn from_parts(
         terms: Vec<Term>,
-        partitions: usize,
         preds: Vec<u32>,
-        shard_rels: Vec<Vec<TriePair>>,
-        agg_distinct_objects: HashMap<u32, usize>,
+        rels: Vec<TriePair>,
     ) -> Result<TripleStore, &'static str> {
-        let partitioner = Partitioner::new(partitions);
-        if shard_rels.len() != partitioner.partitions() {
-            return Err("shard count does not match partition count");
-        }
-        if shard_rels.iter().any(|rels| rels.len() != preds.len()) {
-            return Err("shards register different predicate counts");
+        if rels.len() != preds.len() {
+            return Err("relation count does not match predicate count");
         }
         let by_pred: HashMap<u32, usize> = preds.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-        let agg_distinct_objects =
-            if partitioner.partitions() > 1 { agg_distinct_objects } else { HashMap::new() };
         Ok(TripleStore {
-            union_roots: vec![Default::default(); preds.len()],
             dict: Dictionary::from_terms(terms),
-            partitioner,
             preds,
             by_pred,
-            shards: shard_rels
-                .into_iter()
-                .map(|rels| StoreShard { rels, deltas: HashMap::new() })
-                .collect(),
-            agg_distinct_objects,
+            rels,
+            deltas: HashMap::new(),
             pending: HashMap::new(),
             n_pending: 0,
         })
@@ -491,12 +391,12 @@ impl TripleStore {
     }
 
     /// The bulk build: sort and deduplicate all buffered pairs and freeze
-    /// both orders of every predicate, split across the shards.
+    /// both orders of every predicate.
     pub fn commit(&mut self) {
         // Drain in predicate-key order, not HashMap order: registration
         // order must be deterministic so two stores built from the same
-        // triples are identical regardless of hasher seeds (the
-        // partition-determinism matrix compares across instances).
+        // triples are identical regardless of hasher seeds (snapshots are
+        // compared byte for byte across instances).
         let mut pending: Vec<(u32, Vec<(u32, u32)>)> =
             std::mem::take(&mut self.pending).into_iter().collect();
         pending.sort_unstable_by_key(|&(p, _)| p);
@@ -505,60 +405,28 @@ impl TripleStore {
             pairs.sort_unstable();
             pairs.dedup();
             let idx = self.register_pred(p);
-            let mut split = vec![Vec::new(); self.shards.len()];
-            if let [only] = split.as_mut_slice() {
-                *only = pairs;
-            } else {
-                for pair in pairs {
-                    split[self.partitioner.shard_of(pair.0)].push(pair);
-                }
-            }
-            for (sh, mine) in self.shards.iter_mut().zip(split) {
-                sh.rels[idx] = TriePair::from_so(mine);
-            }
-            self.recompute_agg(p);
+            self.rels[idx] = TriePair::from_so(pairs);
         }
         self.dict.fold();
     }
 
-    /// Register a predicate: every shard gets an (initially empty)
-    /// relation at the same index. Returns that index.
+    /// Register a predicate with an (initially empty) relation. Returns
+    /// its index.
     fn register_pred(&mut self, p: u32) -> usize {
         let idx = self.preds.len();
-        let empty = TriePair::from_so(Vec::new());
-        for sh in &mut self.shards {
-            sh.rels.push(empty.clone());
-        }
+        self.rels.push(TriePair::from_so(Vec::new()));
         self.preds.push(p);
         self.by_pred.insert(p, idx);
-        self.union_roots.push(Default::default());
         idx
     }
 
-    /// Recompute the cross-shard distinct-object count for one predicate
-    /// by merging the shards' `os` root sets (only maintained when
-    /// partitioned; `P = 1` reads its one root set). Called only from
-    /// paths that just froze a base relation at greater cost.
-    fn recompute_agg(&mut self, pred: u32) {
-        if self.partitions() == 1 {
-            return;
-        }
-        let Some(&idx) = self.by_pred.get(&pred) else { return };
-        let mut objects: Vec<u32> =
-            self.shards.iter().flat_map(|sh| sh.rels[idx].os.root_set().iter()).collect();
-        objects.sort_unstable();
-        objects.dedup();
-        self.agg_distinct_objects.insert(pred, objects.len());
-    }
-
-    /// Stage an insert batch as per-(shard, predicate) deltas without
-    /// freezing any base trie: O(delta) in the batch, not the predicate.
-    /// New terms grow the dictionary; a new predicate gets an empty base
-    /// relation in every shard (so its key is stable) with the pairs
-    /// staged as inserts. Each pair routes to the single shard its
-    /// subject hashes to. Inserting a tombstoned pair cancels the
-    /// tombstone; inserting a resident or already-staged pair is a no-op.
-    /// The report counts real logical change only.
+    /// Stage an insert batch as per-predicate deltas without freezing any
+    /// base trie: O(delta) in the batch, not the predicate. New terms
+    /// grow the dictionary; a new predicate gets an empty base relation
+    /// (so its key is stable) with the pairs staged as inserts. Inserting
+    /// a tombstoned pair cancels the tombstone; inserting a resident or
+    /// already-staged pair is a no-op. The report counts real logical
+    /// change only.
     ///
     /// # Panics
     /// Panics when called on an uncommitted store.
@@ -574,11 +442,10 @@ impl TripleStore {
                 None => self.register_pred(p),
             };
             let pair = (s, o);
-            let sh = &mut self.shards[self.partitioner.shard_of(s)];
-            let d = sh.deltas.entry(p).or_default();
+            let d = self.deltas.entry(p).or_default();
             if let Ok(at) = d.del.binary_search(&pair) {
                 d.del.remove(at); // insert cancels the tombstone
-            } else if sh.rels[idx].contains(s, o) || d.ins.binary_search(&pair).is_ok() {
+            } else if self.rels[idx].contains(s, o) || d.ins.binary_search(&pair).is_ok() {
                 continue;
             } else if let Err(at) = d.ins.binary_search(&pair) {
                 d.ins.insert(at, pair);
@@ -591,10 +458,10 @@ impl TripleStore {
         report
     }
 
-    /// Stage a delete batch as per-(shard, predicate) tombstones without
-    /// freezing any base trie: O(delta) in the batch. Deleting a staged
-    /// insert cancels it; deleting an absent pair (or a triple naming
-    /// unknown terms or predicates) is a no-op — such a triple cannot be
+    /// Stage a delete batch as per-predicate tombstones without freezing
+    /// any base trie: O(delta) in the batch. Deleting a staged insert
+    /// cancels it; deleting an absent pair (or a triple naming unknown
+    /// terms or predicates) is a no-op — such a triple cannot be
     /// resident. The report counts real logical change only.
     ///
     /// # Panics
@@ -615,11 +482,10 @@ impl TripleStore {
                 continue;
             };
             let pair = (s, o);
-            let sh = &mut self.shards[self.partitioner.shard_of(s)];
-            let d = sh.deltas.entry(p).or_default();
+            let d = self.deltas.entry(p).or_default();
             if let Ok(at) = d.ins.binary_search(&pair) {
                 d.ins.remove(at); // delete cancels the staged insert
-            } else if sh.rels[idx].contains(s, o) {
+            } else if self.rels[idx].contains(s, o) {
                 match d.del.binary_search(&pair) {
                     Ok(_) => continue, // already tombstoned
                     Err(at) => d.del.insert(at, pair),
@@ -635,80 +501,58 @@ impl TripleStore {
         report
     }
 
-    /// Drop delta entries that cancelled out to nothing, reset the
-    /// changed predicates' union roots and canonicalise the report.
+    /// Drop delta entries that cancelled out to nothing and canonicalise
+    /// the report.
     fn finish_staging(&mut self, report: &mut UpdateReport) {
-        for sh in &mut self.shards {
-            sh.deltas.retain(|_, d| !d.is_empty());
-        }
+        self.deltas.retain(|_, d| !d.is_empty());
         report.changed_preds.sort_unstable();
         report.changed_preds.dedup();
-        for p in &report.changed_preds {
-            self.union_roots[self.by_pred[p]] = Default::default();
-        }
     }
 
-    /// The staged delta for a predicate within one shard, if any.
-    pub fn shard_delta(&self, shard: usize, pred: u32) -> Option<&PredDelta> {
-        self.shards[shard].deltas.get(&pred)
+    /// The staged delta for a predicate, if any.
+    pub fn delta(&self, pred: u32) -> Option<&PredDelta> {
+        self.deltas.get(&pred)
     }
 
-    /// Staged pairs for one predicate within one shard.
-    pub fn shard_delta_len(&self, shard: usize, pred: u32) -> usize {
-        self.shards[shard].deltas.get(&pred).map_or(0, PredDelta::len)
-    }
-
-    /// True when any shard has staged deltas.
+    /// True when any predicate has a staged delta.
     pub fn has_deltas(&self) -> bool {
-        self.shards.iter().any(|sh| !sh.deltas.is_empty())
+        !self.deltas.is_empty()
     }
 
-    /// Total staged pairs across all shards and predicates (the overlay's
-    /// memory bound, up to constant factors).
+    /// Total staged pairs across all predicates (the overlay's memory
+    /// bound, up to constant factors).
     pub fn staged_pairs(&self) -> usize {
-        self.shards.iter().map(StoreShard::staged_pairs).sum()
+        self.deltas.values().map(PredDelta::len).sum()
     }
 
-    /// Fold one predicate's staged delta within **one** shard — the
-    /// shard-local compaction primitive: per order, one linear merge of
+    /// Fold one predicate's staged delta: per order, one linear merge of
     /// the base trie's tuples with the delta, then one freeze. Other
-    /// shards' relations and overlays are untouched. The dictionary's
-    /// tail folds too, so it holds at most the terms minted since the
-    /// last compaction.
-    pub fn compact_pred_in(&mut self, shard: usize, pred: u32) -> bool {
-        let Some(d) = self.shards[shard].deltas.remove(&pred) else {
+    /// relations and overlays are untouched. The dictionary's tail folds
+    /// too, so it holds at most the terms minted since the last
+    /// compaction.
+    pub fn compact_pred(&mut self, pred: u32) -> bool {
+        let Some(d) = self.deltas.remove(&pred) else {
             return false;
         };
         let idx = self.by_pred[&pred];
-        let old = &self.shards[shard].rels[idx];
+        let old = &self.rels[idx];
         let so = merge_pairs(&old.so, &d.del, &d.ins);
         let (mut del, mut ins) = (d.del, d.ins);
         transpose_in_place(&mut del);
         transpose_in_place(&mut ins);
         let os = merge_pairs(&old.os, &del, &ins);
-        self.shards[shard].rels[idx] = TriePair::from_sorted(&so, &os);
-        self.recompute_agg(pred);
+        self.rels[idx] = TriePair::from_sorted(&so, &os);
         self.dict.fold();
         true
     }
 
-    /// Fold every staged delta in every shard into its base relation,
-    /// returning the compacted predicate keys sorted ascending.
-    pub fn compact_all(&mut self) -> Vec<u32> {
-        let mut preds: Vec<u32> =
-            (0..self.shards.len()).flat_map(|shard| self.compact_shard(shard)).collect();
-        preds.sort_unstable();
-        preds.dedup();
-        preds
-    }
-
-    /// Fold every staged delta within one shard, returning that shard's
+    /// Fold every staged delta into its base relation, returning the
     /// compacted predicate keys sorted ascending.
-    pub fn compact_shard(&mut self, shard: usize) -> Vec<u32> {
-        let mut preds: Vec<u32> = self.shards[shard].deltas.keys().copied().collect();
+    pub fn compact_all(&mut self) -> Vec<u32> {
+        let mut preds: Vec<u32> = self.deltas.keys().copied().collect();
         preds.sort_unstable();
         for &p in &preds {
-            self.compact_pred_in(shard, p);
+            self.compact_pred(p);
         }
         preds
     }
@@ -721,7 +565,7 @@ impl TripleStore {
         );
     }
 
-    /// The term dictionary (shared store-wide; shards never own terms).
+    /// The term dictionary.
     pub fn dict(&self) -> &Dictionary {
         &self.dict
     }
@@ -737,123 +581,66 @@ impl TripleStore {
         self.dict.lookup_iri(iri)
     }
 
-    /// Number of subject-hash shards (≥ 1).
-    pub fn partitions(&self) -> usize {
-        self.partitioner.partitions()
-    }
-
-    /// The subject → shard map.
-    pub fn partitioner(&self) -> Partitioner {
-        self.partitioner
-    }
-
-    /// Registered predicate keys, in registration order (the order every
-    /// shard holds its relations in).
+    /// Registered predicate keys, in registration order (the order of
+    /// [`rels`](TripleStore::rels)).
     pub(crate) fn preds(&self) -> &[u32] {
         &self.preds
     }
 
-    /// One shard's base relation for a predicate key: its two frozen
-    /// tries (deltas excluded — see [`shard_delta`](TripleStore::shard_delta)).
-    /// `None` for an unknown predicate or a shard past the partition
-    /// count.
-    pub fn trie_pair(&self, shard: usize, pred: u32) -> Option<&TriePair> {
+    /// A predicate's base relation: its two frozen tries (deltas excluded
+    /// — see [`delta`](TripleStore::delta)). `None` for an unknown
+    /// predicate.
+    pub fn trie_pair(&self, pred: u32) -> Option<&TriePair> {
         self.assert_committed();
-        Some(&self.shards.get(shard)?.rels[*self.by_pred.get(&pred)?])
+        Some(&self.rels[*self.by_pred.get(&pred)?])
     }
 
-    /// A predicate's merged root domain across every shard, in one
-    /// order: the union of each shard's base root set with that shard's
-    /// staged overlay applied. Subject-major roots are disjoint across
-    /// shards (subjects hash to exactly one); object-major roots overlap,
-    /// and sort + dedup restores the `P = 1` root set either way. Built
-    /// on first use and kept until a batch changes the predicate: the
-    /// domain is a function of the logical relation, which compaction and
-    /// repartition only move between base, delta and shards.
-    pub fn union_root(&self, pred: u32, subject_first: bool) -> Option<&Arc<Vec<u32>>> {
-        let idx = *self.by_pred.get(&pred)?;
-        Some(self.union_roots[idx][usize::from(subject_first)].get_or_init(|| {
-            let mut root: Vec<u32> = Vec::new();
-            for sh in &self.shards {
-                let base = sh.rels[idx].order(subject_first);
-                match sh.deltas.get(&pred) {
-                    Some(d) => root.extend_from_slice(d.overlay(subject_first).root(base)),
-                    None => root.extend(base.root_set().iter()),
-                }
-            }
-            root.sort_unstable();
-            root.dedup();
-            Arc::new(root)
-        }))
+    /// The base relations, in registration order.
+    pub(crate) fn rels(&self) -> &[TriePair] {
+        &self.rels
     }
 
-    /// One shard's base relations, in registration order.
-    pub(crate) fn shard_rels(&self, shard: usize) -> &[TriePair] {
-        &self.shards[shard].rels
-    }
-
-    /// Partition-invariant cardinality statistics for a predicate IRI
-    /// (the planner's view — identical numbers at every `P`).
+    /// Cardinality statistics for a predicate IRI (the planner's view).
     pub fn pred_card(&self, iri: &str) -> Option<PredCard<'_>> {
-        self.card_of(self.resolve_iri(iri)?)
+        Some(PredCard { rel: self.trie_pair(self.resolve_iri(iri)?)? })
     }
 
-    /// [`pred_card`](TripleStore::pred_card) by predicate key.
-    pub(crate) fn card_of(&self, pred: u32) -> Option<PredCard<'_>> {
-        self.assert_committed();
-        let idx = *self.by_pred.get(&pred)?;
-        Some(PredCard { store: self, idx, pred })
-    }
-
-    /// Logical (delta-merged) pairs for a predicate across all shards.
+    /// Logical (delta-merged) pairs for a predicate.
     pub fn pred_logical_len(&self, pred: u32) -> usize {
         self.assert_committed();
-        self.by_pred
-            .get(&pred)
-            .map_or(0, |&i| self.shards.iter().map(|sh| sh.logical_len(i, pred)).sum())
+        self.by_pred.get(&pred).map_or(0, |&i| self.logical_len(i, pred))
     }
 
-    /// Total distinct triples in the **logical** (delta-merged) view,
-    /// across all shards.
+    /// Logical pairs of the relation at `idx` (predicate `pred`).
+    fn logical_len(&self, idx: usize, pred: u32) -> usize {
+        let (ins, del) = self.deltas.get(&pred).map_or((0, 0), |d| (d.ins.len(), d.del.len()));
+        self.rels[idx].len() + ins - del
+    }
+
+    /// Total distinct triples in the **logical** (delta-merged) view.
     pub fn num_triples(&self) -> usize {
         self.assert_committed();
-        self.shards.iter().map(|sh| sh.logical_triples(&self.preds)).sum()
+        self.preds.iter().enumerate().map(|(idx, &p)| self.logical_len(idx, p)).sum()
     }
 
-    /// Per-shard logical sizes and resident arena bytes, for skew
-    /// observability.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
+    /// Arena bytes of the resident base tries, both orders of every
+    /// predicate.
+    pub fn arena_bytes(&self) -> usize {
         self.assert_committed();
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(shard, sh)| ShardStats {
-                shard,
-                triples: sh.logical_triples(&self.preds),
-                staged_pairs: sh.staged_pairs(),
-                arena_bytes: sh.rels.iter().map(|r| r.so.arena_bytes() + r.os.arena_bytes()).sum(),
-            })
-            .collect()
+        self.rels.iter().map(|r| r.so.arena_bytes() + r.os.arena_bytes()).sum()
     }
 
     /// Iterate every triple of the **logical** (delta-merged) view in
     /// encoded form, predicate-major order; within a predicate, pairs are
-    /// sorted `(s, o)` across shards. Each predicate's pairs are read off
-    /// its `so` tries (merged with any staged delta) into one buffer.
+    /// sorted `(s, o)`, read off its `so` trie (merged with any staged
+    /// delta).
     pub fn encoded_triples(&self) -> impl Iterator<Item = EncodedTriple> + '_ {
         self.assert_committed();
-        self.preds.iter().enumerate().flat_map(move |(idx, &p)| {
-            let mut pairs: Vec<(u32, u32)> = Vec::new();
-            for sh in &self.shards {
-                let so = &sh.rels[idx].so;
-                match sh.deltas.get(&p) {
-                    None => pairs.extend(so.pairs()),
-                    Some(d) => pairs.extend(merge_pairs(so, &d.del, &d.ins)),
-                }
-            }
-            if self.shards.len() > 1 {
-                pairs.sort_unstable();
-            }
+        self.preds.iter().zip(&self.rels).flat_map(move |(&p, rel)| {
+            let pairs: Vec<(u32, u32)> = match self.deltas.get(&p) {
+                None => rel.so.pairs().collect(),
+                Some(d) => merge_pairs(&rel.so, &d.del, &d.ins),
+            };
             pairs.into_iter().map(move |(s, o)| EncodedTriple { s, p, o })
         })
     }
@@ -876,108 +663,33 @@ impl TripleStore {
         }
     }
 
-    /// Redistribute the store across `max(1, partitions)` subject shards.
-    /// Staged deltas are folded first (their routing would change), then
-    /// every predicate's tuples are read off the old shards' tries,
-    /// re-split by the new hash and frozen again. The logical contents
-    /// are unchanged; only placement moves. O(store).
-    pub fn repartition(&mut self, partitions: usize) {
-        self.assert_committed();
-        self.compact_all();
-        let partitioner = Partitioner::new(partitions);
-        if partitioner == self.partitioner {
-            return;
-        }
-        let mut new_shards = vec![StoreShard::default(); partitioner.partitions()];
-        for idx in 0..self.preds.len() {
-            // Gather each order across the old shards (concatenate +
-            // sort: each shard's tuples are sorted, the union is not).
-            let mut so: Vec<(u32, u32)> = Vec::new();
-            let mut os: Vec<(u32, u32)> = Vec::new();
-            for sh in &self.shards {
-                so.extend(sh.rels[idx].so.pairs());
-                os.extend(sh.rels[idx].os.pairs());
-            }
-            so.sort_unstable();
-            os.sort_unstable();
-            for (shard, new_sh) in new_shards.iter_mut().enumerate() {
-                let so_mine: Vec<(u32, u32)> =
-                    so.iter().copied().filter(|&(s, _)| partitioner.shard_of(s) == shard).collect();
-                let os_mine: Vec<(u32, u32)> =
-                    os.iter().copied().filter(|&(_, s)| partitioner.shard_of(s) == shard).collect();
-                new_sh.rels.push(TriePair::from_sorted(&so_mine, &os_mine));
-            }
-        }
-        self.partitioner = partitioner;
-        self.shards = new_shards;
-        self.agg_distinct_objects.clear();
-        for p in self.preds.clone() {
-            self.recompute_agg(p);
-        }
-    }
-}
-
-impl StoreShard {
-    /// Logical pairs of the relation at `idx` (predicate `pred`).
-    fn logical_len(&self, idx: usize, pred: u32) -> usize {
-        let (ins, del) = self.deltas.get(&pred).map_or((0, 0), |d| (d.ins.len(), d.del.len()));
-        self.rels[idx].len() + ins - del
-    }
-
-    fn logical_triples(&self, preds: &[u32]) -> usize {
-        preds.iter().enumerate().map(|(idx, &p)| self.logical_len(idx, p)).sum()
-    }
-
-    fn staged_pairs(&self) -> usize {
-        self.deltas.values().map(PredDelta::len).sum()
-    }
-}
-
-impl TripleStore {
     #[doc(hidden)]
     pub fn __invariant_check(&self) -> bool {
-        // Registration alignment: every shard holds a relation for every
-        // registered predicate, at the same index.
-        if self.shards.is_empty()
-            || self.by_pred.len() != self.preds.len()
+        // Registration alignment: one relation per registered predicate,
+        // at its index.
+        if self.by_pred.len() != self.preds.len()
             || self.preds.iter().enumerate().any(|(i, p)| self.by_pred.get(p) != Some(&i))
-            || self.shards.iter().any(|sh| sh.rels.len() != self.preds.len())
+            || self.rels.len() != self.preds.len()
         {
             return false;
         }
-        for (shard, sh) in self.shards.iter().enumerate() {
-            // Subject affinity (every base subject lives in the shard it
-            // hashes to) and one relation behind both orders.
-            let ok = sh.rels.iter().all(|r| {
-                r.so.root_set().iter().all(|s| self.partitioner.shard_of(s) == shard)
-                    && is_transpose(&r.so, &r.os)
-            });
-            if !ok {
-                return false;
-            }
-            // Staged deltas: sorted-unique, anchored to a real relation,
-            // routed to this shard, with del ⊆ base and ins ∩ base = ∅
-            // (and therefore non-empty).
-            let ok = sh.deltas.iter().all(|(&p, d)| {
-                let Some(&idx) = self.by_pred.get(&p) else {
-                    return false;
-                };
-                let r = &sh.rels[idx];
-                !d.is_empty()
-                    && d.ins.windows(2).all(|w| w[0] < w[1])
-                    && d.del.windows(2).all(|w| w[0] < w[1])
-                    && d.del.iter().all(|&(s, o)| r.contains(s, o))
-                    && d.ins.iter().all(|&(s, o)| !r.contains(s, o))
-                    && d.ins
-                        .iter()
-                        .chain(&d.del)
-                        .all(|&(s, _)| self.partitioner.shard_of(s) == shard)
-            });
-            if !ok {
-                return false;
-            }
+        // One relation behind both orders.
+        if !self.rels.iter().all(|r| is_transpose(&r.so, &r.os)) {
+            return false;
         }
-        true
+        // Staged deltas: sorted-unique, anchored to a real relation, with
+        // del ⊆ base and ins ∩ base = ∅ (and therefore non-empty).
+        self.deltas.iter().all(|(&p, d)| {
+            let Some(&idx) = self.by_pred.get(&p) else {
+                return false;
+            };
+            let r = &self.rels[idx];
+            !d.is_empty()
+                && d.ins.windows(2).all(|w| w[0] < w[1])
+                && d.del.windows(2).all(|w| w[0] < w[1])
+                && d.del.iter().all(|&(s, o)| r.contains(s, o))
+                && d.ins.iter().all(|&(s, o)| !r.contains(s, o))
+        })
     }
 }
 
@@ -989,9 +701,14 @@ mod tests {
         Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
     }
 
-    /// The `P = 1` base relation of a predicate IRI.
+    /// The base relation of a predicate IRI.
     fn rel<'a>(store: &'a TripleStore, iri: &str) -> &'a TriePair {
-        store.trie_pair(0, store.resolve_iri(iri).unwrap()).unwrap()
+        store.trie_pair(store.resolve_iri(iri).unwrap()).unwrap()
+    }
+
+    /// Staged pairs for one predicate.
+    fn delta_len(store: &TripleStore, pred: u32) -> usize {
+        store.delta(pred).map_or(0, PredDelta::len)
     }
 
     #[test]
@@ -1041,10 +758,10 @@ mod tests {
         let store = TripleStore::from_triples(vec![t("s", "p", "o")]);
         let pid = store.resolve_iri("p").unwrap();
         let (s, o) = (store.resolve_iri("s").unwrap(), store.resolve_iri("o").unwrap());
-        let pair = store.trie_pair(0, pid).unwrap();
+        let pair = store.trie_pair(pid).unwrap();
         assert!(pair.contains(s, o) && !pair.contains(o, s));
         assert!(store.resolve_iri("absent").is_none());
-        assert!(store.trie_pair(0, 9999).is_none());
+        assert!(store.trie_pair(9999).is_none());
     }
 
     #[test]
@@ -1084,7 +801,7 @@ mod tests {
         assert!(Arc::ptr_eq(&rel(&store, "p").os, &base.os));
         assert!(rel(&store, "q").is_empty());
         assert_eq!(store.num_triples(), 4);
-        assert_eq!(store.shard_delta_len(0, p), 1);
+        assert_eq!(delta_len(&store, p), 1);
         assert_eq!(store.staged_pairs(), 2);
         assert!(store.has_deltas());
         assert!(store.__invariant_check());
@@ -1097,16 +814,16 @@ mod tests {
         assert_eq!(report.removed, 2);
         assert_eq!(report.changed_preds, vec![p]);
         assert_eq!(store.num_triples(), 2);
-        assert_eq!(store.shard_delta(0, p).unwrap().del_pairs().len(), 1);
-        assert!(store.shard_delta(0, p).unwrap().ins_pairs().is_empty());
+        assert_eq!(store.delta(p).unwrap().del_pairs().len(), 1);
+        assert!(store.delta(p).unwrap().ins_pairs().is_empty());
         assert!(store.__invariant_check());
 
         // Re-inserting the tombstoned pair cancels the tombstone and the
         // delta evaporates entirely.
         let report = store.stage_add_triples(vec![t("a", "p", "b")]);
         assert_eq!(report.added, 1);
-        assert!(store.shard_delta(0, p).is_none());
-        assert_eq!(store.shard_delta_len(0, q), 1);
+        assert!(store.delta(p).is_none());
+        assert_eq!(delta_len(&store, q), 1);
         assert_eq!(store.staged_pairs(), 1, "only q's insert is left staged");
         assert_eq!(store.num_triples(), 3);
     }
@@ -1183,8 +900,6 @@ mod tests {
         assert!(store.__invariant_check());
     }
 
-    // ------------------------------------------------------ partitioning
-
     fn sample_triples() -> Vec<Triple> {
         let mut v = Vec::new();
         for i in 0..40u32 {
@@ -1197,105 +912,36 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_build_matches_logical_view() {
-        let reference = TripleStore::from_triples(sample_triples());
-        let logical: Vec<_> = reference.encoded_triples().collect();
-        for partitions in [1, 2, 4] {
-            let store = TripleStore::from_triples_partitioned(sample_triples(), partitions);
-            assert_eq!(store.partitions(), partitions);
-            assert_eq!(store.num_triples(), reference.num_triples(), "P={partitions}");
-            assert_eq!(store.encoded_triples().collect::<Vec<_>>(), logical, "P={partitions}");
-            assert!(store.__invariant_check(), "P={partitions}");
-        }
+    fn pred_card_reads_the_base_tries() {
+        let store = TripleStore::from_triples(sample_triples());
+        let c = store.pred_card("p").unwrap();
+        assert_eq!((c.len(), c.distinct_subjects(), c.distinct_objects()), (40, 40, 7));
+        let s3 = store.resolve_iri("s3").unwrap();
+        let o1 = store.resolve_iri("o1").unwrap();
+        assert_eq!((c.matches_for_subject(s3), c.matches_for_object(o1)), (1, 6));
+        assert!(store.pred_card("absent").is_none());
     }
 
     #[test]
-    fn pred_card_is_partition_invariant() {
-        let reference = TripleStore::from_triples(sample_triples());
-        let rc = reference.pred_card("p").unwrap();
-        let (len, ds, dobj) = (rc.len(), rc.distinct_subjects(), rc.distinct_objects());
-        assert_eq!((len, ds, dobj), (40, 40, 7));
-        let s3 = reference.resolve_iri("s3").unwrap();
-        let o1 = reference.resolve_iri("o1").unwrap();
-        let (ms, mo) = (rc.matches_for_subject(s3), rc.matches_for_object(o1));
-        assert_eq!((ms, mo), (1, 6));
-        for partitions in [2, 4] {
-            let store = TripleStore::from_triples_partitioned(sample_triples(), partitions);
-            let c = store.pred_card("p").unwrap();
-            assert_eq!(c.len(), len, "P={partitions}");
-            assert_eq!(c.distinct_subjects(), ds, "P={partitions}");
-            assert_eq!(c.distinct_objects(), dobj, "P={partitions}");
-            assert_eq!(c.matches_for_subject(s3), ms, "P={partitions}");
-            assert_eq!(c.matches_for_object(o1), mo, "P={partitions}");
-        }
-    }
-
-    #[test]
-    fn partitioned_staging_routes_by_subject_and_compacts_shard_locally() {
-        let mut store = TripleStore::from_triples_partitioned(sample_triples(), 4);
-        let p = store.resolve_iri("p").unwrap();
-        let before = store.num_triples();
-        store.stage_add_triples(vec![t("new1", "p", "x"), t("new2", "p", "x")]);
-        store.stage_remove_triples(vec![t("s0", "p", "o0")]);
-        assert_eq!(store.num_triples(), before + 1);
-        assert!(store.__invariant_check());
-        // Each staged pair sits in exactly the shard its subject hashes to.
-        let staged =
-            |store: &TripleStore| (0..4).map(|s| store.shard_delta_len(s, p)).sum::<usize>();
-        assert_eq!(staged(&store), 3);
-        // Shard-local compaction folds only that shard's delta.
-        let loaded: Vec<usize> = (0..4).filter(|&s| store.shard_delta_len(s, p) > 0).collect();
-        let first = loaded[0];
-        let folded = store.shard_delta_len(first, p);
-        assert!(store.compact_pred_in(first, p));
-        assert_eq!(store.shard_delta_len(first, p), 0);
-        assert_eq!(staged(&store), 3 - folded, "other shards' deltas untouched");
-        assert_eq!(store.num_triples(), before + 1, "logical view unchanged");
-        store.compact_all();
-        assert!(!store.has_deltas());
-        assert_eq!(store.num_triples(), before + 1);
-        assert!(store.__invariant_check());
-    }
-
-    #[test]
-    fn repartition_preserves_logical_contents() {
+    fn arena_bytes_cover_both_orders_of_every_base_relation() {
         let mut store = TripleStore::from_triples(sample_triples());
-        store.stage_add_triples(vec![t("extra", "p", "x")]);
-        let logical: Vec<_> = store.encoded_triples().collect();
-        store.repartition(4);
-        assert_eq!(store.partitions(), 4);
-        assert!(!store.has_deltas(), "repartition folds deltas");
-        assert_eq!(store.encoded_triples().collect::<Vec<_>>(), logical);
-        assert!(store.__invariant_check());
-        store.repartition(1);
-        assert_eq!(store.partitions(), 1);
-        assert_eq!(store.encoded_triples().collect::<Vec<_>>(), logical);
-        assert!(store.__invariant_check());
-    }
-
-    #[test]
-    fn shard_stats_cover_all_triples_and_arenas() {
-        let mut store = TripleStore::from_triples_partitioned(sample_triples(), 4);
+        let expect: usize = ["p", "q"]
+            .map(|iri| rel(&store, iri))
+            .iter()
+            .map(|r| r.so.arena_bytes() + r.os.arena_bytes())
+            .sum();
+        assert!(expect > 0);
+        assert_eq!(store.arena_bytes(), expect);
+        // Staging leaves the base arenas alone.
         store.stage_add_triples(vec![t("fresh", "p", "x")]);
-        let stats = store.shard_stats();
-        assert_eq!(stats.len(), 4);
-        assert_eq!(stats.iter().map(|s| s.triples).sum::<usize>(), store.num_triples());
-        assert_eq!(stats.iter().map(|s| s.staged_pairs).sum::<usize>(), 1);
-        for (shard, s) in stats.iter().enumerate() {
-            let expect: usize = store
-                .shard_rels(shard)
-                .iter()
-                .map(|r| r.so.arena_bytes() + r.os.arena_bytes())
-                .sum();
-            assert!(s.arena_bytes > 0 && s.arena_bytes == expect, "shard {shard}");
-        }
+        assert_eq!(store.arena_bytes(), expect);
     }
 
     #[test]
     fn invariant_check_catches_a_relation_whose_orders_disagree() {
         let mut store = TripleStore::from_triples(vec![t("a", "p", "b"), t("c", "p", "d")]);
         let other = TriePair::from_so(vec![(0, 2)]);
-        store.shards[0].rels[0].os = other.os;
+        store.rels[0].os = other.os;
         assert!(!store.__invariant_check());
     }
 }

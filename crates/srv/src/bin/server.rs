@@ -15,10 +15,8 @@
 //! ```
 //!
 //! Exactly one data source (`--snapshot` or `--data`) must be given.
-//! `--threads N` sets join-execution workers, `--sessions N` the
-//! concurrent-connection pool, and `--partitions P` the number of
-//! subject-hash shards the store is split into (omitted: `--data` builds
-//! unpartitioned, `--snapshot` keeps the image's partitioning).
+//! `--threads N` sets join-execution workers and `--sessions N` the
+//! concurrent-connection pool.
 //! Snapshots load zero-copy by default — trie arenas serve straight from
 //! `mmap`ed page cache, with an automatic (logged) fallback to the
 //! memory-load path where the platform cannot map the file; `--no-mmap`
@@ -36,7 +34,7 @@ use std::net::TcpListener;
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
-use eh_rdf::{parse_ntriples, SnapshotError, TripleStore};
+use eh_rdf::{parse_ntriples, SnapshotError};
 use eh_srv::{serve, QueryService, ServiceConfig};
 use emptyheaded::{FsyncPolicy, PlannerConfig, SharedStore};
 
@@ -46,7 +44,6 @@ struct Args {
     port: u16,
     threads: usize,
     sessions: usize,
-    partitions: Option<usize>,
     mmap: bool,
     wal: Option<String>,
     fsync: FsyncPolicy,
@@ -55,7 +52,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: server (--snapshot <path> | --data <file.nt>) \
-         [--port P] [--threads N] [--sessions N] [--partitions P] [--mmap|--no-mmap] \
+         [--port P] [--threads N] [--sessions N] [--mmap|--no-mmap] \
          [--wal <path>] [--fsync always|never|interval:<ms>]"
     );
     std::process::exit(2);
@@ -68,7 +65,6 @@ fn parse_args() -> Args {
         port: 0,
         threads: 1,
         sessions: 8,
-        partitions: None,
         mmap: true,
         wal: None,
         fsync: FsyncPolicy::Always,
@@ -84,7 +80,6 @@ fn parse_args() -> Args {
             "--port" => args.port = value(i).parse().unwrap_or_else(|_| usage()),
             "--threads" => args.threads = value(i).parse().unwrap_or_else(|_| usage()),
             "--sessions" => args.sessions = value(i).parse().unwrap_or_else(|_| usage()),
-            "--partitions" => args.partitions = Some(value(i).parse().unwrap_or_else(|_| usage())),
             "--wal" => args.wal = Some(value(i).to_string()),
             "--fsync" => args.fsync = value(i).parse().unwrap_or_else(|_| usage()),
             "--mmap" => {
@@ -102,9 +97,6 @@ fn parse_args() -> Args {
         i += 2;
     }
     if args.snapshot.is_some() == args.data.is_some() {
-        usage();
-    }
-    if args.partitions == Some(0) {
         usage();
     }
     args
@@ -145,19 +137,9 @@ fn main() {
         println!(
             "loaded snapshot {path} in {:.1} ms ({} arena bytes resident, load_mode={})",
             t0.elapsed().as_secs_f64() * 1e3,
-            svc.store().shard_stats().iter().map(|s| s.arena_bytes).sum::<usize>(),
+            svc.store().arena_bytes(),
             load.mode
         );
-        // Re-shard only on an explicit request that disagrees with the
-        // image: repartitioning re-freezes every base trie off the image
-        // (placement moved), so the silent default keeps them.
-        if let Some(p) = args.partitions {
-            if p != svc.store().partitions() {
-                svc.engine().repartition(p);
-                svc.invalidate();
-                println!("repartitioned into {p} subject shards");
-            }
-        }
         svc
     } else {
         let path = args.data.as_deref().expect("one source is set");
@@ -169,11 +151,7 @@ fn main() {
             eprintln!("failed to parse {path}: {e}");
             std::process::exit(1);
         });
-        let store = match args.partitions {
-            Some(p) => SharedStore::new(TripleStore::from_triples_partitioned(triples, p)),
-            None => SharedStore::from_triples(triples),
-        };
-        let svc = QueryService::new(store, config);
+        let svc = QueryService::new(SharedStore::from_triples(triples), config);
         println!("parsed {path} in {:.1} ms", t0.elapsed().as_secs_f64() * 1e3);
         svc
     };
@@ -204,19 +182,17 @@ fn main() {
     };
 
     let stats = service.store().stats();
-    let partitions = service.store().partitions();
     let listener = TcpListener::bind(("127.0.0.1", args.port)).unwrap_or_else(|e| {
         eprintln!("failed to bind port {}: {e}", args.port);
         std::process::exit(1);
     });
     println!(
-        "serving {} triples / {} predicates on {} ({} threads, {} sessions, {} partitions)",
+        "serving {} triples / {} predicates on {} ({} threads, {} sessions)",
         stats.triples,
         stats.predicates,
         listener.local_addr().expect("bound socket has an address"),
         args.threads,
-        args.sessions,
-        partitions
+        args.sessions
     );
     // Runs until the process is killed; SAVE snapshots can be taken live.
     let shutdown = AtomicBool::new(false);

@@ -193,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn epoch_partitions_the_key_space() {
+    fn epoch_splits_the_key_space() {
         let mut lru = ResultLru::new(100);
         lru.insert(key("a", 0), result(), 10);
         assert!(lru.get(&key("a", 1)).is_none());

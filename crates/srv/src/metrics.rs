@@ -146,48 +146,6 @@ impl ServiceMetrics {
         self.requests_by_verb[verb as usize].inc();
     }
 
-    /// Sync one shard's occupancy gauges (`eh_shard_triples`,
-    /// `eh_shard_staged_pairs`, `eh_shard_arena_bytes`, all labeled
-    /// `shard="N"`). Series are resolved get-or-create per call: shard
-    /// count is a store property, not a construction-time constant, and
-    /// this runs on the scrape path where the registry lock is cheap.
-    pub fn set_shard_gauges(&self, shard: usize, triples: i64, staged: i64, arena: i64) {
-        let shard = shard.to_string();
-        let labels = [("shard", shard.as_str())];
-        self.registry
-            .gauge_with("eh_shard_triples", "Logical triples resident in the shard", &labels)
-            .set(triples);
-        self.registry
-            .gauge_with(
-                "eh_shard_staged_pairs",
-                "Delta pairs staged in the shard's novelty overlays",
-                &labels,
-            )
-            .set(staged);
-        self.registry
-            .gauge_with(
-                "eh_shard_arena_bytes",
-                "Frozen-trie arena bytes of the shard's resident base relations",
-                &labels,
-            )
-            .set(arena);
-    }
-
-    /// Record one shard's fold pause into the `shard`-labeled series of
-    /// the `eh_compaction_pause_us` family. The unlabeled series keeps
-    /// measuring the whole verb; these per-shard series are what show
-    /// that a skewed shard's fold pauses only itself.
-    pub fn record_shard_pause(&self, shard: usize, micros: u64) {
-        let shard = shard.to_string();
-        self.registry
-            .histogram_with(
-                "eh_compaction_pause_us",
-                "COMPACT pause (folding staged deltas into fresh base tables) in microseconds",
-                &[("shard", shard.as_str())],
-            )
-            .record(micros);
-    }
-
     /// Append to the bounded slow-query ring (oldest dropped) and bump
     /// the counter.
     pub fn note_slow_query(&self, millis: u64, text: &str) {

@@ -13,8 +13,8 @@
 //! | `INSERT <s> <p> <o> .` | `OK pending inserts=<n> deletes=<n>` (staged, N-Triples term syntax) |
 //! | `DELETE <s> <p> <o> .` | `OK pending inserts=<n> deletes=<n>` (staged) |
 //! | `APPLY` | `OK applied inserted=<n> deleted=<n> predicates=<n> compacted=<n> epoch=<n>` (staged batch applied atomically) |
-//! | `COMPACT` | `OK compacted predicates=<n> rebuilt=<n> epoch=<n>` (staged deltas folded into freshly frozen base tries; `rebuilt` counts them, two per folded (predicate, shard)) |
-//! | `STATS` | `OK plan_hits=<n> plan_misses=<n> result_hits=<n> result_misses=<n> plan_entries=<n> cache_entries=<n> cache_bytes=<n> epoch=<n> updates=<n> updates_noop=<n> inserted=<n> deleted=<n> staged=<n> query_p50_us=<n> query_p99_us=<n> partitions=<n> max_shard_skew=<x.xx> load_mode=<mmap\|copy> mapped_bytes=<n> wal_seq=<n> wal_bytes=<n> wal_fsync_mode=<always\|never\|interval:<ms>\|off>` |
+//! | `COMPACT` | `OK compacted predicates=<n> rebuilt=<n> epoch=<n>` (staged deltas folded into freshly frozen base tries; `rebuilt` counts them, two per folded predicate) |
+//! | `STATS` | `OK plan_hits=<n> plan_misses=<n> result_hits=<n> result_misses=<n> plan_entries=<n> cache_entries=<n> cache_bytes=<n> epoch=<n> updates=<n> updates_noop=<n> inserted=<n> deleted=<n> staged=<n> query_p50_us=<n> query_p99_us=<n> load_mode=<mmap\|copy> mapped_bytes=<n> wal_seq=<n> wal_bytes=<n> wal_fsync_mode=<always\|never\|interval:<ms>\|off>` |
 //! | `INVALIDATE` | `OK epoch=<n>` (caches dropped, epoch advanced) |
 //! | `SAVE <path>` | `OK saved bytes=<n> triples=<n>` (snapshot written server-side; restart with `--snapshot <path>`; with a WAL attached, also truncates the log down to the new image) |
 //! | `REPLAY <path>` | `OK replayed records=<n> inserted=<n> deleted=<n> epoch=<n>` (a WAL file on the server's filesystem replayed through the update path — replica catch-up) |
@@ -225,8 +225,8 @@ fn answer(
                 "OK plan_hits={} plan_misses={} result_hits={} result_misses={} \
                  plan_entries={} cache_entries={} cache_bytes={} epoch={} \
                  updates={} updates_noop={} inserted={} deleted={} staged={} \
-                 query_p50_us={} query_p99_us={} partitions={} max_shard_skew={:.2} \
-                 load_mode={} mapped_bytes={} wal_seq={} wal_bytes={} wal_fsync_mode={}",
+                 query_p50_us={} query_p99_us={} load_mode={} mapped_bytes={} wal_seq={} \
+                 wal_bytes={} wal_fsync_mode={}",
                 s.plan_hits,
                 s.plan_misses,
                 s.result_hits,
@@ -242,8 +242,6 @@ fn answer(
                 s.staged_pairs,
                 s.query_p50_us,
                 s.query_p99_us,
-                s.partitions,
-                s.max_shard_skew,
                 s.load_mode,
                 s.mapped_bytes,
                 s.wal_seq,
@@ -799,7 +797,7 @@ mod tests {
         // query ran).
         let restarted = QueryService::from_snapshot(&path, config(1)).unwrap();
         std::fs::remove_file(&path).ok();
-        assert!(restarted.store().shard_stats()[0].arena_bytes > 0);
+        assert!(restarted.store().arena_bytes() > 0);
         assert_eq!(respond(&restarted, q), expect);
 
         // Failure modes answer ERR, they don't kill the session.

@@ -134,15 +134,6 @@ pub struct ServiceStats {
     pub query_p50_us: u64,
     /// 99th-percentile end-to-end query latency in microseconds.
     pub query_p99_us: u64,
-    /// Subject-hash shards the store is partitioned into (1 = the
-    /// unpartitioned layout).
-    pub partitions: u64,
-    /// Load imbalance across shards: the largest shard's logical triple
-    /// count over the per-shard average (`1.0` = perfectly balanced,
-    /// also reported for an empty or single-shard store). Subject-hash
-    /// placement keeps this near 1 unless the data is pathologically
-    /// concentrated on few subjects.
-    pub max_shard_skew: f64,
     /// How the engine's snapshot loaded: [`LoadMode::Mmap`] when trie
     /// arenas serve from mapped pages, [`LoadMode::Copy`] otherwise
     /// (including engines never built from a snapshot).
@@ -566,9 +557,6 @@ impl QueryService {
             if summary.compacted_predicates > 0 {
                 self.metrics.compactions.add(summary.compacted_predicates as u64);
             }
-            for &(shard, us) in &summary.shard_pauses {
-                self.metrics.record_shard_pause(shard, us);
-            }
         }
         summary
     }
@@ -590,9 +578,6 @@ impl QueryService {
         if let Some(t0) = t0 {
             self.metrics.compaction_pause_us.record(t0.elapsed().as_micros() as u64);
             self.metrics.compactions.add(summary.compacted_predicates as u64);
-            for &(shard, us) in &summary.shard_pauses {
-                self.metrics.record_shard_pause(shard, us);
-            }
         }
         summary
     }
@@ -613,15 +598,6 @@ impl QueryService {
             (results.bytes() as u64, results.len() as u64)
         };
         let wal = self.engine.wal_status();
-        let store = self.store();
-        let (partitions, max_shard_skew) = {
-            let shards = store.shard_stats();
-            let total: u64 = shards.iter().map(|s| s.triples as u64).sum();
-            let max = shards.iter().map(|s| s.triples as u64).max().unwrap_or(0);
-            let skew =
-                if total == 0 { 1.0 } else { max as f64 * shards.len() as f64 / total as f64 };
-            (shards.len() as u64, skew)
-        };
         ServiceStats {
             plan_hits: self.plan_hits.load(Ordering::Relaxed),
             plan_misses: self.plan_misses.load(Ordering::Relaxed),
@@ -634,13 +610,11 @@ impl QueryService {
             epoch: self.engine.epoch(),
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
             updates_noop: self.updates_noop.load(Ordering::Relaxed),
-            staged_pairs: store.staged_pairs() as u64,
+            staged_pairs: self.store().staged_pairs() as u64,
             triples_inserted: self.triples_inserted.load(Ordering::Relaxed),
             triples_deleted: self.triples_deleted.load(Ordering::Relaxed),
             query_p50_us: self.metrics.query_latency_us.p50(),
             query_p99_us: self.metrics.query_latency_us.p99(),
-            partitions,
-            max_shard_skew,
             load_mode: self.engine.load_info().map_or(LoadMode::Copy, |l| l.mode),
             mapped_bytes: self.engine.load_info().map_or(0, |l| l.mapped_bytes),
             wal_seq: wal.map_or(0, |w| w.seq),
@@ -676,19 +650,10 @@ impl QueryService {
             .plan_cache_entries
             .set(self.plans.read().unwrap_or_else(PoisonError::into_inner).map.len() as i64);
         self.metrics.epoch.set(self.engine.epoch() as i64);
-        let store = self.store();
-        self.metrics.staged_pairs.set(store.staged_pairs() as i64);
+        self.metrics.staged_pairs.set(self.store().staged_pairs() as i64);
         self.metrics.mapped_bytes.set(self.engine.load_info().map_or(0, |l| l.mapped_bytes) as i64);
         if let Some(w) = self.engine.wal_status() {
             self.metrics.wal_bytes.set(w.bytes as i64);
-        }
-        for s in store.shard_stats() {
-            self.metrics.set_shard_gauges(
-                s.shard,
-                s.triples as i64,
-                s.staged_pairs as i64,
-                s.arena_bytes as i64,
-            );
         }
         self.metrics.expose()
     }
@@ -957,48 +922,22 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_service_reports_shards_in_stats_and_metrics() {
+    fn compaction_pauses_land_in_one_unlabelled_series() {
         use eh_rdf::{Term, Triple};
         let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
         let triples: Vec<Triple> = (0..32).map(|i| t(&format!("s{i}"), "p", "o")).collect();
-        let store = SharedStore::new(TripleStore::from_triples_partitioned(triples, 4));
+        let store = SharedStore::new(TripleStore::from_triples(triples));
         let svc = service(&store);
-        let q = "SELECT ?x WHERE { ?x <p> <o> }";
-        assert_eq!(svc.query_sparql(q).unwrap().result.cardinality(), 32);
-
-        let stats = svc.stats();
-        assert_eq!(stats.partitions, 4);
-        assert!(stats.max_shard_skew >= 1.0, "{stats:?}");
-        // 32 hashed subjects over 4 shards: nothing pathological.
-        assert!(stats.max_shard_skew < 4.0, "{stats:?}");
-
-        // Every shard gets its labeled occupancy series, and the warmed
-        // shard tries show up as cached arena bytes somewhere.
-        let text = svc.metrics_text();
-        for shard in 0..4 {
-            assert!(text.contains(&format!("eh_shard_triples{{shard=\"{shard}\"}}")), "{text}");
-            assert!(
-                text.contains(&format!("eh_shard_staged_pairs{{shard=\"{shard}\"}}")),
-                "{text}"
-            );
-            assert!(text.contains(&format!("eh_shard_arena_bytes{{shard=\"{shard}\"}}")), "{text}");
-        }
-        assert!(!text.contains("eh_shard_triples{shard=\"4\"}"), "{text}");
-
-        // A COMPACT that folds one shard's staged delta records its pause
-        // in that shard's labeled series of the pause family.
         let mut batch = UpdateBatch::new();
         batch.insert(t("s99", "p", "o"));
         assert_eq!(svc.update(batch).inserted, 1);
-        let summary = svc.compact();
-        assert_eq!(summary.compacted_predicates, 1);
-        assert_eq!(summary.shard_pauses.len(), 1, "{summary:?}");
-        let shard = summary.shard_pauses[0].0;
+        assert_eq!(svc.compact().compacted_predicates, 1);
         let text = svc.metrics_text();
-        assert!(
-            text.contains(&format!("eh_compaction_pause_us_count{{shard=\"{shard}\"}} 1")),
-            "{text}"
-        );
+        assert!(text.contains("eh_compaction_pause_us_count 1"), "{text}");
+        // The family has no labelled series: none is keyed by anything
+        // the store can stop having, so a scrape never exports a frozen
+        // value.
+        assert!(!text.contains("eh_compaction_pause_us_count{"), "{text}");
     }
 
     #[test]

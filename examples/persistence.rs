@@ -78,7 +78,7 @@ fn main() {
     let restarted =
         QueryService::from_snapshot(&snap_path, service_config()).expect("snapshot loads");
     let load_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let resident: usize = restarted.store().shard_stats().iter().map(|s| s.arena_bytes).sum();
+    let resident: usize = restarted.store().arena_bytes();
     println!(
         "restart from snapshot: {load_ms:.1} ms, {resident} trie arena bytes already resident"
     );

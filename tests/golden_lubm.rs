@@ -100,30 +100,6 @@ fn lubm_results_match_goldens() {
 }
 
 #[test]
-fn goldens_hold_on_a_partitioned_store() {
-    // The same pinned literals over the store re-split into 4 subject
-    // shards, sequentially and in parallel: partitioning moves placement,
-    // never answers — shard-local or union execution alike.
-    let store = generate_store(&GeneratorConfig::tiny(1));
-    let mut split = store.clone();
-    split.repartition(4);
-    let shared = SharedStore::new(split);
-    for threads in [1usize, 4] {
-        let engine = Engine::with_config(
-            shared.clone(),
-            PlannerConfig::with_flags(OptFlags::all())
-                .with_runtime(wcoj_rdf::par::RuntimeConfig::with_threads(threads)),
-        );
-        for &(n, count, head) in GOLDEN {
-            let q = lubm_query(n, &store).unwrap();
-            let r = engine.run(&q).unwrap();
-            assert_eq!(r.cardinality(), count, "query {n} at P=4, {threads} threads");
-            assert_eq!(head_rows(&store, &r, 2), head, "query {n} at P=4, {threads} threads");
-        }
-    }
-}
-
-#[test]
 fn goldens_hold_under_every_profile() {
     // The same goldens must hold with optimizations off, single-node
     // plans, and the env-configured (possibly parallel) runtime: the

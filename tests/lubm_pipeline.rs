@@ -16,10 +16,9 @@ fn rows(t: &wcoj_rdf::trie::TupleBuffer) -> BTreeSet<Vec<u32>> {
     t.rows().map(|r| r.to_vec()).collect()
 }
 
-/// The base relation of a predicate IRI: the store's two tries (the
-/// generator builds one shard).
+/// The base relation of a predicate IRI: the store's two tries.
 fn relation<'a>(store: &'a TripleStore, iri: &str) -> &'a TriePair {
-    store.trie_pair(0, store.resolve_iri(iri).unwrap()).unwrap()
+    store.trie_pair(store.resolve_iri(iri).unwrap()).unwrap()
 }
 
 #[test]

@@ -3,9 +3,14 @@
 //! execution at 1/2/4 worker threads returns `QueryResult`s
 //! **byte-identical** to sequential execution — same columns, same rows,
 //! same row order — under every optimization profile, including
-//! morsel size 1 (each outer value its own task) to stress the merge.
+//! morsel size 1 (each outer value its own task) to stress the merge —
+//! and across interleaved live updates.
 
-use wcoj_rdf::emptyheaded::{Engine, OptFlags, PlannerConfig, RuntimeConfig, SharedStore};
+use std::collections::HashSet;
+
+use wcoj_rdf::emptyheaded::{
+    Engine, OptFlags, PlannerConfig, QueryResult, RuntimeConfig, SharedStore, UpdateBatch,
+};
 use wcoj_rdf::lubm::queries::{lubm_query, QUERY_NUMBERS};
 use wcoj_rdf::lubm::{generate_store, GeneratorConfig};
 use wcoj_rdf::query::{ConjunctiveQuery, QueryBuilder};
@@ -156,5 +161,99 @@ fn parallel_sparql_end_to_end() {
         let config = PlannerConfig::with_flags(OptFlags::all()).with_threads(threads);
         let parallel = Engine::with_config(store.clone(), config).run_sparql(text).unwrap();
         assert_eq!(parallel, sequential, "{threads} threads");
+    }
+}
+
+fn t(s: &str, p: &str, o: &str) -> Triple {
+    Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
+}
+
+/// A cold store bulk-built from a set-of-triples model — no staging, no
+/// compaction. Raw result bytes are only comparable when term ids agree,
+/// so the dictionary is seeded first with every triple the engines have
+/// seen, in the order they saw them (`insert` and `stage_add_triples`
+/// both encode subject, predicate, object per triple; deletes never grow
+/// the dictionary).
+fn model_store(seen: &[Triple], model: &HashSet<Triple>) -> TripleStore {
+    let mut store = TripleStore::new();
+    for t in seen {
+        for term in [&t.s, &t.p, &t.o] {
+            store.encode_term(term);
+        }
+    }
+    for t in model {
+        store.insert(t.clone());
+    }
+    store.commit();
+    store
+}
+
+/// Cold run, then cached repeat, both against the reference bytes.
+fn assert_cold_and_warm(e: &Engine, q: &ConjunctiveQuery, expected: &QueryResult, label: &str) {
+    assert_eq!(&e.run(q).unwrap(), expected, "{label}: cold (uncached) run diverged");
+    assert_eq!(&e.run(q).unwrap(), expected, "{label}: warm (cached) run diverged");
+}
+
+/// Interleaved updates: one batch script applied at 1 and 4 threads must
+/// keep answers byte-identical to a *cold* engine bulk-built from a
+/// set-of-triples model of the post-update contents after every step —
+/// through staged overlays, an explicit mid-script COMPACT, and the
+/// cached repeat of each answer.
+#[test]
+fn interleaved_updates_stay_byte_identical_to_a_cold_model() {
+    let base_triples = vec![
+        t("a", "edge", "b"),
+        t("b", "edge", "c"),
+        t("a", "edge", "c"),
+        t("c", "edge", "d"),
+        t("a", "kind", "thing"),
+        t("b", "kind", "thing"),
+    ];
+    // (inserts, deletes) per step; every engine sees the same script, so
+    // dictionaries (and thus raw ids) stay aligned across all of them.
+    let steps: Vec<(Vec<Triple>, Vec<Triple>)> = vec![
+        (vec![t("b", "edge", "d")], vec![t("a", "edge", "b")]),
+        (vec![t("d", "edge", "a"), t("e", "edge", "f"), t("e", "edge", "g")], vec![]),
+        (vec![t("f", "edge", "g")], vec![t("c", "edge", "d")]),
+    ];
+    let triangle = "SELECT ?x ?y ?z WHERE { ?x <edge> ?y . ?y <edge> ?z . ?x <edge> ?z }";
+    let star = "SELECT ?h ?a ?b WHERE { ?h <edge> ?a . ?h <edge> ?b }";
+
+    for threads in [1usize, 4] {
+        let e = Engine::with_config(
+            SharedStore::from_triples(base_triples.clone()),
+            PlannerConfig::with_flags(OptFlags::all())
+                .with_runtime(RuntimeConfig::with_threads(threads)),
+        );
+        let mut seen = base_triples.clone();
+        let mut model: HashSet<Triple> = base_triples.iter().cloned().collect();
+        for (step, (inserts, deletes)) in steps.iter().enumerate() {
+            // Engine batches delete first, then insert (SPARQL Update
+            // convention) — mirror that order in the model.
+            for t in deletes {
+                model.remove(t);
+            }
+            model.extend(inserts.iter().cloned());
+            seen.extend(inserts.iter().cloned());
+            let cold = Engine::new(SharedStore::new(model_store(&seen, &model)), OptFlags::all());
+            let mut batch = UpdateBatch::new();
+            batch.inserts = inserts.clone();
+            batch.deletes = deletes.clone();
+            e.update(batch);
+            if step == 1 {
+                // Fold the staged overlays mid-script: post-compaction
+                // answers must be as identical as overlay-served ones.
+                e.compact();
+            }
+            for shape in [triangle, star] {
+                let expected = cold.run_sparql(shape).unwrap();
+                let q = {
+                    let store = e.store();
+                    wcoj_rdf::query::parse_sparql(shape, &store).unwrap()
+                };
+                let label = format!("step {step}, {threads} threads, {shape}");
+                assert_cold_and_warm(&e, &q, &expected, &label);
+            }
+        }
     }
 }

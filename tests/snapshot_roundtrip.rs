@@ -31,15 +31,13 @@ fn reload(engine: &Engine, tag: &str, threads: usize) -> Engine {
     loaded
 }
 
-/// Both orders of every (shard, predicate) hold identical tries.
+/// Both orders of every predicate hold identical tries.
 fn assert_same_tries(a: &TripleStore, b: &TripleStore, label: &str) {
     let preds: std::collections::BTreeSet<u32> = a.encoded_triples().map(|t| t.p).collect();
     assert!(!preds.is_empty(), "{label}: empty store");
     for p in preds {
-        for shard in 0..a.partitions() {
-            let (ra, rb) = (a.trie_pair(shard, p).unwrap(), b.trie_pair(shard, p).unwrap());
-            assert_eq!((ra.so() == rb.so(), ra.os() == rb.os()), (true, true), "{label}: pred {p}");
-        }
+        let (ra, rb) = (a.trie_pair(p).unwrap(), b.trie_pair(p).unwrap());
+        assert_eq!((ra.so() == rb.so(), ra.os() == rb.os()), (true, true), "{label}: pred {p}");
     }
 }
 

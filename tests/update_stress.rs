@@ -122,7 +122,7 @@ fn untouched_predicates_keep_their_tries() {
     let so = |rel: &str| {
         let store = engine.store();
         let pred = store.resolve_iri(rel).unwrap();
-        std::sync::Arc::clone(store.trie_pair(0, pred).unwrap().so())
+        std::sync::Arc::clone(store.trie_pair(pred).unwrap().so())
     };
     let edge_before = so("edge");
     let kind_before = so("kind");
@@ -337,25 +337,21 @@ fn readers_race_a_writer_and_only_ever_see_consistent_states() {
 /// `p` and `q` — so every store state answers `?x p ?y . ?x q ?y` with
 /// exactly one row, and an answer assembled from two states has none.
 /// Every answer counts, whether the writer only stages, compacts every
-/// other batch, compacts every batch, or moves the store between four
-/// shards and one on alternate batches (the query is subject-rooted, so
-/// at four shards it runs shard-local). Each mode runs until the readers
+/// other batch, or compacts every batch. Each mode runs until the readers
 /// have had `ANSWERS` answers or `MODE_CAP` passes, so the check does not
-/// depend on how the threads get scheduled.
+/// depend on how the threads get scheduled: three modes, ≤ 7.5 s in
+/// debug.
 #[test]
 fn a_reader_racing_a_writer_sees_one_store_state() {
     #[derive(Debug, Clone, Copy)]
     enum Writer {
         Stage,
         CompactEvery(usize),
-        Repartition,
     }
     const READERS: usize = 3;
     const ANSWERS: usize = 50_000;
     const MODE_CAP: Duration = Duration::from_millis(2500);
-    for mode in
-        [Writer::Stage, Writer::CompactEvery(2), Writer::CompactEvery(1), Writer::Repartition]
-    {
+    for mode in [Writer::Stage, Writer::CompactEvery(2), Writer::CompactEvery(1)] {
         let store = SharedStore::from_triples(vec![t("s0", "p", "o"), t("s0", "q", "o")]);
         let engine = Engine::new(store.clone(), OptFlags::all());
         let q = {
@@ -400,9 +396,6 @@ fn a_reader_racing_a_writer_sees_one_store_state() {
                         if k.is_multiple_of(n) {
                             engine.compact();
                         }
-                    }
-                    Writer::Repartition => {
-                        engine.repartition(if k.is_multiple_of(2) { 1 } else { 4 });
                     }
                 }
             }
@@ -467,8 +460,8 @@ fn matrix_batch(k: usize) -> UpdateBatch {
     b
 }
 
-fn matrix_engine(threads: usize, partitions: usize) -> Engine {
-    let store = SharedStore::new(TripleStore::from_triples_partitioned(base_triples(), partitions));
+fn matrix_engine(threads: usize) -> Engine {
+    let store = SharedStore::from_triples(base_triples());
     Engine::with_config(store, PlannerConfig::with_flags(OptFlags::all()).with_threads(threads))
 }
 
@@ -509,7 +502,7 @@ fn kill_matrix_child() {
     let wal = std::env::var("EH_CHILD_WAL").unwrap();
     let batches = env_num("EH_CHILD_BATCHES", 6);
     let save_after = std::env::var("EH_CHILD_SAVE_AFTER").ok().and_then(|v| v.parse().ok());
-    let mut engine = matrix_engine(env_num("EH_CHILD_THREADS", 1), env_num("EH_CHILD_PARTS", 1));
+    let mut engine = matrix_engine(env_num("EH_CHILD_THREADS", 1));
     engine.open_wal(&wal).unwrap();
     for k in 0..batches {
         if save_after == Some(k) {
@@ -532,7 +525,6 @@ fn spawn_killed_child(
     wal: &Path,
     snap: Option<&Path>,
     threads: usize,
-    partitions: usize,
     batches: usize,
     save_after: Option<usize>,
 ) {
@@ -543,7 +535,6 @@ fn spawn_killed_child(
         .env("EH_CRASH_POINT", format!("{point}:{hit}"))
         .env("EH_CHILD_WAL", wal)
         .env("EH_CHILD_THREADS", threads.to_string())
-        .env("EH_CHILD_PARTS", partitions.to_string())
         .env("EH_CHILD_BATCHES", batches.to_string())
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null());
@@ -571,20 +562,19 @@ fn run_kill_scenario(
     point: &str,
     hit: usize,
     threads: usize,
-    partitions: usize,
     save_after: Option<usize>,
 ) {
     let batches = 6usize;
-    let wal = matrix_temp(&format!("{tag}-{point}-{hit}-{threads}-{partitions}"), "wal");
-    let snap = matrix_temp(&format!("{tag}-{point}-{hit}-{threads}-{partitions}"), "snap");
+    let wal = matrix_temp(&format!("{tag}-{point}-{hit}-{threads}"), "wal");
+    let snap = matrix_temp(&format!("{tag}-{point}-{hit}-{threads}"), "snap");
     std::fs::remove_file(&wal).ok();
     std::fs::remove_file(&snap).ok();
 
-    spawn_killed_child(point, hit, &wal, Some(&snap), threads, partitions, batches, save_after);
+    spawn_killed_child(point, hit, &wal, Some(&snap), threads, batches, save_after);
 
     // Recover exactly like the server binary: image first (if the crash
     // happened after the rename), then the log tail.
-    let context = format!("{point}:{hit} threads={threads} P={partitions}");
+    let context = format!("{point}:{hit} threads={threads}");
     let mut recovered = if snap.exists() {
         Engine::open(
             &snap,
@@ -593,14 +583,14 @@ fn run_kill_scenario(
         )
         .unwrap()
     } else {
-        matrix_engine(threads, partitions)
+        matrix_engine(threads)
     };
     let recovery = recovered.open_wal(&wal).unwrap_or_else(|e| panic!("{context}: {e}"));
     let survived = recovery.last_seq as usize;
     assert!(survived <= batches, "{context}: log claims more batches than the child ran");
 
     // The oracle: a never-crashed engine fed the same logged prefix.
-    let reference = matrix_engine(threads, partitions);
+    let reference = matrix_engine(threads);
     for k in 0..survived {
         reference.update(matrix_batch(k));
     }
@@ -629,23 +619,23 @@ fn kill_matrix_append_points_recover_byte_identical() {
         ("wal-append-torn", 1),
         ("engine-staged", 6),
     ] {
-        run_kill_scenario("append", point, hit, 1, 1, None);
+        run_kill_scenario("append", point, hit, 1, None);
     }
 }
 
-/// Spot combinations across the engine-threads × partitions matrix: the
-/// recovery path must not depend on worker count or shard layout.
+/// Spot combinations of engine threads and crash points: the recovery
+/// path must not depend on worker count.
 #[cfg(unix)]
 #[test]
 fn kill_matrix_thread_and_partition_combinations() {
-    for (threads, partitions, point, hit) in [
-        (2, 1, "wal-append-torn", 4),
-        (4, 1, "engine-staged", 3),
-        (1, 4, "wal-append-post", 2),
-        (4, 4, "wal-append-torn", 5),
-        (2, 4, "wal-append-pre", 2),
+    for (threads, point, hit) in [
+        (2, "wal-append-torn", 4),
+        (4, "engine-staged", 3),
+        (1, "wal-append-post", 2),
+        (4, "wal-append-torn", 5),
+        (2, "wal-append-pre", 2),
     ] {
-        run_kill_scenario("combo", point, hit, threads, partitions, None);
+        run_kill_scenario("combo", point, hit, threads, None);
     }
 }
 
@@ -666,7 +656,7 @@ fn kill_matrix_save_and_truncate_points_recover_idempotently() {
     ] {
         // The child applies 3 batches, SAVEs, then applies 3 more; the
         // armed point fires inside that SAVE.
-        run_kill_scenario("save", point, 1, 1, 1, Some(3));
+        run_kill_scenario("save", point, 1, 1, Some(3));
     }
 }
 
@@ -689,7 +679,7 @@ fn save_racing_a_writer_loses_no_acknowledged_batch() {
     std::fs::remove_file(&wal).ok();
     std::fs::remove_file(&snap).ok();
 
-    let mut engine = matrix_engine(2, 1);
+    let mut engine = matrix_engine(2);
     engine.open_wal(&wal).unwrap();
     let engine = engine;
     let done = AtomicBool::new(false);
