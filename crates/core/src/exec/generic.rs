@@ -443,6 +443,24 @@ fn search<'a>(
         }
         return;
     }
+    // Last-depth fast path: an unselected final depth with one
+    // participant emits straight from that participant's set (with
+    // `depth < emit_depth`, nothing is left to check) — no descent, since
+    // no deeper level is read. It records exactly what `step`'s
+    // single-participant branch would.
+    if let [(r, lvl)] = parts[depth][..] {
+        if depth + 1 == spec.num_vars && spec.sel[depth].is_none() {
+            let set = st.cursors[r].set(lvl);
+            if let Some(o) = &spec.obs {
+                o.stats.note_single(depth, set.len() as u64, 0);
+            }
+            for v in set.iter() {
+                st.binding[depth] = v;
+                emit(&st.binding[..=depth]);
+            }
+            return;
+        }
+    }
     step(spec, parts, st, depth, &mut |st| {
         search(spec, parts, st, depth + 1, emit);
         true
@@ -599,6 +617,7 @@ fn descend(st: &mut State<'_>, here: &[(usize, usize)], v: u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::{ExecStats, JoinStats};
     use eh_trie::{LayoutPolicy, TupleBuffer};
     use proptest::prelude::*;
 
@@ -856,6 +875,60 @@ mod tests {
             rels: vec![PreparedRel::arena(r, vec![0, 1]), layered(f_base, f_ov, vec![0])],
         };
         assert_eq!(collect(&spec), vec![vec![2, 20], vec![3, 30]]);
+    }
+
+    /// Run `spec` under a fresh profile, sequentially and at 2 threads
+    /// (morsel size 1), returning its rows and each depth's `(candidates,
+    /// single_iter)` — asserted identical across the two schedules.
+    fn profiled(spec: &mut JoinSpec) -> (Vec<Vec<u32>>, Vec<(u64, u64)>) {
+        let runs = [RuntimeConfig::with_threads(1), RuntimeConfig::with_threads(2)].map(|rt| {
+            let exec = ExecStats::new(rt.num_threads);
+            let names = (0..spec.num_vars).map(|d| format!("v{d}")).collect();
+            let sel = spec.sel.iter().map(Option::is_some).collect();
+            let stats = Arc::new(JoinStats::new("t".into(), names, sel, spec.emit_depth, 0));
+            exec.register(Arc::clone(&stats));
+            spec.obs = Some(JoinObs { stats, tasks: Arc::clone(&exec.observer) });
+            let sinks = run_join_parallel(spec, rt.with_morsel_size(1), Vec::new, |sink, b| {
+                sink.push(b.to_vec())
+            });
+            let depths = exec.snapshot(rt.num_threads, 0).joins[0]
+                .depths
+                .iter()
+                .map(|d| (d.candidates, d.kernels.single_iter))
+                .collect();
+            (sinks.concat(), depths)
+        });
+        let [serial, parallel] = runs;
+        assert_eq!(serial, parallel, "the profile must be schedule-invariant");
+        serial
+    }
+
+    #[test]
+    fn last_depth_single_participant_emits_from_its_set() {
+        // Arena: depth 0 iterates the three roots through `step`; the leaf
+        // depth emits each root's block straight from the set, one
+        // single-participant visit per root.
+        let r = trie_of(&[(1, 10), (1, 11), (2, 20), (3, 30), (3, 31), (3, 32)]);
+        let (rows, depths) = profiled(&mut scan(PreparedRel::arena(r, vec![0, 1])));
+        let pairs: Vec<Vec<u32>> = [(1, 10), (1, 11), (2, 20), (3, 30), (3, 31), (3, 32)]
+            .map(|(x, y)| vec![x, y])
+            .to_vec();
+        assert_eq!(rows, pairs);
+        assert_eq!(depths, vec![(3, 1), (6, 3)]);
+
+        // Layered, with a tombstone and an insert under root 1: its leaf
+        // is the merge ({10, 11} − {10}) ∪ {12}; root 2 is served in
+        // place and root 3 is insert-only.
+        let rel =
+            || staged(&[(1, 10), (1, 11), (2, 20)], &[(1, 12), (3, 30)], &[(1, 10)], vec![0, 1]);
+        let (rows, depths) = profiled(&mut scan(rel()));
+        assert_eq!(rows, vec![vec![1, 11], vec![1, 12], vec![2, 20], vec![3, 30]]);
+        assert_eq!(depths, vec![(3, 1), (4, 3)]);
+
+        // The same leaf under root 1 bound by a selection probe.
+        let (rows, depths) = profiled(&mut JoinSpec { sel: vec![Some(1), None], ..scan(rel()) });
+        assert_eq!(rows, vec![vec![1, 11], vec![1, 12]]);
+        assert_eq!(depths, vec![(0, 0), (2, 1)]);
     }
 
     #[test]

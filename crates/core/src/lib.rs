@@ -19,20 +19,24 @@
 //! [`PlannerConfig::force_single_node`] and all optimizations off.
 //!
 //! Execution follows the paper §II-C: a GHD is chosen, a *global attribute
-//! order* is derived by BFS over it, every relation is loaded as a trie
-//! consistent with that order, the generic worst-case optimal join
-//! (Algorithm 1) runs per node bottom-up with children's intermediates
-//! participating as extra relations, and a final pass materialises the
-//! projection.
+//! order* is derived by BFS over it, every relation is read as a trie
+//! consistent with that order, and the generic worst-case optimal join
+//! (Algorithm 1) runs per non-root node bottom-up with children's result
+//! tries participating as extra relations. The top-down pass then takes
+//! one of two forms. A pipelined (§III-C) or single-node plan runs one
+//! generic join over the root's atoms and its descendants' result tries,
+//! emitting the projection without materialising the root. Any other
+//! plan materialises the root too, then joins every node result.
 //!
 //! Like the original EmptyHeaded (whose reported numbers are multicore),
 //! execution parallelizes across the outermost iterated attribute:
 //! configure workers with [`PlannerConfig::with_threads`] /
 //! [`RuntimeConfig`] and the engine splits each join's first unselected
 //! attribute into morsels, runs the remaining levels on worker
-//! threads, builds indexes concurrently in [`Engine::warm`], and merges
-//! per-morsel buffers in deterministic order — parallel results are
-//! bit-identical to sequential ones.
+//! threads, and merges per-morsel buffers in deterministic order —
+//! parallel results are bit-identical to sequential ones. The store owns
+//! the auto-layout tries; [`Engine::warm`] builds only the `UintOnly`
+//! ablation's re-freezes, concurrently on the same workers.
 //!
 //! Each atom reads its predicate's relation as one frozen trie in the
 //! order the plan needs, plus at most one overlay of staged inserts and

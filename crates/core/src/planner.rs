@@ -179,10 +179,11 @@ pub fn build_plan_with(
     //    final result when, for every non-root node, the variables shared
     //    with its parent form a prefix of its own output (trie) order.
     //    This applies Definition 2 transitively down the tree — the paper
-    //    pipelines the root with one child; lookup-based streaming only
-    //    needs the prefix on the looked-up (child) side, and BFS-order
-    //    assembly guarantees every shared variable is already bound when
-    //    a node's private columns are appended.
+    //    pipelines the root with one child. The streaming pass is one
+    //    generic join whose order appends each node's private outputs, in
+    //    BFS order, after the root's variables; the prefix condition is
+    //    what keeps every node's trie levels binding at increasing depths
+    //    there, since its shared variables are bound by its parent first.
     let pipelined = flags.pipelining
         && ghd.num_nodes() > 1
         && (0..ghd.num_nodes()).all(|t| {

@@ -291,7 +291,8 @@ pub struct DepthProfile {
 /// Measured statistics for one executed join.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinProfile {
-    /// Which join this is: `node N`, `root (pipelined)`, or `final join`.
+    /// Which join this is: `node N`, `node N (pipelined)` (the root of a
+    /// pipelined plan), or `final join`.
     pub label: String,
     /// Depth at which the join emits (trailing depths are existence
     /// checks).
@@ -300,7 +301,8 @@ pub struct JoinProfile {
     /// staged delta) rather than a plain frozen arena. 0 on a fully
     /// compacted store; schedule-invariant.
     pub overlay_rels: u64,
-    /// Rows this join emitted (pre-deduplication of the final buffer).
+    /// Rows this join produced: the length of its output buffer after
+    /// sorting and deduplication.
     pub rows: u64,
     /// Wall time of the join including sink merging (volatile).
     pub wall_ns: u64,

@@ -11,13 +11,14 @@
 //! The merged **root** — `{s ∈ base : some pair under s survives} ∪
 //! ins-roots` — is computed lazily once per overlay and cached, because
 //! the root set is probed by every join touching the relation. Leaf sets
-//! are merged on demand by the executor (`(base − del) ∪ ins` via
-//! [`eh_setops::overlay_merge_into`]) into per-cursor buffers; the
-//! overlay only hands out the raw operand views.
+//! are merged on demand by the executor (`(base − del) ∪ ins`) into
+//! per-cursor buffers; the overlay only hands out the raw operand views.
+//! Both merges run through the one kernel,
+//! [`eh_setops::overlay_merge_into`].
 
 use std::sync::OnceLock;
 
-use eh_setops::SetRef;
+use eh_setops::{overlay_merge_into, SetRef};
 
 use crate::frozen::{FrozenTrie, LayoutPolicy};
 use crate::tuples::TupleBuffer;
@@ -73,62 +74,20 @@ impl DeltaOverlay {
     pub fn root(&self, base: &FrozenTrie) -> &[u32] {
         self.merged_root.get_or_init(|| {
             debug_assert!(base.is_empty() || base.arity() == 2, "overlays patch arity-2 relations");
-            let mut out: Vec<u32> = Vec::new();
-            match &self.del {
-                None => out.extend(base.root_set().iter()),
-                Some(del) => {
-                    for v in base.root_set().iter() {
-                        let dead = del.child(0, 0, v).map_or(0, |b| del.set(1, b).len());
-                        let held = base.child(0, 0, v).map_or(0, |b| base.set(1, b).len());
-                        if held > dead {
-                            out.push(v);
-                        }
-                    }
-                }
-            }
-            if let Some(ins) = &self.ins {
-                let mut merged = Vec::with_capacity(out.len() + ins.root_set().len());
-                let mut it = out.iter().copied().peekable();
-                let mut jt = ins.root_set().iter().peekable();
-                loop {
-                    match (it.peek().copied(), jt.peek().copied()) {
-                        (None, None) => break,
-                        (Some(a), None) => {
-                            merged.push(a);
-                            it.next();
-                        }
-                        (None, Some(b)) => {
-                            merged.push(b);
-                            jt.next();
-                        }
-                        (Some(a), Some(b)) => {
-                            merged.push(a.min(b));
-                            if a <= b {
-                                it.next();
-                            }
-                            if b <= a {
-                                jt.next();
-                            }
-                        }
-                    }
-                }
-                merged
-            } else {
-                out
-            }
+            let surviving: Option<Vec<u32>> = self.del.as_ref().map(|del| {
+                let held = |t: &FrozenTrie, v| t.child(0, 0, v).map_or(0, |b| t.set(1, b).len());
+                base.root_set().iter().filter(|&v| held(base, v) > held(del, v)).collect()
+            });
+            let roots = surviving.as_deref().map_or(base.root_set(), SetRef::Uint);
+            let mut out = Vec::with_capacity(roots.len() + self.inserted());
+            overlay_merge_into(
+                Some(roots),
+                None,
+                self.ins.as_ref().map(FrozenTrie::root_set),
+                &mut out,
+            );
+            out
         })
-    }
-
-    /// Block index of the insert-trie leaf under root value `v`.
-    pub fn ins_child_block(&self, v: u32) -> Option<usize> {
-        self.ins.as_ref()?.child(0, 0, v)
-    }
-
-    /// The insert-trie leaf set at `block` (from [`ins_child_block`]).
-    ///
-    /// [`ins_child_block`]: DeltaOverlay::ins_child_block
-    pub fn ins_leaf(&self, block: usize) -> SetRef<'_> {
-        self.ins.as_ref().expect("ins_leaf follows ins_child_block").set(1, block)
     }
 
     /// Staged inserts under root value `v`, if any.
@@ -177,8 +136,6 @@ mod tests {
         assert_eq!(ov.del_child(1).unwrap().to_vec(), vec![10]);
         assert!(ov.ins_child(2).is_none());
         assert!(ov.del_child(2).is_none());
-        let block = ov.ins_child_block(1).unwrap();
-        assert_eq!(ov.ins_leaf(block).to_vec(), vec![12]);
         assert_eq!(ov.root(&b), &[1]);
     }
 

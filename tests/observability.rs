@@ -79,10 +79,10 @@ fn kernel_tallies_match_instrument_counters_on_the_lubm_workload() {
         );
         // Rows must agree with the profile's final join too.
         let emitted: u64 = profile.joins.last().map(|j| j.rows).unwrap_or(0);
-        assert!(
-            emitted >= result.cardinality() as u64,
-            "Q{n}: final join emitted {emitted} rows but the result has {}",
-            result.cardinality()
+        assert_eq!(
+            emitted,
+            result.cardinality() as u64,
+            "Q{n}: the last join's rows must be exactly the result's"
         );
         profiled_any |= tallies.dispatches() > 0;
     }
